@@ -12,6 +12,7 @@ from besovflow.littlewood_paley import (
     almost_orthogonality,
     band_profile,
     build_filters,
+    frequencies,
     partition_of_unity,
     smooth_cutoff,
 )
@@ -41,7 +42,7 @@ def main():
     print(f"  almost-orthogonality: [{ao.min():.6f}, {ao.max():.6f}]  (target [1/3, 1])")
 
     print("\nPer-block frequency coverage (nonzero multiplier range):")
-    freqs = np.abs(np.rint(np.fft.fftfreq(256, 1.0 / 256)))
+    freqs = np.abs(frequencies(256))
     for j, row in enumerate(bank.multipliers):
         active = freqs[row > 0]
         if active.size:

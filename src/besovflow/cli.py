@@ -39,6 +39,7 @@ from .littlewood_paley import (
     besov_norm,
     build_filters,
     decompose,
+    frequencies,
     grid_l2_norm,
     load_grid_function,
     partition_of_unity,
@@ -57,6 +58,9 @@ EXIT_OK = 0
 EXIT_ASSERTIONS = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+# relative rounding slack allowed on every value <= bound check
+SLACK = 1e-9
 
 
 class ConfigError(ValueError):
@@ -120,6 +124,11 @@ def dump_csv(path, header, rows) -> None:
                 for cell in row
             ]
             fh.write(",".join(cells) + "\n")
+
+
+def _exceeds(value, bound):
+    """True where value breaks value <= bound beyond the relative SLACK."""
+    return value > bound * (1.0 + SLACK)
 
 
 # --- config ---------------------------------------------------------------------
@@ -211,7 +220,7 @@ def _cmd_filters(config, outdir, rng):
             worst = max(worst, reconstruction_stability_ratio(f, bank, s))
         stability[f"s={s:g}"] = worst
 
-    freqs = np.rint(np.fft.fftfreq(bank.grid_size, 1.0 / bank.grid_size)).astype(int)
+    freqs = frequencies(bank.grid_size).astype(int)
     order = np.argsort(freqs)
     dump_csv(
         os.path.join(outdir, "filters.csv"),
@@ -290,8 +299,7 @@ def _cmd_envelope(config, outdir, rng):
     env = envelope_mod.compute_envelope(f, s, s1)
     lower, mid, upper = envelope_mod.envelope_equivalence(f, s, q, s1)
     failures = []
-    slack = 1e-9
-    if not (lower <= mid * (1.0 + slack) and mid <= upper * (1.0 + slack)):
+    if _exceeds(lower, mid) or _exceeds(mid, upper):
         failures.append(
             {"check": "envelope_equivalence", "lower": lower, "mid": mid, "upper": upper}
         )
@@ -312,7 +320,6 @@ def _cmd_envelope(config, outdir, rng):
 
 def _verify_suites(rng, trials):
     """Randomized inequality sweeps shared by the verify command."""
-    slack = 1e-9
     suites = []
 
     def run_suite(name, one_trial):
@@ -337,7 +344,7 @@ def _verify_suites(rng, trials):
         q = random_q()
         n = int(rng.integers(0, f.support + 4))
         value, bound = dyadic.smoothing_gain(f, r, rp, q, n)
-        if value > bound * (1.0 + slack):
+        if _exceeds(value, bound):
             return {"trial": trial, "value": value, "bound": bound}
         return None
 
@@ -346,7 +353,7 @@ def _verify_suites(rng, trials):
         r, rp = random_orders()
         q = random_q()
         value, bound = dyadic.weighted_smoothing_sum(f, r, rp, q)
-        if value > bound * (1.0 + slack):
+        if _exceeds(value, bound):
             return {"trial": trial, "value": value, "bound": bound}
         return None
 
@@ -355,7 +362,7 @@ def _verify_suites(rng, trials):
         r, rp = random_orders()
         q = float(rng.choice([1.0, 2.0]))
         value, bound = dyadic.truncation_power_sum(f, r, rp, q)
-        if abs(value - bound) > slack * max(1.0, abs(bound)):
+        if abs(value - bound) > SLACK * max(1.0, abs(bound)):
             return {"trial": trial, "value": value, "bound": bound}
         return None
 
@@ -364,7 +371,7 @@ def _verify_suites(rng, trials):
         u = rng.standard_normal(int(rng.integers(1, 12)))
         v = rng.standard_normal(int(rng.integers(1, 12)))
         result = dyadic.young_convolve(u, v, q)
-        if result.norm > result.bound * (1.0 + slack):
+        if _exceeds(result.norm, result.bound):
             return {"trial": trial, "norm": result.norm, "bound": result.bound}
         return None
 
@@ -374,7 +381,7 @@ def _verify_suites(rng, trials):
         s1 = s + float(rng.uniform(0.1, 2.0))
         q = random_q()
         lower, mid, upper = envelope_mod.envelope_equivalence(f, s, q, s1)
-        if lower > mid * (1.0 + slack) or mid > upper * (1.0 + slack):
+        if _exceeds(lower, mid) or _exceeds(mid, upper):
             return {"trial": trial, "lower": lower, "mid": mid, "upper": upper}
         return None
 
@@ -385,7 +392,7 @@ def _verify_suites(rng, trials):
         env = envelope_mod.compute_envelope(f, s, s1)
         growth = 2.0 ** (s1 - s)
         gamma = env.gamma
-        bad = gamma[:-1] > growth * gamma[1:] * (1.0 + slack)
+        bad = _exceeds(gamma[:-1], growth * gamma[1:])
         if bool(np.any(bad)):
             return {"trial": trial, "level": int(np.argmax(bad))}
         return None
@@ -401,7 +408,7 @@ def _verify_suites(rng, trials):
             parts = dyadic.interpolation_bound(f, s0, s, s1, q, n_split)
             best = min(best, parts.low + parts.high)
         actual = dyadic.dyadic_norm(f, (s, q))
-        if actual > best * (1.0 + slack):
+        if _exceeds(actual, best):
             return {"trial": trial, "actual": actual, "best_bound": best}
         return None
 
@@ -485,27 +492,11 @@ def _cmd_flow(config, outdir, rng):
     raw = estimate_constants(adapter, pairs)
     report_constants = raw.inflated(1.1)
 
-    failures = []
-    slack = 1e-9
-
     hl = high_low_rows(adapter, probe, report_constants, n_max=levels)
-    for row in hl:
-        if row.high_lhs > row.high_rhs * (1.0 + slack) or row.low_lhs > row.low_rhs * (
-            1.0 + slack
-        ):
-            failures.append({"check": "high_low", "n": row.n})
-
     decay = block_decay_profile(adapter, probe, report_constants, n_max=levels)
-    for row in decay:
-        if row.lhs > row.rhs * (1.0 + slack):
-            failures.append({"check": "block_decay", "n": row.n, "m": row.m})
-
     conv = convergence_report(
         adapter, probe, report_constants, n_values=range(probe.support)
     )
-    for row in conv.rows:
-        if row.actual > row.bound * (1.0 + slack):
-            failures.append({"check": "convergence", "n": row.n})
 
     direction = None
     if len(family) > 1:
@@ -516,8 +507,24 @@ def _cmd_flow(config, outdir, rng):
     probe_report = continuity_probe(
         adapter, probe, [1e-1, 1e-2, 1e-3], directions=direction
     )
-    if not probe_report.trend_ok:
-        failures.append({"check": "continuity_trend"})
+    failures = (
+        [
+            {"check": "high_low", "n": row.n}
+            for row in hl
+            if _exceeds(row.high_lhs, row.high_rhs) or _exceeds(row.low_lhs, row.low_rhs)
+        ]
+        + [
+            {"check": "block_decay", "n": row.n, "m": row.m}
+            for row in decay
+            if _exceeds(row.lhs, row.rhs)
+        ]
+        + [
+            {"check": "convergence", "n": row.n}
+            for row in conv.rows
+            if _exceeds(row.actual, row.bound)
+        ]
+        + ([] if probe_report.trend_ok else [{"check": "continuity_trend"}])
+    )
 
     traj = flows.make_flow(cfg)(data[0])
     tails = flows.time_continuity_modulus(traj, cfg.s, bank).tails if math.isinf(cfg.mu) else None

@@ -30,6 +30,7 @@ from .littlewood_paley import (
     FilterBank,
     GridFunction,
     GridMismatchError,
+    frequencies,
     load_grid_function,
     reconstruct,
     save_grid_function,
@@ -49,7 +50,6 @@ __all__ = [
     "burgers_spectral_reference",
     "make_flow",
     "block_time_norms",
-    "chemin_lerner_block_norms",
     "chemin_lerner_norm",
     "chemin_lerner_sup_norm",
     "lmu_time_sobolev_norm",
@@ -235,8 +235,7 @@ def global_max_abs(u: GridFunction, refine: int = 64) -> float:
 
 
 def _spectral_derivative(u: GridFunction) -> np.ndarray:
-    n = u.grid_size
-    freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
+    freqs = frequencies(u.grid_size)
     return np.fft.ifft(1j * freqs * np.fft.fft(u.values)).real
 
 
@@ -254,9 +253,8 @@ def transport_flow(u0: GridFunction, speed: float, cfg: FlowConfig) -> Trajector
     Every Sobolev norm is conserved along the trajectory since the phase
     factor has modulus one.
     """
-    n = u0.grid_size
     coeffs = np.fft.fft(u0.values)
-    freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
+    freqs = frequencies(u0.grid_size)
     times = cfg.time_nodes()
     states = tuple(
         GridFunction(np.fft.ifft(coeffs * np.exp(-1j * freqs * speed * t)).real)
@@ -331,7 +329,7 @@ def burgers_spectral_reference(
     solver.
     """
     n = u0.grid_size
-    freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
+    freqs = frequencies(n)
     keep = np.abs(freqs) <= n // 3
     ik = 1j * freqs
     k2 = freqs**2
@@ -376,35 +374,32 @@ def _time_combine(values: np.ndarray, times: np.ndarray, mu: float) -> float:
     return float(np.sum(weights * values**mu) ** (1.0 / mu))
 
 
-def _block_l2_table(traj: Trajectory, bank: FilterBank, s: float) -> np.ndarray:
-    """Matrix [j, t] of ||Delta_j u(t)||_{H^s} over blocks and time nodes."""
+def _spectra(traj: Trajectory, bank: FilterBank) -> list:
+    """Normalized spectrum fft(u(t)) / N of every state, one array per node."""
     if traj.grid_size != bank.grid_size:
         raise GridMismatchError(
             f"trajectory grid {traj.grid_size} does not match bank {bank.grid_size}"
         )
     n = traj.grid_size
-    freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
-    sobolev_weight = (1.0 + freqs**2) ** s
+    return [np.fft.fft(state.values) / n for state in traj.states]
+
+
+def _block_l2_table(spectra: list, bank: FilterBank, s: float) -> np.ndarray:
+    """Matrix [j, t] of ||Delta_j u(t)||_{H^s} over blocks and time nodes."""
+    sobolev_weight = (1.0 + frequencies(bank.grid_size) ** 2) ** s
     row_weights = bank.multipliers**2 * sobolev_weight  # (j, xi)
-    table = np.empty((bank.j_max + 1, traj.times.size))
-    for t_index, state in enumerate(traj.states):
-        power = np.abs(np.fft.fft(state.values) / n) ** 2
-        table[:, t_index] = np.sqrt(TAU * (row_weights @ power))
+    table = np.empty((bank.j_max + 1, len(spectra)))
+    for t_index, coeffs in enumerate(spectra):
+        table[:, t_index] = np.sqrt(TAU * (row_weights @ np.abs(coeffs) ** 2))
     return table
 
 
 def block_time_norms(traj: Trajectory, bank: FilterBank, s: float = 0.0) -> np.ndarray:
     """Per-block scalars: the L^mu-in-time H^s norm of each dyadic block."""
-    table = _block_l2_table(traj, bank, s)
+    table = _block_l2_table(_spectra(traj, bank), bank, s)
     return np.array(
         [_time_combine(table[j], traj.times, traj.mu) for j in range(table.shape[0])]
     )
-
-
-def chemin_lerner_block_norms(
-    traj: Trajectory, s: float, bank: FilterBank
-) -> np.ndarray:
-    return block_time_norms(traj, bank, s)
 
 
 def chemin_lerner_norm(traj: Trajectory, s: float, bank: FilterBank) -> float:
@@ -413,13 +408,13 @@ def chemin_lerner_norm(traj: Trajectory, s: float, bank: FilterBank) -> float:
     Stronger than the L^mu-in-time H^s norm when mu >= 2 (Minkowski, up to
     the almost-orthogonality constant sqrt(3)).
     """
-    blocks = chemin_lerner_block_norms(traj, s, bank)
+    blocks = block_time_norms(traj, bank, s)
     return float(np.sqrt(np.sum(blocks**2)))
 
 
 def chemin_lerner_sup_norm(traj: Trajectory, s: float, bank: FilterBank) -> float:
     """sup over blocks of the per-block time norm; below the L^mu H^s norm."""
-    return float(chemin_lerner_block_norms(traj, s, bank).max())
+    return float(block_time_norms(traj, bank, s).max())
 
 
 def lmu_time_sobolev_norm(traj: Trajectory, s: float) -> float:
@@ -508,34 +503,29 @@ def time_continuity_modulus(
     """
     if not math.isinf(traj.mu):
         raise ValueError("time-continuity diagnostics require mu = inf")
-    table = _block_l2_table(traj, bank, s)
+    spectra = _spectra(traj, bank)
+    table = _block_l2_table(spectra, bank, s)
     sup_per_block = table.max(axis=1)
     squares = sup_per_block**2
     tails = np.array(
         [float(np.sum(squares[start:])) for start in range(squares.size + 1)]
     )
 
-    n = traj.grid_size
-    freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
-    weight = (1.0 + freqs**2) ** s
-    spectra = [np.fft.fft(state.values) / n for state in traj.states]
-    m = traj.times.size
-
-    def hs_distance(i: int, j: int) -> float:
-        return math.sqrt(
-            TAU * float(np.sum(weight * np.abs(spectra[i] - spectra[j]) ** 2))
+    # one pass over the pairs (i, i + shift) up to the top lag; sqrt(TAU * .)
+    # is monotone, so the largest squared distance per shift gives the modulus
+    weight = (1.0 + frequencies(traj.grid_size) ** 2) ** s
+    m = len(spectra)
+    ladder = [1 << k for k in range((m - 1).bit_length())]
+    widest = [
+        max(
+            float(np.sum(weight * np.abs(spectra[i] - spectra[i + shift]) ** 2))
+            for i in range(m - shift)
         )
-
-    moduli = []
-    lag = 1
-    while lag < m:
-        modulus = 0.0
-        for shift in range(1, lag + 1):
-            for i in range(m - shift):
-                modulus = max(modulus, hs_distance(i, i + shift))
-        moduli.append((float(lag * traj.dt), modulus))
-        lag *= 2
-    return TimeContinuityReport(tails=tails, moduli=tuple(moduli))
+        for shift in range(1, ladder[-1] + 1)
+    ]
+    running = np.sqrt(TAU * np.maximum.accumulate(widest))
+    moduli = tuple((float(lag * traj.dt), float(running[lag - 1])) for lag in ladder)
+    return TimeContinuityReport(tails=tails, moduli=moduli)
 
 
 def trajectory_sup_l2_space(grid_size: int, time_steps: int) -> PseudoNormedSpace:

@@ -18,7 +18,10 @@ frequency set, so decompose/reconstruct invert each other to rounding.
 
 psi is built by mollifying the indicator of {|xi| <= 7/8} with a compactly
 supported bump of radius 1/8 (profile exp(-1/(1-t^2))), evaluated by a fixed
-64-node Gauss-Legendre rule and cached at every requested frequency point.
+64-node Gauss-Legendre rule on the ramp 3/4 < |xi| < 1 only.  The whole bank
+is sampled from one stack of dilations psi(2^e |xi|) on the integer
+frequencies returned by :func:`frequencies`, the one frequency grid that the
+rest of the package shares.
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ __all__ = [
     "GridMismatchError",
     "SpectralCoeffs",
     "spectrum",
+    "frequencies",
     "FilterBank",
     "build_filters",
     "smooth_cutoff",
@@ -161,8 +165,18 @@ class SpectralCoeffs:
 
     @property
     def frequencies(self) -> np.ndarray:
-        n = self.coeffs.size
-        return np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(int)
+        return frequencies(self.coeffs.size).astype(int)
+
+
+@lru_cache(maxsize=None)
+def frequencies(n: int) -> np.ndarray:
+    """Integer frequency of each FFT slot of an n-point grid, as floats.
+
+    Cached per grid size and read-only, since every caller shares the array.
+    """
+    freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
+    freqs.setflags(write=False)
+    return freqs
 
 
 def spectrum(u: GridFunction) -> SpectralCoeffs:
@@ -182,49 +196,35 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump_integral(a: float, b: float) -> float:
-    if b <= a:
-        return 0.0
-    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.sum(_GL_WEIGHTS * _bump(x)))
+def _bump_tail(a: np.ndarray) -> np.ndarray:
+    """Integral of the bump over [a, 1] for each entry of a 1-D array a."""
+    half_width = 0.5 * (1.0 - a)
+    x = half_width[:, None] * _GL_NODES + (0.5 * (a + 1.0))[:, None]
+    return half_width * np.sum(_GL_WEIGHTS * _bump(x), axis=1)
 
 
-_BUMP_TOTAL = _bump_integral(-1.0, 1.0)
-
-
-@lru_cache(maxsize=None)
-def _cutoff_scalar(t: float) -> float:
-    # indicator(|.| <= 7/8) mollified by the radius-1/8 bump, clamped so the
-    # plateau/support facts hold exactly in floating point
-    if t <= 0.75:
-        return 1.0
-    if t >= 1.0:
-        return 0.0
-    frac = _bump_integral(8.0 * t - 7.0, 1.0) / _BUMP_TOTAL
-    return min(1.0, max(0.0, frac))
+_BUMP_TOTAL = float(_bump_tail(np.array([-1.0]))[0])
 
 
 def smooth_cutoff(xi):
     """The radial low-pass profile psi, evaluated at scalar or array xi."""
-    arr = np.abs(np.atleast_1d(np.asarray(xi, dtype=float)))
-    out = np.array([_cutoff_scalar(float(t)) for t in arr])
-    if np.ndim(xi) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(xi))
+    t = np.abs(np.asarray(xi, dtype=float))
+    out = np.where(t <= 0.75, 1.0, 0.0)
+    ramp = (t > 0.75) & (t < 1.0)
+    # indicator(|.| <= 7/8) mollified by the radius-1/8 bump, clamped so the
+    # plateau/support facts hold exactly in floating point; dilated grids
+    # repeat ramp points, so each distinct point is integrated once
+    points, index = np.unique(t[ramp], return_inverse=True)
+    values = np.clip(_bump_tail(8.0 * points - 7.0) / _BUMP_TOTAL, 0.0, 1.0)
+    out[ramp] = values[index]
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def band_profile(xi):
     """The band profile phi(xi) = psi(xi/2) - psi(xi)."""
     return smooth_cutoff(np.asarray(xi) / 2.0) - smooth_cutoff(xi)
-
-
-def _fat_cutoff(xi):
-    return smooth_cutoff(np.asarray(xi) / 2.0)
-
-
-def _fat_band(xi):
-    xi = np.asarray(xi, dtype=float)
-    return smooth_cutoff(xi / 4.0) - smooth_cutoff(4.0 * xi)
 
 
 @dataclass(frozen=True)
@@ -258,32 +258,31 @@ def build_filters(grid_size: int) -> FilterBank:
     n = int(grid_size)
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 8, got {n}")
-    m = n.bit_length() - 1
-    j_max = m
-    absfreq = np.abs(np.rint(np.fft.fftfreq(n, 1.0 / n)))
-    multipliers = np.empty((j_max + 1, n))
-    fat = np.empty((j_max + 1, n))
-    multipliers[0] = smooth_cutoff(absfreq)
-    fat[0] = _fat_cutoff(absfreq)
-    for j in range(1, j_max + 1):
-        scaled = absfreq * 2.0 ** (-(j - 1))
-        multipliers[j] = band_profile(scaled)
-        fat[j] = _fat_band(scaled)
-    radial = np.arange(n // 2 + 1, dtype=float)
-    bank = FilterBank(
+    j_max = n.bit_length() - 1
+    # row e + j_max + 1 of the stack is P_e = psi(2^e |xi|), e = -(j_max+1)..2
+    exponents = np.arange(-(j_max + 1), 3)
+    stack = smooth_cutoff(np.ldexp(np.abs(frequencies(n)), exponents[:, None]))
+
+    def dilation(e):
+        return stack[e + j_max + 1]
+
+    j = np.arange(1, j_max + 1)
+    multipliers = np.vstack((dilation(0), dilation(-j) - dilation(1 - j)))
+    fat = np.vstack((dilation(-1), dilation(-1 - j) - dilation(3 - j)))
+    multipliers.setflags(write=False)
+    fat.setflags(write=False)
+    # radial views at xi = 0..N/2: the first half of rows 0 and 1
+    half = n // 2 + 1
+    return FilterBank(
         grid_size=n,
         j_max=j_max,
-        psi=smooth_cutoff(radial),
-        phi=band_profile(radial),
-        psi_fat=_fat_cutoff(radial),
-        phi_fat=_fat_band(radial),
+        psi=multipliers[0, :half],
+        phi=multipliers[1, :half],
+        psi_fat=fat[0, :half],
+        phi_fat=fat[1, :half],
         multipliers=multipliers,
         fat_multipliers=fat,
     )
-    for arr in (bank.psi, bank.phi, bank.psi_fat, bank.phi_fat,
-                bank.multipliers, bank.fat_multipliers):
-        arr.setflags(write=False)
-    return bank
 
 
 def partition_of_unity(bank: FilterBank) -> np.ndarray:
@@ -380,15 +379,14 @@ def sobolev_norm(u: GridFunction, s: float) -> float:
 
     Normalized so that s = 0 reproduces the quadrature L2 norm exactly.
     """
-    coeffs = spectrum(u)
-    weights = (1.0 + coeffs.frequencies.astype(float) ** 2) ** s
-    return math.sqrt(TAU * float(np.sum(weights * np.abs(coeffs.coeffs) ** 2)))
+    weights = (1.0 + frequencies(u.grid_size) ** 2) ** s
+    return math.sqrt(TAU * float(np.sum(weights * np.abs(spectrum(u).coeffs) ** 2)))
 
 
 def bessel_potential(u: GridFunction, s: float) -> GridFunction:
     """Apply the multiplier (1 + xi^2)^{s/2}."""
     coeffs = np.fft.fft(u.values)
-    freqs = np.rint(np.fft.fftfreq(u.grid_size, 1.0 / u.grid_size))
+    freqs = frequencies(u.grid_size)
     return GridFunction(np.fft.ifft(coeffs * (1.0 + freqs**2) ** (s / 2.0)).real)
 
 
@@ -396,14 +394,7 @@ def besov_norm(u: GridFunction, s: float, p: float, q: float, bank: FilterBank):
     """Blockwise Besov norm ( sum_j 2^{q j s} ||Delta_j u||_{L^p}^q )^{1/q}."""
     if p < 1:
         raise ValueError("integrability p must be >= 1")
-    _check_bank(u, bank)
-    coeffs = np.fft.fft(u.values)
-    block_lp = np.array(
-        [
-            lp_norm(GridFunction(np.fft.ifft(coeffs * row).real), p)
-            for row in bank.multipliers
-        ]
-    )
+    block_lp = np.array([lp_norm(block, p) for block in decompose(u, bank).entries])
     weighted = np.exp2(s * np.arange(block_lp.size)) * block_lp
     if math.isinf(q):
         return float(weighted.max())

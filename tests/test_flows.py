@@ -21,9 +21,9 @@ from besovflow.flows import (
     ShockMarginError,
     Trajectory,
     TrigInterpolant,
+    block_time_norms,
     burgers_flow,
     burgers_spectral_reference,
-    chemin_lerner_block_norms,
     chemin_lerner_norm,
     chemin_lerner_sup_norm,
     flow_as_sequence_map,
@@ -175,7 +175,7 @@ class TestCheminLerner:
     def test_constant_in_time_sup(self, bank64, rng):
         g = random_grid_function(rng, 64)
         traj = transport_flow(g, 0.0, transport_cfg(mu=INF))
-        blocks = chemin_lerner_block_norms(traj, 1.5, bank64)
+        blocks = block_time_norms(traj, bank64, 1.5)
         expected = [
             sobolev_norm(entry, 1.5) for entry in decompose(g, bank64).entries
         ]
@@ -294,6 +294,28 @@ class TestTimeContinuity:
             for a, b in zip(traj.states, traj.states[1:])
         )
         assert report.moduli[0][1] == pytest.approx(consecutive, rel=1e-9)
+
+
+    @pytest.mark.parametrize("kind", ["transport", "burgers"])
+    def test_moduli_match_brute_force_at_every_lag(self, bank64, kind):
+        if kind == "transport":
+            u0 = random_grid_function(np.random.default_rng(7), 64)
+            traj = transport_flow(u0, 1.0, transport_cfg(time_steps=40))
+        else:
+            traj = burgers_flow(sinusoid_datum(64, 0.1, 0.05), burgers_cfg())
+        report = time_continuity_modulus(traj, 2.0, bank64)
+        m = len(traj.states)
+        lags = [round(delta / traj.dt) for delta, _ in report.moduli]
+        assert lags == [2**k for k in range(len(lags))]
+        assert lags[-1] < m <= 2 * lags[-1]
+        distance = {
+            (i, j): sobolev_norm(traj.states[i] - traj.states[j], 2.0)
+            for i in range(m)
+            for j in range(i + 1, m)
+        }
+        for lag, (_, modulus) in zip(lags, report.moduli):
+            expected = max(d for (i, j), d in distance.items() if j - i <= lag)
+            assert modulus == pytest.approx(expected, rel=1e-9)
 
 
 class TestFullPipeline:

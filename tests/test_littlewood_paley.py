@@ -70,6 +70,32 @@ class TestFilterProfiles:
         assert np.all(np.diff(samples) <= 1e-12)
         assert np.all((samples >= 0.0) & (samples <= 1.0))
 
+    def test_cutoff_keeps_scalar_and_array_shapes(self):
+        assert type(smooth_cutoff(0.875)) is float
+        assert type(smooth_cutoff(2)) is float
+        assert np.shape(smooth_cutoff(np.array(0.875))) == ()
+        grid = np.linspace(-1.2, 1.2, 35).reshape(5, 7)
+        values = smooth_cutoff(grid)
+        assert values.shape == (5, 7)
+        expected = [[smooth_cutoff(float(x)) for x in row] for row in grid]
+        assert np.array_equal(values, np.array(expected))
+
+    def test_radial_profiles_match_direct_evaluation(self, bank64):
+        radial = np.arange(33, dtype=float)
+        assert np.array_equal(bank64.psi, smooth_cutoff(radial))
+        assert np.array_equal(bank64.phi, band_profile(radial))
+        assert np.array_equal(bank64.psi_fat, smooth_cutoff(radial / 2.0))
+        assert np.array_equal(
+            bank64.phi_fat, smooth_cutoff(radial / 4.0) - smooth_cutoff(4.0 * radial)
+        )
+
+    def test_bank_arrays_read_only(self, bank64):
+        for name in ("psi", "phi", "psi_fat", "phi_fat", "multipliers", "fat_multipliers"):
+            array = getattr(bank64, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
     def test_band_profile_support(self):
         assert band_profile(0.0) == 0.0
         assert band_profile(0.5) == 0.0
