@@ -444,10 +444,13 @@ def _flow_config(config) -> flows.FlowConfig:
     kind = flow_block.get("kind", "burgers")
     if kind not in ("burgers", "transport"):
         raise ConfigError("flow.kind must be 'burgers' or 'transport'")
+    time_steps = flow_block.get("time_steps", 64)
+    if isinstance(time_steps, bool) or not isinstance(time_steps, int) or time_steps < 1:
+        raise ConfigError("flow.time_steps must be a positive integer")
     return flows.FlowConfig(
         grid_size=config["grid_size"],
         T=_parse_extended(flow_block.get("T", 0.5), "flow.T"),
-        time_steps=int(flow_block.get("time_steps", 64)),
+        time_steps=time_steps,
         flow_kind=kind,
         transport_speed=_parse_extended(flow_block.get("speed", 1.0), "flow.speed"),
         ball_radius=None,

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -55,6 +56,7 @@ __all__ = [
     "lmu_time_sobolev_norm",
     "flow_as_sequence_map",
     "TimeContinuityReport",
+    "block_sup_tails",
     "time_continuity_modulus",
     "trajectory_sup_l2_space",
     "sinusoid_datum",
@@ -169,8 +171,11 @@ class TrigInterpolant:
 
     Evaluates the symmetric trigonometric polynomial through the samples
     (the Nyquist mode enters as a pure cosine) and its derivative at
-    arbitrary points.  Both are computed by a joint Horner recursion in
-    powers of exp(i y), one complex exponential per point.
+    arbitrary points, one complex exponential z = exp(i y) per point.  The
+    K = N/2 - 1 interior modes are split into blocks of B ~ sqrt(K)
+    consecutive modes: one cumulative product builds the powers z^1 .. z^B,
+    one matrix product contracts them with every block's coefficients, and
+    a Horner recursion in z^B runs across the blocks.
     """
 
     def __init__(self, u: GridFunction):
@@ -178,24 +183,35 @@ class TrigInterpolant:
         coeffs = np.fft.rfft(u.values) / n
         self.n = n
         self.c0 = float(coeffs[0].real)
-        self.interior = coeffs[1 : n // 2]  # modes 1 .. N/2 - 1
-        self.k = np.arange(1, n // 2, dtype=float)
         self.nyquist = float(coeffs[n // 2].real)
+        interior = coeffs[1 : n // 2]  # modes 1 .. N/2 - 1
+        self.block = math.isqrt(interior.size - 1) + 1  # ceil(sqrt(K))
+        self.blocks = -(-interior.size // self.block)
+        padded = np.zeros(self.block * self.blocks, dtype=complex)
+        padded[: interior.size] = interior
+        # row b holds modes b*B + 1 .. b*B + B; the derivative rows carry
+        # the same coefficients times their mode numbers
+        table = padded.reshape(self.blocks, self.block)
+        modes = np.arange(1, padded.size + 1).reshape(self.blocks, self.block)
+        self.weights = np.concatenate([table, modes * table])
+        self.value_weights = self.weights[: self.blocks]
 
     def _horner(self, y: np.ndarray, derivative_too: bool):
-        z = np.exp(1j * y)
-        acc = np.zeros_like(z)
-        acc_d = np.zeros_like(z) if derivative_too else None
-        for k in range(self.interior.size - 1, -1, -1):
-            c = self.interior[k]
-            acc = acc * z + c
-            if derivative_too:
-                acc_d = acc_d * z + (k + 1) * c
+        z = np.exp(1j * y.ravel())
+        powers = np.cumprod(np.broadcast_to(z, (self.block, z.size)), axis=0)
+        weights = self.weights if derivative_too else self.value_weights
+        # sums[p, b] is the inner sum of block b for part p (value, derivative)
+        sums = (weights @ powers).reshape(-1, self.blocks, z.size)
+        step = powers[-1]  # z^B
+        acc = sums[:, -1]
+        for b in range(self.blocks - 2, -1, -1):
+            acc = acc * step + sums[:, b]
+        acc = acc.reshape((-1,) + y.shape)
         half_n = 0.5 * self.n
-        value = self.c0 + 2.0 * (acc * z).real + self.nyquist * np.cos(half_n * y)
+        value = self.c0 + 2.0 * acc[0].real + self.nyquist * np.cos(half_n * y)
         if not derivative_too:
             return value, None
-        deriv = 2.0 * (1j * acc_d * z).real - self.nyquist * half_n * np.sin(half_n * y)
+        deriv = -2.0 * acc[1].imag - self.nyquist * half_n * np.sin(half_n * y)
         return value, deriv
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
@@ -270,8 +286,11 @@ def burgers_flow(u0: GridFunction, cfg: FlowConfig) -> Trajectory:
     x = y + t u0(y); the solution value is u0(y).  The scalar equation is
     solved for the whole grid at once by safeguarded Newton iteration
     (bisection fallback inside a bracket that always contains the root),
-    to residual 1e-12 per node.  Requires the horizon to sit below the
-    shock time with a 10 percent margin.
+    to residual 1e-12 per node.  Each step is seeded from the foot's ODE
+    dy/dt = -u0(y) / (1 + t u0'(y)): a cubic Hermite extrapolation through
+    the last two feet and their slopes (linear on the first step).
+    Requires the horizon to sit below the shock time with a 10 percent
+    margin.
     """
     margin_time = 0.9 * shock_time(u0)
     if not cfg.T <= margin_time:
@@ -284,11 +303,19 @@ def burgers_flow(u0: GridFunction, cfg: FlowConfig) -> Trajectory:
     half_width = 2.0 * amplitude + 1e-9
     times = cfg.time_nodes()
     states = [GridFunction(u0.values)]
-    y = x.copy()
-    for t in times[1:]:
+    y = x
+    slope_y = -u0.values  # dy/dt of every foot at t = 0
+    y_prev = slope_prev = None
+    for t_prev, t in zip(times[:-1], times[1:]):
+        h = t - t_prev
+        if y_prev is None:
+            seed = y + h * slope_y
+        else:
+            seed = 5.0 * y_prev - 4.0 * y + h * (2.0 * slope_prev + 4.0 * slope_y)
+        y_prev, slope_prev = y, slope_y
         lo = x - t * half_width
         hi = x + t * half_width
-        y = np.clip(y, lo, hi)
+        y = np.clip(seed, lo, hi)
         converged = False
         for _ in range(100):
             value, deriv = interp.value_and_derivative(y)
@@ -305,12 +332,18 @@ def burgers_flow(u0: GridFunction, cfg: FlowConfig) -> Trajectory:
             fallback = 0.5 * (lo + hi)
             usable = (slope > 0.0) & (newton > lo) & (newton < hi)
             y = np.where(usable, newton, fallback)
+            value = interp(y)
+            if np.all(np.abs(y + t * value - x) <= 1e-12):
+                converged = True
+                break
         if not converged:
             worst = int(np.argmax(np.abs(y + t * interp(y) - x)))
             raise CharacteristicSolveError(
                 f"characteristic solve stalled at node {worst}, time {t}"
             )
-        states.append(GridFunction(interp(y)))
+        states.append(GridFunction(value))
+        # the derivative is from the last Newton point, close enough for a seed
+        slope_y = -value / (1.0 + t * deriv)
     return Trajectory(times=times, states=tuple(states), mu=cfg.mu)
 
 
@@ -471,17 +504,53 @@ def flow_as_sequence_map(
 
 # --- time continuity ------------------------------------------------------------
 
+def block_sup_tails(traj: Trajectory, s: float, bank: FilterBank) -> np.ndarray:
+    """Tails sum_{j >= N} sup_t ||Delta_j u(t)||_{H^s}^2 for N = 0 .. J+1.
+
+    Nonincreasing in N and zero once N passes the band limit.
+    """
+    table = _block_l2_table(_spectra(traj, bank), bank, s)
+    squares = table.max(axis=1) ** 2
+    return np.array(
+        [float(np.sum(squares[start:])) for start in range(squares.size + 1)]
+    )
+
+
+def _shift_moduli(traj: Trajectory, s: float, bank: FilterBank) -> tuple:
+    """(delta, sup_{|t-t'| <= delta} ||u(t) - u(t')||_{H^s}) on the dyadic lag ladder."""
+    # one pass over the pairs (i, i + shift) up to the top lag; sqrt(TAU * .)
+    # is monotone, so the largest squared distance per shift gives the modulus
+    spectra = _spectra(traj, bank)
+    weight = (1.0 + frequencies(traj.grid_size) ** 2) ** s
+    m = len(spectra)
+    ladder = [1 << k for k in range((m - 1).bit_length())]
+    widest = [
+        max(
+            float(np.sum(weight * np.abs(spectra[i] - spectra[i + shift]) ** 2))
+            for i in range(m - shift)
+        )
+        for shift in range(1, ladder[-1] + 1)
+    ]
+    running = np.sqrt(TAU * np.maximum.accumulate(widest))
+    return tuple((float(lag * traj.dt), float(running[lag - 1])) for lag in ladder)
+
+
 @dataclass(frozen=True)
 class TimeContinuityReport:
     """Block tails and time-shift moduli backing the continuity-in-time check.
 
-    ``tails[N]`` is sum_{j >= N} sup_t ||Delta_j u(t)||_{H^s}^2, nonincreasing
-    in N and zero once N passes the band limit; ``moduli`` pairs each delta
-    of the ladder with sup_{|t-t'| <= delta} ||u(t) - u(t')||_{H^s}.
+    ``tails`` is :func:`block_sup_tails`; ``moduli`` pairs each delta of the
+    ladder with sup_{|t-t'| <= delta} ||u(t) - u(t')||_{H^s}.  The ladder
+    visits every pair of time nodes, so it is computed on first access and
+    callers that need only the tails do not pay for it.
     """
 
     tails: np.ndarray
-    moduli: tuple
+    _ladder: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def moduli(self) -> tuple:
+        return self._ladder()
 
     def to_dict(self) -> dict:
         return {
@@ -503,29 +572,10 @@ def time_continuity_modulus(
     """
     if not math.isinf(traj.mu):
         raise ValueError("time-continuity diagnostics require mu = inf")
-    spectra = _spectra(traj, bank)
-    table = _block_l2_table(spectra, bank, s)
-    sup_per_block = table.max(axis=1)
-    squares = sup_per_block**2
-    tails = np.array(
-        [float(np.sum(squares[start:])) for start in range(squares.size + 1)]
+    return TimeContinuityReport(
+        tails=block_sup_tails(traj, s, bank),
+        _ladder=lambda: _shift_moduli(traj, s, bank),
     )
-
-    # one pass over the pairs (i, i + shift) up to the top lag; sqrt(TAU * .)
-    # is monotone, so the largest squared distance per shift gives the modulus
-    weight = (1.0 + frequencies(traj.grid_size) ** 2) ** s
-    m = len(spectra)
-    ladder = [1 << k for k in range((m - 1).bit_length())]
-    widest = [
-        max(
-            float(np.sum(weight * np.abs(spectra[i] - spectra[i + shift]) ** 2))
-            for i in range(m - shift)
-        )
-        for shift in range(1, ladder[-1] + 1)
-    ]
-    running = np.sqrt(TAU * np.maximum.accumulate(widest))
-    moduli = tuple((float(lag * traj.dt), float(running[lag - 1])) for lag in ladder)
-    return TimeContinuityReport(tails=tails, moduli=moduli)
 
 
 def trajectory_sup_l2_space(grid_size: int, time_steps: int) -> PseudoNormedSpace:

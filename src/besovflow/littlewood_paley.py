@@ -460,16 +460,23 @@ def save_grid_function_csv(path, u: GridFunction) -> None:
 
 
 def load_grid_function(path) -> GridFunction:
-    """Read either the binary or the CSV grid-function format."""
+    """Read either the binary or the CSV grid-function format.
+
+    A binary file must hold exactly the samples its header counts; a CSV
+    file must list every index 0 .. N-1 exactly once, in any order.
+    Anything else raises ``ValueError`` naming the file.
+    """
     with open(path, "rb") as fh:
         head = fh.read(8)
         if head == GRID_MAGIC:
-            (n,) = struct.unpack("<Q", fh.read(8))
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-            if data.size != n:
+            size_field, payload = fh.read(8), fh.read()
+            n = struct.unpack("<Q", size_field)[0] if len(size_field) == 8 else None
+            if n is None or len(payload) < 8 * n:
                 raise ValueError(f"truncated grid file: {path}")
-            return GridFunction(data.astype(float))
-    values = {}
+            if len(payload) > 8 * n:
+                raise ValueError(f"trailing bytes after {n} samples in grid file: {path}")
+            return GridFunction(np.frombuffer(payload, dtype="<f8").astype(float))
+    indices, samples = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -480,8 +487,16 @@ def load_grid_function(path) -> GridFunction:
                 index = int(index_text)
             except ValueError:
                 continue  # header line
-            values[index] = float(value_text)
-    if not values:
+            indices.append(index)
+            samples.append(float(value_text))
+    if not indices:
         raise ValueError(f"no samples found in {path}")
-    data = np.array([values[i] for i in sorted(values)])
+    n = len(indices)
+    counts = np.bincount([i for i in indices if 0 <= i < n], minlength=n)
+    if counts.max() > 1:
+        raise ValueError(f"duplicate sample index {int(counts.argmax())} in {path}")
+    if counts.min() == 0:
+        raise ValueError(f"missing sample index {int(counts.argmin())} in {path}")
+    data = np.empty(n)
+    data[indices] = samples
     return GridFunction(data)

@@ -51,6 +51,21 @@ class TestConfigValidation:
         )
         assert main(["--config", cfg, "--quiet"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("time_steps", [2.7, True, "64", 0, -4])
+    def test_time_steps_must_be_positive_integer(self, tmp_path, time_steps):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "command": "flow",
+                "grid_size": 32,
+                "flow": {"kind": "transport", "T": 1.0, "time_steps": time_steps},
+            },
+        )
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not (out / "flow_report.json").exists()
+
     def test_io_failure_exit(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

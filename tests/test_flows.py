@@ -21,6 +21,7 @@ from besovflow.flows import (
     ShockMarginError,
     Trajectory,
     TrigInterpolant,
+    block_sup_tails,
     block_time_norms,
     burgers_flow,
     burgers_spectral_reference,
@@ -167,6 +168,71 @@ class TestBurgersFlow:
         assert np.allclose(value, interp(np.linspace(0, 6.0, 50)))
 
 
+def dense_interpolant(u, y):
+    """Value and derivative of the interpolant by a direct sum over every
+    mode, in extended precision so the reference error stays far below the
+    test tolerance even at |k y| ~ 1e4."""
+    n = u.grid_size
+    coeffs = np.fft.fft(u.values) / n
+    k = np.arange(1, n // 2, dtype=np.longdouble)
+    phase = np.outer(y.astype(np.longdouble), k)
+    re = coeffs[1 : n // 2].real.astype(np.longdouble)
+    im = coeffs[1 : n // 2].imag.astype(np.longdouble)
+    cos, sin = np.cos(phase), np.sin(phase)
+    half = np.longdouble(n // 2) * y.astype(np.longdouble)
+    nyquist = np.longdouble(coeffs[n // 2].real)
+    value = coeffs[0].real + 2 * (cos @ re - sin @ im) + nyquist * np.cos(half)
+    deriv = -2 * (sin @ (k * re) + cos @ (k * im)) - nyquist * (n // 2) * np.sin(half)
+    return value.astype(float), deriv.astype(float), float(np.abs(coeffs).sum())
+
+
+class TestTrigInterpolant:
+    @pytest.mark.parametrize("n", [2**e for e in range(3, 13)])
+    def test_blocked_kernel_matches_dense_sum(self, n):
+        rng = np.random.default_rng(n)
+        u = random_grid_function(rng, n)
+        y = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, 64)
+        value, deriv = TrigInterpolant(u).value_and_derivative(y)
+        ref_value, ref_deriv, coeff_sum = dense_interpolant(u, y)
+        assert np.abs(value - ref_value).max() <= 1e-13 * coeff_sum
+        assert np.abs(deriv - ref_deriv).max() <= 1e-13 * (n // 2 - 1) * coeff_sum
+
+    @pytest.mark.parametrize("n", [8, 64, 1024])
+    def test_value_only_call_agrees(self, n):
+        rng = np.random.default_rng(n + 1)
+        u = random_grid_function(rng, n)
+        interp = TrigInterpolant(u)
+        y = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, 300)
+        value, _ = interp.value_and_derivative(y)
+        coeff_sum = float(np.abs(np.fft.fft(u.values) / n).sum())
+        assert np.abs(interp(y) - value).max() <= 1e-13 * coeff_sum
+        assert np.array_equal(interp.derivative(y), interp.value_and_derivative(y)[1])
+
+    def test_keeps_the_shape_of_its_argument(self, rng):
+        interp = TrigInterpolant(random_grid_function(rng, 32))
+        grid = np.linspace(0.0, 6.0, 12).reshape(3, 4)
+        value, deriv = interp.value_and_derivative(grid)
+        assert value.shape == deriv.shape == (3, 4)
+        assert np.array_equal(value.ravel(), interp(grid.ravel()))
+        assert np.ndim(interp(1.5)) == 0
+        assert float(interp(1.5)) == pytest.approx(float(interp(np.array([1.5]))[0]), abs=1e-15)
+
+    def test_burgers_needs_few_evaluations_per_step(self, monkeypatch):
+        calls = []
+        for name in ("__call__", "value_and_derivative", "derivative"):
+            method = getattr(TrigInterpolant, name)
+
+            def counted(self, y, method=method, name=name):
+                calls.append(name)
+                return method(self, y)
+
+            monkeypatch.setattr(TrigInterpolant, name, counted)
+        u0 = sinusoid_datum(256, 0.1, 0.05)
+        cfg = burgers_cfg(grid_size=256, T=0.5 * shock_time(u0))
+        burgers_flow(u0, cfg)
+        assert len(calls) <= 3 * cfg.time_steps
+
+
 class TestCheminLerner:
     def test_zero_trajectory(self, bank64):
         traj = transport_flow(GridFunction.zeros(64), 1.0, transport_cfg())
@@ -295,6 +361,16 @@ class TestTimeContinuity:
         )
         assert report.moduli[0][1] == pytest.approx(consecutive, rel=1e-9)
 
+    def test_block_sup_tails(self, bank64):
+        traj = burgers_flow(sinusoid_datum(64, 0.1, 0.05), burgers_cfg())
+        tails = block_sup_tails(traj, 2.0, bank64)
+        assert np.array_equal(tails, time_continuity_modulus(traj, 2.0, bank64).tails)
+        sups = [
+            max(sobolev_norm(block, 2.0) for block in blocks)
+            for blocks in zip(*(decompose(state, bank64).entries for state in traj.states))
+        ]
+        expected = [sum(v**2 for v in sups[start:]) for start in range(len(sups) + 1)]
+        assert tails == pytest.approx(expected, rel=1e-9, abs=1e-15 * expected[0])
 
     @pytest.mark.parametrize("kind", ["transport", "burgers"])
     def test_moduli_match_brute_force_at_every_lag(self, bank64, kind):

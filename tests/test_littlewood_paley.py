@@ -323,3 +323,30 @@ class TestGridFileFormats:
             fh.write(b"\x00" * 64)  # only 8 of 32 samples
         with pytest.raises(ValueError):
             load_grid_function(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = tmp_path / "long.gfn"
+        save_grid_function(path, random_grid_function(rng, 32))
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(ValueError, match="long.gfn"):
+            load_grid_function(path)
+
+    def test_csv_missing_index_rejected(self, tmp_path):
+        # indices 0..8 without 3: eight rows, but not the indices 0..7
+        path = tmp_path / "gap.csv"
+        path.write_text("".join(f"{i},{float(i)}\n" for i in range(9) if i != 3))
+        with pytest.raises(ValueError, match="gap.csv"):
+            load_grid_function(path)
+
+    def test_csv_duplicate_index_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        rows = [f"{i},{float(i)}" for i in range(8)] + ["5,-1.0"]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="dup.csv"):
+            load_grid_function(path)
+
+    def test_csv_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "shuffled.csv"
+        path.write_text("".join(f"{i},{float(i)}\n" for i in (3, 0, 7, 1, 6, 2, 5, 4)))
+        assert np.array_equal(load_grid_function(path).values, np.arange(8.0))
