@@ -9,7 +9,8 @@ The config selects one command: ``filters``, ``decompose``, ``norms``,
 sampling, so two runs with the same config and seed produce byte-identical
 reports.  Exit status: 0 when every assertion in the selected suite passes,
 1 on assertion failures (the report carries the failure list), 2 on an
-invalid config, 3 on I/O failure.
+invalid config, 3 on I/O failure, 4 on a numerical stall (a characteristic
+solve of the Burgers flow that fails to converge; no report is written).
 
 All floating-point numbers in reports are serialized with 17 significant
 digits so regression diffs round-trip exactly.
@@ -58,6 +59,7 @@ EXIT_OK = 0
 EXIT_ASSERTIONS = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_STALL = 4
 
 # relative rounding slack allowed on every value <= bound check
 SLACK = 1e-9
@@ -607,6 +609,10 @@ def run(config: dict, outdir: str, quiet: bool = False) -> int:
         if not quiet:
             print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except flows.CharacteristicSolveError as exc:
+        if not quiet:
+            print(f"numerical stall: {exc}", file=sys.stderr)
+        return EXIT_STALL
     if not quiet:
         status = "ok" if not failures else f"{len(failures)} failing check(s)"
         print(f"{config['command']}: {status}; report at {report_path}")

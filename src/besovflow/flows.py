@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,7 @@ from .littlewood_paley import (
     FilterBank,
     GridFunction,
     GridMismatchError,
+    _check_grid_size,
     frequencies,
     load_grid_function,
     reconstruct,
@@ -73,30 +75,75 @@ class CharacteristicSolveError(RuntimeError):
     """A characteristic foot failed to converge within the iteration cap."""
 
 
-@dataclass(frozen=True)
+def _frozen(samples: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only so a Trajectory keeps it uncopied."""
+    samples.setflags(write=False)
+    return samples
+
+
+class _States(Sequence):
+    """Rows of a trajectory's sample array as GridFunctions, built on access."""
+
+    def __init__(self, samples: np.ndarray):
+        self._samples = samples
+
+    def __len__(self) -> int:
+        return self._samples.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(GridFunction(row) for row in self._samples[index])
+        return GridFunction(self._samples[index])
+
+
 class Trajectory:
-    """States of a flow on a uniform time grid, with a time exponent mu."""
+    """States of a flow on a uniform time grid, with a time exponent mu.
 
-    times: np.ndarray
-    states: tuple
-    mu: float = math.inf
+    The states are stored as one read-only (m, N) array ``samples``, row i
+    holding the grid values at ``times[i]``; build it from either ``states``
+    (GridFunctions, one per time node) or ``samples``.  A read-only array
+    that owns its buffer is kept as given; any other input is copied.
+    ``states`` views the rows as GridFunctions built on access.  Instances
+    are immutable.
+    """
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
-        if times.size != len(self.states):
+    __slots__ = ("times", "samples", "mu")
+
+    def __init__(self, times, states=None, mu: float = math.inf, *, samples=None):
+        if (states is None) == (samples is None):
+            raise ValueError("give exactly one of states and samples")
+        if samples is None:
+            states = tuple(states)
+            if len({state.grid_size for state in states}) > 1:
+                raise ValueError("all states must share one grid size")
+            samples = [state.values for state in states]
+        times = np.array(times, dtype=float)
+        samples = np.asarray(samples, dtype=float)
+        if samples.flags.writeable or samples.base is not None:
+            samples = samples.copy()
+        if samples.ndim != 2 or times.ndim != 1 or times.size != samples.shape[0]:
             raise ValueError("one state per time node is required")
         if times.size < 2:
             raise ValueError("a trajectory needs at least two time nodes")
         steps = np.diff(times)
         if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
             raise ValueError("time nodes must be uniform")
-        sizes = {state.grid_size for state in self.states}
-        if len(sizes) != 1:
-            raise ValueError("all states must share one grid size")
-        if not self.mu >= 2:
+        _check_grid_size(samples.shape[1])
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("grid values must be finite")
+        if not mu >= 2:
             raise ValueError("time exponent mu must be >= 2")
+        times.setflags(write=False)
+        samples.setflags(write=False)
+        for name, value in (("times", times), ("samples", samples), ("mu", mu)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Trajectory is immutable")
+
+    @property
+    def states(self) -> Sequence:
+        return _States(self.samples)
 
     @property
     def T(self) -> float:
@@ -108,34 +155,28 @@ class Trajectory:
 
     @property
     def grid_size(self) -> int:
-        return self.states[0].grid_size
+        return self.samples.shape[1]
 
     def _check(self, other: "Trajectory"):
         if self.times.size != other.times.size or not np.array_equal(
             self.times, other.times
         ):
             raise ValueError("trajectories live on different time grids")
+        if self.grid_size != other.grid_size:
+            raise GridMismatchError(
+                f"grid sizes differ: {self.grid_size} vs {other.grid_size}"
+            )
 
     def __add__(self, other: "Trajectory") -> "Trajectory":
         self._check(other)
-        return Trajectory(
-            times=self.times,
-            states=tuple(a + b for a, b in zip(self.states, other.states)),
-            mu=self.mu,
-        )
+        return Trajectory(self.times, samples=_frozen(self.samples + other.samples), mu=self.mu)
 
     def __sub__(self, other: "Trajectory") -> "Trajectory":
         self._check(other)
-        return Trajectory(
-            times=self.times,
-            states=tuple(a - b for a, b in zip(self.states, other.states)),
-            mu=self.mu,
-        )
+        return Trajectory(self.times, samples=_frozen(self.samples - other.samples), mu=self.mu)
 
     def __neg__(self) -> "Trajectory":
-        return Trajectory(
-            times=self.times, states=tuple(-s for s in self.states), mu=self.mu
-        )
+        return Trajectory(self.times, samples=_frozen(-self.samples), mu=self.mu)
 
 
 @dataclass(frozen=True)
@@ -263,20 +304,28 @@ def shock_time(u0: GridFunction) -> float:
     return 1.0 / (-slope_min)
 
 
+@lru_cache(maxsize=4)
+def _phase_table(n: int, speed: float, times: tuple) -> np.ndarray:
+    """exp(-i k speed t) for every time node t (rows) and mode k = 0 .. N/2."""
+    k = np.arange(n // 2 + 1, dtype=float)
+    table = np.exp(-1j * k * speed * np.array(times)[:, None])
+    table.setflags(write=False)
+    return table
+
+
 def transport_flow(u0: GridFunction, speed: float, cfg: FlowConfig) -> Trajectory:
     """Constant-speed transport solved by an exact spectral phase shift.
 
     Every Sobolev norm is conserved along the trajectory since the phase
-    factor has modulus one.
+    factor has modulus one.  All states come from one inverse real FFT of
+    the half spectrum times a phase table; the table depends only on the
+    grid size, the speed and the time grid, so it is built once and reused
+    by every call on the same configuration.
     """
-    coeffs = np.fft.fft(u0.values)
-    freqs = frequencies(u0.grid_size)
     times = cfg.time_nodes()
-    states = tuple(
-        GridFunction(np.fft.ifft(coeffs * np.exp(-1j * freqs * speed * t)).real)
-        for t in times
-    )
-    return Trajectory(times=times, states=states, mu=cfg.mu)
+    phase = _phase_table(u0.grid_size, float(speed), tuple(times))
+    samples = np.fft.irfft(np.fft.rfft(u0.values) * phase, n=u0.grid_size, axis=1)
+    return Trajectory(times, samples=_frozen(samples), mu=cfg.mu)
 
 
 def burgers_flow(u0: GridFunction, cfg: FlowConfig) -> Trajectory:
@@ -302,11 +351,12 @@ def burgers_flow(u0: GridFunction, cfg: FlowConfig) -> Trajectory:
     amplitude = float(np.abs(u0.values).max())
     half_width = 2.0 * amplitude + 1e-9
     times = cfg.time_nodes()
-    states = [GridFunction(u0.values)]
+    samples = np.empty((times.size, u0.grid_size))
+    samples[0] = u0.values
     y = x
     slope_y = -u0.values  # dy/dt of every foot at t = 0
     y_prev = slope_prev = None
-    for t_prev, t in zip(times[:-1], times[1:]):
+    for step, (t_prev, t) in enumerate(zip(times[:-1], times[1:]), start=1):
         h = t - t_prev
         if y_prev is None:
             seed = y + h * slope_y
@@ -330,7 +380,8 @@ def burgers_flow(u0: GridFunction, cfg: FlowConfig) -> Trajectory:
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = y - g / slope
             fallback = 0.5 * (lo + hi)
-            usable = (slope > 0.0) & (newton > lo) & (newton < hi)
+            # closed bracket: a sub-ulp correction lands on a bracket end
+            usable = (slope > 0.0) & (newton >= lo) & (newton <= hi)
             y = np.where(usable, newton, fallback)
             value = interp(y)
             if np.all(np.abs(y + t * value - x) <= 1e-12):
@@ -341,10 +392,10 @@ def burgers_flow(u0: GridFunction, cfg: FlowConfig) -> Trajectory:
             raise CharacteristicSolveError(
                 f"characteristic solve stalled at node {worst}, time {t}"
             )
-        states.append(GridFunction(value))
+        samples[step] = value
         # the derivative is from the last Newton point, close enough for a seed
         slope_y = -value / (1.0 + t * deriv)
-    return Trajectory(times=times, states=tuple(states), mu=cfg.mu)
+    return Trajectory(times, samples=_frozen(samples), mu=cfg.mu)
 
 
 def burgers_spectral_reference(
@@ -374,8 +425,9 @@ def burgers_spectral_reference(
 
     times = np.asarray(times, dtype=float)
     u_hat = np.fft.fft(u0.values)
-    states = [GridFunction(u0.values)]
-    for left, right in zip(times[:-1], times[1:]):
+    samples = np.empty((times.size, n))
+    samples[0] = u0.values
+    for step, (left, right) in enumerate(zip(times[:-1], times[1:]), start=1):
         dt = (right - left) / steps_per_interval
         for _ in range(steps_per_interval):
             k1 = rhs(u_hat)
@@ -383,8 +435,8 @@ def burgers_spectral_reference(
             k3 = rhs(u_hat + 0.5 * dt * k2_)
             k4 = rhs(u_hat + dt * k3)
             u_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
-        states.append(GridFunction(np.fft.ifft(u_hat).real))
-    return Trajectory(times=times, states=tuple(states), mu=mu)
+        samples[step] = np.fft.ifft(u_hat).real
+    return Trajectory(times, samples=_frozen(samples), mu=mu)
 
 
 def make_flow(cfg: FlowConfig) -> Callable[[GridFunction], Trajectory]:
@@ -396,43 +448,56 @@ def make_flow(cfg: FlowConfig) -> Callable[[GridFunction], Trajectory]:
 
 # --- time-frequency norms ------------------------------------------------------
 
-def _time_combine(values: np.ndarray, times: np.ndarray, mu: float) -> float:
-    """L^mu norm in time of nonnegative node values (trapezoid quadrature)."""
+def _time_combine(values: np.ndarray, times: np.ndarray, mu: float) -> np.ndarray:
+    """L^mu norm in time of nonnegative node values along the last axis.
+
+    Trapezoid quadrature for finite mu, the max over nodes for mu = inf.
+    """
     if math.isinf(mu):
-        return float(values.max())
+        return values.max(axis=-1)
     dt = times[1] - times[0]
     weights = np.full(times.size, dt)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return float(np.sum(weights * values**mu) ** (1.0 / mu))
+    return np.sum(weights * values**mu, axis=-1) ** (1.0 / mu)
 
 
-def _spectra(traj: Trajectory, bank: FilterBank) -> list:
-    """Normalized spectrum fft(u(t)) / N of every state, one array per node."""
+def _check_grid(traj: Trajectory, bank: FilterBank):
     if traj.grid_size != bank.grid_size:
         raise GridMismatchError(
             f"trajectory grid {traj.grid_size} does not match bank {bank.grid_size}"
         )
-    n = traj.grid_size
-    return [np.fft.fft(state.values) / n for state in traj.states]
 
 
-def _block_l2_table(spectra: list, bank: FilterBank, s: float) -> np.ndarray:
+def _weighted_energy(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """TAU * sum_xi weights[..., xi] |c_xi|^2 for every row of rfft(u) spectra.
+
+    c = rfft(u) / N are the normalized Fourier coefficients; N is a power of
+    two, so dividing the weights by N^2 instead rounds exactly the same.
+    ``weights`` are radial and given in FFT layout (last axis N), so each
+    interior mode of the half spectrum stands for itself and its mirror and
+    counts twice; mode 0 and the Nyquist mode count once.  The result has
+    the leading shape of ``weights`` followed by one axis over the rows.
+    """
+    n = weights.shape[-1]
+    folded = weights[..., : n // 2 + 1] / n**2
+    folded[..., 1 : n // 2] *= 2.0
+    power = np.abs(spectra)
+    power *= power
+    return TAU * np.einsum("...k,tk->...t", folded, power)
+
+
+def _block_l2_table(traj: Trajectory, bank: FilterBank, s: float) -> np.ndarray:
     """Matrix [j, t] of ||Delta_j u(t)||_{H^s} over blocks and time nodes."""
+    _check_grid(traj, bank)
     sobolev_weight = (1.0 + frequencies(bank.grid_size) ** 2) ** s
     row_weights = bank.multipliers**2 * sobolev_weight  # (j, xi)
-    table = np.empty((bank.j_max + 1, len(spectra)))
-    for t_index, coeffs in enumerate(spectra):
-        table[:, t_index] = np.sqrt(TAU * (row_weights @ np.abs(coeffs) ** 2))
-    return table
+    return np.sqrt(_weighted_energy(np.fft.rfft(traj.samples, axis=1), row_weights))
 
 
 def block_time_norms(traj: Trajectory, bank: FilterBank, s: float = 0.0) -> np.ndarray:
     """Per-block scalars: the L^mu-in-time H^s norm of each dyadic block."""
-    table = _block_l2_table(_spectra(traj, bank), bank, s)
-    return np.array(
-        [_time_combine(table[j], traj.times, traj.mu) for j in range(table.shape[0])]
-    )
+    return _time_combine(_block_l2_table(traj, bank, s), traj.times, traj.mu)
 
 
 def chemin_lerner_norm(traj: Trajectory, s: float, bank: FilterBank) -> float:
@@ -452,10 +517,9 @@ def chemin_lerner_sup_norm(traj: Trajectory, s: float, bank: FilterBank) -> floa
 
 def lmu_time_sobolev_norm(traj: Trajectory, s: float) -> float:
     """L^mu norm in time of t -> ||u(t)||_{H^s} (trapezoid for finite mu)."""
-    from .littlewood_paley import sobolev_norm
-
-    values = np.array([sobolev_norm(state, s) for state in traj.states])
-    return _time_combine(values, traj.times, traj.mu)
+    weight = (1.0 + frequencies(traj.grid_size) ** 2) ** s
+    values = np.sqrt(_weighted_energy(np.fft.rfft(traj.samples, axis=1), weight))
+    return float(_time_combine(values, traj.times, traj.mu))
 
 
 # --- sequence-space adapters ---------------------------------------------------
@@ -509,8 +573,7 @@ def block_sup_tails(traj: Trajectory, s: float, bank: FilterBank) -> np.ndarray:
 
     Nonincreasing in N and zero once N passes the band limit.
     """
-    table = _block_l2_table(_spectra(traj, bank), bank, s)
-    squares = table.max(axis=1) ** 2
+    squares = _block_l2_table(traj, bank, s).max(axis=1) ** 2
     return np.array(
         [float(np.sum(squares[start:])) for start in range(squares.size + 1)]
     )
@@ -518,20 +581,18 @@ def block_sup_tails(traj: Trajectory, s: float, bank: FilterBank) -> np.ndarray:
 
 def _shift_moduli(traj: Trajectory, s: float, bank: FilterBank) -> tuple:
     """(delta, sup_{|t-t'| <= delta} ||u(t) - u(t')||_{H^s}) on the dyadic lag ladder."""
-    # one pass over the pairs (i, i + shift) up to the top lag; sqrt(TAU * .)
-    # is monotone, so the largest squared distance per shift gives the modulus
-    spectra = _spectra(traj, bank)
+    # one pass over the pairs (i, i + shift) up to the top lag; sqrt(.) is
+    # monotone, so the largest squared distance per shift gives the modulus
+    _check_grid(traj, bank)
+    spectra = np.fft.rfft(traj.samples, axis=1)
     weight = (1.0 + frequencies(traj.grid_size) ** 2) ** s
-    m = len(spectra)
+    m = spectra.shape[0]
     ladder = [1 << k for k in range((m - 1).bit_length())]
     widest = [
-        max(
-            float(np.sum(weight * np.abs(spectra[i] - spectra[i + shift]) ** 2))
-            for i in range(m - shift)
-        )
+        float(_weighted_energy(spectra[shift:] - spectra[:-shift], weight).max())
         for shift in range(1, ladder[-1] + 1)
     ]
-    running = np.sqrt(TAU * np.maximum.accumulate(widest))
+    running = np.sqrt(np.maximum.accumulate(widest))
     return tuple((float(lag * traj.dt), float(running[lag - 1])) for lag in ladder)
 
 
@@ -584,10 +645,7 @@ def trajectory_sup_l2_space(grid_size: int, time_steps: int) -> PseudoNormedSpac
 
     def zero() -> Trajectory:
         times = np.linspace(0.0, 1.0, time_steps + 1)
-        return Trajectory(
-            times=times,
-            states=tuple(GridFunction.zeros(grid_size) for _ in times),
-        )
+        return Trajectory(times, samples=np.zeros((times.size, grid_size)))
 
     return PseudoNormedSpace(
         label=f"sup-time-L2({grid_size})",

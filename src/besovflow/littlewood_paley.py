@@ -73,6 +73,12 @@ class GridMismatchError(ValueError):
     """Grid sizes of interacting objects disagree."""
 
 
+def _check_grid_size(n: int):
+    """Reject grid sizes that are not a power of two of at least 8."""
+    if n < 8 or (n & (n - 1)) != 0:
+        raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real samples of a periodic function on a uniform torus grid.
@@ -85,9 +91,7 @@ class GridFunction:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        n = values.size
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+        _check_grid_size(values.size)
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must be finite")
         values = values.copy()
@@ -256,8 +260,7 @@ def build_filters(grid_size: int) -> FilterBank:
     the reconstruction identity on arbitrary grid data.
     """
     n = int(grid_size)
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+    _check_grid_size(n)
     j_max = n.bit_length() - 1
     # row e + j_max + 1 of the stack is P_e = psi(2^e |xi|), e = -(j_max+1)..2
     exponents = np.arange(-(j_max + 1), 3)
@@ -321,11 +324,10 @@ def decompose(u: GridFunction, bank: FilterBank) -> DyadicSequence:
     The blocks sum back to u exactly on the grid.
     """
     _check_bank(u, bank)
-    coeffs = np.fft.fft(u.values)
-    blocks = [
-        GridFunction(np.fft.ifft(coeffs * row).real) for row in bank.multipliers
-    ]
-    return DyadicSequence(grid_l2_space(u.grid_size), tuple(blocks))
+    blocks = np.fft.ifft(np.fft.fft(u.values) * bank.multipliers, axis=1).real
+    return DyadicSequence(
+        grid_l2_space(u.grid_size), tuple(GridFunction(row) for row in blocks)
+    )
 
 
 def reconstruct(f: DyadicSequence, bank: FilterBank) -> GridFunction:
@@ -338,13 +340,15 @@ def reconstruct(f: DyadicSequence, bank: FilterBank) -> GridFunction:
         raise ValueError(
             f"sequence support {f.support} exceeds bank blocks {bank.j_max + 1}"
         )
-    total = np.zeros(bank.grid_size, dtype=complex)
     for j, entry in enumerate(f.entries):
         if entry.grid_size != bank.grid_size:
             raise GridMismatchError(
                 f"block {j} has grid size {entry.grid_size}, bank {bank.grid_size}"
             )
-        total += np.fft.fft(entry.values) * bank.fat_multipliers[j]
+    if not f.entries:
+        return GridFunction.zeros(bank.grid_size)
+    blocks = np.array([entry.values for entry in f.entries])
+    total = (np.fft.fft(blocks, axis=1) * bank.fat_multipliers[: f.support]).sum(axis=0)
     return GridFunction(np.fft.ifft(total).real)
 
 
@@ -429,16 +433,16 @@ def random_grid_function(
     """
     half = grid_size // 2
     top = half - 1 if max_mode is None else min(int(max_mode), half)
+    # scales as Python floats: numpy's power can differ from them by an ulp
+    scales = np.array([(1.0 + k) ** (-decay) for k in range(top + 1)])
+    interior = max(0, min(top, half - 1))  # modes drawn as (real, imag) pairs
     half_spectrum = np.zeros(half + 1, dtype=complex)
     half_spectrum[0] = rng.standard_normal()
-    for k in range(1, top + 1):
-        scale = (1.0 + k) ** (-decay)
-        if k == half:
-            half_spectrum[k] = rng.standard_normal() * scale
-        else:
-            half_spectrum[k] = (
-                rng.standard_normal() + 1j * rng.standard_normal()
-            ) * scale
+    pairs = rng.standard_normal(2 * interior).reshape(interior, 2)
+    half_spectrum.real[1 : interior + 1] = pairs[:, 0] * scales[1 : interior + 1]
+    half_spectrum.imag[1 : interior + 1] = pairs[:, 1] * scales[1 : interior + 1]
+    if top == half:
+        half_spectrum[half] = rng.standard_normal() * scales[half]
     return GridFunction(np.fft.irfft(half_spectrum, n=grid_size) * grid_size)
 
 

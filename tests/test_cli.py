@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from besovflow.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from besovflow.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STALL, main
 from besovflow.littlewood_paley import (
     GridFunction,
     random_grid_function,
@@ -234,6 +234,42 @@ class TestExitStatus:
             },
         )
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+
+
+class TestNumericalStall:
+    CONFIG = {
+        "schema_version": 1,
+        "command": "flow",
+        "seed": 0,
+        "grid_size": 32,
+        "scale": {"s0": 0.0, "s": 2.0, "s1": 3.0, "q": 2.0},
+        "flow": {"kind": "burgers", "T": 0.5, "time_steps": 8, "mu": "inf"},
+    }
+
+    def stall(self, monkeypatch):
+        import besovflow.flows as flows
+
+        def stalled(u0, cfg):
+            raise flows.CharacteristicSolveError("characteristic solve stalled at node 3, time 0.5")
+
+        monkeypatch.setattr(flows, "burgers_flow", stalled)
+
+    def test_stall_has_its_own_exit_code(self, tmp_path, monkeypatch, capsys):
+        self.stall(monkeypatch)
+        cfg = write_config(tmp_path / "c.json", self.CONFIG)
+        assert EXIT_STALL not in (EXIT_OK, 1, EXIT_CONFIG, EXIT_IO)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_STALL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical stall:") and "node 3" in err
+        assert not (tmp_path / "o" / "flow_report.json").exists()
+
+    def test_quiet_stall_prints_nothing(self, tmp_path, monkeypatch, capsys):
+        self.stall(monkeypatch)
+        cfg = write_config(tmp_path / "c.json", self.CONFIG)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_STALL
+        captured = capsys.readouterr()
+        assert captured.out == captured.err == ""
 
 
 class TestDeterminism:

@@ -11,8 +11,11 @@ from besovflow.engine import (
 )
 from besovflow.littlewood_paley import (
     GridFunction,
+    GridMismatchError,
     build_filters,
     decompose,
+    frequencies,
+    grid_l2_space,
     random_grid_function,
     sobolev_norm,
 )
@@ -39,7 +42,12 @@ from besovflow.flows import (
     trajectory_sup_l2_space,
     transport_flow,
 )
-from besovflow.pseudonorm import axiom_probe
+from besovflow.pseudonorm import (
+    KindMismatchError,
+    PseudoNormedSpace,
+    axiom_probe,
+    eval_pseudo_norm,
+)
 
 INF = math.inf
 
@@ -232,6 +240,23 @@ class TestTrigInterpolant:
         burgers_flow(u0, cfg)
         assert len(calls) <= 3 * cfg.time_steps
 
+    def test_near_shock_needs_few_evaluations_per_step(self, monkeypatch):
+        # sub-ulp Newton corrections land on a bracket end and must count as
+        # usable; sending them to the bracket midpoint cost ~32 calls a step
+        calls = []
+        for name in ("__call__", "value_and_derivative", "derivative"):
+            method = getattr(TrigInterpolant, name)
+
+            def counted(self, y, method=method):
+                calls.append(1)
+                return method(self, y)
+
+            monkeypatch.setattr(TrigInterpolant, name, counted)
+        u0 = sinusoid_datum(256, 1.0, 0.2)
+        cfg = burgers_cfg(grid_size=256, T=0.8 * shock_time(u0))
+        burgers_flow(u0, cfg)  # every node still meets the 1e-12 residual gate
+        assert len(calls) <= 3 * cfg.time_steps
+
 
 class TestCheminLerner:
     def test_zero_trajectory(self, bank64):
@@ -392,6 +417,176 @@ class TestTimeContinuity:
         for lag, (_, modulus) in zip(lags, report.moduli):
             expected = max(d for (i, j), d in distance.items() if j - i <= lag)
             assert modulus == pytest.approx(expected, rel=1e-9)
+
+
+def loop_transport(u0, speed, times):
+    """Per-node reference: one full FFT phase shift per time node."""
+    coeffs = np.fft.fft(u0.values)
+    freqs = frequencies(u0.grid_size)
+    return np.array([np.fft.ifft(coeffs * np.exp(-1j * freqs * speed * t)).real for t in times])
+
+
+def brute_block_time_norms(traj, bank, s):
+    """Decompose every state and take each block's Sobolev norm, then combine in time."""
+    table = np.array(
+        [[sobolev_norm(block, s) for block in decompose(state, bank).entries] for state in traj.states]
+    ).T
+    if math.isinf(traj.mu):
+        return table.max(axis=1)
+    weights = np.full(traj.times.size, traj.dt)
+    weights[[0, -1]] *= 0.5
+    return (table**traj.mu @ weights) ** (1.0 / traj.mu)
+
+
+class TestBatchedSpectralPath:
+    @pytest.mark.parametrize("n", [2**e for e in range(3, 13)])
+    def test_transport_matches_per_node_phase_shift(self, n):
+        rng = np.random.default_rng(n)
+        u0 = random_grid_function(rng, n, max_mode=n // 2)  # Nyquist mode set
+        cfg = transport_cfg(grid_size=n, T=1.3, time_steps=16)
+        traj = transport_flow(u0, 1.7, cfg)
+        ref = loop_transport(u0, 1.7, cfg.time_nodes())
+        assert traj.samples.shape == ref.shape
+        assert np.abs(traj.samples - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    def test_transport_reuses_one_phase_table(self, rng):
+        flow = make_flow(transport_cfg(transport_speed=0.9))
+        first = flow(random_grid_function(rng, 64))
+        second = flow(random_grid_function(rng, 64))
+        assert not np.array_equal(first.samples, second.samples)
+        ref = loop_transport(GridFunction(second.samples[0]), 0.9, second.times)
+        assert np.abs(second.samples - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("mu", [INF, 4.0])
+    @pytest.mark.parametrize("kind", ["transport", "burgers"])
+    def test_block_time_norms_match_brute_force(self, n, mu, kind):
+        bank = build_filters(n)
+        if kind == "transport":
+            u0 = random_grid_function(np.random.default_rng(n), n, decay=0.5)
+            traj = transport_flow(u0, 1.3, transport_cfg(grid_size=n, time_steps=24, mu=mu))
+        else:
+            u0 = sinusoid_datum(n, 0.1, 0.05)
+            traj = burgers_flow(u0, burgers_cfg(grid_size=n, time_steps=24, mu=mu))
+        for s in (0.0, 1.5):
+            got = block_time_norms(traj, bank, s)
+            ref = brute_block_time_norms(traj, bank, s)
+            # blocks at the rounding floor of a band-limited Burgers state are
+            # compared absolutely, against the largest block
+            floor = 1e-12 * ref.max()
+            assert np.all(np.abs(got - ref) <= np.maximum(1e-12 * ref, floor))
+            assert lmu_time_sobolev_norm(traj, s) == pytest.approx(
+                max(sobolev_norm(state, s) for state in traj.states)
+                if math.isinf(mu)
+                else (
+                    np.array([sobolev_norm(state, s) for state in traj.states]) ** mu
+                    @ np.r_[0.5, np.ones(traj.times.size - 2), 0.5]
+                    * traj.dt
+                )
+                ** (1.0 / mu),
+                rel=1e-12,
+            )
+
+    def test_block_norms_reject_grid_mismatch(self, bank64, rng):
+        traj = transport_flow(random_grid_function(rng, 32), 1.0, transport_cfg(grid_size=32))
+        with pytest.raises(GridMismatchError):
+            block_time_norms(traj, bank64)
+        with pytest.raises(GridMismatchError):
+            time_continuity_modulus(traj, 1.0, bank64).moduli
+
+
+class TestStackedTrajectory:
+    def make_pair(self, seed, n=16, m=5):
+        r = np.random.default_rng(seed)
+        times = np.linspace(0.0, 1.0, m)
+        samples = r.normal(size=(m, n))
+        from_states = Trajectory(times, states=[GridFunction(row) for row in samples])
+        from_array = Trajectory(times, samples=samples)
+        return from_states, from_array
+
+    def test_states_and_array_construction_agree(self):
+        a, b = self.make_pair(1)
+        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a.times, b.times)
+        assert a.grid_size == b.grid_size == 16
+        assert all(x == y for x, y in zip(a.states, b.states))
+        assert len(a.states) == 5 and a.states[-1] == GridFunction(b.samples[4])
+        assert all(isinstance(x, GridFunction) for x in b.states[1:3])
+
+    def test_arithmetic(self):
+        a, b = self.make_pair(2)
+        c, _ = self.make_pair(3)
+        for got, expected in (
+            (a + c, [x + y for x, y in zip(a.states, c.states)]),
+            (a - c, [x - y for x, y in zip(a.states, c.states)]),
+            (-b, [-x for x in b.states]),
+        ):
+            assert isinstance(got, Trajectory)
+            assert all(x == y for x, y in zip(got.states, expected))
+        with pytest.raises(ValueError):
+            a + Trajectory(np.linspace(0.0, 2.0, 5), samples=np.zeros((5, 16)))
+        with pytest.raises(GridMismatchError):
+            a + Trajectory(a.times, samples=np.zeros((5, 32)))
+
+    def test_read_only_and_detached(self):
+        samples = np.zeros((3, 8))
+        traj = Trajectory(np.linspace(0.0, 1.0, 3), samples=samples)
+        samples[0, 0] = 1.0  # the caller's array is copied, not adopted
+        assert traj.samples[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            traj.samples[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            traj.times[0] = 2.0
+        with pytest.raises(AttributeError):
+            traj.samples = np.ones((3, 8))
+        with pytest.raises(AttributeError):
+            traj.mu = 3.0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.0] * 8, [np.nan] + [0.0] * 7, [0.0] * 8]),
+            np.array([[0.0] * 8, [np.inf] * 8, [0.0] * 8]),
+            np.zeros(8),
+            np.zeros((3, 8, 1)),
+            np.zeros((2, 8)),
+            np.zeros((3, 12)),
+            np.zeros((3, 4)),
+        ],
+    )
+    def test_rejects_bad_samples(self, bad):
+        with pytest.raises(ValueError):
+            Trajectory(np.linspace(0.0, 1.0, 3), samples=bad)
+
+    def test_needs_exactly_one_source(self):
+        times = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValueError):
+            Trajectory(times)
+        with pytest.raises(ValueError):
+            Trajectory(times, states=[GridFunction.zeros(8)] * 3, samples=np.zeros((3, 8)))
+        with pytest.raises(ValueError):
+            Trajectory(times, states=[GridFunction.zeros(8), GridFunction.zeros(16), GridFunction.zeros(8)])
+        with pytest.raises(ValueError):
+            Trajectory(times, samples=np.zeros((3, 8)), mu=1.0)
+
+    def test_grid_space_rejects_trajectory_by_kind(self):
+        traj, _ = self.make_pair(4)
+        with pytest.raises(KindMismatchError):
+            eval_pseudo_norm(grid_l2_space(16), traj)
+
+    def test_kind_check_builds_no_states(self, monkeypatch):
+        import besovflow.flows as flows_mod
+
+        traj, _ = self.make_pair(5)
+        built = []
+        monkeypatch.setattr(flows_mod, "GridFunction", lambda v: built.append(v))
+        space = PseudoNormedSpace(
+            label="sup-abs",
+            eval=lambda t: float(np.abs(t.samples).max()),
+            element_kind="time_trajectory",
+        )
+        assert eval_pseudo_norm(space, traj) > 0.0
+        assert built == []
 
 
 class TestFullPipeline:

@@ -197,6 +197,83 @@ class TestDecomposeReconstruct:
             reconstruct(DyadicSequence(space, blocks), bank64)
 
 
+def loop_decompose(u, bank):
+    """Per-row reference: one inverse FFT per block multiplier."""
+    coeffs = np.fft.fft(u.values)
+    return [np.fft.ifft(coeffs * row).real for row in bank.multipliers]
+
+
+def loop_reconstruct(f, bank):
+    """Per-row reference: accumulate each block's filtered spectrum in turn."""
+    total = np.zeros(bank.grid_size, dtype=complex)
+    for j, entry in enumerate(f.entries):
+        total += np.fft.fft(entry.values) * bank.fat_multipliers[j]
+    return np.fft.ifft(total).real
+
+
+class TestBatchedBlocks:
+    """The batched decompose/reconstruct give the per-row loop's exact bits."""
+
+    @pytest.mark.parametrize("n", [2**e for e in range(3, 15)])
+    def test_decompose_matches_row_loop(self, n):
+        rng = np.random.default_rng(n)
+        bank = build_filters(n)
+        u = random_grid_function(rng, n, max_mode=n // 2)
+        f = decompose(u, bank)
+        assert len(f.entries) == bank.j_max + 1
+        for block, ref in zip(f.entries, loop_decompose(u, bank)):
+            assert np.array_equal(block.values, ref)
+
+    @pytest.mark.parametrize("n", [2**e for e in range(3, 15)])
+    def test_reconstruct_matches_row_loop(self, n):
+        rng = np.random.default_rng(n + 7)
+        bank = build_filters(n)
+        f = decompose(random_grid_function(rng, n, max_mode=n // 2), bank)
+        for support in (1, bank.j_max // 2 + 1, bank.j_max + 1):
+            g = DyadicSequence(f.base, f.entries[:support])
+            assert np.array_equal(reconstruct(g, bank).values, loop_reconstruct(g, bank))
+
+    def test_empty_sequence_reconstructs_zero(self, bank64):
+        empty = DyadicSequence(grid_l2_space(64), ())
+        assert reconstruct(empty, bank64) == GridFunction.zeros(64)
+
+
+def loop_random_grid_function(rng, grid_size, max_mode=None, decay=1.0):
+    """The per-mode draw loop that random_grid_function vectorizes."""
+    half = grid_size // 2
+    top = half - 1 if max_mode is None else min(int(max_mode), half)
+    half_spectrum = np.zeros(half + 1, dtype=complex)
+    half_spectrum[0] = rng.standard_normal()
+    for k in range(1, top + 1):
+        scale = (1.0 + k) ** (-decay)
+        if k == half:
+            half_spectrum[k] = rng.standard_normal() * scale
+        else:
+            half_spectrum[k] = (
+                rng.standard_normal() + 1j * rng.standard_normal()
+            ) * scale
+    return np.fft.irfft(half_spectrum, n=grid_size) * grid_size
+
+
+class TestRandomGridFunction:
+    @pytest.mark.parametrize("n", [8, 64, 1024, 16384])
+    @pytest.mark.parametrize(
+        "max_mode,decay", [(None, 1.0), (0, 1.0), (3, 2.5), ("half", 1.0), ("over", 0.7)]
+    )
+    def test_matches_per_mode_loop(self, n, max_mode, decay):
+        mode = {"half": n // 2, "over": 4 * n}.get(max_mode, max_mode)
+        got = random_grid_function(np.random.default_rng(5), n, mode, decay)
+        ref = loop_random_grid_function(np.random.default_rng(5), n, mode, decay)
+        assert np.array_equal(got.values, ref)
+
+    def test_stream_position_after_draw(self):
+        # a following draw sees the same generator state as after the loop
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        random_grid_function(a, 256, max_mode=128)
+        loop_random_grid_function(b, 256, max_mode=128)
+        assert a.standard_normal() == b.standard_normal()
+
+
 class TestApplyBlock:
     def test_low_block_keeps_constant(self, bank64):
         u = GridFunction(np.full(64, 2.5))
