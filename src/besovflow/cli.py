@@ -158,7 +158,7 @@ def load_config(path, seed_override=None) -> dict:
     seed = config.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     config["seed"] = seed
     grid_size = config.get("grid_size", 256)
@@ -166,7 +166,7 @@ def load_config(path, seed_override=None) -> dict:
         raise ConfigError("grid_size must be a power of two >= 8")
     config["grid_size"] = grid_size
     trials = config.get("trials", 0)
-    if not isinstance(trials, int) or trials < 0:
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
         raise ConfigError("trials must be a nonnegative integer")
     config["trials"] = trials
     return config
@@ -405,13 +405,10 @@ def _verify_suites(rng, trials):
         s1 = float(rng.uniform(0.5, 2.5))
         s = float(rng.uniform(s0 + 0.1, s1 - 0.1))
         q = random_q()
-        best = math.inf
-        for n_split in range(f.support + 4):
-            parts = dyadic.interpolation_bound(f, s0, s, s1, q, n_split)
-            best = min(best, parts.low + parts.high)
-        actual = dyadic.dyadic_norm(f, (s, q))
-        if _exceeds(actual, best):
-            return {"trial": trial, "actual": actual, "best_bound": best}
+        parts = dyadic.interpolation_bound(f, s0, s, s1, q, np.arange(f.support + 4))
+        best = float((parts.low + parts.high).min())
+        if _exceeds(parts.actual, best):
+            return {"trial": trial, "actual": parts.actual, "best_bound": best}
         return None
 
     run_suite("smoothing_gain", smoothing_trial)

@@ -108,13 +108,10 @@ class DyadicSequence:
 
     @cached_property
     def block_norms(self) -> np.ndarray:
-        norms = np.empty(len(self.entries), dtype=float)
-        for k, entry in enumerate(self.entries):
-            value = eval_pseudo_norm(self.base, entry)
-            if is_overflow(value):
-                raise ValueError(f"block {k} has non-finite pseudo-norm")
-            norms[k] = value
-        return norms
+        norms = [eval_pseudo_norm(self.base, entry) for entry in self.entries]
+        if OVERFLOW in norms:
+            raise ValueError(f"block {norms.index(OVERFLOW)} has non-finite pseudo-norm")
+        return np.array(norms, dtype=float)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -170,12 +167,12 @@ def _lq_combine(values: np.ndarray, q: float):
     """l^q norm of a nonnegative vector; OVERFLOW when out of float range."""
     if values.size == 0:
         return 0.0
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         return OVERFLOW
     if math.isinf(q):
         return float(values.max())
     with np.errstate(over="ignore"):
-        total = float(np.sum(values**q))
+        total = float((values**q).sum())
     if not math.isfinite(total):
         return OVERFLOW
     return total ** (1.0 / q)
@@ -322,15 +319,31 @@ def truncation_power_sum(f: DyadicSequence, r: float, rp: float, q: float):
 
 @dataclass(frozen=True)
 class InterpolationBound:
-    """actual <= low + high split of a dyadic norm at an intermediate order."""
+    """actual <= low + high split of a dyadic norm at an intermediate order.
+
+    ``low`` and ``high`` are floats for one split level and arrays, one entry
+    per level, for an array of levels; ``actual`` is always a float.
+    """
 
     actual: float
-    low: float
-    high: float
+    low: float | np.ndarray
+    high: float | np.ndarray
+
+
+def _split_levels(n_split) -> np.ndarray:
+    """Split level(s) as an integer array: 0-d for one level, 1-D otherwise."""
+    levels = np.asarray(n_split)  # bools get dtype kind "b" and are rejected
+    if levels.dtype.kind not in "iu" or levels.ndim > 1:
+        raise ValueError(
+            f"split level must be an integer or a 1-D integer array, got {n_split!r}"
+        )
+    if (levels < 0).any():
+        raise ValueError("split level must be >= 0")
+    return levels
 
 
 def interpolation_bound(
-    f: DyadicSequence, s0: float, s: float, s1: float, q: float, n_split: int
+    f: DyadicSequence, s0: float, s: float, s1: float, q: float, n_split
 ) -> InterpolationBound:
     """Two-sided bound for ||f||_{s,q} from the s0 and s1 sup norms.
 
@@ -340,27 +353,34 @@ def interpolation_bound(
         ||(I - S_N) f||_{s,q} <= ( sum_{n>N} 2^{n q (s-s1)} )^{1/q} ||f||_{s1,inf}
 
     with both geometric sums evaluated in closed form (for q = inf the
-    prefactors collapse to 2^{N(s-s0)} and 2^{(N+1)(s-s1)}).  Requires
+    prefactors collapse to 2^{N(s-s0)} and 2^{(N+1)(s-s1)}).  ``n_split`` is
+    one int level or a 1-D integer array of levels; the three norms are
+    computed once and the prefactors broadcast over the levels.  Requires
     s0 < s < s1.
     """
     if not (s0 < s < s1):
         raise ValueError(f"need s0 < s < s1, got {s0}, {s}, {s1}")
-    if n_split < 0:
-        raise ValueError("split level must be >= 0")
+    n = _split_levels(n_split)
     actual = dyadic_norm(f, (s, q))
     m0 = dyadic_norm(f, (s0, math.inf))
     m1 = dyadic_norm(f, (s1, math.inf))
     if any(is_overflow(v) for v in (actual, m0, m1)):
         raise ValueError("norms overflow at the requested orders")
-    if math.isinf(q):
-        low_factor = 2.0 ** (n_split * (s - s0))
-        high_factor = 2.0 ** ((n_split + 1) * (s - s1))
-    else:
-        x = 2.0 ** (q * (s - s0))  # > 1
-        low_factor = ((x ** (n_split + 1) - 1.0) / (x - 1.0)) ** (1.0 / q)
-        y = 2.0 ** (q * (s - s1))  # < 1
-        high_factor = (y ** (n_split + 1) / (1.0 - y)) ** (1.0 / q)
-    return InterpolationBound(actual, low_factor * m0, high_factor * m1)
+    with np.errstate(over="ignore"):  # an overflowing prefactor is rejected below
+        if math.isinf(q):
+            low_factor = 2.0 ** (n * (s - s0))
+            high_factor = 2.0 ** ((n + 1) * (s - s1))
+        else:
+            x = 2.0 ** (q * (s - s0))  # > 1
+            low_factor = ((x ** (n + 1) - 1.0) / (x - 1.0)) ** (1.0 / q)
+            y = 2.0 ** (q * (s - s1))  # < 1
+            high_factor = (y ** (n + 1) / (1.0 - y)) ** (1.0 / q)
+    if not np.isfinite(low_factor).all():
+        raise ValueError("split level too large: the low prefactor overflows")
+    low, high = low_factor * m0, high_factor * m1
+    if n.ndim == 0:
+        return InterpolationBound(actual, float(low), float(high))
+    return InterpolationBound(actual, low, high)
 
 
 def interpolation_theta(s0: float, s: float, s1: float) -> float:
@@ -387,7 +407,7 @@ def random_sequence(
     size = int(rng.integers(1, max_support + 1))
     mags = np.exp2(rng.uniform(log2_range[0], log2_range[1], size))
     signs = rng.choice([-1.0, 1.0], size)
-    return DyadicSequence(base, tuple(float(v) for v in signs * mags))
+    return DyadicSequence(base, tuple((signs * mags).tolist()))
 
 
 def sequence_report(f: DyadicSequence) -> dict:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,6 +68,16 @@ class TestConfigValidation:
         assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert not (out / "flow_report.json").exists()
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("key", ["seed", "trials"])
+    def test_seed_and_trials_reject_json_booleans(self, tmp_path, key, value):
+        payload = {"schema_version": 1, "command": "verify", "seed": 0, "trials": 1}
+        payload[key] = value
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not (out / "verify_report.json").exists()
+
     def test_io_failure_exit(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -98,6 +110,49 @@ class TestCommands:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+
+    def test_verify_report_is_pinned(self, tmp_path):
+        # sha256 of the report written before split levels were batched.  A
+        # passing report holds no sampled values, so the generator state
+        # after the sweeps is pinned as well: it moves with every draw.
+        import besovflow.cli as cli
+
+        rng = np.random.default_rng(12)
+        cli._verify_suites(rng, 200)
+        assert rng.bit_generator.state["state"]["state"] == (
+            194195366257891568229924983293605064597
+        )
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"schema_version": 1, "command": "verify", "seed": 12, "trials": 200},
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        digest = hashlib.sha256((out / "verify_report.json").read_bytes()).hexdigest()
+        assert digest == "df2d5eef1bc0f5c8dcc3154427cdf3939d79ecb354db988335b70184cc286074"
+
+    def test_verify_detects_a_broken_interpolation_bound(self, tmp_path, monkeypatch):
+        import besovflow.dyadic as dyadic
+
+        original = dyadic.interpolation_bound
+
+        def halved(*args):
+            parts = original(*args)
+            return replace(parts, low=parts.low / 2, high=parts.high / 2)
+
+        monkeypatch.setattr(dyadic, "interpolation_bound", halved)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"schema_version": 1, "command": "verify", "seed": 12, "trials": 50},
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        with open(out / "verify_report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        suites = {suite["name"]: suite["violations"] for suite in report["suites"]}
+        assert suites.pop("interpolation_bound")
+        assert not any(suites.values())
+        assert [f["suite"] for f in report["failures"]] == ["interpolation_bound"]
 
     def test_filters_command(self, tmp_path):
         cfg = write_config(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besovflow.dyadic import (
     DyadicSequence,
@@ -305,6 +306,90 @@ class TestInterpolationBound:
             )
             actual = dyadic_norm(f, (s, q))
             assert actual <= best * (1 + 1e-9)
+
+
+def random_orders(rng):
+    s0 = float(rng.uniform(-2, 0))
+    s1 = float(rng.uniform(0.5, 2.5))
+    return s0, float(rng.uniform(s0 + 0.05, s1 - 0.05)), s1
+
+
+class TestInterpolationBoundLevels:
+    """The array form: one call bounds every split level at once."""
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, INF])
+    def test_entries_match_scalar_calls(self, rng, q):
+        for _ in range(100):
+            f = random_sequence(rng, log2_range=(-8, 8))
+            s0, s, s1 = random_orders(rng)
+            levels = np.arange(f.support + 4)
+            parts = interpolation_bound(f, s0, s, s1, q, levels)
+            assert parts.low.shape == parts.high.shape == levels.shape
+            assert parts.actual == dyadic_norm(f, (s, q))
+            for n in levels.tolist():
+                one = interpolation_bound(f, s0, s, s1, q, n)
+                assert type(one.low) is float and type(one.high) is float
+                assert one.actual == parts.actual
+                assert parts.low[n] == pytest.approx(one.low, rel=1e-14, abs=0.0)
+                assert parts.high[n] == pytest.approx(one.high, rel=1e-14, abs=0.0)
+
+    def test_zero_sequence(self):
+        parts = interpolation_bound(scalar_seq(), 0.0, 1.0, 2.0, 2.0, np.arange(5))
+        assert parts.actual == 0.0
+        assert np.array_equal(parts.low, np.zeros(5))
+        assert np.array_equal(parts.high, np.zeros(5))
+
+    def test_one_level(self):
+        f = scalar_seq(3.0, -0.5, 0.25)
+        parts = interpolation_bound(f, -0.5, 0.5, 1.5, INF, np.array([2]))
+        one = interpolation_bound(f, -0.5, 0.5, 1.5, INF, np.int64(2))
+        assert type(one.low) is float and type(one.high) is float
+        assert parts.low.shape == parts.high.shape == (1,)
+        assert parts.low[0] == pytest.approx(one.low, rel=1e-14, abs=0.0)
+        assert parts.high[0] == pytest.approx(one.high, rel=1e-14, abs=0.0)
+
+    def test_no_levels(self):
+        f = scalar_seq(1.0, 2.0)
+        parts = interpolation_bound(f, 0.0, 1.0, 2.0, 1.0, np.arange(0))
+        assert parts.low.shape == parts.high.shape == (0,)
+        assert parts.actual == dyadic_norm(f, (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "n_split",
+        [1.5, 2.0, True, False, np.True_, np.array([0.0, 1.0]), np.array([[0, 1]]),
+         "2"],
+        ids=repr,
+    )
+    def test_non_integer_levels_rejected(self, n_split):
+        with pytest.raises(ValueError):
+            interpolation_bound(scalar_seq(1.0, 2.0), 0.0, 1.0, 2.0, 2.0, n_split)
+
+    @pytest.mark.parametrize("n_split", [-1, np.int64(-3), np.array([0, 4, -1])], ids=repr)
+    def test_negative_levels_rejected(self, n_split):
+        with pytest.raises(ValueError):
+            interpolation_bound(scalar_seq(1.0, 2.0), 0.0, 1.0, 2.0, 2.0, n_split)
+
+    @pytest.mark.parametrize("n_split", [2000, np.array([0, 1, 2000])], ids=repr)
+    @pytest.mark.parametrize("q", [1.0, INF])
+    def test_overflowing_prefactor_rejected(self, n_split, q):
+        with pytest.raises(ValueError, match="overflows"):
+            interpolation_bound(scalar_seq(), 0.0, 1.0, 2.0, q, n_split)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.lists(
+            st.tuples(st.floats(-8.0, 8.0), st.booleans()), min_size=1, max_size=32
+        ),
+        s0=st.floats(-2.0, 0.0),
+        s1=st.floats(0.5, 2.5),
+        t=st.floats(0.01, 0.99),
+        q=st.sampled_from([1.0, 2.0, INF]),
+    )
+    def test_best_split_dominates_actual(self, values, s0, s1, t, q):
+        f = scalar_seq(*((-1.0 if neg else 1.0) * 2.0**e for e, neg in values))
+        s = s0 + t * (s1 - s0)
+        parts = interpolation_bound(f, s0, s, s1, q, np.arange(f.support + 4))
+        assert (parts.low + parts.high).min() >= parts.actual / (1 + 1e-9)
 
 
 class TestSequenceAlgebra:
