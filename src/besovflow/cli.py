@@ -337,8 +337,12 @@ def _verify_suites(rng, trials):
         r = float(rng.uniform(-2.0, 2.0))
         return r, r + float(rng.uniform(0.1, 2.0))
 
+    # indexing with rng.integers gives rng.choice's values and generator
+    # state without its per-call list conversion
+    q_values = (1.0, 2.0, math.inf)
+
     def random_q():
-        return float(rng.choice([1.0, 2.0, np.inf]))
+        return q_values[rng.integers(3)]
 
     def smoothing_trial(trial):
         f = dyadic.random_sequence(rng)
@@ -362,7 +366,7 @@ def _verify_suites(rng, trials):
     def power_sum_trial(trial):
         f = dyadic.random_sequence(rng, log2_range=(-8.0, 8.0))
         r, rp = random_orders()
-        q = float(rng.choice([1.0, 2.0]))
+        q = q_values[rng.integers(2)]
         value, bound = dyadic.truncation_power_sum(f, r, rp, q)
         if abs(value - bound) > SLACK * max(1.0, abs(bound)):
             return {"trial": trial, "value": value, "bound": bound}

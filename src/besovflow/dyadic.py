@@ -390,6 +390,9 @@ def interpolation_theta(s0: float, s: float, s1: float) -> float:
     return (s1 - s) / (s1 - s0)
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def random_sequence(
     rng: np.random.Generator,
     base: PseudoNormedSpace | None = None,
@@ -406,7 +409,7 @@ def random_sequence(
         base = scalar_abs_space()
     size = int(rng.integers(1, max_support + 1))
     mags = np.exp2(rng.uniform(log2_range[0], log2_range[1], size))
-    signs = rng.choice([-1.0, 1.0], size)
+    signs = _SIGNS[rng.integers(0, 2, size)]  # same draws as rng.choice(_SIGNS, size)
     return DyadicSequence(base, tuple((signs * mags).tolist()))
 
 

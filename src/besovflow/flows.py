@@ -207,98 +207,134 @@ class FlowConfig:
         return np.linspace(0.0, self.T, self.time_steps + 1)
 
 
+# Taylor-table interpolant (see TrigInterpolant): oversampling factor sigma
+# and expansion order P, so the remainder is below
+# (pi / (2 sigma))^(P+1) / (P+1)! ~ 2.4e-14 of sum |c_k|.
+_OVERSAMPLE = 8
+_TAYLOR_ORDER = 9
+
+# 2*pi = _TAU_HI + _TAU_LO to about 1e-23.  _TAU_HI keeps 26 significant bits,
+# so node * _TAU_HI / M is exact for |node| < 2^27 (at least 1024 periods up
+# to N = 16384); _TAU_LO also carries the 2.449e-16 by which the double TAU
+# falls short of 2*pi.
+_TAU_HI = math.ldexp(math.floor(math.ldexp(TAU, 23)), -23)
+_TAU_LO = (TAU - _TAU_HI) + 2.4492935982947064e-16
+
+
+def _oversampled(u: GridFunction, m: int, orders) -> np.ndarray:
+    """Derivatives of u's trigonometric interpolant on m uniform nodes.
+
+    Row i holds the derivative of order ``orders[i]`` at the nodes
+    2 pi j / m, j = 0 .. m-1, for m a multiple of the grid size, all from
+    one batched inverse real FFT.  The Nyquist mode enters the zero-padded
+    spectrum at half weight, so it stays the pure cosine of the
+    interpolant instead of becoming a full complex mode.
+    """
+    n = u.grid_size
+    spectrum = np.fft.rfft(u.values) * (m / n)
+    spectrum[-1] = 0.5 * spectrum[-1].real
+    k = np.arange(n // 2 + 1, dtype=float)
+    multipliers = np.array([(1, 1j, -1, -1j)[r % 4] * k**r for r in orders])
+    return np.fft.irfft(multipliers * spectrum, n=m, axis=-1)
+
+
 class TrigInterpolant:
     """Band-limited interpolant of grid samples, exact at the nodes.
 
     Evaluates the symmetric trigonometric polynomial through the samples
     (the Nyquist mode enters as a pure cosine) and its derivative at
-    arbitrary points, one complex exponential z = exp(i y) per point.  The
-    K = N/2 - 1 interior modes are split into blocks of B ~ sqrt(K)
-    consecutive modes: one cumulative product builds the powers z^1 .. z^B,
-    one matrix product contracts them with every block's coefficients, and
-    a Horner recursion in z^B runs across the blocks.
+    arbitrary points from precomputed Taylor tables (Anderson & Dahleh,
+    SISC 1996).  Construction evaluates the interpolant and its first
+    P + 1 = 10 derivatives on a grid of M = sigma N nodes, sigma = 8, with
+    one batched inverse FFT, and stores one contiguous (M, 2(P + 1)) table:
+    row m holds u^(r)(x_m) / r! and u^(r+1)(x_m) / r! for r = 0 .. P.  A
+    call finds the nearest fine node x_n and sums the two Taylor series in
+    dy = y - x_n, |dy| <= pi / M, with one gather and one row-wise
+    contraction; the remainder is at most (pi / (2 sigma))^(P+1) / (P+1)!
+    ~ 2.4e-14 times sum |c_k| (times N/2 for the derivative).  dy is
+    reduced in two parts, (y - n h_hi) - n h_lo with h_hi + h_lo = 2 pi / M
+    and n h_hi exact, so its error stays a rounding of dy itself rather
+    than |y| eps, which the derivative N/2 would amplify.
     """
 
     def __init__(self, u: GridFunction):
-        n = u.grid_size
-        coeffs = np.fft.rfft(u.values) / n
-        self.n = n
-        self.c0 = float(coeffs[0].real)
-        self.nyquist = float(coeffs[n // 2].real)
-        interior = coeffs[1 : n // 2]  # modes 1 .. N/2 - 1
-        self.block = math.isqrt(interior.size - 1) + 1  # ceil(sqrt(K))
-        self.blocks = -(-interior.size // self.block)
-        padded = np.zeros(self.block * self.blocks, dtype=complex)
-        padded[: interior.size] = interior
-        # row b holds modes b*B + 1 .. b*B + B; the derivative rows carry
-        # the same coefficients times their mode numbers
-        table = padded.reshape(self.blocks, self.block)
-        modes = np.arange(1, padded.size + 1).reshape(self.blocks, self.block)
-        self.weights = np.concatenate([table, modes * table])
-        self.value_weights = self.weights[: self.blocks]
+        m = _OVERSAMPLE * u.grid_size
+        terms = _TAYLOR_ORDER + 1
+        derivatives = _oversampled(u, m, range(terms + 1))
+        inverse_factorials = np.array([[1.0 / math.factorial(r)] for r in range(terms)])
+        value_terms = derivatives[:-1] * inverse_factorials  # u^(r) / r!
+        slope_terms = derivatives[1:] * inverse_factorials  # u^(r+1) / r!
+        self.table = np.ascontiguousarray(np.concatenate([value_terms, slope_terms]).T)
+        self.nodes_per_radian = m / TAU
+        self.step_hi = _TAU_HI / m
+        self.step_lo = _TAU_LO / m
 
-    def _horner(self, y: np.ndarray, derivative_too: bool):
-        z = np.exp(1j * y.ravel())
-        powers = np.cumprod(np.broadcast_to(z, (self.block, z.size)), axis=0)
-        weights = self.weights if derivative_too else self.value_weights
-        # sums[p, b] is the inner sum of block b for part p (value, derivative)
-        sums = (weights @ powers).reshape(-1, self.blocks, z.size)
-        step = powers[-1]  # z^B
-        acc = sums[:, -1]
-        for b in range(self.blocks - 2, -1, -1):
-            acc = acc * step + sums[:, b]
-        acc = acc.reshape((-1,) + y.shape)
-        half_n = 0.5 * self.n
-        value = self.c0 + 2.0 * acc[0].real + self.nyquist * np.cos(half_n * y)
+    def _taylor(self, y: np.ndarray, derivative_too: bool):
+        flat = y.ravel()
+        node = np.rint(flat * self.nodes_per_radian)
+        dy = (flat - node * self.step_hi) - node * self.step_lo
+        rows = self.table[node.astype(np.int64) % self.table.shape[0]]
+        powers = np.empty((_TAYLOR_ORDER + 1, flat.size))
+        powers[0] = 1.0
+        powers[1] = dy
+        for r in range(2, _TAYLOR_ORDER + 1):
+            np.multiply(powers[r - 1], dy, out=powers[r])
         if not derivative_too:
-            return value, None
-        deriv = -2.0 * acc[1].imag - self.nyquist * half_n * np.sin(half_n * y)
-        return value, deriv
+            value = np.einsum("ir,ri->i", rows[:, : _TAYLOR_ORDER + 1], powers)
+            return value.reshape(y.shape), None
+        sums = np.einsum("ipr,ri->pi", rows.reshape(flat.size, 2, -1), powers)
+        return sums[0].reshape(y.shape), sums[1].reshape(y.shape)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        value, _ = self._horner(np.asarray(y, dtype=float), False)
+        value, _ = self._taylor(np.asarray(y, dtype=float), False)
         return value
 
     def derivative(self, y: np.ndarray) -> np.ndarray:
-        _, deriv = self._horner(np.asarray(y, dtype=float), True)
+        _, deriv = self._taylor(np.asarray(y, dtype=float), True)
         return deriv
 
     def value_and_derivative(self, y: np.ndarray):
-        return self._horner(np.asarray(y, dtype=float), True)
+        return self._taylor(np.asarray(y, dtype=float), True)
 
 
-def global_max_abs(u: GridFunction, refine: int = 64) -> float:
+_PEAK_REFINE = 64  # dense samples per grid cell for global extrema
+
+
+def _torus_peak(samples: np.ndarray) -> float:
+    """Max of a smooth periodic function from dense uniform samples.
+
+    Sharpens the discrete argmax with one parabolic fit through it and its
+    two neighbours.
+    """
+    i = int(np.argmax(samples))
+    f0 = samples[i]
+    f_minus = samples[(i - 1) % samples.size]
+    f_plus = samples[(i + 1) % samples.size]
+    curvature = f_plus + f_minus - 2.0 * f0
+    if curvature < 0.0:
+        return float(f0 - (f_plus - f_minus) ** 2 / (8.0 * curvature))
+    return float(f0)
+
+
+def global_max_abs(u: GridFunction, refine: int = _PEAK_REFINE) -> float:
     """Max of |u| over the whole torus, not just the grid nodes.
 
     Upsamples the band-limited interpolant and sharpens the discrete argmax
     with one parabolic fit, accurate to well below 1e-12 for smooth data.
     """
-    n = u.grid_size
-    half_spectrum = np.fft.rfft(u.values)
-    dense = np.fft.irfft(half_spectrum, n=refine * n) * refine
-    best = 0.0
-    for signed in (dense, -dense):
-        i = int(np.argmax(signed))
-        f0 = signed[i]
-        f_minus = signed[(i - 1) % signed.size]
-        f_plus = signed[(i + 1) % signed.size]
-        curvature = f_plus + f_minus - 2.0 * f0
-        if curvature < 0.0:
-            peak = f0 - (f_plus - f_minus) ** 2 / (8.0 * curvature)
-        else:
-            peak = f0
-        best = max(best, float(peak))
-    return best
-
-
-def _spectral_derivative(u: GridFunction) -> np.ndarray:
-    freqs = frequencies(u.grid_size)
-    return np.fft.ifft(1j * freqs * np.fft.fft(u.values)).real
+    dense = _oversampled(u, refine * u.grid_size, [0])[0]
+    return max(0.0, _torus_peak(dense), _torus_peak(-dense))
 
 
 def shock_time(u0: GridFunction) -> float:
-    """First characteristic crossing time 1/max(0, -min u0') (inf if none)."""
-    slope_min = float(_spectral_derivative(u0).min())
+    """First characteristic crossing time 1/max(0, -min u0') (inf if none).
+
+    The minimum slope is taken over the whole torus, not just the grid
+    nodes, the same way :func:`global_max_abs` finds its maximum: the
+    steepest point of the datum usually lies between nodes.
+    """
+    slope = _oversampled(u0, _PEAK_REFINE * u0.grid_size, [1])[0]
+    slope_min = -_torus_peak(-slope)
     if slope_min >= 0.0:
         return math.inf
     return 1.0 / (-slope_min)

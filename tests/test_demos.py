@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run to completion as standalone scripts.
-
-Demo 06 (Burgers continuity, several seconds) is left to manual runs.
-"""
+"""Smoke test: every demo runs to completion as a standalone script."""
 import os
 import subprocess
 import sys
@@ -10,11 +7,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-6]_*.py"))
 
 
 def test_quick_demos_found():
-    assert len(DEMOS) == 5
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

@@ -24,6 +24,7 @@ from besovflow.flows import (
     ShockMarginError,
     Trajectory,
     TrigInterpolant,
+    _OVERSAMPLE,
     block_sup_tails,
     block_time_norms,
     burgers_flow,
@@ -115,6 +116,18 @@ class TestBurgersFlow:
         u0 = sinusoid_datum(256, 0.1)
         assert shock_time(u0) == pytest.approx(10.0, rel=1e-9)
 
+    def test_shock_time_sees_slopes_between_nodes(self):
+        # u0' = -cos(x - pi/8) is steepest at x = pi/8, halfway between the
+        # nodes of the 8-point grid, where it reaches only -cos(pi/8) ~ -0.924
+        u0 = GridFunction.from_function(lambda x: -np.sin(x - math.pi / 8.0), 8)
+        assert shock_time(u0) == pytest.approx(1.0, rel=1e-6)
+        with pytest.raises(ShockMarginError):
+            burgers_flow(u0, burgers_cfg(grid_size=8, T=0.95))
+
+    def test_global_max_abs_of_nyquist_mode(self):
+        # the Nyquist mode of the interpolant is cos(N x / 2), of height 1
+        assert global_max_abs(GridFunction((-1.0) ** np.arange(16))) == 1.0
+
     def test_shock_margin_enforced(self):
         u0 = sinusoid_datum(64, 1.0)  # shock time 1.0
         with pytest.raises(ShockMarginError):
@@ -195,11 +208,39 @@ def dense_interpolant(u, y):
 
 
 class TestTrigInterpolant:
-    @pytest.mark.parametrize("n", [2**e for e in range(3, 13)])
+    @pytest.mark.parametrize("n", [2**e for e in range(3, 15)])
     def test_blocked_kernel_matches_dense_sum(self, n):
         rng = np.random.default_rng(n)
         u = random_grid_function(rng, n)
         y = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, 64)
+        value, deriv = TrigInterpolant(u).value_and_derivative(y)
+        ref_value, ref_deriv, coeff_sum = dense_interpolant(u, y)
+        assert np.abs(value - ref_value).max() <= 1e-13 * coeff_sum
+        assert np.abs(deriv - ref_deriv).max() <= 1e-13 * (n // 2 - 1) * coeff_sum
+
+    @pytest.mark.parametrize("n", [8, 64, 1024, 16384])
+    @pytest.mark.parametrize("spectrum", ["flat", "nyquist"])
+    def test_extreme_spectra_match_dense_sum(self, n, spectrum):
+        # a flat spectrum weights the top modes as much as the bottom ones;
+        # Nyquist-only data put all of sum |c_k| on the mode where the Taylor
+        # remainder and any error of the reduction y -> dy grow fastest
+        rng = np.random.default_rng(n + 2)
+        if spectrum == "flat":
+            half = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n // 2 + 1))
+            half[[0, -1]] = np.sign(half[[0, -1]].real)
+            u = GridFunction(np.fft.irfft(n * half, n=n))
+        else:
+            u = GridFunction((-1.0) ** np.arange(n))
+        # fine-grid nodes, the midpoints between them (largest remainder),
+        # negative points and points above 2 pi
+        fine = 2.0 * math.pi / (_OVERSAMPLE * n)
+        nodes = rng.integers(-2 * _OVERSAMPLE * n, 2 * _OVERSAMPLE * n, 48)
+        y = np.concatenate([
+            nodes * fine,
+            (nodes + 0.5) * fine,
+            rng.uniform(-4.0 * math.pi, 0.0, 32),
+            rng.uniform(2.0 * math.pi, 6.0 * math.pi, 32),
+        ])
         value, deriv = TrigInterpolant(u).value_and_derivative(y)
         ref_value, ref_deriv, coeff_sum = dense_interpolant(u, y)
         assert np.abs(value - ref_value).max() <= 1e-13 * coeff_sum
