@@ -68,17 +68,27 @@ def _sequence_key(f: DyadicSequence) -> bytes:
     return h.digest()
 
 
+def _block_identity(f: DyadicSequence) -> tuple:
+    """Equal for sequences built from the same block objects.
+
+    Truncations of one sequence share its blocks, so equal truncations of
+    it compare equal here without hashing any block data.
+    """
+    return (id(f.base), *map(id, f.entries))
+
+
 @dataclass
 class FlowMapAdapter:
     """A map on dyadic sequences, defined on a norm ball, with its scale.
 
-    ``phi`` maps a sequence over the input base space to a sequence over the
-    output base space and must be pure.  Calls check the ball precondition
-    ||f||_{s,q} < radius.  Results are memoized on the block data by
-    default, since verification sweeps revisit the same truncations.
+    ``phi`` maps a list of sequences over the input base space to the list
+    of their images over the output base space and must be pure, image by
+    image.  Calls check the ball precondition ||f||_{s,q} < radius.
+    Results are memoized on the block data by default, since verification
+    sweeps revisit the same truncations.
     """
 
-    phi: Callable[[DyadicSequence], DyadicSequence]
+    phi: Callable[[list], list]
     radius: float
     s0: float
     s: float
@@ -110,14 +120,35 @@ class FlowMapAdapter:
             )
         return norm
 
-    def __call__(self, f: DyadicSequence) -> DyadicSequence:
-        self.check_ball(f)
+    def __call__(self, f):
+        """Phi(f) for one sequence, or the list of images of a list of sequences.
+
+        A list is one request: each sequence in it that is built from
+        distinct block objects is checked against the ball and keyed once,
+        and every image not yet memoized comes from one call of ``phi`` on
+        the list of misses, each distinct block data once.
+        """
+        if isinstance(f, DyadicSequence):
+            return self._images([f])[0]
+        return self._images(list(f))
+
+    def _images(self, request: list) -> list:
+        identities = [_block_identity(f) for f in request]
+        distinct = dict(zip(identities, request))
+        for f in distinct.values():
+            self.check_ball(f)
         if not self.memoize:
-            return self.phi(f)
-        key = _sequence_key(f)
-        if key not in self._cache:
-            self._cache[key] = self.phi(f)
-        return self._cache[key]
+            images = dict(zip(distinct, self.phi(list(distinct.values())), strict=True))
+            return [images[ident] for ident in identities]
+        keys = {ident: _sequence_key(f) for ident, f in distinct.items()}
+        misses = {}
+        for ident, key in keys.items():
+            if key not in self._cache:
+                misses.setdefault(key, distinct[ident])
+        if misses:
+            images = self.phi(list(misses.values()))
+            self._cache.update(zip(misses, images, strict=True))
+        return [self._cache[keys[ident]] for ident in identities]
 
 
 @dataclass(frozen=True)
@@ -209,7 +240,8 @@ def estimate_constants(
     elements, the smooth class on which a tame estimate is assumed.  With
     ``smooth_only`` the Lipschitz ratios too are taken only over matched
     truncations of each pair, the weaker hypothesis that suffices when the
-    map is already known to be continuous at the low order.
+    map is already known to be continuous at the low order.  Every pair
+    member and truncation that enters a ratio is mapped in one request.
     """
     samples = list(samples)
     if not samples:
@@ -225,29 +257,32 @@ def estimate_constants(
                 pairs.append((truncate(v, n), truncate(w, n)))
     else:
         pairs = samples
-
-    c0 = 0.0
+    lipschitz = []
     for v, w in pairs:
         denom = dyadic_norm(v - w, (adapter.s0, 1.0))
-        if denom < ZERO_DENOMINATOR:
-            continue
-        num = dyadic_norm(adapter(v) - adapter(w), (adapter.s0, math.inf))
-        c0 = max(c0, num / denom)
+        if denom >= ZERO_DENOMINATOR:
+            lipschitz.append((v, w, denom))
 
+    truncations = {
+        _block_identity(smooth): smooth
+        for pair in samples
+        for element in pair
+        for smooth in _truncation_family(element)
+    }
+    tame = []
+    for smooth in truncations.values():
+        denom = dyadic_norm(smooth, (adapter.s1, 1.0))
+        if denom >= ZERO_DENOMINATOR:
+            tame.append((smooth, denom))
+
+    images = adapter([f for v, w, _ in lipschitz for f in (v, w)] + [f for f, _ in tame])
+    c0 = 0.0
+    for index, (_, _, denom) in enumerate(lipschitz):
+        difference = images[2 * index] - images[2 * index + 1]
+        c0 = max(c0, dyadic_norm(difference, (adapter.s0, math.inf)) / denom)
     c1 = 0.0
-    seen = set()
-    for v, w in samples:
-        for element in (v, w):
-            for smooth in _truncation_family(element):
-                key = _sequence_key(smooth)
-                if key in seen:
-                    continue
-                seen.add(key)
-                denom = dyadic_norm(smooth, (adapter.s1, 1.0))
-                if denom < ZERO_DENOMINATOR:
-                    continue
-                num = dyadic_norm(adapter(smooth), (adapter.s1, math.inf))
-                c1 = max(c1, num / denom)
+    for image, (_, denom) in zip(images[2 * len(lipschitz) :], tame):
+        c1 = max(c1, dyadic_norm(image, (adapter.s1, math.inf)) / denom)
 
     return HypothesisReport.from_constants(
         c0, c1, adapter.s0, adapter.s, adapter.s1,
@@ -287,17 +322,16 @@ def high_low_rows(
     env = compute_envelope(f, adapter.s, adapter.s1)
     if n_max + 1 >= env.gamma.size:
         raise ValueError("n_max exceeds the envelope's stored range")
+    truncations = [truncate(f, n) for n in range(n_max + 2)]
+    images = adapter(truncations)
     rows = []
     for n in range(n_max + 1):
-        sn = truncate(f, n)
-        sn1 = truncate(f, n + 1)
+        sn, sn1 = truncations[n], truncations[n + 1]
         gamma_n = float(env.gamma[n])
         gamma_n1 = float(env.gamma[n + 1])
-        high_lhs = dyadic_norm(adapter(sn), (adapter.s1, math.inf))
+        high_lhs = dyadic_norm(images[n], (adapter.s1, math.inf))
         high_rhs = report.C1_hat * 2.0 ** (n * (adapter.s1 - adapter.s)) * gamma_n
-        low_lhs = dyadic_norm(
-            adapter(sn1) - adapter(sn), (adapter.s0, math.inf)
-        )
+        low_lhs = dyadic_norm(images[n + 1] - images[n], (adapter.s0, math.inf))
         low_rhs = report.C0_hat * 2.0 ** (-n * (adapter.s - adapter.s0)) * gamma_n1
         rows.append(
             HighLowRow(
@@ -349,10 +383,10 @@ def block_decay_profile(
     env = compute_envelope(f, adapter.s, adapter.s1)
     if n_max + 1 >= env.gamma.size:
         raise ValueError("n_max exceeds the envelope's stored range")
+    images = adapter([truncate(f, n) for n in range(n_max + 2)])
     rows = []
     for n in range(n_max + 1):
-        diff = adapter(truncate(f, n + 1)) - adapter(truncate(f, n))
-        block = diff.block_norms
+        block = (images[n + 1] - images[n]).block_norms
         c_n = float(env.gamma[n] + env.gamma[n + 1])
         for m in range(block.size):
             lhs = 2.0 ** (m * adapter.s) * float(block[m])
@@ -400,12 +434,7 @@ def convergence_bound(
     actual = ||Phi(f) - Phi(S_n f)||_{s,q};
     bound  = A C ( sum_{p>=n} c_p^q )^{1/q} with A = 2/(1 - 2^-kappa).
     """
-    adapter.check_ball(f)
-    env = compute_envelope(f, adapter.s, adapter.s1)
-    a = 2.0 / (1.0 - 2.0 ** (-report.kappa))
-    actual = dyadic_norm(adapter(f) - adapter(truncate(f, n)), (adapter.s, adapter.q))
-    bound = a * report.C * c_tail_lq(env, n, adapter.q)
-    return ConvergenceRow(n=n, actual=actual, bound=bound)
+    return convergence_report(adapter, f, report, [n]).rows[0]
 
 
 def convergence_report(
@@ -414,13 +443,21 @@ def convergence_report(
     report: HypothesisReport,
     n_values: Sequence[int],
 ) -> ConvergenceReport:
-    rows = tuple(convergence_bound(adapter, f, report, n) for n in n_values)
-    return ConvergenceReport(
-        rows=rows,
-        A=2.0 / (1.0 - 2.0 ** (-report.kappa)),
-        C=report.C,
-        kappa=report.kappa,
+    """Rows of :func:`convergence_bound` for every level in ``n_values``."""
+    adapter.check_ball(f)
+    env = compute_envelope(f, adapter.s, adapter.s1)
+    a = 2.0 / (1.0 - 2.0 ** (-report.kappa))
+    n_values = list(n_values)
+    image, *truncated = adapter([f] + [truncate(f, n) for n in n_values])
+    rows = tuple(
+        ConvergenceRow(
+            n=n,
+            actual=dyadic_norm(image - image_n, (adapter.s, adapter.q)),
+            bound=a * report.C * c_tail_lq(env, n, adapter.q),
+        )
+        for n, image_n in zip(n_values, truncated)
     )
+    return ConvergenceReport(rows=rows, A=a, C=report.C, kappa=report.kappa)
 
 
 @dataclass(frozen=True)
@@ -475,23 +512,21 @@ def continuity_probe(
             raise ValueError("cannot build a default direction from the zero point")
         directions = [f * (1.0 / norm)]
     scales = sorted(set(float(s) for s in perturbation_scales), reverse=True)
-    base_image = adapter(f)
-    rows = []
-    for eps in scales:
-        for d_index, g in enumerate(directions):
-            perturbed = f + g * eps
-            rows.append(
-                ContinuityRow(
-                    scale=eps,
-                    direction=d_index,
-                    input_distance=dyadic_norm(
-                        perturbed - f, (adapter.s, adapter.q)
-                    ),
-                    output_distance=dyadic_norm(
-                        adapter(perturbed) - base_image, (adapter.s, adapter.q)
-                    ),
-                )
-            )
+    probes = [
+        (eps, d_index, f + g * eps)
+        for eps in scales
+        for d_index, g in enumerate(directions)
+    ]
+    base_image, *images = adapter([f] + [perturbed for _, _, perturbed in probes])
+    rows = [
+        ContinuityRow(
+            scale=eps,
+            direction=d_index,
+            input_distance=dyadic_norm(perturbed - f, (adapter.s, adapter.q)),
+            output_distance=dyadic_norm(image - base_image, (adapter.s, adapter.q)),
+        )
+        for (eps, d_index, perturbed), image in zip(probes, images)
+    ]
     trend_ok = True
     if len(scales) >= 2:
         largest = [r.output_distance for r in rows if r.scale == scales[0]]

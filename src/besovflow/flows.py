@@ -15,6 +15,7 @@ here as well.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -238,6 +239,10 @@ def _oversampled(u: GridFunction, m: int, orders) -> np.ndarray:
     return np.fft.irfft(multipliers * spectrum, n=m, axis=-1)
 
 
+# 1/r! for the terms of the Taylor sums, r = 0 .. P
+_INVERSE_FACTORIALS = np.array([1.0 / math.factorial(r) for r in range(_TAYLOR_ORDER + 1)])
+
+
 class TrigInterpolant:
     """Band-limited interpolant of grid samples, exact at the nodes.
 
@@ -246,44 +251,64 @@ class TrigInterpolant:
     arbitrary points from precomputed Taylor tables (Anderson & Dahleh,
     SISC 1996).  Construction evaluates the interpolant and its first
     P + 1 = 10 derivatives on a grid of M = sigma N nodes, sigma = 8, with
-    one batched inverse FFT, and stores one contiguous (M, 2(P + 1)) table:
-    row m holds u^(r)(x_m) / r! and u^(r+1)(x_m) / r! for r = 0 .. P.  A
-    call finds the nearest fine node x_n and sums the two Taylor series in
-    dy = y - x_n, |dy| <= pi / M, with one gather and one row-wise
-    contraction; the remainder is at most (pi / (2 sigma))^(P+1) / (P+1)!
-    ~ 2.4e-14 times sum |c_k| (times N/2 for the derivative).  dy is
-    reduced in two parts, (y - n h_hi) - n h_lo with h_hi + h_lo = 2 pi / M
-    and n h_hi exact, so its error stays a rounding of dy itself rather
-    than |y| eps, which the derivative N/2 would amplify.
+    one batched inverse FFT, and stores one contiguous (M, P + 2) table of
+    the raw derivatives: row m holds u^(r)(x_m) for r = 0 .. P + 1.  A call
+    finds the nearest fine node x_n, gathers its row, and sums the two
+    Taylor series sum_r u^(r) dy^r / r! and sum_r u^(r+1) dy^r / r!,
+    r = 0 .. P, in dy = y - x_n, |dy| <= pi / M, each with one row-wise
+    contraction that applies the 1/r! after the gather; the remainder is at
+    most (pi / (2 sigma))^(P+1) / (P+1)! ~ 2.4e-14 times sum |c_k| (times
+    N/2 for the derivative).  dy is reduced in two parts,
+    (y - n h_hi) - n h_lo with h_hi + h_lo = 2 pi / M and n h_hi exact, so
+    its error stays a rounding of dy itself rather than |y| eps, which the
+    derivative N/2 would amplify.
+
+    ``u`` is a GridFunction, or a list of G of them on one grid (a stack),
+    whose tables lie one after another in one (G M, P + 2) table.  A
+    stack's interpolant takes points of shape (G, ...), row g evaluated on
+    datum g, and :meth:`rows` restricts it to a subset of the data without
+    copying the table.
     """
 
-    def __init__(self, u: GridFunction):
-        m = _OVERSAMPLE * u.grid_size
-        terms = _TAYLOR_ORDER + 1
-        derivatives = _oversampled(u, m, range(terms + 1))
-        inverse_factorials = np.array([[1.0 / math.factorial(r)] for r in range(terms)])
-        value_terms = derivatives[:-1] * inverse_factorials  # u^(r) / r!
-        slope_terms = derivatives[1:] * inverse_factorials  # u^(r+1) / r!
-        self.table = np.ascontiguousarray(np.concatenate([value_terms, slope_terms]).T)
+    def __init__(self, u):
+        data = [u] if isinstance(u, GridFunction) else list(u)
+        m = _OVERSAMPLE * data[0].grid_size
+        self.table = np.empty((len(data) * m, _TAYLOR_ORDER + 2))
+        for start, datum in zip(range(0, self.table.shape[0], m), data):
+            self.table[start : start + m] = _oversampled(datum, m, range(_TAYLOR_ORDER + 2)).T
+        self.nodes_per_datum = m
+        # first table row of each datum of a stack; None for a single datum
+        self.offsets = np.arange(len(data)) * m if len(data) > 1 else None
         self.nodes_per_radian = m / TAU
         self.step_hi = _TAU_HI / m
         self.step_lo = _TAU_LO / m
+
+    def rows(self, index) -> "TrigInterpolant":
+        """The interpolant of the data ``index`` of a stack, sharing its table."""
+        view = copy.copy(self)
+        view.offsets = self.offsets[index]
+        return view
 
     def _taylor(self, y: np.ndarray, derivative_too: bool):
         flat = y.ravel()
         node = np.rint(flat * self.nodes_per_radian)
         dy = (flat - node * self.step_hi) - node * self.step_lo
-        rows = self.table[node.astype(np.int64) % self.table.shape[0]]
+        index = node.astype(np.int64) % self.nodes_per_datum
+        if self.offsets is not None:
+            index += np.repeat(self.offsets, flat.size // self.offsets.size)
+        raw = self.table.take(index, axis=0)
         powers = np.empty((_TAYLOR_ORDER + 1, flat.size))
         powers[0] = 1.0
         powers[1] = dy
         for r in range(2, _TAYLOR_ORDER + 1):
             np.multiply(powers[r - 1], dy, out=powers[r])
+        # sums of (u^(r) * 1/r!) * dy^r and (u^(r+1) * 1/r!) * dy^r: the roundings
+        # of a table of u^(r)/r!, from 11 table columns instead of 20
+        value = np.einsum("ir,r,ri->i", raw[:, :-1], _INVERSE_FACTORIALS, powers)
         if not derivative_too:
-            value = np.einsum("ir,ri->i", rows[:, : _TAYLOR_ORDER + 1], powers)
             return value.reshape(y.shape), None
-        sums = np.einsum("ipr,ri->pi", rows.reshape(flat.size, 2, -1), powers)
-        return sums[0].reshape(y.shape), sums[1].reshape(y.shape)
+        deriv = np.einsum("ir,r,ri->i", raw[:, 1:], _INVERSE_FACTORIALS, powers)
+        return value.reshape(y.shape), deriv.reshape(y.shape)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         value, _ = self._taylor(np.asarray(y, dtype=float), False)
@@ -316,28 +341,32 @@ def _torus_peak(samples: np.ndarray) -> float:
     return float(f0)
 
 
+def _max_abs(dense: np.ndarray) -> float:
+    return max(0.0, _torus_peak(dense), _torus_peak(-dense))
+
+
 def global_max_abs(u: GridFunction, refine: int = _PEAK_REFINE) -> float:
     """Max of |u| over the whole torus, not just the grid nodes.
 
     Upsamples the band-limited interpolant and sharpens the discrete argmax
     with one parabolic fit, accurate to well below 1e-12 for smooth data.
     """
-    dense = _oversampled(u, refine * u.grid_size, [0])[0]
-    return max(0.0, _torus_peak(dense), _torus_peak(-dense))
+    return _max_abs(_oversampled(u, refine * u.grid_size, [0])[0])
 
 
-def shock_time(u0: GridFunction) -> float:
+def shock_time(u0: GridFunction, return_peak: bool = False):
     """First characteristic crossing time 1/max(0, -min u0') (inf if none).
 
     The minimum slope is taken over the whole torus, not just the grid
     nodes, the same way :func:`global_max_abs` finds its maximum: the
-    steepest point of the datum usually lies between nodes.
+    steepest point of the datum usually lies between nodes.  With
+    ``return_peak`` the result is the pair (shock time,
+    ``global_max_abs(u0)``), both from the same oversampled pass.
     """
-    slope = _oversampled(u0, _PEAK_REFINE * u0.grid_size, [1])[0]
-    slope_min = -_torus_peak(-slope)
-    if slope_min >= 0.0:
-        return math.inf
-    return 1.0 / (-slope_min)
+    dense = _oversampled(u0, _PEAK_REFINE * u0.grid_size, [1, 0] if return_peak else [1])
+    slope_min = -_torus_peak(-dense[0])
+    time = math.inf if slope_min >= 0.0 else 1.0 / (-slope_min)
+    return (time, _max_abs(dense[1])) if return_peak else time
 
 
 @lru_cache(maxsize=4)
@@ -349,7 +378,17 @@ def _phase_table(n: int, speed: float, times: tuple) -> np.ndarray:
     return table
 
 
-def transport_flow(u0: GridFunction, speed: float, cfg: FlowConfig) -> Trajectory:
+def _as_batch(u0) -> tuple[list, bool]:
+    """(data, single): one GridFunction becomes a one-element list."""
+    if isinstance(u0, GridFunction):
+        return [u0], True
+    data = list(u0)
+    if len({u.grid_size for u in data}) > 1:
+        raise GridMismatchError("all data of a batch must share one grid size")
+    return data, False
+
+
+def transport_flow(u0, speed: float, cfg: FlowConfig):
     """Constant-speed transport solved by an exact spectral phase shift.
 
     Every Sobolev norm is conserved along the trajectory since the phase
@@ -357,40 +396,112 @@ def transport_flow(u0: GridFunction, speed: float, cfg: FlowConfig) -> Trajector
     the half spectrum times a phase table; the table depends only on the
     grid size, the speed and the time grid, so it is built once and reused
     by every call on the same configuration.
+
+    ``u0`` is one GridFunction, or a list of data on one grid, which gives
+    the list of their trajectories, the spectra from one batched real FFT.
     """
+    data, single = _as_batch(u0)
+    n = data[0].grid_size
     times = cfg.time_nodes()
-    phase = _phase_table(u0.grid_size, float(speed), tuple(times))
-    samples = np.fft.irfft(np.fft.rfft(u0.values) * phase, n=u0.grid_size, axis=1)
-    return Trajectory(times, samples=_frozen(samples), mu=cfg.mu)
+    phase = _phase_table(n, float(speed), tuple(times))
+    spectra = np.fft.rfft(np.stack([u.values for u in data]), axis=1)
+    trajectories = [
+        Trajectory(times, samples=_frozen(np.fft.irfft(spectrum * phase, n=n, axis=1)), mu=cfg.mu)
+        for spectrum in spectra
+    ]
+    return trajectories[0] if single else trajectories
 
 
-def burgers_flow(u0: GridFunction, cfg: FlowConfig) -> Trajectory:
+def _characteristic_feet(interp: TrigInterpolant, x, t, seed, half_width):
+    """Feet y of x = y + t u0(y) at time t for every datum of a stack.
+
+    Safeguarded Newton from ``seed`` inside the bracket x +- t half_width
+    (one half width per datum), the residual checked after every
+    evaluation of the interpolant.  A datum settles, and stops iterating,
+    once all its nodes meet the 1e-12 gate, so its feet never depend on the
+    other data of the stack.  Returns the feet, u0 there, and u0' at each
+    datum's last Newton point.
+    """
+    lo = x - t * half_width
+    hi = x + t * half_width
+    y = np.clip(seed, lo, hi)
+    size = y.shape[0]
+    live = np.arange(size)  # the data still iterating, as rows of the stack
+    feet = values = slopes = None  # filled once a datum settles ahead of the rest
+    value, deriv = interp.value_and_derivative(y)
+    for half_step in range(200):
+        g = y + t * value - x
+        done = (np.abs(g) <= 1e-12).all(axis=1)
+        if done.any():
+            if done.all() and live.size == size:
+                return y, value, deriv
+            if feet is None:
+                feet, values, slopes = (np.empty_like(seed) for _ in range(3))
+            rows = live[done]
+            feet[rows], values[rows], slopes[rows] = y[done], value[done], deriv[done]
+            if done.all():
+                return feet, values, slopes
+            live, interp = live[~done], interp.rows(~done)
+            y, lo, hi, g, deriv = (a[~done] for a in (y, lo, hi, g, deriv))
+        if half_step % 2:
+            value, deriv = interp.value_and_derivative(y)
+            continue
+        # deriv is at y: one safeguarded Newton step, keeping the bracket
+        # (g is increasing in y pre-shock)
+        hi = np.where(g > 0.0, np.minimum(hi, y), hi)
+        lo = np.where(g < 0.0, np.maximum(lo, y), lo)
+        slope = 1.0 + t * deriv
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = y - g / slope
+        fallback = 0.5 * (lo + hi)
+        # closed bracket: a sub-ulp correction lands on a bracket end
+        usable = (slope > 0.0) & (newton >= lo) & (newton <= hi)
+        y = np.where(usable, newton, fallback)
+        value = interp(y)
+    residual = np.abs(y + t * value - x)
+    datum, node = np.unravel_index(int(np.argmax(residual)), residual.shape)
+    raise CharacteristicSolveError(
+        f"characteristic solve stalled at datum {live[datum]}, node {node}, time {t}"
+    )
+
+
+def burgers_flow(u0, cfg: FlowConfig):
     """Inviscid Burgers before shocks, solved by characteristics.
 
     For each grid node x and time t the foot y of the characteristic solves
     x = y + t u0(y); the solution value is u0(y).  The scalar equation is
     solved for the whole grid at once by safeguarded Newton iteration
-    (bisection fallback inside a bracket that always contains the root),
-    to residual 1e-12 per node.  Each step is seeded from the foot's ODE
-    dy/dt = -u0(y) / (1 + t u0'(y)): a cubic Hermite extrapolation through
-    the last two feet and their slopes (linear on the first step).
+    (bisection fallback inside the bracket x +- t (2 max|u0| + 1e-9), with
+    max|u0| taken over the whole torus, so the bracket always contains the
+    root), to residual 1e-12 per node.  Each step is seeded from the foot's
+    ODE dy/dt = -u0(y) / (1 + t u0'(y)): a cubic Hermite extrapolation
+    through the last two feet and their slopes (linear on the first step).
     Requires the horizon to sit below the shock time with a 10 percent
     margin.
+
+    ``u0`` is one GridFunction, or a list of G data on one grid, which gives
+    the list of their trajectories: one Newton sweep over the (G, N) feet,
+    served by one stacked interpolant.  Each datum stops iterating once it
+    has converged, so its trajectory is bit for bit its solo solve.
     """
-    margin_time = 0.9 * shock_time(u0)
-    if not cfg.T <= margin_time:
-        raise ShockMarginError(
-            f"horizon T={cfg.T} exceeds the pre-shock margin {margin_time}"
-        )
-    interp = TrigInterpolant(u0)
-    x = u0.nodes
-    amplitude = float(np.abs(u0.values).max())
-    half_width = 2.0 * amplitude + 1e-9
+    data, single = _as_batch(u0)
+    half_width = np.empty((len(data), 1))
+    for index, datum in enumerate(data):
+        t_star, peak = shock_time(datum, return_peak=True)
+        if not cfg.T <= 0.9 * t_star:
+            raise ShockMarginError(
+                f"horizon T={cfg.T} exceeds the pre-shock margin {0.9 * t_star} of datum {index}"
+            )
+        half_width[index] = 2.0 * peak + 1e-9
+    stack = np.stack([datum.values for datum in data])
+    interp = TrigInterpolant(data)
+    x = data[0].nodes
     times = cfg.time_nodes()
-    samples = np.empty((times.size, u0.grid_size))
-    samples[0] = u0.values
+    samples = [np.empty((times.size, x.size)) for _ in data]
+    for block, values in zip(samples, stack):
+        block[0] = values
     y = x
-    slope_y = -u0.values  # dy/dt of every foot at t = 0
+    slope_y = -stack  # dy/dt of every foot at t = 0
     y_prev = slope_prev = None
     for step, (t_prev, t) in enumerate(zip(times[:-1], times[1:]), start=1):
         h = t - t_prev
@@ -399,39 +510,13 @@ def burgers_flow(u0: GridFunction, cfg: FlowConfig) -> Trajectory:
         else:
             seed = 5.0 * y_prev - 4.0 * y + h * (2.0 * slope_prev + 4.0 * slope_y)
         y_prev, slope_prev = y, slope_y
-        lo = x - t * half_width
-        hi = x + t * half_width
-        y = np.clip(seed, lo, hi)
-        converged = False
-        for _ in range(100):
-            value, deriv = interp.value_and_derivative(y)
-            g = y + t * value - x
-            if np.all(np.abs(g) <= 1e-12):
-                converged = True
-                break
-            # maintain the bracket: g is increasing in y pre-shock
-            hi = np.where(g > 0.0, np.minimum(hi, y), hi)
-            lo = np.where(g < 0.0, np.maximum(lo, y), lo)
-            slope = 1.0 + t * deriv
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = y - g / slope
-            fallback = 0.5 * (lo + hi)
-            # closed bracket: a sub-ulp correction lands on a bracket end
-            usable = (slope > 0.0) & (newton >= lo) & (newton <= hi)
-            y = np.where(usable, newton, fallback)
-            value = interp(y)
-            if np.all(np.abs(y + t * value - x) <= 1e-12):
-                converged = True
-                break
-        if not converged:
-            worst = int(np.argmax(np.abs(y + t * interp(y) - x)))
-            raise CharacteristicSolveError(
-                f"characteristic solve stalled at node {worst}, time {t}"
-            )
-        samples[step] = value
+        y, value, deriv = _characteristic_feet(interp, x, t, seed, half_width)
+        for block, values in zip(samples, value):
+            block[step] = values
         # the derivative is from the last Newton point, close enough for a seed
         slope_y = -value / (1.0 + t * deriv)
-    return Trajectory(times, samples=_frozen(samples), mu=cfg.mu)
+    trajectories = [Trajectory(times, samples=_frozen(block), mu=cfg.mu) for block in samples]
+    return trajectories[0] if single else trajectories
 
 
 def burgers_spectral_reference(
@@ -475,8 +560,12 @@ def burgers_spectral_reference(
     return Trajectory(times, samples=_frozen(samples), mu=mu)
 
 
-def make_flow(cfg: FlowConfig) -> Callable[[GridFunction], Trajectory]:
-    """The configured flow as a single-argument callable on initial data."""
+def make_flow(cfg: FlowConfig) -> Callable:
+    """The configured flow as a single-argument callable on initial data.
+
+    It maps one GridFunction to its trajectory, or a list of data to the
+    list of their trajectories (see :func:`burgers_flow`).
+    """
     if cfg.flow_kind == "transport":
         return lambda u0: transport_flow(u0, cfg.transport_speed, cfg)
     return lambda u0: burgers_flow(u0, cfg)
@@ -570,16 +659,24 @@ def _time_norm_space(mu: float) -> PseudoNormedSpace:
     )
 
 
+# Feet per interpolant call of a grouped characteristic solve: the sequence
+# map hands the flow max(1, _FEET_PER_SWEEP // N) data at a time.
+_FEET_PER_SWEEP = 2048
+
+
 def flow_as_sequence_map(
-    flow: Callable[[GridFunction], Trajectory],
+    flow: Callable,
     cfg: FlowConfig,
     bank: FilterBank,
 ) -> FlowMapAdapter:
     """Conjugate a flow with decompose/reconstruct into a sequence map.
 
-    ``flow`` maps an initial datum to a trajectory (see :func:`make_flow`).
-    The adapter's map takes dyadic blocks of an initial datum, rebuilds the
-    datum, runs the flow, and returns one scalar per block of the solution:
+    ``flow`` maps a list of initial data to the list of their trajectories
+    (see :func:`make_flow`).  The adapter's map takes a list of block
+    sequences of initial data, rebuilds the data, and runs the flow on them
+    in groups of max(1, 2048 // N), so one Newton sweep of the Burgers
+    solver covers about 2048 feet and only one group's trajectories are
+    held at a time.  Each image keeps one scalar per block of the solution:
     the L^mu-in-time L2 norm of that block.  Ball membership at the
     configured (s, q) scale is checked on every call.
     """
@@ -590,12 +687,16 @@ def flow_as_sequence_map(
     if cfg.ball_radius is None:
         raise ValueError("flow config needs an explicit ball_radius")
     out_space = _time_norm_space(cfg.mu)
+    group = max(1, _FEET_PER_SWEEP // cfg.grid_size)
 
-    def phi(f: DyadicSequence) -> DyadicSequence:
-        u0 = reconstruct(f, bank)
-        traj = flow(u0)
-        scalars = block_time_norms(traj, bank, s=0.0)
-        return DyadicSequence(out_space, tuple(float(v) for v in scalars))
+    def phi(sequences: list) -> list:
+        images = []
+        for start in range(0, len(sequences), group):
+            data = [reconstruct(f, bank) for f in sequences[start : start + group]]
+            for traj in flow(data):
+                scalars = block_time_norms(traj, bank, s=0.0)
+                images.append(DyadicSequence(out_space, tuple(float(v) for v in scalars)))
+        return images
 
     return FlowMapAdapter(
         phi=phi, radius=cfg.ball_radius, s0=cfg.s0, s=cfg.s, s1=cfg.s1, q=cfg.q

@@ -327,6 +327,40 @@ class TestNumericalStall:
         assert captured.out == captured.err == ""
 
 
+class TestEvaluationPlan:
+    @pytest.mark.parametrize("kind", ["transport", "burgers"])
+    def test_each_distinct_sequence_reaches_phi_once(self, tmp_path, monkeypatch, kind):
+        import besovflow.engine as engine
+        import besovflow.flows as flows
+
+        mapped = []
+
+        class RecordingAdapter(engine.FlowMapAdapter):
+            def __post_init__(self):
+                super().__post_init__()
+                phi = self.phi
+
+                def recorded(sequences):
+                    mapped.extend(engine._sequence_key(f) for f in sequences)
+                    return phi(sequences)
+
+                self.phi = recorded
+
+        monkeypatch.setattr(flows, "FlowMapAdapter", RecordingAdapter)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "command": "flow",
+                "seed": 2,
+                "grid_size": 64,
+                "flow": {"kind": kind, "T": 0.5, "time_steps": 8, "mu": "inf"},
+            },
+        )
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
+        assert mapped and len(mapped) == len(set(mapped))
+
+
 class TestDeterminism:
     def test_verify_runs_are_byte_identical(self, tmp_path):
         payload = {"schema_version": 1, "command": "verify", "seed": 9, "trials": 40}

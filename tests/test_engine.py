@@ -32,13 +32,13 @@ def scalar_seq(*values):
 
 def identity_adapter(radius=100.0, scale=(0.0, 1.0, 2.0), q=2.0):
     s0, s, s1 = scale
-    return FlowMapAdapter(phi=lambda f: f, radius=radius, s0=s0, s=s, s1=s1, q=q)
+    return FlowMapAdapter(phi=lambda fs: fs, radius=radius, s0=s0, s=s, s1=s1, q=q)
 
 
 def zero_adapter(radius=100.0, scale=(0.0, 1.0, 2.0), q=2.0):
     s0, s, s1 = scale
     return FlowMapAdapter(
-        phi=lambda f: scalar_seq(), radius=radius, s0=s0, s=s, s1=s1, q=q
+        phi=lambda fs: [scalar_seq() for _ in fs], radius=radius, s0=s0, s=s, s1=s1, q=q
     )
 
 
@@ -54,9 +54,9 @@ def small_sequences(rng, count, radius, s, q):
 class TestAdapter:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
-            FlowMapAdapter(phi=lambda f: f, radius=1.0, s0=2.0, s=1.0, s1=3.0, q=2.0)
+            FlowMapAdapter(phi=lambda fs: fs, radius=1.0, s0=2.0, s=1.0, s1=3.0, q=2.0)
         with pytest.raises(ValueError):
-            FlowMapAdapter(phi=lambda f: f, radius=-1.0, s0=0.0, s=1.0, s1=2.0, q=2.0)
+            FlowMapAdapter(phi=lambda fs: fs, radius=-1.0, s0=0.0, s=1.0, s1=2.0, q=2.0)
 
     def test_ball_enforced(self):
         adapter = identity_adapter(radius=1.0)
@@ -72,15 +72,31 @@ class TestAdapter:
     def test_memoization_returns_same_object(self):
         calls = []
 
-        def phi(f):
-            calls.append(1)
-            return f
+        def phi(fs):
+            calls.append(len(fs))
+            return fs
 
         adapter = FlowMapAdapter(phi=phi, radius=10.0, s0=0, s=1, s1=2, q=2.0)
         f = scalar_seq(1.0, 0.5)
         adapter(f)
         adapter(DyadicSequence(f.base, f.entries))
         assert len(calls) == 1
+
+    def test_request_maps_each_distinct_block_data_once(self):
+        mapped = []
+
+        def phi(fs):
+            mapped.append(len(fs))
+            return fs
+
+        adapter = FlowMapAdapter(phi=phi, radius=10.0, s0=0, s=1, s1=2, q=2.0)
+        f = scalar_seq(*np.array([1.0, 0.5]))
+        twin = scalar_seq(*np.array([1.0, 0.5]))  # equal data, other block objects
+        images = adapter([f, twin, truncate(f, 0), f, truncate(f, 0)])
+        assert mapped == [2]
+        assert images[0] is images[1] is images[3]
+        assert images[2] is images[4] and images[2].entries == (1.0,)
+        assert adapter(truncate(twin, 0)) is images[2]
 
 
 class TestEstimateConstants:
@@ -126,11 +142,11 @@ class TestEstimateConstants:
         # diagonal map with bounded blockwise gains: a genuine non-identity
         gains = [1.0, 0.7, 1.3, 0.5, 1.1, 0.9, 1.2, 0.8]
 
-        def phi(f):
-            return DyadicSequence(
-                f.base,
-                tuple(g * v for g, v in zip(gains, f.entries)),
-            )
+        def phi(fs):
+            return [
+                DyadicSequence(f.base, tuple(g * v for g, v in zip(gains, f.entries)))
+                for f in fs
+            ]
 
         adapter = FlowMapAdapter(phi=phi, radius=1e6, s0=0, s=1, s1=2, q=2.0)
         samples = small_sequences(rng, 12, adapter.radius, adapter.s, adapter.q)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besovflow.dyadic import dyadic_norm, truncate
 from besovflow.engine import (
@@ -20,6 +21,7 @@ from besovflow.littlewood_paley import (
     sobolev_norm,
 )
 from besovflow.flows import (
+    CharacteristicSolveError,
     FlowConfig,
     ShockMarginError,
     Trajectory,
@@ -187,6 +189,123 @@ class TestBurgersFlow:
         assert np.abs(interp(u0.nodes) - u0.values).max() <= 1e-12
         value, deriv = interp.value_and_derivative(np.linspace(0, 6.0, 50))
         assert np.allclose(value, interp(np.linspace(0, 6.0, 50)))
+
+
+def phase_slip_datum(n):
+    """+-1 node values whose alternation slips by one node at N/2.
+
+    The interpolant peaks between the nodes near the slip, at 2.29, 3.17
+    and 4.05 times the node maximum for N = 16, 64 and 256.
+    """
+    j = np.arange(n)
+    return GridFunction(np.where(j < n // 2, (-1.0) ** j, (-1.0) ** (j + 1)))
+
+
+class TestBracketFromTorusMax:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("ratio", [0.85, 0.89])
+    def test_phase_slip_data_converge(self, n, ratio):
+        # a bracket from the node maximum misses the roots of the feet whose
+        # values come from between the nodes, and the solve stalled
+        u0 = phase_slip_datum(n)
+        assert global_max_abs(u0) > 2.0 * np.abs(u0.values).max()
+        traj = burgers_flow(u0, burgers_cfg(grid_size=n, T=ratio * shock_time(u0)))
+        assert np.all(np.isfinite(traj.samples))
+
+    def test_shock_time_returns_the_torus_peak(self):
+        u0 = phase_slip_datum(64)
+        assert shock_time(u0, return_peak=True) == (shock_time(u0), global_max_abs(u0))
+
+
+def near_shock_mix(n):
+    """Easy data mixed with near-shock data, under one horizon.
+
+    In a single time step to 0.89 T*, the two near-shock data take the
+    bisection fallback at some nodes and need twice the Newton steps of
+    the easy data, which settle first.
+    """
+    data = [
+        sinusoid_datum(n, 0.1, 0.05),
+        sinusoid_datum(n, 1.0, 0.3),
+        sinusoid_datum(n, -0.02, 0.01),
+        sinusoid_datum(n, 0.97, 0.29),
+        sinusoid_datum(n, 0.3, -0.1),
+    ]
+    horizon = 0.89 * min(shock_time(u) for u in data)
+    return data, burgers_cfg(grid_size=n, T=horizon, time_steps=1)
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_batch_equals_solo_solves(self, n):
+        data, cfg = near_shock_mix(n)
+        batch = burgers_flow(data, cfg)
+        assert len(batch) == len(data)
+        for traj, u0 in zip(batch, data):
+            assert np.array_equal(traj.samples, burgers_flow(u0, cfg).samples)
+
+    def test_transport_batch_equals_solo(self, rng):
+        data = [random_grid_function(rng, 64) for _ in range(5)]
+        cfg = transport_cfg(time_steps=8)
+        for traj, u0 in zip(transport_flow(data, 1.3, cfg), data):
+            assert np.array_equal(traj.samples, transport_flow(u0, 1.3, cfg).samples)
+
+    def test_mixed_grid_sizes_rejected(self):
+        with pytest.raises(GridMismatchError):
+            burgers_flow([sinusoid_datum(32, 0.1), sinusoid_datum(64, 0.1)], burgers_cfg())
+
+    def test_sequence_map_groups_equal_solo_images(self, bank256):
+        # N = 256 groups 8 data per sweep; 11 data leave a partial group
+        data = [sinusoid_datum(256, 0.02 * (k + 1), 0.01 * (k - 5)) for k in range(11)]
+        family = [decompose(u, bank256) for u in data]
+        radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
+        cfg = burgers_cfg(grid_size=256, T=0.4, time_steps=16, ball_radius=radius)
+        batched = flow_as_sequence_map(make_flow(cfg), cfg, bank256)(family)
+        for f, image in zip(family, batched):
+            solo = flow_as_sequence_map(make_flow(cfg), cfg, bank256)(f)
+            assert image.entries == solo.entries
+
+    def test_stall_names_the_datum(self, monkeypatch):
+        # datum 1 of the stack gets noise far above the residual gate
+        noise = np.random.default_rng(5)
+        taylor = TrigInterpolant._taylor
+
+        def noisy(self, y, derivative_too):
+            value, deriv = taylor(self, y, derivative_too)
+            if self.offsets is not None:
+                stuck = (self.offsets == self.nodes_per_datum)[:, None]
+                value = value + 1e-6 * stuck * noise.standard_normal(value.shape)
+            return value, deriv
+
+        monkeypatch.setattr(TrigInterpolant, "_taylor", noisy)
+        data = [sinusoid_datum(32, 0.1), sinusoid_datum(32, 0.2), sinusoid_datum(32, 0.05)]
+        with pytest.raises(CharacteristicSolveError, match=r"datum 1, node \d+, time"):
+            burgers_flow(data, burgers_cfg(grid_size=32, time_steps=4))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        exponent=st.integers(3, 10),
+        ratio=st.floats(0.5, 0.9),
+        modes=st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=2, max_size=4
+        ),
+    )
+    def test_property_converges_and_batch_equals_solo(self, exponent, ratio, modes):
+        n = 2**exponent
+        x = GridFunction.zeros(n).nodes
+        data = []
+        for shift in range(3):
+            values = sum(
+                a * np.cos((k + 1) * x + shift) + b * np.sin((k + 1) * x)
+                for k, (a, b) in enumerate(modes[: n // 2 - 1])
+            )
+            data.append(GridFunction(values + 0.1 * np.sin(x)))
+        cfg = burgers_cfg(
+            grid_size=n, T=ratio * min(shock_time(u) for u in data), time_steps=8
+        )
+        batch = burgers_flow(data, cfg)
+        for traj, u0 in zip(batch, data):
+            assert np.array_equal(traj.samples, burgers_flow(u0, cfg).samples)
 
 
 def dense_interpolant(u, y):

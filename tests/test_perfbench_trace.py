@@ -1,0 +1,46 @@
+"""The benchmark's traced pass still sees every wrapper it expects.
+
+``perfbench/tracer.py`` wraps the package's public functions and a few
+methods by name, and a traced bench run fails when a wrapper its workload
+expects is never called.  These tests run the tracer on shrunken copies of
+the Burgers and transport workload configs, so a refactor that renames or
+bypasses a traced function fails here rather than in the bench.
+"""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+from tracer import aggregate  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", ["burgers-256", "transport-2048"])
+def test_traced_flow_hits_every_expected_wrapper(tmp_path, workload):
+    work = tmp_path / "work"
+    work.mkdir()
+    spec = WORKLOADS[workload](3, str(work))
+    (op,) = spec.ops
+    with open(op.config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["grid_size"] = 32
+    config["flow"]["time_steps"] = 8
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps(config), encoding="utf-8")
+
+    spans = tmp_path / "spans.npz"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "tracer.py"), str(spans), "--",
+         "--config", str(tiny), "--out", str(tmp_path / "out"), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    calls = aggregate([str(spans)]).calls
+    assert [name for name in spec.expected_hits if calls[name] == 0] == []
