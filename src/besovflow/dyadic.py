@@ -20,6 +20,7 @@ truncated.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,78 +78,132 @@ def as_scale_index(idx) -> ScaleIndex:
     return ScaleIndex(float(s), float(q))
 
 
-def _elements_equal(a, b) -> bool:
-    eq = a == b
-    return bool(np.all(eq))
+def _frozen(blocks: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only so a sequence or trajectory keeps it uncopied."""
+    blocks.setflags(write=False)
+    return blocks
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float array no caller can change.
+
+    A read-only C-contiguous float array whose buffer's owner is read-only
+    too is shared; anything else is copied.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == float:
+        owner = values.base if isinstance(values.base, np.ndarray) else values
+        flags = values.flags
+        if flags.c_contiguous and not (flags.writeable or owner.flags.writeable):
+            return values
+    return _frozen(np.array(values, dtype=float, order="C"))
+
+
+def _block_array(base: PseudoNormedSpace, blocks) -> np.ndarray:
+    """Blocks as one read-only array, (K+1,) or (K+1, N), from an array or the elements."""
+    if base.element_kind not in ("scalar", "grid_function"):
+        raise ValueError(f"no dyadic blocks of kind {base.element_kind!r}")
+    if base.element_kind == "grid_function" and not isinstance(blocks, np.ndarray):
+        blocks = [entry.values for entry in blocks]
+    blocks = _read_only(blocks)
+    ndim = 1 if base.element_kind == "scalar" else 2
+    if blocks.ndim != ndim and blocks.size:
+        raise ValueError(f"{base.element_kind} blocks need a {ndim}-D array, got {blocks.shape}")
+    return blocks
 
 
 @dataclass(frozen=True, eq=False)
 class DyadicSequence:
     """Finite-support sequence of base-space elements.
 
-    ``entries`` holds blocks f_0 .. f_K; indices beyond K are the base
-    space's zero element.  Sequences are immutable; arithmetic returns new
-    sequences and pads the shorter operand with zeros.
+    ``blocks`` holds f_0 .. f_K as one read-only float array, (K+1,) over a
+    scalar space and (K+1, N) over a grid space, built from that array or
+    from the elements; ``entries`` rebuilds the elements on access.  Blocks
+    beyond K are zero.  Sequences are immutable; arithmetic returns new
+    sequences and pads the shorter operand with zero blocks.
     """
 
     base: PseudoNormedSpace
-    entries: tuple
+    blocks: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "blocks", _block_array(self.base, self.blocks))
+        # digests by shape, shared with every truncation (a view of this buffer)
+        object.__setattr__(self, "_digests", {})
 
     @property
     def support(self) -> int:
         """Number of stored blocks (K + 1 for last stored index K)."""
-        return len(self.entries)
+        return len(self.blocks)
 
     @property
     def last_index(self) -> int:
-        return len(self.entries) - 1
+        return len(self.blocks) - 1
+
+    @property
+    def entries(self) -> tuple:
+        """Blocks f_0 .. f_K as base-space elements, rebuilt on each access."""
+        if self.base.element_kind == "scalar":
+            return tuple(self.blocks.tolist())
+        from .littlewood_paley import GridFunction  # that module imports this one
+
+        return tuple(GridFunction(row) for row in self.blocks)
 
     @cached_property
     def block_norms(self) -> np.ndarray:
         norms = [eval_pseudo_norm(self.base, entry) for entry in self.entries]
         if OVERFLOW in norms:
             raise ValueError(f"block {norms.index(OVERFLOW)} has non-finite pseudo-norm")
-        return np.array(norms, dtype=float)
+        norms = np.array(norms, dtype=float)
+        norms.setflags(write=False)  # truncations share it
+        return norms
+
+    @property
+    def key(self) -> bytes:
+        """blake2b digest of the base label, block shape and block data.
+
+        Hashed once per view of a buffer: truncations share the digest table.
+        """
+        shape = self.blocks.shape
+        digest = self._digests.get(shape)
+        if digest is None:
+            h = hashlib.blake2b(repr((self.base.label, shape)).encode(), digest_size=16)
+            h.update(self.blocks)
+            digest = self._digests[shape] = h.digest()
+        return digest
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.blocks)
 
-    def __getitem__(self, k):
-        if k < 0:
-            raise IndexError("block index must be >= 0")
-        if k < len(self.entries):
-            return self.entries[k]
-        return self.base.zero()
-
-    def _check_base(self, other: "DyadicSequence"):
+    def _aligned(self, other: "DyadicSequence") -> list:
+        """Both block arrays, padded with zero blocks to the longer support."""
         if self.base.label != other.base.label:
             raise ValueError(
                 f"base space mismatch: {self.base.label!r} vs {other.base.label!r}"
             )
+        rows = max(len(self), len(other))
+        block_shape = (self if len(self) else other).blocks.shape[1:]
+        return [
+            np.concatenate((b.reshape(-1, *block_shape), np.zeros((rows - len(b), *block_shape))))
+            for b in (self.blocks, other.blocks)
+        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicSequence):
             return NotImplemented
-        if self.base.label != other.base.label:
-            return False
-        n = max(len(self), len(other))
-        return all(_elements_equal(self[k], other[k]) for k in range(n))
+        return self.base.label == other.base.label and bool(
+            np.array_equal(*self._aligned(other))
+        )
 
     def __add__(self, other: "DyadicSequence") -> "DyadicSequence":
-        self._check_base(other)
-        n = max(len(self), len(other))
-        return DyadicSequence(self.base, tuple(self[k] + other[k] for k in range(n)))
+        a, b = self._aligned(other)
+        return DyadicSequence(self.base, _frozen(a + b))
 
     def __sub__(self, other: "DyadicSequence") -> "DyadicSequence":
-        self._check_base(other)
-        n = max(len(self), len(other))
-        return DyadicSequence(self.base, tuple(self[k] - other[k] for k in range(n)))
+        a, b = self._aligned(other)
+        return DyadicSequence(self.base, _frozen(a - b))
 
     def __mul__(self, c) -> "DyadicSequence":
-        return DyadicSequence(self.base, tuple(entry * c for entry in self.entries))
+        return DyadicSequence(self.base, _frozen(self.blocks * float(c)))
 
     __rmul__ = __mul__
 
@@ -193,7 +248,11 @@ def truncate(f: DyadicSequence, n: int) -> DyadicSequence:
         raise ValueError("truncation level must be >= 0")
     if n >= f.last_index:
         return f
-    return DyadicSequence(f.base, f.entries[: n + 1])
+    head = DyadicSequence(f.base, f.blocks[: n + 1])  # a view of f's buffer
+    object.__setattr__(head, "_digests", f._digests)
+    if "block_norms" in f.__dict__:  # so the head rebuilds no block elements
+        head.__dict__["block_norms"] = f.block_norms[: n + 1]
+    return head
 
 
 def tail_norm(f: DyadicSequence, idx, n: int) -> float:
@@ -213,8 +272,8 @@ def smoothing_gain(f: DyadicSequence, r: float, rp: float, q: float, n: int):
     """
     if not r <= rp:
         raise ValueError(f"need r <= r', got r={r}, r'={rp}")
+    base = dyadic_norm(f, (r, q))  # first, so S_n f takes its block norms from f
     value = dyadic_norm(truncate(f, n), (rp, q))
-    base = dyadic_norm(f, (r, q))
     if is_overflow(value) or is_overflow(base):
         return OVERFLOW, OVERFLOW
     return value, 2.0 ** (n * (rp - r)) * base
@@ -410,7 +469,7 @@ def random_sequence(
     size = int(rng.integers(1, max_support + 1))
     mags = np.exp2(rng.uniform(log2_range[0], log2_range[1], size))
     signs = _SIGNS[rng.integers(0, 2, size)]  # same draws as rng.choice(_SIGNS, size)
-    return DyadicSequence(base, tuple((signs * mags).tolist()))
+    return DyadicSequence(base, _frozen(signs * mags))
 
 
 def sequence_report(f: DyadicSequence) -> dict:

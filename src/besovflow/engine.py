@@ -20,12 +20,9 @@ checks are meant to run with the constants inflated by a safety factor
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .dyadic import DyadicSequence, dyadic_norm, truncate
 from .envelope import c_tail_lq, compute_envelope
@@ -54,27 +51,6 @@ CONTINUITY_FLOOR = 1e-9
 
 class BallViolationError(ValueError):
     """Input lies outside the ball on which the map is defined."""
-
-
-def _sequence_key(f: DyadicSequence) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f.base.label.encode())
-    for entry in f.entries:
-        if hasattr(entry, "values"):
-            h.update(np.asarray(entry.values).tobytes())
-        else:
-            h.update(np.float64(entry).tobytes())
-        h.update(b"|")
-    return h.digest()
-
-
-def _block_identity(f: DyadicSequence) -> tuple:
-    """Equal for sequences built from the same block objects.
-
-    Truncations of one sequence share its blocks, so equal truncations of
-    it compare equal here without hashing any block data.
-    """
-    return (id(f.base), *map(id, f.entries))
 
 
 @dataclass
@@ -123,32 +99,25 @@ class FlowMapAdapter:
     def __call__(self, f):
         """Phi(f) for one sequence, or the list of images of a list of sequences.
 
-        A list is one request: each sequence in it that is built from
-        distinct block objects is checked against the ball and keyed once,
-        and every image not yet memoized comes from one call of ``phi`` on
-        the list of misses, each distinct block data once.
+        A list is one request: each distinct sequence in it (by its ``key``)
+        is checked against the ball once, and every image not yet memoized
+        comes from one call of ``phi`` on the list of misses.
         """
         if isinstance(f, DyadicSequence):
             return self._images([f])[0]
         return self._images(list(f))
 
     def _images(self, request: list) -> list:
-        identities = [_block_identity(f) for f in request]
-        distinct = dict(zip(identities, request))
+        keys = [f.key for f in request]
+        distinct = dict(zip(keys, request))
         for f in distinct.values():
             self.check_ball(f)
-        if not self.memoize:
-            images = dict(zip(distinct, self.phi(list(distinct.values())), strict=True))
-            return [images[ident] for ident in identities]
-        keys = {ident: _sequence_key(f) for ident, f in distinct.items()}
-        misses = {}
-        for ident, key in keys.items():
-            if key not in self._cache:
-                misses.setdefault(key, distinct[ident])
+        memo = self._cache if self.memoize else {}
+        misses = [key for key in distinct if key not in memo]
         if misses:
-            images = self.phi(list(misses.values()))
-            self._cache.update(zip(misses, images, strict=True))
-        return [self._cache[keys[ident]] for ident in identities]
+            images = self.phi([distinct[key] for key in misses])
+            memo.update(zip(misses, images, strict=True))
+        return [memo[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -264,7 +233,7 @@ def estimate_constants(
             lipschitz.append((v, w, denom))
 
     truncations = {
-        _block_identity(smooth): smooth
+        smooth.key: smooth
         for pair in samples
         for element in pair
         for smooth in _truncation_family(element)

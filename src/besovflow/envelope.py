@@ -52,12 +52,10 @@ class FrequencyEnvelope:
         return self.source.support
 
 
-def compute_envelope(
-    f: DyadicSequence, s: float, s1: float, guard: int = GUARD
-) -> FrequencyEnvelope:
+def compute_envelope(f: DyadicSequence, s: float, s1: float) -> FrequencyEnvelope:
     """Envelope of f for the order pair s < s1.
 
-    Values are stored for n = 0..support+guard-1; entries past the support
+    Values are stored for n = 0..support+GUARD-1; entries past the support
     are produced by the exact geometric recursion.
     """
     if not s < s1:
@@ -65,7 +63,7 @@ def compute_envelope(
     norms = f.block_norms
     k = norms.size
     ratio = 2.0 ** (-(s1 - s))
-    gamma = np.zeros(max(k, 1) + guard)
+    gamma = np.zeros(max(k, 1) + GUARD)
     if k > 0:
         weighted = np.where(
             norms == 0.0, 0.0, np.exp2(s1 * np.arange(k, dtype=float)) * norms

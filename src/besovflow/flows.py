@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DyadicSequence
+from .dyadic import DyadicSequence, _frozen, _read_only
 from .engine import FlowMapAdapter
 from .littlewood_paley import (
     TAU,
@@ -39,7 +39,7 @@ from .littlewood_paley import (
     reconstruct,
     save_grid_function,
 )
-from .pseudonorm import PseudoNormedSpace
+from .pseudonorm import PseudoNormedSpace, scalar_abs_space
 
 __all__ = [
     "Trajectory",
@@ -76,12 +76,6 @@ class CharacteristicSolveError(RuntimeError):
     """A characteristic foot failed to converge within the iteration cap."""
 
 
-def _frozen(samples: np.ndarray) -> np.ndarray:
-    """Mark a freshly built array read-only so a Trajectory keeps it uncopied."""
-    samples.setflags(write=False)
-    return samples
-
-
 class _States(Sequence):
     """Rows of a trajectory's sample array as GridFunctions, built on access."""
 
@@ -103,9 +97,9 @@ class Trajectory:
     The states are stored as one read-only (m, N) array ``samples``, row i
     holding the grid values at ``times[i]``; build it from either ``states``
     (GridFunctions, one per time node) or ``samples``.  A read-only array
-    that owns its buffer is kept as given; any other input is copied.
-    ``states`` views the rows as GridFunctions built on access.  Instances
-    are immutable.
+    whose buffer's owner is read-only too is kept as given; any other input
+    is copied.  ``states`` views the rows as GridFunctions built on access.
+    Instances are immutable.
     """
 
     __slots__ = ("times", "samples", "mu")
@@ -119,9 +113,7 @@ class Trajectory:
                 raise ValueError("all states must share one grid size")
             samples = [state.values for state in states]
         times = np.array(times, dtype=float)
-        samples = np.asarray(samples, dtype=float)
-        if samples.flags.writeable or samples.base is not None:
-            samples = samples.copy()
+        samples = _read_only(samples)
         if samples.ndim != 2 or times.ndim != 1 or times.size != samples.shape[0]:
             raise ValueError("one state per time node is required")
         if times.size < 2:
@@ -135,7 +127,6 @@ class Trajectory:
         if not mu >= 2:
             raise ValueError("time exponent mu must be >= 2")
         times.setflags(write=False)
-        samples.setflags(write=False)
         for name, value in (("times", times), ("samples", samples), ("mu", mu)):
             object.__setattr__(self, name, value)
 
@@ -263,11 +254,11 @@ class TrigInterpolant:
     its error stays a rounding of dy itself rather than |y| eps, which the
     derivative N/2 would amplify.
 
-    ``u`` is a GridFunction, or a list of G of them on one grid (a stack),
-    whose tables lie one after another in one (G M, P + 2) table.  A
-    stack's interpolant takes points of shape (G, ...), row g evaluated on
-    datum g, and :meth:`rows` restricts it to a subset of the data without
-    copying the table.
+    ``u`` is a list of G GridFunctions on one grid (a stack), whose tables
+    lie one after another in one (G M, P + 2) table, or one GridFunction,
+    the stack of G = 1.  The interpolant takes points of shape (G, ...),
+    row g evaluated on datum g (any shape for G = 1), and :meth:`rows`
+    restricts it to a subset of the data without copying the table.
     """
 
     def __init__(self, u):
@@ -277,8 +268,7 @@ class TrigInterpolant:
         for start, datum in zip(range(0, self.table.shape[0], m), data):
             self.table[start : start + m] = _oversampled(datum, m, range(_TAYLOR_ORDER + 2)).T
         self.nodes_per_datum = m
-        # first table row of each datum of a stack; None for a single datum
-        self.offsets = np.arange(len(data)) * m if len(data) > 1 else None
+        self.offsets = np.arange(len(data)) * m  # first table row of each datum
         self.nodes_per_radian = m / TAU
         self.step_hi = _TAU_HI / m
         self.step_lo = _TAU_LO / m
@@ -294,8 +284,7 @@ class TrigInterpolant:
         node = np.rint(flat * self.nodes_per_radian)
         dy = (flat - node * self.step_hi) - node * self.step_lo
         index = node.astype(np.int64) % self.nodes_per_datum
-        if self.offsets is not None:
-            index += np.repeat(self.offsets, flat.size // self.offsets.size)
+        index += np.repeat(self.offsets, flat.size // self.offsets.size)
         raw = self.table.take(index, axis=0)
         powers = np.empty((_TAYLOR_ORDER + 1, flat.size))
         powers[0] = 1.0
@@ -345,13 +334,13 @@ def _max_abs(dense: np.ndarray) -> float:
     return max(0.0, _torus_peak(dense), _torus_peak(-dense))
 
 
-def global_max_abs(u: GridFunction, refine: int = _PEAK_REFINE) -> float:
+def global_max_abs(u: GridFunction) -> float:
     """Max of |u| over the whole torus, not just the grid nodes.
 
     Upsamples the band-limited interpolant and sharpens the discrete argmax
     with one parabolic fit, accurate to well below 1e-12 for smooth data.
     """
-    return _max_abs(_oversampled(u, refine * u.grid_size, [0])[0])
+    return _max_abs(_oversampled(u, _PEAK_REFINE * u.grid_size, [0])[0])
 
 
 def shock_time(u0: GridFunction, return_peak: bool = False):
@@ -649,16 +638,6 @@ def lmu_time_sobolev_norm(traj: Trajectory, s: float) -> float:
 
 # --- sequence-space adapters ---------------------------------------------------
 
-def _time_norm_space(mu: float) -> PseudoNormedSpace:
-    """Output base space: one L^mu-time L2 scalar per block."""
-    return PseudoNormedSpace(
-        label=f"Lmu-time-L2(mu={mu})",
-        eval=abs,
-        element_kind="scalar",
-        zero=lambda: 0.0,
-    )
-
-
 # Feet per interpolant call of a grouped characteristic solve: the sequence
 # map hands the flow max(1, _FEET_PER_SWEEP // N) data at a time.
 _FEET_PER_SWEEP = 2048
@@ -686,7 +665,7 @@ def flow_as_sequence_map(
         )
     if cfg.ball_radius is None:
         raise ValueError("flow config needs an explicit ball_radius")
-    out_space = _time_norm_space(cfg.mu)
+    out_space = scalar_abs_space(f"Lmu-time-L2(mu={cfg.mu})")  # one scalar per block
     group = max(1, _FEET_PER_SWEEP // cfg.grid_size)
 
     def phi(sequences: list) -> list:
@@ -694,8 +673,7 @@ def flow_as_sequence_map(
         for start in range(0, len(sequences), group):
             data = [reconstruct(f, bank) for f in sequences[start : start + group]]
             for traj in flow(data):
-                scalars = block_time_norms(traj, bank, s=0.0)
-                images.append(DyadicSequence(out_space, tuple(float(v) for v in scalars)))
+                images.append(DyadicSequence(out_space, _frozen(block_time_norms(traj, bank))))
         return images
 
     return FlowMapAdapter(
@@ -776,19 +754,14 @@ def time_continuity_modulus(
     )
 
 
-def trajectory_sup_l2_space(grid_size: int, time_steps: int) -> PseudoNormedSpace:
+def trajectory_sup_l2_space(grid_size: int) -> PseudoNormedSpace:
     """Trajectories under sup-in-time quadrature L2, as a pseudo-normed space."""
     from .littlewood_paley import grid_l2_norm
-
-    def zero() -> Trajectory:
-        times = np.linspace(0.0, 1.0, time_steps + 1)
-        return Trajectory(times, samples=np.zeros((times.size, grid_size)))
 
     return PseudoNormedSpace(
         label=f"sup-time-L2({grid_size})",
         eval=lambda traj: max(grid_l2_norm(state) for state in traj.states),
         element_kind="time_trajectory",
-        zero=zero,
     )
 
 

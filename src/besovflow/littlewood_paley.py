@@ -325,9 +325,7 @@ def decompose(u: GridFunction, bank: FilterBank) -> DyadicSequence:
     """
     _check_bank(u, bank)
     blocks = np.fft.ifft(np.fft.fft(u.values) * bank.multipliers, axis=1).real
-    return DyadicSequence(
-        grid_l2_space(u.grid_size), tuple(GridFunction(row) for row in blocks)
-    )
+    return DyadicSequence(grid_l2_space(u.grid_size), blocks)  # copies the view once
 
 
 def reconstruct(f: DyadicSequence, bank: FilterBank) -> GridFunction:
@@ -340,15 +338,13 @@ def reconstruct(f: DyadicSequence, bank: FilterBank) -> GridFunction:
         raise ValueError(
             f"sequence support {f.support} exceeds bank blocks {bank.j_max + 1}"
         )
-    for j, entry in enumerate(f.entries):
-        if entry.grid_size != bank.grid_size:
-            raise GridMismatchError(
-                f"block {j} has grid size {entry.grid_size}, bank {bank.grid_size}"
-            )
-    if not f.entries:
+    if not f.support:
         return GridFunction.zeros(bank.grid_size)
-    blocks = np.array([entry.values for entry in f.entries])
-    total = (np.fft.fft(blocks, axis=1) * bank.fat_multipliers[: f.support]).sum(axis=0)
+    if f.blocks.shape[1] != bank.grid_size:
+        raise GridMismatchError(
+            f"blocks have grid size {f.blocks.shape[1]}, bank {bank.grid_size}"
+        )
+    total = (np.fft.fft(f.blocks, axis=1) * bank.fat_multipliers[: f.support]).sum(axis=0)
     return GridFunction(np.fft.ifft(total).real)
 
 
@@ -374,7 +370,6 @@ def grid_l2_space(grid_size: int) -> PseudoNormedSpace:
         label=f"L2(torus,{grid_size})",
         eval=grid_l2_norm,
         element_kind="grid_function",
-        zero=lambda: GridFunction.zeros(grid_size),
     )
 
 

@@ -341,7 +341,7 @@ class TestEvaluationPlan:
                 phi = self.phi
 
                 def recorded(sequences):
-                    mapped.extend(engine._sequence_key(f) for f in sequences)
+                    mapped.extend(f.key for f in sequences)
                     return phi(sequences)
 
                 self.phi = recorded

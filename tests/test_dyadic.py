@@ -19,7 +19,7 @@ from besovflow.dyadic import (
     weighted_smoothing_sum,
     young_convolve,
 )
-from besovflow.pseudonorm import is_overflow, scalar_abs_space
+from besovflow.pseudonorm import eval_pseudo_norm, is_overflow, scalar_abs_space
 
 INF = math.inf
 
@@ -409,3 +409,111 @@ class TestSequenceAlgebra:
         report = sequence_report(scalar_seq(1, -2))
         assert report["base"] == "abs"
         assert report["block_norms"] == [1.0, 2.0]
+
+
+# --- the per-block loops of the tuple-backed sequence, kept as the reference --
+
+def loop_block(entries, k, zero):
+    return entries[k] if k < len(entries) else zero
+
+
+def loop_combine(f, g, op, zero):
+    n = max(len(f), len(g))
+    return tuple(op(loop_block(f, k, zero), loop_block(g, k, zero)) for k in range(n))
+
+
+def loop_equal(f, g, zero):
+    n = max(len(f), len(g))
+    return all(
+        bool(np.all(loop_block(f, k, zero) == loop_block(g, k, zero))) for k in range(n)
+    )
+
+
+def stacked(entries, block_shape):
+    """Block elements (floats or GridFunctions) as one (K+1, *block_shape) array."""
+    rows = [np.asarray(getattr(e, "values", e), dtype=float) for e in entries]
+    return np.array(rows, dtype=float).reshape(len(rows), *block_shape)
+
+
+@st.composite
+def sequence_pairs(draw):
+    """(space, zero, block shape, f blocks, g blocks) with supports 0 .. 12."""
+    grid = draw(st.booleans())
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    if grid:
+        from besovflow.littlewood_paley import GridFunction, grid_l2_space
+
+        block = st.lists(value, min_size=8, max_size=8).map(GridFunction)
+        space, zero, shape = grid_l2_space(8), GridFunction.zeros(8), (8,)
+    else:
+        block = value
+        space, zero, shape = scalar_abs_space(), 0.0, ()
+    f = draw(st.lists(block, max_size=13))
+    if draw(st.booleans()):  # f padded with zero blocks: equal to f
+        g = f + [zero] * draw(st.integers(0, 3))
+    else:
+        g = draw(st.lists(block, max_size=13))
+    return space, zero, shape, tuple(f), tuple(g)
+
+
+class TestArrayBackedSequence:
+    """The one-array sequence reproduces the per-block loops bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        pair=sequence_pairs(),
+        c=st.floats(-4.0, 4.0, allow_nan=False),
+        n=st.integers(0, 14),
+    )
+    def test_matches_per_block_loops(self, pair, c, n):
+        space, zero, shape, f_entries, g_entries = pair
+        f = DyadicSequence(space, f_entries)
+        g = DyadicSequence(space, g_entries)
+        assert (f == g) == loop_equal(f_entries, g_entries, zero)
+        for result, op in (
+            (f + g, lambda a, b: a + b),
+            (f - g, lambda a, b: a - b),
+            (g - f, lambda a, b: b - a),
+        ):
+            expected = stacked(loop_combine(f_entries, g_entries, op, zero), shape)
+            assert np.array_equal(result.blocks.reshape(expected.shape), expected)
+        scaled = stacked(tuple(e * c for e in f_entries), shape)
+        assert np.array_equal((f * c).blocks.reshape(scaled.shape), scaled)
+        assert np.array_equal((c * f).blocks.reshape(scaled.shape), scaled)
+
+        def loop_norms(entries):
+            return np.array([eval_pseudo_norm(space, e) for e in entries], dtype=float)
+
+        head_entries = f_entries[: n + 1]
+        fresh = truncate(f, n)  # before f's norms exist: computed by the head
+        assert np.array_equal(fresh.blocks.reshape(-1, *shape), stacked(head_entries, shape))
+        assert np.array_equal(fresh.block_norms, loop_norms(head_entries))
+        assert np.array_equal(f.block_norms, loop_norms(f_entries))
+        assert np.array_equal(truncate(f, n).block_norms, loop_norms(head_entries))
+        assert np.array_equal(g.block_norms, loop_norms(g_entries))
+
+    def test_truncation_views_parent_buffer(self, bank64):
+        from besovflow.littlewood_paley import GridFunction, decompose
+
+        f = decompose(GridFunction.from_function(np.cos, 64), bank64)
+        head = truncate(f, 2)
+        assert head.blocks.shape == (3, 64)
+        assert np.shares_memory(head.blocks, f.blocks)
+        assert np.shares_memory(truncate(head, 1).blocks, f.blocks)
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        data = np.array([1.0, 2.0, 3.0])
+        view = data[:]
+        view.setflags(write=False)
+        f = DyadicSequence(scalar_abs_space(), view)
+        key = f.key
+        data[0] = 99.0  # the caller changes the array it handed over
+        assert not np.shares_memory(f.blocks, data)
+        assert f.entries == (1.0, 2.0, 3.0)
+        assert f.key == key == scalar_seq(1, 2, 3).key
+        assert not DyadicSequence(scalar_abs_space(), data).blocks.flags.writeable
+
+    def test_read_only_array_is_shared(self):
+        frozen = np.array([1.0, 2.0])
+        frozen.setflags(write=False)
+        assert DyadicSequence(scalar_abs_space(), frozen).blocks is frozen

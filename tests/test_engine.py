@@ -98,6 +98,23 @@ class TestAdapter:
         assert images[2] is images[4] and images[2].entries == (1.0,)
         assert adapter(truncate(twin, 0)) is images[2]
 
+    def test_without_memo_each_request_maps_again(self):
+        mapped = []
+
+        def phi(fs):
+            mapped.append(len(fs))
+            return [DyadicSequence(f.base, f.blocks) for f in fs]  # a new image per call
+
+        adapter = FlowMapAdapter(phi=phi, radius=10.0, s0=0, s=1, s1=2, q=2.0, memoize=False)
+        f = scalar_seq(*np.array([1.0, 0.5]))
+        twin = scalar_seq(*np.array([1.0, 0.5]))  # equal data, other block objects
+        images = adapter([f, twin, truncate(f, 0), f, truncate(twin, 0)])
+        assert mapped == [2]
+        assert images[0] is images[1] is images[3] and images[2] is images[4]
+        again = adapter([f, truncate(f, 0)])
+        assert mapped == [2, 2] and again[0] is not images[0] and again[0] == images[0]
+        assert adapter._cache == {}
+
 
 class TestEstimateConstants:
     def test_identity_constants_at_most_one(self, rng):

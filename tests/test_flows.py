@@ -812,7 +812,7 @@ class TestTrajectoryPlumbing:
             Trajectory(times=np.array([0.0, 0.1, 0.5]), states=states)
 
     def test_trajectory_space_is_lawful(self, rng):
-        space = trajectory_sup_l2_space(16, 4)
+        space = trajectory_sup_l2_space(16)
 
         def sampler(r):
             times = np.linspace(0.0, 1.0, 5)

@@ -3,8 +3,8 @@
 ``perfbench/tracer.py`` wraps the package's public functions and a few
 methods by name, and a traced bench run fails when a wrapper its workload
 expects is never called.  These tests run the tracer on shrunken copies of
-the Burgers and transport workload configs, so a refactor that renames or
-bypasses a traced function fails here rather than in the bench.
+the Burgers, transport and verify workload configs, so a refactor that
+renames or bypasses a traced function fails here rather than in the bench.
 """
 import json
 import os
@@ -21,16 +21,15 @@ from tracer import aggregate  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", ["burgers-256", "transport-2048"])
-def test_traced_flow_hits_every_expected_wrapper(tmp_path, workload):
+def traced_calls(tmp_path, workload, shrink):
+    """Calls per wrapper of a traced run of the workload's op, shrunk by ``shrink``."""
     work = tmp_path / "work"
     work.mkdir()
     spec = WORKLOADS[workload](3, str(work))
     (op,) = spec.ops
     with open(op.config_path, encoding="utf-8") as fh:
         config = json.load(fh)
-    config["grid_size"] = 32
-    config["flow"]["time_steps"] = 8
+    shrink(config)
     tiny = tmp_path / "tiny.json"
     tiny.write_text(json.dumps(config), encoding="utf-8")
 
@@ -42,5 +41,21 @@ def test_traced_flow_hits_every_expected_wrapper(tmp_path, workload):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    calls = aggregate([str(spans)]).calls
+    return spec, aggregate([str(spans)]).calls
+
+
+def shrink_flow(config):
+    config["grid_size"] = 32
+    config["flow"]["time_steps"] = 8
+
+
+@pytest.mark.parametrize("workload", ["burgers-256", "transport-2048"])
+def test_traced_flow_hits_every_expected_wrapper(tmp_path, workload):
+    spec, calls = traced_calls(tmp_path, workload, shrink_flow)
+    assert [name for name in spec.expected_hits if calls[name] == 0] == []
+
+
+def test_traced_verify_hits_every_expected_wrapper(tmp_path):
+    # block norms reach pseudonorm.eval_pseudo_norm only through DyadicSequence
+    spec, calls = traced_calls(tmp_path, "verify-sweeps", lambda c: c.update(trials=30))
     assert [name for name in spec.expected_hits if calls[name] == 0] == []
