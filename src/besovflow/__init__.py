@@ -1,13 +1,11 @@
 """Dyadic sequence spaces, Littlewood-Paley analysis, and flow-map continuity checks."""
 
 from .pseudonorm import (
-    OVERFLOW,
     GradedSeminormFamily,
     KindMismatchError,
     PseudoNormedSpace,
     axiom_probe,
     eval_pseudo_norm,
-    is_overflow,
     local_pseudo_norm,
     scalar_abs_space,
 )

@@ -16,7 +16,8 @@ sequence at a level N.
 Sequences are always finitely supported.  Where a formula sums over all
 truncation levels n in N, the summand is eventually constant or exactly
 geometric, so the infinite part is added in closed form rather than
-truncated.
+truncated.  A norm or sum that leaves floating-point range raises
+``ValueError`` naming its order.
 """
 from __future__ import annotations
 
@@ -27,13 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pseudonorm import (
-    OVERFLOW,
-    PseudoNormedSpace,
-    eval_pseudo_norm,
-    is_overflow,
-    scalar_abs_space,
-)
+from .pseudonorm import PseudoNormedSpace, eval_pseudo_norm, scalar_abs_space
 
 __all__ = [
     "ScaleIndex",
@@ -117,8 +112,9 @@ class DyadicSequence:
 
     ``blocks`` holds f_0 .. f_K as one read-only float array, (K+1,) over a
     scalar space and (K+1, N) over a grid space, built from that array or
-    from the elements; ``entries`` rebuilds the elements on access.  Blocks
-    beyond K are zero.  Sequences are immutable; arithmetic returns new
+    from the elements; ``entries`` rebuilds the elements on access.  The
+    block norms come from one :func:`eval_pseudo_norm` call on ``blocks``.
+    Blocks beyond K are zero.  Sequences are immutable; arithmetic returns new
     sequences and pads the shorter operand with zero blocks.
     """
 
@@ -150,12 +146,13 @@ class DyadicSequence:
 
     @cached_property
     def block_norms(self) -> np.ndarray:
-        norms = [eval_pseudo_norm(self.base, entry) for entry in self.entries]
-        if OVERFLOW in norms:
-            raise ValueError(f"block {norms.index(OVERFLOW)} has non-finite pseudo-norm")
-        norms = np.array(norms, dtype=float)
-        norms.setflags(write=False)  # truncations share it
-        return norms
+        """||f_k||_E for k = 0..K, from one call on the block array."""
+        # an empty sequence's array is (0,) whatever the kind, so it is not evaluated
+        norms = eval_pseudo_norm(self.base, self.blocks) if len(self) else np.zeros(0)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            raise ValueError(f"block {int(finite.argmin())} has non-finite pseudo-norm")
+        return _frozen(norms)  # truncations share it
 
     @property
     def key(self) -> bytes:
@@ -213,30 +210,34 @@ def _weighted_block_norms(f: DyadicSequence, s: float) -> np.ndarray:
     norms = f.block_norms
     if norms.size == 0:
         return norms
-    with np.errstate(over="ignore"):  # overflow becomes the OVERFLOW outcome
+    with np.errstate(over="ignore"):  # an infinite weight is rejected by the caller
         weights = np.exp2(s * np.arange(norms.size, dtype=float))
         return np.where(norms == 0.0, 0.0, weights * norms)
 
 
-def _lq_combine(values: np.ndarray, q: float):
-    """l^q norm of a nonnegative vector; OVERFLOW when out of float range."""
+def _in_range(value, what: str):
+    """``value`` when every entry is finite; ``ValueError`` naming ``what`` otherwise."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{what} leaves float range")
+    return value
+
+
+def _lq_combine(values: np.ndarray, idx: ScaleIndex) -> float:
+    """l^q norm of the nonnegative weighted block norms at order ``idx``."""
     if values.size == 0:
         return 0.0
-    if not np.isfinite(values).all():
-        return OVERFLOW
-    if math.isinf(q):
-        return float(values.max())
-    with np.errstate(over="ignore"):
-        total = float((values**q).sum())
-    if not math.isfinite(total):
-        return OVERFLOW
-    return total ** (1.0 / q)
+    if math.isinf(idx.q):
+        total = float(values.max())
+    else:
+        with np.errstate(over="ignore"):
+            total = float((values**idx.q).sum()) ** (1.0 / idx.q)
+    return _in_range(total, f"the (s, q) = ({idx.s:g}, {idx.q:g}) dyadic norm")
 
 
 def dyadic_norm(f: DyadicSequence, idx) -> float:
     """The weighted-block norm ||f||_{s,q}; zero exactly on the zero sequence."""
     idx = as_scale_index(idx)
-    return _lq_combine(_weighted_block_norms(f, idx.s), idx.q)
+    return _lq_combine(_weighted_block_norms(f, idx.s), idx)
 
 
 def truncate(f: DyadicSequence, n: int) -> DyadicSequence:
@@ -261,7 +262,7 @@ def tail_norm(f: DyadicSequence, idx, n: int) -> float:
         raise ValueError("truncation level must be >= 0")
     idx = as_scale_index(idx)
     weighted = _weighted_block_norms(f, idx.s)
-    return _lq_combine(weighted[n + 1 :], idx.q)
+    return _lq_combine(weighted[n + 1 :], idx)
 
 
 def smoothing_gain(f: DyadicSequence, r: float, rp: float, q: float, n: int):
@@ -274,8 +275,6 @@ def smoothing_gain(f: DyadicSequence, r: float, rp: float, q: float, n: int):
         raise ValueError(f"need r <= r', got r={r}, r'={rp}")
     base = dyadic_norm(f, (r, q))  # first, so S_n f takes its block norms from f
     value = dyadic_norm(truncate(f, n), (rp, q))
-    if is_overflow(value) or is_overflow(base):
-        return OVERFLOW, OVERFLOW
     return value, 2.0 ** (n * (rp - r)) * base
 
 
@@ -322,26 +321,24 @@ def weighted_smoothing_sum(f: DyadicSequence, r: float, rp: float, q: float):
     """
     if not r < rp:
         raise ValueError(f"need r < r', got r={r}, r'={rp}")
-    base = dyadic_norm(f, (r, q))
-    if is_overflow(base):
-        return OVERFLOW, OVERFLOW
-    bound = base / (1.0 - 2.0 ** (r - rp))
+    bound = dyadic_norm(f, (r, q)) / (1.0 - 2.0 ** (r - rp))
     inner = _weighted_block_norms(f, rp)
     if inner.size == 0:
         return 0.0, 0.0
     partial = np.cumsum(inner)  # ||S_n f||_{r',1} for n = 0..K
     n = np.arange(inner.size, dtype=float)
-    terms = np.exp2(-(rp - r) * n) * partial
-    if not np.all(np.isfinite(terms)):
-        return OVERFLOW, OVERFLOW
+    with np.errstate(invalid="ignore"):  # 0 * inf: a nan value is rejected below
+        terms = np.exp2(-(rp - r) * n) * partial
     if math.isinf(q):
         # beyond the support the weight shrinks while the partial sum is
         # constant, so the sup is attained at some n <= K
-        return float(terms.max()), bound
-    ratio = 2.0 ** (-q * (rp - r))
-    head = float(np.sum(terms**q))
-    geometric_tail = float(terms[-1] ** q) * ratio / (1.0 - ratio)
-    return (head + geometric_tail) ** (1.0 / q), bound
+        value = float(terms.max())
+    else:
+        ratio = 2.0 ** (-q * (rp - r))
+        head = float(np.sum(terms**q))
+        geometric_tail = float(terms[-1] ** q) * ratio / (1.0 - ratio)
+        value = (head + geometric_tail) ** (1.0 / q)
+    return _in_range(value, f"the weighted truncation sum at r={r:g}, r'={rp:g}"), bound
 
 
 def truncation_power_sum(f: DyadicSequence, r: float, rp: float, q: float):
@@ -359,21 +356,17 @@ def truncation_power_sum(f: DyadicSequence, r: float, rp: float, q: float):
         raise ValueError(f"need r < r', got r={r}, r'={rp}")
     ratio = 2.0 ** (-q * (rp - r))
     constant = 1.0 / (1.0 - ratio)
-    base = dyadic_norm(f, (r, q))
-    if is_overflow(base):
-        return OVERFLOW, OVERFLOW
-    bound = constant * base**q
+    bound = constant * dyadic_norm(f, (r, q)) ** q
     inner = _weighted_block_norms(f, rp)
     if inner.size == 0:
         return 0.0, 0.0
     partial_q = np.cumsum(inner**q)  # ||S_n f||_{r',q}^q for n = 0..K
     n = np.arange(inner.size, dtype=float)
-    terms = np.exp2(-q * (rp - r) * n) * partial_q
-    if not np.all(np.isfinite(terms)):
-        return OVERFLOW, OVERFLOW
+    with np.errstate(invalid="ignore"):  # 0 * inf: a nan value is rejected below
+        terms = np.exp2(-q * (rp - r) * n) * partial_q
     head = float(np.sum(terms))
     geometric_tail = float(terms[-1]) * ratio / (1.0 - ratio)
-    return head + geometric_tail, bound
+    return _in_range(head + geometric_tail, f"the truncation power sum at r={r:g}, r'={rp:g}"), bound
 
 
 @dataclass(frozen=True)
@@ -423,8 +416,6 @@ def interpolation_bound(
     actual = dyadic_norm(f, (s, q))
     m0 = dyadic_norm(f, (s0, math.inf))
     m1 = dyadic_norm(f, (s1, math.inf))
-    if any(is_overflow(v) for v in (actual, m0, m1)):
-        raise ValueError("norms overflow at the requested orders")
     with np.errstate(over="ignore"):  # an overflowing prefactor is rejected below
         if math.isinf(q):
             low_factor = 2.0 ** (n * (s - s0))

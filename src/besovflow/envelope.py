@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicSequence, dyadic_norm
+from .dyadic import DyadicSequence, _in_range, _weighted_block_norms, dyadic_norm
 
 __all__ = [
     "FrequencyEnvelope",
@@ -56,21 +56,19 @@ def compute_envelope(f: DyadicSequence, s: float, s1: float) -> FrequencyEnvelop
     """Envelope of f for the order pair s < s1.
 
     Values are stored for n = 0..support+GUARD-1; entries past the support
-    are produced by the exact geometric recursion.
+    are produced by the exact geometric recursion.  Raises ``ValueError``
+    when an envelope value leaves float range.
     """
     if not s < s1:
         raise ValueError(f"need s < s1, got s={s}, s1={s1}")
-    norms = f.block_norms
-    k = norms.size
+    k = f.support
     ratio = 2.0 ** (-(s1 - s))
     gamma = np.zeros(max(k, 1) + GUARD)
     if k > 0:
-        weighted = np.where(
-            norms == 0.0, 0.0, np.exp2(s1 * np.arange(k, dtype=float)) * norms
-        )
-        partial = np.cumsum(weighted)
         n = np.arange(k, dtype=float)
-        gamma[:k] = np.exp2(-(s1 - s) * n) * partial
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or 0 * inf: rejected below
+            gamma[:k] = np.exp2(-(s1 - s) * n) * np.cumsum(_weighted_block_norms(f, s1))
+        _in_range(gamma[:k], f"the envelope at orders s={s:g}, s1={s1:g}")
         for n in range(k, gamma.size):
             gamma[n] = gamma[n - 1] * ratio
     gamma.setflags(write=False)

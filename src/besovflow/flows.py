@@ -760,7 +760,7 @@ def trajectory_sup_l2_space(grid_size: int) -> PseudoNormedSpace:
 
     return PseudoNormedSpace(
         label=f"sup-time-L2({grid_size})",
-        eval=lambda traj: max(grid_l2_norm(state) for state in traj.states),
+        eval=lambda traj: float(grid_l2_norm(traj.samples).max()),
         element_kind="time_trajectory",
     )
 

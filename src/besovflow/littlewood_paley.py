@@ -350,18 +350,34 @@ def reconstruct(f: DyadicSequence, bank: FilterBank) -> GridFunction:
 
 # --- norms -------------------------------------------------------------------
 
-def grid_l2_norm(u: GridFunction) -> float:
-    """Quadrature L2 norm, exact for band-limited integrands (Plancherel)."""
-    return math.sqrt(u.dx * float(np.sum(u.values**2)))
+def grid_l2_norm(u) -> float | np.ndarray:
+    """Quadrature L2 norm, exact for band-limited integrands (Plancherel).
+
+    ``u`` is a grid function (a float is returned), or a (K+1, N) block
+    array whose row norms come from one reduction along the last axis.
+    """
+    values = u.values if isinstance(u, GridFunction) else u
+    norms = np.sqrt(TAU / values.shape[-1] * np.sum(values**2, axis=-1))
+    return norms if values.ndim > 1 else float(norms)
 
 
-def lp_norm(u: GridFunction, p: float) -> float:
-    """Discrete L^p norm with uniform quadrature weights."""
+def lp_norm(u, p: float) -> float | np.ndarray:
+    """Discrete L^p norm with uniform quadrature weights.
+
+    ``u`` is a grid function (a float is returned), or a (K+1, N) block
+    array whose row norms come from one reduction along the last axis.
+    """
+    values = u.values if isinstance(u, GridFunction) else u
     if math.isinf(p):
-        return float(np.abs(u.values).max())
-    if p < 1:
+        norms = np.abs(values).max(axis=-1)
+    elif p < 1:
         raise ValueError("integrability p must be >= 1")
-    return float((u.dx * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
+    else:
+        sums = TAU / values.shape[-1] * np.sum(np.abs(values) ** p, axis=-1)
+        # root taken value by value: numpy's vectorized power can differ
+        # from the scalar one in the last bit
+        norms = np.array([total ** (1.0 / p) for total in sums.flat]).reshape(sums.shape)
+    return norms if values.ndim > 1 else float(norms)
 
 
 def grid_l2_space(grid_size: int) -> PseudoNormedSpace:
@@ -393,7 +409,7 @@ def besov_norm(u: GridFunction, s: float, p: float, q: float, bank: FilterBank):
     """Blockwise Besov norm ( sum_j 2^{q j s} ||Delta_j u||_{L^p}^q )^{1/q}."""
     if p < 1:
         raise ValueError("integrability p must be >= 1")
-    block_lp = np.array([lp_norm(block, p) for block in decompose(u, bank).entries])
+    block_lp = lp_norm(decompose(u, bank).blocks, p)
     weighted = np.exp2(s * np.arange(block_lp.size)) * block_lp
     if math.isinf(q):
         return float(weighted.max())

@@ -6,8 +6,12 @@ concrete spaces used throughout the package (absolute value on scalars,
 quadrature L2 on torus grids, sup-in-time norms on trajectories) are all
 instances of :class:`PseudoNormedSpace`.
 
-Values that escape floating-point range are reported with the distinguished
-:data:`OVERFLOW` outcome instead of ``inf``.
+Two rules hold for every space.  Evaluation: :func:`eval_pseudo_norm` takes
+one element, or the block array of a dyadic sequence over the space ((K+1,)
+scalars or (K+1, N) grid rows), whose K+1 block norms come from one call of
+the space's rule.  Overflow: the value is returned as computed, ``inf``
+included; the dyadic norms, truncation sums and envelopes built on it raise
+``ValueError`` naming the order when they leave floating-point range.
 """
 from __future__ import annotations
 
@@ -18,9 +22,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "Overflow",
-    "OVERFLOW",
-    "is_overflow",
     "KindMismatchError",
     "PseudoNormedSpace",
     "GradedSeminormFamily",
@@ -30,27 +31,6 @@ __all__ = [
     "axiom_probe",
     "scalar_abs_space",
 ]
-
-
-class Overflow:
-    """Marker for a pseudo-norm value beyond floating-point range."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OVERFLOW"
-
-
-OVERFLOW = Overflow()
-
-
-def is_overflow(value) -> bool:
-    return isinstance(value, Overflow)
 
 
 class KindMismatchError(TypeError):
@@ -77,14 +57,18 @@ _KIND_PREDICATES: dict[str, Callable] = {
     "time_trajectory": _is_trajectory,
 }
 
+# ndim of a dyadic sequence's block array, by element kind: (K+1,) or (K+1, N)
+_BLOCK_NDIM = {"scalar": 1, "grid_function": 2}
+
 
 @dataclass(frozen=True)
 class PseudoNormedSpace:
     """A vector space together with a pseudo-norm evaluation rule.
 
-    ``eval`` maps an element to a real number; for a lawful space the value
-    is nonnegative, symmetric under negation, subadditive, and vanishes
-    exactly on the zero element.
+    ``eval`` maps an element to a real number, and a scalar or grid space's
+    rule maps a block array to the array of its row values; for a lawful
+    space the value is nonnegative, symmetric under negation, subadditive,
+    and vanishes exactly on the zero element.
     """
 
     label: str
@@ -94,9 +78,6 @@ class PseudoNormedSpace:
     def __post_init__(self):
         if self.element_kind not in _KIND_PREDICATES:
             raise ValueError(f"unknown element kind {self.element_kind!r}")
-
-    def norm(self, x):
-        return eval_pseudo_norm(self, x)
 
 
 @dataclass(frozen=True)
@@ -116,22 +97,30 @@ class GradedSeminormFamily:
 
 
 def eval_pseudo_norm(space: PseudoNormedSpace, x):
-    """Evaluate the space's pseudo-norm at ``x``.
+    """Evaluate the space's pseudo-norm at ``x``, one element or a block array.
 
-    Returns a float, or :data:`OVERFLOW` when the evaluation escapes
-    floating-point range.  Raises :class:`KindMismatchError` when ``x`` is
-    not of the space's element kind.  The value is returned as computed;
-    lawfulness (nonnegativity etc.) is checked by :func:`axiom_probe`.
+    For one element of the space's kind the result is a float.  For a
+    sequence's block array, (K+1,) over a scalar space and (K+1, N) over a
+    grid space, it is the array of the K+1 block norms from one call of
+    ``space.eval``.  Raises :class:`KindMismatchError` when ``x`` is not of
+    the space's element kind or the array's ndim does not match it; a
+    trajectory space takes no block array.  The value is returned as
+    computed, ``inf`` and ``nan`` included; lawfulness (finiteness,
+    nonnegativity etc.) is checked by :func:`axiom_probe`.
     """
+    if isinstance(x, np.ndarray):
+        if x.ndim != _BLOCK_NDIM.get(space.element_kind):
+            raise KindMismatchError(
+                f"space {space.label!r} of {space.element_kind} elements takes "
+                f"no block array of shape {x.shape}"
+            )
+        return space.eval(x)
     if not _KIND_PREDICATES[space.element_kind](x):
         raise KindMismatchError(
             f"space {space.label!r} expects {space.element_kind} elements, "
             f"got {type(x).__name__}"
         )
-    value = float(space.eval(x))
-    if not math.isfinite(value):
-        return OVERFLOW
-    return value
+    return float(space.eval(x))
 
 
 def local_pseudo_norm(family: GradedSeminormFamily, x) -> float:
@@ -175,7 +164,8 @@ def axiom_probe(
       * |eval(-x) - eval(x)| <= 1e-12 (1 + eval(x)),
       * eval(x + y) <= eval(x) + eval(y) + 1e-12 (eval(x) + eval(y)).
 
-    Violations are collected in the report, never raised.
+    A non-finite eval(-x) or eval(x + y) breaks its law.  Violations are
+    collected in the report, never raised.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -187,20 +177,20 @@ def axiom_probe(
         y = sampler(rng)
         nx = eval_pseudo_norm(space, x)
         ny = eval_pseudo_norm(space, y)
-        if is_overflow(nx) or is_overflow(ny):
-            violations.append({"trial": trial, "law": "finite", "value": "overflow"})
+        if not (math.isfinite(nx) and math.isfinite(ny)):
+            violations.append({"trial": trial, "law": "finite", "value": (nx, ny)})
             continue
         if nx < 0.0 or ny < 0.0:
             violations.append(
                 {"trial": trial, "law": "nonnegative", "value": min(nx, ny)}
             )
         n_negx = eval_pseudo_norm(space, -x)
-        if is_overflow(n_negx) or abs(n_negx - nx) > 1e-12 * (1.0 + abs(nx)):
+        if not abs(n_negx - nx) <= 1e-12 * (1.0 + abs(nx)):
             violations.append(
                 {"trial": trial, "law": "symmetry", "value": (nx, n_negx)}
             )
         nxy = eval_pseudo_norm(space, x + y)
-        if is_overflow(nxy) or nxy > nx + ny + 1e-12 * (nx + ny):
+        if not nxy <= nx + ny + 1e-12 * (nx + ny):
             violations.append(
                 {"trial": trial, "law": "subadditivity", "value": (nxy, nx + ny)}
             )

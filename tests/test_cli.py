@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -289,6 +291,39 @@ class TestExitStatus:
             },
         )
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+
+
+class TestOutOfFloatRange:
+    """A scale whose norms or envelope leave float range is an invalid config."""
+
+    @pytest.mark.parametrize(
+        "command, scale",
+        [
+            ("flow", {"s0": 0.0, "s": 200.0, "s1": 300.0}),
+            ("envelope", {"s0": 0.0, "s": 200.0, "s1": 201.0}),
+            ("envelope", {"s0": 0.0, "s": 2.0, "s1": 300.0}),
+        ],
+        ids=["flow-s200-s1-300", "envelope-s200", "envelope-s2-s1-300"],
+    )
+    def test_exits_as_invalid_config(self, tmp_path, command, scale):
+        grid_path = tmp_path / "u.gfn"
+        save_grid_function(grid_path, random_grid_function(np.random.default_rng(0), 64))
+        payload = {"schema_version": 1, "command": command, "grid_size": 32, "scale": scale}
+        if command == "flow":
+            payload["flow"] = {"kind": "transport", "T": 1.0, "time_steps": 8}
+        else:
+            payload["io"] = {"input": str(grid_path)}
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "o"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "besovflow.cli", "--config", cfg, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.startswith("invalid config:") and result.stderr.count("\n") == 1
+        assert "leaves float range" in result.stderr
+        assert not (out / f"{command}_report.json").exists()
 
 
 class TestNumericalStall:

@@ -19,7 +19,7 @@ from besovflow.dyadic import (
     weighted_smoothing_sum,
     young_convolve,
 )
-from besovflow.pseudonorm import eval_pseudo_norm, is_overflow, scalar_abs_space
+from besovflow.pseudonorm import eval_pseudo_norm, scalar_abs_space
 
 INF = math.inf
 
@@ -59,7 +59,28 @@ class TestDyadicNorm:
 
     def test_overflow_outcome(self):
         f = scalar_seq(1.0, 1.0)
-        assert is_overflow(dyadic_norm(f, (5000.0, 1.0)))
+        with pytest.raises(ValueError, match=r"\(s, q\) = \(5000, 1\) dyadic norm leaves float range"):
+            dyadic_norm(f, (5000.0, 1.0))
+        with pytest.raises(ValueError, match=r"\(5000, inf\)"):
+            tail_norm(f, (5000.0, INF), 0)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, INF])
+    def test_weighted_sum_overflow_raises(self, q):
+        with pytest.raises(ValueError, match="r=0, r'=5000 leaves float range"):
+            weighted_smoothing_sum(scalar_seq(1.0, 1.0), 0.0, 5000.0, q)
+
+    def test_power_sum_overflow_raises(self):
+        with pytest.raises(ValueError, match="r=0, r'=5000 leaves float range"):
+            truncation_power_sum(scalar_seq(1.0, 1.0), 0.0, 5000.0, 2.0)
+
+    def test_non_finite_block_norm_named(self):
+        from besovflow.littlewood_paley import grid_l2_space
+
+        blocks = np.ones((3, 8))
+        blocks[1] = 1e200  # its square overflows
+        f = DyadicSequence(grid_l2_space(8), blocks)
+        with pytest.raises(ValueError, match="block 1 has non-finite"), np.errstate(over="ignore"):
+            f.block_norms
 
     def test_matches_oracle_on_random(self, rng):
         for _ in range(200):

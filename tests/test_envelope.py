@@ -54,6 +54,14 @@ class TestComputeEnvelope:
         with pytest.raises(ValueError):
             compute_envelope(scalar_seq(1), 2.0, 1.0)
 
+    @pytest.mark.parametrize("s, s1", [(200.0, 201.0), (2.0, 300.0)])
+    def test_out_of_float_range_raises(self, s, s1):
+        # 2^{14 s1} overflows; with s1 - s large the decay factor also
+        # underflows, which would turn the infinite partial sums into nan
+        f = scalar_seq(*([1.0] * 15))
+        with pytest.raises(ValueError, match=f"s={s:g}, s1={s1:g} leaves float range"):
+            compute_envelope(f, s, s1)
+
     def test_exact_decay_past_support(self, rng):
         for _ in range(100):
             f = random_sequence(rng)

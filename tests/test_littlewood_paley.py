@@ -339,6 +339,31 @@ class TestSobolevNorm:
             assert a == pytest.approx(np.conj(b), abs=1e-14)
 
 
+class TestBlockArrayNorms:
+    """lp_norm and grid_l2_norm reduce a (K+1, N) block array row by row."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("grid_size", [8, 64, 1024, 16384])
+    def test_lp_rows_bit_equal_to_per_row_calls(self, rng, grid_size, p):
+        blocks = rng.normal(size=(15, grid_size)) * np.exp2(rng.uniform(-20, 20, (15, 1)))
+        norms = lp_norm(blocks, p)
+        assert norms.shape == (15,)
+        assert np.array_equal(norms, [lp_norm(GridFunction(row), p) for row in blocks])
+
+    def test_one_grid_function_gives_a_float(self, rng):
+        u = random_grid_function(rng, 64)
+        assert type(lp_norm(u, 3.0)) is float
+        assert type(grid_l2_norm(u)) is float
+
+    def test_besov_blocks_match_per_block_loop(self, bank64, rng):
+        u = random_grid_function(rng, 64)
+        blocks = decompose(u, bank64).entries
+        for p in (1.0, 2.0, math.inf):
+            block_lp = np.array([lp_norm(block, p) for block in blocks])
+            weighted = np.exp2(1.5 * np.arange(block_lp.size)) * block_lp
+            assert besov_norm(u, 1.5, p, 2.0, bank64) == float(np.sum(weighted**2.0) ** 0.5)
+
+
 class TestBesovNorm:
     def test_zero(self, bank64):
         assert besov_norm(GridFunction.zeros(64), 1.0, 2.0, 2.0, bank64) == 0.0

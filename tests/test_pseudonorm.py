@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from besovflow.littlewood_paley import GridFunction, grid_l2_space
+from besovflow.flows import trajectory_sup_l2_space
+from besovflow.littlewood_paley import GridFunction, grid_l2_norm, grid_l2_space
 from besovflow.pseudonorm import (
-    OVERFLOW,
     GradedSeminormFamily,
     KindMismatchError,
     PseudoNormedSpace,
     axiom_probe,
     eval_pseudo_norm,
-    is_overflow,
     local_pseudo_norm,
     scalar_abs_space,
 )
@@ -39,9 +38,44 @@ class TestEvalPseudoNorm:
             eval_pseudo_norm(grid_l2_space(8), 1.0)
 
     def test_overflow_outcome(self):
+        # the value is returned as computed; callers reject it
         space = PseudoNormedSpace("blowup", eval=lambda x: math.inf, element_kind="scalar")
-        assert is_overflow(eval_pseudo_norm(space, 1.0))
-        assert repr(OVERFLOW) == "OVERFLOW"
+        assert eval_pseudo_norm(space, 1.0) == math.inf
+
+
+class TestBlockArrays:
+    """A sequence's block array: one call of the space's rule for all rows."""
+
+    def test_scalar_blocks(self):
+        norms = eval_pseudo_norm(scalar_abs_space(), np.array([-3.0, 0.0, 2.5]))
+        assert np.array_equal(norms, [3.0, 0.0, 2.5])
+
+    @pytest.mark.parametrize(
+        "space, blocks",
+        [
+            (scalar_abs_space(), np.zeros((3, 8))),
+            (scalar_abs_space(), np.array(1.0)),
+            (grid_l2_space(8), np.zeros(8)),
+            (grid_l2_space(8), np.zeros((2, 3, 8))),
+        ],
+        ids=["scalar-2d", "scalar-0d", "grid-1d", "grid-3d"],
+    )
+    def test_wrong_ndim_rejected(self, space, blocks):
+        with pytest.raises(KindMismatchError):
+            eval_pseudo_norm(space, blocks)
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 8)])
+    def test_trajectory_space_takes_no_block_array(self, shape):
+        with pytest.raises(KindMismatchError):
+            eval_pseudo_norm(trajectory_sup_l2_space(8), np.ones(shape))
+
+    @pytest.mark.parametrize("grid_size", [1 << e for e in range(3, 15)])
+    def test_grid_rows_bit_equal_to_per_row_calls(self, rng, grid_size):
+        blocks = rng.normal(size=(15, grid_size)) * np.exp2(rng.uniform(-30, 30, (15, 1)))
+        norms = eval_pseudo_norm(grid_l2_space(grid_size), blocks)
+        per_row = [grid_l2_norm(GridFunction(row)) for row in blocks]
+        assert norms.shape == (15,)
+        assert np.array_equal(norms, per_row)
 
 
 class TestLocalPseudoNorm:
@@ -112,6 +146,17 @@ class TestAxiomProbe:
         assert not report.passed
         laws = {v["law"] for v in report.violations}
         assert "symmetry" in laws or "nonnegative" in laws
+
+    def test_non_finite_values_flagged(self, rng):
+        blowup = PseudoNormedSpace("blowup", eval=lambda x: math.inf, element_kind="scalar")
+        report = axiom_probe(blowup, lambda r: float(r.normal()), 3, rng)
+        assert [v["law"] for v in report.violations] == ["finite"] * 3
+        # nan on negatives: a finite eval(x) but no symmetric partner
+        one_sided = PseudoNormedSpace(
+            "one-sided", eval=lambda x: x if x >= 0 else math.nan, element_kind="scalar"
+        )
+        report = axiom_probe(one_sided, lambda r: float(abs(r.normal())), 3, rng)
+        assert {v["law"] for v in report.violations} == {"symmetry"}
 
     def test_trials_validated(self, rng):
         with pytest.raises(ValueError):
