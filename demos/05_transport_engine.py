@@ -19,7 +19,7 @@ from besovflow.engine import (
     estimate_constants,
     high_low_rows,
 )
-from besovflow.flows import FlowConfig, flow_as_sequence_map, make_flow
+from besovflow.flows import FlowConfig, flow_as_sequence_map
 from besovflow.littlewood_paley import build_filters, decompose, random_grid_function
 
 
@@ -38,7 +38,7 @@ def main():
         grid_size=n, T=1.0, time_steps=64, flow_kind="transport",
         transport_speed=1.0, ball_radius=radius, s0=0.0, s=2.0, s1=3.0, q=2.0,
     )
-    adapter = flow_as_sequence_map(make_flow(cfg), cfg, bank)
+    adapter = flow_as_sequence_map(cfg, bank)
     probe = family[0]
 
     pairs = [(family[i], family[j]) for i in range(4) for j in range(i)]
@@ -77,7 +77,7 @@ def main():
     sigma = 2.5
     radius_mid = 2.0 * max(dyadic_norm(f, (sigma, 2.0)) for f in family)
     cfg_mid = replace(cfg, s=sigma, ball_radius=radius_mid)
-    adapter_mid = flow_as_sequence_map(make_flow(cfg_mid), cfg_mid, bank)
+    adapter_mid = flow_as_sequence_map(cfg_mid, bank)
     constants_mid = estimate_constants(adapter_mid, pairs).inflated(1.1)
     conv_mid = convergence_report(
         adapter_mid, probe, constants_mid, range(probe.support + 1)

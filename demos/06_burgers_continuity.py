@@ -20,7 +20,6 @@ from besovflow.flows import (
     chemin_lerner_norm,
     flow_as_sequence_map,
     lmu_time_sobolev_norm,
-    make_flow,
     shock_time,
     sinusoid_datum,
     time_continuity_modulus,
@@ -47,7 +46,7 @@ def main():
         grid_size=n, T=0.5, time_steps=64, flow_kind="burgers",
         ball_radius=radius, s0=0.0, s=2.0, s1=3.0, q=2.0,
     )
-    adapter = flow_as_sequence_map(make_flow(cfg), cfg, bank)
+    adapter = flow_as_sequence_map(cfg, bank)
     probe = family[0]
 
     pairs = [(family[i], family[j]) for i in range(4) for j in range(i)]

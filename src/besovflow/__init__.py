@@ -52,7 +52,6 @@ from .engine import (
     HypothesisReport,
     block_decay_profile,
     continuity_probe,
-    convergence_bound,
     convergence_report,
     estimate_constants,
     high_low_rows,

@@ -487,7 +487,7 @@ def _cmd_flow(config, outdir, rng):
     radius = flow_block.get("ball_radius")
     radius = 2.0 * max(norms) if radius is None else float(radius)
     cfg = replace(cfg, ball_radius=radius)
-    adapter = flows.flow_as_sequence_map(flows.make_flow(cfg), cfg, bank)
+    adapter = flows.flow_as_sequence_map(cfg, bank)
 
     probe = family[0]
     pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]

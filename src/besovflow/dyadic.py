@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .pseudonorm import PseudoNormedSpace, eval_pseudo_norm, scalar_abs_space
+from .pseudonorm import _BLOCK_NDIM, PseudoNormedSpace, eval_pseudo_norm, scalar_abs_space
 
 __all__ = [
     "ScaleIndex",
@@ -95,12 +96,12 @@ def _read_only(values) -> np.ndarray:
 
 def _block_array(base: PseudoNormedSpace, blocks) -> np.ndarray:
     """Blocks as one read-only array, (K+1,) or (K+1, N), from an array or the elements."""
-    if base.element_kind not in ("scalar", "grid_function"):
+    ndim = _BLOCK_NDIM.get(base.element_kind)
+    if ndim is None:
         raise ValueError(f"no dyadic blocks of kind {base.element_kind!r}")
-    if base.element_kind == "grid_function" and not isinstance(blocks, np.ndarray):
+    if ndim == 2 and not isinstance(blocks, np.ndarray):
         blocks = [entry.values for entry in blocks]
     blocks = _read_only(blocks)
-    ndim = 1 if base.element_kind == "scalar" else 2
     if blocks.ndim != ndim and blocks.size:
         raise ValueError(f"{base.element_kind} blocks need a {ndim}-D array, got {blocks.shape}")
     return blocks
@@ -222,15 +223,34 @@ def _in_range(value, what: str):
     return value
 
 
+def _power(base: float, exponent: float, what: str) -> float:
+    """``base ** exponent``; ``ValueError`` naming ``what`` when it leaves float range."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise ValueError(f"{what} leaves float range") from None
+
+
 def _lq_combine(values: np.ndarray, idx: ScaleIndex) -> float:
-    """l^q norm of the nonnegative weighted block norms at order ``idx``."""
+    """l^q norm of the nonnegative weighted block norms at order ``idx``.
+
+    A power sum that overflows, or that falls below the normal range while
+    some value is nonzero, is taken again over the values divided by the
+    largest, so only a norm that itself leaves float range raises.
+    """
     if values.size == 0:
         return 0.0
     if math.isinf(idx.q):
         total = float(values.max())
     else:
         with np.errstate(over="ignore"):
-            total = float((values**idx.q).sum()) ** (1.0 / idx.q)
+            power_sum = float((values**idx.q).sum())
+        if not math.isfinite(power_sum) or (power_sum < sys.float_info.min and values.any()):
+            top = float(values.max())
+            with np.errstate(invalid="ignore"):  # inf / inf: a nan total is rejected below
+                total = top * float(((values / top) ** idx.q).sum()) ** (1.0 / idx.q)
+        else:
+            total = power_sum ** (1.0 / idx.q)
     return _in_range(total, f"the (s, q) = ({idx.s:g}, {idx.q:g}) dyadic norm")
 
 
@@ -275,7 +295,8 @@ def smoothing_gain(f: DyadicSequence, r: float, rp: float, q: float, n: int):
         raise ValueError(f"need r <= r', got r={r}, r'={rp}")
     base = dyadic_norm(f, (r, q))  # first, so S_n f takes its block norms from f
     value = dyadic_norm(truncate(f, n), (rp, q))
-    return value, 2.0 ** (n * (rp - r)) * base
+    what = f"the smoothing bound at r={r:g}, r'={rp:g}, n={n}"
+    return value, _in_range(_power(2.0, n * (rp - r), what) * base, what)
 
 
 @dataclass(frozen=True)
@@ -354,9 +375,10 @@ def truncation_power_sum(f: DyadicSequence, r: float, rp: float, q: float):
         raise ValueError("power sum requires finite q")
     if not r < rp:
         raise ValueError(f"need r < r', got r={r}, r'={rp}")
+    what = f"the truncation power sum at r={r:g}, r'={rp:g}"
     ratio = 2.0 ** (-q * (rp - r))
     constant = 1.0 / (1.0 - ratio)
-    bound = constant * dyadic_norm(f, (r, q)) ** q
+    bound = _in_range(constant * _power(dyadic_norm(f, (r, q)), q, what), what)
     inner = _weighted_block_norms(f, rp)
     if inner.size == 0:
         return 0.0, 0.0
@@ -366,7 +388,7 @@ def truncation_power_sum(f: DyadicSequence, r: float, rp: float, q: float):
         terms = np.exp2(-q * (rp - r) * n) * partial_q
     head = float(np.sum(terms))
     geometric_tail = float(terms[-1]) * ratio / (1.0 - ratio)
-    return _in_range(head + geometric_tail, f"the truncation power sum at r={r:g}, r'={rp:g}"), bound
+    return _in_range(head + geometric_tail, what), bound
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ checks are meant to run with the constants inflated by a safety factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .dyadic import DyadicSequence, dyadic_norm, truncate
@@ -38,7 +38,6 @@ __all__ = [
     "block_decay_profile",
     "ConvergenceRow",
     "ConvergenceReport",
-    "convergence_bound",
     "convergence_report",
     "ContinuityRow",
     "ContinuityReport",
@@ -122,60 +121,39 @@ class FlowMapAdapter:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Empirically estimated hypothesis constants and their combinations.
+    """Empirically estimated hypothesis constants at the orders s0 < s < s1.
 
     C0_hat and C1_hat are maxima of sampled ratios, so they lower-bound the
     true constants; ``inflation`` records any safety factor applied before
-    bound checks.  kappa = min(s1-s, s-s0) and
-    C = max(C0_hat, (1 + 2^{s1-s}) C1_hat).
+    bound checks.  ``kappa`` and ``C`` are derived from them and the orders.
     """
 
     C0_hat: float
     C1_hat: float
-    kappa: float
-    C: float
+    s0: float
+    s: float
+    s1: float
     samples_used: int
     smooth_only: bool = False
     inflation: float = 1.0
-    s0: float = 0.0
-    s: float = 0.0
-    s1: float = 0.0
 
-    @staticmethod
-    def from_constants(
-        c0: float,
-        c1: float,
-        s0: float,
-        s: float,
-        s1: float,
-        samples_used: int,
-        smooth_only: bool = False,
-        inflation: float = 1.0,
-    ) -> "HypothesisReport":
-        return HypothesisReport(
-            C0_hat=c0,
-            C1_hat=c1,
-            kappa=min(s1 - s, s - s0),
-            C=max(c0, (1.0 + 2.0 ** (s1 - s)) * c1),
-            samples_used=samples_used,
-            smooth_only=smooth_only,
-            inflation=inflation,
-            s0=s0,
-            s=s,
-            s1=s1,
-        )
+    @property
+    def kappa(self) -> float:
+        """min(s1-s, s-s0)."""
+        return min(self.s1 - self.s, self.s - self.s0)
+
+    @property
+    def C(self) -> float:
+        """max(C0_hat, (1 + 2^{s1-s}) C1_hat)."""
+        return max(self.C0_hat, (1.0 + 2.0 ** (self.s1 - self.s)) * self.C1_hat)
 
     def inflated(self, factor: float = 1.1) -> "HypothesisReport":
         """Scale both constants by a safety factor before bound checks."""
-        return HypothesisReport.from_constants(
-            self.C0_hat * factor,
-            self.C1_hat * factor,
-            self.s0,
-            self.s,
-            self.s1,
-            self.samples_used,
-            self.smooth_only,
-            self.inflation * factor,
+        return replace(
+            self,
+            C0_hat=self.C0_hat * factor,
+            C1_hat=self.C1_hat * factor,
+            inflation=self.inflation * factor,
         )
 
     def to_dict(self) -> dict:
@@ -253,7 +231,7 @@ def estimate_constants(
     for image, (_, denom) in zip(images[2 * len(lipschitz) :], tame):
         c1 = max(c1, dyadic_norm(image, (adapter.s1, math.inf)) / denom)
 
-    return HypothesisReport.from_constants(
+    return HypothesisReport(
         c0, c1, adapter.s0, adapter.s, adapter.s1,
         samples_used=len(samples), smooth_only=smooth_only,
     )
@@ -377,33 +355,6 @@ class ConvergenceReport:
 
     rows: tuple
     A: float
-    C: float
-    kappa: float
-
-    def to_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "C": self.C,
-            "kappa": self.kappa,
-            "estimated": True,
-            "rows": [
-                {"n": r.n, "actual": r.actual, "bound": r.bound} for r in self.rows
-            ],
-        }
-
-
-def convergence_bound(
-    adapter: FlowMapAdapter,
-    f: DyadicSequence,
-    report: HypothesisReport,
-    n: int,
-) -> ConvergenceRow:
-    """One telescoped convergence row at truncation level n.
-
-    actual = ||Phi(f) - Phi(S_n f)||_{s,q};
-    bound  = A C ( sum_{p>=n} c_p^q )^{1/q} with A = 2/(1 - 2^-kappa).
-    """
-    return convergence_report(adapter, f, report, [n]).rows[0]
 
 
 def convergence_report(
@@ -412,7 +363,11 @@ def convergence_report(
     report: HypothesisReport,
     n_values: Sequence[int],
 ) -> ConvergenceReport:
-    """Rows of :func:`convergence_bound` for every level in ``n_values``."""
+    """Telescoped convergence rows at every truncation level n in ``n_values``.
+
+    actual = ||Phi(f) - Phi(S_n f)||_{s,q};
+    bound  = A C ( sum_{p>=n} c_p^q )^{1/q} with A = 2/(1 - 2^-kappa).
+    """
     adapter.check_ball(f)
     env = compute_envelope(f, adapter.s, adapter.s1)
     a = 2.0 / (1.0 - 2.0 ** (-report.kappa))
@@ -426,7 +381,7 @@ def convergence_report(
         )
         for n, image_n in zip(n_values, truncated)
     )
-    return ConvergenceReport(rows=rows, A=a, C=report.C, kappa=report.kappa)
+    return ConvergenceReport(rows=rows, A=a)
 
 
 @dataclass(frozen=True)
@@ -441,22 +396,6 @@ class ContinuityRow:
 class ContinuityReport:
     rows: tuple
     trend_ok: bool
-    floor: float = CONTINUITY_FLOOR
-
-    def to_dict(self) -> dict:
-        return {
-            "trend_ok": self.trend_ok,
-            "floor": self.floor,
-            "rows": [
-                {
-                    "scale": r.scale,
-                    "direction": r.direction,
-                    "input_distance": r.input_distance,
-                    "output_distance": r.output_distance,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def continuity_probe(

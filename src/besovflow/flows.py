@@ -138,10 +138,6 @@ class Trajectory:
         return _States(self.samples)
 
     @property
-    def T(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
@@ -643,19 +639,14 @@ def lmu_time_sobolev_norm(traj: Trajectory, s: float) -> float:
 _FEET_PER_SWEEP = 2048
 
 
-def flow_as_sequence_map(
-    flow: Callable,
-    cfg: FlowConfig,
-    bank: FilterBank,
-) -> FlowMapAdapter:
-    """Conjugate a flow with decompose/reconstruct into a sequence map.
+def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> FlowMapAdapter:
+    """Conjugate the configured flow with decompose/reconstruct into a sequence map.
 
-    ``flow`` maps a list of initial data to the list of their trajectories
-    (see :func:`make_flow`).  The adapter's map takes a list of block
-    sequences of initial data, rebuilds the data, and runs the flow on them
-    in groups of max(1, 2048 // N), so one Newton sweep of the Burgers
-    solver covers about 2048 feet and only one group's trajectories are
-    held at a time.  Each image keeps one scalar per block of the solution:
+    The adapter's map takes a list of block sequences of initial data,
+    rebuilds the data, and runs the flow of :func:`make_flow` on them in
+    groups of max(1, 2048 // N), so one Newton sweep of the Burgers solver
+    covers about 2048 feet and only one group's trajectories are held at a
+    time.  Each image keeps one scalar per block of the solution:
     the L^mu-in-time L2 norm of that block.  Ball membership at the
     configured (s, q) scale is checked on every call.
     """
@@ -665,6 +656,7 @@ def flow_as_sequence_map(
         )
     if cfg.ball_radius is None:
         raise ValueError("flow config needs an explicit ball_radius")
+    flow = make_flow(cfg)
     out_space = scalar_abs_space(f"Lmu-time-L2(mu={cfg.mu})")  # one scalar per block
     group = max(1, _FEET_PER_SWEEP // cfg.grid_size)
 
@@ -727,14 +719,6 @@ class TimeContinuityReport:
     @cached_property
     def moduli(self) -> tuple:
         return self._ladder()
-
-    def to_dict(self) -> dict:
-        return {
-            "tails": [float(v) for v in self.tails],
-            "moduli": [
-                {"delta": d, "modulus": m} for d, m in self.moduli
-            ],
-        }
 
 
 def time_continuity_modulus(

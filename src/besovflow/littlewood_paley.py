@@ -103,10 +103,6 @@ class GridFunction:
         return self.values.size
 
     @property
-    def domain_length(self) -> float:
-        return TAU
-
-    @property
     def dx(self) -> float:
         return TAU / self.values.size
 

@@ -34,7 +34,6 @@ from besovflow.flows import (
     chemin_lerner_norm,
     flow_as_sequence_map,
     lmu_time_sobolev_norm,
-    make_flow,
     sinusoid_datum,
     time_continuity_modulus,
 )
@@ -75,7 +74,7 @@ def transport_setup(bank):
         transport_speed=1.0, ball_radius=radius, s0=0.0, s=2.0, s1=3.0,
         q=2.0, mu=INF,
     )
-    adapter = flow_as_sequence_map(make_flow(cfg), cfg, bank)
+    adapter = flow_as_sequence_map(cfg, bank)
     probe = family[0]
     pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]
     pairs += [
@@ -98,7 +97,7 @@ def burgers_setup(bank):
         grid_size=GRID, T=0.5, time_steps=64, flow_kind="burgers",
         ball_radius=radius, s0=0.0, s=2.0, s1=3.0, q=2.0, mu=INF,
     )
-    adapter = flow_as_sequence_map(make_flow(cfg), cfg, bank)
+    adapter = flow_as_sequence_map(cfg, bank)
     probe = family[0]
     pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]
     pairs += [

@@ -156,6 +156,34 @@ class TestCommands:
         assert not any(suites.values())
         assert [f["suite"] for f in report["failures"]] == ["interpolation_bound"]
 
+    def test_flow_detects_shrunken_constants(self, tmp_path, monkeypatch):
+        import besovflow.cli as cli
+
+        original = cli.estimate_constants
+        monkeypatch.setattr(
+            cli, "estimate_constants", lambda *args: original(*args).inflated(1e-3)
+        )
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "command": "flow",
+                "seed": 2,
+                "grid_size": 64,
+                "scale": {"s0": 0.0, "s": 2.0, "s1": 3.0, "q": 2.0},
+                "flow": {"kind": "transport", "T": 1.0, "time_steps": 8},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        with open(out / "flow_report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        shapes = {"high_low": {"check", "n"}, "block_decay": {"check", "n", "m"},
+                  "convergence": {"check", "n"}}
+        assert {f["check"] for f in report["failures"]} == set(shapes)
+        for failure in report["failures"]:
+            assert set(failure) == shapes[failure["check"]]
+
     def test_filters_command(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

@@ -64,6 +64,18 @@ class TestDyadicNorm:
         with pytest.raises(ValueError, match=r"\(5000, inf\)"):
             tail_norm(f, (5000.0, INF), 0)
 
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("value", [1e200, 1e-200])
+    def test_in_range_norm_survives_power_sum_over_and_underflow(self, value, q):
+        assert dyadic_norm(scalar_seq(value), (0.0, q)) == pytest.approx(value, rel=1e-13, abs=0.0)
+        pair = dyadic_norm(scalar_seq(value, value), (0.0, q))
+        assert pair == pytest.approx(2.0 ** (1.0 / q) * value, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_out_of_range_norm_raises(self, q):
+        with pytest.raises(ValueError, match=rf"\(s, q\) = \(0, {q:g}\) dyadic norm leaves float range"):
+            dyadic_norm(scalar_seq(*[1e308] * 4), (0.0, q))
+
     @pytest.mark.parametrize("q", [1.0, 2.0, INF])
     def test_weighted_sum_overflow_raises(self, q):
         with pytest.raises(ValueError, match="r=0, r'=5000 leaves float range"):
@@ -72,6 +84,10 @@ class TestDyadicNorm:
     def test_power_sum_overflow_raises(self):
         with pytest.raises(ValueError, match="r=0, r'=5000 leaves float range"):
             truncation_power_sum(scalar_seq(1.0, 1.0), 0.0, 5000.0, 2.0)
+
+    def test_power_sum_of_an_in_range_norm_can_overflow(self):
+        with pytest.raises(ValueError, match="r=0, r'=1 leaves float range"):
+            truncation_power_sum(scalar_seq(1e200), 0.0, 1.0, 2.0)
 
     def test_non_finite_block_norm_named(self):
         from besovflow.littlewood_paley import grid_l2_space
@@ -182,6 +198,11 @@ class TestSmoothingGain:
     def test_order_precondition(self):
         with pytest.raises(ValueError):
             smoothing_gain(scalar_seq(1), 1.0, 0.0, 1.0, 0)
+
+    def test_out_of_range_bound_raises(self):
+        f = DyadicSequence(scalar_abs_space(), (1.0,))
+        with pytest.raises(ValueError, match="r=0, r'=300, n=5 leaves float range"):
+            smoothing_gain(f, 0.0, 300.0, 2.0, 5)
 
     def test_bound_holds_on_random(self, rng):
         for _ in range(1000):

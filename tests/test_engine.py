@@ -16,7 +16,6 @@ from besovflow.engine import (
     HypothesisReport,
     block_decay_profile,
     continuity_probe,
-    convergence_bound,
     convergence_report,
     estimate_constants,
     high_low_rows,
@@ -198,7 +197,7 @@ class TestBlockDecayProfile:
     def test_zero_map_rows_trivial(self, rng):
         adapter = zero_adapter()
         f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
-        report = HypothesisReport.from_constants(
+        report = HypothesisReport(
             0.0, 0.0, adapter.s0, adapter.s, adapter.s1, samples_used=1
         )
         rows = block_decay_profile(adapter, f, report, n_max=f.support - 1)
@@ -207,7 +206,7 @@ class TestBlockDecayProfile:
     def test_identity_increment_is_single_block(self):
         f = scalar_seq(1.0, 0.5, 0.25, 0.125)
         adapter = identity_adapter()
-        report = HypothesisReport.from_constants(
+        report = HypothesisReport(
             1.0, 1.0, 0.0, 1.0, 2.0, samples_used=1
         )
         rows = block_decay_profile(adapter, f, report, n_max=2)
@@ -219,7 +218,7 @@ class TestBlockDecayProfile:
                 assert row.lhs == 0.0
 
     def test_kappa_value_for_standard_scale(self):
-        report = HypothesisReport.from_constants(1.0, 1.0, 0.0, 1.0, 2.0, 1)
+        report = HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, 1)
         assert report.kappa == 1.0
 
     def test_rows_bounded_for_identity(self, rng):
@@ -238,12 +237,12 @@ class TestConvergenceBound:
         adapter = identity_adapter()
         f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
         report = estimate_constants(adapter, [(f, truncate(f, 0))])
-        row = convergence_bound(adapter, f, report, f.support)
+        row = convergence_report(adapter, f, report, [f.support]).rows[0]
         assert row.actual == 0.0
         assert row.bound > 0.0
 
     def test_A_constant_for_unit_kappa(self):
-        report = HypothesisReport.from_constants(1.0, 1.0, 0.0, 1.0, 2.0, 1)
+        report = HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, 1)
         conv = convergence_report(
             identity_adapter(), scalar_seq(0.5), report, n_values=[0]
         )
@@ -260,7 +259,7 @@ class TestConvergenceBound:
         assert conv.rows[-1].actual == 0.0
 
     def test_report_serialization(self):
-        report = HypothesisReport.from_constants(1.0, 2.0, 0.0, 1.0, 2.0, 3)
+        report = HypothesisReport(1.0, 2.0, 0.0, 1.0, 2.0, 3)
         payload = report.to_dict()
         assert payload["estimated"] is True
         assert payload["C"] == pytest.approx(6.0)

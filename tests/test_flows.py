@@ -260,9 +260,9 @@ class TestBatchedSolve:
         family = [decompose(u, bank256) for u in data]
         radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
         cfg = burgers_cfg(grid_size=256, T=0.4, time_steps=16, ball_radius=radius)
-        batched = flow_as_sequence_map(make_flow(cfg), cfg, bank256)(family)
+        batched = flow_as_sequence_map(cfg, bank256)(family)
         for f, image in zip(family, batched):
-            solo = flow_as_sequence_map(make_flow(cfg), cfg, bank256)(f)
+            solo = flow_as_sequence_map(cfg, bank256)(f)
             assert image.entries == solo.entries
 
     def test_stall_names_the_datum(self, monkeypatch):
@@ -464,7 +464,7 @@ class TestCheminLerner:
 class TestFlowAsSequenceMap:
     def test_zero_datum_maps_to_zero(self, bank64):
         cfg = transport_cfg(ball_radius=10.0)
-        adapter = flow_as_sequence_map(make_flow(cfg), cfg, bank64)
+        adapter = flow_as_sequence_map(cfg, bank64)
         image = adapter(decompose(GridFunction.zeros(64), bank64))
         assert dyadic_norm(image, (0.0, 1.0)) == 0.0
 
@@ -472,7 +472,7 @@ class TestFlowAsSequenceMap:
         u0 = random_grid_function(rng, 64, max_mode=16, decay=2.0)
         f = decompose(u0, bank64)
         cfg = transport_cfg(mu=INF, ball_radius=2.0 * dyadic_norm(f, (2.0, 2.0)))
-        adapter = flow_as_sequence_map(make_flow(cfg), cfg, bank64)
+        adapter = flow_as_sequence_map(cfg, bank64)
         image = adapter(f)
         assert np.allclose(image.block_norms, f.block_norms, rtol=1e-12)
 
@@ -480,7 +480,7 @@ class TestFlowAsSequenceMap:
         u0 = sinusoid_datum(64, 0.1)
         f = decompose(u0, bank64)
         cfg = burgers_cfg(ball_radius=2.0 * dyadic_norm(f, (2.0, 2.0)))
-        adapter = flow_as_sequence_map(make_flow(cfg), cfg, bank64)
+        adapter = flow_as_sequence_map(cfg, bank64)
         image = adapter(f)
         assert image.support <= bank64.j_max + 1
         assert dyadic_norm(image, (2.0, 2.0)) > 0.0
@@ -489,14 +489,14 @@ class TestFlowAsSequenceMap:
         u0 = sinusoid_datum(64, 0.1)
         f = decompose(u0, bank64)
         cfg = burgers_cfg(ball_radius=0.5 * dyadic_norm(f, (2.0, 2.0)))
-        adapter = flow_as_sequence_map(make_flow(cfg), cfg, bank64)
+        adapter = flow_as_sequence_map(cfg, bank64)
         with pytest.raises(BallViolationError):
             adapter(f)
 
     def test_radius_required(self, bank64):
         cfg = transport_cfg(ball_radius=None)
         with pytest.raises(ValueError):
-            flow_as_sequence_map(make_flow(cfg), cfg, bank64)
+            flow_as_sequence_map(cfg, bank64)
 
 
 class TestTimeContinuity:
@@ -755,7 +755,7 @@ class TestFullPipeline:
         family = [decompose(u, bank64) for u in data]
         radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
         cfg = transport_cfg(ball_radius=radius)
-        adapter = flow_as_sequence_map(make_flow(cfg), cfg, bank64)
+        adapter = flow_as_sequence_map(cfg, bank64)
         pairs = [
             (family[i], family[j]) for i in range(len(family)) for j in range(i)
         ]
@@ -777,7 +777,7 @@ class TestFullPipeline:
         family = [decompose(u, bank) for u in data]
         radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
         cfg = burgers_cfg(grid_size=128, ball_radius=radius)
-        adapter = flow_as_sequence_map(make_flow(cfg), cfg, bank)
+        adapter = flow_as_sequence_map(cfg, bank)
         pairs = [
             (family[i], family[j]) for i in range(len(family)) for j in range(i)
         ]
