@@ -59,9 +59,9 @@ def main():
 
     conv = convergence_report(adapter, probe, constants, range(probe.support + 1))
     print("\nflow along truncated data converges to the flow of the datum:")
-    for r in conv.rows:
-        print(f"  n={r.n}: ||Phi(f) - Phi(S_n f)|| = {r.actual:11.4e}  "
-              f"(bound {r.bound:10.4e})")
+    for c in conv:
+        print(f"  n={dict(c.index)['n']}: ||Phi(f) - Phi(S_n f)|| = {c.lhs:11.4e}  "
+              f"(bound {c.rhs:10.4e})")
 
     delta = family[1] - probe
     direction = delta * (1.0 / dyadic_norm(delta, (2.0, 2.0)))

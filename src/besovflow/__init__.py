@@ -48,6 +48,7 @@ from .envelope import (
 )
 from .engine import (
     BallViolationError,
+    Check,
     FlowMapAdapter,
     HypothesisReport,
     block_decay_profile,

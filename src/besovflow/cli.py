@@ -29,6 +29,7 @@ import numpy as np
 
 from . import dyadic, envelope as envelope_mod, flows
 from .engine import (
+    Check,
     block_decay_profile,
     continuity_probe,
     convergence_report,
@@ -60,9 +61,6 @@ EXIT_ASSERTIONS = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_STALL = 4
-
-# relative rounding slack allowed on every value <= bound check
-SLACK = 1e-9
 
 
 class ConfigError(ValueError):
@@ -128,9 +126,15 @@ def dump_csv(path, header, rows) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def _exceeds(value, bound):
-    """True where value breaks value <= bound beyond the relative SLACK."""
-    return value > bound * (1.0 + SLACK)
+def _failure_records(checks) -> list:
+    """One ``{"check": family, **index}`` record per failing (family, index), first seen first."""
+    failing = dict.fromkeys((c.family, c.index) for c in checks if c.failed)
+    return [{"check": family, **dict(index)} for family, index in failing]
+
+
+def _check_rows(checks) -> list:
+    """CSV rows (index values..., lhs, rhs), one per check."""
+    return [(*(value for _, value in c.index), c.lhs, c.rhs) for c in checks]
 
 
 # --- config ---------------------------------------------------------------------
@@ -293,18 +297,21 @@ def _cmd_norms(config, outdir, rng):
     return report, []
 
 
+def _sandwich_checks(family, index, f, s, q, s1) -> list:
+    """lower <= mid and mid <= upper of the envelope equivalence, as two checks."""
+    lower, mid, upper = envelope_mod.envelope_equivalence(f, s, q, s1)
+    return [Check(family, index, lower, mid), Check(family, index, mid, upper)]
+
+
 def _cmd_envelope(config, outdir, rng):
     u = _input_grid(config)
     bank = build_filters(u.grid_size)
     f = decompose(u, bank)
     s0, s, s1, q = _scale_block(config)
     env = envelope_mod.compute_envelope(f, s, s1)
-    lower, mid, upper = envelope_mod.envelope_equivalence(f, s, q, s1)
-    failures = []
-    if _exceeds(lower, mid) or _exceeds(mid, upper):
-        failures.append(
-            {"check": "envelope_equivalence", "lower": lower, "mid": mid, "upper": upper}
-        )
+    checks = _sandwich_checks("envelope_equivalence", (), f, s, q, s1)
+    lower, mid, upper = checks[0].lhs, checks[1].lhs, checks[1].rhs
+    failures = _failure_records(checks)
     dump_csv(
         os.path.join(outdir, "envelope.csv"),
         ["n", "gamma_n", "c_n", "weighted_block_norm"],
@@ -325,13 +332,11 @@ def _verify_suites(rng, trials):
     suites = []
 
     def run_suite(name, one_trial):
-        violations = []
-        for trial in range(trials):
-            problem = one_trial(trial)
-            if problem is not None:
-                violations.append(problem)
-        suites.append({"name": name, "trials": trials, "violations": violations})
-        return violations
+        """Run ``one_trial(family, index)`` per trial; its checks' failures are the violations."""
+        checks = (
+            check for trial in range(trials) for check in one_trial(name, (("trial", trial),))
+        )
+        suites.append({"name": name, "trials": trials, "violations": _failure_records(checks)})
 
     def random_orders():
         r = float(rng.uniform(-2.0, 2.0))
@@ -344,76 +349,63 @@ def _verify_suites(rng, trials):
     def random_q():
         return q_values[rng.integers(3)]
 
-    def smoothing_trial(trial):
+    def smoothing_trial(family, index):
         f = dyadic.random_sequence(rng)
         r, rp = random_orders()
         q = random_q()
         n = int(rng.integers(0, f.support + 4))
-        value, bound = dyadic.smoothing_gain(f, r, rp, q, n)
-        if _exceeds(value, bound):
-            return {"trial": trial, "value": value, "bound": bound}
-        return None
+        return [Check(family, index, *dyadic.smoothing_gain(f, r, rp, q, n))]
 
-    def weighted_trial(trial):
+    def weighted_trial(family, index):
         f = dyadic.random_sequence(rng)
         r, rp = random_orders()
         q = random_q()
-        value, bound = dyadic.weighted_smoothing_sum(f, r, rp, q)
-        if _exceeds(value, bound):
-            return {"trial": trial, "value": value, "bound": bound}
-        return None
+        return [Check(family, index, *dyadic.weighted_smoothing_sum(f, r, rp, q))]
 
-    def power_sum_trial(trial):
+    def power_sum_trial(family, index):
+        # an identity: two one-sided checks
         f = dyadic.random_sequence(rng, log2_range=(-8.0, 8.0))
         r, rp = random_orders()
         q = q_values[rng.integers(2)]
         value, bound = dyadic.truncation_power_sum(f, r, rp, q)
-        if abs(value - bound) > SLACK * max(1.0, abs(bound)):
-            return {"trial": trial, "value": value, "bound": bound}
-        return None
+        return [Check(family, index, value, bound), Check(family, index, bound, value)]
 
-    def young_trial(trial):
+    def young_trial(family, index):
         q = random_q()
         u = rng.standard_normal(int(rng.integers(1, 12)))
         v = rng.standard_normal(int(rng.integers(1, 12)))
         result = dyadic.young_convolve(u, v, q)
-        if _exceeds(result.norm, result.bound):
-            return {"trial": trial, "norm": result.norm, "bound": result.bound}
-        return None
+        return [Check(family, index, result.norm, result.bound)]
 
-    def envelope_trial(trial):
+    def envelope_trial(family, index):
         f = dyadic.random_sequence(rng)
         s = float(rng.uniform(-2.0, 2.0))
         s1 = s + float(rng.uniform(0.1, 2.0))
         q = random_q()
-        lower, mid, upper = envelope_mod.envelope_equivalence(f, s, q, s1)
-        if _exceeds(lower, mid) or _exceeds(mid, upper):
-            return {"trial": trial, "lower": lower, "mid": mid, "upper": upper}
-        return None
+        return _sandwich_checks(family, index, f, s, q, s1)
 
-    def slow_variation_trial(trial):
+    def slow_variation_trial(family, index):
+        # gamma_n <= 2^{s1-s} gamma_{n+1}, checked at the level of largest
+        # ratio; a positive gamma_n over a zero bound counts as infinite
         f = dyadic.random_sequence(rng)
         s = float(rng.uniform(-2.0, 2.0))
         s1 = s + float(rng.uniform(0.1, 2.0))
-        env = envelope_mod.compute_envelope(f, s, s1)
-        growth = 2.0 ** (s1 - s)
-        gamma = env.gamma
-        bad = _exceeds(gamma[:-1], growth * gamma[1:])
-        if bool(np.any(bad)):
-            return {"trial": trial, "level": int(np.argmax(bad))}
-        return None
+        gamma = envelope_mod.compute_envelope(f, s, s1).gamma
+        lhs, rhs = gamma[:-1], 2.0 ** (s1 - s) * gamma[1:]
+        ratio = np.divide(lhs, rhs, out=np.where(lhs > 0, np.inf, 0.0), where=rhs > 0)
+        n = int(np.argmax(ratio))
+        return [Check(family, index + (("n", n),), float(lhs[n]), float(rhs[n]))]
 
-    def interpolation_trial(trial):
+    def interpolation_trial(family, index):
         f = dyadic.random_sequence(rng, log2_range=(-8.0, 8.0))
         s0 = float(rng.uniform(-2.0, 0.0))
         s1 = float(rng.uniform(0.5, 2.5))
         s = float(rng.uniform(s0 + 0.1, s1 - 0.1))
         q = random_q()
         parts = dyadic.interpolation_bound(f, s0, s, s1, q, np.arange(f.support + 4))
-        best = float((parts.low + parts.high).min())
-        if _exceeds(parts.actual, best):
-            return {"trial": trial, "actual": parts.actual, "best_bound": best}
-        return None
+        bounds = parts.low + parts.high
+        n = int(bounds.argmin())
+        return [Check(family, index + (("n", n),), parts.actual, float(bounds[n]))]
 
     run_suite("smoothing_gain", smoothing_trial)
     run_suite("weighted_smoothing_sum", weighted_trial)
@@ -513,23 +505,8 @@ def _cmd_flow(config, outdir, rng):
     probe_report = continuity_probe(
         adapter, probe, [1e-1, 1e-2, 1e-3], directions=direction
     )
-    failures = (
-        [
-            {"check": "high_low", "n": row.n}
-            for row in hl
-            if _exceeds(row.high_lhs, row.high_rhs) or _exceeds(row.low_lhs, row.low_rhs)
-        ]
-        + [
-            {"check": "block_decay", "n": row.n, "m": row.m}
-            for row in decay
-            if _exceeds(row.lhs, row.rhs)
-        ]
-        + [
-            {"check": "convergence", "n": row.n}
-            for row in conv.rows
-            if _exceeds(row.actual, row.bound)
-        ]
-        + ([] if probe_report.trend_ok else [{"check": "continuity_trend"}])
+    failures = _failure_records(hl + decay + conv) + (
+        [] if probe_report.trend_ok else [{"check": "continuity_trend"}]
     )
 
     traj = flows.make_flow(cfg)(data[0])
@@ -538,12 +515,12 @@ def _cmd_flow(config, outdir, rng):
     dump_csv(
         os.path.join(outdir, "convergence.csv"),
         ["n", "actual", "bound"],
-        [(row.n, row.actual, row.bound) for row in conv.rows],
+        _check_rows(conv),
     )
     dump_csv(
         os.path.join(outdir, "decay_profile.csv"),
         ["n", "m", "lhs", "rhs", "ratio"],
-        [(row.n, row.m, row.lhs, row.rhs, row.ratio) for row in decay],
+        [(n, m, lhs, rhs, lhs / rhs if rhs > 0 else 0.0) for n, m, lhs, rhs in _check_rows(decay)],
     )
     dump_csv(
         os.path.join(outdir, "continuity.csv"),
@@ -570,7 +547,7 @@ def _cmd_flow(config, outdir, rng):
         "output_block_cap": bank.j_max,
         "constants_raw": raw.to_dict(),
         "constants_checked": report_constants.to_dict(),
-        "A": conv.A,
+        "A": report_constants.A,
         "continuity_trend_ok": probe_report.trend_ok,
         "block_sup_square_tails": [float(v) for v in tails] if tails is not None else None,
         "failures": failures,

@@ -231,26 +231,50 @@ def _power(base: float, exponent: float, what: str) -> float:
         raise ValueError(f"{what} leaves float range") from None
 
 
-def _lq_combine(values: np.ndarray, idx: ScaleIndex) -> float:
-    """l^q norm of the nonnegative weighted block norms at order ``idx``.
+def _rescaled_norms(values: np.ndarray, power_sum, root):
+    """``root(power_sum(values))``, rescaled where the power sum leaves float range.
 
-    A power sum that overflows, or that falls below the normal range while
-    some value is nonzero, is taken again over the values divided by the
-    largest, so only a norm that itself leaves float range raises.
+    ``power_sum`` reduces an array along its last axis to sums of weighted
+    q-th powers (one value for a 1-D array, one per row otherwise) and
+    ``root`` takes their q-th roots.  A sum that is not finite, or that lies
+    below the smallest normal float although its values are not all zero,
+    is taken again over the values divided by their largest magnitude, and
+    that magnitude multiplies its root.  Every other norm is computed as
+    written and keeps its bits; only a norm that itself leaves float range
+    comes back infinite (or nan).
     """
+    with np.errstate(over="ignore"):
+        try:
+            sums = power_sum(values)
+        except OverflowError:  # a Python float power raises where numpy gives inf
+            sums = math.inf
+    if values.ndim == 1:
+        if math.isfinite(sums) and (sums >= sys.float_info.min or not values.any()):
+            return root(sums)
+        top = float(np.abs(values).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # inf / inf gives nan
+            return top * root(power_sum(values / top))
+    norms = root(sums)
+    rescale = ~(np.isfinite(sums) & (sums >= sys.float_info.min))
+    if rescale.any():
+        rows = values[rescale]
+        top = np.abs(rows).max(axis=-1)
+        rescale[rescale] = nonzero = top > 0
+        rows, top = rows[nonzero], top[nonzero]
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms[rescale] = top * root(power_sum(rows / top[:, None]))
+    return norms
+
+
+def _lq_combine(values: np.ndarray, idx: ScaleIndex) -> float:
+    """l^q norm of the nonnegative weighted block norms at order ``idx``."""
     if values.size == 0:
         return 0.0
     if math.isinf(idx.q):
         total = float(values.max())
     else:
-        with np.errstate(over="ignore"):
-            power_sum = float((values**idx.q).sum())
-        if not math.isfinite(power_sum) or (power_sum < sys.float_info.min and values.any()):
-            top = float(values.max())
-            with np.errstate(invalid="ignore"):  # inf / inf: a nan total is rejected below
-                total = top * float(((values / top) ** idx.q).sum()) ** (1.0 / idx.q)
-        else:
-            total = power_sum ** (1.0 / idx.q)
+        q = idx.q
+        total = _rescaled_norms(values, lambda v: float((v**q).sum()), lambda t: t ** (1.0 / q))
     return _in_range(total, f"the (s, q) = ({idx.s:g}, {idx.q:g}) dyadic norm")
 
 

@@ -13,6 +13,10 @@ Given a map Phi defined on a ball of a dyadic sequence space, the engine
      sums of the frequency envelope of f,
   4. probes continuity directly on a ladder of perturbation scales.
 
+Every bound of steps 2 and 3, and the hypothesis bounds themselves, comes
+back as a list of :class:`Check` rows ``lhs <= rhs``; a row fails when lhs
+exceeds rhs beyond the relative rounding slack ``SLACK``.
+
 The constants are empirical maxima over finite sample sets, so they are
 estimates, not certificates; reports carry an ``estimated`` flag, and bound
 checks are meant to run with the constants inflated by a safety factor
@@ -28,16 +32,14 @@ from .dyadic import DyadicSequence, dyadic_norm, truncate
 from .envelope import c_tail_lq, compute_envelope
 
 __all__ = [
+    "SLACK",
+    "Check",
     "BallViolationError",
     "FlowMapAdapter",
     "HypothesisReport",
     "estimate_constants",
-    "HighLowRow",
     "high_low_rows",
-    "DecayRow",
     "block_decay_profile",
-    "ConvergenceRow",
-    "ConvergenceReport",
     "convergence_report",
     "ContinuityRow",
     "ContinuityReport",
@@ -46,6 +48,28 @@ __all__ = [
 
 ZERO_DENOMINATOR = 1e-14  # pairs closer than this are excluded from ratios
 CONTINUITY_FLOOR = 1e-9
+
+# relative rounding slack allowed on every lhs <= rhs check
+SLACK = 1e-9
+
+
+@dataclass(frozen=True, slots=True)
+class Check:
+    """One bound ``lhs <= rhs`` of a check family at a named index.
+
+    ``index`` is a tuple of (name, integer) pairs, such as ``(("n", 3),)``
+    or ``(("n", 3), ("m", 5))``.
+    """
+
+    family: str
+    index: tuple
+    lhs: float
+    rhs: float
+
+    @property
+    def failed(self) -> bool:
+        """True when lhs exceeds rhs beyond the relative SLACK."""
+        return self.lhs > self.rhs * (1.0 + SLACK)
 
 
 class BallViolationError(ValueError):
@@ -81,10 +105,6 @@ class FlowMapAdapter:
             raise ValueError("ball radius must be positive")
         if not self.q >= 1:
             raise ValueError("summability q must be >= 1")
-
-    @property
-    def kappa(self) -> float:
-        return min(self.s1 - self.s, self.s - self.s0)
 
     def check_ball(self, f: DyadicSequence) -> float:
         norm = dyadic_norm(f, (self.s, self.q))
@@ -125,7 +145,8 @@ class HypothesisReport:
 
     C0_hat and C1_hat are maxima of sampled ratios, so they lower-bound the
     true constants; ``inflation`` records any safety factor applied before
-    bound checks.  ``kappa`` and ``C`` are derived from them and the orders.
+    bound checks.  ``kappa``, ``C`` and ``A`` are derived from them and the
+    orders.
     """
 
     C0_hat: float
@@ -146,6 +167,11 @@ class HypothesisReport:
     def C(self) -> float:
         """max(C0_hat, (1 + 2^{s1-s}) C1_hat)."""
         return max(self.C0_hat, (1.0 + 2.0 ** (self.s1 - self.s)) * self.C1_hat)
+
+    @property
+    def A(self) -> float:
+        """2/(1 - 2^-kappa), the telescoping constant of the convergence bound."""
+        return 2.0 / (1.0 - 2.0 ** (-self.kappa))
 
     def inflated(self, factor: float = 1.1) -> "HypothesisReport":
         """Scale both constants by a safety factor before bound checks."""
@@ -237,26 +263,13 @@ def estimate_constants(
     )
 
 
-@dataclass(frozen=True)
-class HighLowRow:
-    """Per-level check of the two hypothesis bounds and truncation identities.
-
-    ``high``: ||Phi(S_n f)||_{s1,inf} against C1_hat 2^{n(s1-s)} gamma_n.
-    ``low``:  ||Phi(S_{n+1}f) - Phi(S_n f)||_{s0,inf} against
-              C0_hat 2^{-n(s-s0)} gamma_{n+1}.
-    ``sn_s1_norm`` equals ``sn_s1_envelope`` identically (that is how the
-    envelope is defined) and ``diff_s0_norm <= diff_s0_bound``.
-    """
-
-    n: int
-    high_lhs: float
-    high_rhs: float
-    low_lhs: float
-    low_rhs: float
-    sn_s1_norm: float
-    sn_s1_envelope: float
-    diff_s0_norm: float
-    diff_s0_bound: float
+def _level_images(adapter, f, n_max):
+    """The envelope of f and the images of S_0 f .. S_{n_max+1} f, in one request."""
+    adapter.check_ball(f)
+    env = compute_envelope(f, adapter.s, adapter.s1)
+    if n_max + 1 >= env.gamma.size:
+        raise ValueError("n_max exceeds the envelope's stored range")
+    return env, adapter([truncate(f, n) for n in range(n_max + 2)])
 
 
 def high_low_rows(
@@ -265,49 +278,24 @@ def high_low_rows(
     report: HypothesisReport,
     n_max: int,
 ) -> list:
-    adapter.check_ball(f)
-    env = compute_envelope(f, adapter.s, adapter.s1)
-    if n_max + 1 >= env.gamma.size:
-        raise ValueError("n_max exceeds the envelope's stored range")
-    truncations = [truncate(f, n) for n in range(n_max + 2)]
-    images = adapter(truncations)
-    rows = []
+    """The two hypothesis bounds at each level n <= n_max as ``high_low`` checks, high first.
+
+    high: ||Phi(S_n f)||_{s1,inf} <= C1_hat 2^{n(s1-s)} gamma_n;
+    low:  ||Phi(S_{n+1}f) - Phi(S_n f)||_{s0,inf} <= C0_hat 2^{-n(s-s0)} gamma_{n+1}.
+    """
+    env, images = _level_images(adapter, f, n_max)
+    checks = []
     for n in range(n_max + 1):
-        sn, sn1 = truncations[n], truncations[n + 1]
-        gamma_n = float(env.gamma[n])
-        gamma_n1 = float(env.gamma[n + 1])
+        index = (("n", n),)
         high_lhs = dyadic_norm(images[n], (adapter.s1, math.inf))
-        high_rhs = report.C1_hat * 2.0 ** (n * (adapter.s1 - adapter.s)) * gamma_n
+        high_rhs = report.C1_hat * 2.0 ** (n * (adapter.s1 - adapter.s)) * float(env.gamma[n])
         low_lhs = dyadic_norm(images[n + 1] - images[n], (adapter.s0, math.inf))
-        low_rhs = report.C0_hat * 2.0 ** (-n * (adapter.s - adapter.s0)) * gamma_n1
-        rows.append(
-            HighLowRow(
-                n=n,
-                high_lhs=high_lhs,
-                high_rhs=high_rhs,
-                low_lhs=low_lhs,
-                low_rhs=low_rhs,
-                sn_s1_norm=dyadic_norm(sn, (adapter.s1, 1.0)),
-                sn_s1_envelope=2.0 ** (n * (adapter.s1 - adapter.s)) * gamma_n,
-                diff_s0_norm=dyadic_norm(sn1 - sn, (adapter.s0, 1.0)),
-                diff_s0_bound=2.0 ** (-n * (adapter.s - adapter.s0)) * gamma_n1,
-            )
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class DecayRow:
-    """One (n, m) entry of the blockwise exponential-decay profile."""
-
-    n: int
-    m: int
-    lhs: float
-    rhs: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else 0.0
+        low_rhs = report.C0_hat * 2.0 ** (-n * (adapter.s - adapter.s0)) * float(env.gamma[n + 1])
+        checks += [
+            Check("high_low", index, high_lhs, high_rhs),
+            Check("high_low", index, low_lhs, low_rhs),
+        ]
+    return checks
 
 
 def block_decay_profile(
@@ -316,45 +304,26 @@ def block_decay_profile(
     report: HypothesisReport,
     n_max: int,
 ) -> list:
-    """Blockwise decay of the truncation increments of Phi.
+    """Blockwise decay of the truncation increments of Phi as ``block_decay`` checks.
 
-    Row (n, m) compares
+    Check (n, m) compares
 
         lhs = 2^{m s} ||(Phi(S_{n+1} f) - Phi(S_n f))_m||_F
         rhs = C 2^{-kappa |m - n|} (gamma_n + gamma_{n+1})
 
-    for all m up to the output support.  With honest constants every row
+    for all m up to the output support.  With honest constants every check
     has lhs <= rhs.
     """
-    adapter.check_ball(f)
-    env = compute_envelope(f, adapter.s, adapter.s1)
-    if n_max + 1 >= env.gamma.size:
-        raise ValueError("n_max exceeds the envelope's stored range")
-    images = adapter([truncate(f, n) for n in range(n_max + 2)])
-    rows = []
+    env, images = _level_images(adapter, f, n_max)
+    checks = []
     for n in range(n_max + 1):
         block = (images[n + 1] - images[n]).block_norms
         c_n = float(env.gamma[n] + env.gamma[n + 1])
         for m in range(block.size):
             lhs = 2.0 ** (m * adapter.s) * float(block[m])
             rhs = report.C * 2.0 ** (-report.kappa * abs(m - n)) * c_n
-            rows.append(DecayRow(n=n, m=m, lhs=lhs, rhs=rhs))
-    return rows
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    actual: float
-    bound: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Rows of ||Phi(f) - Phi(S_n f)||_{s,q} against the telescoped bound."""
-
-    rows: tuple
-    A: float
+            checks.append(Check("block_decay", (("n", n), ("m", m)), lhs, rhs))
+    return checks
 
 
 def convergence_report(
@@ -362,26 +331,25 @@ def convergence_report(
     f: DyadicSequence,
     report: HypothesisReport,
     n_values: Sequence[int],
-) -> ConvergenceReport:
-    """Telescoped convergence rows at every truncation level n in ``n_values``.
+) -> list:
+    """One ``convergence`` check at every truncation level n in ``n_values``.
 
-    actual = ||Phi(f) - Phi(S_n f)||_{s,q};
-    bound  = A C ( sum_{p>=n} c_p^q )^{1/q} with A = 2/(1 - 2^-kappa).
+    lhs = ||Phi(f) - Phi(S_n f)||_{s,q};
+    rhs = A C ( sum_{p>=n} c_p^q )^{1/q} with A = 2/(1 - 2^-kappa).
     """
     adapter.check_ball(f)
     env = compute_envelope(f, adapter.s, adapter.s1)
-    a = 2.0 / (1.0 - 2.0 ** (-report.kappa))
     n_values = list(n_values)
     image, *truncated = adapter([f] + [truncate(f, n) for n in n_values])
-    rows = tuple(
-        ConvergenceRow(
-            n=n,
-            actual=dyadic_norm(image - image_n, (adapter.s, adapter.q)),
-            bound=a * report.C * c_tail_lq(env, n, adapter.q),
+    return [
+        Check(
+            "convergence",
+            (("n", n),),
+            dyadic_norm(image - image_n, (adapter.s, adapter.q)),
+            report.A * report.C * c_tail_lq(env, n, adapter.q),
         )
         for n, image_n in zip(n_values, truncated)
-    )
-    return ConvergenceReport(rows=rows, A=a)
+    ]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicSequence, _in_range, _weighted_block_norms, dyadic_norm
+from .dyadic import (
+    DyadicSequence,
+    _in_range,
+    _rescaled_norms,
+    _weighted_block_norms,
+    dyadic_norm,
+)
 
 __all__ = [
     "FrequencyEnvelope",
@@ -81,16 +87,21 @@ def gamma_lq_norm(env: FrequencyEnvelope, q: float) -> float:
     Past the support the envelope is exactly geometric with ratio
     2^{-(s1-s)} < 1, so for finite q the tail sum is added in closed form;
     for q = inf the sup is attained at or before the last support index.
+    Raises ``ValueError`` when the norm leaves float range.
     """
     k = env.support
     if k == 0:
         return 0.0
     head = env.gamma[:k]
-    last = float(head[-1])
     if math.isinf(q):
         return float(head.max())
     rho = env.decay_ratio**q
-    return float((np.sum(head**q) + last**q * rho / (1.0 - rho)) ** (1.0 / q))
+
+    def power_sum(h):
+        return np.sum(h**q) + float(h[-1]) ** q * rho / (1.0 - rho)
+
+    norm = float(_rescaled_norms(head, power_sum, lambda t: t ** (1.0 / q)))
+    return _in_range(norm, f"the l^{q:g} norm of the envelope")
 
 
 def envelope_equivalence(f: DyadicSequence, s: float, q: float, s1: float):
@@ -116,6 +127,7 @@ def c_tail_lq(env: FrequencyEnvelope, n: int, q: float) -> float:
     For p at or past the last support index K the envelope recursion gives
     c_p = c_K rho^{p-K} with rho = 2^{-(s1-s)}, so the infinite part is a
     closed-form geometric sum (for q = inf, a sup attained on the head).
+    Raises ``ValueError`` when the tail leaves float range.
     """
     if n < 0:
         raise ValueError("tail start must be >= 0")
@@ -128,15 +140,18 @@ def c_tail_lq(env: FrequencyEnvelope, n: int, q: float) -> float:
     c_last = float(gamma[last] * (1.0 + rho))
     if n >= last:
         # entirely inside the geometric regime: c_p = c_last * rho^(p-last)
-        first = c_last * rho ** (n - last)
-        if math.isinf(q):
-            return first
-        return float(first * (1.0 / (1.0 - rho**q)) ** (1.0 / q))
-    head = gamma[n:last] + gamma[n + 1 : last + 1]
-    if math.isinf(q):
-        return float(max(head.max(), c_last))
-    tail = c_last**q / (1.0 - rho**q)
-    return float((np.sum(head**q) + tail) ** (1.0 / q))
+        tail = c_last * rho ** (n - last)
+        if not math.isinf(q):
+            tail = float(tail * (1.0 / (1.0 - rho**q)) ** (1.0 / q))
+    elif math.isinf(q):
+        tail = float(max((gamma[n:last] + gamma[n + 1 : last + 1]).max(), c_last))
+    else:
+
+        def power_sum(g):  # c_n .. c_{last-1}, then the tail from c_last in closed form
+            return np.sum((g[:-1] + g[1:]) ** q) + float(g[-1] * (1.0 + rho)) ** q / (1.0 - rho**q)
+
+        tail = float(_rescaled_norms(gamma[n : last + 1], power_sum, lambda t: t ** (1.0 / q)))
+    return _in_range(tail, f"the l^{q:g} envelope tail from n={n}")
 
 
 def envelope_report_rows(env: FrequencyEnvelope) -> list:

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicSequence, dyadic_norm
+from .dyadic import DyadicSequence, _rescaled_norms, dyadic_norm
 from .pseudonorm import PseudoNormedSpace
 
 __all__ = [
@@ -350,10 +350,14 @@ def grid_l2_norm(u) -> float | np.ndarray:
     """Quadrature L2 norm, exact for band-limited integrands (Plancherel).
 
     ``u`` is a grid function (a float is returned), or a (K+1, N) block
-    array whose row norms come from one reduction along the last axis.
+    array whose row norms come from one reduction along the last axis.  A
+    row whose sum of squares leaves float range is rescaled by its largest
+    value, so only a norm that itself leaves float range is infinite.
     """
     values = u.values if isinstance(u, GridFunction) else u
-    norms = np.sqrt(TAU / values.shape[-1] * np.sum(values**2, axis=-1))
+    norms = _rescaled_norms(
+        values, lambda v: TAU / v.shape[-1] * np.sum(v**2, axis=-1), np.sqrt
+    )
     return norms if values.ndim > 1 else float(norms)
 
 
@@ -361,7 +365,9 @@ def lp_norm(u, p: float) -> float | np.ndarray:
     """Discrete L^p norm with uniform quadrature weights.
 
     ``u`` is a grid function (a float is returned), or a (K+1, N) block
-    array whose row norms come from one reduction along the last axis.
+    array whose row norms come from one reduction along the last axis.  A
+    row whose power sum leaves float range is rescaled by its largest
+    magnitude, so only a norm that itself leaves float range is infinite.
     """
     values = u.values if isinstance(u, GridFunction) else u
     if math.isinf(p):
@@ -369,10 +375,15 @@ def lp_norm(u, p: float) -> float | np.ndarray:
     elif p < 1:
         raise ValueError("integrability p must be >= 1")
     else:
-        sums = TAU / values.shape[-1] * np.sum(np.abs(values) ** p, axis=-1)
-        # root taken value by value: numpy's vectorized power can differ
-        # from the scalar one in the last bit
-        norms = np.array([total ** (1.0 / p) for total in sums.flat]).reshape(sums.shape)
+        norms = _rescaled_norms(
+            values,
+            lambda v: TAU / v.shape[-1] * np.sum(np.abs(v) ** p, axis=-1),
+            # root taken value by value: numpy's vectorized power can
+            # differ from the scalar one in the last bit
+            lambda sums: np.array([total ** (1.0 / p) for total in sums.flat]).reshape(
+                sums.shape
+            ),
+        )
     return norms if values.ndim > 1 else float(norms)
 
 

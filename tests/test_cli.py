@@ -133,6 +133,34 @@ class TestCommands:
         digest = hashlib.sha256((out / "verify_report.json").read_bytes()).hexdigest()
         assert digest == "df2d5eef1bc0f5c8dcc3154427cdf3939d79ecb354db988335b70184cc286074"
 
+    def test_flow_reports_are_pinned(self, tmp_path):
+        # sha256 of each file written before the check rows shared one type;
+        # a refactor that moves one bit of a flow report fails here
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "command": "flow",
+                "seed": 2,
+                "grid_size": 64,
+                "scale": {"s0": 0.0, "s": 2.0, "s1": 3.0, "q": 2.0},
+                "flow": {"kind": "transport", "speed": 1.0, "T": 1.0,
+                         "time_steps": 32, "mu": "inf"},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        digests = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in read_all_reports(out).items()
+        }
+        assert digests == {
+            "continuity.csv": "0c0680ead35a1edc0e3396c6922ff5cf6557a3952114fc7ae4c65fc965e5dba7",
+            "convergence.csv": "68615f141cb9bc12b27c8b0ad87db292a660eb5b05c6c525017d64d70b303b52",
+            "decay_profile.csv": "f46a6802a01a2c61a75831b4677e7d9aff77d1bd7efa8ea47fc3dca2108c754e",
+            "flow_report.json": "bdd441f3eedb0440613264fc5f664e135837bf810aeaf3671fb88e7c25fdcc20",
+        }
+
     def test_verify_detects_a_broken_interpolation_bound(self, tmp_path, monkeypatch):
         import besovflow.dyadic as dyadic
 
@@ -155,6 +183,99 @@ class TestCommands:
         assert suites.pop("interpolation_bound")
         assert not any(suites.values())
         assert [f["suite"] for f in report["failures"]] == ["interpolation_bound"]
+
+    # suite -> (module, function, corruption of its result, keys of the record).
+    # Each suite's function is corrupted on one call only: trial 2 of 5.
+    PLANTED = {
+        "smoothing_gain": (
+            "dyadic", "smoothing_gain", lambda r: (2.0 * r[1], r[1]), {"check", "trial"}
+        ),
+        "weighted_smoothing_sum": (
+            "dyadic", "weighted_smoothing_sum", lambda r: (2.0 * r[1], r[1]), {"check", "trial"}
+        ),
+        "truncation_power_sum": (
+            "dyadic", "truncation_power_sum", lambda r: (r[0], 2.0 * r[0]), {"check", "trial"}
+        ),
+        "young_convolution": (
+            "dyadic", "young_convolve", lambda r: replace(r, bound=r.norm / 2), {"check", "trial"}
+        ),
+        "envelope_equivalence": (
+            "envelope", "envelope_equivalence", lambda r: (r[0], r[1], r[1] / 2),
+            {"check", "trial"},
+        ),
+        "interpolation_bound": (
+            "dyadic", "interpolation_bound",
+            lambda r: replace(r, low=r.low * 1e-3, high=r.high * 1e-3), {"check", "trial", "n"},
+        ),
+    }
+
+    def run_planted_verify(self, tmp_path, monkeypatch, module, name, corrupt, bad_call):
+        import importlib
+
+        target = importlib.import_module(f"besovflow.{module}")
+        original = getattr(target, name)
+        calls = []
+
+        def planted(*args):
+            result = original(*args)
+            calls.append(None)
+            return corrupt(result) if len(calls) == bad_call + 1 else result
+
+        monkeypatch.setattr(target, name, planted)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"schema_version": 1, "command": "verify", "seed": 5, "trials": 5},
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        with open(out / "verify_report.json", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("suite", sorted(PLANTED))
+    def test_verify_records_one_planted_failure(self, tmp_path, monkeypatch, suite):
+        module, name, corrupt, keys = self.PLANTED[suite]
+        report = self.run_planted_verify(tmp_path, monkeypatch, module, name, corrupt, 2)
+        suites = {entry["name"]: entry["violations"] for entry in report["suites"]}
+        [record] = suites.pop(suite)
+        assert not any(suites.values())
+        assert set(record) == keys
+        assert record["check"] == suite and record["trial"] == 2
+        assert report["failures"] == [{"suite": suite, "violations": [record]}]
+
+    @pytest.mark.parametrize("zero_at, level", [(None, 3), (7, 6)])
+    def test_verify_records_slow_variation_at_the_worst_level(
+        self, tmp_path, monkeypatch, zero_at, level
+    ):
+        # the envelope suite's 5 trials call compute_envelope first, so
+        # slow-variation trial 2 is call 7.  Its envelope gets ratio 2 at
+        # level 3 and, with a zero at ``zero_at``, a positive gamma over a
+        # zero bound one level below, which counts as an infinite ratio
+        def spike(env):
+            gamma = env.gamma.copy()
+            gamma[3] = 2.0 * 2.0 ** (env.s1 - env.s) * gamma[4]
+            if zero_at is not None:
+                gamma[zero_at] = 0.0
+            return replace(env, gamma=gamma)
+
+        report = self.run_planted_verify(
+            tmp_path, monkeypatch, "envelope", "compute_envelope", spike, 7
+        )
+        suites = {entry["name"]: entry["violations"] for entry in report["suites"]}
+        assert suites.pop("envelope_slow_variation") == [
+            {"check": "envelope_slow_variation", "trial": 2, "n": level}
+        ]
+        assert not any(suites.values())
+
+    @pytest.mark.parametrize("pair", [(0.05 * (1 + 1e-8), 0.05), (0.05, 0.05 * (1 + 1e-8))])
+    def test_power_sum_identity_is_relative_below_one(self, tmp_path, monkeypatch, pair):
+        # 5e-10 apart: within an absolute 1e-9, but 1e-8 apart relative to the bound
+        report = self.run_planted_verify(
+            tmp_path, monkeypatch, "dyadic", "truncation_power_sum", lambda r: pair, 2
+        )
+        assert report["failures"] == [
+            {"suite": "truncation_power_sum",
+             "violations": [{"check": "truncation_power_sum", "trial": 2}]}
+        ]
 
     def test_flow_detects_shrunken_constants(self, tmp_path, monkeypatch):
         import besovflow.cli as cli
@@ -287,6 +408,36 @@ class TestCommands:
         assert (out / "continuity.csv").exists()
 
 
+class TestFailureRecords:
+    def test_level_failing_high_and_low_gives_one_record(self):
+        from besovflow.cli import _failure_records
+        from besovflow.dyadic import DyadicSequence
+        from besovflow.engine import FlowMapAdapter, HypothesisReport, high_low_rows
+        from besovflow.pseudonorm import scalar_abs_space
+
+        f = DyadicSequence(scalar_abs_space(), np.array([1.0, 0.5, 0.25, 0.125]))
+        adapter = FlowMapAdapter(phi=lambda fs: fs, radius=100.0, s0=0.0, s=1.0, s1=2.0, q=2.0)
+        shrunk = HypothesisReport(1e-3, 1e-3, 0.0, 1.0, 2.0, samples_used=1)
+        checks = high_low_rows(adapter, f, shrunk, n_max=2)
+        assert all(check.failed for check in checks) and len(checks) == 6
+        assert _failure_records(checks) == [{"check": "high_low", "n": n} for n in range(3)]
+
+    def test_records_keep_first_seen_order(self):
+        from besovflow.cli import _failure_records
+        from besovflow.engine import Check
+
+        checks = [
+            Check("b", (("n", 1),), 2.0, 1.0),
+            Check("a", (("n", 0), ("m", 4)), 1.0, 1.0),
+            Check("a", (("n", 0), ("m", 3)), 2.0, 1.0),
+            Check("b", (("n", 1),), 3.0, 1.0),
+            Check("b", (), 3.0, 1.0),
+        ]
+        assert _failure_records(checks) == [
+            {"check": "b", "n": 1}, {"check": "a", "n": 0, "m": 3}, {"check": "b"}
+        ]
+
+
 class TestExitStatus:
     def test_failures_map_to_exit_one(self, tmp_path, monkeypatch):
         import besovflow.cli as cli
@@ -319,6 +470,27 @@ class TestExitStatus:
             },
         )
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+
+
+class TestTinyData:
+    def test_envelope_of_tiny_data_is_not_zero(self, tmp_path):
+        x = np.arange(64) * (2.0 * np.pi / 64)
+        grid_path = tmp_path / "u.gfn"
+        save_grid_function(grid_path, GridFunction(1e-200 * np.sin(3.0 * x)))
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "schema_version": 1,
+                "command": "envelope",
+                "io": {"input": str(grid_path)},
+                "scale": {"s0": 0.0, "s": 1.0, "s1": 2.0, "q": 2.0},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        with open(out / "envelope_report.json", encoding="utf-8") as fh:
+            eq = json.load(fh)["equivalence"]
+        assert 0.0 < eq["lower"] <= eq["mid"] <= eq["upper"]
 
 
 class TestOutOfFloatRange:

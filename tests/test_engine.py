@@ -11,7 +11,9 @@ from besovflow.dyadic import (
     truncate,
 )
 from besovflow.engine import (
+    SLACK,
     BallViolationError,
+    Check,
     FlowMapAdapter,
     HypothesisReport,
     block_decay_profile,
@@ -61,12 +63,6 @@ class TestAdapter:
         adapter = identity_adapter(radius=1.0)
         with pytest.raises(BallViolationError):
             adapter(scalar_seq(5.0))
-
-    def test_kappa(self):
-        adapter = identity_adapter(scale=(0.0, 1.0, 2.0))
-        assert adapter.kappa == 1.0
-        adapter = identity_adapter(scale=(0.0, 2.5, 3.0))
-        assert adapter.kappa == 0.5
 
     def test_memoization_returns_same_object(self):
         calls = []
@@ -173,24 +169,45 @@ class TestEstimateConstants:
         assert 0.5 <= half.C0_hat / full.C0_hat <= 1.0
 
 
+class TestCheck:
+    def test_fails_only_beyond_the_relative_slack(self):
+        assert SLACK == 1e-9
+        assert not Check("f", (), 1.0 + 0.5e-9, 1.0).failed
+        assert Check("f", (), 1.0 + 2e-9, 1.0).failed
+        assert not Check("f", (), 0.0, 0.0).failed
+        assert Check("f", (), 1e-300, 0.0).failed
+
+    def test_frozen_and_slotted(self):
+        check = Check("f", (("n", 1),), 1.0, 2.0)
+        assert not hasattr(check, "__dict__")
+        with pytest.raises(AttributeError):
+            check.lhs = 3.0
+
+
 class TestHighLowRows:
-    def test_truncation_identities(self, rng):
+    def test_two_checks_per_level_high_first(self):
+        f = scalar_seq(1.0, 0.5, 0.25)
         adapter = identity_adapter()
-        f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
-        report = estimate_constants(adapter, [(f, truncate(f, 0))])
-        rows = high_low_rows(adapter, f, report, n_max=f.support - 1)
-        for row in rows:
-            assert row.sn_s1_norm == pytest.approx(row.sn_s1_envelope, rel=1e-12)
-            assert row.diff_s0_norm <= row.diff_s0_bound * (1 + 1e-12)
+        report = HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, samples_used=1)
+        checks = high_low_rows(adapter, f, report, n_max=1)
+        assert [(c.family, c.index) for c in checks] == [
+            ("high_low", (("n", 0),)), ("high_low", (("n", 0),)),
+            ("high_low", (("n", 1),)), ("high_low", (("n", 1),)),
+        ]
+        # gamma_n = 2^-n sum_{k<=n} 4^k |f_k|: gamma_0 = 1, gamma_1 = 3/2, gamma_2 = 7/4
+        pairs = [(c.lhs, c.rhs) for c in checks]
+        # high: ||S_n f||_{2,inf} <= 2^n gamma_n; low: |f_{n+1}| <= 2^-n gamma_{n+1}
+        assert pairs == [(1.0, 1.0), (0.5, 1.5), (2.0, 3.0), (0.25, 0.875)]
 
     def test_bounds_hold_for_identity(self, rng):
         adapter = identity_adapter()
         f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
         pairs = [(truncate(f, n + 1), truncate(f, n)) for n in range(f.support - 1)]
         report = estimate_constants(adapter, pairs).inflated(1.1)
-        for row in high_low_rows(adapter, f, report, n_max=f.support - 1):
-            assert row.high_lhs <= row.high_rhs * (1 + 1e-9)
-            assert row.low_lhs <= row.low_rhs * (1 + 1e-9)
+        checks = high_low_rows(adapter, f, report, n_max=f.support - 1)
+        assert len(checks) == 2 * f.support
+        for check in checks:
+            assert check.lhs <= check.rhs * (1 + 1e-9)
 
 
 class TestBlockDecayProfile:
@@ -200,8 +217,8 @@ class TestBlockDecayProfile:
         report = HypothesisReport(
             0.0, 0.0, adapter.s0, adapter.s, adapter.s1, samples_used=1
         )
-        rows = block_decay_profile(adapter, f, report, n_max=f.support - 1)
-        assert all(row.lhs == 0.0 for row in rows)
+        checks = block_decay_profile(adapter, f, report, n_max=f.support - 1)
+        assert all(check.lhs == 0.0 for check in checks)
 
     def test_identity_increment_is_single_block(self):
         f = scalar_seq(1.0, 0.5, 0.25, 0.125)
@@ -209,13 +226,16 @@ class TestBlockDecayProfile:
         report = HypothesisReport(
             1.0, 1.0, 0.0, 1.0, 2.0, samples_used=1
         )
-        rows = block_decay_profile(adapter, f, report, n_max=2)
-        for row in rows:
-            if row.m == row.n + 1:
-                expected = 2.0 ** (row.m * adapter.s) * abs(f.entries[row.m])
-                assert row.lhs == pytest.approx(expected, rel=1e-12)
+        checks = block_decay_profile(adapter, f, report, n_max=2)
+        for check in checks:
+            assert check.family == "block_decay"
+            index = dict(check.index)
+            n, m = index["n"], index["m"]
+            if m == n + 1:
+                expected = 2.0 ** (m * adapter.s) * abs(f.entries[m])
+                assert check.lhs == pytest.approx(expected, rel=1e-12)
             else:
-                assert row.lhs == 0.0
+                assert check.lhs == 0.0
 
     def test_kappa_value_for_standard_scale(self):
         report = HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, 1)
@@ -226,10 +246,10 @@ class TestBlockDecayProfile:
         f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
         pairs = [(truncate(f, n + 1), truncate(f, n)) for n in range(f.support - 1)]
         report = estimate_constants(adapter, pairs).inflated(1.1)
-        rows = block_decay_profile(adapter, f, report, n_max=f.support - 1)
-        assert rows
-        for row in rows:
-            assert row.lhs <= row.rhs * (1 + 1e-9)
+        checks = block_decay_profile(adapter, f, report, n_max=f.support - 1)
+        assert checks
+        for check in checks:
+            assert check.lhs <= check.rhs * (1 + 1e-9)
 
 
 class TestConvergenceBound:
@@ -237,16 +257,17 @@ class TestConvergenceBound:
         adapter = identity_adapter()
         f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
         report = estimate_constants(adapter, [(f, truncate(f, 0))])
-        row = convergence_report(adapter, f, report, [f.support]).rows[0]
-        assert row.actual == 0.0
-        assert row.bound > 0.0
+        [check] = convergence_report(adapter, f, report, [f.support])
+        assert check.index == (("n", f.support),)
+        assert check.lhs == 0.0
+        assert check.rhs > 0.0
 
     def test_A_constant_for_unit_kappa(self):
         report = HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, 1)
-        conv = convergence_report(
-            identity_adapter(), scalar_seq(0.5), report, n_values=[0]
+        assert report.A == pytest.approx(4.0, rel=1e-15)
+        assert HypothesisReport(1.0, 1.0, 0.0, 2.5, 3.0, 1).A == pytest.approx(
+            2.0 / (1.0 - 2.0**-0.5), rel=1e-15
         )
-        assert conv.A == pytest.approx(4.0, rel=1e-15)
 
     def test_rows_bounded_for_identity(self, rng):
         adapter = identity_adapter()
@@ -254,9 +275,9 @@ class TestConvergenceBound:
         pairs = [(truncate(f, n + 1), truncate(f, n)) for n in range(f.support - 1)]
         report = estimate_constants(adapter, pairs).inflated(1.1)
         conv = convergence_report(adapter, f, report, range(f.support + 1))
-        for row in conv.rows:
-            assert row.actual <= row.bound * (1 + 1e-9)
-        assert conv.rows[-1].actual == 0.0
+        for check in conv:
+            assert check.lhs <= check.rhs * (1 + 1e-9)
+        assert conv[-1].lhs == 0.0
 
     def test_report_serialization(self):
         report = HypothesisReport(1.0, 2.0, 0.0, 1.0, 2.0, 3)

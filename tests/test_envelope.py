@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from besovflow.dyadic import DyadicSequence, random_sequence
+from besovflow.dyadic import DyadicSequence, dyadic_norm, random_sequence, truncate
 from besovflow.envelope import (
     c_sequence,
     c_tail_lq,
@@ -90,6 +90,81 @@ class TestComputeEnvelope:
             growth = 2.0 ** (s1 - s)
             gamma = env.gamma
             assert np.all(gamma[:-1] <= growth * gamma[1:] * (1 + 1e-12))
+
+
+class TestTruncationIdentities:
+    """The two envelope identities behind the engine's high/low bounds."""
+
+    def test_truncated_high_norm_is_the_scaled_envelope(self, rng):
+        # ||S_n f||_{s1,1} = 2^{n(s1-s)} gamma_n, the envelope's definition
+        for _ in range(200):
+            f = random_sequence(rng, max_support=12)
+            s = float(rng.uniform(-2, 2))
+            s1 = s + float(rng.uniform(0.1, 2))
+            env = compute_envelope(f, s, s1)
+            for n in range(f.support + 2):
+                scaled = 2.0 ** (n * (s1 - s)) * env.gamma[n]
+                assert dyadic_norm(truncate(f, n), (s1, 1.0)) == pytest.approx(scaled, rel=1e-12)
+
+    def test_truncation_increment_is_below_the_next_envelope(self, rng):
+        # ||S_{n+1} f - S_n f||_{s0,1} <= 2^{-n(s-s0)} gamma_{n+1}
+        for _ in range(200):
+            f = random_sequence(rng, max_support=12)
+            s = float(rng.uniform(-2, 2))
+            s0 = s - float(rng.uniform(0.1, 2))
+            s1 = s + float(rng.uniform(0.1, 2))
+            env = compute_envelope(f, s, s1)
+            for n in range(f.support + 2):
+                increment = dyadic_norm(truncate(f, n + 1) - truncate(f, n), (s0, 1.0))
+                assert increment <= 2.0 ** (-n * (s - s0)) * env.gamma[n + 1] * (1 + 1e-12)
+
+
+class TestTailSumsOutsideThePowerRange:
+    """Tail sums whose q-th powers over- or underflow while the sum is in range."""
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("value", [1e200, 1e-200])
+    def test_sums_keep_their_scale(self, value, q):
+        # (v, v) at s = 0, s1 = 1: gamma = v (1, 3/2, 3/4, ...), rho = 1/2
+        f = scalar_seq(value, value)
+        env = compute_envelope(f, 0.0, 1.0)
+        unit = compute_envelope(scalar_seq(1.0, 1.0), 0.0, 1.0)
+        assert gamma_lq_norm(env, q) == pytest.approx(value * gamma_lq_norm(unit, q), rel=1e-13, abs=0.0)
+        for n in range(3):
+            tail = c_tail_lq(env, n, q)
+            assert tail == pytest.approx(value * c_tail_lq(unit, n, q), rel=1e-13, abs=0.0)
+        lower, mid, upper = envelope_equivalence(f, 0.0, q, 1.0)
+        assert 0.0 < lower <= mid <= upper
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_sums_out_of_range_raise(self, q):
+        # gamma_n = 1e308 2^{-n/10}: every entry in range, its l^q norm is not
+        env = compute_envelope(scalar_seq(1e308, 0.0, 0.0, 0.0), 0.0, 0.1)
+        with pytest.raises(ValueError, match=f"l\\^{q:g} norm of the envelope leaves float range"):
+            gamma_lq_norm(env, q)
+        for n in (0, 3):  # through the power sum, and inside the geometric regime
+            with pytest.raises(ValueError, match=f"tail from n={n} leaves float range"):
+                c_tail_lq(env, n, q)
+
+    def test_in_range_sums_keep_their_bits(self, rng):
+        # the closed forms as written before the rescaled path existed
+        for _ in range(300):
+            f = random_sequence(rng)
+            s = float(rng.uniform(-2, 2))
+            s1 = s + float(rng.uniform(0.1, 2))
+            q = float(rng.choice([1.0, 1.5, 2.0]))
+            env = compute_envelope(f, s, s1)
+            head, rho = env.gamma[: f.support], env.decay_ratio
+            last = float(head[-1])
+            plain = float((np.sum(head**q) + last**q * rho**q / (1.0 - rho**q)) ** (1.0 / q))
+            assert gamma_lq_norm(env, q) == plain
+            n = int(rng.integers(0, f.support - 1)) if f.support > 1 else 0
+            if n < f.support - 1:
+                k = f.support - 1
+                c = env.gamma[n:k] + env.gamma[n + 1 : k + 1]
+                c_last = float(env.gamma[k] * (1.0 + rho))
+                tail = c_last**q / (1.0 - rho**q)
+                assert c_tail_lq(env, n, q) == float((np.sum(c**q) + tail) ** (1.0 / q))
 
 
 class TestEnvelopeEquivalence:

@@ -792,8 +792,8 @@ class TestFullPipeline:
         ]
         checked = estimate_constants(adapter, pairs).inflated(1.1)
         conv = convergence_report(adapter, probe, checked, range(probe.support + 1))
-        for row in conv.rows:
-            assert row.actual <= row.bound * (1 + 1e-9)
+        for check in conv:
+            assert check.lhs <= check.rhs * (1 + 1e-9)
 
 
 class TestTrajectoryPlumbing:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from besovflow.dyadic import DyadicSequence
+from besovflow.dyadic import DyadicSequence, dyadic_norm
 from besovflow.littlewood_paley import (
     GridFunction,
     GridMismatchError,
@@ -349,6 +349,39 @@ class TestBlockArrayNorms:
         norms = lp_norm(blocks, p)
         assert norms.shape == (15,)
         assert np.array_equal(norms, [lp_norm(GridFunction(row), p) for row in blocks])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_in_range_rows_keep_their_bits(self, rng, p):
+        # the reductions as written before the rescaled path existed
+        blocks = rng.normal(size=(15, 256)) * np.exp2(rng.uniform(-60, 60, (15, 1)))
+        sums = TAU / 256 * np.sum(np.abs(blocks) ** p, axis=-1)
+        assert np.array_equal(lp_norm(blocks, p), [total ** (1.0 / p) for total in sums])
+        plain = np.sqrt(TAU / 256 * np.sum(blocks**2, axis=-1))
+        assert np.array_equal(grid_l2_norm(blocks), plain)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_rows_whose_power_sum_leaves_float_range(self, scale):
+        x = np.arange(64) * (TAU / 64)
+        u = GridFunction(scale * np.sin(3.0 * x))
+        expected = scale * math.sqrt(math.pi)  # the L2 norm of scale sin(3x)
+        assert grid_l2_norm(u) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        for p in (1.5, 2.0):
+            unit = lp_norm(GridFunction(np.sin(3.0 * x)), p)
+            # 1/p is rounded, so the root of a sum near 1e+-300 moves by ~|ln sum| ulp
+            assert lp_norm(u, p) == pytest.approx(scale * unit, rel=1e-13, abs=0.0)
+        rows = np.vstack([u.values, np.zeros(64), np.sin(x), np.full(64, 1e308)])
+        norms = grid_l2_norm(rows)
+        assert norms[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert norms[1] == 0.0 and norms[2] == grid_l2_norm(GridFunction(np.sin(x)))
+        assert norms[3] == math.inf  # about 2.5e308: the norm itself leaves float range
+
+    def test_tiny_data_decomposes_to_nonzero_blocks(self, bank64):
+        x = np.arange(64) * (TAU / 64)
+        f = decompose(GridFunction(1e-200 * np.sin(3.0 * x)), bank64)
+        assert f.block_norms.max() > 0.0
+        unit = decompose(GridFunction(np.sin(3.0 * x)), bank64)
+        assert f.block_norms[2] == pytest.approx(1e-200 * unit.block_norms[2], rel=1e-12, abs=0.0)
+        assert dyadic_norm(f, (2.0, 2.0)) > 0.0
 
     def test_one_grid_function_gives_a_float(self, rng):
         u = random_grid_function(rng, 64)
