@@ -147,6 +147,17 @@ def _parse_extended(value, name):
     return float(value)
 
 
+def _parse_finite(value, name) -> float:
+    # the bound also rejects nan, and integers too large to convert
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{name} must be a finite number")
+    return float(value)
+
+
 def load_config(path, seed_override=None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -275,11 +286,16 @@ def _cmd_decompose(config, outdir, rng):
 
 
 def _cmd_norms(config, outdir, rng):
+    s_values = config.get("s_values", [-1.0, 0.0, 1.0, 2.0])
+    if not isinstance(s_values, list):
+        raise ConfigError("s_values must be a list of numbers")
+    s_values = [_parse_finite(s, f"s_values[{i}]") for i, s in enumerate(s_values)]
+    besov_specs = config.get("besov", [{"s": 2.0, "p": 2.0, "q": 2.0}])
+    if not isinstance(besov_specs, list) or not all(isinstance(e, dict) for e in besov_specs):
+        raise ConfigError("besov must be a list of objects")
     u = _input_grid(config)
     bank = build_filters(u.grid_size)
-    s_values = config.get("s_values", [-1.0, 0.0, 1.0, 2.0])
-    sobolev = {f"s={float(s):g}": sobolev_norm(u, float(s)) for s in s_values}
-    besov_specs = config.get("besov", [{"s": 2.0, "p": 2.0, "q": 2.0}])
+    sobolev = {f"s={s:g}": sobolev_norm(u, s) for s in s_values}
     besov = {}
     for entry in besov_specs:
         s = _parse_extended(entry.get("s", 0.0), "besov.s")
@@ -457,10 +473,9 @@ def _flow_config(config) -> flows.FlowConfig:
     )
 
 
-def _cmd_flow(config, outdir, rng):
-    cfg = _flow_config(config)
-    flow_block = config.get("flow", {})
-    family_block = flow_block.get(
+def _flow_family(flow_block) -> list:
+    """(alpha, beta) of each member of ``flow.family``, a non-empty list of objects."""
+    family = flow_block.get(
         "family",
         [
             {"alpha": 0.1, "beta": 0.05},
@@ -469,14 +484,28 @@ def _cmd_flow(config, outdir, rng):
             {"alpha": 0.12, "beta": 0.0},
         ],
     )
-    data = [
-        flows.sinusoid_datum(cfg.grid_size, float(d["alpha"]), float(d.get("beta", 0.0)))
-        for d in family_block
+    if not isinstance(family, list) or not family or not all(isinstance(d, dict) for d in family):
+        raise ConfigError("flow.family must be a non-empty list of objects")
+    return [
+        (
+            _parse_finite(d.get("alpha"), f"flow.family[{i}].alpha"),
+            _parse_finite(d.get("beta", 0.0), f"flow.family[{i}].beta"),
+        )
+        for i, d in enumerate(family)
     ]
+
+
+def _cmd_flow(config, outdir, rng):
+    cfg = _flow_config(config)
+    flow_block = config.get("flow", {})
+    members = _flow_family(flow_block)
+    radius = flow_block.get("ball_radius")
+    if radius is not None and not _parse_finite(radius, "flow.ball_radius") > 0.0:
+        raise ConfigError("flow.ball_radius must be a positive finite number")
+    data = [flows.sinusoid_datum(cfg.grid_size, alpha, beta) for alpha, beta in members]
     bank = build_filters(cfg.grid_size)
     family = [decompose(u, bank) for u in data]
     norms = [dyadic.dyadic_norm(f, (cfg.s, cfg.q)) for f in family]
-    radius = flow_block.get("ball_radius")
     radius = 2.0 * max(norms) if radius is None else float(radius)
     cfg = replace(cfg, ball_radius=radius)
     adapter = flows.flow_as_sequence_map(cfg, bank)

@@ -96,9 +96,7 @@ def _read_only(values) -> np.ndarray:
 
 def _block_array(base: PseudoNormedSpace, blocks) -> np.ndarray:
     """Blocks as one read-only array, (K+1,) or (K+1, N), from an array or the elements."""
-    ndim = _BLOCK_NDIM.get(base.element_kind)
-    if ndim is None:
-        raise ValueError(f"no dyadic blocks of kind {base.element_kind!r}")
+    ndim = _BLOCK_NDIM[base.element_kind]
     if ndim == 2 and not isinstance(blocks, np.ndarray):
         blocks = [entry.values for entry in blocks]
     blocks = _read_only(blocks)

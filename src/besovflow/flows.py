@@ -19,7 +19,6 @@ import copy
 import json
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -39,7 +38,7 @@ from .littlewood_paley import (
     reconstruct,
     save_grid_function,
 )
-from .pseudonorm import PseudoNormedSpace, scalar_abs_space
+from .pseudonorm import scalar_abs_space
 
 __all__ = [
     "Trajectory",
@@ -61,7 +60,6 @@ __all__ = [
     "TimeContinuityReport",
     "block_sup_tails",
     "time_continuity_modulus",
-    "trajectory_sup_l2_space",
     "sinusoid_datum",
     "save_trajectory",
     "load_trajectory",
@@ -76,42 +74,19 @@ class CharacteristicSolveError(RuntimeError):
     """A characteristic foot failed to converge within the iteration cap."""
 
 
-class _States(Sequence):
-    """Rows of a trajectory's sample array as GridFunctions, built on access."""
-
-    def __init__(self, samples: np.ndarray):
-        self._samples = samples
-
-    def __len__(self) -> int:
-        return self._samples.shape[0]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(GridFunction(row) for row in self._samples[index])
-        return GridFunction(self._samples[index])
-
-
 class Trajectory:
     """States of a flow on a uniform time grid, with a time exponent mu.
 
     The states are stored as one read-only (m, N) array ``samples``, row i
-    holding the grid values at ``times[i]``; build it from either ``states``
-    (GridFunctions, one per time node) or ``samples``.  A read-only array
-    whose buffer's owner is read-only too is kept as given; any other input
-    is copied.  ``states`` views the rows as GridFunctions built on access.
-    Instances are immutable.
+    holding the grid values at ``times[i]``.  A read-only array whose
+    buffer's owner is read-only too is kept as given; any other input is
+    copied.  ``states`` is the tuple of the rows as GridFunctions, built on
+    access.  Instances are immutable.
     """
 
     __slots__ = ("times", "samples", "mu")
 
-    def __init__(self, times, states=None, mu: float = math.inf, *, samples=None):
-        if (states is None) == (samples is None):
-            raise ValueError("give exactly one of states and samples")
-        if samples is None:
-            states = tuple(states)
-            if len({state.grid_size for state in states}) > 1:
-                raise ValueError("all states must share one grid size")
-            samples = [state.values for state in states]
+    def __init__(self, times, samples, mu: float = math.inf):
         times = np.array(times, dtype=float)
         samples = _read_only(samples)
         if samples.ndim != 2 or times.ndim != 1 or times.size != samples.shape[0]:
@@ -134,8 +109,8 @@ class Trajectory:
         raise AttributeError("Trajectory is immutable")
 
     @property
-    def states(self) -> Sequence:
-        return _States(self.samples)
+    def states(self) -> tuple:
+        return tuple(GridFunction(row) for row in self.samples)
 
     @property
     def dt(self) -> float:
@@ -144,27 +119,6 @@ class Trajectory:
     @property
     def grid_size(self) -> int:
         return self.samples.shape[1]
-
-    def _check(self, other: "Trajectory"):
-        if self.times.size != other.times.size or not np.array_equal(
-            self.times, other.times
-        ):
-            raise ValueError("trajectories live on different time grids")
-        if self.grid_size != other.grid_size:
-            raise GridMismatchError(
-                f"grid sizes differ: {self.grid_size} vs {other.grid_size}"
-            )
-
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        self._check(other)
-        return Trajectory(self.times, samples=_frozen(self.samples + other.samples), mu=self.mu)
-
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        self._check(other)
-        return Trajectory(self.times, samples=_frozen(self.samples - other.samples), mu=self.mu)
-
-    def __neg__(self) -> "Trajectory":
-        return Trajectory(self.times, samples=_frozen(-self.samples), mu=self.mu)
 
 
 @dataclass(frozen=True)
@@ -186,6 +140,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.flow_kind not in ("transport", "burgers"):
             raise ValueError(f"unknown flow kind {self.flow_kind!r}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
         if self.time_steps < 1:
             raise ValueError("at least one time step is required")
         if not self.mu >= 2:
@@ -738,17 +694,6 @@ def time_continuity_modulus(
     )
 
 
-def trajectory_sup_l2_space(grid_size: int) -> PseudoNormedSpace:
-    """Trajectories under sup-in-time quadrature L2, as a pseudo-normed space."""
-    from .littlewood_paley import grid_l2_norm
-
-    return PseudoNormedSpace(
-        label=f"sup-time-L2({grid_size})",
-        eval=lambda traj: float(grid_l2_norm(traj.samples).max()),
-        element_kind="time_trajectory",
-    )
-
-
 def sinusoid_datum(grid_size: int, alpha: float, beta: float = 0.0) -> GridFunction:
     """The two-mode family alpha sin(x) + beta sin(2x)."""
     return GridFunction.from_function(
@@ -783,8 +728,8 @@ def load_trajectory(directory) -> Trajectory:
     times = np.asarray(manifest["times"], dtype=float)
     mu = manifest.get("mu", "inf")
     mu = math.inf if mu == "inf" else float(mu)
-    states = tuple(
-        load_grid_function(os.path.join(directory, f"state_{index:04d}.gfn"))
+    rows = [
+        load_grid_function(os.path.join(directory, f"state_{index:04d}.gfn")).values
         for index in range(times.size)
-    )
-    return Trajectory(times=times, states=states, mu=mu)
+    ]
+    return Trajectory(times, _frozen(np.stack(rows)), mu)

@@ -3,15 +3,15 @@
 A pseudo-norm drops homogeneity, which admits local-space constructions of
 the form ``sum_n 2^-n rho_n/(1 + rho_n)`` alongside ordinary norms.  The
 concrete spaces used throughout the package (absolute value on scalars,
-quadrature L2 on torus grids, sup-in-time norms on trajectories) are all
-instances of :class:`PseudoNormedSpace`.
+quadrature L2 on torus grids) are instances of :class:`PseudoNormedSpace`.
 
 Two rules hold for every space.  Evaluation: :func:`eval_pseudo_norm` takes
-one element, or the block array of a dyadic sequence over the space ((K+1,)
-scalars or (K+1, N) grid rows), whose K+1 block norms come from one call of
-the space's rule.  Overflow: the value is returned as computed, ``inf``
-included; the dyadic norms, truncation sums and envelopes built on it raise
-``ValueError`` naming the order when they leave floating-point range.
+the block array of a dyadic sequence over the space ((K+1,) scalars or
+(K+1, N) grid rows), whose K+1 block norms come from one call of the
+space's rule; one element is a one-row array.  Overflow: the value is
+returned as computed, ``inf`` included; the dyadic norms, truncation sums
+and envelopes built on it raise ``ValueError`` naming the order when they
+leave floating-point range.
 """
 from __future__ import annotations
 
@@ -34,28 +34,8 @@ __all__ = [
 
 
 class KindMismatchError(TypeError):
-    """Element handed to a space of a different element kind."""
+    """Input handed to a space that is not a block array of the space's kind."""
 
-
-def _is_scalar(x) -> bool:
-    return isinstance(
-        x, (int, float, complex, np.integer, np.floating, np.complexfloating)
-    ) and not isinstance(x, bool)
-
-
-def _is_grid_function(x) -> bool:
-    return hasattr(x, "values") and hasattr(x, "grid_size")
-
-
-def _is_trajectory(x) -> bool:
-    return hasattr(x, "times") and hasattr(x, "states")
-
-
-_KIND_PREDICATES: dict[str, Callable] = {
-    "scalar": _is_scalar,
-    "grid_function": _is_grid_function,
-    "time_trajectory": _is_trajectory,
-}
 
 # ndim of a dyadic sequence's block array, by element kind: (K+1,) or (K+1, N)
 _BLOCK_NDIM = {"scalar": 1, "grid_function": 2}
@@ -65,10 +45,10 @@ _BLOCK_NDIM = {"scalar": 1, "grid_function": 2}
 class PseudoNormedSpace:
     """A vector space together with a pseudo-norm evaluation rule.
 
-    ``eval`` maps an element to a real number, and a scalar or grid space's
-    rule maps a block array to the array of its row values; for a lawful
-    space the value is nonnegative, symmetric under negation, subadditive,
-    and vanishes exactly on the zero element.
+    ``eval`` maps a block array, (K+1,) scalars or (K+1, N) grid rows, to
+    the array of its K+1 row values; for a lawful space each value is
+    nonnegative, symmetric under negation, subadditive, and vanishes exactly
+    on the zero element.
     """
 
     label: str
@@ -76,7 +56,7 @@ class PseudoNormedSpace:
     element_kind: str = "scalar"
 
     def __post_init__(self):
-        if self.element_kind not in _KIND_PREDICATES:
+        if self.element_kind not in _BLOCK_NDIM:
             raise ValueError(f"unknown element kind {self.element_kind!r}")
 
 
@@ -96,31 +76,23 @@ class GradedSeminormFamily:
             raise ValueError("seminorm family must be nonempty")
 
 
-def eval_pseudo_norm(space: PseudoNormedSpace, x):
-    """Evaluate the space's pseudo-norm at ``x``, one element or a block array.
+def eval_pseudo_norm(space: PseudoNormedSpace, blocks: np.ndarray) -> np.ndarray:
+    """The K+1 block norms of a block array, from one call of ``space.eval``.
 
-    For one element of the space's kind the result is a float.  For a
-    sequence's block array, (K+1,) over a scalar space and (K+1, N) over a
-    grid space, it is the array of the K+1 block norms from one call of
-    ``space.eval``.  Raises :class:`KindMismatchError` when ``x`` is not of
-    the space's element kind or the array's ndim does not match it; a
-    trajectory space takes no block array.  The value is returned as
-    computed, ``inf`` and ``nan`` included; lawfulness (finiteness,
-    nonnegativity etc.) is checked by :func:`axiom_probe`.
+    ``blocks`` is a sequence's block array, (K+1,) over a scalar space and
+    (K+1, N) over a grid space.  Raises :class:`KindMismatchError` for
+    anything else: a float, a grid function, or an array of the wrong ndim.
+    The values are returned as computed, ``inf`` and ``nan`` included;
+    lawfulness (finiteness, nonnegativity etc.) is checked by
+    :func:`axiom_probe`.
     """
-    if isinstance(x, np.ndarray):
-        if x.ndim != _BLOCK_NDIM.get(space.element_kind):
-            raise KindMismatchError(
-                f"space {space.label!r} of {space.element_kind} elements takes "
-                f"no block array of shape {x.shape}"
-            )
-        return space.eval(x)
-    if not _KIND_PREDICATES[space.element_kind](x):
+    ndim = _BLOCK_NDIM[space.element_kind]
+    if not (isinstance(blocks, np.ndarray) and blocks.ndim == ndim):
         raise KindMismatchError(
-            f"space {space.label!r} expects {space.element_kind} elements, "
-            f"got {type(x).__name__}"
+            f"space {space.label!r} takes a {ndim}-D block array, "
+            f"got {type(blocks).__name__}{getattr(blocks, 'shape', '')}"
         )
-    return float(space.eval(x))
+    return space.eval(blocks)
 
 
 def local_pseudo_norm(family: GradedSeminormFamily, x) -> float:
@@ -157,8 +129,10 @@ def axiom_probe(
 ) -> AxiomProbeReport:
     """Probe symmetry, subadditivity and nonnegativity on random elements.
 
-    ``sampler(rng)`` must return a random element of the space.  Each trial
-    draws a pair (x, y) and checks
+    ``sampler(rng)`` must return a random element of the space, a float for
+    a scalar space or a 1-D row for a grid space.  Each trial draws a pair
+    (x, y), evaluates x, -x, y and x + y in one :func:`eval_pseudo_norm`
+    call on their stack, and checks
 
       * eval(x) is finite and >= 0,
       * |eval(-x) - eval(x)| <= 1e-12 (1 + eval(x)),
@@ -175,8 +149,9 @@ def axiom_probe(
     for trial in range(trials):
         x = sampler(rng)
         y = sampler(rng)
-        nx = eval_pseudo_norm(space, x)
-        ny = eval_pseudo_norm(space, y)
+        nx, n_negx, ny, nxy = (
+            float(v) for v in eval_pseudo_norm(space, np.stack([x, -x, y, x + y]))
+        )
         if not (math.isfinite(nx) and math.isfinite(ny)):
             violations.append({"trial": trial, "law": "finite", "value": (nx, ny)})
             continue
@@ -184,12 +159,10 @@ def axiom_probe(
             violations.append(
                 {"trial": trial, "law": "nonnegative", "value": min(nx, ny)}
             )
-        n_negx = eval_pseudo_norm(space, -x)
         if not abs(n_negx - nx) <= 1e-12 * (1.0 + abs(nx)):
             violations.append(
                 {"trial": trial, "law": "symmetry", "value": (nx, n_negx)}
             )
-        nxy = eval_pseudo_norm(space, x + y)
         if not nxy <= nx + ny + 1e-12 * (nx + ny):
             violations.append(
                 {"trial": trial, "law": "subadditivity", "value": (nxy, nx + ny)}

@@ -472,6 +472,69 @@ class TestExitStatus:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
 
 
+def _flow_payload(**flow):
+    base = {"kind": "transport", "T": 1.0, "time_steps": 8, "ball_radius": 5.0}
+    return {"schema_version": 1, "command": "flow", "grid_size": 32, "flow": {**base, **flow}}
+
+
+def _norms_payload(**keys):
+    return {"schema_version": 1, "command": "norms", **keys}
+
+
+class TestMalformedConfigSections:
+    """A malformed flow or norms section exits 2 with one line naming it, and no report."""
+
+    @pytest.mark.parametrize(
+        "payload, name",
+        [
+            (_flow_payload(family=[]), "flow.family"),
+            (_flow_payload(family=[{"beta": 0.1}]), "flow.family"),
+            (_flow_payload(family={"alpha": 0.1}), "flow.family"),
+            (_flow_payload(family=[0.1]), "flow.family"),
+            (_flow_payload(family=[{"alpha": True}]), "flow.family"),
+            (_flow_payload(family=[{"alpha": 0.1, "beta": "0.05"}]), "flow.family"),
+            (_flow_payload(ball_radius=True), "flow.ball_radius"),
+            (_flow_payload(ball_radius="5"), "flow.ball_radius"),
+            (_flow_payload(ball_radius=0.0), "flow.ball_radius"),
+            (_flow_payload(ball_radius=-1.0), "flow.ball_radius"),
+            (_flow_payload(ball_radius=float("inf")), "flow.ball_radius"),
+            (_flow_payload(ball_radius=10**400), "flow.ball_radius"),
+            (_flow_payload(T=0.0), "horizon T"),
+            (_flow_payload(T=-0.5), "horizon T"),
+            (_flow_payload(T="inf"), "horizon T"),
+            (_flow_payload(kind="burgers", T=0.0), "horizon T"),
+            (_flow_payload(kind="burgers", T=-0.5), "horizon T"),
+            (_norms_payload(besov=[1]), "besov"),
+            (_norms_payload(besov={"s": 1.0}), "besov"),
+            (_norms_payload(s_values=1.0), "s_values"),
+            (_norms_payload(s_values=["1"]), "s_values"),
+            (_norms_payload(s_values=[True]), "s_values"),
+        ],
+        ids=[
+            "family-empty", "family-no-alpha", "family-object", "family-number",
+            "family-bool-alpha", "family-string-beta",
+            "radius-bool", "radius-string", "radius-zero", "radius-negative",
+            "radius-inf", "radius-huge-int",
+            "transport-T-zero", "transport-T-negative", "transport-T-inf",
+            "burgers-T-zero", "burgers-T-negative",
+            "besov-number", "besov-object", "s-values-number", "s-values-string",
+            "s-values-bool",
+        ],
+    )
+    def test_exits_as_invalid_config(self, tmp_path, capsys, payload, name):
+        if payload["command"] == "norms":
+            grid_path = tmp_path / "u.gfn"
+            save_grid_function(grid_path, random_grid_function(np.random.default_rng(0), 32))
+            payload["io"] = {"input": str(grid_path)}
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:") and err.count("\n") == 1
+        assert name in err
+        assert not (out / f"{payload['command']}_report.json").exists()
+
+
 class TestTinyData:
     def test_envelope_of_tiny_data_is_not_zero(self, tmp_path):
         x = np.arange(64) * (2.0 * np.pi / 64)

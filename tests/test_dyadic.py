@@ -19,7 +19,7 @@ from besovflow.dyadic import (
     weighted_smoothing_sum,
     young_convolve,
 )
-from besovflow.pseudonorm import eval_pseudo_norm, scalar_abs_space
+from besovflow.pseudonorm import scalar_abs_space
 
 INF = math.inf
 
@@ -524,7 +524,7 @@ class TestArrayBackedSequence:
         assert np.array_equal((c * f).blocks.reshape(scaled.shape), scaled)
 
         def loop_norms(entries):
-            return np.array([eval_pseudo_norm(space, e) for e in entries], dtype=float)
+            return np.array([space.eval(e) for e in entries], dtype=float)
 
         head_entries = f_entries[: n + 1]
         fresh = truncate(f, n)  # before f's norms exist: computed by the head

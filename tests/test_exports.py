@@ -1,0 +1,32 @@
+"""Every exported or re-exported name resolves, so a deletion leaves no stale export."""
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import besovflow
+
+MODULES = ("pseudonorm", "dyadic", "littlewood_paley", "envelope", "engine", "flows", "cli")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_star_import_resolves_all(name):
+    module = importlib.import_module(f"besovflow.{name}")
+    assert module.__all__ and len(set(module.__all__)) == len(module.__all__)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+    namespace = {}
+    exec(f"from besovflow.{name} import *", namespace)
+    assert set(module.__all__) <= namespace.keys()
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(pathlib.Path(besovflow.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert {node.module for node in imports} <= set(MODULES)
+    for node in imports:
+        module = importlib.import_module(f"besovflow.{node.module}")
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+            assert getattr(besovflow, alias.asname or alias.name) is getattr(module, alias.name)

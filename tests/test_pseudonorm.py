@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from besovflow.flows import trajectory_sup_l2_space
+from besovflow.flows import Trajectory
 from besovflow.littlewood_paley import GridFunction, grid_l2_norm, grid_l2_space
 from besovflow.pseudonorm import (
     GradedSeminormFamily,
@@ -16,31 +16,54 @@ from besovflow.pseudonorm import (
 )
 
 
+def counting_space(label, rule, element_kind="scalar"):
+    """A space whose rule records the shape of every array it is called on."""
+    calls = []
+
+    def counted(blocks):
+        calls.append(blocks.shape)
+        return rule(blocks)
+
+    return PseudoNormedSpace(label, eval=counted, element_kind=element_kind), calls
+
+
 class TestEvalPseudoNorm:
+    """One element is a one-row block array."""
+
     def test_zero_element(self):
-        assert eval_pseudo_norm(scalar_abs_space(), 0.0) == 0.0
+        assert np.array_equal(eval_pseudo_norm(scalar_abs_space(), np.array([0.0])), [0.0])
 
     def test_symmetry_of_abs(self):
-        assert eval_pseudo_norm(scalar_abs_space(), -3.0) == 3.0
+        assert np.array_equal(eval_pseudo_norm(scalar_abs_space(), np.array([-3.0])), [3.0])
 
     def test_grid_l2_of_constant(self):
         # quadrature-weighted Euclidean norm: sqrt(dx * sum u^2) with
         # dx = 2*pi/8 and eight unit samples
-        u = GridFunction(np.ones(8))
-        oracle = math.sqrt((2.0 * math.pi / 8.0) * sum(v * v for v in u.values))
+        u = np.ones((1, 8))
+        oracle = math.sqrt((2.0 * math.pi / 8.0) * sum(v * v for v in u[0]))
         assert oracle == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-15)
-        assert eval_pseudo_norm(grid_l2_space(8), u) == pytest.approx(oracle, rel=1e-15)
+        (norm,) = eval_pseudo_norm(grid_l2_space(8), u)
+        assert norm == pytest.approx(oracle, rel=1e-15)
 
     def test_kind_mismatch(self):
-        with pytest.raises(KindMismatchError):
-            eval_pseudo_norm(scalar_abs_space(), GridFunction(np.ones(8)))
-        with pytest.raises(KindMismatchError):
-            eval_pseudo_norm(grid_l2_space(8), 1.0)
+        # anything but a block array of the space's kind: a float, a grid
+        # function, a trajectory
+        trajectory = Trajectory(np.linspace(0.0, 1.0, 3), np.ones((3, 8)))
+        for space in (scalar_abs_space(), grid_l2_space(8)):
+            for element in (1.0, GridFunction(np.ones(8)), trajectory):
+                with pytest.raises(KindMismatchError):
+                    eval_pseudo_norm(space, element)
 
     def test_overflow_outcome(self):
         # the value is returned as computed; callers reject it
-        space = PseudoNormedSpace("blowup", eval=lambda x: math.inf, element_kind="scalar")
-        assert eval_pseudo_norm(space, 1.0) == math.inf
+        space = PseudoNormedSpace(
+            "blowup", eval=lambda x: np.full(x.shape[0], math.inf), element_kind="scalar"
+        )
+        assert np.array_equal(eval_pseudo_norm(space, np.array([1.0])), [math.inf])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            PseudoNormedSpace("trajectories", eval=abs, element_kind="time_trajectory")
 
 
 class TestBlockArrays:
@@ -63,11 +86,6 @@ class TestBlockArrays:
     def test_wrong_ndim_rejected(self, space, blocks):
         with pytest.raises(KindMismatchError):
             eval_pseudo_norm(space, blocks)
-
-    @pytest.mark.parametrize("shape", [(8,), (3, 8)])
-    def test_trajectory_space_takes_no_block_array(self, shape):
-        with pytest.raises(KindMismatchError):
-            eval_pseudo_norm(trajectory_sup_l2_space(8), np.ones(shape))
 
     @pytest.mark.parametrize("grid_size", [1 << e for e in range(3, 15)])
     def test_grid_rows_bit_equal_to_per_row_calls(self, rng, grid_size):
@@ -126,37 +144,41 @@ class TestLocalPseudoNorm:
 
 
 class TestAxiomProbe:
+    """Each trial evaluates x, -x, y and x + y in one call of the space's rule."""
+
     def test_scalar_abs_clean(self, rng):
-        report = axiom_probe(scalar_abs_space(), lambda r: float(r.normal()), 100, rng)
+        space, calls = counting_space("abs", np.abs)
+        report = axiom_probe(space, lambda r: float(r.normal()), 100, rng)
         assert report.passed
         assert report.trials == 100
+        assert calls == [(4,)] * 100
 
     def test_grid_l2_clean(self, rng):
-        space = grid_l2_space(16)
-        report = axiom_probe(
-            space, lambda r: GridFunction(r.normal(size=16)), 100, rng
-        )
+        space, calls = counting_space("L2", grid_l2_norm, "grid_function")
+        report = axiom_probe(space, lambda r: r.normal(size=16), 100, rng)
         assert report.passed
+        assert calls == [(4, 16)] * 100
 
     def test_broken_eval_flagged(self, rng):
-        broken = PseudoNormedSpace(
-            "signed-identity", eval=lambda x: x, element_kind="scalar"
-        )
+        broken, calls = counting_space("signed-identity", lambda x: x)
         report = axiom_probe(broken, lambda r: float(r.normal()), 10, rng)
         assert not report.passed
         laws = {v["law"] for v in report.violations}
-        assert "symmetry" in laws or "nonnegative" in laws
+        assert {"symmetry", "nonnegative"} <= laws
+        assert len(calls) == 10
 
     def test_non_finite_values_flagged(self, rng):
-        blowup = PseudoNormedSpace("blowup", eval=lambda x: math.inf, element_kind="scalar")
+        blowup, calls = counting_space("blowup", lambda x: np.full(x.shape[0], math.inf))
         report = axiom_probe(blowup, lambda r: float(r.normal()), 3, rng)
         assert [v["law"] for v in report.violations] == ["finite"] * 3
+        assert len(calls) == 3
         # nan on negatives: a finite eval(x) but no symmetric partner
-        one_sided = PseudoNormedSpace(
-            "one-sided", eval=lambda x: x if x >= 0 else math.nan, element_kind="scalar"
+        one_sided, calls = counting_space(
+            "one-sided", lambda x: np.where(x >= 0, x, math.nan)
         )
         report = axiom_probe(one_sided, lambda r: float(abs(r.normal())), 3, rng)
         assert {v["law"] for v in report.violations} == {"symmetry"}
+        assert len(calls) == 3
 
     def test_trials_validated(self, rng):
         with pytest.raises(ValueError):
@@ -168,10 +190,8 @@ class TestSubadditivityEnvelope:
         # |N(x+y) - N(x) - N(y)| <= N(x) + N(y) and subadditivity with slack
         space = grid_l2_space(32)
         for _ in range(200):
-            x = GridFunction(rng.normal(size=32))
-            y = GridFunction(rng.normal(size=32))
-            nx = eval_pseudo_norm(space, x)
-            ny = eval_pseudo_norm(space, y)
-            nxy = eval_pseudo_norm(space, x + y)
+            x = rng.normal(size=32)
+            y = rng.normal(size=32)
+            nx, ny, nxy = eval_pseudo_norm(space, np.stack([x, y, x + y]))
             assert abs(nxy - nx - ny) <= nx + ny + 1e-12
             assert nxy <= nx + ny + 1e-12 * (nx + ny)
