@@ -42,7 +42,7 @@ def main():
     print(f"  almost-orthogonality: [{ao.min():.6f}, {ao.max():.6f}]  (target [1/3, 1])")
 
     print("\nPer-block frequency coverage (nonzero multiplier range):")
-    freqs = np.abs(frequencies(256))
+    freqs = frequencies(256)  # the radial frequencies 0 .. 128
     for j, row in enumerate(bank.multipliers):
         active = freqs[row > 0]
         if active.size:

@@ -41,7 +41,6 @@ from .littlewood_paley import (
     besov_norm,
     build_filters,
     decompose,
-    frequencies,
     grid_l2_norm,
     load_grid_function,
     partition_of_unity,
@@ -139,14 +138,6 @@ def _check_rows(checks) -> list:
 
 # --- config ---------------------------------------------------------------------
 
-def _parse_extended(value, name):
-    if value == "inf":
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number or 'inf'")
-    return float(value)
-
-
 def _parse_finite(value, name) -> float:
     # the bound also rejects nan, and integers too large to convert
     if (
@@ -156,6 +147,15 @@ def _parse_finite(value, name) -> float:
     ):
         raise ConfigError(f"{name} must be a finite number")
     return float(value)
+
+
+def _parse_extended(value, name):
+    if value == "inf":
+        return math.inf
+    try:
+        return _parse_finite(value, name)
+    except ConfigError:
+        raise ConfigError(f"{name} must be a finite number or 'inf'") from None
 
 
 def load_config(path, seed_override=None) -> dict:
@@ -184,6 +184,9 @@ def load_config(path, seed_override=None) -> dict:
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
         raise ConfigError("trials must be a nonnegative integer")
     config["trials"] = trials
+    for key in ("scale", "flow", "io"):
+        if not isinstance(config.get(key, {}), dict):
+            raise ConfigError(f"{key} must be a JSON object")
     return config
 
 
@@ -237,14 +240,14 @@ def _cmd_filters(config, outdir, rng):
             worst = max(worst, reconstruction_stability_ratio(f, bank, s))
         stability[f"s={s:g}"] = worst
 
-    freqs = frequencies(bank.grid_size).astype(int)
-    order = np.argsort(freqs)
+    # one row per grid frequency -N/2 .. N/2-1, each radial value read at |xi|
+    half = bank.grid_size // 2
     dump_csv(
         os.path.join(outdir, "filters.csv"),
         ["xi", "psi", "partition", "almost_orthogonality"],
         [
-            (int(freqs[i]), float(bank.multipliers[0][i]), float(partition[i]), float(ao[i]))
-            for i in order
+            (xi, float(bank.multipliers[0][abs(xi)]), float(partition[abs(xi)]), float(ao[abs(xi)]))
+            for xi in range(-half, half)
         ],
     )
     report = {
@@ -463,7 +466,7 @@ def _flow_config(config) -> flows.FlowConfig:
         T=_parse_extended(flow_block.get("T", 0.5), "flow.T"),
         time_steps=time_steps,
         flow_kind=kind,
-        transport_speed=_parse_extended(flow_block.get("speed", 1.0), "flow.speed"),
+        transport_speed=_parse_finite(flow_block.get("speed", 1.0), "flow.speed"),
         ball_radius=None,
         s0=s0,
         s=s,

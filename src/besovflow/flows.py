@@ -33,6 +33,7 @@ from .littlewood_paley import (
     GridFunction,
     GridMismatchError,
     _check_grid_size,
+    _weighted_energy,
     frequencies,
     load_grid_function,
     reconstruct,
@@ -177,7 +178,7 @@ def _oversampled(u: GridFunction, m: int, orders) -> np.ndarray:
     n = u.grid_size
     spectrum = np.fft.rfft(u.values) * (m / n)
     spectrum[-1] = 0.5 * spectrum[-1].real
-    k = np.arange(n // 2 + 1, dtype=float)
+    k = frequencies(n)
     multipliers = np.array([(1, 1j, -1, -1j)[r % 4] * k**r for r in orders])
     return np.fft.irfft(multipliers * spectrum, n=m, axis=-1)
 
@@ -313,8 +314,7 @@ def shock_time(u0: GridFunction, return_peak: bool = False):
 @lru_cache(maxsize=4)
 def _phase_table(n: int, speed: float, times: tuple) -> np.ndarray:
     """exp(-i k speed t) for every time node t (rows) and mode k = 0 .. N/2."""
-    k = np.arange(n // 2 + 1, dtype=float)
-    table = np.exp(-1j * k * speed * np.array(times)[:, None])
+    table = np.exp(-1j * frequencies(n) * speed * np.array(times)[:, None])
     table.setflags(write=False)
     return table
 
@@ -476,17 +476,17 @@ def burgers_spectral_reference(
     """
     n = u0.grid_size
     freqs = frequencies(n)
-    keep = np.abs(freqs) <= n // 3
+    keep = freqs <= n // 3
     ik = 1j * freqs
     k2 = freqs**2
 
     def rhs(u_hat):
-        u_phys = np.fft.ifft(u_hat).real
-        flux_hat = np.fft.fft(0.5 * u_phys * u_phys) * keep
+        u_phys = np.fft.irfft(u_hat, n=n)
+        flux_hat = np.fft.rfft(0.5 * u_phys * u_phys) * keep
         return -ik * flux_hat - viscosity * k2 * u_hat
 
     times = np.asarray(times, dtype=float)
-    u_hat = np.fft.fft(u0.values)
+    u_hat = np.fft.rfft(u0.values)
     samples = np.empty((times.size, n))
     samples[0] = u0.values
     for step, (left, right) in enumerate(zip(times[:-1], times[1:]), start=1):
@@ -497,7 +497,7 @@ def burgers_spectral_reference(
             k3 = rhs(u_hat + 0.5 * dt * k2_)
             k4 = rhs(u_hat + dt * k3)
             u_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
-        samples[step] = np.fft.ifft(u_hat).real
+        samples[step] = np.fft.irfft(u_hat, n=n)
     return Trajectory(times, samples=_frozen(samples), mu=mu)
 
 
@@ -533,24 +533,6 @@ def _check_grid(traj: Trajectory, bank: FilterBank):
         raise GridMismatchError(
             f"trajectory grid {traj.grid_size} does not match bank {bank.grid_size}"
         )
-
-
-def _weighted_energy(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """TAU * sum_xi weights[..., xi] |c_xi|^2 for every row of rfft(u) spectra.
-
-    c = rfft(u) / N are the normalized Fourier coefficients; N is a power of
-    two, so dividing the weights by N^2 instead rounds exactly the same.
-    ``weights`` are radial and given in FFT layout (last axis N), so each
-    interior mode of the half spectrum stands for itself and its mirror and
-    counts twice; mode 0 and the Nyquist mode count once.  The result has
-    the leading shape of ``weights`` followed by one axis over the rows.
-    """
-    n = weights.shape[-1]
-    folded = weights[..., : n // 2 + 1] / n**2
-    folded[..., 1 : n // 2] *= 2.0
-    power = np.abs(spectra)
-    power *= power
-    return TAU * np.einsum("...k,tk->...t", folded, power)
 
 
 def _block_l2_table(traj: Trajectory, bank: FilterBank, s: float) -> np.ndarray:

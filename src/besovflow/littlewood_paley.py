@@ -1,8 +1,10 @@
 """Dyadic filter banks and Littlewood-Paley analysis on the 1-D torus.
 
 The domain is the torus of length 2*pi sampled on a uniform power-of-two
-grid, so frequencies are the integers xi with -N/2 < xi <= N/2.  The filter
-bank consists of a smooth radial low-pass profile psi with
+grid, so frequencies are the integers xi with -N/2 < xi <= N/2.  Every
+multiplier here is radial and every grid function real, so spectra are kept
+as real-FFT half spectra over xi = 0 .. N/2 only.  The filter bank consists
+of a smooth radial low-pass profile psi with
 
     psi = 1 on |xi| <= 3/4,    psi = 0 on |xi| >= 1,    0 <= psi <= 1,
 
@@ -19,8 +21,8 @@ frequency set, so decompose/reconstruct invert each other to rounding.
 psi is built by mollifying the indicator of {|xi| <= 7/8} with a compactly
 supported bump of radius 1/8 (profile exp(-1/(1-t^2))), evaluated by a fixed
 64-node Gauss-Legendre rule on the ramp 3/4 < |xi| < 1 only.  The whole bank
-is sampled from one stack of dilations psi(2^e |xi|) on the integer
-frequencies returned by :func:`frequencies`, the one frequency grid that the
+is sampled from one stack of dilations psi(2^e xi) on the frequencies
+0 .. N/2 returned by :func:`frequencies`, the one frequency grid that the
 rest of the package shares.
 """
 from __future__ import annotations
@@ -32,15 +34,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicSequence, _rescaled_norms, dyadic_norm
+from .dyadic import DyadicSequence, _frozen, _rescaled_norms, dyadic_norm
 from .pseudonorm import PseudoNormedSpace
 
 __all__ = [
     "TAU",
     "GridFunction",
     "GridMismatchError",
-    "SpectralCoeffs",
-    "spectrum",
     "frequencies",
     "FilterBank",
     "build_filters",
@@ -149,38 +149,15 @@ class GridFunction:
         )
 
 
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Fourier coefficients c_xi with u(x) = sum_xi c_xi exp(i xi x).
-
-    Stored in FFT layout; ``frequencies`` gives the integer frequency of
-    each slot.  Coefficients of a real grid function are Hermitian.
-    """
-
-    coeffs: np.ndarray
-
-    @property
-    def grid_size(self) -> int:
-        return self.coeffs.size
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return frequencies(self.coeffs.size).astype(int)
-
-
 @lru_cache(maxsize=None)
 def frequencies(n: int) -> np.ndarray:
-    """Integer frequency of each FFT slot of an n-point grid, as floats.
+    """The frequencies 0 .. N/2 of the real-FFT slots of an n-point grid, as floats.
 
     Cached per grid size and read-only, since every caller shares the array.
     """
-    freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
+    freqs = np.arange(n // 2 + 1, dtype=float)
     freqs.setflags(write=False)
     return freqs
-
-
-def spectrum(u: GridFunction) -> SpectralCoeffs:
-    return SpectralCoeffs(np.fft.fft(u.values) / u.grid_size)
 
 
 # --- radial filter profiles -------------------------------------------------
@@ -231,19 +208,15 @@ def band_profile(xi):
 class FilterBank:
     """Sampled dyadic multipliers for one grid size.
 
-    ``psi``, ``phi``, ``psi_fat``, ``phi_fat`` are the radial profiles
-    sampled at the integer frequencies 0..N/2.  ``multipliers`` holds the
-    block multipliers Delta_j (rows j = 0..j_max, FFT frequency layout) and
-    ``fat_multipliers`` the reconstruction companions.  ``j_max`` is the
+    ``multipliers`` holds the block multipliers Delta_j (rows j = 0..j_max)
+    and ``fat_multipliers`` the reconstruction companions, each a
+    (j_max + 1, N/2 + 1) array over the frequencies 0..N/2 of
+    :func:`frequencies`; row 0 samples psi and row 1 phi.  ``j_max`` is the
     largest block index needed to resolve every grid frequency.
     """
 
     grid_size: int
     j_max: int
-    psi: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
-    psi_fat: np.ndarray = field(repr=False)
-    phi_fat: np.ndarray = field(repr=False)
     multipliers: np.ndarray = field(repr=False)
     fat_multipliers: np.ndarray = field(repr=False)
 
@@ -258,9 +231,9 @@ def build_filters(grid_size: int) -> FilterBank:
     n = int(grid_size)
     _check_grid_size(n)
     j_max = n.bit_length() - 1
-    # row e + j_max + 1 of the stack is P_e = psi(2^e |xi|), e = -(j_max+1)..2
+    # row e + j_max + 1 of the stack is P_e = psi(2^e xi), e = -(j_max+1)..2
     exponents = np.arange(-(j_max + 1), 3)
-    stack = smooth_cutoff(np.ldexp(np.abs(frequencies(n)), exponents[:, None]))
+    stack = smooth_cutoff(np.ldexp(frequencies(n), exponents[:, None]))
 
     def dilation(e):
         return stack[e + j_max + 1]
@@ -270,27 +243,16 @@ def build_filters(grid_size: int) -> FilterBank:
     fat = np.vstack((dilation(-1), dilation(-1 - j) - dilation(3 - j)))
     multipliers.setflags(write=False)
     fat.setflags(write=False)
-    # radial views at xi = 0..N/2: the first half of rows 0 and 1
-    half = n // 2 + 1
-    return FilterBank(
-        grid_size=n,
-        j_max=j_max,
-        psi=multipliers[0, :half],
-        phi=multipliers[1, :half],
-        psi_fat=fat[0, :half],
-        phi_fat=fat[1, :half],
-        multipliers=multipliers,
-        fat_multipliers=fat,
-    )
+    return FilterBank(grid_size=n, j_max=j_max, multipliers=multipliers, fat_multipliers=fat)
 
 
 def partition_of_unity(bank: FilterBank) -> np.ndarray:
-    """psi(xi) + sum_p phi(2^-p xi) at every grid frequency (FFT layout)."""
+    """psi(xi) + sum_p phi(2^-p xi) at every grid frequency 0..N/2."""
     return bank.multipliers.sum(axis=0)
 
 
 def almost_orthogonality(bank: FilterBank) -> np.ndarray:
-    """psi^2(xi) + sum_p phi^2(2^-p xi) at every grid frequency."""
+    """psi^2(xi) + sum_p phi^2(2^-p xi) at every grid frequency 0..N/2."""
     return (bank.multipliers**2).sum(axis=0)
 
 
@@ -310,8 +272,8 @@ def apply_block(u: GridFunction, j: int, bank: FilterBank) -> GridFunction:
     _check_bank(u, bank)
     if not 0 <= j <= bank.j_max:
         raise ValueError(f"block index {j} outside 0..{bank.j_max}")
-    coeffs = np.fft.fft(u.values)
-    return GridFunction(np.fft.ifft(coeffs * bank.multipliers[j]).real)
+    half = np.fft.rfft(u.values) * bank.multipliers[j]
+    return GridFunction(np.fft.irfft(half, n=u.grid_size))
 
 
 def decompose(u: GridFunction, bank: FilterBank) -> DyadicSequence:
@@ -320,8 +282,9 @@ def decompose(u: GridFunction, bank: FilterBank) -> DyadicSequence:
     The blocks sum back to u exactly on the grid.
     """
     _check_bank(u, bank)
-    blocks = np.fft.ifft(np.fft.fft(u.values) * bank.multipliers, axis=1).real
-    return DyadicSequence(grid_l2_space(u.grid_size), blocks)  # copies the view once
+    half = np.fft.rfft(u.values) * bank.multipliers
+    blocks = np.fft.irfft(half, n=u.grid_size, axis=1)
+    return DyadicSequence(grid_l2_space(u.grid_size), _frozen(blocks))
 
 
 def reconstruct(f: DyadicSequence, bank: FilterBank) -> GridFunction:
@@ -340,8 +303,8 @@ def reconstruct(f: DyadicSequence, bank: FilterBank) -> GridFunction:
         raise GridMismatchError(
             f"blocks have grid size {f.blocks.shape[1]}, bank {bank.grid_size}"
         )
-    total = (np.fft.fft(f.blocks, axis=1) * bank.fat_multipliers[: f.support]).sum(axis=0)
-    return GridFunction(np.fft.ifft(total).real)
+    total = (np.fft.rfft(f.blocks, axis=1) * bank.fat_multipliers[: f.support]).sum(axis=0)
+    return GridFunction(np.fft.irfft(total, n=bank.grid_size))
 
 
 # --- norms -------------------------------------------------------------------
@@ -396,20 +359,38 @@ def grid_l2_space(grid_size: int) -> PseudoNormedSpace:
     )
 
 
+def _weighted_energy(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """TAU * sum_xi weights[..., xi] |c_xi|^2 for every row of rfft(u) spectra.
+
+    c = rfft(u) / N are the normalized Fourier coefficients; N is a power of
+    two, so dividing the weights by N^2 instead rounds exactly the same.
+    ``weights`` are radial, over the frequencies 0..N/2 (last axis N/2 + 1),
+    so each interior mode of the half spectrum stands for itself and its
+    mirror and counts twice; mode 0 and the Nyquist mode count once.  The
+    result has the leading shape of ``weights`` followed by one axis over
+    the rows.
+    """
+    n = 2 * (weights.shape[-1] - 1)
+    folded = weights / n**2
+    folded[..., 1:-1] *= 2.0
+    power = np.abs(spectra)
+    power *= power
+    return TAU * np.einsum("...k,tk->...t", folded, power)
+
+
 def sobolev_norm(u: GridFunction, s: float) -> float:
     """Sobolev norm of order s via the weight (1 + xi^2)^s on the spectrum.
 
     Normalized so that s = 0 reproduces the quadrature L2 norm exactly.
     """
     weights = (1.0 + frequencies(u.grid_size) ** 2) ** s
-    return math.sqrt(TAU * float(np.sum(weights * np.abs(spectrum(u).coeffs) ** 2)))
+    return math.sqrt(float(_weighted_energy(np.fft.rfft(u.values)[None], weights)[0]))
 
 
 def bessel_potential(u: GridFunction, s: float) -> GridFunction:
     """Apply the multiplier (1 + xi^2)^{s/2}."""
-    coeffs = np.fft.fft(u.values)
-    freqs = frequencies(u.grid_size)
-    return GridFunction(np.fft.ifft(coeffs * (1.0 + freqs**2) ** (s / 2.0)).real)
+    half = np.fft.rfft(u.values) * (1.0 + frequencies(u.grid_size) ** 2) ** (s / 2.0)
+    return GridFunction(np.fft.irfft(half, n=u.grid_size))
 
 
 def besov_norm(u: GridFunction, s: float, p: float, q: float, bank: FilterBank):

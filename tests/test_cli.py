@@ -133,9 +133,22 @@ class TestCommands:
         digest = hashlib.sha256((out / "verify_report.json").read_bytes()).hexdigest()
         assert digest == "df2d5eef1bc0f5c8dcc3154427cdf3939d79ecb354db988335b70184cc286074"
 
+    def test_filters_csv_is_pinned(self, tmp_path):
+        # sha256 of the N = 64 table as written from the complex-FFT layout:
+        # one row per frequency -32 .. 31, each radial value read at |xi|
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"schema_version": 1, "command": "filters", "grid_size": 64, "seed": 1},
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        digest = hashlib.sha256((out / "filters.csv").read_bytes()).hexdigest()
+        assert digest == "362a8b6fc96b515e654935c07d12a1bc9b849b1c95d3611fb7658717a5438f84"
+
     def test_flow_reports_are_pinned(self, tmp_path):
-        # sha256 of each file written before the check rows shared one type;
-        # a refactor that moves one bit of a flow report fails here
+        # sha256 of each file as written on the real-FFT half spectrum (the
+        # CSV rows moved at rounding level from the complex-FFT layout); a
+        # refactor that moves one bit of a flow report fails here
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -155,9 +168,9 @@ class TestCommands:
             for name, data in read_all_reports(out).items()
         }
         assert digests == {
-            "continuity.csv": "0c0680ead35a1edc0e3396c6922ff5cf6557a3952114fc7ae4c65fc965e5dba7",
-            "convergence.csv": "68615f141cb9bc12b27c8b0ad87db292a660eb5b05c6c525017d64d70b303b52",
-            "decay_profile.csv": "f46a6802a01a2c61a75831b4677e7d9aff77d1bd7efa8ea47fc3dca2108c754e",
+            "continuity.csv": "3d877e8c3a2ce9105d7696264aecc8dd54634ed2e29b017c7046c4c3d4428352",
+            "convergence.csv": "a97ade9dafed448e41ee0e62283931875341521cd0b5bdf7a99974a7831d6e7f",
+            "decay_profile.csv": "a8190346d7539e204fcaf7fe974f273b38e29968f888a409d600028f7579a036",
             "flow_report.json": "bdd441f3eedb0440613264fc5f664e135837bf810aeaf3671fb88e7c25fdcc20",
         }
 
@@ -482,7 +495,7 @@ def _norms_payload(**keys):
 
 
 class TestMalformedConfigSections:
-    """A malformed flow or norms section exits 2 with one line naming it, and no report."""
+    """A malformed config section or value exits 2 with one line naming it, and no report."""
 
     @pytest.mark.parametrize(
         "payload, name",
@@ -509,6 +522,16 @@ class TestMalformedConfigSections:
             (_norms_payload(s_values=1.0), "s_values"),
             (_norms_payload(s_values=["1"]), "s_values"),
             (_norms_payload(s_values=[True]), "s_values"),
+            ({**_flow_payload(), "scale": [1]}, "scale"),
+            ({**_flow_payload(), "flow": []}, "flow"),
+            ({**_flow_payload(), "io": []}, "io"),
+            ({"schema_version": 1, "command": "decompose", "io": []}, "io"),
+            ({**_flow_payload(), "scale": {"s1": 10**400}}, "scale.s1"),
+            (_norms_payload(besov=[{"s": 10**400}]), "besov.s"),
+            (_flow_payload(speed="inf"), "flow.speed"),
+            (_flow_payload(speed=float("nan")), "flow.speed"),
+            (_flow_payload(T=float("nan")), "flow.T"),
+            (_flow_payload(mu=float("nan")), "flow.mu"),
         ],
         ids=[
             "family-empty", "family-no-alpha", "family-object", "family-number",
@@ -519,6 +542,8 @@ class TestMalformedConfigSections:
             "burgers-T-zero", "burgers-T-negative",
             "besov-number", "besov-object", "s-values-number", "s-values-string",
             "s-values-bool",
+            "scale-list", "flow-list", "io-list-flow", "io-list-decompose",
+            "scale-huge-int", "besov-huge-int", "speed-inf", "speed-nan", "T-nan", "mu-nan",
         ],
     )
     def test_exits_as_invalid_config(self, tmp_path, capsys, payload, name):

@@ -30,3 +30,34 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
             assert getattr(besovflow, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def _dotted(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def test_no_complex_fft_layout():
+    # spectra live on the real-FFT half spectrum 0 .. N/2 only; a full
+    # complex-FFT layout would be a second frequency grid
+    complex_fft = {"fft", "ifft", "fftfreq"}
+    offenders = []
+    for path in sorted(pathlib.Path(besovflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _dotted(node.func).split(".")
+                if name[-1] in complex_fft and name[-2:-1] == ["fft"]:
+                    offenders.append(f"{path.name}:{node.lineno} {'.'.join(name)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+                offenders += [
+                    f"{path.name}:{node.lineno} numpy.fft.{alias.name}"
+                    for alias in node.names
+                    if alias.name in complex_fft
+                ]
+    assert offenders == []

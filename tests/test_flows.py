@@ -15,7 +15,6 @@ from besovflow.littlewood_paley import (
     GridMismatchError,
     build_filters,
     decompose,
-    frequencies,
     random_grid_function,
     sobolev_norm,
 )
@@ -576,7 +575,7 @@ class TestTimeContinuity:
 def loop_transport(u0, speed, times):
     """Per-node reference: one full FFT phase shift per time node."""
     coeffs = np.fft.fft(u0.values)
-    freqs = frequencies(u0.grid_size)
+    freqs = np.rint(np.fft.fftfreq(u0.grid_size, 1.0 / u0.grid_size))
     return np.array([np.fft.ifft(coeffs * np.exp(-1j * freqs * speed * t)).real for t in times])
 
 
@@ -640,6 +639,21 @@ class TestBatchedSpectralPath:
                 ** (1.0 / mu),
                 rel=1e-12,
             )
+
+    @pytest.mark.parametrize("n", [2**e for e in range(3, 13)])
+    @pytest.mark.parametrize("mu", [INF, 4.0])
+    def test_lmu_norm_matches_complex_fft_plancherel_sum(self, n, mu):
+        # per state sqrt(TAU sum (1 + xi^2)^s |c_xi|^2) over all N complex-FFT
+        # slots, the Nyquist mode set, then the same L^mu combination in time
+        u0 = random_grid_function(np.random.default_rng(n + 3), n, max_mode=n // 2)
+        traj = transport_flow(u0, 0.7, transport_cfg(grid_size=n, time_steps=12, mu=mu))
+        freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
+        power = np.abs(np.fft.fft(traj.samples, axis=1) / n) ** 2
+        weights = np.r_[0.5, np.ones(traj.times.size - 2), 0.5] * traj.dt
+        for s in (-1.0, 0.0, 1.5, 3.0):
+            values = np.sqrt(2.0 * math.pi * (power @ (1.0 + freqs**2) ** s))
+            ref = values.max() if math.isinf(mu) else (values**mu @ weights) ** (1.0 / mu)
+            assert lmu_time_sobolev_norm(traj, s) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_block_norms_reject_grid_mismatch(self, bank64, rng):
         traj = transport_flow(random_grid_function(rng, 32), 1.0, transport_cfg(grid_size=32))

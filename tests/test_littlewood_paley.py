@@ -14,6 +14,7 @@ from besovflow.littlewood_paley import (
     bessel_potential,
     build_filters,
     decompose,
+    frequencies,
     grid_l2_norm,
     grid_l2_space,
     load_grid_function,
@@ -26,7 +27,6 @@ from besovflow.littlewood_paley import (
     save_grid_function_csv,
     smooth_cutoff,
     sobolev_norm,
-    spectrum,
 )
 
 TAU = 2.0 * math.pi
@@ -82,15 +82,18 @@ class TestFilterProfiles:
 
     def test_radial_profiles_match_direct_evaluation(self, bank64):
         radial = np.arange(33, dtype=float)
-        assert np.array_equal(bank64.psi, smooth_cutoff(radial))
-        assert np.array_equal(bank64.phi, band_profile(radial))
-        assert np.array_equal(bank64.psi_fat, smooth_cutoff(radial / 2.0))
-        assert np.array_equal(
-            bank64.phi_fat, smooth_cutoff(radial / 4.0) - smooth_cutoff(4.0 * radial)
-        )
+        assert bank64.multipliers.shape == bank64.fat_multipliers.shape == (7, 33)
+        assert np.array_equal(bank64.multipliers[0], smooth_cutoff(radial))
+        assert np.array_equal(bank64.fat_multipliers[0], smooth_cutoff(radial / 2.0))
+        for j in range(1, bank64.j_max + 1):
+            assert np.array_equal(bank64.multipliers[j], band_profile(radial / 2.0 ** (j - 1)))
+            assert np.array_equal(
+                bank64.fat_multipliers[j],
+                smooth_cutoff(radial / 2.0 ** (j + 1)) - smooth_cutoff(radial / 2.0 ** (j - 3)),
+            )
 
     def test_bank_arrays_read_only(self, bank64):
-        for name in ("psi", "phi", "psi_fat", "phi_fat", "multipliers", "fat_multipliers"):
+        for name in ("multipliers", "fat_multipliers"):
             array = getattr(bank64, name)
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -123,7 +126,7 @@ class TestFilterProfiles:
 
     def test_ao_at_unit_frequency(self, bank256):
         n = bank256.grid_size
-        index = 1  # fft layout: slot of xi = +1
+        index = 1  # the slot of xi = 1
         value = almost_orthogonality(bank256)[index]
         assert 1.0 / 3.0 <= value <= 1.0
 
@@ -198,17 +201,17 @@ class TestDecomposeReconstruct:
 
 
 def loop_decompose(u, bank):
-    """Per-row reference: one inverse FFT per block multiplier."""
-    coeffs = np.fft.fft(u.values)
-    return [np.fft.ifft(coeffs * row).real for row in bank.multipliers]
+    """Per-row reference: one inverse real FFT per block multiplier."""
+    half = np.fft.rfft(u.values)
+    return [np.fft.irfft(half * row, n=bank.grid_size) for row in bank.multipliers]
 
 
 def loop_reconstruct(f, bank):
-    """Per-row reference: accumulate each block's filtered spectrum in turn."""
-    total = np.zeros(bank.grid_size, dtype=complex)
+    """Per-row reference: accumulate each block's filtered half spectrum in turn."""
+    total = np.zeros(bank.grid_size // 2 + 1, dtype=complex)
     for j, entry in enumerate(f.entries):
-        total += np.fft.fft(entry.values) * bank.fat_multipliers[j]
-    return np.fft.ifft(total).real
+        total += np.fft.rfft(entry.values) * bank.fat_multipliers[j]
+    return np.fft.irfft(total, n=bank.grid_size)
 
 
 class TestBatchedBlocks:
@@ -303,6 +306,14 @@ class TestApplyBlock:
             apply_block(GridFunction.zeros(64), bank64.j_max + 1, bank64)
 
 
+def complex_plancherel_norm(values, s):
+    """sqrt(TAU sum_xi (1 + xi^2)^s |c_xi|^2) over all N slots of the complex FFT."""
+    n = values.size
+    freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
+    coeffs = np.fft.fft(values) / n
+    return math.sqrt(TAU * float(np.sum((1.0 + freqs**2) ** s * np.abs(coeffs) ** 2)))
+
+
 class TestSobolevNorm:
     def test_zero(self):
         assert sobolev_norm(GridFunction.zeros(16), 2.0) == 0.0
@@ -329,14 +340,15 @@ class TestSobolevNorm:
                 sobolev_norm(u, s), rel=1e-12
             )
 
-    def test_spectrum_hermitian(self, rng):
-        u = random_grid_function(rng, 32)
-        coeffs = spectrum(u)
-        freqs = coeffs.frequencies
-        for xi in range(1, 16):
-            a = coeffs.coeffs[freqs == xi][0]
-            b = coeffs.coeffs[freqs == -xi][0]
-            assert a == pytest.approx(np.conj(b), abs=1e-14)
+    @pytest.mark.parametrize("n", [2**e for e in range(3, 13)])
+    def test_matches_complex_fft_plancherel_sum(self, n):
+        # the half-spectrum sum counts each interior mode for itself and its
+        # mirror; the Nyquist mode is set, and counts once
+        u = random_grid_function(np.random.default_rng(n), n, max_mode=n // 2)
+        for s in (-1.5, 0.0, 0.5, 2.0, 3.0):
+            assert sobolev_norm(u, s) == pytest.approx(
+                complex_plancherel_norm(u.values, s), rel=1e-13, abs=0.0
+            )
 
 
 class TestBlockArrayNorms:
@@ -414,7 +426,7 @@ class TestBesovNorm:
         # weight (1+xi^2)^s / 4^{js} stays within measured extremes, and the
         # almost-orthogonality window contributes [1/3, 1]
         s = 1.0
-        freqs = np.rint(np.fft.fftfreq(64, 1.0 / 64))
+        freqs = frequencies(64)
         lower_factors, upper_factors = [], []
         for j, row in enumerate(bank64.multipliers):
             support = row > 0.0
