@@ -208,9 +208,16 @@ def _scale_block(config: dict):
     return s0, s, s1, q
 
 
+def _io_path(config: dict, key: str):
+    """``io.<key>`` as a path string, or None when the key is absent."""
+    path = config.get("io", {}).get(key)
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"io.{key} must be a path string")
+    return path
+
+
 def _input_grid(config: dict):
-    io_block = config.get("io", {})
-    path = io_block.get("input")
+    path = _io_path(config, "input")
     if path is None:
         raise ConfigError("this command needs io.input (a grid-function file)")
     return load_grid_function(path)
@@ -500,6 +507,7 @@ def _flow_family(flow_block) -> list:
 
 def _cmd_flow(config, outdir, rng):
     cfg = _flow_config(config)
+    trajectory_dir = _io_path(config, "trajectory_dir")
     flow_block = config.get("flow", {})
     members = _flow_family(flow_block)
     radius = flow_block.get("ball_radius")
@@ -562,7 +570,6 @@ def _cmd_flow(config, outdir, rng):
             for row in probe_report.rows
         ],
     )
-    trajectory_dir = config.get("io", {}).get("trajectory_dir")
     if trajectory_dir is not None:
         flows.save_trajectory(
             os.path.join(outdir, trajectory_dir), traj, cfg.flow_kind, _config_hash(config)

@@ -80,18 +80,18 @@ def _frozen(blocks: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _read_only(values) -> np.ndarray:
-    """``values`` as a read-only C-contiguous float array no caller can change.
+def _read_only(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only C-contiguous ``dtype`` array no caller can change.
 
-    A read-only C-contiguous float array whose buffer's owner is read-only
-    too is shared; anything else is copied.
+    A read-only C-contiguous array of that dtype whose buffer's owner is
+    read-only too is shared; anything else is copied.
     """
-    if isinstance(values, np.ndarray) and values.dtype == float:
+    if isinstance(values, np.ndarray) and values.dtype == dtype:
         owner = values.base if isinstance(values.base, np.ndarray) else values
         flags = values.flags
         if flags.c_contiguous and not (flags.writeable or owner.flags.writeable):
             return values
-    return _frozen(np.array(values, dtype=float, order="C"))
+    return _frozen(np.array(values, dtype=dtype, order="C"))
 
 
 def _block_array(base: PseudoNormedSpace, blocks) -> np.ndarray:

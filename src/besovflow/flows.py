@@ -8,10 +8,11 @@ cross-check oracle).
 
 A flow becomes a sequence map by conjugation with the dyadic
 decompose/reconstruct pair: reconstruct the initial datum from its blocks,
-run the flow, decompose every time slice, and keep one scalar per block,
-its L^mu-in-time L2 norm.  Chemin-Lerner norms (time-integrate each block
-first, then sum blocks in l^2) and the time-continuity diagnostics live
-here as well.
+run the flow, and keep one scalar per block of the solution, its
+L^mu-in-time L2 norm, summed by Plancherel from the real-FFT half spectra
+of the time slices, so no slice is decomposed.  Chemin-Lerner norms
+(time-integrate each block first, then sum blocks in l^2) and the
+time-continuity diagnostics live here as well.
 """
 from __future__ import annotations
 
@@ -78,36 +79,56 @@ class CharacteristicSolveError(RuntimeError):
 class Trajectory:
     """States of a flow on a uniform time grid, with a time exponent mu.
 
-    The states are stored as one read-only (m, N) array ``samples``, row i
-    holding the grid values at ``times[i]``.  A read-only array whose
+    The constructor takes exactly one form of the states and stores only
+    it: ``samples``, the read-only (m, N) grid values, row i at
+    ``times[i]``, or ``spectra``, their read-only (m, N/2 + 1) real-FFT half
+    spectra, N = 2 (W - 1) for width W, with real mode-0 and Nyquist
+    entries as a real grid function has.  The other form is derived by one
+    real FFT on each access and never kept.  A read-only array whose
     buffer's owner is read-only too is kept as given; any other input is
     copied.  ``states`` is the tuple of the rows as GridFunctions, built on
     access.  Instances are immutable.
     """
 
-    __slots__ = ("times", "samples", "mu")
+    __slots__ = ("times", "mu", "_states")
 
-    def __init__(self, times, samples, mu: float = math.inf):
+    def __init__(self, times, samples=None, mu: float = math.inf, *, spectra=None):
+        if (samples is None) == (spectra is None):
+            raise TypeError("a trajectory takes exactly one of samples and spectra")
         times = np.array(times, dtype=float)
-        samples = _read_only(samples)
-        if samples.ndim != 2 or times.ndim != 1 or times.size != samples.shape[0]:
+        states = _read_only(samples) if spectra is None else _read_only(spectra, complex)
+        if states.ndim != 2 or times.ndim != 1 or times.size != states.shape[0]:
             raise ValueError("one state per time node is required")
         if times.size < 2:
             raise ValueError("a trajectory needs at least two time nodes")
         steps = np.diff(times)
         if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
             raise ValueError("time nodes must be uniform")
-        _check_grid_size(samples.shape[1])
-        if not np.all(np.isfinite(samples)):
+        _check_grid_size(states.shape[1] if spectra is None else 2 * (states.shape[1] - 1))
+        if not np.all(np.isfinite(states)):
             raise ValueError("grid values must be finite")
+        if spectra is not None and np.any(states[:, [0, -1]].imag):
+            raise ValueError("mode-0 and Nyquist entries of real-FFT spectra must be real")
         if not mu >= 2:
             raise ValueError("time exponent mu must be >= 2")
         times.setflags(write=False)
-        for name, value in (("times", times), ("samples", samples), ("mu", mu)):
+        for name, value in (("times", times), ("mu", mu), ("_states", states)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Trajectory is immutable")
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._states.dtype == float:
+            return self._states
+        return _frozen(np.fft.irfft(self._states, n=self.grid_size, axis=1))
+
+    @property
+    def spectra(self) -> np.ndarray:
+        if self._states.dtype == complex:
+            return self._states
+        return _frozen(np.fft.rfft(self._states, axis=1))
 
     @property
     def states(self) -> tuple:
@@ -119,7 +140,8 @@ class Trajectory:
 
     @property
     def grid_size(self) -> int:
-        return self.samples.shape[1]
+        width = self._states.shape[1]
+        return width if self._states.dtype == float else 2 * (width - 1)
 
 
 @dataclass(frozen=True)
@@ -313,8 +335,16 @@ def shock_time(u0: GridFunction, return_peak: bool = False):
 
 @lru_cache(maxsize=4)
 def _phase_table(n: int, speed: float, times: tuple) -> np.ndarray:
-    """exp(-i k speed t) for every time node t (rows) and mode k = 0 .. N/2."""
+    """exp(-i k speed t) for every time node t (rows) and mode k = 0 .. N/2.
+
+    The Nyquist column keeps only its real part, cos(N/2 speed t): on the
+    grid the shifted Nyquist mode is that multiple of cos(N x / 2), since
+    sin(N x / 2) vanishes at every node.  A real Nyquist entry times this
+    column stays real, so the shifted spectra are the half spectra of the
+    shifted samples.
+    """
     table = np.exp(-1j * frequencies(n) * speed * np.array(times)[:, None])
+    table[:, -1] = table[:, -1].real
     table.setflags(write=False)
     return table
 
@@ -333,22 +363,22 @@ def transport_flow(u0, speed: float, cfg: FlowConfig):
     """Constant-speed transport solved by an exact spectral phase shift.
 
     Every Sobolev norm is conserved along the trajectory since the phase
-    factor has modulus one.  All states come from one inverse real FFT of
-    the half spectrum times a phase table; the table depends only on the
-    grid size, the speed and the time grid, so it is built once and reused
-    by every call on the same configuration.
+    factor has modulus one.  The trajectory holds its states as spectra,
+    the datum's half spectrum times a phase table, and never leaves
+    Fourier space; its grid values come from one inverse real FFT when
+    read.  The table depends only on the grid size, the speed and the time
+    grid, so it is built once and reused by every call on the same
+    configuration.
 
     ``u0`` is one GridFunction, or a list of data on one grid, which gives
     the list of their trajectories, the spectra from one batched real FFT.
     """
     data, single = _as_batch(u0)
-    n = data[0].grid_size
     times = cfg.time_nodes()
-    phase = _phase_table(n, float(speed), tuple(times))
+    phase = _phase_table(data[0].grid_size, float(speed), tuple(times))
     spectra = np.fft.rfft(np.stack([u.values for u in data]), axis=1)
     trajectories = [
-        Trajectory(times, samples=_frozen(np.fft.irfft(spectrum * phase, n=n, axis=1)), mu=cfg.mu)
-        for spectrum in spectra
+        Trajectory(times, spectra=_frozen(spectrum * phase), mu=cfg.mu) for spectrum in spectra
     ]
     return trajectories[0] if single else trajectories
 
@@ -540,7 +570,7 @@ def _block_l2_table(traj: Trajectory, bank: FilterBank, s: float) -> np.ndarray:
     _check_grid(traj, bank)
     sobolev_weight = (1.0 + frequencies(bank.grid_size) ** 2) ** s
     row_weights = bank.multipliers**2 * sobolev_weight  # (j, xi)
-    return np.sqrt(_weighted_energy(np.fft.rfft(traj.samples, axis=1), row_weights))
+    return np.sqrt(_weighted_energy(traj.spectra, row_weights))
 
 
 def block_time_norms(traj: Trajectory, bank: FilterBank, s: float = 0.0) -> np.ndarray:
@@ -566,7 +596,7 @@ def chemin_lerner_sup_norm(traj: Trajectory, s: float, bank: FilterBank) -> floa
 def lmu_time_sobolev_norm(traj: Trajectory, s: float) -> float:
     """L^mu norm in time of t -> ||u(t)||_{H^s} (trapezoid for finite mu)."""
     weight = (1.0 + frequencies(traj.grid_size) ** 2) ** s
-    values = np.sqrt(_weighted_energy(np.fft.rfft(traj.samples, axis=1), weight))
+    values = np.sqrt(_weighted_energy(traj.spectra, weight))
     return float(_time_combine(values, traj.times, traj.mu))
 
 
@@ -629,7 +659,7 @@ def _shift_moduli(traj: Trajectory, s: float, bank: FilterBank) -> tuple:
     # one pass over the pairs (i, i + shift) up to the top lag; sqrt(.) is
     # monotone, so the largest squared distance per shift gives the modulus
     _check_grid(traj, bank)
-    spectra = np.fft.rfft(traj.samples, axis=1)
+    spectra = traj.spectra
     weight = (1.0 + frequencies(traj.grid_size) ** 2) ** s
     m = spectra.shape[0]
     ladder = [1 << k for k in range((m - 1).bit_length())]

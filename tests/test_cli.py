@@ -168,10 +168,10 @@ class TestCommands:
             for name, data in read_all_reports(out).items()
         }
         assert digests == {
-            "continuity.csv": "3d877e8c3a2ce9105d7696264aecc8dd54634ed2e29b017c7046c4c3d4428352",
-            "convergence.csv": "a97ade9dafed448e41ee0e62283931875341521cd0b5bdf7a99974a7831d6e7f",
-            "decay_profile.csv": "a8190346d7539e204fcaf7fe974f273b38e29968f888a409d600028f7579a036",
-            "flow_report.json": "bdd441f3eedb0440613264fc5f664e135837bf810aeaf3671fb88e7c25fdcc20",
+            "continuity.csv": "12df99599b0d5927bf2a84d0dae5edabc286d15a8fd1394a0434a6acacd2f2d3",
+            "convergence.csv": "d4f14f7ab74bd42fc7723c32c5ea19d7c67431431148fd7fa23871319f456b5a",
+            "decay_profile.csv": "dbce79c3ec0eaf9b78838453e08564412d51ba86186fe0b896d0f3a148a4f70d",
+            "flow_report.json": "9aac7ca5e2a8a1281bc81e40309286ba11d5deca773ec94a4ca8dd777a2cb0c6",
         }
 
     def test_verify_detects_a_broken_interpolation_bound(self, tmp_path, monkeypatch):
@@ -558,6 +558,33 @@ class TestMalformedConfigSections:
         assert err.startswith("invalid config:") and err.count("\n") == 1
         assert name in err
         assert not (out / f"{payload['command']}_report.json").exists()
+
+
+class TestIoPaths:
+    """An ``io`` path that is not a string is an invalid config, caught before any output."""
+
+    @pytest.mark.parametrize("value", [5, 0])
+    def test_non_string_input_is_not_a_file_descriptor(self, tmp_path, value):
+        # in a child process, so a descriptor taken as a file cannot close this one's
+        cfg = write_config(tmp_path / "c.json", _norms_payload(io={"input": value}))
+        out = tmp_path / "o"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "besovflow.cli", "--config", cfg, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), stdin=subprocess.DEVNULL,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.startswith("invalid config:") and "io.input" in result.stderr
+        assert os.listdir(out) == []
+
+    def test_non_string_trajectory_dir_leaves_no_reports(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {**_flow_payload(), "io": {"trajectory_dir": 5}})
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:") and "io.trajectory_dir" in err
+        assert os.listdir(out) == []
 
 
 class TestTinyData:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -701,6 +702,122 @@ class TestStackedTrajectory:
             Trajectory(times)
         with pytest.raises(ValueError):
             Trajectory(times, samples=np.zeros((3, 8)), mu=1.0)
+
+
+def nyquist_only(n, amplitude=0.7):
+    """amplitude cos(N x / 2) on the grid: (-1)^j amplitude."""
+    return GridFunction(amplitude * (-1.0) ** np.arange(n))
+
+
+class TestSpectralTrajectory:
+    TIMES = np.linspace(0.0, 1.0, 3)
+
+    def test_takes_exactly_one_representation(self):
+        with pytest.raises(TypeError):
+            Trajectory(self.TIMES, samples=np.zeros((3, 8)), spectra=np.zeros((3, 5), complex))
+        with pytest.raises(TypeError):
+            Trajectory(self.TIMES, mu=INF)
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 6, 8, 10, 16])
+    def test_rejects_width_not_half_of_a_power_of_two(self, width):
+        # N = 2 (W - 1) must be a power of two >= 8: W = 5, 9, 17, ...
+        with pytest.raises(ValueError):
+            Trajectory(self.TIMES, spectra=np.zeros((3, width), complex))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.0, -np.inf)],
+    )
+    def test_rejects_non_finite_spectra(self, bad):
+        spectra = np.zeros((3, 5), complex)
+        spectra[1, 2] = bad
+        with pytest.raises(ValueError):
+            Trajectory(self.TIMES, spectra=spectra)
+
+    @pytest.mark.parametrize("slot", [0, -1])
+    def test_rejects_imaginary_mode_zero_or_nyquist(self, slot):
+        # irfft drops these imaginary parts, so no real state has them
+        spectra = np.zeros((3, 5), complex)
+        spectra[2, slot] = 1.0 + 1e-300j
+        with pytest.raises(ValueError):
+            Trajectory(self.TIMES, spectra=spectra)
+
+    def test_spectra_read_only_and_detached(self):
+        spectra = np.zeros((3, 5), complex)
+        spectra[:, 1] = 1.0 - 2.0j
+        traj = Trajectory(self.TIMES, spectra=spectra)
+        spectra[0, 1] = 5.0  # the caller's array is copied, not adopted
+        assert traj.spectra[0, 1] == 1.0 - 2.0j
+        assert traj.grid_size == 8
+        with pytest.raises(ValueError):
+            traj.spectra[0, 1] = 2.0
+        with pytest.raises(ValueError):
+            traj.samples[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            traj.spectra = np.zeros((3, 5), complex)
+        assert np.array_equal(traj.samples, np.fft.irfft(traj.spectra, n=8, axis=1))
+
+    def test_read_only_spectra_are_adopted(self):
+        spectra = np.zeros((3, 9), complex)
+        spectra.setflags(write=False)
+        assert Trajectory(self.TIMES, spectra=spectra).spectra is spectra
+
+    def test_derived_form_is_not_kept(self, rng):
+        u0 = random_grid_function(rng, 64)
+        transported = transport_flow(u0, 1.0, transport_cfg(time_steps=4))
+        assert transported.samples is not transported.samples
+        solved = burgers_flow(sinusoid_datum(64, 0.1, 0.05), burgers_cfg(time_steps=4))
+        assert solved.spectra is not solved.spectra
+        assert np.array_equal(solved.spectra, np.fft.rfft(solved.samples, axis=1))
+
+    @pytest.mark.parametrize("n", [2**e for e in range(3, 13)])
+    @pytest.mark.parametrize("datum", ["nyquist-only", "random"])
+    def test_transport_spectra_are_the_spectra_of_its_samples(self, n, datum):
+        if datum == "nyquist-only":
+            u0 = nyquist_only(n)
+        else:
+            u0 = random_grid_function(np.random.default_rng(n), n, max_mode=n // 2)
+        traj = transport_flow(u0, 1.7, transport_cfg(grid_size=n, T=1.3, time_steps=16))
+        spectra = traj.spectra
+        assert spectra.shape == (17, n // 2 + 1)
+        ref = np.fft.rfft(traj.samples, axis=1)
+        assert np.abs(ref - spectra).max() <= 1e-13 * np.abs(spectra).max()
+
+    @pytest.mark.parametrize("n", [8, 64, 4096])
+    def test_transported_nyquist_mode_on_the_grid(self, n):
+        # cos(N (x - c t) / 2) at the nodes is cos(N x / 2) cos(N c t / 2)
+        cfg = transport_cfg(grid_size=n, T=1.3, time_steps=16)
+        traj = transport_flow(nyquist_only(n), 1.7, cfg)
+        exact = 0.7 * np.outer(np.cos(0.5 * n * 1.7 * cfg.time_nodes()), (-1.0) ** np.arange(n))
+        assert np.abs(traj.samples - exact).max() <= 1e-13 * n
+
+
+class TestTransportStaysInFourierSpace:
+    """One adapter request of transport data: the only transform in ``flows`` is
+    one real FFT of each group's (G, N) data stack."""
+
+    @pytest.mark.parametrize("n, count", [(256, 10), (2048, 3)])
+    def test_one_rfft_per_group_and_no_trajectory_transform(self, monkeypatch, n, count):
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                if sys._getframe(1).f_globals.get("__name__") == "besovflow.flows":
+                    calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        bank = build_filters(n)
+        rng = np.random.default_rng(n)
+        family = [decompose(random_grid_function(rng, n, max_mode=20), bank) for _ in range(count)]
+        radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
+        adapter = flow_as_sequence_map(transport_cfg(grid_size=n, ball_radius=radius), bank)
+        images = adapter(family)
+        group = max(1, 2048 // n)
+        sizes = [min(group, count - start) for start in range(0, count, group)]
+        assert calls == [("rfft", (size, n)) for size in sizes]
+        assert len(images) == count
 
 
 class TestFullPipeline:
