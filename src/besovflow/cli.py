@@ -323,21 +323,15 @@ def _cmd_norms(config, outdir, rng):
     return report, []
 
 
-def _sandwich_checks(family, index, f, s, q, s1) -> list:
-    """lower <= mid and mid <= upper of the envelope equivalence, as two checks."""
-    lower, mid, upper = envelope_mod.envelope_equivalence(f, s, q, s1)
-    return [Check(family, index, lower, mid), Check(family, index, mid, upper)]
-
-
 def _cmd_envelope(config, outdir, rng):
     u = _input_grid(config)
     bank = build_filters(u.grid_size)
     f = decompose(u, bank)
     s0, s, s1, q = _scale_block(config)
     env = envelope_mod.compute_envelope(f, s, s1)
-    checks = _sandwich_checks("envelope_equivalence", (), f, s, q, s1)
-    lower, mid, upper = checks[0].lhs, checks[1].lhs, checks[1].rhs
-    failures = _failure_records(checks)
+    lower, mid, upper = envelope_mod.envelope_equivalence(f, s, q, s1)
+    family = "envelope_equivalence"
+    failures = _failure_records([Check(family, (), lower, mid), Check(family, (), mid, upper)])
     dump_csv(
         os.path.join(outdir, "envelope.csv"),
         ["n", "gamma_n", "c_n", "weighted_block_norm"],
@@ -353,16 +347,47 @@ def _cmd_envelope(config, outdir, rng):
     return report, failures
 
 
+VERIFY_CHUNK = 128  # trials per batched evaluation: a sweep's memory is O(chunk)
+
+
+def _padded(rows) -> np.ndarray:
+    """1-D arrays as the rows of one array, zero-padded to the longest."""
+    batch = np.zeros((len(rows), max(len(row) for row in rows)))
+    for into, row in zip(batch, rows):
+        into[: len(row)] = row
+    return batch
+
+
 def _verify_suites(rng, trials):
-    """Randomized inequality sweeps shared by the verify command."""
+    """Randomized inequality sweeps shared by the verify command.
+
+    Each suite draws its trials one at a time, with the generator calls of
+    a per-trial loop, and evaluates every chunk of ``VERIFY_CHUNK`` trials
+    in one call of its batched function: the chunk's sequences are the
+    zero-padded rows of one array of block norms.  Levels past a row's own
+    range (its split levels, its stored envelope) are masked per row.
+    """
     suites = []
 
-    def run_suite(name, one_trial):
-        """Run ``one_trial(family, index)`` per trial; its checks' failures are the violations."""
-        checks = (
-            check for trial in range(trials) for check in one_trial(name, (("trial", trial),))
-        )
-        suites.append({"name": name, "trials": trials, "violations": _failure_records(checks)})
+    def run_suite(name, draw, evaluate):
+        """Check rows of ``evaluate`` on chunks of ``draw()`` results; failures are violations.
+
+        ``evaluate`` takes a chunk's draws as columns and returns, per check
+        of a trial, an (lhs, rhs) pair or (lhs, rhs, level) triple of arrays
+        with one entry per trial of the chunk.
+        """
+
+        def checks():  # made chunk by chunk as the failure records consume them
+            for start in range(0, trials, VERIFY_CHUNK):
+                chunk = [draw() for _ in range(min(VERIFY_CHUNK, trials - start))]
+                columns = [[a.tolist() for a in bounds] for bounds in evaluate(*zip(*chunk))]
+                for row in range(len(chunk)):
+                    trial = (("trial", start + row),)
+                    for lhs, rhs, *level in columns:
+                        index = trial + tuple(("n", n[row]) for n in level)
+                        yield Check(name, index, lhs[row], rhs[row])
+
+        suites.append({"name": name, "trials": trials, "violations": _failure_records(checks())})
 
     def random_orders():
         r = float(rng.uniform(-2.0, 2.0))
@@ -375,71 +400,100 @@ def _verify_suites(rng, trials):
     def random_q():
         return q_values[rng.integers(3)]
 
-    def smoothing_trial(family, index):
+    def norms(seqs) -> np.ndarray:
+        return _padded([f.block_norms for f in seqs])
+
+    def smoothing_draw():
         f = dyadic.random_sequence(rng)
         r, rp = random_orders()
         q = random_q()
-        n = int(rng.integers(0, f.support + 4))
-        return [Check(family, index, *dyadic.smoothing_gain(f, r, rp, q, n))]
+        return f, r, rp, q, int(rng.integers(0, f.support + 4))
 
-    def weighted_trial(family, index):
+    def smoothing(seqs, *params):
+        return [dyadic.smoothing_gain(norms(seqs), *map(np.array, params))]
+
+    def weighted_draw():
         f = dyadic.random_sequence(rng)
         r, rp = random_orders()
-        q = random_q()
-        return [Check(family, index, *dyadic.weighted_smoothing_sum(f, r, rp, q))]
+        return f, r, rp, random_q()
 
-    def power_sum_trial(family, index):
-        # an identity: two one-sided checks
+    def weighted(seqs, *params):
+        return [dyadic.weighted_smoothing_sum(norms(seqs), *map(np.array, params))]
+
+    def power_sum_draw():
         f = dyadic.random_sequence(rng, log2_range=(-8.0, 8.0))
         r, rp = random_orders()
-        q = q_values[rng.integers(2)]
-        value, bound = dyadic.truncation_power_sum(f, r, rp, q)
-        return [Check(family, index, value, bound), Check(family, index, bound, value)]
+        return f, r, rp, q_values[rng.integers(2)]
 
-    def young_trial(family, index):
+    def power_sum(seqs, *params):
+        # an identity: two one-sided checks
+        value, bound = dyadic.truncation_power_sum(norms(seqs), *map(np.array, params))
+        return [(value, bound), (bound, value)]
+
+    def young_draw():
         q = random_q()
         u = rng.standard_normal(int(rng.integers(1, 12)))
         v = rng.standard_normal(int(rng.integers(1, 12)))
-        result = dyadic.young_convolve(u, v, q)
-        return [Check(family, index, result.norm, result.bound)]
+        return q, u, v
 
-    def envelope_trial(family, index):
+    def young(q, u, v):
+        result = dyadic.young_convolve(_padded(u), _padded(v), np.array(q))
+        return [(result.norm, result.bound)]
+
+    def envelope_draw():
         f = dyadic.random_sequence(rng)
         s = float(rng.uniform(-2.0, 2.0))
         s1 = s + float(rng.uniform(0.1, 2.0))
-        q = random_q()
-        return _sandwich_checks(family, index, f, s, q, s1)
+        return f, s, s1, random_q()
 
-    def slow_variation_trial(family, index):
+    def envelope(seqs, s, s1, q):
+        lower, mid, upper = envelope_mod.envelope_equivalence(
+            norms(seqs), np.array(s), np.array(q), np.array(s1)
+        )
+        return [(lower, mid), (mid, upper)]
+
+    def slow_variation_draw():
+        f = dyadic.random_sequence(rng)
+        s = float(rng.uniform(-2.0, 2.0))
+        return f, s, s + float(rng.uniform(0.1, 2.0))
+
+    def slow_variation(seqs, s, s1):
         # gamma_n <= 2^{s1-s} gamma_{n+1}, checked at the level of largest
-        # ratio; a positive gamma_n over a zero bound counts as infinite
-        f = dyadic.random_sequence(rng)
-        s = float(rng.uniform(-2.0, 2.0))
-        s1 = s + float(rng.uniform(0.1, 2.0))
-        gamma = envelope_mod.compute_envelope(f, s, s1).gamma
-        lhs, rhs = gamma[:-1], 2.0 ** (s1 - s) * gamma[1:]
+        # ratio among the levels a row's own envelope stores; a positive
+        # gamma_n over a zero bound counts as infinite
+        s, s1 = np.array(s), np.array(s1)
+        gamma = envelope_mod.compute_envelope(norms(seqs), s, s1).gamma
+        lhs, rhs = gamma[:, :-1], (2.0 ** (s1 - s))[:, None] * gamma[:, 1:]
         ratio = np.divide(lhs, rhs, out=np.where(lhs > 0, np.inf, 0.0), where=rhs > 0)
-        n = int(np.argmax(ratio))
-        return [Check(family, index + (("n", n),), float(lhs[n]), float(rhs[n]))]
+        last = np.array([f.support for f in seqs]) + envelope_mod.GUARD - 2
+        ratio[np.arange(ratio.shape[1]) > last[:, None]] = -np.inf
+        n = ratio.argmax(axis=1)
+        rows = np.arange(len(n))
+        return [(lhs[rows, n], rhs[rows, n], n)]
 
-    def interpolation_trial(family, index):
+    def interpolation_draw():
         f = dyadic.random_sequence(rng, log2_range=(-8.0, 8.0))
         s0 = float(rng.uniform(-2.0, 0.0))
         s1 = float(rng.uniform(0.5, 2.5))
         s = float(rng.uniform(s0 + 0.1, s1 - 0.1))
-        q = random_q()
-        parts = dyadic.interpolation_bound(f, s0, s, s1, q, np.arange(f.support + 4))
-        bounds = parts.low + parts.high
-        n = int(bounds.argmin())
-        return [Check(family, index + (("n", n),), parts.actual, float(bounds[n]))]
+        return f, s0, s, s1, random_q()
 
-    run_suite("smoothing_gain", smoothing_trial)
-    run_suite("weighted_smoothing_sum", weighted_trial)
-    run_suite("truncation_power_sum", power_sum_trial)
-    run_suite("young_convolution", young_trial)
-    run_suite("envelope_equivalence", envelope_trial)
-    run_suite("envelope_slow_variation", slow_variation_trial)
-    run_suite("interpolation_bound", interpolation_trial)
+    def interpolation(seqs, *params):
+        batch = norms(seqs)
+        levels = np.arange(batch.shape[1] + 4)  # each row splits at 0 .. its support + 3
+        parts = dyadic.interpolation_bound(batch, *map(np.array, params), levels)
+        bounds = parts.low + parts.high
+        bounds[levels > np.array([f.support + 3 for f in seqs])[:, None]] = np.inf
+        n = bounds.argmin(axis=1)
+        return [(parts.actual, bounds[np.arange(len(n)), n], n)]
+
+    run_suite("smoothing_gain", smoothing_draw, smoothing)
+    run_suite("weighted_smoothing_sum", weighted_draw, weighted)
+    run_suite("truncation_power_sum", power_sum_draw, power_sum)
+    run_suite("young_convolution", young_draw, young)
+    run_suite("envelope_equivalence", envelope_draw, envelope)
+    run_suite("envelope_slow_variation", slow_variation_draw, slow_variation)
+    run_suite("interpolation_bound", interpolation_draw, interpolation)
     return suites
 
 

@@ -18,6 +18,13 @@ truncation levels n in N, the summand is eventually constant or exactly
 geometric, so the infinite part is added in closed form rather than
 truncated.  A norm or sum that leaves floating-point range raises
 ``ValueError`` naming its order.
+
+The norms and inequalities also take a batch in place of one sequence: a
+2-D array of block norms, one zero-padded row per sequence, with each order
+and q given once or once per row.  They then return one value per row, and
+a sequence is evaluated as the batch of its one row.  Past a row's support
+every closed-form summand is exactly geometric, so the padding changes
+values only at rounding level.
 """
 from __future__ import annotations
 
@@ -55,15 +62,16 @@ __all__ = [
 class ScaleIndex:
     """Smoothness order s and summability q in [1, inf].
 
-    Infinite q is the ordinary float ``inf``; all norm code branches on it
-    explicitly, it is never fed through a power.
+    Each is a float, or for a batch of sequences an array with one entry
+    per row.  Infinite q is the ordinary float ``inf``; all norm code
+    branches on it explicitly, it is never fed through a power.
     """
 
-    s: float
-    q: float
+    s: float | np.ndarray
+    q: float | np.ndarray
 
     def __post_init__(self):
-        if not self.q >= 1.0:
+        if not _all(self.q >= 1.0):
             raise ValueError(f"summability q must be >= 1, got {self.q}")
 
 
@@ -71,7 +79,7 @@ def as_scale_index(idx) -> ScaleIndex:
     if isinstance(idx, ScaleIndex):
         return idx
     s, q = idx
-    return ScaleIndex(float(s), float(q))
+    return ScaleIndex(_param(s), _param(q))
 
 
 def _frozen(blocks: np.ndarray) -> np.ndarray:
@@ -204,91 +212,214 @@ class DyadicSequence:
     __rmul__ = __mul__
 
 
-def _weighted_block_norms(f: DyadicSequence, s: float) -> np.ndarray:
-    """2^{k s} ||f_k||_E for k = 0..K, with zero blocks kept at exactly 0."""
-    norms = f.block_norms
-    if norms.size == 0:
-        return norms
-    with np.errstate(over="ignore"):  # an infinite weight is rejected by the caller
-        weights = np.exp2(s * np.arange(norms.size, dtype=float))
-        return np.where(norms == 0.0, 0.0, weights * norms)
+def _norm_rows(f) -> np.ndarray:
+    """Block norms with one row per sequence.
 
-
-def _in_range(value, what: str):
-    """``value`` when every entry is finite; ``ValueError`` naming ``what`` otherwise."""
-    if not np.isfinite(value).all():
-        raise ValueError(f"{what} leaves float range")
-    return value
-
-
-def _power(base: float, exponent: float, what: str) -> float:
-    """``base ** exponent``; ``ValueError`` naming ``what`` when it leaves float range."""
-    try:
-        return base**exponent
-    except OverflowError:
-        raise ValueError(f"{what} leaves float range") from None
-
-
-def _rescaled_norms(values: np.ndarray, power_sum, root):
-    """``root(power_sum(values))``, rescaled where the power sum leaves float range.
-
-    ``power_sum`` reduces an array along its last axis to sums of weighted
-    q-th powers (one value for a 1-D array, one per row otherwise) and
-    ``root`` takes their q-th roots.  A sum that is not finite, or that lies
-    below the smallest normal float although its values are not all zero,
-    is taken again over the values divided by their largest magnitude, and
-    that magnitude multiplies its root.  Every other norm is computed as
-    written and keeps its bits; only a norm that itself leaves float range
-    comes back infinite (or nan).
+    ``f`` is a sequence, giving its (1, K+1) row, or a batch: a 2-D array of
+    nonnegative block norms with one row per sequence, each row zero past
+    its support.
     """
-    with np.errstate(over="ignore"):
-        try:
-            sums = power_sum(values)
-        except OverflowError:  # a Python float power raises where numpy gives inf
-            sums = math.inf
-    if values.ndim == 1:
-        if math.isfinite(sums) and (sums >= sys.float_info.min or not values.any()):
-            return root(sums)
-        top = float(np.abs(values).max())
-        with np.errstate(over="ignore", invalid="ignore"):  # inf / inf gives nan
-            return top * root(power_sum(values / top))
-    norms = root(sums)
-    rescale = ~(np.isfinite(sums) & (sums >= sys.float_info.min))
-    if rescale.any():
-        rows = values[rescale]
-        top = np.abs(rows).max(axis=-1)
-        rescale[rescale] = nonzero = top > 0
-        rows, top = rows[nonzero], top[nonzero]
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms[rescale] = top * root(power_sum(rows / top[:, None]))
+    if isinstance(f, DyadicSequence):
+        return f.block_norms[None]
+    norms = np.asarray(f, dtype=float)
+    if norms.ndim != 2 or not len(norms):
+        raise ValueError(f"a batch of block norms is a 2-D array of rows, got shape {norms.shape}")
+    if not (np.isfinite(norms) & (norms >= 0.0)).all():
+        raise ValueError("a batch of block norms holds a negative or non-finite entry")
     return norms
 
 
-def _lq_combine(values: np.ndarray, idx: ScaleIndex) -> float:
-    """l^q norm of the nonnegative weighted block norms at order ``idx``."""
-    if values.size == 0:
-        return 0.0
-    if math.isinf(idx.q):
-        total = float(values.max())
-    else:
-        q = idx.q
-        total = _rescaled_norms(values, lambda v: float((v**q).sum()), lambda t: t ** (1.0 / q))
-    return _in_range(total, f"the (s, q) = ({idx.s:g}, {idx.q:g}) dyadic norm")
+def _solo(f, values):
+    """Per-row ``values`` for a batch; for a sequence ``f``, its one row (a float for scalars)."""
+    if not isinstance(f, DyadicSequence):
+        return values
+    row = values[0]
+    return float(row) if row.ndim == 0 else row
 
 
-def dyadic_norm(f: DyadicSequence, idx) -> float:
-    """The weighted-block norm ||f||_{s,q}; zero exactly on the zero sequence."""
+def _per_row(x) -> bool:
+    """``x`` is an array of values, one per row, rather than one value."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def _all(condition) -> bool:
+    """A condition on parameters, each a float or one per row, holds for every row."""
+    return bool(condition.all() if isinstance(condition, np.ndarray) else condition)
+
+
+def _param(x):
+    """A parameter as a float, or as a float array when it is given one per row."""
+    if isinstance(x, (float, int)) or np.ndim(x) == 0:
+        return float(x)
+    return np.asarray(x, dtype=float)
+
+
+def _column(x, axes: int = 1):
+    """A per-row parameter shaped to broadcast over ``axes`` trailing axes; a scalar as it is."""
+    return np.reshape(x, (-1,) + (1,) * axes) if _per_row(x) else x
+
+
+def _by_q(q, kernel, *args):
+    """``kernel(q, *args)`` once per distinct summability q, on the rows carrying it.
+
+    ``q`` is a float or one per row.  Array ``args`` hold one entry (or row)
+    per row and are split with the rows; scalars are passed as they are.
+    The kernel returns a per-row array, or a tuple of them, and the parts
+    are put back in row order.
+    """
+    if not _per_row(q):
+        return kernel(float(q), *args)
+    whole = None
+    for value in set(q.tolist()):  # not np.unique, which imports numpy.ma
+        pick = q == value
+        part = kernel(value, *(a[pick] if _per_row(a) else a for a in args))
+        parts = part if isinstance(part, tuple) else (part,)
+        if whole is None:
+            whole = tuple(np.empty((q.size, *np.shape(p)[1:])) for p in parts)
+        for into, p in zip(whole, parts):
+            into[pick] = p
+    return whole if isinstance(part, tuple) else whole[0]
+
+
+def _weighted_block_norms(norms: np.ndarray, s) -> np.ndarray:
+    """2^{k s} ||f_k||_E for k = 0..K on rows of block norms, zero blocks kept at exactly 0.
+
+    ``s`` is a float or one per row.
+    """
+    with np.errstate(over="ignore"):  # an infinite weight is rejected by the caller
+        weights = np.exp2(_column(s) * np.arange(norms.shape[-1], dtype=float))
+        return np.where(norms == 0.0, 0.0, weights * norms)
+
+
+def _in_range(value, what: str, **params):
+    """``value`` when every entry is finite; ``ValueError`` naming ``what`` otherwise.
+
+    ``what`` is formatted with ``params``, a per-row parameter taken at the
+    first row of ``value`` that leaves float range.
+    """
+    finite = np.isfinite(value)
+    if finite.all():
+        return value
+    row = int(np.argmin(finite.reshape(len(finite), -1).all(axis=-1))) if finite.ndim else 0
+    at_row = {name: x if np.ndim(x) == 0 else np.ravel(x)[row] for name, x in params.items()}
+    raise ValueError(f"{what.format(**at_row)} leaves float range")
+
+
+def _float_pow(base: float, exponent: float) -> float:
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+_FLOAT_POW = np.frompyfunc(_float_pow, 2, 1)  # entries reach it as Python floats
+
+
+def _pow_by_value(base, exponent) -> np.ndarray:
+    """``base ** exponent`` entry by entry with Python's float power; inf where it overflows.
+
+    NumPy's vectorized power can differ from the scalar one in the last bit,
+    so powers of per-row values are taken this way, as the scalar code took
+    them: a sequence, the one-row case of a batch, keeps its bits.
+    """
+    with np.errstate(over="ignore"):  # the overflow flag of a power that gave inf
+        return np.asarray(_FLOAT_POW(base, exponent), dtype=float)
+
+
+def _power(base, exponent, what: str, **params):
+    """``base ** exponent`` by value; ``ValueError`` naming ``what`` when it leaves float range."""
+    return _in_range(_pow_by_value(base, exponent), what, **params)
+
+
+def _rescaled_norms(values: np.ndarray, power_sum, root, *per_row):
+    """``root(power_sum(rows, *per_row))`` row by row, rescaled where a sum leaves float range.
+
+    ``values`` is one row (a 0-d result) or a 2-D array of rows.
+    ``power_sum`` reduces rows along the last axis to sums of weighted q-th
+    powers and ``root`` takes their q-th roots; ``per_row`` holds further
+    arguments of ``power_sum``, arrays with one entry per row or scalars.  A
+    sum that is not finite, or that lies below the smallest normal float
+    although its row is not all zero, is taken again over the row divided
+    by its largest magnitude, and that magnitude multiplies its root.  Every
+    other norm is computed as written and keeps its bits; only a norm that
+    itself leaves float range comes back infinite (or nan).
+    """
+    rows = values if values.ndim == 2 else values[None]
+    with np.errstate(over="ignore"):
+        sums = power_sum(rows, *per_row)
+    norms = root(sums)
+    in_range = (sums >= sys.float_info.min) & (sums <= sys.float_info.max)  # nan is neither
+    if not in_range.all():
+        rescale = ~in_range
+        picked = rows[rescale]
+        top = np.abs(picked).max(axis=-1, initial=0.0)
+        rescale[rescale] = nonzero = top > 0
+        picked, top = picked[nonzero], top[nonzero]
+        args = [x[rescale] if _per_row(x) else x for x in per_row]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf / inf gives nan
+            norms[rescale] = top * root(power_sum(picked / top[:, None], *args))
+    return norms if values.ndim == 2 else norms[0]
+
+
+def _lq_rows(values: np.ndarray, q, what: str, s=0.0) -> np.ndarray:
+    """l^q norm of each row of nonnegative ``values``; q and s a float or one per row.
+
+    A norm that leaves float range raises ``ValueError`` naming ``what``,
+    formatted with that row's q and s.
+    """
+
+    def combine(q, values, s):
+        if math.isinf(q):
+            norms = values.max(axis=-1, initial=0.0)
+        else:
+            norms = _rescaled_norms(
+                values, lambda v: (v**q).sum(axis=-1), lambda t: _pow_by_value(t, 1.0 / q)
+            )
+        return _in_range(norms, what, q=q, s=s)
+
+    return _by_q(q, combine, values, s)
+
+
+def _geometric_lq(head: np.ndarray, q: float, ratio) -> np.ndarray:
+    """l^q norm of each row of ``head`` continued by its geometric tail, for finite q.
+
+    Past its last entry a row goes on geometrically, its q-th powers
+    shrinking by ``ratio`` < 1 (a float or one per row) a step, and that
+    tail is summed in closed form.  Rescaled like every other norm.
+    """
+
+    def power_sum(h, ratio):
+        return (h**q).sum(axis=-1) + _pow_by_value(h[:, -1], q) * ratio / (1.0 - ratio)
+
+    return _rescaled_norms(head, power_sum, lambda t: _pow_by_value(t, 1.0 / q), ratio)
+
+
+_DYADIC_NORM = "the (s, q) = ({s:g}, {q:g}) dyadic norm"
+
+
+def dyadic_norm(f, idx):
+    """The weighted-block norm ||f||_{s,q}; zero exactly on the zero sequence.
+
+    A float for a sequence; for a batch of block norms, one norm per row,
+    with s and q each one value or one per row.
+    """
     idx = as_scale_index(idx)
-    return _lq_combine(_weighted_block_norms(f, idx.s), idx)
+    weighted = _weighted_block_norms(_norm_rows(f), idx.s)
+    return _solo(f, _lq_rows(weighted, idx.q, _DYADIC_NORM, s=idx.s))
 
 
-def truncate(f: DyadicSequence, n: int) -> DyadicSequence:
+def truncate(f, n):
     """S_n f: keep blocks 0..n, zero everything above.
 
-    A projection (idempotent) and a contraction for every dyadic norm.
+    A projection (idempotent) and a contraction for every dyadic norm.  A
+    sequence comes back as a view of its blocks; a batch of block norms as
+    its rows zeroed above ``n``, one level or one per row.
     """
-    if n < 0:
+    if (n.min() if _per_row(n) else n) < 0:
         raise ValueError("truncation level must be >= 0")
+    if not isinstance(f, DyadicSequence):
+        norms = _norm_rows(f)
+        return np.where(np.arange(norms.shape[-1]) <= _column(n), norms, 0.0)
     if n >= f.last_index:
         return f
     head = DyadicSequence(f.base, f.blocks[: n + 1])  # a view of f's buffer
@@ -303,125 +434,157 @@ def tail_norm(f: DyadicSequence, idx, n: int) -> float:
     if n < 0:
         raise ValueError("truncation level must be >= 0")
     idx = as_scale_index(idx)
-    weighted = _weighted_block_norms(f, idx.s)
-    return _lq_combine(weighted[n + 1 :], idx)
+    weighted = _weighted_block_norms(_norm_rows(f), idx.s)[:, n + 1 :]
+    return _solo(f, _lq_rows(weighted, idx.q, _DYADIC_NORM, s=idx.s))
 
 
-def smoothing_gain(f: DyadicSequence, r: float, rp: float, q: float, n: int):
+def smoothing_gain(f, r, rp, q, n):
     """Value and bound for the truncation smoothing estimate.
 
     Returns ``(||S_n f||_{r',q}, 2^{n (r'-r)} ||f||_{r,q})`` for r <= r'.
-    The value never exceeds the bound.
+    The value never exceeds the bound.  For a batch of block norms both
+    come one per row, and each of r, r', q and n is one value or one per
+    row.
     """
-    if not r <= rp:
+    r, rp = _param(r), _param(rp)
+    if not _all(r <= rp):
         raise ValueError(f"need r <= r', got r={r}, r'={rp}")
-    base = dyadic_norm(f, (r, q))  # first, so S_n f takes its block norms from f
-    value = dyadic_norm(truncate(f, n), (rp, q))
-    what = f"the smoothing bound at r={r:g}, r'={rp:g}, n={n}"
-    return value, _in_range(_power(2.0, n * (rp - r), what) * base, what)
+    norms = _norm_rows(f)  # first, so S_n f takes its block norms from f
+    base = dyadic_norm(norms, (r, q))
+    value = dyadic_norm(_norm_rows(truncate(f, n)), (rp, q))
+    what = "the smoothing bound at r={r:g}, r'={rp:g}, n={n}"
+    with np.errstate(over="ignore"):  # an infinite bound is rejected below
+        bound = _power(2.0, n * (rp - r), what, r=r, rp=rp, n=n) * base
+    return _solo(f, value), _solo(f, _in_range(bound, what, r=r, rp=rp, n=n))
 
 
 @dataclass(frozen=True)
 class YoungConvolution:
-    """Convolution of two finitely supported sequences on Z with its l^q bound."""
+    """Convolution of two finitely supported sequences on Z with its l^q bound.
+
+    For a batch ``values`` has one row per pair and ``norm`` and ``bound``
+    one entry per pair.
+    """
 
     start: int
     values: np.ndarray
-    norm: float
-    bound: float
+    norm: float | np.ndarray
+    bound: float | np.ndarray
 
 
-def _seq_lq(values: np.ndarray, q: float) -> float:
-    if values.size == 0:
-        return 0.0
-    if math.isinf(q):
-        return float(np.abs(values).max())
-    return float(np.sum(np.abs(values) ** q) ** (1.0 / q))
-
-
-def young_convolve(u, v, q: float, u_start: int = 0, v_start: int = 0):
+def young_convolve(u, v, q, u_start: int = 0, v_start: int = 0):
     """Convolve u and v over Z and certify ||u*v||_q <= ||u||_1 ||v||_q.
 
     ``u`` and ``v`` are the finitely supported values starting at indices
-    ``u_start`` and ``v_start``.
+    ``u_start`` and ``v_start``: one sequence each, or a batch of pairs as
+    two 2-D arrays of zero-padded rows, with q one value or one per pair.  A
+    norm or bound that leaves float range raises ``ValueError`` naming q.
     """
+    q = as_scale_index((0.0, q)).q
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.size == 0 or v.size == 0:
-        return YoungConvolution(u_start + v_start, np.zeros(0), 0.0, 0.0)
-    conv = np.convolve(u, v)
-    bound = _seq_lq(u, 1.0) * _seq_lq(v, q)
-    return YoungConvolution(u_start + v_start, conv, _seq_lq(conv, q), bound)
+    if u.ndim != v.ndim or u.ndim not in (1, 2) or (u.ndim == 2 and len(u) != len(v)):
+        raise ValueError(f"need two sequences or two batches, got shapes {u.shape}, {v.shape}")
+    us, vs = (u, v) if u.ndim == 2 else (u[None], v[None])
+    a, b = us.shape[-1], vs.shape[-1]
+    conv = np.zeros((len(us), a + b - 1 if a and b else 0))
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: rejected by the norm
+        for lag in range(a if b else 0):
+            conv[:, lag : lag + b] += us[:, lag, None] * vs
+    norm = _lq_rows(np.abs(conv), q, "the l^{q:g} norm of u*v")
+    bound = _lq_rows(np.abs(us), 1.0, "the l^{q:g} norm of u") * _lq_rows(
+        np.abs(vs), q, "the l^{q:g} norm of v"
+    )
+    bound = _in_range(bound, "the Young bound ||u||_1 ||v||_{q:g}", q=q)
+    if u.ndim == 2:
+        return YoungConvolution(u_start + v_start, conv, norm, bound)
+    return YoungConvolution(u_start + v_start, conv[0], float(norm[0]), float(bound[0]))
 
 
-def weighted_smoothing_sum(f: DyadicSequence, r: float, rp: float, q: float):
+def weighted_smoothing_sum(f, r, rp, q):
     """Value and bound of the weighted sum over all truncation levels.
 
     Value is ``( sum_n ( 2^{-n(r'-r)} ||S_n f||_{r',1} )^q )^{1/q}`` (the sup
     over n when q = inf); bound is ``||f||_{r,q} / (1 - 2^{r-r'})``.  Terms
     with n beyond the support are geometric and summed in closed form, so
-    the value is exact up to rounding.  Requires r < r'.
+    the value is exact up to rounding.  Requires r < r'.  For a batch of
+    block norms both come one per row, with r, r' and q each one value or
+    one per row.
     """
-    if not r < rp:
+    r, rp, q = _param(r), _param(rp), _param(q)
+    if not _all(r < rp):
         raise ValueError(f"need r < r', got r={r}, r'={rp}")
-    bound = dyadic_norm(f, (r, q)) / (1.0 - 2.0 ** (r - rp))
-    inner = _weighted_block_norms(f, rp)
-    if inner.size == 0:
-        return 0.0, 0.0
-    partial = np.cumsum(inner)  # ||S_n f||_{r',1} for n = 0..K
-    n = np.arange(inner.size, dtype=float)
-    with np.errstate(invalid="ignore"):  # 0 * inf: a nan value is rejected below
-        terms = np.exp2(-(rp - r) * n) * partial
+    norms = _norm_rows(f)
+    with np.errstate(over="ignore"):  # as a float division would
+        bound = dyadic_norm(norms, (r, q)) / (1.0 - 2.0 ** (r - rp))
+    value = _by_q(q, _weighted_sum, _weighted_block_norms(norms, rp), r, rp)
+    what = "the weighted truncation sum at r={r:g}, r'={rp:g}"
+    return _solo(f, _in_range(value, what, r=r, rp=rp)), _solo(f, bound)
+
+
+def _weighted_sum(q: float, inner: np.ndarray, r, rp) -> np.ndarray:
+    """The weighted truncation sum of each row of r'-weighted block norms ``inner``."""
+    if inner.shape[-1] == 0:
+        return np.zeros(len(inner))
+    partial = np.cumsum(inner, axis=-1)  # ||S_n f||_{r',1} for n = 0..K
+    n = np.arange(inner.shape[-1], dtype=float)
+    with np.errstate(invalid="ignore"):  # 0 * inf: a nan value is rejected by the caller
+        terms = np.exp2(-(_column(rp) - _column(r)) * n) * partial
     if math.isinf(q):
         # beyond the support the weight shrinks while the partial sum is
         # constant, so the sup is attained at some n <= K
-        value = float(terms.max())
-    else:
-        ratio = 2.0 ** (-q * (rp - r))
-        head = float(np.sum(terms**q))
-        geometric_tail = float(terms[-1] ** q) * ratio / (1.0 - ratio)
-        value = (head + geometric_tail) ** (1.0 / q)
-    return _in_range(value, f"the weighted truncation sum at r={r:g}, r'={rp:g}"), bound
+        return terms.max(axis=-1)
+    return _geometric_lq(terms, q, 2.0 ** (-q * (rp - r)))
 
 
-def truncation_power_sum(f: DyadicSequence, r: float, rp: float, q: float):
+def truncation_power_sum(f, r, rp, q):
     """q-th power form of the weighted truncation sum, with its closed bound.
 
     Returns ``(sum_n 2^{-q n (r'-r)} ||S_n f||_{r',q}^q, K ||f||_{r,q}^q)``
     with ``K = 1/(1 - 2^{-q(r'-r)})``.  Swapping the order of summation
     shows the two sides are equal for every finitely supported sequence, so
     the bound is attained; it is still returned as a pair for reporting.
-    Requires finite q and r < r'.
+    Requires finite q and r < r'.  For a batch of block norms both come one
+    per row, with r, r' and q each one value or one per row.
     """
-    if math.isinf(q):
+    r, rp, q = _param(r), _param(rp), _param(q)
+    if np.isinf(q).any():
         raise ValueError("power sum requires finite q")
-    if not r < rp:
+    if not _all(r < rp):
         raise ValueError(f"need r < r', got r={r}, r'={rp}")
-    what = f"the truncation power sum at r={r:g}, r'={rp:g}"
+    what = "the truncation power sum at r={r:g}, r'={rp:g}"
+    norms = _norm_rows(f)
+    constant = 1.0 / (1.0 - 2.0 ** (-q * (rp - r)))
+    norm_q = _power(dyadic_norm(norms, (r, q)), q, what, r=r, rp=rp)
+    with np.errstate(over="ignore"):  # an infinite bound is rejected below
+        bound = _in_range(constant * norm_q, what, r=r, rp=rp)
+    value = _by_q(q, _power_sum, _weighted_block_norms(norms, rp), r, rp)
+    return _solo(f, _in_range(value, what, r=r, rp=rp)), _solo(f, bound)
+
+
+def _power_sum(q: float, inner: np.ndarray, r, rp) -> np.ndarray:
+    """The truncation power sum of each row of r'-weighted block norms ``inner``."""
+    if inner.shape[-1] == 0:
+        return np.zeros(len(inner))
+    partial_q = np.cumsum(inner**q, axis=-1)  # ||S_n f||_{r',q}^q for n = 0..K
+    n = np.arange(inner.shape[-1], dtype=float)
+    with np.errstate(invalid="ignore"):  # 0 * inf: a nan value is rejected by the caller
+        terms = np.exp2(-q * (_column(rp) - _column(r)) * n) * partial_q
     ratio = 2.0 ** (-q * (rp - r))
-    constant = 1.0 / (1.0 - ratio)
-    bound = _in_range(constant * _power(dyadic_norm(f, (r, q)), q, what), what)
-    inner = _weighted_block_norms(f, rp)
-    if inner.size == 0:
-        return 0.0, 0.0
-    partial_q = np.cumsum(inner**q)  # ||S_n f||_{r',q}^q for n = 0..K
-    n = np.arange(inner.size, dtype=float)
-    with np.errstate(invalid="ignore"):  # 0 * inf: a nan value is rejected below
-        terms = np.exp2(-q * (rp - r) * n) * partial_q
-    head = float(np.sum(terms))
-    geometric_tail = float(terms[-1]) * ratio / (1.0 - ratio)
-    return _in_range(head + geometric_tail, what), bound
+    return np.sum(terms, axis=-1) + terms[:, -1] * ratio / (1.0 - ratio)
 
 
 @dataclass(frozen=True)
 class InterpolationBound:
     """actual <= low + high split of a dyadic norm at an intermediate order.
 
-    ``low`` and ``high`` are floats for one split level and arrays, one entry
-    per level, for an array of levels; ``actual`` is always a float.
+    For a sequence ``actual`` is a float, and ``low`` and ``high`` are
+    floats for one split level and arrays, one entry per level, for an
+    array of levels.  For a batch each gains a leading axis of one entry
+    per row.
     """
 
-    actual: float
+    actual: float | np.ndarray
     low: float | np.ndarray
     high: float | np.ndarray
 
@@ -438,9 +601,7 @@ def _split_levels(n_split) -> np.ndarray:
     return levels
 
 
-def interpolation_bound(
-    f: DyadicSequence, s0: float, s: float, s1: float, q: float, n_split
-) -> InterpolationBound:
+def interpolation_bound(f, s0, s, s1, q, n_split) -> InterpolationBound:
     """Two-sided bound for ||f||_{s,q} from the s0 and s1 sup norms.
 
     Splitting f = S_N f + (I - S_N) f at N = ``n_split`` gives
@@ -451,30 +612,36 @@ def interpolation_bound(
     with both geometric sums evaluated in closed form (for q = inf the
     prefactors collapse to 2^{N(s-s0)} and 2^{(N+1)(s-s1)}).  ``n_split`` is
     one int level or a 1-D integer array of levels; the three norms are
-    computed once and the prefactors broadcast over the levels.  Requires
-    s0 < s < s1.
+    computed once and the prefactors broadcast over the levels.  For a
+    batch of block norms each order and q is one value or one per row, and
+    the levels are shared by all rows.  Requires s0 < s < s1.
     """
-    if not (s0 < s < s1):
+    s0, s, s1, q = _param(s0), _param(s), _param(s1), _param(q)
+    if not _all((s0 < s) & (s < s1)):
         raise ValueError(f"need s0 < s < s1, got {s0}, {s}, {s1}")
     n = _split_levels(n_split)
-    actual = dyadic_norm(f, (s, q))
-    m0 = dyadic_norm(f, (s0, math.inf))
-    m1 = dyadic_norm(f, (s1, math.inf))
-    with np.errstate(over="ignore"):  # an overflowing prefactor is rejected below
-        if math.isinf(q):
-            low_factor = 2.0 ** (n * (s - s0))
-            high_factor = 2.0 ** ((n + 1) * (s - s1))
-        else:
-            x = 2.0 ** (q * (s - s0))  # > 1
-            low_factor = ((x ** (n + 1) - 1.0) / (x - 1.0)) ** (1.0 / q)
-            y = 2.0 ** (q * (s - s1))  # < 1
-            high_factor = (y ** (n + 1) / (1.0 - y)) ** (1.0 / q)
-    if not np.isfinite(low_factor).all():
-        raise ValueError("split level too large: the low prefactor overflows")
-    low, high = low_factor * m0, high_factor * m1
-    if n.ndim == 0:
-        return InterpolationBound(actual, float(low), float(high))
-    return InterpolationBound(actual, low, high)
+    norms = _norm_rows(f)
+    actual = dyadic_norm(norms, (s, q))
+    m0 = dyadic_norm(norms, (s0, math.inf))
+    m1 = dyadic_norm(norms, (s1, math.inf))
+
+    def split(q, s0, s, s1, m0, m1):
+        s0, s, s1 = (_column(x, n.ndim) for x in (s0, s, s1))
+        with np.errstate(over="ignore"):  # an overflowing prefactor is rejected below
+            if math.isinf(q):
+                low_factor = 2.0 ** (n * (s - s0))
+                high_factor = 2.0 ** ((n + 1) * (s - s1))
+            else:
+                x = 2.0 ** (q * (s - s0))  # > 1
+                low_factor = ((x ** (n + 1) - 1.0) / (x - 1.0)) ** (1.0 / q)
+                y = 2.0 ** (q * (s - s1))  # < 1
+                high_factor = (y ** (n + 1) / (1.0 - y)) ** (1.0 / q)
+        if not np.isfinite(low_factor).all():
+            raise ValueError("split level too large: the low prefactor overflows")
+        return low_factor * _column(m0, n.ndim), high_factor * _column(m1, n.ndim)
+
+    low, high = _by_q(q, split, s0, s, s1, m0, m1)
+    return InterpolationBound(_solo(f, actual), _solo(f, low), _solo(f, high))
 
 
 def interpolation_theta(s0: float, s: float, s1: float) -> float:

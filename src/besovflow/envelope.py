@@ -20,8 +20,16 @@ import numpy as np
 
 from .dyadic import (
     DyadicSequence,
+    _all,
+    _by_q,
+    _column,
+    _geometric_lq,
     _in_range,
+    _norm_rows,
+    _param,
+    _pow_by_value,
     _rescaled_norms,
+    _solo,
     _weighted_block_norms,
     dyadic_norm,
 )
@@ -41,77 +49,87 @@ GUARD = 8  # envelope entries kept past the support
 
 @dataclass(frozen=True)
 class FrequencyEnvelope:
-    """Envelope values gamma_0..gamma_{K+guard} for a source sequence."""
+    """Envelope values gamma_0..gamma_{K+guard} for a source sequence.
+
+    For a batch of block norms ``gamma`` has one row per sequence, ``s``
+    and ``s1`` are one value or one per row, and the support is the width
+    of the batch.
+    """
 
     gamma: np.ndarray = field(repr=False)
-    s: float
-    s1: float
-    source: DyadicSequence = field(repr=False)
+    s: float | np.ndarray
+    s1: float | np.ndarray
+    source: DyadicSequence | np.ndarray = field(repr=False)
 
     @property
-    def decay_ratio(self) -> float:
+    def decay_ratio(self):
         """Exact per-step decay factor 2^{-(s1-s)} past the support."""
         return 2.0 ** (-(self.s1 - self.s))
 
     @property
     def support(self) -> int:
-        return self.source.support
+        return _norm_rows(self.source).shape[-1]
 
 
-def compute_envelope(f: DyadicSequence, s: float, s1: float) -> FrequencyEnvelope:
+def compute_envelope(f, s, s1) -> FrequencyEnvelope:
     """Envelope of f for the order pair s < s1.
 
     Values are stored for n = 0..support+GUARD-1; entries past the support
-    are produced by the exact geometric recursion.  Raises ``ValueError``
-    when an envelope value leaves float range.
+    are produced by the exact geometric recursion, as repeated products.
+    ``f`` is a sequence or a batch of block norms, with s and s1 then one
+    value or one per row.  Raises ``ValueError`` when an envelope value
+    leaves float range.
     """
-    if not s < s1:
+    s, s1 = _param(s), _param(s1)
+    if not _all(s < s1):
         raise ValueError(f"need s < s1, got s={s}, s1={s1}")
-    k = f.support
-    ratio = 2.0 ** (-(s1 - s))
-    gamma = np.zeros(max(k, 1) + GUARD)
+    norms = _norm_rows(f)
+    k = norms.shape[-1]
+    gamma = np.zeros((len(norms), max(k, 1) + GUARD))
     if k > 0:
         n = np.arange(k, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):  # inf or 0 * inf: rejected below
-            gamma[:k] = np.exp2(-(s1 - s) * n) * np.cumsum(_weighted_block_norms(f, s1))
-        _in_range(gamma[:k], f"the envelope at orders s={s:g}, s1={s1:g}")
-        for n in range(k, gamma.size):
-            gamma[n] = gamma[n - 1] * ratio
+            partial = _weighted_block_norms(norms, s1).cumsum(axis=-1)
+            gamma[:, :k] = np.exp2(-(_column(s1) - _column(s)) * n) * partial
+        _in_range(gamma[:, :k], "the envelope at orders s={s:g}, s1={s1:g}", s=s, s1=s1)
+        past = gamma[:, k - 1 :]  # gamma_{n+1} = gamma_n 2^{-(s1-s)} from the last support index
+        past[:, 1:] = _column(2.0 ** (-(s1 - s)))
+        past.cumprod(axis=-1, out=past)
     gamma.setflags(write=False)
-    return FrequencyEnvelope(gamma=gamma, s=s, s1=s1, source=f)
+    return FrequencyEnvelope(gamma=_solo(f, gamma), s=s, s1=s1, source=f)
 
 
-def gamma_lq_norm(env: FrequencyEnvelope, q: float) -> float:
+def gamma_lq_norm(env: FrequencyEnvelope, q):
     """l^q norm of the full envelope, geometric tail included.
 
     Past the support the envelope is exactly geometric with ratio
     2^{-(s1-s)} < 1, so for finite q the tail sum is added in closed form;
     for q = inf the sup is attained at or before the last support index.
-    Raises ``ValueError`` when the norm leaves float range.
+    For a batch, one norm per row, with q one value or one per row.  Raises
+    ``ValueError`` when the norm leaves float range.
     """
     k = env.support
+    gamma = env.gamma.reshape(-1, env.gamma.shape[-1])
     if k == 0:
-        return 0.0
-    head = env.gamma[:k]
-    if math.isinf(q):
-        return float(head.max())
-    rho = env.decay_ratio**q
+        return _solo(env.source, np.zeros(len(gamma)))
 
-    def power_sum(h):
-        return np.sum(h**q) + float(h[-1]) ** q * rho / (1.0 - rho)
+    def combine(q, head, decay):
+        if math.isinf(q):
+            return head.max(axis=-1)
+        return _in_range(_geometric_lq(head, q, decay**q), "the l^{q:g} norm of the envelope", q=q)
 
-    norm = float(_rescaled_norms(head, power_sum, lambda t: t ** (1.0 / q)))
-    return _in_range(norm, f"the l^{q:g} norm of the envelope")
+    return _solo(env.source, _by_q(_param(q), combine, gamma[:, :k], env.decay_ratio))
 
 
-def envelope_equivalence(f: DyadicSequence, s: float, q: float, s1: float):
+def envelope_equivalence(f, s, q, s1):
     """The sandwich (1 - 2^{s-s1}) ||gamma||_q <= ||f||_{s,q} <= ||gamma||_q.
 
-    Returns the triple (lower, mid, upper).
+    Returns the triple (lower, mid, upper): floats for a sequence, one
+    entry per row for a batch of block norms.
     """
     env = compute_envelope(f, s, s1)
     gnorm = gamma_lq_norm(env, q)
-    lower = (1.0 - 2.0 ** (s - s1)) * gnorm
+    lower = (1.0 - 2.0 ** (env.s - env.s1)) * gnorm
     mid = dyadic_norm(f, (s, q))
     return lower, mid, gnorm
 
@@ -148,10 +166,13 @@ def c_tail_lq(env: FrequencyEnvelope, n: int, q: float) -> float:
     else:
 
         def power_sum(g):  # c_n .. c_{last-1}, then the tail from c_last in closed form
-            return np.sum((g[:-1] + g[1:]) ** q) + float(g[-1] * (1.0 + rho)) ** q / (1.0 - rho**q)
+            tail_q = _pow_by_value(g[:, -1] * (1.0 + rho), q) / (1.0 - rho**q)
+            return np.sum((g[:, :-1] + g[:, 1:]) ** q, axis=-1) + tail_q
 
-        tail = float(_rescaled_norms(gamma[n : last + 1], power_sum, lambda t: t ** (1.0 / q)))
-    return _in_range(tail, f"the l^{q:g} envelope tail from n={n}")
+        tail = float(
+            _rescaled_norms(gamma[n : last + 1], power_sum, lambda t: _pow_by_value(t, 1.0 / q))
+        )
+    return _in_range(tail, "the l^{q:g} envelope tail from n={n}", q=q, n=n)
 
 
 def envelope_report_rows(env: FrequencyEnvelope) -> list:

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dyadic import DyadicSequence, _frozen, _rescaled_norms, dyadic_norm
+from .dyadic import DyadicSequence, _frozen, _pow_by_value, _rescaled_norms, dyadic_norm
 from .pseudonorm import PseudoNormedSpace
 
 __all__ = [
@@ -341,11 +341,7 @@ def lp_norm(u, p: float) -> float | np.ndarray:
         norms = _rescaled_norms(
             values,
             lambda v: TAU / v.shape[-1] * np.sum(np.abs(v) ** p, axis=-1),
-            # root taken value by value: numpy's vectorized power can
-            # differ from the scalar one in the last bit
-            lambda sums: np.array([total ** (1.0 / p) for total in sums.flat]).reshape(
-                sums.shape
-            ),
+            lambda sums: _pow_by_value(sums, 1.0 / p),
         )
     return norms if values.ndim > 1 else float(norms)
 

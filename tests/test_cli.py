@@ -32,6 +32,16 @@ def read_all_reports(directory):
     return out
 
 
+PLANTED_ROW = 2  # the trial whose row of a batched result a planted failure corrupts
+
+
+def with_row(values, source):
+    """A copy of per-trial ``values`` whose planted row is taken from ``source``."""
+    values = np.array(values, dtype=float)
+    values[PLANTED_ROW] = np.broadcast_to(source, values.shape)[PLANTED_ROW]
+    return values
+
+
 class TestConfigValidation:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "--quiet"]) == EXIT_CONFIG
@@ -197,28 +207,36 @@ class TestCommands:
         assert not any(suites.values())
         assert [f["suite"] for f in report["failures"]] == ["interpolation_bound"]
 
-    # suite -> (module, function, corruption of its result, keys of the record).
-    # Each suite's function is corrupted on one call only: trial 2 of 5.
+    # suite -> (module, function, corruption of its batched result, keys of
+    # the record).  Each suite's 5 trials are one batched call, corrupted in
+    # the row of trial 2 only.
     PLANTED = {
         "smoothing_gain": (
-            "dyadic", "smoothing_gain", lambda r: (2.0 * r[1], r[1]), {"check", "trial"}
+            "dyadic", "smoothing_gain", lambda r: (with_row(r[0], 2.0 * r[1]), r[1]),
+            {"check", "trial"},
         ),
         "weighted_smoothing_sum": (
-            "dyadic", "weighted_smoothing_sum", lambda r: (2.0 * r[1], r[1]), {"check", "trial"}
+            "dyadic", "weighted_smoothing_sum", lambda r: (with_row(r[0], 2.0 * r[1]), r[1]),
+            {"check", "trial"},
         ),
         "truncation_power_sum": (
-            "dyadic", "truncation_power_sum", lambda r: (r[0], 2.0 * r[0]), {"check", "trial"}
+            "dyadic", "truncation_power_sum", lambda r: (r[0], with_row(r[1], 2.0 * r[0])),
+            {"check", "trial"},
         ),
         "young_convolution": (
-            "dyadic", "young_convolve", lambda r: replace(r, bound=r.norm / 2), {"check", "trial"}
+            "dyadic", "young_convolve",
+            lambda r: replace(r, bound=with_row(r.bound, r.norm / 2)), {"check", "trial"},
         ),
         "envelope_equivalence": (
-            "envelope", "envelope_equivalence", lambda r: (r[0], r[1], r[1] / 2),
+            "envelope", "envelope_equivalence", lambda r: (r[0], r[1], with_row(r[2], r[1] / 2)),
             {"check", "trial"},
         ),
         "interpolation_bound": (
             "dyadic", "interpolation_bound",
-            lambda r: replace(r, low=r.low * 1e-3, high=r.high * 1e-3), {"check", "trial", "n"},
+            lambda r: replace(
+                r, low=with_row(r.low, r.low * 1e-3), high=with_row(r.high, r.high * 1e-3)
+            ),
+            {"check", "trial", "n"},
         ),
     }
 
@@ -247,7 +265,7 @@ class TestCommands:
     @pytest.mark.parametrize("suite", sorted(PLANTED))
     def test_verify_records_one_planted_failure(self, tmp_path, monkeypatch, suite):
         module, name, corrupt, keys = self.PLANTED[suite]
-        report = self.run_planted_verify(tmp_path, monkeypatch, module, name, corrupt, 2)
+        report = self.run_planted_verify(tmp_path, monkeypatch, module, name, corrupt, 0)
         suites = {entry["name"]: entry["violations"] for entry in report["suites"]}
         [record] = suites.pop(suite)
         assert not any(suites.values())
@@ -259,19 +277,21 @@ class TestCommands:
     def test_verify_records_slow_variation_at_the_worst_level(
         self, tmp_path, monkeypatch, zero_at, level
     ):
-        # the envelope suite's 5 trials call compute_envelope first, so
-        # slow-variation trial 2 is call 7.  Its envelope gets ratio 2 at
-        # level 3 and, with a zero at ``zero_at``, a positive gamma over a
-        # zero bound one level below, which counts as an infinite ratio
+        # the envelope suite's batched call reaches compute_envelope first,
+        # so the slow-variation batch is call 1.  Trial 2's envelope gets
+        # ratio 2 at level 3 and, with a zero at ``zero_at``, a positive
+        # gamma over a zero bound one level below, which counts as an
+        # infinite ratio
         def spike(env):
             gamma = env.gamma.copy()
-            gamma[3] = 2.0 * 2.0 ** (env.s1 - env.s) * gamma[4]
+            row = gamma[PLANTED_ROW]
+            row[3] = 2.0 * 2.0 ** (env.s1[PLANTED_ROW] - env.s[PLANTED_ROW]) * row[4]
             if zero_at is not None:
-                gamma[zero_at] = 0.0
+                row[zero_at] = 0.0
             return replace(env, gamma=gamma)
 
         report = self.run_planted_verify(
-            tmp_path, monkeypatch, "envelope", "compute_envelope", spike, 7
+            tmp_path, monkeypatch, "envelope", "compute_envelope", spike, 1
         )
         suites = {entry["name"]: entry["violations"] for entry in report["suites"]}
         assert suites.pop("envelope_slow_variation") == [
@@ -283,7 +303,8 @@ class TestCommands:
     def test_power_sum_identity_is_relative_below_one(self, tmp_path, monkeypatch, pair):
         # 5e-10 apart: within an absolute 1e-9, but 1e-8 apart relative to the bound
         report = self.run_planted_verify(
-            tmp_path, monkeypatch, "dyadic", "truncation_power_sum", lambda r: pair, 2
+            tmp_path, monkeypatch, "dyadic", "truncation_power_sum",
+            lambda r: (with_row(r[0], pair[0]), with_row(r[1], pair[1])), 0,
         )
         assert report["failures"] == [
             {"suite": "truncation_power_sum",
@@ -709,6 +730,64 @@ class TestEvaluationPlan:
         )
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
         assert mapped and len(mapped) == len(set(mapped))
+
+
+class TestBatchedVerify:
+    """Each verify suite evaluates a chunk of trials in one batched call."""
+
+    # the function each suite's chunk goes through; compute_envelope serves
+    # the slow-variation suite and envelope_equivalence, so twice per chunk
+    BATCHED = (
+        ("dyadic", "smoothing_gain", 1),
+        ("dyadic", "weighted_smoothing_sum", 1),
+        ("dyadic", "truncation_power_sum", 1),
+        ("dyadic", "young_convolve", 1),
+        ("envelope", "envelope_equivalence", 1),
+        ("envelope", "compute_envelope", 2),
+        ("dyadic", "interpolation_bound", 1),
+    )
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_one_batched_call_per_suite_and_chunk(self, monkeypatch, chunk):
+        import importlib
+
+        import besovflow.cli as cli
+
+        if chunk is not None:
+            monkeypatch.setattr(cli, "VERIFY_CHUNK", chunk)
+        calls = {}
+        for module, name, _ in self.BATCHED + (("dyadic", "random_sequence", None),):
+            target = importlib.import_module(f"besovflow.{module}")
+
+            def counted(*args, _name=name, _original=getattr(target, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(target, name, counted)
+        cli._verify_suites(np.random.default_rng(12), 200)
+        chunks = -(-200 // cli.VERIFY_CHUNK)
+        # draws stay per trial: six suites draw one sequence per trial
+        assert calls == {name: per * chunks for _, name, per in self.BATCHED} | {
+            "random_sequence": 6 * 200
+        }
+
+    def test_chunk_size_changes_no_report_byte_nor_the_generator(self, tmp_path, monkeypatch):
+        import besovflow.cli as cli
+
+        trials = cli.VERIFY_CHUNK + 44  # two chunks at the default size
+        payload = {"schema_version": 1, "command": "verify", "seed": 3, "trials": trials}
+        cfg = write_config(tmp_path / "c.json", payload)
+        reports, states = [], []
+        for chunk in (1, 7, cli.VERIFY_CHUNK):
+            monkeypatch.setattr(cli, "VERIFY_CHUNK", chunk)
+            out = tmp_path / str(chunk)
+            assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+            reports.append(read_all_reports(out))
+            rng = np.random.default_rng(3)
+            cli._verify_suites(rng, trials)
+            states.append(rng.bit_generator.state)
+        assert reports[0] == reports[1] == reports[2]
+        assert states[0] == states[1] == states[2]
 
 
 class TestDeterminism:

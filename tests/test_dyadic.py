@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,8 +252,28 @@ class TestYoungConvolve:
                 result = young_convolve(u, v, q)
                 assert result.norm <= result.bound * (1 + 1e-12)
 
+    @pytest.mark.parametrize("value", [1e200, 1e-200])
+    def test_norm_survives_power_sum_over_and_underflow(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = young_convolve([value, value], [1.0], 2.0)
+        assert result.norm == pytest.approx(math.sqrt(2.0) * value, rel=1e-13, abs=0.0)
+        assert result.bound == pytest.approx(2.0 * value, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, INF])
+    def test_out_of_range_convolution_raises(self, q):
+        with pytest.raises(ValueError, match=rf"l\^{q:g} norm of u\*v leaves float range"):
+            young_convolve([1e200], [1e200], q)
+
 
 class TestWeightedSmoothingSum:
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("value", [1e200, 1e-200])
+    def test_in_range_sum_survives_power_sum_over_and_underflow(self, value, q):
+        unit = weighted_smoothing_sum(scalar_seq(1.0, 1.0), 0.0, 1.0, q)
+        scaled = weighted_smoothing_sum(scalar_seq(value, value), 0.0, 1.0, q)
+        assert scaled == pytest.approx((value * unit[0], value * unit[1]), rel=1e-13, abs=0.0)
+
     def test_single_block_constant(self):
         # sup_n 2^-n ||S_n f||_{1,1} = 1 against 1/(1 - 2^-1) = 2
         f = scalar_seq(1.0)
