@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from besovflow.dyadic import (
+    DyadicSequence,
     interpolation_bound,
     random_sequence,
     smoothing_gain,
@@ -18,6 +19,12 @@ from besovflow.dyadic import (
     weighted_smoothing_sum,
     young_convolve,
 )
+from besovflow.pseudonorm import scalar_abs_space
+
+
+def random_scalar_sequence(rng, max_support, log2_range):
+    """A random sequence over the scalars, wrapped from its row of block norms."""
+    return DyadicSequence(scalar_abs_space(), random_sequence(rng, max_support, log2_range))
 
 
 def main():
@@ -28,19 +35,19 @@ def main():
 
     print("\nSmoothing gain  ||S_n f||_{r',q} <= 2^{n(r'-r)} ||f||_{r,q}:")
     for _ in range(5):
-        f = random_sequence(rng, max_support=12, log2_range=(-6, 6))
+        f = random_scalar_sequence(rng, max_support=12, log2_range=(-6, 6))
         r, rp, n = -0.5, 1.5, int(rng.integers(0, 8))
         value, bound = smoothing_gain(f, r, rp, 2.0, n)
         print(f"  n={n}: value {value:12.4e} <= bound {bound:12.4e}")
 
     print("\nWeighted truncation sum against ||f||_{r,q}/(1 - 2^{r-r'}):")
     for q in (1.0, 2.0, math.inf):
-        f = random_sequence(rng, max_support=12, log2_range=(-6, 6))
+        f = random_scalar_sequence(rng, max_support=12, log2_range=(-6, 6))
         value, bound = weighted_smoothing_sum(f, 0.0, 1.0, q)
         print(f"  q={q}: value {value:12.4e} <= bound {bound:12.4e}")
 
     print("\nPower-form truncation sum (the bound is attained exactly):")
-    f = random_sequence(rng, max_support=10, log2_range=(-4, 4))
+    f = random_scalar_sequence(rng, max_support=10, log2_range=(-4, 4))
     value, bound = truncation_power_sum(f, 0.0, 1.0, 2.0)
     print(f"  value {value:.12e}")
     print(f"  bound {bound:.12e}")
@@ -53,7 +60,7 @@ def main():
         print(f"  q={q}: norm {result.norm:10.4f} <= bound {result.bound:10.4f}")
 
     print("\nInterpolation split at the best level N:")
-    f = random_sequence(rng, max_support=10, log2_range=(-4, 4))
+    f = random_scalar_sequence(rng, max_support=10, log2_range=(-4, 4))
     s0, s, s1, q = 0.0, 1.0, 2.0, 2.0
     # one call bounds every split level: the three norms are taken once
     parts = interpolation_bound(f, s0, s, s1, q, np.arange(f.support + 4))

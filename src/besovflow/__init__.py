@@ -1,12 +1,10 @@
 """Dyadic sequence spaces, Littlewood-Paley analysis, and flow-map continuity checks."""
 
 from .pseudonorm import (
-    GradedSeminormFamily,
     KindMismatchError,
     PseudoNormedSpace,
     axiom_probe,
     eval_pseudo_norm,
-    local_pseudo_norm,
     scalar_abs_space,
 )
 from .dyadic import (
@@ -14,10 +12,8 @@ from .dyadic import (
     ScaleIndex,
     dyadic_norm,
     interpolation_bound,
-    interpolation_theta,
     random_sequence,
     smoothing_gain,
-    tail_norm,
     truncate,
     truncation_power_sum,
     weighted_smoothing_sum,

@@ -363,9 +363,10 @@ def _verify_suites(rng, trials):
 
     Each suite draws its trials one at a time, with the generator calls of
     a per-trial loop, and evaluates every chunk of ``VERIFY_CHUNK`` trials
-    in one call of its batched function: the chunk's sequences are the
-    zero-padded rows of one array of block norms.  Levels past a row's own
-    range (its split levels, its stored envelope) are masked per row.
+    in one call of its batched function: each trial's sequence is drawn as
+    its row of block norms, and the chunk's rows are zero-padded into one
+    array.  Levels past a row's own range (its split levels, its stored
+    envelope) are masked per row.
     """
     suites = []
 
@@ -400,34 +401,31 @@ def _verify_suites(rng, trials):
     def random_q():
         return q_values[rng.integers(3)]
 
-    def norms(seqs) -> np.ndarray:
-        return _padded([f.block_norms for f in seqs])
-
     def smoothing_draw():
         f = dyadic.random_sequence(rng)
         r, rp = random_orders()
         q = random_q()
-        return f, r, rp, q, int(rng.integers(0, f.support + 4))
+        return f, r, rp, q, int(rng.integers(0, len(f) + 4))
 
-    def smoothing(seqs, *params):
-        return [dyadic.smoothing_gain(norms(seqs), *map(np.array, params))]
+    def smoothing(rows, *params):
+        return [dyadic.smoothing_gain(_padded(rows), *map(np.array, params))]
 
     def weighted_draw():
         f = dyadic.random_sequence(rng)
         r, rp = random_orders()
         return f, r, rp, random_q()
 
-    def weighted(seqs, *params):
-        return [dyadic.weighted_smoothing_sum(norms(seqs), *map(np.array, params))]
+    def weighted(rows, *params):
+        return [dyadic.weighted_smoothing_sum(_padded(rows), *map(np.array, params))]
 
     def power_sum_draw():
         f = dyadic.random_sequence(rng, log2_range=(-8.0, 8.0))
         r, rp = random_orders()
         return f, r, rp, q_values[rng.integers(2)]
 
-    def power_sum(seqs, *params):
+    def power_sum(rows, *params):
         # an identity: two one-sided checks
-        value, bound = dyadic.truncation_power_sum(norms(seqs), *map(np.array, params))
+        value, bound = dyadic.truncation_power_sum(_padded(rows), *map(np.array, params))
         return [(value, bound), (bound, value)]
 
     def young_draw():
@@ -446,9 +444,9 @@ def _verify_suites(rng, trials):
         s1 = s + float(rng.uniform(0.1, 2.0))
         return f, s, s1, random_q()
 
-    def envelope(seqs, s, s1, q):
+    def envelope(rows, s, s1, q):
         lower, mid, upper = envelope_mod.envelope_equivalence(
-            norms(seqs), np.array(s), np.array(q), np.array(s1)
+            _padded(rows), np.array(s), np.array(q), np.array(s1)
         )
         return [(lower, mid), (mid, upper)]
 
@@ -457,19 +455,19 @@ def _verify_suites(rng, trials):
         s = float(rng.uniform(-2.0, 2.0))
         return f, s, s + float(rng.uniform(0.1, 2.0))
 
-    def slow_variation(seqs, s, s1):
+    def slow_variation(rows, s, s1):
         # gamma_n <= 2^{s1-s} gamma_{n+1}, checked at the level of largest
         # ratio among the levels a row's own envelope stores; a positive
         # gamma_n over a zero bound counts as infinite
         s, s1 = np.array(s), np.array(s1)
-        gamma = envelope_mod.compute_envelope(norms(seqs), s, s1).gamma
+        gamma = envelope_mod.compute_envelope(_padded(rows), s, s1).gamma
         lhs, rhs = gamma[:, :-1], (2.0 ** (s1 - s))[:, None] * gamma[:, 1:]
         ratio = np.divide(lhs, rhs, out=np.where(lhs > 0, np.inf, 0.0), where=rhs > 0)
-        last = np.array([f.support for f in seqs]) + envelope_mod.GUARD - 2
+        last = np.array([len(f) for f in rows]) + envelope_mod.GUARD - 2
         ratio[np.arange(ratio.shape[1]) > last[:, None]] = -np.inf
         n = ratio.argmax(axis=1)
-        rows = np.arange(len(n))
-        return [(lhs[rows, n], rhs[rows, n], n)]
+        trial = np.arange(len(n))
+        return [(lhs[trial, n], rhs[trial, n], n)]
 
     def interpolation_draw():
         f = dyadic.random_sequence(rng, log2_range=(-8.0, 8.0))
@@ -478,12 +476,12 @@ def _verify_suites(rng, trials):
         s = float(rng.uniform(s0 + 0.1, s1 - 0.1))
         return f, s0, s, s1, random_q()
 
-    def interpolation(seqs, *params):
-        batch = norms(seqs)
+    def interpolation(rows, *params):
+        batch = _padded(rows)
         levels = np.arange(batch.shape[1] + 4)  # each row splits at 0 .. its support + 3
         parts = dyadic.interpolation_bound(batch, *map(np.array, params), levels)
         bounds = parts.low + parts.high
-        bounds[levels > np.array([f.support + 3 for f in seqs])[:, None]] = np.inf
+        bounds[levels > np.array([len(f) + 3 for f in rows])[:, None]] = np.inf
         n = bounds.argmin(axis=1)
         return [(parts.actual, bounds[np.arange(len(n)), n], n)]
 

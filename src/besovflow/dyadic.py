@@ -44,7 +44,6 @@ __all__ = [
     "DyadicSequence",
     "dyadic_norm",
     "truncate",
-    "tail_norm",
     "smoothing_gain",
     "YoungConvolution",
     "young_convolve",
@@ -52,7 +51,6 @@ __all__ = [
     "truncation_power_sum",
     "InterpolationBound",
     "interpolation_bound",
-    "interpolation_theta",
     "random_sequence",
     "sequence_report",
 ]
@@ -103,10 +101,8 @@ def _read_only(values, dtype=float) -> np.ndarray:
 
 
 def _block_array(base: PseudoNormedSpace, blocks) -> np.ndarray:
-    """Blocks as one read-only array, (K+1,) or (K+1, N), from an array or the elements."""
+    """Blocks as one read-only array, (K+1,) or (K+1, N)."""
     ndim = _BLOCK_NDIM[base.element_kind]
-    if ndim == 2 and not isinstance(blocks, np.ndarray):
-        blocks = [entry.values for entry in blocks]
     blocks = _read_only(blocks)
     if blocks.ndim != ndim and blocks.size:
         raise ValueError(f"{base.element_kind} blocks need a {ndim}-D array, got {blocks.shape}")
@@ -118,9 +114,8 @@ class DyadicSequence:
     """Finite-support sequence of base-space elements.
 
     ``blocks`` holds f_0 .. f_K as one read-only float array, (K+1,) over a
-    scalar space and (K+1, N) over a grid space, built from that array or
-    from the elements; ``entries`` rebuilds the elements on access.  The
-    block norms come from one :func:`eval_pseudo_norm` call on ``blocks``.
+    scalar space and (K+1, N) over a grid space.  The block norms come from
+    one :func:`eval_pseudo_norm` call on ``blocks``.
     Blocks beyond K are zero.  Sequences are immutable; arithmetic returns new
     sequences and pads the shorter operand with zero blocks.
     """
@@ -141,15 +136,6 @@ class DyadicSequence:
     @property
     def last_index(self) -> int:
         return len(self.blocks) - 1
-
-    @property
-    def entries(self) -> tuple:
-        """Blocks f_0 .. f_K as base-space elements, rebuilt on each access."""
-        if self.base.element_kind == "scalar":
-            return tuple(self.blocks.tolist())
-        from .littlewood_paley import GridFunction  # that module imports this one
-
-        return tuple(GridFunction(row) for row in self.blocks)
 
     @cached_property
     def block_norms(self) -> np.ndarray:
@@ -424,18 +410,9 @@ def truncate(f, n):
         return f
     head = DyadicSequence(f.base, f.blocks[: n + 1])  # a view of f's buffer
     object.__setattr__(head, "_digests", f._digests)
-    if "block_norms" in f.__dict__:  # so the head rebuilds no block elements
+    if "block_norms" in f.__dict__:  # so the head evaluates no block norms again
         head.__dict__["block_norms"] = f.block_norms[: n + 1]
     return head
-
-
-def tail_norm(f: DyadicSequence, idx, n: int) -> float:
-    """||f - S_n f||_{s,q}: the norm of blocks above level n."""
-    if n < 0:
-        raise ValueError("truncation level must be >= 0")
-    idx = as_scale_index(idx)
-    weighted = _weighted_block_norms(_norm_rows(f), idx.s)[:, n + 1 :]
-    return _solo(f, _lq_rows(weighted, idx.q, _DYADIC_NORM, s=idx.s))
 
 
 def smoothing_gain(f, r, rp, q, n):
@@ -466,19 +443,18 @@ class YoungConvolution:
     one entry per pair.
     """
 
-    start: int
     values: np.ndarray
     norm: float | np.ndarray
     bound: float | np.ndarray
 
 
-def young_convolve(u, v, q, u_start: int = 0, v_start: int = 0):
+def young_convolve(u, v, q):
     """Convolve u and v over Z and certify ||u*v||_q <= ||u||_1 ||v||_q.
 
-    ``u`` and ``v`` are the finitely supported values starting at indices
-    ``u_start`` and ``v_start``: one sequence each, or a batch of pairs as
-    two 2-D arrays of zero-padded rows, with q one value or one per pair.  A
-    norm or bound that leaves float range raises ``ValueError`` naming q.
+    ``u`` and ``v`` are the finitely supported values, both starting at the
+    same index: one sequence each, or a batch of pairs as two 2-D arrays of
+    zero-padded rows, with q one value or one per pair.  A norm or bound
+    that leaves float range raises ``ValueError`` naming q.
     """
     q = as_scale_index((0.0, q)).q
     u = np.asarray(u, dtype=float)
@@ -497,8 +473,8 @@ def young_convolve(u, v, q, u_start: int = 0, v_start: int = 0):
     )
     bound = _in_range(bound, "the Young bound ||u||_1 ||v||_{q:g}", q=q)
     if u.ndim == 2:
-        return YoungConvolution(u_start + v_start, conv, norm, bound)
-    return YoungConvolution(u_start + v_start, conv[0], float(norm[0]), float(bound[0]))
+        return YoungConvolution(conv, norm, bound)
+    return YoungConvolution(conv[0], float(norm[0]), float(bound[0]))
 
 
 def weighted_smoothing_sum(f, r, rp, q):
@@ -644,34 +620,27 @@ def interpolation_bound(f, s0, s, s1, q, n_split) -> InterpolationBound:
     return InterpolationBound(_solo(f, actual), _solo(f, low), _solo(f, high))
 
 
-def interpolation_theta(s0: float, s: float, s1: float) -> float:
-    """Interpolation weight (s1 - s)/(s1 - s0) for the order triple."""
-    if not (s0 < s < s1):
-        raise ValueError(f"need s0 < s < s1, got {s0}, {s}, {s1}")
-    return (s1 - s) / (s1 - s0)
-
-
 _SIGNS = np.array([-1.0, 1.0])
+_ABS = scalar_abs_space()
 
 
 def random_sequence(
-    rng: np.random.Generator,
-    base: PseudoNormedSpace | None = None,
-    max_support: int = 32,
-    log2_range=(-20.0, 20.0),
-) -> DyadicSequence:
-    """Random scalar sequence for property sweeps.
+    rng: np.random.Generator, max_support: int = 32, log2_range=(-20.0, 20.0)
+) -> np.ndarray:
+    """Block norms of a random scalar sequence for property sweeps.
 
-    Support length is uniform in [1, max_support]; entry magnitudes are
-    log-uniform in 2^[log2_range], stressing both decaying and growing
-    weight regimes; signs are random.
+    Returns the read-only 1-D row ||f_0|| .. ||f_K||, the form the batched
+    norms and inequalities take (zero-padded into a 2-D batch) and that
+    ``DyadicSequence(scalar_abs_space(), row)`` wraps.  Its length K + 1 is
+    uniform in [1, max_support]; entries are log-uniform in 2^[log2_range],
+    stressing both decaying and growing weight regimes.  The entries are
+    the absolute values of randomly signed blocks, so the generator makes
+    the draws of a signed sequence.
     """
-    if base is None:
-        base = scalar_abs_space()
     size = int(rng.integers(1, max_support + 1))
     mags = np.exp2(rng.uniform(log2_range[0], log2_range[1], size))
     signs = _SIGNS[rng.integers(0, 2, size)]  # same draws as rng.choice(_SIGNS, size)
-    return DyadicSequence(base, _frozen(signs * mags))
+    return _frozen(eval_pseudo_norm(_ABS, signs * mags))
 
 
 def sequence_report(f: DyadicSequence) -> dict:

@@ -56,7 +56,6 @@ __all__ = [
     "make_flow",
     "block_time_norms",
     "chemin_lerner_norm",
-    "chemin_lerner_sup_norm",
     "lmu_time_sobolev_norm",
     "flow_as_sequence_map",
     "TimeContinuityReport",
@@ -586,11 +585,6 @@ def chemin_lerner_norm(traj: Trajectory, s: float, bank: FilterBank) -> float:
     """
     blocks = block_time_norms(traj, bank, s)
     return float(np.sqrt(np.sum(blocks**2)))
-
-
-def chemin_lerner_sup_norm(traj: Trajectory, s: float, bank: FilterBank) -> float:
-    """sup over blocks of the per-block time norm; below the L^mu H^s norm."""
-    return float(block_time_norms(traj, bank, s).max())
 
 
 def lmu_time_sobolev_norm(traj: Trajectory, s: float) -> float:

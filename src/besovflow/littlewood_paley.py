@@ -390,14 +390,12 @@ def bessel_potential(u: GridFunction, s: float) -> GridFunction:
 
 
 def besov_norm(u: GridFunction, s: float, p: float, q: float, bank: FilterBank):
-    """Blockwise Besov norm ( sum_j 2^{q j s} ||Delta_j u||_{L^p}^q )^{1/q}."""
-    if p < 1:
-        raise ValueError("integrability p must be >= 1")
-    block_lp = lp_norm(decompose(u, bank).blocks, p)
-    weighted = np.exp2(s * np.arange(block_lp.size)) * block_lp
-    if math.isinf(q):
-        return float(weighted.max())
-    return float(np.sum(weighted**q) ** (1.0 / q))
+    """Blockwise Besov norm ( sum_j 2^{q j s} ||Delta_j u||_{L^p}^q )^{1/q}.
+
+    The (s, q) dyadic norm of the L^p block norms, so it is rescaled and
+    range-checked like every other dyadic norm.
+    """
+    return float(dyadic_norm(lp_norm(decompose(u, bank).blocks, p)[None], (s, q))[0])
 
 
 def reconstruction_stability_ratio(

@@ -1,9 +1,8 @@
 """Pseudo-norms: symmetric, subadditive, point-separating functionals.
 
-A pseudo-norm drops homogeneity, which admits local-space constructions of
-the form ``sum_n 2^-n rho_n/(1 + rho_n)`` alongside ordinary norms.  The
-concrete spaces used throughout the package (absolute value on scalars,
-quadrature L2 on torus grids) are instances of :class:`PseudoNormedSpace`.
+A pseudo-norm drops homogeneity.  The concrete spaces used throughout the
+package (absolute value on scalars, quadrature L2 on torus grids) are
+instances of :class:`PseudoNormedSpace`.
 
 Two rules hold for every space.  Evaluation: :func:`eval_pseudo_norm` takes
 the block array of a dyadic sequence over the space ((K+1,) scalars or
@@ -24,9 +23,7 @@ import numpy as np
 __all__ = [
     "KindMismatchError",
     "PseudoNormedSpace",
-    "GradedSeminormFamily",
     "eval_pseudo_norm",
-    "local_pseudo_norm",
     "AxiomProbeReport",
     "axiom_probe",
     "scalar_abs_space",
@@ -60,22 +57,6 @@ class PseudoNormedSpace:
             raise ValueError(f"unknown element kind {self.element_kind!r}")
 
 
-@dataclass(frozen=True)
-class GradedSeminormFamily:
-    """An ordered family rho_1 <= rho_2 <= ... of seminorms.
-
-    The family is combined into a single bounded pseudo-norm by
-    :func:`local_pseudo_norm` with weights 2^-n, n = 1, 2, ...
-    """
-
-    seminorms: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "seminorms", tuple(self.seminorms))
-        if not self.seminorms:
-            raise ValueError("seminorm family must be nonempty")
-
-
 def eval_pseudo_norm(space: PseudoNormedSpace, blocks: np.ndarray) -> np.ndarray:
     """The K+1 block norms of a block array, from one call of ``space.eval``.
 
@@ -93,19 +74,6 @@ def eval_pseudo_norm(space: PseudoNormedSpace, blocks: np.ndarray) -> np.ndarray
             f"got {type(blocks).__name__}{getattr(blocks, 'shape', '')}"
         )
     return space.eval(blocks)
-
-
-def local_pseudo_norm(family: GradedSeminormFamily, x) -> float:
-    """Combine a graded seminorm family into one pseudo-norm value.
-
-    Returns ``sum_n 2^-n rho_n(x)/(1 + rho_n(x))`` over n = 1..len(family),
-    always a number in [0, 1).
-    """
-    total = 0.0
-    for n, rho in enumerate(family.seminorms, start=1):
-        value = float(rho(x))
-        total += 2.0 ** (-n) * value / (1.0 + value)
-    return total
 
 
 @dataclass

@@ -13,6 +13,7 @@ import pytest
 
 from besovflow.cli import EXIT_OK, main as cli_main
 from besovflow.dyadic import (
+    DyadicSequence,
     dyadic_norm,
     random_sequence,
     smoothing_gain,
@@ -48,6 +49,7 @@ from besovflow.littlewood_paley import (
     random_grid_function,
     reconstruct,
 )
+from besovflow.pseudonorm import scalar_abs_space
 
 INF = math.inf
 GRID = 256
@@ -175,7 +177,7 @@ def test_criterion_04_smoothing_bounds():
     ok = True
     worst_gain, worst_weighted = 0.0, 0.0
     for _ in range(1000):
-        f = random_sequence(rng)
+        f = DyadicSequence(scalar_abs_space(), random_sequence(rng))
         r = float(rng.uniform(-2.0, 2.0))
         rp = r + float(rng.uniform(0.05, 2.0))
         q = float(rng.choice([1.0, 2.0, INF]))
@@ -199,7 +201,7 @@ def test_criterion_05_envelope_equivalence():
     rng = np.random.default_rng(404)
     ok = True
     for _ in range(1000):
-        f = random_sequence(rng)
+        f = DyadicSequence(scalar_abs_space(), random_sequence(rng))
         s = float(rng.uniform(-2.0, 2.0))
         s1 = s + float(rng.uniform(0.1, 2.0))
         q = float(rng.choice([1.0, 2.0, INF]))

@@ -549,6 +549,8 @@ class TestMalformedConfigSections:
             ({"schema_version": 1, "command": "decompose", "io": []}, "io"),
             ({**_flow_payload(), "scale": {"s1": 10**400}}, "scale.s1"),
             (_norms_payload(besov=[{"s": 10**400}]), "besov.s"),
+            (_norms_payload(besov=[{"s": 5000.0}]), "(s, q) = (5000, 2) dyadic norm"),
+            (_norms_payload(besov=[{"q": 0.5}]), "summability q must be >= 1"),
             (_flow_payload(speed="inf"), "flow.speed"),
             (_flow_payload(speed=float("nan")), "flow.speed"),
             (_flow_payload(T=float("nan")), "flow.T"),
@@ -564,7 +566,8 @@ class TestMalformedConfigSections:
             "besov-number", "besov-object", "s-values-number", "s-values-string",
             "s-values-bool",
             "scale-list", "flow-list", "io-list-flow", "io-list-decompose",
-            "scale-huge-int", "besov-huge-int", "speed-inf", "speed-nan", "T-nan", "mu-nan",
+            "scale-huge-int", "besov-huge-int", "besov-out-of-range", "besov-q-below-one",
+            "speed-inf", "speed-nan", "T-nan", "mu-nan",
         ],
     )
     def test_exits_as_invalid_config(self, tmp_path, capsys, payload, name):
@@ -770,6 +773,32 @@ class TestBatchedVerify:
         assert calls == {name: per * chunks for _, name, per in self.BATCHED} | {
             "random_sequence": 6 * 200
         }
+
+    def test_trials_build_no_dyadic_sequence(self, monkeypatch):
+        import besovflow.cli as cli
+        import besovflow.dyadic as dyadic
+        from besovflow.pseudonorm import scalar_abs_space
+
+        built = []
+        original = dyadic.DyadicSequence.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(dyadic.DyadicSequence, "__post_init__", counted)
+        cli._verify_suites(np.random.default_rng(12), 200)
+        assert built == []
+        dyadic.DyadicSequence(scalar_abs_space(), [1.0])  # the count is live
+        assert len(built) == 1
+
+    def test_random_sequence_is_a_read_only_row(self):
+        import besovflow.dyadic as dyadic
+
+        row = dyadic.random_sequence(np.random.default_rng(12))
+        assert isinstance(row, np.ndarray) and row.dtype == float and row.ndim == 1
+        assert not row.flags.writeable
+        assert 1 <= len(row) <= 32 and (row > 0.0).all()
 
     def test_chunk_size_changes_no_report_byte_nor_the_generator(self, tmp_path, monkeypatch):
         import besovflow.cli as cli

@@ -10,11 +10,9 @@ from besovflow.dyadic import (
     ScaleIndex,
     dyadic_norm,
     interpolation_bound,
-    interpolation_theta,
     random_sequence,
     sequence_report,
     smoothing_gain,
-    tail_norm,
     truncate,
     truncation_power_sum,
     weighted_smoothing_sum,
@@ -46,7 +44,7 @@ class TestDyadicNorm:
 
     def test_finite_sum_oracle(self):
         f = scalar_seq(1, 1, 1, 1)
-        assert brute_norm(f.entries, 1.0, 1.0) == 15.0
+        assert brute_norm(f.blocks, 1.0, 1.0) == 15.0
         assert dyadic_norm(f, (1.0, 1.0)) == pytest.approx(15.0, rel=1e-15)
 
     def test_sup_of_balanced_sequence(self):
@@ -63,7 +61,7 @@ class TestDyadicNorm:
         with pytest.raises(ValueError, match=r"\(s, q\) = \(5000, 1\) dyadic norm leaves float range"):
             dyadic_norm(f, (5000.0, 1.0))
         with pytest.raises(ValueError, match=r"\(5000, inf\)"):
-            tail_norm(f, (5000.0, INF), 0)
+            dyadic_norm(f, (5000.0, INF))
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("value", [1e200, 1e-200])
@@ -101,16 +99,16 @@ class TestDyadicNorm:
 
     def test_matches_oracle_on_random(self, rng):
         for _ in range(200):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             s = float(rng.uniform(-3, 3))
             q = float(rng.choice([1.0, 1.5, 2.0, INF]))
             assert dyadic_norm(f, (s, q)) == pytest.approx(
-                brute_norm(f.entries, s, q), rel=1e-12
+                brute_norm(f.blocks, s, q), rel=1e-12
             )
 
     def test_scale_monotonicity_and_embeddings(self, rng):
         for _ in range(200):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             s = float(rng.uniform(-2, 2))
             sp = s + float(rng.uniform(0, 2))
             q = float(rng.choice([1.0, 2.0, INF]))
@@ -143,7 +141,7 @@ class TestTruncate:
 
     def test_projection_and_contraction(self, rng):
         for _ in range(200):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             n = int(rng.integers(0, f.support + 3))
             g = truncate(f, n)
             assert truncate(g, n) == g
@@ -154,30 +152,6 @@ class TestTruncate:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             truncate(scalar_seq(1), -1)
-
-
-class TestTailNorm:
-    def test_vanishes_beyond_support(self):
-        f = scalar_seq(1, 2, 3)
-        assert tail_norm(f, (0.0, 1.0), 2) == 0.0
-        assert tail_norm(f, (0.0, 1.0), 9) == 0.0
-
-    def test_finite_sum_oracle(self):
-        f = scalar_seq(1, 1, 1, 1)
-        assert tail_norm(f, (0.0, 1.0), 1) == pytest.approx(2.0)
-
-    def test_zero_sequence(self):
-        assert tail_norm(scalar_seq(), (1.0, 2.0), 3) == 0.0
-
-    def test_nonincreasing_in_level(self, rng):
-        for _ in range(100):
-            f = random_sequence(rng)
-            s = float(rng.uniform(-2, 2))
-            q = float(rng.choice([1.0, 2.0, INF]))
-            tails = [tail_norm(f, (s, q), n) for n in range(f.support + 2)]
-            for a, b in zip(tails, tails[1:]):
-                assert b <= a * (1 + 1e-12)
-            assert tails[-1] == 0.0
 
 
 class TestSmoothingGain:
@@ -207,7 +181,7 @@ class TestSmoothingGain:
 
     def test_bound_holds_on_random(self, rng):
         for _ in range(1000):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             r = float(rng.uniform(-2, 2))
             rp = r + float(rng.uniform(0, 2))
             q = float(rng.choice([1.0, 2.0, INF]))
@@ -234,15 +208,10 @@ class TestYoungConvolve:
         oracle = [conv([1, 1], [1, 1], n) for n in range(3)]
         assert oracle == [1, 2, 1]
         assert np.allclose(result.values, oracle)
-        assert result.start == 0
 
     def test_zero_factor(self):
         result = young_convolve([0.0, 0.0], [1.0, 2.0], INF)
         assert result.norm == 0.0
-
-    def test_start_offsets(self):
-        result = young_convolve([1.0], [1.0], 1.0, u_start=-2, v_start=5)
-        assert result.start == 3
 
     def test_norm_bound_on_random(self, rng):
         for _ in range(300):
@@ -305,7 +274,7 @@ class TestWeightedSmoothingSum:
 
     def test_bound_holds_on_random(self, rng):
         for _ in range(1000):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             r = float(rng.uniform(-2, 2))
             rp = r + float(rng.uniform(0.05, 2))
             q = float(rng.choice([1.0, 2.0, INF]))
@@ -323,7 +292,7 @@ class TestTruncationPowerSum:
 
     def test_equality_on_random(self, rng):
         for _ in range(300):
-            f = random_sequence(rng, log2_range=(-8, 8))
+            f = scalar_seq(*random_sequence(rng, log2_range=(-8, 8)))
             r = float(rng.uniform(-2, 2))
             rp = r + float(rng.uniform(0.1, 2))
             q = float(rng.choice([1.0, 2.0]))
@@ -340,9 +309,6 @@ class TestInterpolationBound:
         parts = interpolation_bound(scalar_seq(), 0.0, 1.0, 2.0, 1.0, 0)
         assert (parts.actual, parts.low, parts.high) == (0.0, 0.0, 0.0)
 
-    def test_theta(self):
-        assert interpolation_theta(0.0, 1.0, 2.0) == pytest.approx(0.5)
-
     def test_single_block_closed_form(self):
         f = scalar_seq(1.0)
         parts = interpolation_bound(f, 0.0, 1.0, 2.0, 1.0, 0)
@@ -356,7 +322,7 @@ class TestInterpolationBound:
 
     def test_min_over_split_dominates_actual(self, rng):
         for _ in range(300):
-            f = random_sequence(rng, log2_range=(-8, 8))
+            f = scalar_seq(*random_sequence(rng, log2_range=(-8, 8)))
             s0 = float(rng.uniform(-2, 0))
             s1 = float(rng.uniform(0.5, 2.5))
             s = float(rng.uniform(s0 + 0.05, s1 - 0.05))
@@ -383,7 +349,7 @@ class TestInterpolationBoundLevels:
     @pytest.mark.parametrize("q", [1.0, 2.0, INF])
     def test_entries_match_scalar_calls(self, rng, q):
         for _ in range(100):
-            f = random_sequence(rng, log2_range=(-8, 8))
+            f = scalar_seq(*random_sequence(rng, log2_range=(-8, 8)))
             s0, s, s1 = random_orders(rng)
             levels = np.arange(f.support + 4)
             parts = interpolation_bound(f, s0, s, s1, q, levels)
@@ -530,8 +496,8 @@ class TestArrayBackedSequence:
     )
     def test_matches_per_block_loops(self, pair, c, n):
         space, zero, shape, f_entries, g_entries = pair
-        f = DyadicSequence(space, f_entries)
-        g = DyadicSequence(space, g_entries)
+        f = DyadicSequence(space, stacked(f_entries, shape))
+        g = DyadicSequence(space, stacked(g_entries, shape))
         assert (f == g) == loop_equal(f_entries, g_entries, zero)
         for result, op in (
             (f + g, lambda a, b: a + b),
@@ -572,7 +538,7 @@ class TestArrayBackedSequence:
         key = f.key
         data[0] = 99.0  # the caller changes the array it handed over
         assert not np.shares_memory(f.blocks, data)
-        assert f.entries == (1.0, 2.0, 3.0)
+        assert f.blocks.tolist() == [1.0, 2.0, 3.0]
         assert f.key == key == scalar_seq(1, 2, 3).key
         assert not DyadicSequence(scalar_abs_space(), data).blocks.flags.writeable
 

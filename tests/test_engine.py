@@ -46,7 +46,7 @@ def zero_adapter(radius=100.0, scale=(0.0, 1.0, 2.0), q=2.0):
 def small_sequences(rng, count, radius, s, q):
     out = []
     while len(out) < count:
-        f = random_sequence(rng, max_support=8, log2_range=(-4.0, 2.0))
+        f = scalar_seq(*random_sequence(rng, max_support=8, log2_range=(-4.0, 2.0)))
         if dyadic_norm(f, (s, q)) < 0.5 * radius:
             out.append(f)
     return out
@@ -74,7 +74,7 @@ class TestAdapter:
         adapter = FlowMapAdapter(phi=phi, radius=10.0, s0=0, s=1, s1=2, q=2.0)
         f = scalar_seq(1.0, 0.5)
         adapter(f)
-        adapter(DyadicSequence(f.base, f.entries))
+        adapter(DyadicSequence(f.base, f.blocks.copy()))
         assert len(calls) == 1
 
     def test_request_maps_each_distinct_block_data_once(self):
@@ -90,7 +90,7 @@ class TestAdapter:
         images = adapter([f, twin, truncate(f, 0), f, truncate(f, 0)])
         assert mapped == [2]
         assert images[0] is images[1] is images[3]
-        assert images[2] is images[4] and images[2].entries == (1.0,)
+        assert images[2] is images[4] and images[2].blocks.tolist() == [1.0]
         assert adapter(truncate(twin, 0)) is images[2]
 
     def test_without_memo_each_request_maps_again(self):
@@ -156,7 +156,7 @@ class TestEstimateConstants:
 
         def phi(fs):
             return [
-                DyadicSequence(f.base, tuple(g * v for g, v in zip(gains, f.entries)))
+                DyadicSequence(f.base, tuple(g * v for g, v in zip(gains, f.blocks.tolist())))
                 for f in fs
             ]
 
@@ -232,7 +232,7 @@ class TestBlockDecayProfile:
             index = dict(check.index)
             n, m = index["n"], index["m"]
             if m == n + 1:
-                expected = 2.0 ** (m * adapter.s) * abs(f.entries[m])
+                expected = 2.0 ** (m * adapter.s) * abs(f.blocks[m])
                 assert check.lhs == pytest.approx(expected, rel=1e-12)
             else:
                 assert check.lhs == 0.0

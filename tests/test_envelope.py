@@ -64,7 +64,7 @@ class TestComputeEnvelope:
 
     def test_exact_decay_past_support(self, rng):
         for _ in range(100):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             s = float(rng.uniform(-2, 2))
             s1 = s + float(rng.uniform(0.1, 2))
             env = compute_envelope(f, s, s1)
@@ -74,7 +74,7 @@ class TestComputeEnvelope:
 
     def test_dominates_weighted_blocks(self, rng):
         for _ in range(200):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             s = float(rng.uniform(-2, 2))
             s1 = s + float(rng.uniform(0.1, 2))
             env = compute_envelope(f, s, s1)
@@ -83,7 +83,7 @@ class TestComputeEnvelope:
 
     def test_one_sided_slow_variation(self, rng):
         for _ in range(200):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             s = float(rng.uniform(-2, 2))
             s1 = s + float(rng.uniform(0.1, 2))
             env = compute_envelope(f, s, s1)
@@ -98,7 +98,7 @@ class TestTruncationIdentities:
     def test_truncated_high_norm_is_the_scaled_envelope(self, rng):
         # ||S_n f||_{s1,1} = 2^{n(s1-s)} gamma_n, the envelope's definition
         for _ in range(200):
-            f = random_sequence(rng, max_support=12)
+            f = scalar_seq(*random_sequence(rng, max_support=12))
             s = float(rng.uniform(-2, 2))
             s1 = s + float(rng.uniform(0.1, 2))
             env = compute_envelope(f, s, s1)
@@ -109,7 +109,7 @@ class TestTruncationIdentities:
     def test_truncation_increment_is_below_the_next_envelope(self, rng):
         # ||S_{n+1} f - S_n f||_{s0,1} <= 2^{-n(s-s0)} gamma_{n+1}
         for _ in range(200):
-            f = random_sequence(rng, max_support=12)
+            f = scalar_seq(*random_sequence(rng, max_support=12))
             s = float(rng.uniform(-2, 2))
             s0 = s - float(rng.uniform(0.1, 2))
             s1 = s + float(rng.uniform(0.1, 2))
@@ -149,7 +149,7 @@ class TestTailSumsOutsideThePowerRange:
     def test_in_range_sums_keep_their_bits(self, rng):
         # the closed forms as written before the rescaled path existed
         for _ in range(300):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             s = float(rng.uniform(-2, 2))
             s1 = s + float(rng.uniform(0.1, 2))
             q = float(rng.choice([1.0, 1.5, 2.0]))
@@ -179,7 +179,7 @@ class TestEnvelopeEquivalence:
 
     def test_ordering_on_random(self, rng):
         for _ in range(1000):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             s = float(rng.uniform(-2, 2))
             s1 = s + float(rng.uniform(0.1, 2))
             q = float(rng.choice([1.0, 2.0, INF]))
@@ -209,14 +209,14 @@ class TestCSequence:
 
     def test_matches_elementwise_sum(self, rng):
         for _ in range(100):
-            f = random_sequence(rng)
+            f = scalar_seq(*random_sequence(rng))
             env = compute_envelope(f, 0.0, 1.0)
             c = c_sequence(env)
             assert np.allclose(c, env.gamma[:-1] + env.gamma[1:], rtol=0, atol=0)
 
     def test_tail_closed_form_matches_brute_force(self, rng):
         for _ in range(100):
-            f = random_sequence(rng, max_support=8)
+            f = scalar_seq(*random_sequence(rng, max_support=8))
             s = float(rng.uniform(-1, 1))
             s1 = s + float(rng.uniform(0.2, 1.5))
             q = float(rng.choice([1.0, 2.0, INF]))

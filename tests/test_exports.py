@@ -61,3 +61,54 @@ def test_no_complex_fft_layout():
                     if alias.name in complex_fft
                 ]
     assert offenders == []
+
+
+# public names that no package code, demo or benchmark reaches, each kept
+# for the test named here, which calls it as a reference or as user plumbing
+TEST_ONLY = {
+    "global_max_abs": "test_flows.py::TestBurgersFlow::test_maximum_principle",
+    "load_trajectory": "test_flows.py::TestTrajectoryPlumbing::test_serialization_round_trip",
+    "apply_block": "test_littlewood_paley.py::TestApplyBlock::test_l2_contraction",
+    "bessel_potential": "test_littlewood_paley.py::TestSobolevNorm::test_bessel_multiplier_consistency",
+    "axiom_probe": "test_pseudonorm.py::TestAxiomProbe::test_grid_l2_clean",
+    "save_grid_function_csv": "test_littlewood_paley.py::TestGridFileFormats::test_csv_round_trip",
+}
+
+
+def _names_read(node) -> set:
+    """Every name ``node`` reads as an ``ast.Name`` or ``ast.Attribute``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_definition_is_used():
+    # an export or a test alone does not keep a public name: package code, a
+    # demo or the benchmark must read it outside its own definition
+    package = pathlib.Path(besovflow.__file__).parent
+    root = package.parents[1]
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in [*package.glob("*.py"), *root.glob("demos/*.py"), *root.glob("perfbench/*.py")]
+    }
+    reads = [(top, _names_read(top)) for tree in trees.values() for top in tree.body]
+    public = [
+        node
+        for path, tree in trees.items()
+        if path.parent == package
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    used = {
+        node.name
+        for node in public
+        if any(node.name in names for top, names in reads if top is not node)
+    }
+    assert sorted({node.name for node in public} - used - TEST_ONLY.keys()) == []
+    assert sorted(TEST_ONLY.keys() & used) == []  # a name in use needs no entry
+    for name, test in TEST_ONLY.items():
+        path, cls, method = test.split("::")
+        text = (root / "tests" / path).read_text(encoding="utf-8")
+        assert name in text and f"class {cls}:" in text and f"def {method}(" in text, test

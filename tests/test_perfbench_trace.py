@@ -64,7 +64,7 @@ def test_traced_flow_hits_every_expected_wrapper(tmp_path, workload):
 
 
 def test_traced_verify_hits_every_expected_wrapper(tmp_path):
-    # block norms reach pseudonorm.eval_pseudo_norm only through DyadicSequence
+    # block norms reach pseudonorm.eval_pseudo_norm only through random_sequence
     spec, calls = traced_calls(tmp_path, "verify-sweeps", lambda c: c.update(trials=30))
     assert [name for name in spec.expected_hits if calls[name] == 0] == []
 

@@ -6,12 +6,10 @@ import pytest
 from besovflow.flows import Trajectory
 from besovflow.littlewood_paley import GridFunction, grid_l2_norm, grid_l2_space
 from besovflow.pseudonorm import (
-    GradedSeminormFamily,
     KindMismatchError,
     PseudoNormedSpace,
     axiom_probe,
     eval_pseudo_norm,
-    local_pseudo_norm,
     scalar_abs_space,
 )
 
@@ -94,53 +92,6 @@ class TestBlockArrays:
         per_row = [grid_l2_norm(GridFunction(row)) for row in blocks]
         assert norms.shape == (15,)
         assert np.array_equal(norms, per_row)
-
-
-class TestLocalPseudoNorm:
-    def test_zero(self):
-        family = GradedSeminormFamily((abs, abs, abs))
-        assert local_pseudo_norm(family, 0.0) == 0.0
-
-    def test_single_seminorm(self):
-        family = GradedSeminormFamily((abs,))
-        assert local_pseudo_norm(family, 1.0) == pytest.approx(0.25, abs=1e-15)
-
-    def test_geometric_series(self):
-        depth = 60
-        family = GradedSeminormFamily(tuple(abs for _ in range(depth)))
-        # oracle: sum_{n=1..depth} 2^-n * 1/2 -> 1/2 as depth grows
-        oracle = sum(2.0 ** (-n) * 0.5 for n in range(1, depth + 1))
-        value = local_pseudo_norm(family, 1.0)
-        assert value == pytest.approx(oracle, rel=1e-15)
-        assert value == pytest.approx(0.5, abs=1e-12)
-
-    def test_bounded_below_one(self, rng):
-        for _ in range(50):
-            seminorms = tuple(
-                (lambda c: (lambda x: c * abs(x)))(float(rng.uniform(0, 100)))
-                for _ in range(int(rng.integers(1, 10)))
-            )
-            # monotone ordering of the family
-            seminorms = tuple(
-                sorted(seminorms, key=lambda rho: rho(1.0))
-            )
-            value = local_pseudo_norm(GradedSeminormFamily(seminorms), float(rng.normal()))
-            assert 0.0 <= value < 1.0
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
-            GradedSeminormFamily(())
-
-    def test_graded_families_are_monotone(self, rng):
-        # families used throughout are ordered rho_1 <= rho_2 <= ...
-        weights = np.cumsum(rng.uniform(0.1, 1.0, 6))
-        family = GradedSeminormFamily(
-            tuple((lambda c: (lambda x: c * abs(x)))(c) for c in weights)
-        )
-        for _ in range(30):
-            x = float(rng.normal())
-            values = [rho(x) for rho in family.seminorms]
-            assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 class TestAxiomProbe:
