@@ -46,7 +46,7 @@ def main():
     for s in (0.0, 1.0, 2.0):
         hs = sobolev_norm(u, s)
         bs = besov_norm(u, s, 2.0, 2.0, bank)
-        sigma = dyadic_norm(f, (s, 2.0))
+        sigma = dyadic_norm(f.block_norms[None], (s, 2.0))[0]
         print(
             f"  s={s:3.1f}: Sobolev {hs:10.4f}   Besov(2,2) {bs:10.4f}   "
             f"block-sequence {sigma:10.4f}"

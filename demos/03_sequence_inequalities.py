@@ -4,14 +4,14 @@ Each block prints the measured value next to its certified bound on random
 sequences: the truncation smoothing gain, the weighted truncation sum with
 its sharp constant 1/(1 - 2^{r-r'}), Young's convolution inequality, and
 the interpolation split whose two closed-form pieces dominate the middle
-norm.
+norm.  A sequence enters as its row of block norms, a one-row batch; every
+function returns one value per row.
 """
 import math
 
 import numpy as np
 
 from besovflow.dyadic import (
-    DyadicSequence,
     interpolation_bound,
     random_sequence,
     smoothing_gain,
@@ -19,12 +19,11 @@ from besovflow.dyadic import (
     weighted_smoothing_sum,
     young_convolve,
 )
-from besovflow.pseudonorm import scalar_abs_space
 
 
-def random_scalar_sequence(rng, max_support, log2_range):
-    """A random sequence over the scalars, wrapped from its row of block norms."""
-    return DyadicSequence(scalar_abs_space(), random_sequence(rng, max_support, log2_range))
+def random_row(rng, max_support, log2_range):
+    """The block norms of a random sequence as a one-row batch."""
+    return random_sequence(rng, max_support, log2_range)[None]
 
 
 def main():
@@ -35,20 +34,20 @@ def main():
 
     print("\nSmoothing gain  ||S_n f||_{r',q} <= 2^{n(r'-r)} ||f||_{r,q}:")
     for _ in range(5):
-        f = random_scalar_sequence(rng, max_support=12, log2_range=(-6, 6))
+        f = random_row(rng, max_support=12, log2_range=(-6, 6))
         r, rp, n = -0.5, 1.5, int(rng.integers(0, 8))
-        value, bound = smoothing_gain(f, r, rp, 2.0, n)
+        (value,), (bound,) = smoothing_gain(f, r, rp, 2.0, n)
         print(f"  n={n}: value {value:12.4e} <= bound {bound:12.4e}")
 
     print("\nWeighted truncation sum against ||f||_{r,q}/(1 - 2^{r-r'}):")
     for q in (1.0, 2.0, math.inf):
-        f = random_scalar_sequence(rng, max_support=12, log2_range=(-6, 6))
-        value, bound = weighted_smoothing_sum(f, 0.0, 1.0, q)
+        f = random_row(rng, max_support=12, log2_range=(-6, 6))
+        (value,), (bound,) = weighted_smoothing_sum(f, 0.0, 1.0, q)
         print(f"  q={q}: value {value:12.4e} <= bound {bound:12.4e}")
 
     print("\nPower-form truncation sum (the bound is attained exactly):")
-    f = random_scalar_sequence(rng, max_support=10, log2_range=(-4, 4))
-    value, bound = truncation_power_sum(f, 0.0, 1.0, 2.0)
+    f = random_row(rng, max_support=10, log2_range=(-4, 4))
+    (value,), (bound,) = truncation_power_sum(f, 0.0, 1.0, 2.0)
     print(f"  value {value:.12e}")
     print(f"  bound {bound:.12e}")
 
@@ -56,23 +55,24 @@ def main():
     for q in (1.0, 2.0, math.inf):
         u = rng.standard_normal(6)
         v = rng.standard_normal(9)
-        result = young_convolve(u, v, q)
-        print(f"  q={q}: norm {result.norm:10.4f} <= bound {result.bound:10.4f}")
+        result = young_convolve(u[None], v[None], q)
+        print(f"  q={q}: norm {result.norm[0]:10.4f} <= bound {result.bound[0]:10.4f}")
 
     print("\nInterpolation split at the best level N:")
-    f = random_scalar_sequence(rng, max_support=10, log2_range=(-4, 4))
+    f = random_row(rng, max_support=10, log2_range=(-4, 4))
     s0, s, s1, q = 0.0, 1.0, 2.0, 2.0
     # one call bounds every split level: the three norms are taken once
-    parts = interpolation_bound(f, s0, s, s1, q, np.arange(f.support + 4))
-    print(f"  actual ||f||_(s=1,q=2) = {parts.actual:.6e}")
-    totals = parts.low + parts.high
+    parts = interpolation_bound(f, s0, s, s1, q, np.arange(f.shape[1] + 4))
+    (actual,), (lows,), (highs,) = parts.actual, parts.low, parts.high
+    print(f"  actual ||f||_(s=1,q=2) = {actual:.6e}")
+    totals = lows + highs
     best = math.inf
-    for n_split, (low, high, total) in enumerate(zip(parts.low, parts.high, totals)):
+    for n_split, (low, high, total) in enumerate(zip(lows, highs, totals)):
         marker = ""
         if total < best:
             best, marker = total, "  <- best so far"
         print(f"  N={n_split}: low {low:10.4e} + high {high:10.4e} = {total:10.4e}{marker}")
-    print(f"  min over N: {totals.min():.6e} >= actual {parts.actual:.6e}")
+    print(f"  min over N: {totals.min():.6e} >= actual {actual:.6e}")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ def main():
     rng = np.random.default_rng(616)
     data = [random_grid_function(rng, n, max_mode=24, decay=2.5) for _ in range(4)]
     family = [decompose(u, bank) for u in data]
-    radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
+    rows = np.array([f.block_norms for f in family])  # one row of block norms per datum
+    radius = 2.0 * float(dyadic_norm(rows, (2.0, 2.0)).max())
     cfg = FlowConfig(
         grid_size=n, T=1.0, time_steps=64, flow_kind="transport",
         transport_speed=1.0, ball_radius=radius, s0=0.0, s=2.0, s1=3.0, q=2.0,
@@ -75,7 +76,7 @@ def main():
     # same machinery at an intermediate order sigma in (s, s1); the ball is
     # recalibrated because the stronger norm is larger
     sigma = 2.5
-    radius_mid = 2.0 * max(dyadic_norm(f, (sigma, 2.0)) for f in family)
+    radius_mid = 2.0 * float(dyadic_norm(rows, (sigma, 2.0)).max())
     cfg_mid = replace(cfg, s=sigma, ball_radius=radius_mid)
     adapter_mid = flow_as_sequence_map(cfg_mid, bank)
     constants_mid = estimate_constants(adapter_mid, pairs).inflated(1.1)

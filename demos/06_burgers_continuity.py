@@ -41,7 +41,8 @@ def main():
         print(f"  alpha={a:6.2f} beta={b:6.2f}  shock time {shock_time(u):8.3f}")
 
     family = [decompose(u, bank) for u in data]
-    radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
+    rows = np.array([f.block_norms for f in family])  # one row of block norms per datum
+    radius = 2.0 * float(dyadic_norm(rows, (2.0, 2.0)).max())
     cfg = FlowConfig(
         grid_size=n, T=0.5, time_steps=64, flow_kind="burgers",
         ball_radius=radius, s0=0.0, s=2.0, s1=3.0, q=2.0,
@@ -64,7 +65,7 @@ def main():
               f"(bound {c.rhs:10.4e})")
 
     delta = family[1] - probe
-    direction = delta * (1.0 / dyadic_norm(delta, (2.0, 2.0)))
+    direction = delta * (1.0 / dyadic_norm(delta.block_norms[None], (2.0, 2.0))[0])
     ladder = continuity_probe(adapter, probe, [1e-1, 1e-2, 1e-3],
                               directions=[direction])
     print("\ncontinuity ladder toward a neighboring datum:")

@@ -328,14 +328,15 @@ def _cmd_envelope(config, outdir, rng):
     bank = build_filters(u.grid_size)
     f = decompose(u, bank)
     s0, s, s1, q = _scale_block(config)
-    env = envelope_mod.compute_envelope(f, s, s1)
-    lower, mid, upper = envelope_mod.envelope_equivalence(f, s, q, s1)
+    norms = f.block_norms[None]
+    env = envelope_mod.compute_envelope(norms, s, s1)
+    lower, mid, upper = (float(x[0]) for x in envelope_mod.envelope_equivalence(norms, s, q, s1))
     family = "envelope_equivalence"
     failures = _failure_records([Check(family, (), lower, mid), Check(family, (), mid, upper)])
     dump_csv(
         os.path.join(outdir, "envelope.csv"),
         ["n", "gamma_n", "c_n", "weighted_block_norm"],
-        envelope_mod.envelope_report_rows(env),
+        envelope_mod.envelope_report_rows(env)[0],
     )
     report = {
         "command": "envelope",
@@ -568,8 +569,8 @@ def _cmd_flow(config, outdir, rng):
     data = [flows.sinusoid_datum(cfg.grid_size, alpha, beta) for alpha, beta in members]
     bank = build_filters(cfg.grid_size)
     family = [decompose(u, bank) for u in data]
-    norms = [dyadic.dyadic_norm(f, (cfg.s, cfg.q)) for f in family]
-    radius = 2.0 * max(norms) if radius is None else float(radius)
+    norms = dyadic.dyadic_norm(np.array([f.block_norms for f in family]), (cfg.s, cfg.q))
+    radius = 2.0 * float(norms.max()) if radius is None else float(radius)
     cfg = replace(cfg, ball_radius=radius)
     adapter = flows.flow_as_sequence_map(cfg, bank)
 
@@ -591,7 +592,7 @@ def _cmd_flow(config, outdir, rng):
     direction = None
     if len(family) > 1:
         delta = family[1] - probe
-        dnorm = dyadic.dyadic_norm(delta, (cfg.s, cfg.q))
+        dnorm = float(dyadic.dyadic_norm(delta.block_norms[None], (cfg.s, cfg.q))[0])
         if dnorm > 0:
             direction = [delta * (1.0 / dnorm)]
     probe_report = continuity_probe(

@@ -19,12 +19,14 @@ geometric, so the infinite part is added in closed form rather than
 truncated.  A norm or sum that leaves floating-point range raises
 ``ValueError`` naming its order.
 
-The norms and inequalities also take a batch in place of one sequence: a
-2-D array of block norms, one zero-padded row per sequence, with each order
-and q given once or once per row.  They then return one value per row, and
-a sequence is evaluated as the batch of its one row.  Past a row's support
-every closed-form summand is exactly geometric, so the padding changes
-values only at rounding level.
+A row of block norms ||f_0||_E .. ||f_K||_E is a float array, and the
+norms and inequalities take only a batch of such rows: a 2-D array, one
+zero-padded row per sequence, with each order and q given once or once per
+row.  They return one value per row.  A :class:`DyadicSequence` holds grid
+blocks, and one sequence ``f`` is evaluated as the one-row batch
+``f.block_norms[None]``.  Past a row's support every closed-form summand is
+exactly geometric, so zero padding changes values only at rounding level;
+rows of one width evaluate bit for bit as they would one at a time.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pseudonorm import _BLOCK_NDIM, PseudoNormedSpace, eval_pseudo_norm, scalar_abs_space
+from .pseudonorm import PseudoNormedSpace, eval_pseudo_norm, scalar_abs_space
 
 __all__ = [
     "ScaleIndex",
@@ -101,21 +103,25 @@ def _read_only(values, dtype=float) -> np.ndarray:
 
 
 def _block_array(base: PseudoNormedSpace, blocks) -> np.ndarray:
-    """Blocks as one read-only array, (K+1,) or (K+1, N)."""
-    ndim = _BLOCK_NDIM[base.element_kind]
+    """Grid blocks as one read-only nonempty (K+1, N) array."""
+    if base.element_kind != "grid_function":
+        raise ValueError(
+            f"a dyadic sequence holds grid blocks, not {base.element_kind} blocks; "
+            "a row of block norms is a float array"
+        )
     blocks = _read_only(blocks)
-    if blocks.ndim != ndim and blocks.size:
-        raise ValueError(f"{base.element_kind} blocks need a {ndim}-D array, got {blocks.shape}")
+    if blocks.ndim != 2 or not blocks.size:
+        raise ValueError(f"grid blocks need a nonempty (K+1, N) array, got shape {blocks.shape}")
     return blocks
 
 
 @dataclass(frozen=True, eq=False)
 class DyadicSequence:
-    """Finite-support sequence of base-space elements.
+    """Finite-support sequence of grid functions over a grid space.
 
-    ``blocks`` holds f_0 .. f_K as one read-only float array, (K+1,) over a
-    scalar space and (K+1, N) over a grid space.  The block norms come from
-    one :func:`eval_pseudo_norm` call on ``blocks``.
+    ``blocks`` holds f_0 .. f_K as one read-only (K+1, N) float array with
+    K >= 0.  The block norms come from one :func:`eval_pseudo_norm` call on
+    ``blocks``.
     Blocks beyond K are zero.  Sequences are immutable; arithmetic returns new
     sequences and pads the shorter operand with zero blocks.
     """
@@ -140,8 +146,7 @@ class DyadicSequence:
     @cached_property
     def block_norms(self) -> np.ndarray:
         """||f_k||_E for k = 0..K, from one call on the block array."""
-        # an empty sequence's array is (0,) whatever the kind, so it is not evaluated
-        norms = eval_pseudo_norm(self.base, self.blocks) if len(self) else np.zeros(0)
+        norms = eval_pseudo_norm(self.base, self.blocks)
         finite = np.isfinite(norms)
         if not finite.all():
             raise ValueError(f"block {int(finite.argmin())} has non-finite pseudo-norm")
@@ -171,18 +176,10 @@ class DyadicSequence:
                 f"base space mismatch: {self.base.label!r} vs {other.base.label!r}"
             )
         rows = max(len(self), len(other))
-        block_shape = (self if len(self) else other).blocks.shape[1:]
         return [
-            np.concatenate((b.reshape(-1, *block_shape), np.zeros((rows - len(b), *block_shape))))
+            np.concatenate((b, np.zeros((rows - len(b), b.shape[1]))))
             for b in (self.blocks, other.blocks)
         ]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DyadicSequence):
-            return NotImplemented
-        return self.base.label == other.base.label and bool(
-            np.array_equal(*self._aligned(other))
-        )
 
     def __add__(self, other: "DyadicSequence") -> "DyadicSequence":
         a, b = self._aligned(other)
@@ -199,28 +196,20 @@ class DyadicSequence:
 
 
 def _norm_rows(f) -> np.ndarray:
-    """Block norms with one row per sequence.
+    """A batch of block norms, checked: a nonempty 2-D array of nonnegative rows.
 
-    ``f`` is a sequence, giving its (1, K+1) row, or a batch: a 2-D array of
-    nonnegative block norms with one row per sequence, each row zero past
-    its support.
+    Each row holds one sequence's block norms, zero past its support; like
+    a sequence, it has at least one block.
     """
-    if isinstance(f, DyadicSequence):
-        return f.block_norms[None]
     norms = np.asarray(f, dtype=float)
-    if norms.ndim != 2 or not len(norms):
-        raise ValueError(f"a batch of block norms is a 2-D array of rows, got shape {norms.shape}")
+    if norms.ndim != 2 or not norms.size:
+        raise ValueError(
+            f"a batch of block norms is a 2-D array of rows of at least one block, "
+            f"got shape {norms.shape}"
+        )
     if not (np.isfinite(norms) & (norms >= 0.0)).all():
         raise ValueError("a batch of block norms holds a negative or non-finite entry")
     return norms
-
-
-def _solo(f, values):
-    """Per-row ``values`` for a batch; for a sequence ``f``, its one row (a float for scalars)."""
-    if not isinstance(f, DyadicSequence):
-        return values
-    row = values[0]
-    return float(row) if row.ndim == 0 else row
 
 
 def _per_row(x) -> bool:
@@ -384,22 +373,22 @@ _DYADIC_NORM = "the (s, q) = ({s:g}, {q:g}) dyadic norm"
 
 
 def dyadic_norm(f, idx):
-    """The weighted-block norm ||f||_{s,q}; zero exactly on the zero sequence.
+    """The weighted-block norm ||f||_{s,q} of each row of a batch of block norms.
 
-    A float for a sequence; for a batch of block norms, one norm per row,
-    with s and q each one value or one per row.
+    Zero exactly on a zero row; s and q are each one value or one per row.
     """
     idx = as_scale_index(idx)
     weighted = _weighted_block_norms(_norm_rows(f), idx.s)
-    return _solo(f, _lq_rows(weighted, idx.q, _DYADIC_NORM, s=idx.s))
+    return _lq_rows(weighted, idx.q, _DYADIC_NORM, s=idx.s)
 
 
 def truncate(f, n):
     """S_n f: keep blocks 0..n, zero everything above.
 
-    A projection (idempotent) and a contraction for every dyadic norm.  A
-    sequence comes back as a view of its blocks; a batch of block norms as
-    its rows zeroed above ``n``, one level or one per row.
+    A projection (idempotent) and a contraction for every dyadic norm.  S_n
+    acts on both forms: a grid sequence comes back as a view of its blocks,
+    a batch of block norms as its rows zeroed above ``n``, one level or one
+    per row.
     """
     if (n.min() if _per_row(n) else n) < 0:
         raise ValueError("truncation level must be >= 0")
@@ -418,63 +407,58 @@ def truncate(f, n):
 def smoothing_gain(f, r, rp, q, n):
     """Value and bound for the truncation smoothing estimate.
 
-    Returns ``(||S_n f||_{r',q}, 2^{n (r'-r)} ||f||_{r,q})`` for r <= r'.
-    The value never exceeds the bound.  For a batch of block norms both
-    come one per row, and each of r, r', q and n is one value or one per
-    row.
+    Returns ``(||S_n f||_{r',q}, 2^{n (r'-r)} ||f||_{r,q})`` for r <= r',
+    both one per row of the batch of block norms ``f``, with each of r, r',
+    q and n one value or one per row.  The value never exceeds the bound.
     """
     r, rp = _param(r), _param(rp)
     if not _all(r <= rp):
         raise ValueError(f"need r <= r', got r={r}, r'={rp}")
-    norms = _norm_rows(f)  # first, so S_n f takes its block norms from f
+    norms = _norm_rows(f)
     base = dyadic_norm(norms, (r, q))
-    value = dyadic_norm(_norm_rows(truncate(f, n)), (rp, q))
+    value = dyadic_norm(truncate(norms, n), (rp, q))
     what = "the smoothing bound at r={r:g}, r'={rp:g}, n={n}"
     with np.errstate(over="ignore"):  # an infinite bound is rejected below
         bound = _power(2.0, n * (rp - r), what, r=r, rp=rp, n=n) * base
-    return _solo(f, value), _solo(f, _in_range(bound, what, r=r, rp=rp, n=n))
+    return value, _in_range(bound, what, r=r, rp=rp, n=n)
 
 
 @dataclass(frozen=True)
 class YoungConvolution:
-    """Convolution of two finitely supported sequences on Z with its l^q bound.
+    """Convolutions of pairs of finitely supported sequences on Z with their l^q bounds.
 
-    For a batch ``values`` has one row per pair and ``norm`` and ``bound``
-    one entry per pair.
+    ``values`` has one row per pair, and ``norm`` and ``bound`` one entry
+    per pair.
     """
 
     values: np.ndarray
-    norm: float | np.ndarray
-    bound: float | np.ndarray
+    norm: np.ndarray
+    bound: np.ndarray
 
 
 def young_convolve(u, v, q):
-    """Convolve u and v over Z and certify ||u*v||_q <= ||u||_1 ||v||_q.
+    """Convolve pairs u, v over Z and certify ||u*v||_q <= ||u||_1 ||v||_q.
 
-    ``u`` and ``v`` are the finitely supported values, both starting at the
-    same index: one sequence each, or a batch of pairs as two 2-D arrays of
-    zero-padded rows, with q one value or one per pair.  A norm or bound
+    ``u`` and ``v`` hold the finitely supported values of a batch of pairs,
+    both starting at the same index, as two 2-D arrays of zero-padded rows,
+    one row per pair, with q one value or one per pair.  A norm or bound
     that leaves float range raises ``ValueError`` naming q.
     """
     q = as_scale_index((0.0, q)).q
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim != v.ndim or u.ndim not in (1, 2) or (u.ndim == 2 and len(u) != len(v)):
-        raise ValueError(f"need two sequences or two batches, got shapes {u.shape}, {v.shape}")
-    us, vs = (u, v) if u.ndim == 2 else (u[None], v[None])
+    us = np.asarray(u, dtype=float)
+    vs = np.asarray(v, dtype=float)
+    if us.ndim != 2 or vs.ndim != 2 or len(us) != len(vs) or not (us.size and vs.size):
+        raise ValueError(f"need two batches of rows, one per pair, got shapes {us.shape}, {vs.shape}")
     a, b = us.shape[-1], vs.shape[-1]
-    conv = np.zeros((len(us), a + b - 1 if a and b else 0))
+    conv = np.zeros((len(us), a + b - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # out of range: rejected by the norm
-        for lag in range(a if b else 0):
+        for lag in range(a):
             conv[:, lag : lag + b] += us[:, lag, None] * vs
     norm = _lq_rows(np.abs(conv), q, "the l^{q:g} norm of u*v")
     bound = _lq_rows(np.abs(us), 1.0, "the l^{q:g} norm of u") * _lq_rows(
         np.abs(vs), q, "the l^{q:g} norm of v"
     )
-    bound = _in_range(bound, "the Young bound ||u||_1 ||v||_{q:g}", q=q)
-    if u.ndim == 2:
-        return YoungConvolution(conv, norm, bound)
-    return YoungConvolution(conv[0], float(norm[0]), float(bound[0]))
+    return YoungConvolution(conv, norm, _in_range(bound, "the Young bound ||u||_1 ||v||_{q:g}", q=q))
 
 
 def weighted_smoothing_sum(f, r, rp, q):
@@ -483,9 +467,9 @@ def weighted_smoothing_sum(f, r, rp, q):
     Value is ``( sum_n ( 2^{-n(r'-r)} ||S_n f||_{r',1} )^q )^{1/q}`` (the sup
     over n when q = inf); bound is ``||f||_{r,q} / (1 - 2^{r-r'})``.  Terms
     with n beyond the support are geometric and summed in closed form, so
-    the value is exact up to rounding.  Requires r < r'.  For a batch of
-    block norms both come one per row, with r, r' and q each one value or
-    one per row.
+    the value is exact up to rounding.  Requires r < r'.  Both come one per
+    row of the batch of block norms ``f``, with r, r' and q each one value
+    or one per row.
     """
     r, rp, q = _param(r), _param(rp), _param(q)
     if not _all(r < rp):
@@ -495,13 +479,11 @@ def weighted_smoothing_sum(f, r, rp, q):
         bound = dyadic_norm(norms, (r, q)) / (1.0 - 2.0 ** (r - rp))
     value = _by_q(q, _weighted_sum, _weighted_block_norms(norms, rp), r, rp)
     what = "the weighted truncation sum at r={r:g}, r'={rp:g}"
-    return _solo(f, _in_range(value, what, r=r, rp=rp)), _solo(f, bound)
+    return _in_range(value, what, r=r, rp=rp), bound
 
 
 def _weighted_sum(q: float, inner: np.ndarray, r, rp) -> np.ndarray:
     """The weighted truncation sum of each row of r'-weighted block norms ``inner``."""
-    if inner.shape[-1] == 0:
-        return np.zeros(len(inner))
     partial = np.cumsum(inner, axis=-1)  # ||S_n f||_{r',1} for n = 0..K
     n = np.arange(inner.shape[-1], dtype=float)
     with np.errstate(invalid="ignore"):  # 0 * inf: a nan value is rejected by the caller
@@ -520,8 +502,8 @@ def truncation_power_sum(f, r, rp, q):
     with ``K = 1/(1 - 2^{-q(r'-r)})``.  Swapping the order of summation
     shows the two sides are equal for every finitely supported sequence, so
     the bound is attained; it is still returned as a pair for reporting.
-    Requires finite q and r < r'.  For a batch of block norms both come one
-    per row, with r, r' and q each one value or one per row.
+    Requires finite q and r < r'.  Both come one per row of the batch of
+    block norms ``f``, with r, r' and q each one value or one per row.
     """
     r, rp, q = _param(r), _param(rp), _param(q)
     if np.isinf(q).any():
@@ -535,13 +517,11 @@ def truncation_power_sum(f, r, rp, q):
     with np.errstate(over="ignore"):  # an infinite bound is rejected below
         bound = _in_range(constant * norm_q, what, r=r, rp=rp)
     value = _by_q(q, _power_sum, _weighted_block_norms(norms, rp), r, rp)
-    return _solo(f, _in_range(value, what, r=r, rp=rp)), _solo(f, bound)
+    return _in_range(value, what, r=r, rp=rp), bound
 
 
 def _power_sum(q: float, inner: np.ndarray, r, rp) -> np.ndarray:
     """The truncation power sum of each row of r'-weighted block norms ``inner``."""
-    if inner.shape[-1] == 0:
-        return np.zeros(len(inner))
     partial_q = np.cumsum(inner**q, axis=-1)  # ||S_n f||_{r',q}^q for n = 0..K
     n = np.arange(inner.shape[-1], dtype=float)
     with np.errstate(invalid="ignore"):  # 0 * inf: a nan value is rejected by the caller
@@ -554,15 +534,14 @@ def _power_sum(q: float, inner: np.ndarray, r, rp) -> np.ndarray:
 class InterpolationBound:
     """actual <= low + high split of a dyadic norm at an intermediate order.
 
-    For a sequence ``actual`` is a float, and ``low`` and ``high`` are
-    floats for one split level and arrays, one entry per level, for an
-    array of levels.  For a batch each gains a leading axis of one entry
-    per row.
+    ``actual`` has one entry per row of the batch.  ``low`` and ``high``
+    have one entry per row for one split level, and one row of entries, one
+    per level, per row for an array of levels.
     """
 
-    actual: float | np.ndarray
-    low: float | np.ndarray
-    high: float | np.ndarray
+    actual: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
 
 
 def _split_levels(n_split) -> np.ndarray:
@@ -588,8 +567,8 @@ def interpolation_bound(f, s0, s, s1, q, n_split) -> InterpolationBound:
     with both geometric sums evaluated in closed form (for q = inf the
     prefactors collapse to 2^{N(s-s0)} and 2^{(N+1)(s-s1)}).  ``n_split`` is
     one int level or a 1-D integer array of levels; the three norms are
-    computed once and the prefactors broadcast over the levels.  For a
-    batch of block norms each order and q is one value or one per row, and
+    computed once and the prefactors broadcast over the levels.  ``f`` is a
+    batch of block norms, each order and q is one value or one per row, and
     the levels are shared by all rows.  Requires s0 < s < s1.
     """
     s0, s, s1, q = _param(s0), _param(s), _param(s1), _param(q)
@@ -617,7 +596,7 @@ def interpolation_bound(f, s0, s, s1, q, n_split) -> InterpolationBound:
         return low_factor * _column(m0, n.ndim), high_factor * _column(m1, n.ndim)
 
     low, high = _by_q(q, split, s0, s, s1, m0, m1)
-    return InterpolationBound(_solo(f, actual), _solo(f, low), _solo(f, high))
+    return InterpolationBound(actual, low, high)
 
 
 _SIGNS = np.array([-1.0, 1.0])
@@ -630,8 +609,7 @@ def random_sequence(
     """Block norms of a random scalar sequence for property sweeps.
 
     Returns the read-only 1-D row ||f_0|| .. ||f_K||, the form the batched
-    norms and inequalities take (zero-padded into a 2-D batch) and that
-    ``DyadicSequence(scalar_abs_space(), row)`` wraps.  Its length K + 1 is
+    norms and inequalities take zero-padded into a 2-D batch.  Its length K + 1 is
     uniform in [1, max_support]; entries are log-uniform in 2^[log2_range],
     stressing both decaying and growing weight regimes.  The entries are
     the absolute values of randomly signed blocks, so the generator makes

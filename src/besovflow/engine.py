@@ -17,6 +17,14 @@ Every bound of steps 2 and 3, and the hypothesis bounds themselves, comes
 back as a list of :class:`Check` rows ``lhs <= rhs``; a row fails when lhs
 exceeds rhs beyond the relative rounding slack ``SLACK``.
 
+The inputs are grid sequences; an image Phi(v) is a row of block norms
+(||Delta_j Phi(v)||)_j, and the adapter returns the images of one request
+as one array, a row per input.  Differences of images are taken row by
+row, so the image-side lhs of ``low``, ``block_decay``, ``convergence`` and
+C0 is |‖Delta_j Phi(v)‖ - ‖Delta_j Phi(w)‖|.  By the reverse triangle
+inequality this is at most ‖Delta_j(Phi(v) - Phi(w))‖, so those rows test
+a weaker quantity than the hypothesis on the difference itself.
+
 The constants are empirical maxima over finite sample sets, so they are
 estimates, not certificates; reports carry an ``estimated`` flag, and bound
 checks are meant to run with the constants inflated by a safety factor
@@ -27,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .dyadic import DyadicSequence, dyadic_norm, truncate
 from .envelope import c_tail_lq, compute_envelope
@@ -78,10 +88,10 @@ class BallViolationError(ValueError):
 
 @dataclass
 class FlowMapAdapter:
-    """A map on dyadic sequences, defined on a norm ball, with its scale.
+    """A map from grid sequences to rows of block norms, defined on a norm ball.
 
-    ``phi`` maps a list of sequences over the input base space to the list
-    of their images over the output base space and must be pure, image by
+    ``phi`` maps a list of grid sequences to the list of their images, each
+    a 1-D row of block norms of one width, and must be pure, image by
     image.  Calls check the ball precondition ||f||_{s,q} < radius.
     Results are memoized on the block data by default, since verification
     sweeps revisit the same truncations.
@@ -107,7 +117,7 @@ class FlowMapAdapter:
             raise ValueError("summability q must be >= 1")
 
     def check_ball(self, f: DyadicSequence) -> float:
-        norm = dyadic_norm(f, (self.s, self.q))
+        norm = float(dyadic_norm(f.block_norms[None], (self.s, self.q))[0])
         if not norm < self.radius:
             raise BallViolationError(
                 f"||f||_(s={self.s},q={self.q}) = {norm} is not below "
@@ -115,18 +125,13 @@ class FlowMapAdapter:
             )
         return norm
 
-    def __call__(self, f):
-        """Phi(f) for one sequence, or the list of images of a list of sequences.
+    def __call__(self, request: list) -> np.ndarray:
+        """The images of a list of sequences, one row each, as one array.
 
-        A list is one request: each distinct sequence in it (by its ``key``)
-        is checked against the ball once, and every image not yet memoized
-        comes from one call of ``phi`` on the list of misses.
+        The list is one request: each distinct sequence in it (by its
+        ``key``) is checked against the ball once, and every image not yet
+        memoized comes from one call of ``phi`` on the list of misses.
         """
-        if isinstance(f, DyadicSequence):
-            return self._images([f])[0]
-        return self._images(list(f))
-
-    def _images(self, request: list) -> list:
         keys = [f.key for f in request]
         distinct = dict(zip(keys, request))
         for f in distinct.values():
@@ -136,7 +141,8 @@ class FlowMapAdapter:
         if misses:
             images = self.phi([distinct[key] for key in misses])
             memo.update(zip(misses, images, strict=True))
-        return [memo[key] for key in keys]
+        return np.array([memo[key] for key in keys])
+
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,7 @@ def estimate_constants(
         pairs = samples
     lipschitz = []
     for v, w in pairs:
-        denom = dyadic_norm(v - w, (adapter.s0, 1.0))
+        denom = float(dyadic_norm((v - w).block_norms[None], (adapter.s0, 1.0))[0])
         if denom >= ZERO_DENOMINATOR:
             lipschitz.append((v, w, denom))
 
@@ -244,18 +250,20 @@ def estimate_constants(
     }
     tame = []
     for smooth in truncations.values():
-        denom = dyadic_norm(smooth, (adapter.s1, 1.0))
+        denom = float(dyadic_norm(smooth.block_norms[None], (adapter.s1, 1.0))[0])
         if denom >= ZERO_DENOMINATOR:
             tame.append((smooth, denom))
 
     images = adapter([f for v, w, _ in lipschitz for f in (v, w)] + [f for f, _ in tame])
-    c0 = 0.0
-    for index, (_, _, denom) in enumerate(lipschitz):
-        difference = images[2 * index] - images[2 * index + 1]
-        c0 = max(c0, dyadic_norm(difference, (adapter.s0, math.inf)) / denom)
-    c1 = 0.0
-    for image, (_, denom) in zip(images[2 * len(lipschitz) :], tame):
-        c1 = max(c1, dyadic_norm(image, (adapter.s1, math.inf)) / denom)
+    pairs_end = 2 * len(lipschitz)
+    c0 = c1 = 0.0
+    if lipschitz:
+        differences = np.abs(images[0:pairs_end:2] - images[1:pairs_end:2])
+        lhs = dyadic_norm(differences, (adapter.s0, math.inf))
+        c0 = float(np.max(lhs / [denom for _, _, denom in lipschitz]))
+    if tame:
+        lhs = dyadic_norm(images[pairs_end:], (adapter.s1, math.inf))
+        c1 = float(np.max(lhs / [denom for _, denom in tame]))
 
     return HypothesisReport(
         c0, c1, adapter.s0, adapter.s, adapter.s1,
@@ -264,12 +272,12 @@ def estimate_constants(
 
 
 def _level_images(adapter, f, n_max):
-    """The envelope of f and the images of S_0 f .. S_{n_max+1} f, in one request."""
+    """The envelope row of f and the images of S_0 f .. S_{n_max+1} f, in one request."""
     adapter.check_ball(f)
-    env = compute_envelope(f, adapter.s, adapter.s1)
-    if n_max + 1 >= env.gamma.size:
+    gamma = compute_envelope(f.block_norms[None], adapter.s, adapter.s1).gamma[0]
+    if n_max + 1 >= gamma.size:
         raise ValueError("n_max exceeds the envelope's stored range")
-    return env, adapter([truncate(f, n) for n in range(n_max + 2)])
+    return gamma, adapter([truncate(f, n) for n in range(n_max + 2)])
 
 
 def high_low_rows(
@@ -283,17 +291,17 @@ def high_low_rows(
     high: ||Phi(S_n f)||_{s1,inf} <= C1_hat 2^{n(s1-s)} gamma_n;
     low:  ||Phi(S_{n+1}f) - Phi(S_n f)||_{s0,inf} <= C0_hat 2^{-n(s-s0)} gamma_{n+1}.
     """
-    env, images = _level_images(adapter, f, n_max)
+    gamma, images = _level_images(adapter, f, n_max)
+    high = dyadic_norm(images[:-1], (adapter.s1, math.inf)).tolist()
+    low = dyadic_norm(np.abs(images[1:] - images[:-1]), (adapter.s0, math.inf)).tolist()
     checks = []
     for n in range(n_max + 1):
         index = (("n", n),)
-        high_lhs = dyadic_norm(images[n], (adapter.s1, math.inf))
-        high_rhs = report.C1_hat * 2.0 ** (n * (adapter.s1 - adapter.s)) * float(env.gamma[n])
-        low_lhs = dyadic_norm(images[n + 1] - images[n], (adapter.s0, math.inf))
-        low_rhs = report.C0_hat * 2.0 ** (-n * (adapter.s - adapter.s0)) * float(env.gamma[n + 1])
+        high_rhs = report.C1_hat * 2.0 ** (n * (adapter.s1 - adapter.s)) * float(gamma[n])
+        low_rhs = report.C0_hat * 2.0 ** (-n * (adapter.s - adapter.s0)) * float(gamma[n + 1])
         checks += [
-            Check("high_low", index, high_lhs, high_rhs),
-            Check("high_low", index, low_lhs, low_rhs),
+            Check("high_low", index, high[n], high_rhs),
+            Check("high_low", index, low[n], low_rhs),
         ]
     return checks
 
@@ -314,13 +322,13 @@ def block_decay_profile(
     for all m up to the output support.  With honest constants every check
     has lhs <= rhs.
     """
-    env, images = _level_images(adapter, f, n_max)
+    gamma, images = _level_images(adapter, f, n_max)
+    increments = np.abs(images[1:] - images[:-1]).tolist()
     checks = []
-    for n in range(n_max + 1):
-        block = (images[n + 1] - images[n]).block_norms
-        c_n = float(env.gamma[n] + env.gamma[n + 1])
-        for m in range(block.size):
-            lhs = 2.0 ** (m * adapter.s) * float(block[m])
+    for n, block in enumerate(increments):
+        c_n = float(gamma[n] + gamma[n + 1])
+        for m, norm in enumerate(block):
+            lhs = 2.0 ** (m * adapter.s) * norm
             rhs = report.C * 2.0 ** (-report.kappa * abs(m - n)) * c_n
             checks.append(Check("block_decay", (("n", n), ("m", m)), lhs, rhs))
     return checks
@@ -338,17 +346,20 @@ def convergence_report(
     rhs = A C ( sum_{p>=n} c_p^q )^{1/q} with A = 2/(1 - 2^-kappa).
     """
     adapter.check_ball(f)
-    env = compute_envelope(f, adapter.s, adapter.s1)
+    env = compute_envelope(f.block_norms[None], adapter.s, adapter.s1)
     n_values = list(n_values)
-    image, *truncated = adapter([f] + [truncate(f, n) for n in n_values])
+    if not n_values:
+        return []
+    images = adapter([f] + [truncate(f, n) for n in n_values])
+    lhs = dyadic_norm(np.abs(images[0] - images[1:]), (adapter.s, adapter.q)).tolist()
     return [
         Check(
             "convergence",
             (("n", n),),
-            dyadic_norm(image - image_n, (adapter.s, adapter.q)),
-            report.A * report.C * c_tail_lq(env, n, adapter.q),
+            lhs_n,
+            report.A * report.C * float(c_tail_lq(env, n, adapter.q)[0]),
         )
-        for n, image_n in zip(n_values, truncated)
+        for n, lhs_n in zip(n_values, lhs)
     ]
 
 
@@ -383,7 +394,7 @@ def continuity_probe(
     """
     adapter.check_ball(f)
     if directions is None:
-        norm = dyadic_norm(f, (adapter.s, adapter.q))
+        norm = float(dyadic_norm(f.block_norms[None], (adapter.s, adapter.q))[0])
         if norm == 0.0:
             raise ValueError("cannot build a default direction from the zero point")
         directions = [f * (1.0 / norm)]
@@ -393,15 +404,18 @@ def continuity_probe(
         for eps in scales
         for d_index, g in enumerate(directions)
     ]
-    base_image, *images = adapter([f] + [perturbed for _, _, perturbed in probes])
+    images = adapter([f] + [perturbed for _, _, perturbed in probes])
+    output = dyadic_norm(np.abs(images[1:] - images[0]), (adapter.s, adapter.q)).tolist()
     rows = [
         ContinuityRow(
             scale=eps,
             direction=d_index,
-            input_distance=dyadic_norm(perturbed - f, (adapter.s, adapter.q)),
-            output_distance=dyadic_norm(image - base_image, (adapter.s, adapter.q)),
+            input_distance=float(
+                dyadic_norm((perturbed - f).block_norms[None], (adapter.s, adapter.q))[0]
+            ),
+            output_distance=distance,
         )
-        for (eps, d_index, perturbed), image in zip(probes, images)
+        for (eps, d_index, perturbed), distance in zip(probes, output)
     ]
     trend_ok = True
     if len(scales) >= 2:

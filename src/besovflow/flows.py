@@ -10,7 +10,8 @@ A flow becomes a sequence map by conjugation with the dyadic
 decompose/reconstruct pair: reconstruct the initial datum from its blocks,
 run the flow, and keep one scalar per block of the solution, its
 L^mu-in-time L2 norm, summed by Plancherel from the real-FFT half spectra
-of the time slices, so no slice is decomposed.  Chemin-Lerner norms
+of the time slices, so no slice is decomposed.  An image is that row of
+block norms, a float array.  Chemin-Lerner norms
 (time-integrate each block first, then sum blocks in l^2) and the
 time-continuity diagnostics live here as well.
 """
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import DyadicSequence, _frozen, _read_only
+from .dyadic import _frozen, _read_only
 from .engine import FlowMapAdapter
 from .littlewood_paley import (
     TAU,
@@ -40,7 +41,6 @@ from .littlewood_paley import (
     reconstruct,
     save_grid_function,
 )
-from .pseudonorm import scalar_abs_space
 
 __all__ = [
     "Trajectory",
@@ -48,7 +48,6 @@ __all__ = [
     "ShockMarginError",
     "CharacteristicSolveError",
     "TrigInterpolant",
-    "global_max_abs",
     "shock_time",
     "transport_flow",
     "burgers_flow",
@@ -304,32 +303,22 @@ def _torus_peak(samples: np.ndarray) -> float:
     return float(f0)
 
 
-def _max_abs(dense: np.ndarray) -> float:
-    return max(0.0, _torus_peak(dense), _torus_peak(-dense))
-
-
-def global_max_abs(u: GridFunction) -> float:
-    """Max of |u| over the whole torus, not just the grid nodes.
-
-    Upsamples the band-limited interpolant and sharpens the discrete argmax
-    with one parabolic fit, accurate to well below 1e-12 for smooth data.
-    """
-    return _max_abs(_oversampled(u, _PEAK_REFINE * u.grid_size, [0])[0])
-
-
 def shock_time(u0: GridFunction, return_peak: bool = False):
     """First characteristic crossing time 1/max(0, -min u0') (inf if none).
 
     The minimum slope is taken over the whole torus, not just the grid
-    nodes, the same way :func:`global_max_abs` finds its maximum: the
-    steepest point of the datum usually lies between nodes.  With
-    ``return_peak`` the result is the pair (shock time,
-    ``global_max_abs(u0)``), both from the same oversampled pass.
+    nodes: the steepest point of the datum usually lies between nodes, so
+    the band-limited interpolant is upsampled and the discrete extremum
+    sharpened with one parabolic fit, accurate to well below 1e-12 for
+    smooth data.  With ``return_peak`` the result is the pair (shock time,
+    max |u0| over the torus), both from the same oversampled pass.
     """
     dense = _oversampled(u0, _PEAK_REFINE * u0.grid_size, [1, 0] if return_peak else [1])
     slope_min = -_torus_peak(-dense[0])
     time = math.inf if slope_min >= 0.0 else 1.0 / (-slope_min)
-    return (time, _max_abs(dense[1])) if return_peak else time
+    if not return_peak:
+        return time
+    return time, max(0.0, _torus_peak(dense[1]), _torus_peak(-dense[1]))
 
 
 @lru_cache(maxsize=4)
@@ -608,9 +597,12 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> FlowMapAdapter:
     rebuilds the data, and runs the flow of :func:`make_flow` on them in
     groups of max(1, 2048 // N), so one Newton sweep of the Burgers solver
     covers about 2048 feet and only one group's trajectories are held at a
-    time.  Each image keeps one scalar per block of the solution:
-    the L^mu-in-time L2 norm of that block.  Ball membership at the
-    configured (s, q) scale is checked on every call.
+    time.  Each image is a read-only (J+1,) row of block norms from
+    :func:`block_time_norms`, one scalar per block of the solution: the
+    L^mu-in-time L2 norm of that block.  The engine measures an image
+    difference as |‖Delta_j Phi(v)‖ - ‖Delta_j Phi(w)‖|, which is at most
+    ‖Delta_j(Phi(v) - Phi(w))‖.  Ball membership at the configured (s, q)
+    scale is checked on every call.
     """
     if cfg.grid_size != bank.grid_size:
         raise GridMismatchError(
@@ -619,7 +611,6 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> FlowMapAdapter:
     if cfg.ball_radius is None:
         raise ValueError("flow config needs an explicit ball_radius")
     flow = make_flow(cfg)
-    out_space = scalar_abs_space(f"Lmu-time-L2(mu={cfg.mu})")  # one scalar per block
     group = max(1, _FEET_PER_SWEEP // cfg.grid_size)
 
     def phi(sequences: list) -> list:
@@ -627,7 +618,7 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> FlowMapAdapter:
         for start in range(0, len(sequences), group):
             data = [reconstruct(f, bank) for f in sequences[start : start + group]]
             for traj in flow(data):
-                images.append(DyadicSequence(out_space, _frozen(block_time_norms(traj, bank))))
+                images.append(_frozen(block_time_norms(traj, bank)))
         return images
 
     return FlowMapAdapter(

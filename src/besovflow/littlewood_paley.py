@@ -297,8 +297,6 @@ def reconstruct(f: DyadicSequence, bank: FilterBank) -> GridFunction:
         raise ValueError(
             f"sequence support {f.support} exceeds bank blocks {bank.j_max + 1}"
         )
-    if not f.support:
-        return GridFunction.zeros(bank.grid_size)
     if f.blocks.shape[1] != bank.grid_size:
         raise GridMismatchError(
             f"blocks have grid size {f.blocks.shape[1]}, bank {bank.grid_size}"
@@ -406,11 +404,11 @@ def reconstruction_stability_ratio(
     Decompose-after-reconstruct is not the identity on sequences; this
     reports how much the round trip can grow the s-order block norm.
     """
-    denom = dyadic_norm(f, (s, 1.0))
+    denom = float(dyadic_norm(f.block_norms[None], (s, 1.0))[0])
     if denom == 0.0:
         return 0.0
     round_trip = decompose(reconstruct(f, bank), bank)
-    return dyadic_norm(round_trip, (s, 1.0)) / denom
+    return float(dyadic_norm(round_trip.block_norms[None], (s, 1.0))[0]) / denom
 
 
 def random_grid_function(

@@ -5,9 +5,9 @@ package (absolute value on scalars, quadrature L2 on torus grids) are
 instances of :class:`PseudoNormedSpace`.
 
 Two rules hold for every space.  Evaluation: :func:`eval_pseudo_norm` takes
-the block array of a dyadic sequence over the space ((K+1,) scalars or
-(K+1, N) grid rows), whose K+1 block norms come from one call of the
-space's rule; one element is a one-row array.  Overflow: the value is
+a block array, (K+1,) scalars or (K+1, N) grid rows (the blocks of a dyadic
+sequence), whose K+1 block norms come from one call of the space's rule;
+one element is a one-row array.  Overflow: the value is
 returned as computed, ``inf`` included; the dyadic norms, truncation sums
 and envelopes built on it raise ``ValueError`` naming the order when they
 leave floating-point range.
@@ -34,7 +34,7 @@ class KindMismatchError(TypeError):
     """Input handed to a space that is not a block array of the space's kind."""
 
 
-# ndim of a dyadic sequence's block array, by element kind: (K+1,) or (K+1, N)
+# ndim of a block array, by element kind: (K+1,) or (K+1, N)
 _BLOCK_NDIM = {"scalar": 1, "grid_function": 2}
 
 
@@ -60,8 +60,8 @@ class PseudoNormedSpace:
 def eval_pseudo_norm(space: PseudoNormedSpace, blocks: np.ndarray) -> np.ndarray:
     """The K+1 block norms of a block array, from one call of ``space.eval``.
 
-    ``blocks`` is a sequence's block array, (K+1,) over a scalar space and
-    (K+1, N) over a grid space.  Raises :class:`KindMismatchError` for
+    ``blocks`` is a block array, (K+1,) over a scalar space and (K+1, N)
+    over a grid space.  Raises :class:`KindMismatchError` for
     anything else: a float, a grid function, or an array of the wrong ndim.
     The values are returned as computed, ``inf`` and ``nan`` included;
     lawfulness (finiteness, nonnegativity etc.) is checked by
@@ -138,6 +138,6 @@ def axiom_probe(
     return AxiomProbeReport(space.label, trials, violations)
 
 
-def scalar_abs_space(label: str = "abs") -> PseudoNormedSpace:
+def scalar_abs_space() -> PseudoNormedSpace:
     """The real line with absolute value, the simplest lawful space."""
-    return PseudoNormedSpace(label=label, eval=abs, element_kind="scalar")
+    return PseudoNormedSpace(label="abs", eval=abs, element_kind="scalar")

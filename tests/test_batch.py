@@ -1,8 +1,9 @@
-"""A batch of block norms gives, row by row, what its sequences give alone.
+"""A batch of block norms gives, row by row, what its rows give alone.
 
 The batch is the zero-padded (rows, 32) array of block norms the verify
-sweeps evaluate; each row is compared with the single-sequence call on its
-sequence, within 1e-13 relative (the padding moves sums at rounding level).
+sweeps evaluate; each row is compared with the one-row call on its
+unpadded row, within 1e-13 relative (the padding moves sums at rounding
+level).  Rows of one width give their one-row values bit for bit.
 """
 import math
 
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 from besovflow.dyadic import (
-    DyadicSequence,
     dyadic_norm,
     interpolation_bound,
     smoothing_gain,
@@ -19,7 +19,6 @@ from besovflow.dyadic import (
     young_convolve,
 )
 from besovflow.envelope import GUARD, compute_envelope, envelope_equivalence
-from besovflow.pseudonorm import scalar_abs_space
 
 RTOL = 1e-13
 WIDTH = 32
@@ -32,30 +31,31 @@ def close(batch, solo):
 
 
 class Rows:
-    """One sequence of each support 1..32 as a batch, with per-row orders.
+    """One row of block norms of each support 1..32 as a batch, with per-row orders.
 
-    With ``rescaled`` a row is scaled by 2^600 or 2^-600 at random, so the
-    q-th powers of its norms over- or underflow while the norms do not.
+    ``singles`` holds the unpadded rows, each as a one-row batch.  With
+    ``rescaled`` a row is scaled by 2^600 or 2^-600 at random, so the q-th
+    powers of its norms over- or underflow while the norms do not.
     """
 
     def __init__(self, rng, log2_range, q_choices, rescaled=False):
         scales = (1.0, 2.0**600, 2.0**-600) if rescaled else (1.0,)
-        self.seqs = []
+        self.singles = []
         for k in range(1, WIDTH + 1):
             values = np.exp2(rng.uniform(*log2_range, k)) * rng.choice([-1.0, 1.0], k)
-            self.seqs.append(DyadicSequence(scalar_abs_space(), values * rng.choice(scales)))
-        rows = len(self.seqs)
+            self.singles.append(np.abs(values * rng.choice(scales))[None])
+        rows = len(self.singles)
         self.norms = np.zeros((rows, WIDTH))
-        for row, f in zip(self.norms, self.seqs):
-            row[: f.support] = f.block_norms
+        for row, one in zip(self.norms, self.singles):
+            row[: one.shape[1]] = one[0]
         self.r = rng.uniform(-2.0, 2.0, rows)
         self.rp = self.r + rng.uniform(0.1, 2.0, rows)
         self.q = rng.choice(q_choices, rows)
-        self.n = np.array([rng.integers(0, f.support + 4) for f in self.seqs])
+        self.n = np.array([rng.integers(0, one.shape[1] + 4) for one in self.singles])
 
     def each(self, *columns):
-        """(sequence, column entries...) per row."""
-        return zip(self.seqs, *columns)
+        """(one-row batch, column entries...) per row."""
+        return zip(self.singles, *columns)
 
 
 @pytest.fixture(params=[(r, q, big) for r in RANGES for q in Q_CHOICES for big in (False, True)],
@@ -67,21 +67,21 @@ def rows(request, rng):
 
 def test_dyadic_norm(rows):
     close(dyadic_norm(rows.norms, (rows.r, rows.q)),
-          [dyadic_norm(f, (r, q)) for f, r, q in rows.each(rows.r, rows.q)])
+          [dyadic_norm(f, (r, q))[0] for f, r, q in rows.each(rows.r, rows.q)])
 
 
 def test_smoothing_gain(rows):
     value, bound = smoothing_gain(rows.norms, rows.r, rows.rp, rows.q, rows.n)
     solo = [smoothing_gain(f, *args) for f, *args in rows.each(rows.r, rows.rp, rows.q, rows.n)]
-    close(value, [v for v, _ in solo])
-    close(bound, [b for _, b in solo])
+    close(value, [v[0] for v, _ in solo])
+    close(bound, [b[0] for _, b in solo])
 
 
 def test_weighted_smoothing_sum(rows):
     value, bound = weighted_smoothing_sum(rows.norms, rows.r, rows.rp, rows.q)
     solo = [weighted_smoothing_sum(f, *args) for f, *args in rows.each(rows.r, rows.rp, rows.q)]
-    close(value, [v for v, _ in solo])
-    close(bound, [b for _, b in solo])
+    close(value, [v[0] for v, _ in solo])
+    close(bound, [b[0] for _, b in solo])
 
 
 @pytest.mark.parametrize("log2_range", RANGES)
@@ -90,33 +90,34 @@ def test_truncation_power_sum(rng, log2_range):
     rows = Rows(rng, log2_range, (1.0, 2.0))
     value, bound = truncation_power_sum(rows.norms, rows.r, rows.rp, rows.q)
     solo = [truncation_power_sum(f, *args) for f, *args in rows.each(rows.r, rows.rp, rows.q)]
-    close(value, [v for v, _ in solo])
-    close(bound, [b for _, b in solo])
+    close(value, [v[0] for v, _ in solo])
+    close(bound, [b[0] for _, b in solo])
 
 
 def test_envelope(rows):
     env = compute_envelope(rows.norms, rows.r, rows.rp)
     assert env.gamma.shape == (WIDTH, WIDTH + GUARD)
     for row, (f, s, s1) in zip(env.gamma, rows.each(rows.r, rows.rp)):
-        close(row[: f.support + GUARD], compute_envelope(f, s, s1).gamma)
+        close(row[: f.shape[1] + GUARD], compute_envelope(f, s, s1).gamma[0])
     sandwich = envelope_equivalence(rows.norms, rows.r, rows.q, rows.rp)
     solo = [envelope_equivalence(f, s, q, s1) for f, s, q, s1 in rows.each(rows.r, rows.q, rows.rp)]
     for side, column in zip(sandwich, zip(*solo)):
-        close(side, column)
+        close(side, [x[0] for x in column])
 
 
 def test_interpolation_bound(rows, rng):
-    s0 = rows.r - rng.uniform(0.2, 1.0, len(rows.seqs))
+    s0 = rows.r - rng.uniform(0.2, 1.0, len(rows.singles))
     s1 = rows.rp
-    s = s0 + (s1 - s0) * rng.uniform(0.1, 0.9, len(rows.seqs))
+    s = s0 + (s1 - s0) * rng.uniform(0.1, 0.9, len(rows.singles))
     levels = np.arange(WIDTH + 4)
     parts = interpolation_bound(rows.norms, s0, s, s1, rows.q, levels)
     assert parts.low.shape == parts.high.shape == (WIDTH, WIDTH + 4)
     for row, (f, *orders) in enumerate(rows.each(s0, s, s1, rows.q)):
-        solo = interpolation_bound(f, *orders, np.arange(f.support + 4))
-        close(parts.actual[row], solo.actual)
-        close(parts.low[row, : f.support + 4], solo.low)
-        close(parts.high[row, : f.support + 4], solo.high)
+        width = f.shape[1] + 4
+        solo = interpolation_bound(f, *orders, np.arange(width))
+        close(parts.actual[row], solo.actual[0])
+        close(parts.low[row, :width], solo.low[0])
+        close(parts.high[row, :width], solo.high[0])
 
 
 @pytest.mark.parametrize("q", sorted(Q_CHOICES))
@@ -130,25 +131,27 @@ def test_young_convolve(rng, q, scale):
     qs = rng.choice(Q_CHOICES[q], len(pairs))
     batch = young_convolve(u, v, qs)
     for row, ((a, b), q_row) in enumerate(zip(pairs, qs)):
-        solo = young_convolve(a, b, q_row)
-        close(batch.values[row, : solo.values.size], solo.values)
-        assert not batch.values[row, solo.values.size :].any()
-        close(batch.norm[row], solo.norm)
-        close(batch.bound[row], solo.bound)
+        solo = young_convolve(a[None], b[None], q_row)
+        width = solo.values.shape[1]
+        close(batch.values[row, :width], solo.values[0])
+        assert not batch.values[row, width:].any()
+        close(batch.norm[row], solo.norm[0])
+        close(batch.bound[row], solo.bound[0])
 
 
-def test_one_row_batch_is_the_sequence_bit_for_bit(rng):
-    # a sequence is evaluated as the unpadded batch of its one row
-    rows = Rows(rng, (-20.0, 20.0), (1.0, 2.0, math.inf))
-    for f, r, rp, q, n in rows.each(rows.r, rows.rp, rows.q, rows.n):
-        one = f.block_norms[None]
-        assert dyadic_norm(one, (r, q))[0] == dyadic_norm(f, (r, q))
-        assert smoothing_gain(one, r, rp, q, n)[1][0] == smoothing_gain(f, r, rp, q, n)[1]
-        assert weighted_smoothing_sum(one, r, rp, q)[0][0] == weighted_smoothing_sum(f, r, rp, q)[0]
-        gamma = compute_envelope(f, r, rp).gamma
-        assert np.array_equal(compute_envelope(one, r, rp).gamma[0], gamma)
-        batch = envelope_equivalence(one, r, q, rp)
-        assert [side[0] for side in batch] == list(envelope_equivalence(f, r, q, rp))
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+def test_equal_width_batch_is_its_rows_bit_for_bit(rng, q):
+    # rows of one width, as the engine stacks flow images, need no padding,
+    # and the batch gives each row's one-row values exactly
+    norms = Rows(rng, (-20.0, 20.0), (q,)).norms
+    r, rp = 0.5, 1.75
+    batch_norm = dyadic_norm(norms, (r, q))
+    batch_env = compute_envelope(norms, r, rp)
+    batch_sum = weighted_smoothing_sum(norms, r, rp, q)[0]
+    for row, one in enumerate(norms[:, None]):
+        assert batch_norm[row] == dyadic_norm(one, (r, q))[0]
+        assert np.array_equal(batch_env.gamma[row], compute_envelope(one, r, rp).gamma[0])
+        assert batch_sum[row] == weighted_smoothing_sum(one, r, rp, q)[0][0]
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
@@ -172,7 +175,12 @@ def test_one_row_out_of_range_raises_naming_its_order(q):
 
 
 def test_batch_input_is_checked():
-    with pytest.raises(ValueError, match="2-D array of rows"):
-        dyadic_norm(np.ones(4), (0.0, 2.0))
+    for shape in [(4,), (0, 4), (3, 0)]:  # like a sequence, a row has at least one block
+        with pytest.raises(ValueError, match="2-D array of rows of at least one block"):
+            dyadic_norm(np.ones(shape), (0.0, 2.0))
+        with pytest.raises(ValueError, match="2-D array of rows of at least one block"):
+            compute_envelope(np.ones(shape), 0.0, 1.0)
+    with pytest.raises(ValueError, match="two batches of rows"):
+        young_convolve(np.ones((2, 0)), np.ones((2, 3)), 2.0)
     with pytest.raises(ValueError, match="negative or non-finite"):
         dyadic_norm(np.array([[1.0, -1.0]]), (0.0, 2.0))

@@ -447,10 +447,15 @@ class TestFailureRecords:
         from besovflow.cli import _failure_records
         from besovflow.dyadic import DyadicSequence
         from besovflow.engine import FlowMapAdapter, HypothesisReport, high_low_rows
-        from besovflow.pseudonorm import scalar_abs_space
+        from besovflow.littlewood_paley import grid_l2_space
 
-        f = DyadicSequence(scalar_abs_space(), np.array([1.0, 0.5, 0.25, 0.125]))
-        adapter = FlowMapAdapter(phi=lambda fs: fs, radius=100.0, s0=0.0, s=1.0, s1=2.0, q=2.0)
+        blocks = np.array([1.0, 0.5, 0.25, 0.125])[:, None] * np.ones((4, 8))
+        f = DyadicSequence(grid_l2_space(8), blocks)
+
+        def block_norms(fs):  # each image: the block norms of its datum, four blocks wide
+            return [np.pad(g.block_norms, (0, 4 - g.support)) for g in fs]
+
+        adapter = FlowMapAdapter(phi=block_norms, radius=100.0, s0=0.0, s=1.0, s1=2.0, q=2.0)
         shrunk = HypothesisReport(1e-3, 1e-3, 0.0, 1.0, 2.0, samples_used=1)
         checks = high_low_rows(adapter, f, shrunk, n_max=2)
         assert all(check.failed for check in checks) and len(checks) == 6
@@ -777,7 +782,7 @@ class TestBatchedVerify:
     def test_trials_build_no_dyadic_sequence(self, monkeypatch):
         import besovflow.cli as cli
         import besovflow.dyadic as dyadic
-        from besovflow.pseudonorm import scalar_abs_space
+        from besovflow.littlewood_paley import grid_l2_space
 
         built = []
         original = dyadic.DyadicSequence.__post_init__
@@ -789,7 +794,7 @@ class TestBatchedVerify:
         monkeypatch.setattr(dyadic.DyadicSequence, "__post_init__", counted)
         cli._verify_suites(np.random.default_rng(12), 200)
         assert built == []
-        dyadic.DyadicSequence(scalar_abs_space(), [1.0])  # the count is live
+        dyadic.DyadicSequence(grid_l2_space(8), np.ones((1, 8)))  # the count is live
         assert len(built) == 1
 
     def test_random_sequence_is_a_read_only_row(self):

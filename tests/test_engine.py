@@ -22,32 +22,54 @@ from besovflow.engine import (
     estimate_constants,
     high_low_rows,
 )
-from besovflow.pseudonorm import scalar_abs_space
+from besovflow.pseudonorm import PseudoNormedSpace
 
 INF = math.inf
+WIDTH = 8  # blocks of every image; inputs have at most this many
+GRID = 4
+
+# grid blocks under the max norm: block k = (v_k, 0, 0, 0) has norm |v_k| exactly
+SUP = PseudoNormedSpace("sup(4)", lambda blocks: np.abs(blocks).max(axis=-1), "grid_function")
 
 
-def scalar_seq(*values):
-    return DyadicSequence(scalar_abs_space(), tuple(float(v) for v in values))
+def seq(*values):
+    """The grid sequence whose block k is (v_k, 0, 0, 0), of block norm |v_k|."""
+    blocks = np.zeros((len(values), GRID))
+    blocks[:, 0] = values
+    return DyadicSequence(SUP, blocks)
+
+
+def padded(f):
+    """The block norms of f as an image row of WIDTH blocks."""
+    image = np.zeros(WIDTH)
+    image[: f.support] = f.block_norms
+    return image
+
+
+def norm(f, idx):
+    return dyadic_norm(f.block_norms[None], idx)[0]
 
 
 def identity_adapter(radius=100.0, scale=(0.0, 1.0, 2.0), q=2.0):
+    """The map taking a sequence to its own block norms."""
     s0, s, s1 = scale
-    return FlowMapAdapter(phi=lambda fs: fs, radius=radius, s0=s0, s=s, s1=s1, q=q)
+    return FlowMapAdapter(
+        phi=lambda fs: [padded(f) for f in fs], radius=radius, s0=s0, s=s, s1=s1, q=q
+    )
 
 
 def zero_adapter(radius=100.0, scale=(0.0, 1.0, 2.0), q=2.0):
     s0, s, s1 = scale
     return FlowMapAdapter(
-        phi=lambda fs: [scalar_seq() for _ in fs], radius=radius, s0=s0, s=s, s1=s1, q=q
+        phi=lambda fs: [np.zeros(WIDTH) for _ in fs], radius=radius, s0=s0, s=s, s1=s1, q=q
     )
 
 
 def small_sequences(rng, count, radius, s, q):
     out = []
     while len(out) < count:
-        f = scalar_seq(*random_sequence(rng, max_support=8, log2_range=(-4.0, 2.0)))
-        if dyadic_norm(f, (s, q)) < 0.5 * radius:
+        f = seq(*random_sequence(rng, max_support=WIDTH, log2_range=(-4.0, 2.0)))
+        if norm(f, (s, q)) < 0.5 * radius:
             out.append(f)
     return out
 
@@ -62,52 +84,60 @@ class TestAdapter:
     def test_ball_enforced(self):
         adapter = identity_adapter(radius=1.0)
         with pytest.raises(BallViolationError):
-            adapter(scalar_seq(5.0))
+            adapter([seq(5.0)])
 
-    def test_memoization_returns_same_object(self):
+    def test_request_gives_one_image_row_per_sequence(self):
+        f = seq(1.0, 0.5)
+        images = identity_adapter()([f, truncate(f, 0), f])
+        assert images.shape == (3, WIDTH)
+        assert images[:, :2].tolist() == [[1.0, 0.5], [1.0, 0.0], [1.0, 0.5]]
+        assert not images[:, 2:].any()
+
+    def test_memoization_maps_equal_data_once(self):
         calls = []
 
         def phi(fs):
             calls.append(len(fs))
-            return fs
+            return [padded(f) for f in fs]
 
         adapter = FlowMapAdapter(phi=phi, radius=10.0, s0=0, s=1, s1=2, q=2.0)
-        f = scalar_seq(1.0, 0.5)
-        adapter(f)
-        adapter(DyadicSequence(f.base, f.blocks.copy()))
+        f = seq(1.0, 0.5)
+        adapter([f])
+        again = adapter([DyadicSequence(f.base, f.blocks.copy())])
         assert len(calls) == 1
+        assert np.array_equal(again[0], padded(f))
 
     def test_request_maps_each_distinct_block_data_once(self):
         mapped = []
 
         def phi(fs):
             mapped.append(len(fs))
-            return fs
+            return [padded(f) for f in fs]
 
         adapter = FlowMapAdapter(phi=phi, radius=10.0, s0=0, s=1, s1=2, q=2.0)
-        f = scalar_seq(*np.array([1.0, 0.5]))
-        twin = scalar_seq(*np.array([1.0, 0.5]))  # equal data, other block objects
+        f = seq(1.0, 0.5)
+        twin = seq(1.0, 0.5)  # equal data, other block objects
         images = adapter([f, twin, truncate(f, 0), f, truncate(f, 0)])
         assert mapped == [2]
-        assert images[0] is images[1] is images[3]
-        assert images[2] is images[4] and images[2].blocks.tolist() == [1.0]
-        assert adapter(truncate(twin, 0)) is images[2]
+        assert np.array_equal(images[[0, 1, 3]], np.broadcast_to(padded(f), (3, WIDTH)))
+        assert np.array_equal(images[2], images[4]) and images[2, :2].tolist() == [1.0, 0.0]
+        assert np.array_equal(adapter([truncate(twin, 0)])[0], images[2])
+        assert mapped == [2]
 
     def test_without_memo_each_request_maps_again(self):
         mapped = []
 
         def phi(fs):
             mapped.append(len(fs))
-            return [DyadicSequence(f.base, f.blocks) for f in fs]  # a new image per call
+            return [padded(f) for f in fs]
 
         adapter = FlowMapAdapter(phi=phi, radius=10.0, s0=0, s=1, s1=2, q=2.0, memoize=False)
-        f = scalar_seq(*np.array([1.0, 0.5]))
-        twin = scalar_seq(*np.array([1.0, 0.5]))  # equal data, other block objects
+        f = seq(1.0, 0.5)
+        twin = seq(1.0, 0.5)  # equal data, other block objects
         images = adapter([f, twin, truncate(f, 0), f, truncate(twin, 0)])
         assert mapped == [2]
-        assert images[0] is images[1] is images[3] and images[2] is images[4]
         again = adapter([f, truncate(f, 0)])
-        assert mapped == [2, 2] and again[0] is not images[0] and again[0] == images[0]
+        assert mapped == [2, 2] and np.array_equal(again, images[[0, 2]])
         assert adapter._cache == {}
 
 
@@ -139,7 +169,7 @@ class TestEstimateConstants:
     def test_sample_outside_ball_rejected(self):
         adapter = identity_adapter(radius=1.0)
         with pytest.raises(BallViolationError):
-            estimate_constants(adapter, [(scalar_seq(9.0), scalar_seq(0.1))])
+            estimate_constants(adapter, [(seq(9.0), seq(0.1))])
 
     def test_smooth_only_mode_reported(self, rng):
         adapter = identity_adapter()
@@ -155,10 +185,7 @@ class TestEstimateConstants:
         gains = [1.0, 0.7, 1.3, 0.5, 1.1, 0.9, 1.2, 0.8]
 
         def phi(fs):
-            return [
-                DyadicSequence(f.base, tuple(g * v for g, v in zip(gains, f.blocks.tolist())))
-                for f in fs
-            ]
+            return [padded(f) * gains for f in fs]
 
         adapter = FlowMapAdapter(phi=phi, radius=1e6, s0=0, s=1, s1=2, q=2.0)
         samples = small_sequences(rng, 12, adapter.radius, adapter.s, adapter.q)
@@ -186,7 +213,7 @@ class TestCheck:
 
 class TestHighLowRows:
     def test_two_checks_per_level_high_first(self):
-        f = scalar_seq(1.0, 0.5, 0.25)
+        f = seq(1.0, 0.5, 0.25)
         adapter = identity_adapter()
         report = HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, samples_used=1)
         checks = high_low_rows(adapter, f, report, n_max=1)
@@ -221,7 +248,8 @@ class TestBlockDecayProfile:
         assert all(check.lhs == 0.0 for check in checks)
 
     def test_identity_increment_is_single_block(self):
-        f = scalar_seq(1.0, 0.5, 0.25, 0.125)
+        values = [1.0, 0.5, 0.25, 0.125]
+        f = seq(*values)
         adapter = identity_adapter()
         report = HypothesisReport(
             1.0, 1.0, 0.0, 1.0, 2.0, samples_used=1
@@ -232,7 +260,7 @@ class TestBlockDecayProfile:
             index = dict(check.index)
             n, m = index["n"], index["m"]
             if m == n + 1:
-                expected = 2.0 ** (m * adapter.s) * abs(f.blocks[m])
+                expected = 2.0 ** (m * adapter.s) * values[m]
                 assert check.lhs == pytest.approx(expected, rel=1e-12)
             else:
                 assert check.lhs == 0.0
@@ -302,7 +330,7 @@ class TestContinuityProbe:
         assert report.trend_ok
 
     def test_perturbation_must_stay_in_ball(self, rng):
-        f = scalar_seq(1.0)
+        f = seq(1.0)
         adapter = identity_adapter(radius=1.01)
         with pytest.raises(BallViolationError):
             continuity_probe(adapter, f, [1.0])
@@ -315,13 +343,10 @@ class TestInterpolationInAction:
         adapter = identity_adapter()
         f, g = small_sequences(rng, 2, adapter.radius, adapter.s, adapter.q)
         for n in range(4):
-            diff = adapter(truncate(f, n)) - adapter(truncate(g, n))
-            best = min(
-                (lambda p: p.low + p.high)(
-                    interpolation_bound(
-                        diff, adapter.s0, adapter.s, adapter.s1, adapter.q, m
-                    )
-                )
-                for m in range(diff.support + 4)
+            image_f, image_g = adapter([truncate(f, n), truncate(g, n)])
+            diff = np.abs(image_f - image_g)[None]
+            parts = interpolation_bound(
+                diff, adapter.s0, adapter.s, adapter.s1, adapter.q, np.arange(WIDTH + 4)
             )
-            assert dyadic_norm(diff, (adapter.s, adapter.q)) <= best * (1 + 1e-9)
+            best = (parts.low + parts.high).min()
+            assert dyadic_norm(diff, (adapter.s, adapter.q))[0] <= best * (1 + 1e-9)

@@ -17,6 +17,7 @@ from besovflow.littlewood_paley import (
     build_filters,
     decompose,
     random_grid_function,
+    reconstruct,
     sobolev_norm,
 )
 from besovflow.flows import (
@@ -32,7 +33,6 @@ from besovflow.flows import (
     burgers_spectral_reference,
     chemin_lerner_norm,
     flow_as_sequence_map,
-    global_max_abs,
     lmu_time_sobolev_norm,
     load_trajectory,
     make_flow,
@@ -44,6 +44,11 @@ from besovflow.flows import (
 )
 
 INF = math.inf
+
+
+def norm(f, idx):
+    """The (s, q) dyadic norm of one grid sequence."""
+    return dyadic_norm(f.block_norms[None], idx)[0]
 
 
 def transport_cfg(**overrides):
@@ -117,9 +122,9 @@ class TestBurgersFlow:
         with pytest.raises(ShockMarginError):
             burgers_flow(u0, burgers_cfg(grid_size=8, T=0.95))
 
-    def test_global_max_abs_of_nyquist_mode(self):
+    def test_torus_peak_of_nyquist_mode(self):
         # the Nyquist mode of the interpolant is cos(N x / 2), of height 1
-        assert global_max_abs(GridFunction((-1.0) ** np.arange(16))) == 1.0
+        assert torus_peak(GridFunction((-1.0) ** np.arange(16))) == 1.0
 
     def test_shock_margin_enforced(self):
         u0 = sinusoid_datum(64, 1.0)  # shock time 1.0
@@ -160,7 +165,7 @@ class TestBurgersFlow:
         u0 = sinusoid_datum(64, 0.11, 0.04)
         cfg = burgers_cfg(T=0.5)
         traj = burgers_flow(u0, cfg)
-        cap = global_max_abs(u0)
+        cap = torus_peak(u0)
         for state in traj.states:
             assert np.abs(state.values).max() <= cap + 1e-12
 
@@ -182,6 +187,11 @@ class TestBurgersFlow:
         assert np.allclose(value, interp(np.linspace(0, 6.0, 50)))
 
 
+def torus_peak(u):
+    """max |u| over the torus, as shock_time reports it beside the shock time."""
+    return shock_time(u, return_peak=True)[1]
+
+
 def phase_slip_datum(n):
     """+-1 node values whose alternation slips by one node at N/2.
 
@@ -199,13 +209,16 @@ class TestBracketFromTorusMax:
         # a bracket from the node maximum misses the roots of the feet whose
         # values come from between the nodes, and the solve stalled
         u0 = phase_slip_datum(n)
-        assert global_max_abs(u0) > 2.0 * np.abs(u0.values).max()
+        assert torus_peak(u0) > 2.0 * np.abs(u0.values).max()
         traj = burgers_flow(u0, burgers_cfg(grid_size=n, T=ratio * shock_time(u0)))
         assert np.all(np.isfinite(traj.samples))
 
     def test_shock_time_returns_the_torus_peak(self):
         u0 = phase_slip_datum(64)
-        assert shock_time(u0, return_peak=True) == (shock_time(u0), global_max_abs(u0))
+        time, peak = shock_time(u0, return_peak=True)
+        assert time == shock_time(u0)
+        dense = TrigInterpolant(u0)(np.linspace(0.0, 2.0 * math.pi, 1 << 16, endpoint=False))
+        assert peak == pytest.approx(np.abs(dense).max(), rel=1e-9)
 
 
 def near_shock_mix(n):
@@ -249,12 +262,13 @@ class TestBatchedSolve:
         # N = 256 groups 8 data per sweep; 11 data leave a partial group
         data = [sinusoid_datum(256, 0.02 * (k + 1), 0.01 * (k - 5)) for k in range(11)]
         family = [decompose(u, bank256) for u in data]
-        radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
+        radius = 2.0 * max(norm(f, (2.0, 2.0)) for f in family)
         cfg = burgers_cfg(grid_size=256, T=0.4, time_steps=16, ball_radius=radius)
         batched = flow_as_sequence_map(cfg, bank256)(family)
+        assert batched.shape == (11, bank256.j_max + 1)
         for f, image in zip(family, batched):
-            solo = flow_as_sequence_map(cfg, bank256)(f)
-            assert np.array_equal(image.blocks, solo.blocks)
+            (solo,) = flow_as_sequence_map(cfg, bank256)([f])
+            assert np.array_equal(image, solo)
 
     def test_stall_names_the_datum(self, monkeypatch):
         # datum 1 of the stack gets noise far above the residual gate
@@ -456,33 +470,42 @@ class TestFlowAsSequenceMap:
     def test_zero_datum_maps_to_zero(self, bank64):
         cfg = transport_cfg(ball_radius=10.0)
         adapter = flow_as_sequence_map(cfg, bank64)
-        image = adapter(decompose(GridFunction.zeros(64), bank64))
-        assert dyadic_norm(image, (0.0, 1.0)) == 0.0
+        (image,) = adapter([decompose(GridFunction.zeros(64), bank64)])
+        assert image.shape == (bank64.j_max + 1,) and not image.any()
 
     def test_transport_preserves_block_norms(self, bank64, rng):
         u0 = random_grid_function(rng, 64, max_mode=16, decay=2.0)
         f = decompose(u0, bank64)
-        cfg = transport_cfg(mu=INF, ball_radius=2.0 * dyadic_norm(f, (2.0, 2.0)))
+        cfg = transport_cfg(mu=INF, ball_radius=2.0 * norm(f, (2.0, 2.0)))
         adapter = flow_as_sequence_map(cfg, bank64)
-        image = adapter(f)
-        assert np.allclose(image.block_norms, f.block_norms, rtol=1e-12)
+        (image,) = adapter([f])
+        assert np.allclose(image, f.block_norms, rtol=1e-12)
 
     def test_burgers_output_support_capped(self, bank64):
         u0 = sinusoid_datum(64, 0.1)
         f = decompose(u0, bank64)
-        cfg = burgers_cfg(ball_radius=2.0 * dyadic_norm(f, (2.0, 2.0)))
+        cfg = burgers_cfg(ball_radius=2.0 * norm(f, (2.0, 2.0)))
         adapter = flow_as_sequence_map(cfg, bank64)
-        image = adapter(f)
-        assert image.support <= bank64.j_max + 1
-        assert dyadic_norm(image, (2.0, 2.0)) > 0.0
+        images = adapter([f])
+        assert images.shape == (1, bank64.j_max + 1)
+        assert dyadic_norm(images, (2.0, 2.0))[0] > 0.0
 
     def test_ball_checked(self, bank64):
         u0 = sinusoid_datum(64, 0.1)
         f = decompose(u0, bank64)
-        cfg = burgers_cfg(ball_radius=0.5 * dyadic_norm(f, (2.0, 2.0)))
+        cfg = burgers_cfg(ball_radius=0.5 * norm(f, (2.0, 2.0)))
         adapter = flow_as_sequence_map(cfg, bank64)
         with pytest.raises(BallViolationError):
-            adapter(f)
+            adapter([f])
+
+    def test_images_are_read_only_block_time_norm_rows(self, bank64):
+        u0 = sinusoid_datum(64, 0.1, 0.05)
+        f = decompose(u0, bank64)
+        cfg = burgers_cfg(ball_radius=2.0 * norm(f, (2.0, 2.0)))
+        (image,) = flow_as_sequence_map(cfg, bank64).phi([f])
+        assert not image.flags.writeable
+        datum = reconstruct(f, bank64)  # the map solves the datum its blocks rebuild
+        assert np.array_equal(image, block_time_norms(burgers_flow(datum, cfg), bank64))
 
     def test_radius_required(self, bank64):
         cfg = transport_cfg(ball_radius=None)
@@ -813,20 +836,20 @@ class TestTransportStaysInFourierSpace:
         bank = build_filters(n)
         rng = np.random.default_rng(n)
         family = [decompose(random_grid_function(rng, n, max_mode=20), bank) for _ in range(count)]
-        radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
+        radius = 2.0 * max(norm(f, (2.0, 2.0)) for f in family)
         adapter = flow_as_sequence_map(transport_cfg(grid_size=n, ball_radius=radius), bank)
         images = adapter(family)
         group = max(1, 2048 // n)
         sizes = [min(group, count - start) for start in range(0, count, group)]
         assert calls == [("rfft", (size, n)) for size in sizes]
-        assert len(images) == count
+        assert images.shape == (count, bank.j_max + 1)
 
 
 class TestFullPipeline:
     def test_transport_constants_stable_under_sample_growth(self, bank64, rng):
         data = [random_grid_function(rng, 64, max_mode=12, decay=2.0) for _ in range(8)]
         family = [decompose(u, bank64) for u in data]
-        radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
+        radius = 2.0 * max(norm(f, (2.0, 2.0)) for f in family)
         cfg = transport_cfg(ball_radius=radius)
         adapter = flow_as_sequence_map(cfg, bank64)
         pairs = [
@@ -848,7 +871,7 @@ class TestFullPipeline:
             ]
         ]
         family = [decompose(u, bank) for u in data]
-        radius = 2.0 * max(dyadic_norm(f, (2.0, 2.0)) for f in family)
+        radius = 2.0 * max(norm(f, (2.0, 2.0)) for f in family)
         cfg = burgers_cfg(grid_size=128, ball_radius=radius)
         adapter = flow_as_sequence_map(cfg, bank)
         pairs = [
