@@ -144,7 +144,6 @@ class FlowMapAdapter:
         return np.array([memo[key] for key in keys])
 
 
-
 @dataclass(frozen=True)
 class HypothesisReport:
     """Empirically estimated hypothesis constants at the orders s0 < s < s1.

@@ -8,13 +8,15 @@ are generated once, from this checkout, and every op is run by the CLI of
 both trees, one fresh process per op.  The output directories are then
 compared file by file.  A file is either byte-identical or reported with,
 for CSV, JSON and binary grid files, the largest |new - old| / max(1, |old|)
-over its numbers.  The exit code is 0 when every file is byte-identical
-and 1 otherwise.  Uses only the standard library and numpy.
+over its numbers.  An op that exits nonzero in either tree counts as a
+difference.  The exit code is 0 when every op succeeds in both trees and
+every file is byte-identical, and 1 otherwise.  Uses only the standard library and numpy.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -34,8 +36,8 @@ from workloads import WORKLOADS  # noqa: E402
 def run_op(tree: str, op, out_dir: str) -> int:
     """Run one op with the CLI of ``tree``; its exit code."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    cmd = [sys.executable, "-m", "besovflow.cli", "--config", op.config_path,
-           "--out", out_dir, "--quiet"]
+    cmd = [sys.executable, "-m", "besovflow.cli",
+           *dataclasses.replace(op, out_dir=out_dir).cli_args()]
     return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, check=False).returncode
 
@@ -119,13 +121,12 @@ def main(argv=None) -> int:
     parser.add_argument("old", help="root of the first source tree")
     parser.add_argument("new", help="root of the second source tree")
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 11])
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=list(WORKLOADS))
     parser.add_argument("--work", help="directory for inputs and outputs (default: a temporary one)")
     args = parser.parse_args(argv)
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
     all_identical = True
     for seed in args.seeds:
-        for name in args.workloads:
+        for name in WORKLOADS:
             base = os.path.join(work, f"{name}-seed{seed}")
             inputs = os.path.join(base, "inputs")
             os.makedirs(inputs, exist_ok=True)
@@ -136,7 +137,7 @@ def main(argv=None) -> int:
                     run_op(tree, op, os.path.join(base, label, op.name)) for op in workload.ops
                 ]
             identical, lines = compare(os.path.join(base, "old"), os.path.join(base, "new"))
-            if codes["old"] != codes["new"]:
+            if any(codes["old"] + codes["new"]):
                 lines.insert(0, f"  exit codes: old {codes['old']}, new {codes['new']}")
             all_identical &= not lines
             verdict = "all identical" if not lines else "DIFFERENT"
