@@ -38,7 +38,7 @@ def main():
     data = [sinusoid_datum(n, a, b) for a, b in coeffs]
     print("\ndatum family alpha sin x + beta sin 2x:")
     for (a, b), u in zip(coeffs, data):
-        print(f"  alpha={a:6.2f} beta={b:6.2f}  shock time {shock_time(u):8.3f}")
+        print(f"  alpha={a:6.2f} beta={b:6.2f}  shock time {shock_time(u)[0]:8.3f}")
 
     family = [decompose(u, bank) for u in data]
     rows = np.array([f.block_norms for f in family])  # one row of block norms per datum
@@ -73,7 +73,7 @@ def main():
         print(f"  eps={row.scale:6.0e}: input {row.input_distance:.3e} -> "
               f"output {row.output_distance:.3e}")
 
-    traj = burgers_flow(data[0], cfg)
+    (traj,) = burgers_flow([data[0]], cfg)
     y2 = chemin_lerner_norm(traj, 2.0, bank)
     sup_h2 = lmu_time_sobolev_norm(traj, 2.0)
     tails = time_continuity_modulus(traj, 2.0, bank).tails

@@ -602,7 +602,7 @@ def _cmd_flow(config, outdir, rng):
         [] if probe_report.trend_ok else [{"check": "continuity_trend"}]
     )
 
-    traj = flows.make_flow(cfg)(data[0])
+    (traj,) = flows.make_flow(cfg)([data[0]])
     tails = flows.time_continuity_modulus(traj, cfg.s, bank).tails if math.isinf(cfg.mu) else None
 
     dump_csv(

@@ -128,16 +128,17 @@ class FlowMapAdapter:
     def __call__(self, request: list) -> np.ndarray:
         """The images of a list of sequences, one row each, as one array.
 
-        The list is one request: each distinct sequence in it (by its
-        ``key``) is checked against the ball once, and every image not yet
-        memoized comes from one call of ``phi`` on the list of misses.
+        The list is one request: every image not yet memoized comes from
+        one call of ``phi`` on the list of distinct misses (by ``key``),
+        each checked against the ball first.  A memoized sequence was
+        checked against the same radius when it was mapped.
         """
         keys = [f.key for f in request]
         distinct = dict(zip(keys, request))
-        for f in distinct.values():
-            self.check_ball(f)
         memo = self._cache if self.memoize else {}
         misses = [key for key in distinct if key not in memo]
+        for key in misses:
+            self.check_ball(distinct[key])
         if misses:
             images = self.phi([distinct[key] for key in misses])
             memo.update(zip(misses, images, strict=True))
@@ -285,7 +286,7 @@ def high_low_rows(
     report: HypothesisReport,
     n_max: int,
 ) -> list:
-    """The two hypothesis bounds at each level n <= n_max as ``high_low`` checks, high first.
+    """The two hypothesis bounds at each level n <= n_max as ``high`` and ``low`` checks.
 
     high: ||Phi(S_n f)||_{s1,inf} <= C1_hat 2^{n(s1-s)} gamma_n;
     low:  ||Phi(S_{n+1}f) - Phi(S_n f)||_{s0,inf} <= C0_hat 2^{-n(s-s0)} gamma_{n+1}.
@@ -299,8 +300,8 @@ def high_low_rows(
         high_rhs = report.C1_hat * 2.0 ** (n * (adapter.s1 - adapter.s)) * float(gamma[n])
         low_rhs = report.C0_hat * 2.0 ** (-n * (adapter.s - adapter.s0)) * float(gamma[n + 1])
         checks += [
-            Check("high_low", index, high[n], high_rhs),
-            Check("high_low", index, low[n], low_rhs),
+            Check("high", index, high[n], high_rhs),
+            Check("low", index, low[n], low_rhs),
         ]
     return checks
 
@@ -344,7 +345,6 @@ def convergence_report(
     lhs = ||Phi(f) - Phi(S_n f)||_{s,q};
     rhs = A C ( sum_{p>=n} c_p^q )^{1/q} with A = 2/(1 - 2^-kappa).
     """
-    adapter.check_ball(f)
     env = compute_envelope(f.block_norms[None], adapter.s, adapter.s1)
     n_values = list(n_values)
     if not n_values:
@@ -389,9 +389,8 @@ def continuity_probe(
     Continuity gives no rate, so the verdict compares batch extremes: the
     largest output distance at the smallest scale must lie below the
     smallest output distance at the largest scale (or both below the
-    absolute floor).  All perturbed inputs must stay inside the ball.
+    absolute floor).  f and all perturbed inputs must lie inside the ball.
     """
-    adapter.check_ball(f)
     if directions is None:
         norm = float(dyadic_norm(f.block_norms[None], (adapter.s, adapter.q))[0])
         if norm == 0.0:

@@ -4,7 +4,9 @@ Two flows instantiate the abstract maps that the verification engine
 consumes: linear transport (solved exactly by a spectral phase shift) and
 inviscid Burgers before shock formation (solved by the method of
 characteristics, with an independent pseudospectral RK4 solver kept as a
-cross-check oracle).
+cross-check oracle).  Each flow maps a list of data on one grid to the list
+of their trajectories, and a trajectory holds its time slices as real-FFT
+half spectra.
 
 A flow becomes a sequence map by conjugation with the dyadic
 decompose/reconstruct pair: reconstruct the initial datum from its blocks,
@@ -37,7 +39,6 @@ from .littlewood_paley import (
     _check_grid_size,
     _weighted_energy,
     frequencies,
-    load_grid_function,
     reconstruct,
     save_grid_function,
 )
@@ -62,7 +63,6 @@ __all__ = [
     "time_continuity_modulus",
     "sinusoid_datum",
     "save_trajectory",
-    "load_trajectory",
 ]
 
 
@@ -77,40 +77,37 @@ class CharacteristicSolveError(RuntimeError):
 class Trajectory:
     """States of a flow on a uniform time grid, with a time exponent mu.
 
-    The constructor takes exactly one form of the states and stores only
-    it: ``samples``, the read-only (m, N) grid values, row i at
-    ``times[i]``, or ``spectra``, their read-only (m, N/2 + 1) real-FFT half
-    spectra, N = 2 (W - 1) for width W, with real mode-0 and Nyquist
-    entries as a real grid function has.  The other form is derived by one
-    real FFT on each access and never kept.  A read-only array whose
-    buffer's owner is read-only too is kept as given; any other input is
-    copied.  ``states`` is the tuple of the rows as GridFunctions, built on
-    access.  Instances are immutable.
+    ``spectra`` holds the states as their read-only (m, N/2 + 1) real-FFT
+    half spectra, row i at ``times[i]``, N = 2 (W - 1) for width W, with
+    real mode-0 and Nyquist entries as a real grid function has.  A
+    read-only complex array whose buffer's owner is read-only too is kept
+    as given; any other input is copied.  ``samples``, the (m, N) grid
+    values, come from one inverse real FFT on each access and are never
+    kept; ``states`` is the tuple of their rows as GridFunctions.
+    Instances are immutable.
     """
 
-    __slots__ = ("times", "mu", "_states")
+    __slots__ = ("times", "spectra", "mu")
 
-    def __init__(self, times, samples=None, mu: float = math.inf, *, spectra=None):
-        if (samples is None) == (spectra is None):
-            raise TypeError("a trajectory takes exactly one of samples and spectra")
+    def __init__(self, times, spectra, mu: float = math.inf):
         times = np.array(times, dtype=float)
-        states = _read_only(samples) if spectra is None else _read_only(spectra, complex)
-        if states.ndim != 2 or times.ndim != 1 or times.size != states.shape[0]:
+        spectra = _read_only(spectra, complex)
+        if spectra.ndim != 2 or times.ndim != 1 or times.size != spectra.shape[0]:
             raise ValueError("one state per time node is required")
         if times.size < 2:
             raise ValueError("a trajectory needs at least two time nodes")
         steps = np.diff(times)
         if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
             raise ValueError("time nodes must be uniform")
-        _check_grid_size(states.shape[1] if spectra is None else 2 * (states.shape[1] - 1))
-        if not np.all(np.isfinite(states)):
+        _check_grid_size(2 * (spectra.shape[1] - 1))
+        if not np.all(np.isfinite(spectra)):
             raise ValueError("grid values must be finite")
-        if spectra is not None and np.any(states[:, [0, -1]].imag):
+        if np.any(spectra[:, [0, -1]].imag):
             raise ValueError("mode-0 and Nyquist entries of real-FFT spectra must be real")
         if not mu >= 2:
             raise ValueError("time exponent mu must be >= 2")
         times.setflags(write=False)
-        for name, value in (("times", times), ("mu", mu), ("_states", states)):
+        for name, value in (("times", times), ("spectra", spectra), ("mu", mu)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -118,15 +115,7 @@ class Trajectory:
 
     @property
     def samples(self) -> np.ndarray:
-        if self._states.dtype == float:
-            return self._states
-        return _frozen(np.fft.irfft(self._states, n=self.grid_size, axis=1))
-
-    @property
-    def spectra(self) -> np.ndarray:
-        if self._states.dtype == complex:
-            return self._states
-        return _frozen(np.fft.rfft(self._states, axis=1))
+        return _frozen(np.fft.irfft(self.spectra, n=self.grid_size, axis=1))
 
     @property
     def states(self) -> tuple:
@@ -138,8 +127,7 @@ class Trajectory:
 
     @property
     def grid_size(self) -> int:
-        width = self._states.shape[1]
-        return width if self._states.dtype == float else 2 * (width - 1)
+        return 2 * (self.spectra.shape[1] - 1)
 
 
 @dataclass(frozen=True)
@@ -227,15 +215,14 @@ class TrigInterpolant:
     its error stays a rounding of dy itself rather than |y| eps, which the
     derivative N/2 would amplify.
 
-    ``u`` is a list of G GridFunctions on one grid (a stack), whose tables
-    lie one after another in one (G M, P + 2) table, or one GridFunction,
-    the stack of G = 1.  The interpolant takes points of shape (G, ...),
-    row g evaluated on datum g (any shape for G = 1), and :meth:`rows`
-    restricts it to a subset of the data without copying the table.
+    ``data`` is a list of G GridFunctions on one grid (a stack), whose
+    tables lie one after another in one (G M, P + 2) table.  The
+    interpolant takes points of shape (G, ...), row g evaluated on datum g,
+    and :meth:`rows` restricts it to a subset of the data without copying
+    the table.
     """
 
-    def __init__(self, u):
-        data = [u] if isinstance(u, GridFunction) else list(u)
+    def __init__(self, data):
         m = _OVERSAMPLE * data[0].grid_size
         self.table = np.empty((len(data) * m, _TAYLOR_ORDER + 2))
         for start, datum in zip(range(0, self.table.shape[0], m), data):
@@ -253,6 +240,8 @@ class TrigInterpolant:
         return view
 
     def _taylor(self, y: np.ndarray, derivative_too: bool):
+        if y.shape[:1] != self.offsets.shape:
+            raise ValueError(f"points of shape {y.shape} for {self.offsets.size} data")
         flat = y.ravel()
         node = np.rint(flat * self.nodes_per_radian)
         dy = (flat - node * self.step_hi) - node * self.step_lo
@@ -303,21 +292,19 @@ def _torus_peak(samples: np.ndarray) -> float:
     return float(f0)
 
 
-def shock_time(u0: GridFunction, return_peak: bool = False):
-    """First characteristic crossing time 1/max(0, -min u0') (inf if none).
+def shock_time(u0: GridFunction) -> tuple[float, float]:
+    """(first characteristic crossing time, max |u0| over the torus).
 
-    The minimum slope is taken over the whole torus, not just the grid
-    nodes: the steepest point of the datum usually lies between nodes, so
-    the band-limited interpolant is upsampled and the discrete extremum
-    sharpened with one parabolic fit, accurate to well below 1e-12 for
-    smooth data.  With ``return_peak`` the result is the pair (shock time,
-    max |u0| over the torus), both from the same oversampled pass.
+    The crossing time is 1/max(0, -min u0') (inf if none).  Both extrema
+    are taken over the whole torus, not just the grid nodes: the steepest
+    point and the peak of the datum usually lie between nodes, so the
+    band-limited interpolant and its slope are upsampled in one pass and
+    each discrete extremum sharpened with one parabolic fit, accurate to
+    well below 1e-12 for smooth data.
     """
-    dense = _oversampled(u0, _PEAK_REFINE * u0.grid_size, [1, 0] if return_peak else [1])
+    dense = _oversampled(u0, _PEAK_REFINE * u0.grid_size, [1, 0])
     slope_min = -_torus_peak(-dense[0])
     time = math.inf if slope_min >= 0.0 else 1.0 / (-slope_min)
-    if not return_peak:
-        return time
     return time, max(0.0, _torus_peak(dense[1]), _torus_peak(-dense[1]))
 
 
@@ -337,17 +324,14 @@ def _phase_table(n: int, speed: float, times: tuple) -> np.ndarray:
     return table
 
 
-def _as_batch(u0) -> tuple[list, bool]:
-    """(data, single): one GridFunction becomes a one-element list."""
-    if isinstance(u0, GridFunction):
-        return [u0], True
-    data = list(u0)
+def _stack(data: list) -> np.ndarray:
+    """The (G, N) values of a list of data on one grid."""
     if len({u.grid_size for u in data}) > 1:
         raise GridMismatchError("all data of a batch must share one grid size")
-    return data, False
+    return np.stack([u.values for u in data])
 
 
-def transport_flow(u0, speed: float, cfg: FlowConfig):
+def transport_flow(data: list, speed: float, cfg: FlowConfig) -> list:
     """Constant-speed transport solved by an exact spectral phase shift.
 
     Every Sobolev norm is conserved along the trajectory since the phase
@@ -358,17 +342,13 @@ def transport_flow(u0, speed: float, cfg: FlowConfig):
     grid, so it is built once and reused by every call on the same
     configuration.
 
-    ``u0`` is one GridFunction, or a list of data on one grid, which gives
-    the list of their trajectories, the spectra from one batched real FFT.
+    ``data`` is a list of data on one grid; the result is the list of their
+    trajectories, the spectra from one batched real FFT.
     """
-    data, single = _as_batch(u0)
+    spectra = np.fft.rfft(_stack(data), axis=1)
     times = cfg.time_nodes()
     phase = _phase_table(data[0].grid_size, float(speed), tuple(times))
-    spectra = np.fft.rfft(np.stack([u.values for u in data]), axis=1)
-    trajectories = [
-        Trajectory(times, spectra=_frozen(spectrum * phase), mu=cfg.mu) for spectrum in spectra
-    ]
-    return trajectories[0] if single else trajectories
+    return [Trajectory(times, _frozen(spectrum * phase), cfg.mu) for spectrum in spectra]
 
 
 def _characteristic_feet(interp: TrigInterpolant, x, t, seed, half_width):
@@ -424,7 +404,7 @@ def _characteristic_feet(interp: TrigInterpolant, x, t, seed, half_width):
     )
 
 
-def burgers_flow(u0, cfg: FlowConfig):
+def burgers_flow(data: list, cfg: FlowConfig) -> list:
     """Inviscid Burgers before shocks, solved by characteristics.
 
     For each grid node x and time t the foot y of the characteristic solves
@@ -438,21 +418,22 @@ def burgers_flow(u0, cfg: FlowConfig):
     Requires the horizon to sit below the shock time with a 10 percent
     margin.
 
-    ``u0`` is one GridFunction, or a list of G data on one grid, which gives
-    the list of their trajectories: one Newton sweep over the (G, N) feet,
-    served by one stacked interpolant.  Each datum stops iterating once it
-    has converged, so its trajectory is bit for bit its solo solve.
+    ``data`` is a list of G data on one grid; the result is the list of
+    their trajectories: one Newton sweep over the (G, N) feet, served by
+    one stacked interpolant.  Each datum stops iterating once it has
+    converged, so its trajectory is bit for bit its solo solve.  Each
+    trajectory holds the half spectra of its solved samples, from one real
+    FFT per datum.
     """
-    data, single = _as_batch(u0)
+    stack = _stack(data)
     half_width = np.empty((len(data), 1))
     for index, datum in enumerate(data):
-        t_star, peak = shock_time(datum, return_peak=True)
+        t_star, peak = shock_time(datum)
         if not cfg.T <= 0.9 * t_star:
             raise ShockMarginError(
                 f"horizon T={cfg.T} exceeds the pre-shock margin {0.9 * t_star} of datum {index}"
             )
         half_width[index] = 2.0 * peak + 1e-9
-    stack = np.stack([datum.values for datum in data])
     interp = TrigInterpolant(data)
     x = data[0].nodes
     times = cfg.time_nodes()
@@ -474,8 +455,7 @@ def burgers_flow(u0, cfg: FlowConfig):
             block[step] = values
         # the derivative is from the last Newton point, close enough for a seed
         slope_y = -value / (1.0 + t * deriv)
-    trajectories = [Trajectory(times, samples=_frozen(block), mu=cfg.mu) for block in samples]
-    return trajectories[0] if single else trajectories
+    return [Trajectory(times, _frozen(np.fft.rfft(block, axis=1)), cfg.mu) for block in samples]
 
 
 def burgers_spectral_reference(
@@ -505,8 +485,8 @@ def burgers_spectral_reference(
 
     times = np.asarray(times, dtype=float)
     u_hat = np.fft.rfft(u0.values)
-    samples = np.empty((times.size, n))
-    samples[0] = u0.values
+    spectra = np.empty((times.size, freqs.size), complex)
+    spectra[0] = u_hat
     for step, (left, right) in enumerate(zip(times[:-1], times[1:]), start=1):
         dt = (right - left) / steps_per_interval
         for _ in range(steps_per_interval):
@@ -515,19 +495,19 @@ def burgers_spectral_reference(
             k3 = rhs(u_hat + 0.5 * dt * k2_)
             k4 = rhs(u_hat + dt * k3)
             u_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
-        samples[step] = np.fft.irfft(u_hat, n=n)
-    return Trajectory(times, samples=_frozen(samples), mu=mu)
+        spectra[step] = u_hat
+    return Trajectory(times, _frozen(spectra), mu)
 
 
 def make_flow(cfg: FlowConfig) -> Callable:
     """The configured flow as a single-argument callable on initial data.
 
-    It maps one GridFunction to its trajectory, or a list of data to the
-    list of their trajectories (see :func:`burgers_flow`).
+    It maps a list of data on one grid to the list of their trajectories
+    (see :func:`transport_flow` and :func:`burgers_flow`).
     """
     if cfg.flow_kind == "transport":
-        return lambda u0: transport_flow(u0, cfg.transport_speed, cfg)
-    return lambda u0: burgers_flow(u0, cfg)
+        return lambda data: transport_flow(data, cfg.transport_speed, cfg)
+    return lambda data: burgers_flow(data, cfg)
 
 
 # --- time-frequency norms ------------------------------------------------------
@@ -717,16 +697,3 @@ def save_trajectory(
         fh.write("\n")
     for index, state in enumerate(traj.states):
         save_grid_function(os.path.join(directory, f"state_{index:04d}.gfn"), state)
-
-
-def load_trajectory(directory) -> Trajectory:
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    times = np.asarray(manifest["times"], dtype=float)
-    mu = manifest.get("mu", "inf")
-    mu = math.inf if mu == "inf" else float(mu)
-    rows = [
-        load_grid_function(os.path.join(directory, f"state_{index:04d}.gfn")).values
-        for index in range(times.size)
-    ]
-    return Trajectory(times, _frozen(np.stack(rows)), mu)

@@ -105,7 +105,7 @@ def burgers_setup(bank):
         for n in range(probe.support - 1)
     ]
     constants = estimate_constants(adapter, pairs).inflated(1.1)
-    trajectory = burgers_flow(data[0], cfg)
+    (trajectory,) = burgers_flow([data[0]], cfg)
     return {
         "adapter": adapter, "probe": probe, "family": family,
         "constants": constants, "cfg": cfg, "trajectory": trajectory,
@@ -288,7 +288,7 @@ def test_criterion_08_chemin_lerner(burgers_setup, bank):
 def test_criterion_09_oracle_cross_check(burgers_setup):
     cfg = burgers_setup["cfg"]
     datum = sinusoid_datum(GRID, 0.1)
-    traj = burgers_flow(datum, cfg)
+    (traj,) = burgers_flow([datum], cfg)
     reference = burgers_spectral_reference(datum, traj.times, steps_per_interval=32)
     worst = max(
         float(np.abs(a.values - b.values).max())

@@ -333,8 +333,8 @@ class TestCommands:
         assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
         with open(out / "flow_report.json", encoding="utf-8") as fh:
             report = json.load(fh)
-        shapes = {"high_low": {"check", "n"}, "block_decay": {"check", "n", "m"},
-                  "convergence": {"check", "n"}}
+        shapes = {"high": {"check", "n"}, "low": {"check", "n"},
+                  "block_decay": {"check", "n", "m"}, "convergence": {"check", "n"}}
         assert {f["check"] for f in report["failures"]} == set(shapes)
         for failure in report["failures"]:
             assert set(failure) == shapes[failure["check"]]
@@ -443,7 +443,7 @@ class TestCommands:
 
 
 class TestFailureRecords:
-    def test_level_failing_high_and_low_gives_one_record(self):
+    def test_level_failing_high_and_low_gives_two_records(self):
         from besovflow.cli import _failure_records
         from besovflow.dyadic import DyadicSequence
         from besovflow.engine import FlowMapAdapter, HypothesisReport, high_low_rows
@@ -459,7 +459,9 @@ class TestFailureRecords:
         shrunk = HypothesisReport(1e-3, 1e-3, 0.0, 1.0, 2.0, samples_used=1)
         checks = high_low_rows(adapter, f, shrunk, n_max=2)
         assert all(check.failed for check in checks) and len(checks) == 6
-        assert _failure_records(checks) == [{"check": "high_low", "n": n} for n in range(3)]
+        assert _failure_records(checks) == [
+            {"check": family, "n": n} for n in range(3) for family in ("high", "low")
+        ]
 
     def test_records_keep_first_seen_order(self):
         from besovflow.cli import _failure_records

@@ -124,6 +124,27 @@ class TestAdapter:
         assert np.array_equal(adapter([truncate(twin, 0)])[0], images[2])
         assert mapped == [2]
 
+    def test_ball_checked_once_per_mapped_sequence(self, monkeypatch):
+        checked = []
+        check_ball = FlowMapAdapter.check_ball
+
+        def counted(self, f):
+            checked.append(f.key)
+            return check_ball(self, f)
+
+        monkeypatch.setattr(FlowMapAdapter, "check_ball", counted)
+        adapter = identity_adapter(radius=10.0)
+        f = seq(1.0, 0.5)
+        twin = seq(1.0, 0.5)  # equal data, other block objects
+        adapter([f, twin, truncate(f, 0), f])
+        assert checked == [f.key, truncate(f, 0).key]
+        adapter([truncate(twin, 0), seq(0.25), f])  # two memoized, one new
+        assert checked == [f.key, truncate(f, 0).key, seq(0.25).key]
+        convergence_report(adapter, f, HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, 1), range(3))
+        continuity_probe(adapter, f, [1e-1, 1e-2])
+        # f and its truncations were mapped already: only the perturbations are new
+        assert len(checked) == 3 + 2 and len(set(checked)) == len(checked)
+
     def test_without_memo_each_request_maps_again(self):
         mapped = []
 
@@ -218,8 +239,8 @@ class TestHighLowRows:
         report = HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, samples_used=1)
         checks = high_low_rows(adapter, f, report, n_max=1)
         assert [(c.family, c.index) for c in checks] == [
-            ("high_low", (("n", 0),)), ("high_low", (("n", 0),)),
-            ("high_low", (("n", 1),)), ("high_low", (("n", 1),)),
+            ("high", (("n", 0),)), ("low", (("n", 0),)),
+            ("high", (("n", 1),)), ("low", (("n", 1),)),
         ]
         # gamma_n = 2^-n sum_{k<=n} 4^k |f_k|: gamma_0 = 1, gamma_1 = 3/2, gamma_2 = 7/4
         pairs = [(c.lhs, c.rhs) for c in checks]

@@ -66,7 +66,6 @@ def test_no_complex_fft_layout():
 # public names that no package code, demo or benchmark reaches, each kept
 # for the test named here, which calls it as a reference or as user plumbing
 TEST_ONLY = {
-    "load_trajectory": "test_flows.py::TestTrajectoryPlumbing::test_serialization_round_trip",
     "apply_block": "test_littlewood_paley.py::TestApplyBlock::test_l2_contraction",
     "bessel_potential": "test_littlewood_paley.py::TestSobolevNorm::test_bessel_multiplier_consistency",
     "axiom_probe": "test_pseudonorm.py::TestAxiomProbe::test_grid_l2_clean",

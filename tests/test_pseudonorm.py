@@ -46,7 +46,7 @@ class TestEvalPseudoNorm:
     def test_kind_mismatch(self):
         # anything but a block array of the space's kind: a float, a grid
         # function, a trajectory
-        trajectory = Trajectory(np.linspace(0.0, 1.0, 3), np.ones((3, 8)))
+        trajectory = Trajectory(np.linspace(0.0, 1.0, 3), np.ones((3, 5)))
         for space in (scalar_abs_space(), grid_l2_space(8)):
             for element in (1.0, GridFunction(np.ones(8)), trajectory):
                 with pytest.raises(KindMismatchError):

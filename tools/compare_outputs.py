@@ -8,7 +8,9 @@ are generated once, from this checkout, and every op is run by the CLI of
 both trees, one fresh process per op.  The output directories are then
 compared file by file.  A file is either byte-identical or reported with,
 for CSV, JSON and binary grid files, the largest |new - old| / max(1, |old|)
-over its numbers.  An op that exits nonzero in either tree counts as a
+over its numbers.  Each workload's summary line also gives the largest
+such difference over all its differing files, so a refactor can quote one
+number.  An op that exits nonzero in either tree counts as a
 difference.  The exit code is 0 when every op succeeds in both trees and
 every file is byte-identical, and 1 otherwise.  Uses only the standard library and numpy.
 """
@@ -98,12 +100,16 @@ def files_under(root: str) -> list:
     )
 
 
-def compare(old_root: str, new_root: str) -> tuple[int, list]:
-    """(number of byte-identical files, lines for the files that are not)."""
+def compare(old_root: str, new_root: str) -> tuple[int, list, float | None]:
+    """(number of byte-identical files, lines for the files that are not, largest difference).
+
+    The largest difference is the maximum over the differing files that
+    have one, or None when no such file differs.
+    """
     old_files, new_files = files_under(old_root), files_under(new_root)
     lines = [f"  only in old: {p}" for p in sorted(set(old_files) - set(new_files))]
     lines += [f"  only in new: {p}" for p in sorted(set(new_files) - set(old_files))]
-    identical = 0
+    identical, largest = 0, None
     for rel in sorted(set(old_files) & set(new_files)):
         old, new = os.path.join(old_root, rel), os.path.join(new_root, rel)
         with open(old, "rb") as fa, open(new, "rb") as fb:
@@ -111,9 +117,11 @@ def compare(old_root: str, new_root: str) -> tuple[int, list]:
                 identical += 1
                 continue
         diff = largest_difference(old, new)
-        shown = f"{diff:.3g}" if isinstance(diff, float) else diff
-        lines.append(f"  differs: {rel} (largest |d|/max(1,|x|) = {shown})")
-    return identical, lines
+        if isinstance(diff, float):
+            largest = diff if largest is None else max(largest, diff)
+            diff = f"{diff:.3g}"
+        lines.append(f"  differs: {rel} (largest |d|/max(1,|x|) = {diff})")
+    return identical, lines, largest
 
 
 def main(argv=None) -> int:
@@ -136,11 +144,15 @@ def main(argv=None) -> int:
                 codes[label] = [
                     run_op(tree, op, os.path.join(base, label, op.name)) for op in workload.ops
                 ]
-            identical, lines = compare(os.path.join(base, "old"), os.path.join(base, "new"))
+            identical, lines, largest = compare(
+                os.path.join(base, "old"), os.path.join(base, "new")
+            )
             if any(codes["old"] + codes["new"]):
                 lines.insert(0, f"  exit codes: old {codes['old']}, new {codes['new']}")
             all_identical &= not lines
             verdict = "all identical" if not lines else "DIFFERENT"
+            if largest is not None:
+                verdict += f", largest |d|/max(1,|x|) = {largest:.3g}"
             print(f"{name} seed {seed}: {identical} byte-identical files, {verdict}")
             for line in lines:
                 print(line)
