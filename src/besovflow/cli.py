@@ -27,15 +27,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import dyadic, envelope as envelope_mod, flows
-from .engine import (
-    Check,
-    block_decay_profile,
-    continuity_probe,
-    convergence_report,
-    estimate_constants,
-    high_low_rows,
-)
+# flows and engine are imported by the commands that use them, so the
+# spectral commands start without loading the flow stack
+from . import dyadic, envelope as envelope_mod
 from .littlewood_paley import (
     almost_orthogonality,
     besov_norm,
@@ -115,14 +109,15 @@ def dump_json(obj, path) -> None:
 
 
 def dump_csv(path, header, rows) -> None:
+    lines = [",".join(header)] + [
+        ",".join(
+            format_float(cell) if isinstance(cell, (float, np.floating)) else str(cell)
+            for cell in row
+        )
+        for row in rows
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                format_float(cell) if isinstance(cell, (float, np.floating)) else str(cell)
-                for cell in row
-            ]
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _failure_records(checks) -> list:
@@ -243,17 +238,17 @@ def _cmd_filters(config, outdir, rng):
         worst = 0.0
         for _ in range(8):
             u = random_grid_function(rng, config["grid_size"])
-            f = decompose(u, bank)
-            worst = max(worst, reconstruction_stability_ratio(f, bank, s))
+            worst = max(worst, reconstruction_stability_ratio(u, bank, s))
         stability[f"s={s:g}"] = worst
 
     # one row per grid frequency -N/2 .. N/2-1, each radial value read at |xi|
     half = bank.grid_size // 2
+    psi, partition_col, ao_col = (v.tolist() for v in (bank.multipliers[0], partition, ao))
     dump_csv(
         os.path.join(outdir, "filters.csv"),
         ["xi", "psi", "partition", "almost_orthogonality"],
         [
-            (xi, float(bank.multipliers[0][abs(xi)]), float(partition[abs(xi)]), float(ao[abs(xi)]))
+            (xi, psi[abs(xi)], partition_col[abs(xi)], ao_col[abs(xi)])
             for xi in range(-half, half)
         ],
     )
@@ -324,6 +319,8 @@ def _cmd_norms(config, outdir, rng):
 
 
 def _cmd_envelope(config, outdir, rng):
+    from .engine import Check
+
     u = _input_grid(config)
     bank = build_filters(u.grid_size)
     f = decompose(u, bank)
@@ -369,6 +366,8 @@ def _verify_suites(rng, trials):
     array.  Levels past a row's own range (its split levels, its stored
     envelope) are masked per row.
     """
+    from .engine import Check
+
     suites = []
 
     def run_suite(name, draw, evaluate):
@@ -512,7 +511,9 @@ def _cmd_verify(config, outdir, rng):
     return report, failures
 
 
-def _flow_config(config) -> flows.FlowConfig:
+def _flow_config(config):
+    from . import flows
+
     s0, s, s1, q = _scale_block(config)
     flow_block = config.get("flow", {})
     kind = flow_block.get("kind", "burgers")
@@ -559,6 +560,15 @@ def _flow_family(flow_block) -> list:
 
 
 def _cmd_flow(config, outdir, rng):
+    from . import flows
+    from .engine import (
+        block_decay_profile,
+        continuity_probe,
+        convergence_report,
+        estimate_constants,
+        high_low_rows,
+    )
+
     cfg = _flow_config(config)
     trajectory_dir = _io_path(config, "trajectory_dir")
     flow_block = config.get("flow", {})
@@ -657,6 +667,16 @@ _COMMANDS = {
 }
 
 
+def _stall_error():
+    """The characteristic-solve failure class once a command has loaded flows.
+
+    Before that no such failure can have been raised, and the empty tuple
+    matches no exception.
+    """
+    flows = sys.modules.get(f"{__package__}.flows")
+    return () if flows is None else flows.CharacteristicSolveError
+
+
 def run(config: dict, outdir: str, quiet: bool = False) -> int:
     """Execute one validated config and write its reports under outdir."""
     rng = np.random.default_rng(config["seed"])
@@ -679,7 +699,7 @@ def run(config: dict, outdir: str, quiet: bool = False) -> int:
         if not quiet:
             print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except flows.CharacteristicSolveError as exc:
+    except _stall_error() as exc:
         if not quiet:
             print(f"numerical stall: {exc}", file=sys.stderr)
         return EXIT_STALL

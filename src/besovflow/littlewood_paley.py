@@ -60,7 +60,6 @@ __all__ = [
     "reconstruction_stability_ratio",
     "random_grid_function",
     "save_grid_function",
-    "save_grid_function_csv",
     "load_grid_function",
 ]
 
@@ -162,7 +161,11 @@ def frequencies(n: int) -> np.ndarray:
 
 # --- radial filter profiles -------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+@lru_cache(maxsize=None)
+def _gauss_legendre() -> tuple:
+    """Nodes and weights of the 64-node Gauss-Legendre rule, built on first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    return _frozen(nodes), _frozen(weights)
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -175,12 +178,16 @@ def _bump(t: np.ndarray) -> np.ndarray:
 
 def _bump_tail(a: np.ndarray) -> np.ndarray:
     """Integral of the bump over [a, 1] for each entry of a 1-D array a."""
+    nodes, weights = _gauss_legendre()
     half_width = 0.5 * (1.0 - a)
-    x = half_width[:, None] * _GL_NODES + (0.5 * (a + 1.0))[:, None]
-    return half_width * np.sum(_GL_WEIGHTS * _bump(x), axis=1)
+    x = half_width[:, None] * nodes + (0.5 * (a + 1.0))[:, None]
+    return half_width * np.sum(weights * _bump(x), axis=1)
 
 
-_BUMP_TOTAL = float(_bump_tail(np.array([-1.0]))[0])
+@lru_cache(maxsize=None)
+def _bump_total() -> float:
+    """Integral of the bump over [-1, 1]."""
+    return float(_bump_tail(np.array([-1.0]))[0])
 
 
 def smooth_cutoff(xi):
@@ -192,7 +199,7 @@ def smooth_cutoff(xi):
     # plateau/support facts hold exactly in floating point; dilated grids
     # repeat ramp points, so each distinct point is integrated once
     points, index = np.unique(t[ramp], return_inverse=True)
-    values = np.clip(_bump_tail(8.0 * points - 7.0) / _BUMP_TOTAL, 0.0, 1.0)
+    values = np.clip(_bump_tail(8.0 * points - 7.0) / _bump_total(), 0.0, 1.0)
     out[ramp] = values[index]
     if out.ndim == 0:
         return float(out)
@@ -396,19 +403,35 @@ def besov_norm(u: GridFunction, s: float, p: float, q: float, bank: FilterBank):
     return float(dyadic_norm(lp_norm(decompose(u, bank).blocks, p)[None], (s, q))[0])
 
 
-def reconstruction_stability_ratio(
-    f: DyadicSequence, bank: FilterBank, s: float
-) -> float:
-    """Measured ratio ||decompose(reconstruct(f))||_{s,1} / ||f||_{s,1}.
+def reconstruction_stability_ratio(u: GridFunction, bank: FilterBank, s: float) -> float:
+    """Measured ratio ||decompose(reconstruct(f))||_{s,1} / ||f||_{s,1} for f = decompose(u).
 
-    Decompose-after-reconstruct is not the identity on sequences; this
-    reports how much the round trip can grow the s-order block norm.
+    On the half spectrum the blocks of f are m_j u^, and the round trip
+    multiplies u^ by sum_j fat_j m_j.  That sum is the partition of unity
+    wherever fat_j = 1 on the support of m_j, as it is for this bank, so
+    the ratio reads 1 to rounding: it checks the reconstruction identity,
+    not how the round trip grows sequences outside decompose's range.
+    Both rows of block norms are Plancherel sums of |u^|^2 with weights
+    m_j^2, so no block is built on the grid.
     """
-    denom = float(dyadic_norm(f.block_norms[None], (s, 1.0))[0])
+    _check_bank(u, bank)
+    # an exact power-of-two rescale keeps |u^|^2 in float range; the ratio
+    # is unchanged by it
+    values = np.ldexp(u.values, -np.frexp(np.abs(u.values).max())[1])
+    spectrum = np.fft.rfft(values)
+    gain = (bank.fat_multipliers * bank.multipliers).sum(axis=0)
+    energies = _weighted_energy(np.stack((spectrum, gain * spectrum)), bank.multipliers**2)
+    denom, round_trip = dyadic_norm(np.sqrt(energies.T), (s, 1.0)).tolist()
     if denom == 0.0:
         return 0.0
-    round_trip = decompose(reconstruct(f, bank), bank)
-    return float(dyadic_norm(round_trip.block_norms[None], (s, 1.0))[0]) / denom
+    return round_trip / denom
+
+
+@lru_cache(maxsize=None)
+def _power_law_scales(top: int, decay: float) -> np.ndarray:
+    """(1 + k)^(-decay) for k = 0 .. top, read-only and shared by every draw."""
+    # scales as Python floats: numpy's power can differ from them by an ulp
+    return _frozen(np.array([(1.0 + k) ** (-decay) for k in range(top + 1)]))
 
 
 def random_grid_function(
@@ -424,8 +447,7 @@ def random_grid_function(
     """
     half = grid_size // 2
     top = half - 1 if max_mode is None else min(int(max_mode), half)
-    # scales as Python floats: numpy's power can differ from them by an ulp
-    scales = np.array([(1.0 + k) ** (-decay) for k in range(top + 1)])
+    scales = _power_law_scales(top, float(decay))
     interior = max(0, min(top, half - 1))  # modes drawn as (real, imag) pairs
     half_spectrum = np.zeros(half + 1, dtype=complex)
     half_spectrum[0] = rng.standard_normal()
@@ -445,13 +467,6 @@ def save_grid_function(path, u: GridFunction) -> None:
         fh.write(GRID_MAGIC)
         fh.write(struct.pack("<Q", u.grid_size))
         fh.write(u.values.astype("<f8").tobytes())
-
-
-def save_grid_function_csv(path, u: GridFunction) -> None:
-    """Write the CSV alternative: one ``index,value`` pair per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, v in enumerate(u.values):
-            fh.write(f"{i},{v:.17g}\n")
 
 
 def load_grid_function(path) -> GridFunction:

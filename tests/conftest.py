@@ -4,6 +4,12 @@ import pytest
 from besovflow.littlewood_paley import build_filters
 
 
+def write_grid_csv(path, u):
+    """Write u in the CSV grid format that load_grid_function reads: ``index,value`` lines."""
+    lines = [f"{i},{v:.17g}" for i, v in enumerate(u.values.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

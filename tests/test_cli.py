@@ -312,11 +312,11 @@ class TestCommands:
         ]
 
     def test_flow_detects_shrunken_constants(self, tmp_path, monkeypatch):
-        import besovflow.cli as cli
+        import besovflow.engine as engine
 
-        original = cli.estimate_constants
+        original = engine.estimate_constants
         monkeypatch.setattr(
-            cli, "estimate_constants", lambda *args: original(*args).inflated(1e-3)
+            engine, "estimate_constants", lambda *args: original(*args).inflated(1e-3)
         )
         cfg = write_config(
             tmp_path / "c.json",
@@ -706,6 +706,58 @@ class TestNumericalStall:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_STALL
         captured = capsys.readouterr()
         assert captured.out == captured.err == ""
+
+
+class TestCommandImports:
+    """A spectral command loads neither the flow stack nor the engine."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    def loaded_after(self, code):
+        """Which of flows, engine and numpy.polynomial a fresh interpreter holds after ``code``."""
+        # this test process has loaded every module already
+        probe = (
+            "; import json; print(json.dumps([m for m in ('besovflow.flows', "
+            "'besovflow.engine', 'numpy.polynomial') if m in sys.modules]))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; " + code + probe],
+            env=dict(os.environ, PYTHONPATH=self.SRC), capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        return json.loads(result.stdout)
+
+    def test_cli_import_loads_no_flow_stack(self):
+        assert self.loaded_after("import besovflow.cli") == []
+
+    def test_spectral_commands_load_no_flow_stack(self, tmp_path):
+        grid_path = tmp_path / "u.gfn"
+        save_grid_function(grid_path, random_grid_function(np.random.default_rng(0), 64))
+        runs = []
+        for command in ("filters", "decompose", "norms"):
+            cfg = write_config(
+                tmp_path / f"{command}.json",
+                {"schema_version": 1, "command": command, "grid_size": 64,
+                 "io": {"input": str(grid_path)}},
+            )
+            runs.append(f"main(['--config', {cfg!r}, '--out', {str(tmp_path)!r}, '--quiet'])")
+        code = "from besovflow.cli import main; " + "; ".join(runs)
+        assert self.loaded_after(code) == ["numpy.polynomial"]  # the filter profile's rule
+
+    def test_other_errors_propagate_without_flows(self, tmp_path, monkeypatch):
+        import besovflow.cli as cli
+        import besovflow.flows  # noqa: F401  (first with flows loaded, then without)
+
+        def broken(config, outdir, rng):
+            raise RuntimeError("not a stall")
+
+        monkeypatch.setitem(cli._COMMANDS, "filters", broken)
+        cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "command": "filters"})
+        with pytest.raises(RuntimeError, match="not a stall"):
+            main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        monkeypatch.delitem(sys.modules, "besovflow.flows", raising=False)
+        with pytest.raises(RuntimeError, match="not a stall"):
+            main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
 
 
 class TestEvaluationPlan:

@@ -192,6 +192,34 @@ class TestEstimateConstants:
         with pytest.raises(BallViolationError):
             estimate_constants(adapter, [(seq(9.0), seq(0.1))])
 
+    @pytest.mark.parametrize("smooth_only", [False, True])
+    def test_ball_checked_once_per_distinct_sequence(self, rng, smooth_only):
+        adapter = identity_adapter()
+        checked = []
+        check_ball = adapter.check_ball
+
+        def counted(f):
+            checked.append(f.key)
+            return check_ball(f)
+
+        adapter.check_ball = counted
+        samples = small_sequences(rng, 4, adapter.radius, adapter.s, adapter.q)
+        # the zero member enters no ratio, so no request maps it
+        pairs = [(samples[i], samples[j]) for i in range(4) for j in range(i)]
+        pairs += [(samples[0], seq(0.0, 0.0)), (samples[1], samples[0])]
+        estimate_constants(adapter, pairs, smooth_only=smooth_only)
+        assert len(checked) == len(set(checked))
+        members = {f.key for pair in pairs for f in pair}
+        family = {truncate(f, n).key for pair in pairs for f in pair for n in range(f.support)}
+        assert members <= set(checked) <= family
+
+    def test_unmapped_member_outside_ball_rejected(self):
+        # both members have s0 and s1 norms below the zero denominator, so
+        # no ratio maps them, and the ball is still checked
+        adapter = identity_adapter(radius=1e-16)
+        with pytest.raises(BallViolationError):
+            estimate_constants(adapter, [(seq(1e-15), seq(0.0))])
+
     def test_smooth_only_mode_reported(self, rng):
         adapter = identity_adapter()
         samples = small_sequences(rng, 4, adapter.radius, adapter.s, adapter.q)

@@ -25,10 +25,11 @@ from besovflow.littlewood_paley import (
     reconstruct,
     reconstruction_stability_ratio,
     save_grid_function,
-    save_grid_function_csv,
     smooth_cutoff,
     sobolev_norm,
+    _power_law_scales,
 )
+from conftest import write_grid_csv
 
 TAU = 2.0 * math.pi
 
@@ -184,9 +185,8 @@ class TestDecomposeReconstruct:
 
     def test_round_trip_block_growth_is_bounded(self, bank64):
         u = GridFunction.from_function(lambda x: np.cos(8 * x), 64)
-        f = decompose(u, bank64)
         for s in (0.0, 1.0, 2.0):
-            ratio = reconstruction_stability_ratio(f, bank64, s)
+            ratio = reconstruction_stability_ratio(u, bank64, s)
             assert math.isfinite(ratio)
             assert ratio >= 1.0 - 1e-12
 
@@ -238,6 +238,45 @@ class TestBatchedBlocks:
             assert np.array_equal(reconstruct(g, bank).values, loop_reconstruct(g, bank))
 
 
+def grid_round_trip_ratio(u, bank, s):
+    """The stability ratio from grid blocks: decompose(reconstruct(decompose(u)))."""
+    f = decompose(u, bank)
+    round_trip = decompose(reconstruct(f, bank), bank)
+    denom, value = dyadic_norm(np.array([f.block_norms, round_trip.block_norms]), (s, 1.0))
+    return value / denom
+
+
+class TestReconstructionStabilityRatio:
+    """The half-spectrum ratio against the round trip on grid blocks."""
+
+    @pytest.mark.parametrize("n", [2**e for e in range(3, 13)])
+    @pytest.mark.parametrize("data", ["random", "nyquist"])
+    def test_matches_grid_round_trip(self, n, data):
+        bank = build_filters(n)
+        if data == "random":
+            u = random_grid_function(np.random.default_rng(n), n, max_mode=n // 2)
+        else:
+            u = GridFunction.from_function(lambda x: np.cos(n // 2 * x), n)
+        for s in (-1.0, 0.0, 1.0, 2.0):
+            ratio = reconstruction_stability_ratio(u, bank, s)
+            assert ratio == pytest.approx(grid_round_trip_ratio(u, bank, s), rel=1e-15, abs=0.0)
+
+    def test_amplitude_does_not_matter(self, bank64, rng):
+        # |u^|^2 of the larger amplitude leaves float range unless rescaled
+        u = random_grid_function(rng, 64)
+        for s in (0.0, 2.0):
+            ratio = reconstruction_stability_ratio(u, bank64, s)
+            assert reconstruction_stability_ratio(u * 1e300, bank64, s) == ratio
+            assert reconstruction_stability_ratio(u * 2.0**-1000, bank64, s) == ratio
+
+    def test_zero_function(self, bank64):
+        assert reconstruction_stability_ratio(GridFunction.zeros(64), bank64, 1.0) == 0.0
+
+    def test_grid_mismatch(self, bank64):
+        with pytest.raises(GridMismatchError):
+            reconstruction_stability_ratio(GridFunction.zeros(128), bank64, 1.0)
+
+
 def loop_random_grid_function(rng, grid_size, max_mode=None, decay=1.0):
     """The per-mode draw loop that random_grid_function vectorizes."""
     half = grid_size // 2
@@ -265,6 +304,18 @@ class TestRandomGridFunction:
         got = random_grid_function(np.random.default_rng(5), n, mode, decay)
         ref = loop_random_grid_function(np.random.default_rng(5), n, mode, decay)
         assert np.array_equal(got.values, ref)
+
+    def test_scales_are_cached_and_read_only(self):
+        scales = _power_law_scales(127, 1.0)
+        assert _power_law_scales(127, 1.0) is scales
+        assert not scales.flags.writeable
+        with pytest.raises(ValueError):
+            scales[0] = 0.0
+        # draws that read the cached scales keep the loop's bits
+        for seed in (1, 2, 3):
+            got = random_grid_function(np.random.default_rng(seed), 256)
+            ref = loop_random_grid_function(np.random.default_rng(seed), 256)
+            assert np.array_equal(got.values, ref)
 
     def test_stream_position_after_draw(self):
         # a following draw sees the same generator state as after the loop
@@ -461,7 +512,7 @@ class TestGridFileFormats:
     def test_csv_round_trip(self, tmp_path, rng):
         u = random_grid_function(rng, 32)
         path = tmp_path / "u.csv"
-        save_grid_function_csv(path, u)
+        write_grid_csv(path, u)
         v = load_grid_function(path)
         assert np.abs(v.values - u.values).max() <= 1e-16 * np.abs(u.values).max()
 

@@ -15,11 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from besovflow.littlewood_paley import (
-    random_grid_function,
-    save_grid_function,
-    save_grid_function_csv,
-)
+from besovflow.littlewood_paley import random_grid_function, save_grid_function
+from conftest import write_grid_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -74,7 +71,7 @@ def test_traced_spectral_hits_every_expected_wrapper(tmp_path):
     u = random_grid_function(np.random.default_rng(3), 64)
     small = {".gfn": tmp_path / "small.gfn", ".csv": tmp_path / "small.csv"}
     save_grid_function(small[".gfn"], u)
-    save_grid_function_csv(small[".csv"], u)
+    write_grid_csv(small[".csv"], u)
 
     def shrink(config):
         config["grid_size"] = 64
