@@ -241,16 +241,18 @@ def _cmd_filters(config, outdir, rng):
             worst = max(worst, reconstruction_stability_ratio(u, bank, s))
         stability[f"s={s:g}"] = worst
 
-    # one row per grid frequency -N/2 .. N/2-1, each radial value read at |xi|
+    # one row per grid frequency -N/2 .. N/2-1; the radial values at each
+    # |xi| are formatted once and shared by xi and -xi, and the rows are
+    # made as dump_csv consumes them
     half = bank.grid_size // 2
-    psi, partition_col, ao_col = (v.tolist() for v in (bank.multipliers[0], partition, ao))
+    radial = [
+        ",".join(map(format_float, values))
+        for values in zip(bank.multipliers[0].tolist(), partition.tolist(), ao.tolist())
+    ]
     dump_csv(
         os.path.join(outdir, "filters.csv"),
         ["xi", "psi", "partition", "almost_orthogonality"],
-        [
-            (xi, psi[abs(xi)], partition_col[abs(xi)], ao_col[abs(xi)])
-            for xi in range(-half, half)
-        ],
+        ((xi, radial[abs(xi)]) for xi in range(-half, half)),
     )
     report = {
         "command": "filters",

@@ -161,7 +161,6 @@ class HypothesisReport:
     s: float
     s1: float
     samples_used: int
-    smooth_only: bool = False
     inflation: float = 1.0
 
     @property
@@ -195,7 +194,6 @@ class HypothesisReport:
             "kappa": self.kappa,
             "C": self.C,
             "samples_used": self.samples_used,
-            "smooth_only": self.smooth_only,
             "inflation": self.inflation,
             "estimated": True,
         }
@@ -208,7 +206,6 @@ def _truncation_family(f: DyadicSequence) -> list:
 def estimate_constants(
     adapter: FlowMapAdapter,
     samples: Sequence[tuple],
-    smooth_only: bool = False,
 ) -> HypothesisReport:
     """Estimate the weak-Lipschitz and tame constants from sample pairs.
 
@@ -216,26 +213,16 @@ def estimate_constants(
     ||Phi(v) - Phi(w)||_{s0,inf} / ||v - w||_{s0,1} over the pairs (pairs
     with near-zero denominator are skipped).  C1_hat is the largest ratio
     ||Phi(v)||_{s1,inf} / ||v||_{s1,1} over all truncations of the sampled
-    elements, the smooth class on which a tame estimate is assumed.  With
-    ``smooth_only`` the Lipschitz ratios too are taken only over matched
-    truncations of each pair, the weaker hypothesis that suffices when the
-    map is already known to be continuous at the low order.  Every pair
-    member and truncation that enters a ratio is mapped in one request, and
-    every pair member is checked against the ball once.
+    elements, the smooth class on which a tame estimate is assumed.  Every
+    pair member and truncation that enters a ratio is mapped in one request,
+    and every pair member is checked against the ball once.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("at least one sample pair is required")
 
-    if smooth_only:
-        pairs = []
-        for v, w in samples:
-            for n in range(max(v.support, w.support)):
-                pairs.append((truncate(v, n), truncate(w, n)))
-    else:
-        pairs = samples
     lipschitz = []
-    for v, w in pairs:
+    for v, w in samples:
         denom = float(dyadic_norm((v - w).block_norms[None], (adapter.s0, 1.0))[0])
         if denom >= ZERO_DENOMINATOR:
             lipschitz.append((v, w, denom))
@@ -273,7 +260,7 @@ def estimate_constants(
 
     return HypothesisReport(
         c0, c1, adapter.s0, adapter.s, adapter.s1,
-        samples_used=len(samples), smooth_only=smooth_only,
+        samples_used=len(samples),
     )
 
 

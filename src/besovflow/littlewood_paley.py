@@ -50,12 +50,10 @@ __all__ = [
     "almost_orthogonality",
     "decompose",
     "reconstruct",
-    "apply_block",
     "grid_l2_norm",
     "lp_norm",
     "grid_l2_space",
     "sobolev_norm",
-    "bessel_potential",
     "besov_norm",
     "reconstruction_stability_ratio",
     "random_grid_function",
@@ -131,9 +129,6 @@ class GridFunction:
     def __sub__(self, other):
         self._check(other)
         return GridFunction(self.values - other.values)
-
-    def __neg__(self):
-        return GridFunction(-self.values)
 
     def __mul__(self, c):
         return GridFunction(self.values * float(c))
@@ -270,19 +265,6 @@ def _check_bank(u: GridFunction, bank: FilterBank):
         )
 
 
-def apply_block(u: GridFunction, j: int, bank: FilterBank) -> GridFunction:
-    """Apply the dyadic block Delta_j.
-
-    Not idempotent (the filters are not sharp), but an L2 contraction since
-    every multiplier is bounded by 1.
-    """
-    _check_bank(u, bank)
-    if not 0 <= j <= bank.j_max:
-        raise ValueError(f"block index {j} outside 0..{bank.j_max}")
-    half = np.fft.rfft(u.values) * bank.multipliers[j]
-    return GridFunction(np.fft.irfft(half, n=u.grid_size))
-
-
 def decompose(u: GridFunction, bank: FilterBank) -> DyadicSequence:
     """Split a grid function into its dyadic blocks (Delta_0 u, ..., Delta_jmax u).
 
@@ -388,12 +370,6 @@ def sobolev_norm(u: GridFunction, s: float) -> float:
     return math.sqrt(float(_weighted_energy(np.fft.rfft(u.values)[None], weights)[0]))
 
 
-def bessel_potential(u: GridFunction, s: float) -> GridFunction:
-    """Apply the multiplier (1 + xi^2)^{s/2}."""
-    half = np.fft.rfft(u.values) * (1.0 + frequencies(u.grid_size) ** 2) ** (s / 2.0)
-    return GridFunction(np.fft.irfft(half, n=u.grid_size))
-
-
 def besov_norm(u: GridFunction, s: float, p: float, q: float, bank: FilterBank):
     """Blockwise Besov norm ( sum_j 2^{q j s} ||Delta_j u||_{L^p}^q )^{1/q}.
 
@@ -473,8 +449,11 @@ def load_grid_function(path) -> GridFunction:
     """Read either the binary or the CSV grid-function format.
 
     A binary file must hold exactly the samples its header counts; a CSV
-    file must list every index 0 .. N-1 exactly once, in any order.
-    Anything else raises ``ValueError`` naming the file.
+    file must list every index 0 .. N-1 exactly once, in any order, one
+    ``index,value`` line each (a line whose index is not an integer is a
+    header).  The samples must be finite and N a power of two >= 8.
+    Anything else raises ``ValueError`` naming the file, and for a bad CSV
+    line its number.
     """
     with open(path, "rb") as fh:
         head = fh.read(8)
@@ -485,20 +464,26 @@ def load_grid_function(path) -> GridFunction:
                 raise ValueError(f"truncated grid file: {path}")
             if len(payload) > 8 * n:
                 raise ValueError(f"trailing bytes after {n} samples in grid file: {path}")
-            return GridFunction(np.frombuffer(payload, dtype="<f8").astype(float))
+            return _grid_from_file(np.frombuffer(payload, dtype="<f8").astype(float), path)
     indices, samples = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            index_text, value_text = line.split(",")
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'index,value', got {line!r}")
+            index_text, value_text = fields
             try:
                 index = int(index_text)
             except ValueError:
                 continue  # header line
+            try:
+                samples.append(float(value_text))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {value_text!r} is not a number") from None
             indices.append(index)
-            samples.append(float(value_text))
     if not indices:
         raise ValueError(f"no samples found in {path}")
     n = len(indices)
@@ -509,4 +494,12 @@ def load_grid_function(path) -> GridFunction:
         raise ValueError(f"missing sample index {int(counts.argmin())} in {path}")
     data = np.empty(n)
     data[indices] = samples
-    return GridFunction(data)
+    return _grid_from_file(data, path)
+
+
+def _grid_from_file(values: np.ndarray, path) -> GridFunction:
+    """The grid function of a file's samples; a rejection names the file."""
+    try:
+        return GridFunction(values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

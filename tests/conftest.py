@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from besovflow.littlewood_paley import build_filters
+from besovflow.littlewood_paley import GridFunction, build_filters, frequencies
+
+
+def bessel_potential(u, s):
+    """Apply the multiplier (1 + xi^2)^{s/2}: a reference for Sobolev norms."""
+    half = np.fft.rfft(u.values) * (1.0 + frequencies(u.grid_size) ** 2) ** (s / 2.0)
+    return GridFunction(np.fft.irfft(half, n=u.grid_size))
 
 
 def write_grid_csv(path, u):

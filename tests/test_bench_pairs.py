@@ -1,0 +1,68 @@
+"""tools/bench_pairs.py on stand-in trees whose benchmark prints a fixed result line."""
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+RUN_PY = """import json, pathlib, sys
+line = json.loads((pathlib.Path(__file__).parents[1] / "result.json").read_text())
+print(json.dumps(line))
+sys.exit(0 if line["correct"] else 1)
+"""
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def make_tree(path, correct, wall_s):
+    """A tree whose benchmark prints one result line: ``correct`` and ``wall_s``."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(RUN_PY)
+    spec = {
+        "run_seconds": 1,
+        "end_to_end": [
+            {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24},
+            {"name": "ok_frac", "unit": "ratio", "better": "higher", "bound": 0.01},
+        ],
+    }
+    (path / "BENCHMARK.json").write_text(json.dumps(spec))
+    line = {
+        "correct": correct,
+        "failed": 0 if correct else 1,
+        "metrics": {
+            "wall_s": {"value": wall_s, "unit": "s"},
+            "ok_frac": {"value": 1.0 if correct else 0.9, "unit": "ratio"},
+        },
+    }
+    (path / "result.json").write_text(json.dumps(line))
+    return str(path)
+
+
+@pytest.mark.parametrize("change_correct", [True, False])
+def test_incorrect_change_runs_show_no_gain(tmp_path, capsys, change_correct):
+    # the change is twice as fast in every pair; that is a gain only when
+    # every change run was correct
+    parent = make_tree(tmp_path / "parent", True, 1.0)
+    change = make_tree(tmp_path / "change", change_correct, 0.5)
+    args = [parent, change, "--workload", "w", "--pairs", "2", "--seed", "3"]
+    status = load_bench_pairs().main(args)
+    out = capsys.readouterr().out
+    wall = next(line for line in out.splitlines() if "wall_s (s)" in line)
+    if change_correct:
+        assert status == 0
+        assert "incorrect runs: parent 0, change 0" in out
+        assert wall.endswith("change wins 2/2, gain shown")
+    else:
+        assert status == 1
+        assert "incorrect runs: parent 0, change 2" in out
+        assert wall.endswith("change wins 2/2, gain not shown")
+        assert out.count("gain not shown") == 2 and "gain shown" not in out

@@ -158,7 +158,9 @@ class TestCommands:
     def test_flow_reports_are_pinned(self, tmp_path):
         # sha256 of each file as written on the real-FFT half spectrum (the
         # CSV rows moved at rounding level from the complex-FFT layout); a
-        # refactor that moves one bit of a flow report fails here
+        # refactor that moves one bit of a flow report fails here.
+        # flow_report.json was re-pinned when the constant reports lost their
+        # "smooth_only": false line; no value in it changed
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -181,7 +183,7 @@ class TestCommands:
             "continuity.csv": "12df99599b0d5927bf2a84d0dae5edabc286d15a8fd1394a0434a6acacd2f2d3",
             "convergence.csv": "d4f14f7ab74bd42fc7723c32c5ea19d7c67431431148fd7fa23871319f456b5a",
             "decay_profile.csv": "dbce79c3ec0eaf9b78838453e08564412d51ba86186fe0b896d0f3a148a4f70d",
-            "flow_report.json": "9aac7ca5e2a8a1281bc81e40309286ba11d5deca773ec94a4ca8dd777a2cb0c6",
+            "flow_report.json": "e181dd3dd38307565091841ea5232638c8f49d17404f54c64bc9acf7ec33865e",
         }
 
     def test_verify_detects_a_broken_interpolation_bound(self, tmp_path, monkeypatch):

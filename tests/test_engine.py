@@ -192,8 +192,7 @@ class TestEstimateConstants:
         with pytest.raises(BallViolationError):
             estimate_constants(adapter, [(seq(9.0), seq(0.1))])
 
-    @pytest.mark.parametrize("smooth_only", [False, True])
-    def test_ball_checked_once_per_distinct_sequence(self, rng, smooth_only):
+    def test_ball_checked_once_per_distinct_sequence(self, rng):
         adapter = identity_adapter()
         checked = []
         check_ball = adapter.check_ball
@@ -207,7 +206,7 @@ class TestEstimateConstants:
         # the zero member enters no ratio, so no request maps it
         pairs = [(samples[i], samples[j]) for i in range(4) for j in range(i)]
         pairs += [(samples[0], seq(0.0, 0.0)), (samples[1], samples[0])]
-        estimate_constants(adapter, pairs, smooth_only=smooth_only)
+        estimate_constants(adapter, pairs)
         assert len(checked) == len(set(checked))
         members = {f.key for pair in pairs for f in pair}
         family = {truncate(f, n).key for pair in pairs for f in pair for n in range(f.support)}
@@ -219,15 +218,6 @@ class TestEstimateConstants:
         adapter = identity_adapter(radius=1e-16)
         with pytest.raises(BallViolationError):
             estimate_constants(adapter, [(seq(1e-15), seq(0.0))])
-
-    def test_smooth_only_mode_reported(self, rng):
-        adapter = identity_adapter()
-        samples = small_sequences(rng, 4, adapter.radius, adapter.s, adapter.q)
-        report = estimate_constants(
-            adapter, [(samples[0], samples[1])], smooth_only=True
-        )
-        assert report.smooth_only
-        assert report.C0_hat <= 1.0 + 1e-12
 
     def test_estimates_stabilize_with_more_samples(self, rng):
         # diagonal map with bounded blockwise gains: a genuine non-identity

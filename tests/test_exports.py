@@ -1,7 +1,10 @@
-"""Every exported or re-exported name resolves, so a deletion leaves no stale export."""
+"""Every exported name resolves and has a reader outside the tests."""
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,20 +24,21 @@ def test_star_import_resolves_all(name):
     assert set(module.__all__) <= namespace.keys()
 
 
-def test_package_imports_resolve():
-    # the package loads its exports lazily, so each name in __all__ must be
-    # the defining module's own object, and star import must reach them all
-    assert besovflow.__all__ and len(set(besovflow.__all__)) == len(besovflow.__all__)
-    for name in besovflow.__all__:
-        obj = getattr(besovflow, name)
-        module = importlib.import_module(obj.__module__)
-        assert module.__name__ in {f"besovflow.{m}" for m in MODULES}, name
-        assert getattr(module, name) is obj, name
-    namespace = {}
-    exec("from besovflow import *", namespace)
-    assert set(besovflow.__all__) <= namespace.keys()
-    with pytest.raises(AttributeError):
-        besovflow.no_such_name
+def test_package_root_defines_no_public_name():
+    # names are imported from their modules; the package itself holds only
+    # its version and loads no module
+    code = (
+        "import sys, besovflow; "
+        "print(sorted(n for n in vars(besovflow) if not n.startswith('_'))); "
+        "print(sorted(m for m in sys.modules if m.startswith('besovflow.')))"
+    )
+    src = pathlib.Path(besovflow.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.splitlines() == ["[]", "[]"]
+    assert besovflow.__version__
 
 
 def _dotted(node) -> str:
@@ -68,15 +72,6 @@ def test_no_complex_fft_layout():
     assert offenders == []
 
 
-# public names that no package code, demo or benchmark reaches, each kept
-# for the test named here, which calls it as a reference or as user plumbing
-TEST_ONLY = {
-    "apply_block": "test_littlewood_paley.py::TestApplyBlock::test_l2_contraction",
-    "bessel_potential": "test_littlewood_paley.py::TestSobolevNorm::test_bessel_multiplier_consistency",
-    "axiom_probe": "test_pseudonorm.py::TestAxiomProbe::test_grid_l2_clean",
-}
-
-
 def _names_read(node) -> set:
     """Every name ``node`` reads as an ``ast.Name`` or ``ast.Attribute``."""
     return {
@@ -88,7 +83,8 @@ def _names_read(node) -> set:
 
 def test_every_public_definition_is_used():
     # an export or a test alone does not keep a public name: package code, a
-    # demo or the benchmark must read it outside its own definition
+    # demo or the benchmark must read each public function, class and
+    # __all__ name outside its own definition
     package = pathlib.Path(besovflow.__file__).parent
     root = package.parents[1]
     trees = {
@@ -96,21 +92,24 @@ def test_every_public_definition_is_used():
         for path in [*package.glob("*.py"), *root.glob("demos/*.py"), *root.glob("perfbench/*.py")]
     }
     reads = [(top, _names_read(top)) for tree in trees.values() for top in tree.body]
-    public = [
-        node
-        for path, tree in trees.items()
-        if path.parent == package
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    public, all_names = {}, set()
+    for path, tree in trees.items():
+        if path.parent != package or path.name == "__init__.py":
+            continue
+        exported = set(importlib.import_module(f"besovflow.{path.stem}").__all__)
+        all_names |= exported
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    public[node.name] = node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id in exported:
+                        public[target.id] = node
+    unused = [
+        name
+        for name, node in public.items()
+        if not any(name in names for top, names in reads if top is not node)
     ]
-    used = {
-        node.name
-        for node in public
-        if any(node.name in names for top, names in reads if top is not node)
-    }
-    assert sorted({node.name for node in public} - used - TEST_ONLY.keys()) == []
-    assert sorted(TEST_ONLY.keys() & used) == []  # a name in use needs no entry
-    for name, test in TEST_ONLY.items():
-        path, cls, method = test.split("::")
-        text = (root / "tests" / path).read_text(encoding="utf-8")
-        assert name in text and f"class {cls}:" in text and f"def {method}(" in text, test
+    assert all_names <= public.keys()
+    assert sorted(unused) == []

@@ -1,18 +1,21 @@
+import functools
 import math
+import re
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besovflow.dyadic import DyadicSequence, dyadic_norm
 from besovflow.littlewood_paley import (
+    GRID_MAGIC,
     GridFunction,
     GridMismatchError,
     almost_orthogonality,
-    apply_block,
     band_profile,
     besov_norm,
-    bessel_potential,
     build_filters,
     decompose,
     frequencies,
@@ -29,7 +32,7 @@ from besovflow.littlewood_paley import (
     sobolev_norm,
     _power_law_scales,
 )
-from conftest import write_grid_csv
+from conftest import bessel_potential, write_grid_csv
 
 TAU = 2.0 * math.pi
 
@@ -201,6 +204,40 @@ class TestDecomposeReconstruct:
             reconstruct(DyadicSequence(space, blocks), bank64)
 
 
+@functools.lru_cache(maxsize=None)
+def cached_bank(n):
+    return build_filters(n)
+
+
+class TestIdentitiesOverGridRange:
+    """The filter identities at every grid size N = 2^3 .. 2^12."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(exponent=st.integers(3, 12))
+    def test_partition_of_unity(self, exponent):
+        bank = cached_bank(2**exponent)
+        assert np.abs(partition_of_unity(bank) - 1.0).max() <= 1e-12
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        exponent=st.integers(3, 12),
+        seed=st.integers(0, 2**32 - 1),
+        decay=st.floats(0.0, 2.0),
+        nyquist_only=st.booleans(),
+    )
+    def test_round_trip(self, exponent, seed, decay, nyquist_only):
+        n = 2**exponent
+        bank = cached_bank(n)
+        rng = np.random.default_rng(seed)
+        if nyquist_only:
+            # a cos(N x / 2) at the nodes: only the Nyquist slot is set
+            u = GridFunction(rng.standard_normal() * (-1.0) ** np.arange(n))
+        else:
+            u = random_grid_function(rng, n, max_mode=n // 2, decay=decay)
+        v = reconstruct(decompose(u, bank), bank)
+        assert grid_l2_norm(v - u) <= 1e-10 * grid_l2_norm(u)
+
+
 def loop_decompose(u, bank):
     """Per-row reference: one inverse real FFT per block multiplier."""
     half = np.fft.rfft(u.values)
@@ -325,33 +362,28 @@ class TestRandomGridFunction:
         assert a.standard_normal() == b.standard_normal()
 
 
-class TestApplyBlock:
+class TestBlockRows:
+    """Row j of decompose(u) is the block Delta_j u."""
+
     def test_low_block_keeps_constant(self, bank64):
-        u = GridFunction(np.full(64, 2.5))
-        assert np.allclose(apply_block(u, 0, bank64).values, 2.5, atol=1e-14)
-        for j in range(1, bank64.j_max + 1):
-            assert np.abs(apply_block(u, j, bank64).values).max() <= 1e-14
+        blocks = decompose(GridFunction(np.full(64, 2.5)), bank64).blocks
+        assert np.allclose(blocks[0], 2.5, atol=1e-14)
+        assert np.abs(blocks[1:]).max() <= 1e-14
 
     def test_l2_contraction(self, bank64, rng):
+        # every multiplier is bounded by 1, so every block is an L2 contraction
         for _ in range(100):
             u = random_grid_function(rng, 64)
-            j = int(rng.integers(0, bank64.j_max + 1))
-            assert grid_l2_norm(apply_block(u, j, bank64)) <= grid_l2_norm(u) * (
-                1 + 1e-12
-            )
+            norms = grid_l2_norm(decompose(u, bank64).blocks)
+            assert np.all(norms <= grid_l2_norm(u) * (1 + 1e-12))
 
     def test_sobolev_contraction(self, bank64, rng):
         for _ in range(50):
             u = random_grid_function(rng, 64)
-            j = int(rng.integers(0, bank64.j_max + 1))
             r = float(rng.uniform(-2, 2))
-            assert sobolev_norm(apply_block(u, j, bank64), r) <= sobolev_norm(
-                u, r
-            ) * (1 + 1e-12)
-
-    def test_index_range(self, bank64):
-        with pytest.raises(ValueError):
-            apply_block(GridFunction.zeros(64), bank64.j_max + 1, bank64)
+            bound = sobolev_norm(u, r) * (1 + 1e-12)
+            for row in decompose(u, bank64).blocks:
+                assert sobolev_norm(GridFunction(row), r) <= bound
 
 
 def complex_plancherel_norm(values, s):
@@ -502,6 +534,18 @@ class TestBesovNorm:
             assert lo * (1 - 1e-9) <= ratio <= hi * (1 + 1e-9)
 
 
+# (file name, content, what follows the name in the rejection message)
+BAD_GRID_FILES = [
+    ("word.csv", "index,value\n0,1.0\n1,abc\n", ":3:"),
+    ("three.csv", "0,1.0\n1,2,3\n", ":2:"),
+    ("one.csv", "0,1.0\n\n1\n", ":3:"),
+    ("three_rows.csv", "0,1.0\n1,2.0\n2,3.0\n", ":"),
+    ("nan.csv", "".join(f"{i},{'nan' if i == 5 else i}\n" for i in range(8)), ":"),
+    ("three_rows.gfn", GRID_MAGIC + struct.pack("<Q3d", 3, 0.0, 1.0, 2.0), ":"),
+    ("inf.gfn", GRID_MAGIC + struct.pack("<Q8d", 8, *[math.inf] * 8), ":"),
+]
+
+
 class TestGridFileFormats:
     def test_binary_round_trip(self, tmp_path, rng):
         u = random_grid_function(rng, 32)
@@ -558,3 +602,17 @@ class TestGridFileFormats:
         path = tmp_path / "shuffled.csv"
         path.write_text("".join(f"{i},{float(i)}\n" for i in (3, 0, 7, 1, 6, 2, 5, 4)))
         assert np.array_equal(load_grid_function(path).values, np.arange(8.0))
+
+    @pytest.mark.parametrize(
+        "name, content, where", BAD_GRID_FILES, ids=[case[0] for case in BAD_GRID_FILES]
+    )
+    def test_every_rejection_names_the_file(self, tmp_path, name, content, where):
+        # bad fields, a bad field count, a bad grid size and non-finite
+        # samples name the file, and a bad CSV line also its number
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(ValueError, match=re.escape(name + where)):
+            load_grid_function(path)

@@ -11,8 +11,12 @@ end-to-end metrics are printed as it finishes.  Then, for each metric of
 number of pairs the change won (ties count for neither side).  A gain is
 shown when the change wins at least nine tenths of the pairs and the
 medians differ, in the better direction, by more than the distance between
-the parent's quartiles.  Uses only the standard library.  The benchmark
-writes its inputs and outputs under each tree's ``perfbench/_work``.
+the parent's quartiles.  A run is incorrect when it prints
+``"correct": false`` or exits nonzero.  Each side's count of incorrect
+runs is printed; if any change run was incorrect, no gain is shown on any
+metric and the exit status is 1.  Uses only the standard library.  The
+benchmark writes its inputs and outputs under each tree's
+``perfbench/_work``.
 """
 from __future__ import annotations
 
@@ -34,8 +38,9 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"benchmark in {tree} printed no result:\n{result.stderr}")
     line = json.loads(lines[-1])
     if result.returncode != 0 or not line["correct"]:
-        print(f"  {tree}: correct={line['correct']}, failed={line['failed']}\n{result.stderr}",
-              file=sys.stderr)
+        print(f"  {tree}: correct={line['correct']}, failed={line['failed']}, "
+              f"exit {result.returncode}\n{result.stderr}", file=sys.stderr)
+        line["correct"] = False
     return line
 
 
@@ -62,10 +67,13 @@ def main(argv=None) -> int:
     metrics = spec["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    incorrect = dict.fromkeys(sides, 0)
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         lines = {side: run_bench(sides[side], args.workload, args.seed, spec["run_seconds"])
                  for side in order}
+        for side, line in lines.items():
+            incorrect[side] += not line["correct"]
         cells = []
         for m in metrics:
             name = m["name"]
@@ -77,16 +85,18 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs, "
           f"{spec['run_seconds']} s runs; median [q1, q3]")
+    print(f"  incorrect runs: parent {incorrect['parent']}, change {incorrect['change']}")
     for m in metrics:
         name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
         old, new = values["parent"][name], values["change"][name]
         wins = sum(sign * (a - b) > 0 for a, b in zip(old, new))
         (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
-        shown = wins >= 0.9 * args.pairs and sign * (om - nm) > o3 - o1
+        shown = (not incorrect["change"] and wins >= 0.9 * args.pairs
+                 and sign * (om - nm) > o3 - o1)
         print(f"  {name} ({m['unit']}): parent {om:.4g} [{o1:.4g}, {o3:.4g}], "
               f"change {nm:.4g} [{n1:.4g}, {n3:.4g}], change wins {wins}/{args.pairs}, "
               f"gain {'shown' if shown else 'not shown'}")
-    return 0
+    return 1 if incorrect["change"] else 0
 
 
 if __name__ == "__main__":
