@@ -4,21 +4,16 @@ Transport is the cleanest testbed: it conserves every block norm, so the
 empirical weak-Lipschitz and tame constants sit at 1.  The engine then
 checks, as rows lhs <= rhs, the two hypothesis bounds, the blockwise
 exponential decay of truncation increments, and the telescoped convergence
-bound with A = 2/(1 - 2^-kappa).  A final section reruns the convergence rows at an
-intermediate order to show the same machinery applies there.
+bound with A = 2/(1 - 2^-kappa), and probes continuity toward a neighboring
+datum.  A final section reruns the protocol at an intermediate order to
+show the same machinery applies there.
 """
 from dataclasses import replace
 
 import numpy as np
 
-from besovflow.dyadic import dyadic_norm, truncate
-from besovflow.engine import (
-    block_decay_profile,
-    continuity_probe,
-    convergence_report,
-    estimate_constants,
-    high_low_rows,
-)
+from besovflow.dyadic import dyadic_norm
+from besovflow.engine import verify_map
 from besovflow.flows import FlowConfig, flow_as_sequence_map
 from besovflow.littlewood_paley import build_filters, decompose, random_grid_function
 
@@ -39,53 +34,40 @@ def main():
         grid_size=n, T=1.0, time_steps=64, flow_kind="transport",
         transport_speed=1.0, ball_radius=radius, s0=0.0, s=2.0, s1=3.0, q=2.0,
     )
-    adapter = flow_as_sequence_map(cfg, bank)
-    probe = family[0]
-
-    pairs = [(family[i], family[j]) for i in range(4) for j in range(i)]
-    pairs += [(truncate(probe, k + 1), truncate(probe, k))
-              for k in range(probe.support - 1)]
-    raw = estimate_constants(adapter, pairs)
-    constants = raw.inflated(1.1)
-    print(f"\nestimated constants (before the 1.1 safety factor):")
+    verified = verify_map(flow_as_sequence_map(cfg, bank), family)
+    raw, constants = verified.constants_raw, verified.constants_checked
+    print(f"\nestimated constants (before the {constants.inflation:g} safety factor):")
     print(f"  weak-Lipschitz C0 ~ {raw.C0_hat:.6f}")
     print(f"  tame           C1 ~ {raw.C1_hat:.6f}")
     print(f"  kappa = {raw.kappa},  combined C = {raw.C:.6f}")
 
-    checks = high_low_rows(adapter, probe, constants, n_max=probe.support - 1)
     print("\nhypothesis bounds per truncation level (lhs <= rhs):")
-    for high, low in zip(checks[0:10:2], checks[1:10:2]):
+    for high, low in zip(verified.rows("high")[:5], verified.rows("low")[:5]):
         print(f"  n={dict(high.index)['n']}: high {high.lhs:10.4e} <= {high.rhs:10.4e}   "
               f"low {low.lhs:10.4e} <= {low.rhs:10.4e}")
 
-    decay = block_decay_profile(adapter, probe, constants, n_max=probe.support - 1)
+    decay = verified.rows("block_decay")
     worst = max((c.lhs / c.rhs for c in decay if c.rhs > 0), default=0.0)
     print(f"\nblockwise decay profile: {len(decay)} rows, worst lhs/rhs = {worst:.4f}")
 
-    conv = convergence_report(adapter, probe, constants, range(probe.support + 1))
     print(f"\ntelescoped convergence rows (A = {constants.A}):")
-    for c in conv:
+    for c in verified.rows("convergence"):
         print(f"  n={dict(c.index)['n']}: actual {c.lhs:11.4e} <= bound {c.rhs:11.4e}")
 
-    probe_report = continuity_probe(adapter, probe, [1e-1, 1e-2, 1e-3])
-    print("\ncontinuity ladder (input distance -> output distance):")
-    for row in probe_report.rows:
+    print("\ncontinuity ladder toward a neighboring datum (input distance -> output distance):")
+    for row in verified.continuity.rows:
         print(f"  eps={row.scale:6.0e}: {row.input_distance:.3e} -> "
               f"{row.output_distance:.3e}")
 
-    # same machinery at an intermediate order sigma in (s, s1); the ball is
+    # same protocol at an intermediate order sigma in (s, s1); the ball is
     # recalibrated because the stronger norm is larger
     sigma = 2.5
     radius_mid = 2.0 * float(dyadic_norm(rows, (sigma, 2.0)).max())
     cfg_mid = replace(cfg, s=sigma, ball_radius=radius_mid)
-    adapter_mid = flow_as_sequence_map(cfg_mid, bank)
-    constants_mid = estimate_constants(adapter_mid, pairs).inflated(1.1)
-    conv_mid = convergence_report(
-        adapter_mid, probe, constants_mid, range(probe.support + 1)
-    )
-    ok = not any(c.failed for c in conv_mid)
+    verified_mid = verify_map(flow_as_sequence_map(cfg_mid, bank), family)
+    ok = not any(c.failed for c in verified_mid.checks)
     print(f"\nrerun at intermediate order sigma = {sigma}: "
-          f"kappa = {constants_mid.kappa}, all rows bounded: {ok}")
+          f"kappa = {verified_mid.constants_checked.kappa}, all rows bounded: {ok}")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from besovflow.dyadic import dyadic_norm, truncate
-from besovflow.engine import continuity_probe, convergence_report, estimate_constants
+from besovflow.dyadic import dyadic_norm
+from besovflow.engine import verify_map
 from besovflow.flows import (
     FlowConfig,
     burgers_flow,
@@ -47,29 +47,19 @@ def main():
         grid_size=n, T=0.5, time_steps=64, flow_kind="burgers",
         ball_radius=radius, s0=0.0, s=2.0, s1=3.0, q=2.0,
     )
-    adapter = flow_as_sequence_map(cfg, bank)
-    probe = family[0]
-
-    pairs = [(family[i], family[j]) for i in range(4) for j in range(i)]
-    pairs += [(truncate(probe, k + 1), truncate(probe, k))
-              for k in range(probe.support - 1)]
-    constants = estimate_constants(adapter, pairs).inflated(1.1)
-    print(f"\nestimated constants (with 1.1 safety factor):")
+    verified = verify_map(flow_as_sequence_map(cfg, bank), family)
+    constants = verified.constants_checked
+    print(f"\nestimated constants (with {constants.inflation:g} safety factor):")
     print(f"  C0 = {constants.C0_hat:.6f}, C1 = {constants.C1_hat:.6f}, "
           f"kappa = {constants.kappa}, C = {constants.C:.6f}")
 
-    conv = convergence_report(adapter, probe, constants, range(probe.support + 1))
     print("\nflow along truncated data converges to the flow of the datum:")
-    for c in conv:
+    for c in verified.rows("convergence"):
         print(f"  n={dict(c.index)['n']}: ||Phi(f) - Phi(S_n f)|| = {c.lhs:11.4e}  "
               f"(bound {c.rhs:10.4e})")
 
-    delta = family[1] - probe
-    direction = delta * (1.0 / dyadic_norm(delta.block_norms[None], (2.0, 2.0))[0])
-    ladder = continuity_probe(adapter, probe, [1e-1, 1e-2, 1e-3],
-                              directions=[direction])
     print("\ncontinuity ladder toward a neighboring datum:")
-    for row in ladder.rows:
+    for row in verified.continuity.rows:
         print(f"  eps={row.scale:6.0e}: input {row.input_distance:.3e} -> "
               f"output {row.output_distance:.3e}")
 

@@ -121,9 +121,20 @@ def dump_csv(path, header, rows) -> None:
 
 
 def _failure_records(checks) -> list:
-    """One ``{"check": family, **index}`` record per failing (family, index), first seen first."""
-    failing = dict.fromkeys((c.family, c.index) for c in checks if c.failed)
-    return [{"check": family, **dict(index)} for family, index in failing]
+    """One ``{"check": family, **index, "lhs", "rhs"}`` record per failing (family, index).
+
+    Records keep first-seen order and hold the worst failing row: the largest
+    lhs/rhs, where a positive lhs over rhs = 0 counts as infinite.
+    """
+    worst = {}
+    for c in checks:
+        if c.failed:
+            ratio = c.lhs / c.rhs if c.rhs > 0 else math.inf
+            if ratio > worst.get((c.family, c.index), (-math.inf,))[0]:
+                worst[c.family, c.index] = (ratio, c)
+    return [
+        {"check": c.family, **dict(c.index), "lhs": c.lhs, "rhs": c.rhs} for _, c in worst.values()
+    ]
 
 
 def _check_rows(checks) -> list:
@@ -563,13 +574,7 @@ def _flow_family(flow_block) -> list:
 
 def _cmd_flow(config, outdir, rng):
     from . import flows
-    from .engine import (
-        block_decay_profile,
-        continuity_probe,
-        convergence_report,
-        estimate_constants,
-        high_low_rows,
-    )
+    from .engine import verify_map
 
     cfg = _flow_config(config)
     trajectory_dir = _io_path(config, "trajectory_dir")
@@ -584,34 +589,10 @@ def _cmd_flow(config, outdir, rng):
     norms = dyadic.dyadic_norm(np.array([f.block_norms for f in family]), (cfg.s, cfg.q))
     radius = 2.0 * float(norms.max()) if radius is None else float(radius)
     cfg = replace(cfg, ball_radius=radius)
-    adapter = flows.flow_as_sequence_map(cfg, bank)
-
-    probe = family[0]
-    pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]
-    levels = probe.support - 1
-    pairs += [
-        (dyadic.truncate(probe, n + 1), dyadic.truncate(probe, n)) for n in range(levels)
-    ]
-    raw = estimate_constants(adapter, pairs)
-    report_constants = raw.inflated(1.1)
-
-    hl = high_low_rows(adapter, probe, report_constants, n_max=levels)
-    decay = block_decay_profile(adapter, probe, report_constants, n_max=levels)
-    conv = convergence_report(
-        adapter, probe, report_constants, n_values=range(probe.support)
-    )
-
-    direction = None
-    if len(family) > 1:
-        delta = family[1] - probe
-        dnorm = float(dyadic.dyadic_norm(delta.block_norms[None], (cfg.s, cfg.q))[0])
-        if dnorm > 0:
-            direction = [delta * (1.0 / dnorm)]
-    probe_report = continuity_probe(
-        adapter, probe, [1e-1, 1e-2, 1e-3], directions=direction
-    )
-    failures = _failure_records(hl + decay + conv) + (
-        [] if probe_report.trend_ok else [{"check": "continuity_trend"}]
+    verified = verify_map(flows.flow_as_sequence_map(cfg, bank), family)
+    continuity = verified.continuity
+    failures = _failure_records(verified.checks) + (
+        [] if continuity.trend_ok else [{"check": "continuity_trend"}]
     )
 
     (traj,) = flows.make_flow(cfg)([data[0]])
@@ -620,19 +601,22 @@ def _cmd_flow(config, outdir, rng):
     dump_csv(
         os.path.join(outdir, "convergence.csv"),
         ["n", "actual", "bound"],
-        _check_rows(conv),
+        _check_rows(verified.rows("convergence")),
     )
     dump_csv(
         os.path.join(outdir, "decay_profile.csv"),
         ["n", "m", "lhs", "rhs", "ratio"],
-        [(n, m, lhs, rhs, lhs / rhs if rhs > 0 else 0.0) for n, m, lhs, rhs in _check_rows(decay)],
+        [
+            (n, m, lhs, rhs, lhs / rhs if rhs > 0 else 0.0)
+            for n, m, lhs, rhs in _check_rows(verified.rows("block_decay"))
+        ],
     )
     dump_csv(
         os.path.join(outdir, "continuity.csv"),
         ["scale", "direction", "input_distance", "output_distance"],
         [
             (row.scale, row.direction, row.input_distance, row.output_distance)
-            for row in probe_report.rows
+            for row in continuity.rows
         ],
     )
     if trajectory_dir is not None:
@@ -649,10 +633,10 @@ def _cmd_flow(config, outdir, rng):
         "scale": {"s0": cfg.s0, "s": cfg.s, "s1": cfg.s1, "q": cfg.q},
         "ball_radius": radius,
         "output_block_cap": bank.j_max,
-        "constants_raw": raw.to_dict(),
-        "constants_checked": report_constants.to_dict(),
-        "A": report_constants.A,
-        "continuity_trend_ok": probe_report.trend_ok,
+        "constants_raw": verified.constants_raw.to_dict(),
+        "constants_checked": verified.constants_checked.to_dict(),
+        "A": verified.constants_checked.A,
+        "continuity_trend_ok": continuity.trend_ok,
         "block_sup_square_tails": [float(v) for v in tails] if tails is not None else None,
         "failures": failures,
     }

@@ -13,6 +13,9 @@ Given a map Phi defined on a ball of a dyadic sequence space, the engine
      sums of the frequency envelope of f,
   4. probes continuity directly on a ladder of perturbation scales.
 
+:func:`verify_map` runs these four steps as one protocol on a family of
+data; the ``flow`` command and the demos call it.
+
 Every bound of steps 2 and 3, and the hypothesis bounds themselves, comes
 back as a list of :class:`Check` rows ``lhs <= rhs``; a row fails when lhs
 exceeds rhs beyond the relative rounding slack ``SLACK``.
@@ -26,9 +29,9 @@ inequality this is at most ‖Delta_j(Phi(v) - Phi(w))‖, so those rows test
 a weaker quantity than the hypothesis on the difference itself.
 
 The constants are empirical maxima over finite sample sets, so they are
-estimates, not certificates; reports carry an ``estimated`` flag, and bound
-checks are meant to run with the constants inflated by a safety factor
-(1.1 by default via :meth:`HypothesisReport.inflated`).
+estimates, not certificates; reports carry an ``estimated`` flag, and
+:func:`verify_map` checks the bounds with the constants inflated by the
+safety factor ``INFLATION``.
 """
 from __future__ import annotations
 
@@ -54,6 +57,10 @@ __all__ = [
     "ContinuityRow",
     "ContinuityReport",
     "continuity_probe",
+    "INFLATION",
+    "PERTURBATION_SCALES",
+    "MapVerification",
+    "verify_map",
 ]
 
 ZERO_DENOMINATOR = 1e-14  # pairs closer than this are excluded from ratios
@@ -61,6 +68,11 @@ CONTINUITY_FLOOR = 1e-9
 
 # relative rounding slack allowed on every lhs <= rhs check
 SLACK = 1e-9
+
+# safety factor on the sampled constants before the bound checks
+INFLATION = 1.1
+# perturbation sizes of the continuity probe, largest first
+PERTURBATION_SCALES = (1e-1, 1e-2, 1e-3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +190,7 @@ class HypothesisReport:
         """2/(1 - 2^-kappa), the telescoping constant of the convergence bound."""
         return 2.0 / (1.0 - 2.0 ** (-self.kappa))
 
-    def inflated(self, factor: float = 1.1) -> "HypothesisReport":
+    def inflated(self, factor: float) -> "HypothesisReport":
         """Scale both constants by a safety factor before bound checks."""
         return replace(
             self,
@@ -264,31 +276,28 @@ def estimate_constants(
     )
 
 
-def _level_images(adapter, f, n_max):
-    """The envelope row of f and the images of S_0 f .. S_{n_max+1} f, in one request."""
+def _level_images(adapter, f):
+    """The envelope row of f and the images of S_0 f .. S_{K+1} f, in one request."""
     adapter.check_ball(f)
     gamma = compute_envelope(f.block_norms[None], adapter.s, adapter.s1).gamma[0]
-    if n_max + 1 >= gamma.size:
-        raise ValueError("n_max exceeds the envelope's stored range")
-    return gamma, adapter([truncate(f, n) for n in range(n_max + 2)])
+    return gamma, adapter([truncate(f, n) for n in range(f.support + 1)])
 
 
 def high_low_rows(
     adapter: FlowMapAdapter,
     f: DyadicSequence,
     report: HypothesisReport,
-    n_max: int,
 ) -> list:
-    """The two hypothesis bounds at each level n <= n_max as ``high`` and ``low`` checks.
+    """The two hypothesis bounds at each level n <= K = f.last_index as ``high`` and ``low`` checks.
 
     high: ||Phi(S_n f)||_{s1,inf} <= C1_hat 2^{n(s1-s)} gamma_n;
     low:  ||Phi(S_{n+1}f) - Phi(S_n f)||_{s0,inf} <= C0_hat 2^{-n(s-s0)} gamma_{n+1}.
     """
-    gamma, images = _level_images(adapter, f, n_max)
+    gamma, images = _level_images(adapter, f)
     high = dyadic_norm(images[:-1], (adapter.s1, math.inf)).tolist()
     low = dyadic_norm(np.abs(images[1:] - images[:-1]), (adapter.s0, math.inf)).tolist()
     checks = []
-    for n in range(n_max + 1):
+    for n in range(f.support):
         index = (("n", n),)
         high_rhs = report.C1_hat * 2.0 ** (n * (adapter.s1 - adapter.s)) * float(gamma[n])
         low_rhs = report.C0_hat * 2.0 ** (-n * (adapter.s - adapter.s0)) * float(gamma[n + 1])
@@ -303,11 +312,10 @@ def block_decay_profile(
     adapter: FlowMapAdapter,
     f: DyadicSequence,
     report: HypothesisReport,
-    n_max: int,
 ) -> list:
     """Blockwise decay of the truncation increments of Phi as ``block_decay`` checks.
 
-    Check (n, m) compares
+    Check (n, m), for n <= K = f.last_index, compares
 
         lhs = 2^{m s} ||(Phi(S_{n+1} f) - Phi(S_n f))_m||_F
         rhs = C 2^{-kappa |m - n|} (gamma_n + gamma_{n+1})
@@ -315,7 +323,7 @@ def block_decay_profile(
     for all m up to the output support.  With honest constants every check
     has lhs <= rhs.
     """
-    gamma, images = _level_images(adapter, f, n_max)
+    gamma, images = _level_images(adapter, f)
     increments = np.abs(images[1:] - images[:-1]).tolist()
     checks = []
     for n, block in enumerate(increments):
@@ -331,18 +339,16 @@ def convergence_report(
     adapter: FlowMapAdapter,
     f: DyadicSequence,
     report: HypothesisReport,
-    n_values: Sequence[int],
 ) -> list:
-    """One ``convergence`` check at every truncation level n in ``n_values``.
+    """One ``convergence`` check at every truncation level n <= K = f.last_index.
 
     lhs = ||Phi(f) - Phi(S_n f)||_{s,q};
     rhs = A C ( sum_{p>=n} c_p^q )^{1/q} with A = 2/(1 - 2^-kappa).
+    S_K f is f, so the row at n = K has lhs 0.
     """
     env = compute_envelope(f.block_norms[None], adapter.s, adapter.s1)
-    n_values = list(n_values)
-    if not n_values:
-        return []
-    images = adapter([f] + [truncate(f, n) for n in n_values])
+    levels = range(f.support)
+    images = adapter([f] + [truncate(f, n) for n in levels])
     lhs = dyadic_norm(np.abs(images[0] - images[1:]), (adapter.s, adapter.q)).tolist()
     return [
         Check(
@@ -351,7 +357,7 @@ def convergence_report(
             lhs_n,
             report.A * report.C * float(c_tail_lq(env, n, adapter.q)[0]),
         )
-        for n, lhs_n in zip(n_values, lhs)
+        for n, lhs_n in zip(levels, lhs)
     ]
 
 
@@ -373,27 +379,30 @@ def continuity_probe(
     adapter: FlowMapAdapter,
     f: DyadicSequence,
     perturbation_scales: Sequence[float],
-    directions: Sequence[DyadicSequence] | None = None,
+    directions: Sequence[DyadicSequence],
 ) -> ContinuityReport:
     """Drive perturbations of f through Phi and record the distance pairs.
 
-    For every scale eps and unit-normalized direction g the probe evaluates
-    ||(f + eps g) - f||_{s,q} against ||Phi(f + eps g) - Phi(f)||_{s,q}.
-    Continuity gives no rate, so the verdict compares batch extremes: the
-    largest output distance at the smallest scale must lie below the
-    smallest output distance at the largest scale (or both below the
-    absolute floor).  f and all perturbed inputs must lie inside the ball.
+    Each direction g is normalized to unit ||g||_{s,q} (a zero direction
+    raises ``ValueError``).  For every scale eps and unit direction the
+    probe evaluates ||(f + eps g) - f||_{s,q} against
+    ||Phi(f + eps g) - Phi(f)||_{s,q}.  Continuity gives no rate, so the
+    verdict compares batch extremes: the largest output distance at the
+    smallest scale must lie below the smallest output distance at the
+    largest scale (or both below the absolute floor).  f and all perturbed
+    inputs must lie inside the ball.
     """
-    if directions is None:
-        norm = float(dyadic_norm(f.block_norms[None], (adapter.s, adapter.q))[0])
+    units = []
+    for g in directions:
+        norm = float(dyadic_norm(g.block_norms[None], (adapter.s, adapter.q))[0])
         if norm == 0.0:
-            raise ValueError("cannot build a default direction from the zero point")
-        directions = [f * (1.0 / norm)]
+            raise ValueError("a continuity direction must be nonzero")
+        units.append(g * (1.0 / norm))
     scales = sorted(set(float(s) for s in perturbation_scales), reverse=True)
     probes = [
         (eps, d_index, f + g * eps)
         for eps in scales
-        for d_index, g in enumerate(directions)
+        for d_index, g in enumerate(units)
     ]
     images = adapter([f] + [perturbed for _, _, perturbed in probes])
     output = dyadic_norm(np.abs(images[1:] - images[0]), (adapter.s, adapter.q)).tolist()
@@ -416,3 +425,47 @@ def continuity_probe(
             max(smallest) <= CONTINUITY_FLOOR and max(largest) <= CONTINUITY_FLOOR
         )
     return ContinuityReport(rows=tuple(rows), trend_ok=trend_ok)
+
+
+@dataclass(frozen=True)
+class MapVerification:
+    """The constants, check rows and continuity probe of :func:`verify_map`.
+
+    ``checks`` holds the ``high``/``low``, then ``block_decay``, then ``convergence`` rows.
+    """
+
+    constants_raw: HypothesisReport
+    constants_checked: HypothesisReport
+    checks: tuple
+    continuity: ContinuityReport
+
+    def rows(self, family: str) -> list:
+        """The checks of one family, in order."""
+        return [c for c in self.checks if c.family == family]
+
+
+def verify_map(adapter: FlowMapAdapter, family: Sequence[DyadicSequence]) -> MapVerification:
+    """The continuity argument for Phi, checked on a family of data.
+
+    f = family[0] is the probe, with K = f.last_index.  The constants are
+    sampled on every pair of family members and on the truncation pairs
+    (S_{n+1} f, S_n f), n < K, then inflated by ``INFLATION``.  With them
+    the ``high``/``low`` rows, the block decay profile and the convergence
+    rows are checked at the levels 0 .. K, and continuity is probed at
+    ``PERTURBATION_SCALES`` toward family[1] (along f for a family of one).
+    """
+    probe = family[0]
+    pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]
+    pairs += [
+        (truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.last_index)
+    ]
+    raw = estimate_constants(adapter, pairs)
+    checked = raw.inflated(INFLATION)
+    checks = (
+        high_low_rows(adapter, probe, checked)
+        + block_decay_profile(adapter, probe, checked)
+        + convergence_report(adapter, probe, checked)
+    )
+    direction = family[1] - probe if len(family) > 1 else probe
+    continuity = continuity_probe(adapter, probe, PERTURBATION_SCALES, [direction])
+    return MapVerification(raw, checked, tuple(checks), continuity)

@@ -462,26 +462,22 @@ def burgers_spectral_reference(
     u0: GridFunction,
     times: np.ndarray,
     steps_per_interval: int = 32,
-    viscosity: float = 0.0,
-    mu: float = math.inf,
 ) -> Trajectory:
-    """Independent pseudospectral RK4 solver for Burgers, used as an oracle.
+    """Independent pseudospectral RK4 solver for inviscid Burgers, used as an oracle.
 
-    Integrates u_t + (u^2/2)_x = viscosity * u_xx in spectral space with a
-    2/3-rule dealiased product and fixed-step RK4 between the requested
-    time nodes.  Deliberately shares no code with the characteristic
-    solver.
+    Integrates u_t + (u^2/2)_x = 0 in spectral space with a 2/3-rule
+    dealiased product and fixed-step RK4 between the requested time nodes.
+    Deliberately shares no code with the characteristic solver.
     """
     n = u0.grid_size
     freqs = frequencies(n)
     keep = freqs <= n // 3
     ik = 1j * freqs
-    k2 = freqs**2
 
     def rhs(u_hat):
         u_phys = np.fft.irfft(u_hat, n=n)
         flux_hat = np.fft.rfft(0.5 * u_phys * u_phys) * keep
-        return -ik * flux_hat - viscosity * k2 * u_hat
+        return -ik * flux_hat
 
     times = np.asarray(times, dtype=float)
     u_hat = np.fft.rfft(u0.values)
@@ -491,12 +487,12 @@ def burgers_spectral_reference(
         dt = (right - left) / steps_per_interval
         for _ in range(steps_per_interval):
             k1 = rhs(u_hat)
-            k2_ = rhs(u_hat + 0.5 * dt * k1)
-            k3 = rhs(u_hat + 0.5 * dt * k2_)
+            k2 = rhs(u_hat + 0.5 * dt * k1)
+            k3 = rhs(u_hat + 0.5 * dt * k2)
             k4 = rhs(u_hat + dt * k3)
-            u_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
+            u_hat = u_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         spectra[step] = u_hat
-    return Trajectory(times, _frozen(spectra), mu)
+    return Trajectory(times, _frozen(spectra))
 
 
 def make_flow(cfg: FlowConfig) -> Callable:

@@ -450,10 +450,10 @@ def load_grid_function(path) -> GridFunction:
 
     A binary file must hold exactly the samples its header counts; a CSV
     file must list every index 0 .. N-1 exactly once, in any order, one
-    ``index,value`` line each (a line whose index is not an integer is a
-    header).  The samples must be finite and N a power of two >= 8.
-    Anything else raises ``ValueError`` naming the file, and for a bad CSV
-    line its number.
+    ``index,value`` line each; only its first non-blank line may instead be
+    a header, whose index field is not an integer.  The samples must be
+    finite and N a power of two >= 8.  Anything else raises ``ValueError``
+    naming the file, and for a bad CSV line its number.
     """
     with open(path, "rb") as fh:
         head = fh.read(8)
@@ -466,11 +466,13 @@ def load_grid_function(path) -> GridFunction:
                 raise ValueError(f"trailing bytes after {n} samples in grid file: {path}")
             return _grid_from_file(np.frombuffer(payload, dtype="<f8").astype(float), path)
     indices, samples = [], []
+    first = None  # number of the first non-blank line, the only one that may be a header
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            first = first or lineno
             fields = line.split(",")
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'index,value', got {line!r}")
@@ -478,7 +480,11 @@ def load_grid_function(path) -> GridFunction:
             try:
                 index = int(index_text)
             except ValueError:
-                continue  # header line
+                if lineno == first:
+                    continue  # header line
+                raise ValueError(
+                    f"{path}:{lineno}: {index_text!r} is not an integer index"
+                ) from None
             try:
                 samples.append(float(value_text))
             except ValueError:

@@ -16,16 +16,9 @@ from besovflow.dyadic import (
     dyadic_norm,
     random_sequence,
     smoothing_gain,
-    truncate,
     weighted_smoothing_sum,
 )
-from besovflow.engine import (
-    block_decay_profile,
-    continuity_probe,
-    convergence_report,
-    estimate_constants,
-    high_low_rows,
-)
+from besovflow.engine import verify_map
 from besovflow.envelope import compute_envelope, envelope_equivalence
 from besovflow.flows import (
     FlowConfig,
@@ -73,15 +66,7 @@ def transport_setup(bank):
         transport_speed=1.0, ball_radius=radius, s0=0.0, s=2.0, s1=3.0,
         q=2.0, mu=INF,
     )
-    adapter = flow_as_sequence_map(cfg, bank)
-    probe = family[0]
-    pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]
-    pairs += [
-        (truncate(probe, n + 1), truncate(probe, n))
-        for n in range(probe.support - 1)
-    ]
-    constants = estimate_constants(adapter, pairs).inflated(1.1)
-    return {"adapter": adapter, "probe": probe, "constants": constants, "cfg": cfg}
+    return verify_map(flow_as_sequence_map(cfg, bank), family)
 
 
 @pytest.fixture(scope="module")
@@ -96,19 +81,10 @@ def burgers_setup(bank):
         grid_size=GRID, T=0.5, time_steps=64, flow_kind="burgers",
         ball_radius=radius, s0=0.0, s=2.0, s1=3.0, q=2.0, mu=INF,
     )
-    adapter = flow_as_sequence_map(cfg, bank)
-    probe = family[0]
-    pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]
-    pairs += [
-        (truncate(probe, n + 1), truncate(probe, n))
-        for n in range(probe.support - 1)
-    ]
-    constants = estimate_constants(adapter, pairs).inflated(1.1)
     (trajectory,) = burgers_flow([data[0]], cfg)
     return {
-        "adapter": adapter, "probe": probe, "family": family,
-        "constants": constants, "cfg": cfg, "trajectory": trajectory,
-        "datum": data[0],
+        "verified": verify_map(flow_as_sequence_map(cfg, bank), family),
+        "cfg": cfg, "trajectory": trajectory,
     }
 
 
@@ -212,47 +188,31 @@ def test_criterion_05_envelope_equivalence():
 
 
 def test_criterion_06_transport_engine(transport_setup):
-    adapter = transport_setup["adapter"]
-    probe = transport_setup["probe"]
-    constants = transport_setup["constants"]
-    n_top = probe.support - 1
-
-    ok = constants.kappa == 1.0
-    hl = high_low_rows(adapter, probe, constants, n_max=n_top)
-    high_ok = all(c.lhs <= c.rhs * (1 + 1e-9) for c in hl[0::2])
-    low_ok = all(c.lhs <= c.rhs * (1 + 1e-9) for c in hl[1::2])
-    decay = block_decay_profile(adapter, probe, constants, n_max=n_top)
-    decay_ok = all(c.lhs <= c.rhs * (1 + 1e-9) for c in decay)
-    conv = convergence_report(adapter, probe, constants, range(probe.support + 1))
-    conv_ok = all(c.lhs <= c.rhs * (1 + 1e-9) for c in conv)
-    ok = ok and high_ok and low_ok and decay_ok and conv_ok
+    constants = transport_setup.constants_checked
+    high_ok, low_ok, decay_ok, conv_ok = (
+        not any(c.failed for c in transport_setup.rows(family))
+        for family in ("high", "low", "block_decay", "convergence")
+    )
+    decay_rows = len(transport_setup.rows("block_decay"))
+    ok = constants.kappa == 1.0 and high_ok and low_ok and decay_ok and conv_ok
     ok = ok and constants.A == pytest.approx(4.0, rel=1e-15)
     report(
         ok,
         "criterion 6 (transport engine rows)",
         f"high/low {high_ok}/{low_ok}, "
-        f"decay rows {len(decay)} ok={decay_ok}, telescoped ok={conv_ok}, A={constants.A}",
+        f"decay rows {decay_rows} ok={decay_ok}, telescoped ok={conv_ok}, A={constants.A}",
     )
 
 
 def test_criterion_07_burgers_continuity(burgers_setup):
-    adapter = burgers_setup["adapter"]
-    probe = burgers_setup["probe"]
-    family = burgers_setup["family"]
-    constants = burgers_setup["constants"]
-
-    conv = convergence_report(adapter, probe, constants, range(probe.support + 1))
-    conv_ok = all(c.lhs <= c.rhs * (1 + 1e-9) for c in conv)
+    verified = burgers_setup["verified"]
+    conv = verified.rows("convergence")
+    conv_ok = not any(c.failed for c in conv)
     vanishes = conv[-1].lhs <= 1e-12
 
-    delta = family[1] - probe
-    direction = delta * (1.0 / dyadic_norm(delta.block_norms[None], (2.0, 2.0))[0])
-    probe_report = continuity_probe(
-        adapter, probe, [1e-1, 1e-2, 1e-3], directions=[direction]
-    )
-    outputs = [row.output_distance for row in probe_report.rows]
+    outputs = [row.output_distance for row in verified.continuity.rows]
     strictly_decreasing = outputs[0] > outputs[1] > outputs[2]
-    ok = conv_ok and vanishes and strictly_decreasing and probe_report.trend_ok
+    ok = conv_ok and vanishes and strictly_decreasing and verified.continuity.trend_ok
     report(
         ok,
         "criterion 7 (Burgers convergence and continuity)",

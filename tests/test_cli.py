@@ -271,8 +271,9 @@ class TestCommands:
         suites = {entry["name"]: entry["violations"] for entry in report["suites"]}
         [record] = suites.pop(suite)
         assert not any(suites.values())
-        assert set(record) == keys
+        assert set(record) == keys | {"lhs", "rhs"}
         assert record["check"] == suite and record["trial"] == 2
+        assert record["lhs"] > record["rhs"]
         assert report["failures"] == [{"suite": suite, "violations": [record]}]
 
     @pytest.mark.parametrize("zero_at, level", [(None, 3), (7, 6)])
@@ -296,9 +297,13 @@ class TestCommands:
             tmp_path, monkeypatch, "envelope", "compute_envelope", spike, 1
         )
         suites = {entry["name"]: entry["violations"] for entry in report["suites"]}
-        assert suites.pop("envelope_slow_variation") == [
-            {"check": "envelope_slow_variation", "trial": 2, "n": level}
-        ]
+        [record] = suites.pop("envelope_slow_variation")
+        lhs, rhs = record.pop("lhs"), record.pop("rhs")
+        assert record == {"check": "envelope_slow_variation", "trial": 2, "n": level}
+        if zero_at is None:
+            assert lhs / rhs == pytest.approx(2.0, rel=1e-12)
+        else:
+            assert rhs == 0.0 < lhs
         assert not any(suites.values())
 
     @pytest.mark.parametrize("pair", [(0.05 * (1 + 1e-8), 0.05), (0.05, 0.05 * (1 + 1e-8))])
@@ -308,10 +313,9 @@ class TestCommands:
             tmp_path, monkeypatch, "dyadic", "truncation_power_sum",
             lambda r: (with_row(r[0], pair[0]), with_row(r[1], pair[1])), 0,
         )
-        assert report["failures"] == [
-            {"suite": "truncation_power_sum",
-             "violations": [{"check": "truncation_power_sum", "trial": 2}]}
-        ]
+        # of the trial's two one-sided checks only value > bound fails
+        record = {"check": "truncation_power_sum", "trial": 2, "lhs": max(pair), "rhs": min(pair)}
+        assert report["failures"] == [{"suite": "truncation_power_sum", "violations": [record]}]
 
     def test_flow_detects_shrunken_constants(self, tmp_path, monkeypatch):
         import besovflow.engine as engine
@@ -339,7 +343,8 @@ class TestCommands:
                   "block_decay": {"check", "n", "m"}, "convergence": {"check", "n"}}
         assert {f["check"] for f in report["failures"]} == set(shapes)
         for failure in report["failures"]:
-            assert set(failure) == shapes[failure["check"]]
+            assert set(failure) == shapes[failure["check"]] | {"lhs", "rhs"}
+            assert failure["lhs"] > failure["rhs"]
 
     def test_filters_command(self, tmp_path):
         cfg = write_config(
@@ -413,6 +418,25 @@ class TestCommands:
         lines = (out / "envelope.csv").read_text().splitlines()
         assert lines[0] == "n,gamma_n,c_n,weighted_block_norm"
 
+    def test_envelope_failure_records_its_lhs_and_rhs(self, tmp_path, monkeypatch):
+        import besovflow.envelope as envelope
+
+        original = envelope.envelope_equivalence
+
+        def broken(*args):  # the upper bound drops to half the mid value
+            lower, mid, _ = original(*args)
+            return lower, mid, mid / 2
+
+        monkeypatch.setattr(envelope, "envelope_equivalence", broken)
+        grid_path = tmp_path / "u.gfn"
+        save_grid_function(grid_path, random_grid_function(np.random.default_rng(6), 64))
+        config = {"schema_version": 1, "command": "envelope", "io": {"input": str(grid_path)}}
+        cfg, out = write_config(tmp_path / "c.json", config), tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        report = json.loads((out / "envelope_report.json").read_text(encoding="utf-8"))
+        mid, upper = report["equivalence"]["mid"], report["equivalence"]["upper"]
+        assert report["failures"] == [{"check": "envelope_equivalence", "lhs": mid, "rhs": upper}]
+
     def test_flow_command_transport(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -434,11 +458,7 @@ class TestCommands:
         assert report["failures"] == []
         assert report["continuity_trend_ok"] is True
         assert report["constants_checked"]["estimated"] is True
-        lines = (out / "convergence.csv").read_text().splitlines()
-        assert lines[0] == "n,actual,bound"
-        for line in lines[1:]:
-            _, actual, bound = line.split(",")
-            assert float(actual) <= float(bound) * (1 + 1e-9)
+        assert (out / "convergence.csv").read_text().startswith("n,actual,bound\n")
         assert (out / "trajectory" / "manifest.json").exists()
         assert (out / "decay_profile.csv").exists()
         assert (out / "continuity.csv").exists()
@@ -459,25 +479,36 @@ class TestFailureRecords:
 
         adapter = FlowMapAdapter(phi=block_norms, radius=100.0, s0=0.0, s=1.0, s1=2.0, q=2.0)
         shrunk = HypothesisReport(1e-3, 1e-3, 0.0, 1.0, 2.0, samples_used=1)
-        checks = high_low_rows(adapter, f, shrunk, n_max=2)
-        assert all(check.failed for check in checks) and len(checks) == 6
+        checks = high_low_rows(adapter, f, shrunk)
+        # every row fails but low at the last level, where S_4 f = S_3 f
+        assert len(checks) == 8 and [c.failed for c in checks] == [True] * 7 + [False]
         assert _failure_records(checks) == [
-            {"check": family, "n": n} for n in range(3) for family in ("high", "low")
+            {"check": c.family, "n": n, "lhs": c.lhs, "rhs": c.rhs}
+            for n in range(4)
+            for c in checks[2 * n : 2 * n + 2]
+            if c.failed
         ]
 
     def test_records_keep_first_seen_order(self):
         from besovflow.cli import _failure_records
         from besovflow.engine import Check
 
+        # each record holds its worst failing row: the largest lhs/rhs, where a
+        # positive lhs over rhs = 0 counts as infinite
         checks = [
             Check("b", (("n", 1),), 2.0, 1.0),
             Check("a", (("n", 0), ("m", 4)), 1.0, 1.0),
             Check("a", (("n", 0), ("m", 3)), 2.0, 1.0),
             Check("b", (("n", 1),), 3.0, 1.0),
-            Check("b", (), 3.0, 1.0),
+            Check("b", (("n", 1),), 5.0, 4.0),
+            Check("b", (("n", 1),), 9.0, 10.0),
+            Check("b", (), 1e-300, 0.0),
+            Check("b", (), 1e300, 1.0),
         ]
         assert _failure_records(checks) == [
-            {"check": "b", "n": 1}, {"check": "a", "n": 0, "m": 3}, {"check": "b"}
+            {"check": "b", "n": 1, "lhs": 3.0, "rhs": 1.0},
+            {"check": "a", "n": 0, "m": 3, "lhs": 2.0, "rhs": 1.0},
+            {"check": "b", "lhs": 1e-300, "rhs": 0.0},
         ]
 
 
@@ -499,6 +530,15 @@ class TestExitStatus:
         assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
         with open(out / "verify_report.json", encoding="utf-8") as fh:
             assert json.load(fh)["failures"] == [{"check": "synthetic"}]
+
+    def test_zero_continuity_direction_is_config_error(self, tmp_path, capsys):
+        # members 0 and 1 are equal, so there is no direction toward member 1
+        family = [{"alpha": 0.1}, {"alpha": 0.1}, {"alpha": 0.05}]
+        cfg = write_config(tmp_path / "c.json", _flow_payload(family=family))
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "continuity direction must be nonzero" in capsys.readouterr().err
+        assert not (out / "flow_report.json").exists()
 
     def test_infeasible_flow_setup_is_config_error(self, tmp_path):
         # horizon far beyond the shock margin of the default family

@@ -16,11 +16,13 @@ from besovflow.engine import (
     Check,
     FlowMapAdapter,
     HypothesisReport,
+    MapVerification,
     block_decay_profile,
     continuity_probe,
     convergence_report,
     estimate_constants,
     high_low_rows,
+    verify_map,
 )
 from besovflow.pseudonorm import PseudoNormedSpace
 
@@ -140,8 +142,8 @@ class TestAdapter:
         assert checked == [f.key, truncate(f, 0).key]
         adapter([truncate(twin, 0), seq(0.25), f])  # two memoized, one new
         assert checked == [f.key, truncate(f, 0).key, seq(0.25).key]
-        convergence_report(adapter, f, HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, 1), range(3))
-        continuity_probe(adapter, f, [1e-1, 1e-2])
+        convergence_report(adapter, f, HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, 1))
+        continuity_probe(adapter, f, [1e-1, 1e-2], [f])
         # f and its truncations were mapped already: only the perturbations are new
         assert len(checked) == 3 + 2 and len(set(checked)) == len(checked)
 
@@ -255,25 +257,18 @@ class TestHighLowRows:
         f = seq(1.0, 0.5, 0.25)
         adapter = identity_adapter()
         report = HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, samples_used=1)
-        checks = high_low_rows(adapter, f, report, n_max=1)
+        checks = high_low_rows(adapter, f, report)
         assert [(c.family, c.index) for c in checks] == [
-            ("high", (("n", 0),)), ("low", (("n", 0),)),
-            ("high", (("n", 1),)), ("low", (("n", 1),)),
+            (family, (("n", n),)) for n in range(3) for family in ("high", "low")
         ]
-        # gamma_n = 2^-n sum_{k<=n} 4^k |f_k|: gamma_0 = 1, gamma_1 = 3/2, gamma_2 = 7/4
+        # gamma_n = 2^-n sum_{k<=n} 4^k |f_k|: gamma_0 = 1, gamma_1 = 3/2,
+        # gamma_2 = 7/4, gamma_3 = 7/8
         pairs = [(c.lhs, c.rhs) for c in checks]
-        # high: ||S_n f||_{2,inf} <= 2^n gamma_n; low: |f_{n+1}| <= 2^-n gamma_{n+1}
-        assert pairs == [(1.0, 1.0), (0.5, 1.5), (2.0, 3.0), (0.25, 0.875)]
-
-    def test_bounds_hold_for_identity(self, rng):
-        adapter = identity_adapter()
-        f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
-        pairs = [(truncate(f, n + 1), truncate(f, n)) for n in range(f.support - 1)]
-        report = estimate_constants(adapter, pairs).inflated(1.1)
-        checks = high_low_rows(adapter, f, report, n_max=f.support - 1)
-        assert len(checks) == 2 * f.support
-        for check in checks:
-            assert check.lhs <= check.rhs * (1 + 1e-9)
+        # high: ||S_n f||_{2,inf} <= 2^n gamma_n; low: |f_{n+1}| <= 2^-n gamma_{n+1},
+        # with f_3 = 0 at the last level
+        assert pairs == [
+            (1.0, 1.0), (0.5, 1.5), (2.0, 3.0), (0.25, 0.875), (4.0, 7.0), (0.0, 0.21875)
+        ]
 
 
 class TestBlockDecayProfile:
@@ -283,7 +278,7 @@ class TestBlockDecayProfile:
         report = HypothesisReport(
             0.0, 0.0, adapter.s0, adapter.s, adapter.s1, samples_used=1
         )
-        checks = block_decay_profile(adapter, f, report, n_max=f.support - 1)
+        checks = block_decay_profile(adapter, f, report)
         assert all(check.lhs == 0.0 for check in checks)
 
     def test_identity_increment_is_single_block(self):
@@ -293,12 +288,13 @@ class TestBlockDecayProfile:
         report = HypothesisReport(
             1.0, 1.0, 0.0, 1.0, 2.0, samples_used=1
         )
-        checks = block_decay_profile(adapter, f, report, n_max=2)
+        checks = block_decay_profile(adapter, f, report)
+        assert len(checks) == len(values) * WIDTH
         for check in checks:
             assert check.family == "block_decay"
             index = dict(check.index)
             n, m = index["n"], index["m"]
-            if m == n + 1:
+            if m == n + 1 < len(values):
                 expected = 2.0 ** (m * adapter.s) * values[m]
                 assert check.lhs == pytest.approx(expected, rel=1e-12)
             else:
@@ -308,26 +304,16 @@ class TestBlockDecayProfile:
         report = HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, 1)
         assert report.kappa == 1.0
 
-    def test_rows_bounded_for_identity(self, rng):
-        adapter = identity_adapter()
-        f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
-        pairs = [(truncate(f, n + 1), truncate(f, n)) for n in range(f.support - 1)]
-        report = estimate_constants(adapter, pairs).inflated(1.1)
-        checks = block_decay_profile(adapter, f, report, n_max=f.support - 1)
-        assert checks
-        for check in checks:
-            assert check.lhs <= check.rhs * (1 + 1e-9)
-
 
 class TestConvergenceBound:
-    def test_exact_zero_beyond_support(self, rng):
+    def test_one_row_per_level_and_exact_zero_at_the_last(self, rng):
         adapter = identity_adapter()
         f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
         report = estimate_constants(adapter, [(f, truncate(f, 0))])
-        [check] = convergence_report(adapter, f, report, [f.support])
-        assert check.index == (("n", f.support),)
-        assert check.lhs == 0.0
-        assert check.rhs > 0.0
+        conv = convergence_report(adapter, f, report)
+        assert [c.index for c in conv] == [(("n", n),) for n in range(f.support)]
+        assert conv[-1].lhs == 0.0  # S_K f is f
+        assert conv[-1].rhs > 0.0
 
     def test_A_constant_for_unit_kappa(self):
         report = HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, 1)
@@ -335,16 +321,6 @@ class TestConvergenceBound:
         assert HypothesisReport(1.0, 1.0, 0.0, 2.5, 3.0, 1).A == pytest.approx(
             2.0 / (1.0 - 2.0**-0.5), rel=1e-15
         )
-
-    def test_rows_bounded_for_identity(self, rng):
-        adapter = identity_adapter()
-        f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
-        pairs = [(truncate(f, n + 1), truncate(f, n)) for n in range(f.support - 1)]
-        report = estimate_constants(adapter, pairs).inflated(1.1)
-        conv = convergence_report(adapter, f, report, range(f.support + 1))
-        for check in conv:
-            assert check.lhs <= check.rhs * (1 + 1e-9)
-        assert conv[-1].lhs == 0.0
 
     def test_report_serialization(self):
         report = HypothesisReport(1.0, 2.0, 0.0, 1.0, 2.0, 3)
@@ -357,14 +333,17 @@ class TestContinuityProbe:
     def test_zero_scale_gives_zero_distance(self, rng):
         adapter = identity_adapter()
         f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
-        report = continuity_probe(adapter, f, [0.0])
+        report = continuity_probe(adapter, f, [0.0], [f])
         assert all(row.output_distance == 0.0 for row in report.rows)
 
     def test_identity_preserves_distances(self, rng):
         adapter = identity_adapter()
         f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
-        report = continuity_probe(adapter, f, [1e-1, 1e-2, 1e-3])
-        for row in report.rows:
+        g = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
+        report = continuity_probe(adapter, f, [1e-1, 1e-2, 1e-3], [f, g * 3.0])
+        assert [row.direction for row in report.rows] == [0, 1] * 3
+        for row in report.rows:  # each direction is normalized in the (s, q) norm
+            assert row.input_distance == pytest.approx(row.scale, rel=1e-12)
             assert row.output_distance == pytest.approx(row.input_distance, rel=1e-12)
         assert report.trend_ok
 
@@ -372,7 +351,55 @@ class TestContinuityProbe:
         f = seq(1.0)
         adapter = identity_adapter(radius=1.01)
         with pytest.raises(BallViolationError):
-            continuity_probe(adapter, f, [1.0])
+            continuity_probe(adapter, f, [1.0], [f])
+
+    def test_zero_direction_rejected(self):
+        f = seq(1.0, 0.5)
+        with pytest.raises(ValueError, match="nonzero"):
+            continuity_probe(identity_adapter(), f, [1e-1], [f - seq(1.0, 0.5)])
+
+
+class TestVerifyMap:
+    def test_identity_passes_every_check(self, rng):
+        f = small_sequences(rng, 1, 100.0, 1.0, 2.0)[0]
+        verified = verify_map(identity_adapter(), [f])
+        assert len(verified.rows("high")) == f.support and verified.rows("block_decay")
+        assert not any(check.failed for check in verified.checks)
+        assert verified.rows("convergence")[-1].lhs == 0.0  # S_K f is f
+        assert verified.continuity.trend_ok
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_same_requests_and_rows_as_the_five_direct_calls(self, rng, members):
+        family = [f for f in small_sequences(rng, 12, 100.0, 1.0, 2.0) if f.support >= 3]
+        family = family[:members]
+        gains = np.linspace(0.6, 1.4, WIDTH)  # a diagonal map that is not the identity
+
+        def recording(requests):
+            class Recording(FlowMapAdapter):
+                def __call__(self, request):
+                    requests.append([f.key for f in request])
+                    return super().__call__(request)
+
+            phi = lambda fs: [padded(f) * gains for f in fs]  # noqa: E731
+            return Recording(phi=phi, radius=100.0, s0=0, s=1, s1=2, q=2.0)
+
+        via, direct = [], []
+        verified = verify_map(recording(via), family)
+        adapter, probe = recording(direct), family[0]
+        pairs = [(family[i], family[j]) for i in range(members) for j in range(i)]
+        pairs += [(truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.last_index)]
+        raw = estimate_constants(adapter, pairs)
+        checked = raw.inflated(1.1)
+        checks = [
+            *high_low_rows(adapter, probe, checked),
+            *block_decay_profile(adapter, probe, checked),
+            *convergence_report(adapter, probe, checked),
+        ]
+        # toward member 1, or along the probe for a family of one
+        direction = family[1] - probe if members > 1 else probe
+        continuity = continuity_probe(adapter, probe, [1e-1, 1e-2, 1e-3], [direction])
+        assert via == direct
+        assert verified == MapVerification(raw, checked, tuple(checks), continuity)
 
 
 class TestInterpolationInAction:

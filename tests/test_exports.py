@@ -113,3 +113,59 @@ def test_every_public_definition_is_used():
     ]
     assert all_names <= public.keys()
     assert sorted(unused) == []
+
+
+
+def _defaulted_parameters(func, skip: int) -> list:
+    """(name, position among a call's arguments or None if keyword-only) of each default."""
+    args, positional = func.args, func.args.posonlyargs + func.args.args
+    first = len(positional) - len(args.defaults)
+    return [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first] + [
+        (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+
+
+def _passes(call, name, position) -> bool:
+    """Whether ``call`` passes ``name`` by keyword (or a ``**`` mapping) or by position."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+    return position is not None and (
+        len(call.args) > position or any(i <= position for i in starred)
+    )
+
+
+def test_every_default_is_passed_by_some_caller():
+    # a defaulted parameter that only tests pass is an option nothing uses:
+    # a call in the package, a demo, the benchmark or a tool must pass it
+    package = pathlib.Path(besovflow.__file__).parent
+    root = package.parents[1]
+    calls = {}
+    for path in [package, root / "demos", root / "perfbench", root / "tools"]:
+        for tree in (ast.parse(p.read_text(encoding="utf-8")) for p in path.glob("*.py")):
+            for node in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+                calls.setdefault(_dotted(node.func).split(".")[-1], []).append(node)
+    defaults = []  # (callee, parameter, position, definition)
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(node, "name", "_")
+            if name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                where = f"{path.stem}.{name}"
+                defaults += [(name, *p, where) for p in _defaulted_parameters(node, 0)]
+            for method in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(method, ast.FunctionDef) and (
+                    method.name == "__init__" or not method.name.startswith("_")
+                ):
+                    # __init__ is called by the class name; a static method has no self
+                    callee = name if method.name == "__init__" else method.name
+                    skip = not any(_dotted(d) == "staticmethod" for d in method.decorator_list)
+                    defaults += [(callee, *p, f"{path.stem}.{name}.{method.name}")
+                                 for p in _defaulted_parameters(method, skip)]
+    unpassed = [
+        f"{where}({name}=)"
+        for callee, name, position, where in defaults
+        if not any(_passes(call, name, position) for call in calls.get(callee, []))
+    ]
+    assert defaults and unpassed == []

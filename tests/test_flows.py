@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from besovflow.dyadic import dyadic_norm, truncate
-from besovflow.engine import (
-    BallViolationError,
-    convergence_report,
-    estimate_constants,
-)
+from besovflow.dyadic import dyadic_norm
+from besovflow.engine import BallViolationError, estimate_constants, verify_map
 from besovflow.littlewood_paley import (
     GridFunction,
     GridMismatchError,
@@ -144,23 +140,32 @@ class TestBurgersFlow:
         )
         assert worst <= 1e-6
 
-    def test_vanishing_viscosity_approaches_characteristics(self):
-        u0 = sinusoid_datum(128, 0.1)
-        cfg = burgers_cfg(grid_size=128, T=0.5)
-        (traj,) = burgers_flow([u0], cfg)
-        errors = []
-        for nu in (1e-3, 1e-4, 0.0):
-            reference = burgers_spectral_reference(
-                u0, traj.times, steps_per_interval=32, viscosity=nu
-            )
-            errors.append(
-                max(
-                    np.abs(a.values - b.values).max()
-                    for a, b in zip(traj.states, reference.states)
-                )
-            )
-        assert errors[0] > errors[1] > errors[2]
-        assert errors[-1] <= 1e-6
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.sampled_from([64, 256]),
+        beta_ratio=st.floats(-1.0, 1.0),
+        fraction=st.floats(0.5, 0.9),
+    )
+    def test_property_horizons_up_to_the_shock_margin(self, n, beta_ratio, fraction):
+        # alpha sin x + beta sin 2x with beta = beta_ratio alpha, scaled so that
+        # T/T* = fraction at T = 0.5 (T* scales as 1/alpha).  T is then set from
+        # the scaled datum's own T*, so that T/T* is the fraction the margin
+        # check computes, and T is 0.5 up to rounding
+        unit_time = shock_time(sinusoid_datum(n, 1.0, beta_ratio))[0]
+
+        def scaled(fraction):
+            alpha = fraction * unit_time / 0.5
+            u0 = sinusoid_datum(n, alpha, alpha * beta_ratio)
+            cfg = burgers_cfg(grid_size=n, T=fraction * shock_time(u0)[0], time_steps=64)
+            assert cfg.T == pytest.approx(0.5, rel=1e-12)
+            return u0, cfg
+
+        u0, cfg = scaled(fraction)
+        (traj,) = burgers_flow([u0], cfg)  # a CharacteristicSolveError fails here
+        assert np.all(np.isfinite(traj.samples))
+        u0, cfg = scaled(0.9001)
+        with pytest.raises(ShockMarginError):
+            burgers_flow([u0], cfg)
 
     def test_maximum_principle(self, rng):
         u0 = sinusoid_datum(64, 0.11, 0.04)
@@ -903,15 +908,9 @@ class TestFullPipeline:
         full = estimate_constants(adapter, pairs)
         assert 0.5 <= half.C0_hat / full.C0_hat <= 1.0
 
-        probe = family[0]
-        pairs += [
-            (truncate(probe, n + 1), truncate(probe, n))
-            for n in range(probe.support - 1)
-        ]
-        checked = estimate_constants(adapter, pairs).inflated(1.1)
-        conv = convergence_report(adapter, probe, checked, range(probe.support + 1))
-        for check in conv:
-            assert check.lhs <= check.rhs * (1 + 1e-9)
+        verified = verify_map(adapter, family)
+        assert not any(check.failed for check in verified.checks)
+        assert verified.continuity.trend_ok
 
 
 class TestTrajectoryPlumbing:

@@ -541,6 +541,9 @@ BAD_GRID_FILES = [
     ("one.csv", "0,1.0\n\n1\n", ":3:"),
     ("three_rows.csv", "0,1.0\n1,2.0\n2,3.0\n", ":"),
     ("nan.csv", "".join(f"{i},{'nan' if i == 5 else i}\n" for i in range(8)), ":"),
+    # only the first non-blank line may be a header
+    ("late_header.csv", "".join(f"{i},{i}\n" for i in range(8)) + "3.5,99\nx,1\n", ":9:"),
+    ("two_headers.csv", "\nindex,value\nx,y\n" + "".join(f"{i},{i}\n" for i in range(8)), ":3:"),
     ("three_rows.gfn", GRID_MAGIC + struct.pack("<Q3d", 3, 0.0, 1.0, 2.0), ":"),
     ("inf.gfn", GRID_MAGIC + struct.pack("<Q8d", 8, *[math.inf] * 8), ":"),
 ]
@@ -560,10 +563,11 @@ class TestGridFileFormats:
         v = load_grid_function(path)
         assert np.abs(v.values - u.values).max() <= 1e-16 * np.abs(u.values).max()
 
-    def test_csv_header_tolerated(self, tmp_path):
+    @pytest.mark.parametrize("before", ["", "\n  \n"])
+    def test_csv_header_tolerated(self, tmp_path, before):
         path = tmp_path / "u.csv"
         lines = ["index,value"] + [f"{i},{float(i)}" for i in range(8)]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(before + "\n".join(lines) + "\n")
         u = load_grid_function(path)
         assert np.allclose(u.values, np.arange(8.0))
 
