@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from besovflow.dyadic import dyadic_norm
 from besovflow.engine import verify_map
 from besovflow.flows import (
     FlowConfig,
@@ -41,13 +40,8 @@ def main():
         print(f"  alpha={a:6.2f} beta={b:6.2f}  shock time {shock_time(u)[0]:8.3f}")
 
     family = [decompose(u, bank) for u in data]
-    rows = np.array([f.block_norms for f in family])  # one row of block norms per datum
-    radius = 2.0 * float(dyadic_norm(rows, (2.0, 2.0)).max())
-    cfg = FlowConfig(
-        grid_size=n, T=0.5, time_steps=64, flow_kind="burgers",
-        ball_radius=radius, s0=0.0, s=2.0, s1=3.0, q=2.0,
-    )
-    verified = verify_map(flow_as_sequence_map(cfg, bank), family)
+    cfg = FlowConfig(grid_size=n, T=0.5, time_steps=64, flow_kind="burgers")
+    verified = verify_map(flow_as_sequence_map(cfg, bank), family, (0.0, 2.0, 3.0, 2.0))
     constants = verified.constants_checked
     print(f"\nestimated constants (with {constants.inflation:g} safety factor):")
     print(f"  C0 = {constants.C0_hat:.6f}, C1 = {constants.C1_hat:.6f}, "

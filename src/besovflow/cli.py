@@ -10,7 +10,9 @@ sampling, so two runs with the same config and seed produce byte-identical
 reports.  Exit status: 0 when every assertion in the selected suite passes,
 1 on assertion failures (the report carries the failure list), 2 on an
 invalid config, 3 on I/O failure, 4 on a numerical stall (a characteristic
-solve of the Burgers flow that fails to converge; no report is written).
+solve of the Burgers flow that fails to converge; no report is written),
+5 on any other exception, a library fault (its traceback goes to stderr,
+also under --quiet, and no report is written).
 
 All floating-point numbers in reports are serialized with 17 significant
 digits so regression diffs round-trip exactly.
@@ -23,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -54,6 +55,7 @@ EXIT_ASSERTIONS = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_STALL = 4
+EXIT_FAULT = 5
 
 
 class ConfigError(ValueError):
@@ -527,7 +529,6 @@ def _cmd_verify(config, outdir, rng):
 def _flow_config(config):
     from . import flows
 
-    s0, s, s1, q = _scale_block(config)
     flow_block = config.get("flow", {})
     kind = flow_block.get("kind", "burgers")
     if kind not in ("burgers", "transport"):
@@ -541,11 +542,6 @@ def _flow_config(config):
         time_steps=time_steps,
         flow_kind=kind,
         transport_speed=_parse_finite(flow_block.get("speed", 1.0), "flow.speed"),
-        ball_radius=None,
-        s0=s0,
-        s=s,
-        s1=s1,
-        q=q,
         mu=_parse_extended(flow_block.get("mu", "inf"), "flow.mu"),
     )
 
@@ -576,27 +572,25 @@ def _cmd_flow(config, outdir, rng):
     from . import flows
     from .engine import verify_map
 
+    s0, s, s1, q = scale = _scale_block(config)
     cfg = _flow_config(config)
     trajectory_dir = _io_path(config, "trajectory_dir")
     flow_block = config.get("flow", {})
     members = _flow_family(flow_block)
     radius = flow_block.get("ball_radius")
-    if radius is not None and not _parse_finite(radius, "flow.ball_radius") > 0.0:
+    if radius is not None and not (radius := _parse_finite(radius, "flow.ball_radius")) > 0.0:
         raise ConfigError("flow.ball_radius must be a positive finite number")
     data = [flows.sinusoid_datum(cfg.grid_size, alpha, beta) for alpha, beta in members]
     bank = build_filters(cfg.grid_size)
     family = [decompose(u, bank) for u in data]
-    norms = dyadic.dyadic_norm(np.array([f.block_norms for f in family]), (cfg.s, cfg.q))
-    radius = 2.0 * float(norms.max()) if radius is None else float(radius)
-    cfg = replace(cfg, ball_radius=radius)
-    verified = verify_map(flows.flow_as_sequence_map(cfg, bank), family)
+    verified = verify_map(flows.flow_as_sequence_map(cfg, bank), family, scale, radius)
     continuity = verified.continuity
     failures = _failure_records(verified.checks) + (
         [] if continuity.trend_ok else [{"check": "continuity_trend"}]
     )
 
     (traj,) = flows.make_flow(cfg)([data[0]])
-    tails = flows.time_continuity_modulus(traj, cfg.s, bank).tails if math.isinf(cfg.mu) else None
+    tails = flows.time_continuity_modulus(traj, s, bank).tails if math.isinf(cfg.mu) else None
 
     dump_csv(
         os.path.join(outdir, "convergence.csv"),
@@ -630,8 +624,8 @@ def _cmd_flow(config, outdir, rng):
         "grid_size": cfg.grid_size,
         "T": cfg.T,
         "mu": cfg.mu,
-        "scale": {"s0": cfg.s0, "s": cfg.s, "s1": cfg.s1, "q": cfg.q},
-        "ball_radius": radius,
+        "scale": {"s0": s0, "s": s, "s1": s1, "q": q},
+        "ball_radius": verified.radius,
         "output_block_cap": bank.j_max,
         "constants_raw": verified.constants_raw.to_dict(),
         "constants_checked": verified.constants_checked.to_dict(),
@@ -689,6 +683,11 @@ def run(config: dict, outdir: str, quiet: bool = False) -> int:
         if not quiet:
             print(f"numerical stall: {exc}", file=sys.stderr)
         return EXIT_STALL
+    except Exception:
+        # a bug or an exhausted resource: exit 1 would read as a failing check;
+        # the interpreter's hook prints the traceback without importing a module
+        sys.excepthook(*sys.exc_info())
+        return EXIT_FAULT
     if not quiet:
         status = "ok" if not failures else f"{len(failures)} failing check(s)"
         print(f"{config['command']}: {status}; report at {report_path}")

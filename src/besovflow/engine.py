@@ -432,20 +432,31 @@ class MapVerification:
     """The constants, check rows and continuity probe of :func:`verify_map`.
 
     ``checks`` holds the ``high``/``low``, then ``block_decay``, then ``convergence`` rows.
+    ``radius`` is the radius of the ball on which the map was verified.
     """
 
     constants_raw: HypothesisReport
     constants_checked: HypothesisReport
     checks: tuple
     continuity: ContinuityReport
+    radius: float
 
     def rows(self, family: str) -> list:
         """The checks of one family, in order."""
         return [c for c in self.checks if c.family == family]
 
 
-def verify_map(adapter: FlowMapAdapter, family: Sequence[DyadicSequence]) -> MapVerification:
+def verify_map(phi: Callable, family: Sequence, scale: tuple, radius=None) -> MapVerification:
     """The continuity argument for Phi, checked on a family of data.
+
+    ``phi`` maps a list of grid sequences to the list of their image rows,
+    as :class:`FlowMapAdapter` takes it; ``scale`` is (s0, s, s1, q).  Phi
+    is verified on the ball ||f||_{s,q} < radius.  With no radius given it
+    is max(2 M, M + 2 max(PERTURBATION_SCALES)), M the largest
+    ||f||_{s,q} over the family, so every input the protocol maps lies
+    strictly inside: members have norm at most M, truncations S_n f at most
+    ||f|| (S_n is a contraction), and probes f + eps g with unit g at most
+    M + max(PERTURBATION_SCALES).
 
     f = family[0] is the probe, with K = f.last_index.  The constants are
     sampled on every pair of family members and on the truncation pairs
@@ -454,6 +465,11 @@ def verify_map(adapter: FlowMapAdapter, family: Sequence[DyadicSequence]) -> Map
     rows are checked at the levels 0 .. K, and continuity is probed at
     ``PERTURBATION_SCALES`` toward family[1] (along f for a family of one).
     """
+    s0, s, s1, q = scale
+    if radius is None:
+        largest = max(float(dyadic_norm(f.block_norms[None], (s, q))[0]) for f in family)
+        radius = max(2.0 * largest, largest + 2.0 * max(PERTURBATION_SCALES))
+    adapter = FlowMapAdapter(phi=phi, radius=radius, s0=s0, s=s, s1=s1, q=q)
     probe = family[0]
     pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]
     pairs += [
@@ -468,4 +484,4 @@ def verify_map(adapter: FlowMapAdapter, family: Sequence[DyadicSequence]) -> Map
     )
     direction = family[1] - probe if len(family) > 1 else probe
     continuity = continuity_probe(adapter, probe, PERTURBATION_SCALES, [direction])
-    return MapVerification(raw, checked, tuple(checks), continuity)
+    return MapVerification(raw, checked, tuple(checks), continuity, radius)

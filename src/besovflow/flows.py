@@ -1,4 +1,4 @@
-"""Concrete flows on the torus and their sequence-space adapters.
+"""Concrete flows on the torus and the sequence maps they induce.
 
 Two flows instantiate the abstract maps that the verification engine
 consumes: linear transport (solved exactly by a spectral phase shift) and
@@ -30,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from .dyadic import _frozen, _read_only
-from .engine import FlowMapAdapter
 from .littlewood_paley import (
     TAU,
     FilterBank,
@@ -132,18 +131,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Grid, horizon, flow kind and verification scale for one experiment."""
+    """Grid, horizon, flow kind, transport speed and time exponent of one flow."""
 
-    grid_size: int = 256
-    T: float = 1.0
-    time_steps: int = 64
-    flow_kind: str = "transport"
+    grid_size: int
+    T: float
+    time_steps: int
+    flow_kind: str
     transport_speed: float = 1.0
-    ball_radius: float | None = None
-    s0: float = 0.0
-    s: float = 2.0
-    s1: float = 3.0
-    q: float = 2.0
     mu: float = math.inf
 
     def __post_init__(self):
@@ -331,8 +325,8 @@ def _stack(data: list) -> np.ndarray:
     return np.stack([u.values for u in data])
 
 
-def transport_flow(data: list, speed: float, cfg: FlowConfig) -> list:
-    """Constant-speed transport solved by an exact spectral phase shift.
+def transport_flow(data: list, cfg: FlowConfig) -> list:
+    """Transport at speed ``cfg.transport_speed``, solved by an exact spectral phase shift.
 
     Every Sobolev norm is conserved along the trajectory since the phase
     factor has modulus one.  The trajectory holds its states as spectra,
@@ -347,7 +341,7 @@ def transport_flow(data: list, speed: float, cfg: FlowConfig) -> list:
     """
     spectra = np.fft.rfft(_stack(data), axis=1)
     times = cfg.time_nodes()
-    phase = _phase_table(data[0].grid_size, float(speed), tuple(times))
+    phase = _phase_table(data[0].grid_size, float(cfg.transport_speed), tuple(times))
     return [Trajectory(times, _frozen(spectrum * phase), cfg.mu) for spectrum in spectra]
 
 
@@ -502,7 +496,7 @@ def make_flow(cfg: FlowConfig) -> Callable:
     (see :func:`transport_flow` and :func:`burgers_flow`).
     """
     if cfg.flow_kind == "transport":
-        return lambda data: transport_flow(data, cfg.transport_speed, cfg)
+        return lambda data: transport_flow(data, cfg)
     return lambda data: burgers_flow(data, cfg)
 
 
@@ -559,33 +553,31 @@ def lmu_time_sobolev_norm(traj: Trajectory, s: float) -> float:
     return float(_time_combine(values, traj.times, traj.mu))
 
 
-# --- sequence-space adapters ---------------------------------------------------
+# --- sequence maps ---------------------------------------------------------------
 
 # Feet per interpolant call of a grouped characteristic solve: the sequence
 # map hands the flow max(1, _FEET_PER_SWEEP // N) data at a time.
 _FEET_PER_SWEEP = 2048
 
 
-def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> FlowMapAdapter:
+def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], list]:
     """Conjugate the configured flow with decompose/reconstruct into a sequence map.
 
-    The adapter's map takes a list of block sequences of initial data,
-    rebuilds the data, and runs the flow of :func:`make_flow` on them in
-    groups of max(1, 2048 // N), so one Newton sweep of the Burgers solver
-    covers about 2048 feet and only one group's trajectories are held at a
-    time.  Each image is a read-only (J+1,) row of block norms from
-    :func:`block_time_norms`, one scalar per block of the solution: the
-    L^mu-in-time L2 norm of that block.  The engine measures an image
-    difference as |‖Delta_j Phi(v)‖ - ‖Delta_j Phi(w)‖|, which is at most
-    ‖Delta_j(Phi(v) - Phi(w))‖.  Ball membership at the configured (s, q)
-    scale is checked on every call.
+    The map takes a list of block sequences of initial data, rebuilds the
+    data, and runs the flow of :func:`make_flow` on them in groups of
+    max(1, 2048 // N), so one Newton sweep of the Burgers solver covers
+    about 2048 feet and only one group's trajectories are held at a time.
+    It returns the list of images, each a read-only (J+1,) row of block
+    norms from :func:`block_time_norms`, one scalar per block of the
+    solution: the L^mu-in-time L2 norm of that block.  The engine measures
+    an image difference as |‖Delta_j Phi(v)‖ - ‖Delta_j Phi(w)‖|, which is
+    at most ‖Delta_j(Phi(v) - Phi(w))‖, and holds the ball on which the map
+    is verified (see :func:`besovflow.engine.verify_map`).
     """
     if cfg.grid_size != bank.grid_size:
         raise GridMismatchError(
             f"config grid {cfg.grid_size} does not match bank {bank.grid_size}"
         )
-    if cfg.ball_radius is None:
-        raise ValueError("flow config needs an explicit ball_radius")
     flow = make_flow(cfg)
     group = max(1, _FEET_PER_SWEEP // cfg.grid_size)
 
@@ -597,9 +589,7 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> FlowMapAdapter:
                 images.append(_frozen(block_time_norms(traj, bank)))
         return images
 
-    return FlowMapAdapter(
-        phi=phi, radius=cfg.ball_radius, s0=cfg.s0, s=cfg.s, s1=cfg.s1, q=cfg.q
-    )
+    return phi
 
 
 # --- time continuity ------------------------------------------------------------

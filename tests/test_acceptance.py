@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from besovflow.cli import EXIT_OK, main as cli_main
-from besovflow.dyadic import (
-    dyadic_norm,
-    random_sequence,
-    smoothing_gain,
-    weighted_smoothing_sum,
-)
+from besovflow.dyadic import random_sequence, smoothing_gain, weighted_smoothing_sum
 from besovflow.engine import verify_map
 from besovflow.envelope import compute_envelope, envelope_equivalence
 from besovflow.flows import (
@@ -43,6 +38,7 @@ from conftest import bessel_potential
 
 INF = math.inf
 GRID = 256
+SCALE = (0.0, 2.0, 3.0, 2.0)  # (s0, s, s1, q)
 
 
 def report(ok: bool, label: str, detail: str):
@@ -60,13 +56,8 @@ def transport_setup(bank):
     rng = np.random.default_rng(616)
     data = [random_grid_function(rng, GRID, max_mode=24, decay=2.5) for _ in range(4)]
     family = [decompose(u, bank) for u in data]
-    radius = 2.0 * max(dyadic_norm(np.array([f.block_norms for f in family]), (2.0, 2.0)))
-    cfg = FlowConfig(
-        grid_size=GRID, T=1.0, time_steps=64, flow_kind="transport",
-        transport_speed=1.0, ball_radius=radius, s0=0.0, s=2.0, s1=3.0,
-        q=2.0, mu=INF,
-    )
-    return verify_map(flow_as_sequence_map(cfg, bank), family)
+    cfg = FlowConfig(grid_size=GRID, T=1.0, time_steps=64, flow_kind="transport", mu=INF)
+    return verify_map(flow_as_sequence_map(cfg, bank), family, SCALE)
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +67,10 @@ def burgers_setup(bank):
         for a, b in [(0.1, 0.05), (0.08, -0.04), (-0.06, 0.05), (0.12, 0.0)]
     ]
     family = [decompose(u, bank) for u in data]
-    radius = 2.0 * max(dyadic_norm(np.array([f.block_norms for f in family]), (2.0, 2.0)))
-    cfg = FlowConfig(
-        grid_size=GRID, T=0.5, time_steps=64, flow_kind="burgers",
-        ball_radius=radius, s0=0.0, s=2.0, s1=3.0, q=2.0, mu=INF,
-    )
+    cfg = FlowConfig(grid_size=GRID, T=0.5, time_steps=64, flow_kind="burgers", mu=INF)
     (trajectory,) = burgers_flow([data[0]], cfg)
     return {
-        "verified": verify_map(flow_as_sequence_map(cfg, bank), family),
+        "verified": verify_map(flow_as_sequence_map(cfg, bank), family, SCALE),
         "cfg": cfg, "trajectory": trajectory,
     }
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from besovflow.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STALL, main
+from besovflow.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_IO, EXIT_OK, EXIT_STALL, main
 from besovflow.littlewood_paley import (
     GridFunction,
     random_grid_function,
@@ -540,6 +540,25 @@ class TestExitStatus:
         assert "continuity direction must be nonzero" in capsys.readouterr().err
         assert not (out / "flow_report.json").exists()
 
+    @pytest.mark.parametrize("kind", ["transport", "burgers"])
+    def test_default_ball_holds_a_small_family(self, tmp_path, capsys, kind):
+        # the largest member norm M ~ 0.008 lies below the probe's largest
+        # step 0.1, so a radius of 2 M would not hold the probes
+        family = [{"alpha": 0.001}, {"alpha": 0.0008, "beta": 0.0002}]
+        payload = {**_flow_payload(kind=kind, T=0.5, time_steps=16, family=family), "grid_size": 64}
+        del payload["flow"]["ball_radius"]
+        cfg, out = write_config(tmp_path / "c.json", payload), tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        report = json.loads((out / "flow_report.json").read_text(encoding="utf-8"))
+        assert report["ball_radius"] == pytest.approx(0.208, abs=1e-3)
+        assert report["continuity_trend_ok"]
+        # a given radius is used as given: one too small is a config error
+        payload["flow"]["ball_radius"] = 0.05
+        cfg, out = write_config(tmp_path / "c.json", payload), tmp_path / "small"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "is not below the ball radius 0.05" in capsys.readouterr().err
+        assert not (out / "flow_report.json").exists()
+
     def test_infeasible_flow_setup_is_config_error(self, tmp_path):
         # horizon far beyond the shock margin of the default family
         cfg = write_config(
@@ -786,7 +805,7 @@ class TestCommandImports:
         code = "from besovflow.cli import main; " + "; ".join(runs)
         assert self.loaded_after(code) == ["numpy.polynomial"]  # the filter profile's rule
 
-    def test_other_errors_propagate_without_flows(self, tmp_path, monkeypatch):
+    def test_other_errors_are_library_faults(self, tmp_path, monkeypatch, capsys):
         import besovflow.cli as cli
         import besovflow.flows  # noqa: F401  (first with flows loaded, then without)
 
@@ -795,18 +814,20 @@ class TestCommandImports:
 
         monkeypatch.setitem(cli._COMMANDS, "filters", broken)
         cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "command": "filters"})
-        with pytest.raises(RuntimeError, match="not a stall"):
-            main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
-        monkeypatch.delitem(sys.modules, "besovflow.flows", raising=False)
-        with pytest.raises(RuntimeError, match="not a stall"):
-            main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+        out = tmp_path / "o"
+        for quiet in (["--quiet"], []):  # the traceback is printed even under --quiet
+            assert main(["--config", cfg, "--out", str(out), *quiet]) == EXIT_FAULT
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("Traceback")
+            assert captured.err.rstrip().endswith("RuntimeError: not a stall")
+            monkeypatch.delitem(sys.modules, "besovflow.flows", raising=False)
+        assert not (out / "filters_report.json").exists()
 
 
 class TestEvaluationPlan:
     @pytest.mark.parametrize("kind", ["transport", "burgers"])
     def test_each_distinct_sequence_reaches_phi_once(self, tmp_path, monkeypatch, kind):
         import besovflow.engine as engine
-        import besovflow.flows as flows
 
         mapped = []
 
@@ -821,7 +842,7 @@ class TestEvaluationPlan:
 
                 self.phi = recorded
 
-        monkeypatch.setattr(flows, "FlowMapAdapter", RecordingAdapter)
+        monkeypatch.setattr(engine, "FlowMapAdapter", RecordingAdapter)
         cfg = write_config(
             tmp_path / "c.json",
             {

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besovflow.dyadic import (
     DyadicSequence,
@@ -24,6 +25,7 @@ from besovflow.engine import (
     high_low_rows,
     verify_map,
 )
+from besovflow.littlewood_paley import build_filters, decompose, random_grid_function
 from besovflow.pseudonorm import PseudoNormedSpace
 
 INF = math.inf
@@ -362,17 +364,18 @@ class TestContinuityProbe:
 class TestVerifyMap:
     def test_identity_passes_every_check(self, rng):
         f = small_sequences(rng, 1, 100.0, 1.0, 2.0)[0]
-        verified = verify_map(identity_adapter(), [f])
+        verified = verify_map(identity_adapter().phi, [f], (0.0, 1.0, 2.0, 2.0), radius=100.0)
         assert len(verified.rows("high")) == f.support and verified.rows("block_decay")
         assert not any(check.failed for check in verified.checks)
         assert verified.rows("convergence")[-1].lhs == 0.0  # S_K f is f
         assert verified.continuity.trend_ok
 
     @pytest.mark.parametrize("members", [1, 3])
-    def test_same_requests_and_rows_as_the_five_direct_calls(self, rng, members):
+    def test_same_requests_and_rows_as_the_five_direct_calls(self, rng, monkeypatch, members):
         family = [f for f in small_sequences(rng, 12, 100.0, 1.0, 2.0) if f.support >= 3]
         family = family[:members]
         gains = np.linspace(0.6, 1.4, WIDTH)  # a diagonal map that is not the identity
+        phi = lambda fs: [padded(f) * gains for f in fs]  # noqa: E731
 
         def recording(requests):
             class Recording(FlowMapAdapter):
@@ -380,12 +383,13 @@ class TestVerifyMap:
                     requests.append([f.key for f in request])
                     return super().__call__(request)
 
-            phi = lambda fs: [padded(f) * gains for f in fs]  # noqa: E731
-            return Recording(phi=phi, radius=100.0, s0=0, s=1, s1=2, q=2.0)
+            return Recording
 
         via, direct = [], []
-        verified = verify_map(recording(via), family)
-        adapter, probe = recording(direct), family[0]
+        monkeypatch.setattr("besovflow.engine.FlowMapAdapter", recording(via))
+        verified = verify_map(phi, family, (0, 1, 2, 2.0), radius=100.0)
+        adapter = recording(direct)(phi=phi, radius=100.0, s0=0, s=1, s1=2, q=2.0)
+        probe = family[0]
         pairs = [(family[i], family[j]) for i in range(members) for j in range(i)]
         pairs += [(truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.last_index)]
         raw = estimate_constants(adapter, pairs)
@@ -399,7 +403,17 @@ class TestVerifyMap:
         direction = family[1] - probe if members > 1 else probe
         continuity = continuity_probe(adapter, probe, [1e-1, 1e-2, 1e-3], [direction])
         assert via == direct
-        assert verified == MapVerification(raw, checked, tuple(checks), continuity)
+        assert verified == MapVerification(raw, checked, tuple(checks), continuity, 100.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(exponents=st.lists(st.floats(-6.0, 2.0), min_size=1, max_size=3))
+    def test_default_ball_holds_every_mapped_input(self, exponents):
+        # members of (2, 2) norm 1e-6 to 1e2 at N = 64: every truncation and
+        # probe f + eps g the protocol maps lies inside the derived ball
+        bank, rng = build_filters(64), np.random.default_rng(64)
+        family = [decompose(random_grid_function(rng, 64, max_mode=12), bank) for _ in exponents]
+        family = [f * (10.0**e / norm(f, (2.0, 2.0))) for f, e in zip(family, exponents)]
+        verify_map(identity_adapter().phi, family, (0.0, 2.0, 3.0, 2.0))  # no BallViolationError
 
 
 class TestInterpolationInAction:

@@ -72,6 +72,19 @@ def test_no_complex_fft_layout():
     assert offenders == []
 
 
+def test_flows_import_nothing_from_engine():
+    # a flow's sequence map is a plain function: the engine holds the scale
+    # and the ball on which it is verified
+    path = pathlib.Path(besovflow.__file__).parent / "flows.py"
+    imported = [
+        name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+    ]
+    assert [name for name in imported if "engine" in name.split(".")] == []
+
+
 def _names_read(node) -> set:
     """Every name ``node`` reads as an ``ast.Name`` or ``ast.Attribute``."""
     return {

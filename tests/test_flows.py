@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besovflow.dyadic import dyadic_norm
-from besovflow.engine import BallViolationError, estimate_constants, verify_map
+from besovflow.engine import FlowMapAdapter, estimate_constants, verify_map
 from besovflow.littlewood_paley import (
     GridFunction,
     GridMismatchError,
@@ -41,6 +41,7 @@ from besovflow.flows import (
 )
 
 INF = math.inf
+SCALE = (0.0, 2.0, 3.0, 2.0)  # (s0, s, s1, q)
 
 
 def norm(f, idx):
@@ -48,46 +49,40 @@ def norm(f, idx):
     return dyadic_norm(f.block_norms[None], idx)[0]
 
 
-def transport_cfg(**overrides):
-    base = dict(
-        grid_size=64, T=1.0, time_steps=64, flow_kind="transport",
-        transport_speed=1.0, s0=0.0, s=2.0, s1=3.0, q=2.0,
-    )
+def transport_cfg(speed=1.0, **overrides):
+    base = dict(grid_size=64, T=1.0, time_steps=64, flow_kind="transport", transport_speed=speed)
     base.update(overrides)
     return FlowConfig(**base)
 
 
 def burgers_cfg(**overrides):
-    base = dict(
-        grid_size=64, T=0.5, time_steps=64, flow_kind="burgers",
-        s0=0.0, s=2.0, s1=3.0, q=2.0,
-    )
+    base = dict(grid_size=64, T=0.5, time_steps=64, flow_kind="burgers")
     base.update(overrides)
     return FlowConfig(**base)
 
 
 class TestTransportFlow:
     def test_zero_datum(self):
-        (traj,) = transport_flow([GridFunction.zeros(64)], 1.0, transport_cfg())
+        (traj,) = transport_flow([GridFunction.zeros(64)], transport_cfg())
         assert all(np.abs(s.values).max() == 0.0 for s in traj.states)
 
     def test_zero_speed_is_constant(self, rng):
         u0 = random_grid_function(rng, 64)
-        (traj,) = transport_flow([u0], 0.0, transport_cfg())
+        (traj,) = transport_flow([u0], transport_cfg(0.0))
         for state in traj.states:
             assert np.abs(state.values - u0.values).max() <= 1e-13
 
     def test_exact_phase_shift(self):
         u0 = GridFunction.from_function(np.cos, 64)
         cfg = transport_cfg(T=math.pi / 2.0, time_steps=64)
-        (traj,) = transport_flow([u0], 1.0, cfg)
+        (traj,) = transport_flow([u0], cfg)
         x = u0.nodes
         expected = np.cos(x - math.pi / 2.0)
         assert np.abs(traj.states[-1].values - expected).max() <= 1e-12
 
     def test_sobolev_conservation(self, rng):
         u0 = random_grid_function(rng, 64)
-        (traj,) = transport_flow([u0], 1.7, transport_cfg())
+        (traj,) = transport_flow([u0], transport_cfg(1.7))
         for s in (-1.0, 0.0, 2.0):
             reference = sobolev_norm(u0, s)
             for state in traj.states:
@@ -256,9 +251,9 @@ class TestBatchedSolve:
 
     def test_transport_batch_equals_solo(self, rng):
         data = [random_grid_function(rng, 64) for _ in range(5)]
-        cfg = transport_cfg(time_steps=8)
-        for traj, u0 in zip(transport_flow(data, 1.3, cfg), data):
-            assert np.array_equal(traj.samples, transport_flow([u0], 1.3, cfg)[0].samples)
+        cfg = transport_cfg(1.3, time_steps=8)
+        for traj, u0 in zip(transport_flow(data, cfg), data):
+            assert np.array_equal(traj.samples, transport_flow([u0], cfg)[0].samples)
 
     def test_mixed_grid_sizes_rejected(self):
         with pytest.raises(GridMismatchError):
@@ -268,9 +263,8 @@ class TestBatchedSolve:
         # N = 256 groups 8 data per sweep; 11 data leave a partial group
         data = [sinusoid_datum(256, 0.02 * (k + 1), 0.01 * (k - 5)) for k in range(11)]
         family = [decompose(u, bank256) for u in data]
-        radius = 2.0 * max(norm(f, (2.0, 2.0)) for f in family)
-        cfg = burgers_cfg(grid_size=256, T=0.4, time_steps=16, ball_radius=radius)
-        batched = flow_as_sequence_map(cfg, bank256)(family)
+        cfg = burgers_cfg(grid_size=256, T=0.4, time_steps=16)
+        batched = np.array(flow_as_sequence_map(cfg, bank256)(family))
         assert batched.shape == (11, bank256.j_max + 1)
         for f, image in zip(family, batched):
             (solo,) = flow_as_sequence_map(cfg, bank256)([f])
@@ -434,12 +428,12 @@ class TestTrigInterpolant:
 
 class TestCheminLerner:
     def test_zero_trajectory(self, bank64):
-        (traj,) = transport_flow([GridFunction.zeros(64)], 1.0, transport_cfg())
+        (traj,) = transport_flow([GridFunction.zeros(64)], transport_cfg())
         assert chemin_lerner_norm(traj, 2.0, bank64) == 0.0
 
     def test_constant_in_time_sup(self, bank64, rng):
         g = random_grid_function(rng, 64)
-        (traj,) = transport_flow([g], 0.0, transport_cfg(mu=INF))
+        (traj,) = transport_flow([g], transport_cfg(0.0, mu=INF))
         blocks = block_time_norms(traj, bank64, 1.5)
         expected = [
             sobolev_norm(GridFunction(row), 1.5) for row in decompose(g, bank64).blocks
@@ -448,8 +442,8 @@ class TestCheminLerner:
 
     def test_constant_in_time_finite_mu(self, bank64, rng):
         g = random_grid_function(rng, 64)
-        cfg = transport_cfg(mu=4.0, T=0.8)
-        (traj,) = transport_flow([g], 0.0, cfg)
+        cfg = transport_cfg(0.0, mu=4.0, T=0.8)
+        (traj,) = transport_flow([g], cfg)
         value = chemin_lerner_norm(traj, 1.0, bank64)
         steady = math.sqrt(
             sum(
@@ -461,7 +455,7 @@ class TestCheminLerner:
 
     def test_minkowski_and_block_contraction(self, bank64, rng):
         u0 = random_grid_function(rng, 64, max_mode=16, decay=2.0)
-        (traj,) = transport_flow([u0], 1.0, transport_cfg(mu=INF))
+        (traj,) = transport_flow([u0], transport_cfg(mu=INF))
         s = 2.0
         lmu = lmu_time_sobolev_norm(traj, s)
         assert lmu <= math.sqrt(3.0) * chemin_lerner_norm(traj, s, bank64) * (
@@ -470,75 +464,55 @@ class TestCheminLerner:
         assert block_time_norms(traj, bank64, s).max() <= lmu * (1 + 1e-12)
 
     def test_grid_mismatch(self, bank256, rng):
-        (traj,) = transport_flow([random_grid_function(rng, 64)], 1.0, transport_cfg())
+        (traj,) = transport_flow([random_grid_function(rng, 64)], transport_cfg())
         with pytest.raises(ValueError):
             chemin_lerner_norm(traj, 1.0, bank256)
 
 
 class TestFlowAsSequenceMap:
     def test_zero_datum_maps_to_zero(self, bank64):
-        cfg = transport_cfg(ball_radius=10.0)
-        adapter = flow_as_sequence_map(cfg, bank64)
-        (image,) = adapter([decompose(GridFunction.zeros(64), bank64)])
+        phi = flow_as_sequence_map(transport_cfg(), bank64)
+        (image,) = phi([decompose(GridFunction.zeros(64), bank64)])
         assert image.shape == (bank64.j_max + 1,) and not image.any()
 
     def test_transport_preserves_block_norms(self, bank64, rng):
         u0 = random_grid_function(rng, 64, max_mode=16, decay=2.0)
         f = decompose(u0, bank64)
-        cfg = transport_cfg(mu=INF, ball_radius=2.0 * norm(f, (2.0, 2.0)))
-        adapter = flow_as_sequence_map(cfg, bank64)
-        (image,) = adapter([f])
+        (image,) = flow_as_sequence_map(transport_cfg(mu=INF), bank64)([f])
         assert np.allclose(image, f.block_norms, rtol=1e-12)
 
     def test_burgers_output_support_capped(self, bank64):
         u0 = sinusoid_datum(64, 0.1)
         f = decompose(u0, bank64)
-        cfg = burgers_cfg(ball_radius=2.0 * norm(f, (2.0, 2.0)))
-        adapter = flow_as_sequence_map(cfg, bank64)
-        images = adapter([f])
+        images = np.array(flow_as_sequence_map(burgers_cfg(), bank64)([f]))
         assert images.shape == (1, bank64.j_max + 1)
         assert dyadic_norm(images, (2.0, 2.0))[0] > 0.0
-
-    def test_ball_checked(self, bank64):
-        u0 = sinusoid_datum(64, 0.1)
-        f = decompose(u0, bank64)
-        cfg = burgers_cfg(ball_radius=0.5 * norm(f, (2.0, 2.0)))
-        adapter = flow_as_sequence_map(cfg, bank64)
-        with pytest.raises(BallViolationError):
-            adapter([f])
 
     def test_images_are_read_only_block_time_norm_rows(self, bank64):
         u0 = sinusoid_datum(64, 0.1, 0.05)
         f = decompose(u0, bank64)
-        cfg = burgers_cfg(ball_radius=2.0 * norm(f, (2.0, 2.0)))
-        (image,) = flow_as_sequence_map(cfg, bank64).phi([f])
+        cfg = burgers_cfg()
+        (image,) = flow_as_sequence_map(cfg, bank64)([f])
         assert not image.flags.writeable
         datum = reconstruct(f, bank64)  # the map solves the datum its blocks rebuild
         assert np.array_equal(image, block_time_norms(burgers_flow([datum], cfg)[0], bank64))
 
-    def test_radius_required(self, bank64):
-        cfg = transport_cfg(ball_radius=None)
-        with pytest.raises(ValueError):
-            flow_as_sequence_map(cfg, bank64)
-
 
 class TestTimeContinuity:
     def test_zero_trajectory(self, bank64):
-        (traj,) = transport_flow([GridFunction.zeros(64)], 1.0, transport_cfg())
+        (traj,) = transport_flow([GridFunction.zeros(64)], transport_cfg())
         report = time_continuity_modulus(traj, 2.0, bank64)
         assert np.all(report.tails == 0.0)
         assert all(m == 0.0 for _, m in report.moduli)
 
     def test_constant_trajectory_modulus_zero(self, bank64, rng):
         g = random_grid_function(rng, 64)
-        (traj,) = transport_flow([g], 0.0, transport_cfg())
+        (traj,) = transport_flow([g], transport_cfg(0.0))
         report = time_continuity_modulus(traj, 2.0, bank64)
         assert all(m <= 1e-12 for _, m in report.moduli)
 
     def test_requires_sup_time_norm(self, bank64, rng):
-        (traj,) = transport_flow(
-            [random_grid_function(rng, 64)], 1.0, transport_cfg(mu=4.0)
-        )
+        (traj,) = transport_flow([random_grid_function(rng, 64)], transport_cfg(mu=4.0))
         with pytest.raises(ValueError):
             time_continuity_modulus(traj, 2.0, bank64)
 
@@ -585,7 +559,7 @@ class TestTimeContinuity:
     def test_moduli_match_brute_force_at_every_lag(self, bank64, kind):
         if kind == "transport":
             u0 = random_grid_function(np.random.default_rng(7), 64)
-            (traj,) = transport_flow([u0], 1.0, transport_cfg(time_steps=40))
+            (traj,) = transport_flow([u0], transport_cfg(time_steps=40))
         else:
             (traj,) = burgers_flow([sinusoid_datum(64, 0.1, 0.05)], burgers_cfg())
         report = time_continuity_modulus(traj, 2.0, bank64)
@@ -631,14 +605,14 @@ class TestBatchedSpectralPath:
     def test_transport_matches_per_node_phase_shift(self, n):
         rng = np.random.default_rng(n)
         u0 = random_grid_function(rng, n, max_mode=n // 2)  # Nyquist mode set
-        cfg = transport_cfg(grid_size=n, T=1.3, time_steps=16)
-        (traj,) = transport_flow([u0], 1.7, cfg)
+        cfg = transport_cfg(1.7, grid_size=n, T=1.3, time_steps=16)
+        (traj,) = transport_flow([u0], cfg)
         ref = loop_transport(u0, 1.7, cfg.time_nodes())
         assert traj.samples.shape == ref.shape
         assert np.abs(traj.samples - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
     def test_transport_reuses_one_phase_table(self, rng):
-        flow = make_flow(transport_cfg(transport_speed=0.9))
+        flow = make_flow(transport_cfg(0.9))
         (first,) = flow([random_grid_function(rng, 64)])
         (second,) = flow([random_grid_function(rng, 64)])
         assert not np.array_equal(first.samples, second.samples)
@@ -652,7 +626,7 @@ class TestBatchedSpectralPath:
         bank = build_filters(n)
         if kind == "transport":
             u0 = random_grid_function(np.random.default_rng(n), n, decay=0.5)
-            (traj,) = transport_flow([u0], 1.3, transport_cfg(grid_size=n, time_steps=24, mu=mu))
+            (traj,) = transport_flow([u0], transport_cfg(1.3, grid_size=n, time_steps=24, mu=mu))
         else:
             u0 = sinusoid_datum(n, 0.1, 0.05)
             (traj,) = burgers_flow([u0], burgers_cfg(grid_size=n, time_steps=24, mu=mu))
@@ -681,7 +655,7 @@ class TestBatchedSpectralPath:
         # per state sqrt(TAU sum (1 + xi^2)^s |c_xi|^2) over all N complex-FFT
         # slots, the Nyquist mode set, then the same L^mu combination in time
         u0 = random_grid_function(np.random.default_rng(n + 3), n, max_mode=n // 2)
-        (traj,) = transport_flow([u0], 0.7, transport_cfg(grid_size=n, time_steps=12, mu=mu))
+        (traj,) = transport_flow([u0], transport_cfg(0.7, grid_size=n, time_steps=12, mu=mu))
         freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
         power = np.abs(np.fft.fft(traj.samples, axis=1) / n) ** 2
         weights = np.r_[0.5, np.ones(traj.times.size - 2), 0.5] * traj.dt
@@ -691,7 +665,7 @@ class TestBatchedSpectralPath:
             assert lmu_time_sobolev_norm(traj, s) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_block_norms_reject_grid_mismatch(self, bank64, rng):
-        (traj,) = transport_flow([random_grid_function(rng, 32)], 1.0, transport_cfg(grid_size=32))
+        (traj,) = transport_flow([random_grid_function(rng, 32)], transport_cfg(grid_size=32))
         with pytest.raises(GridMismatchError):
             block_time_norms(traj, bank64)
         with pytest.raises(GridMismatchError):
@@ -791,7 +765,7 @@ class TestSpectralTrajectory:
 
     def test_derived_form_is_not_kept(self, rng):
         u0 = random_grid_function(rng, 64)
-        (transported,) = transport_flow([u0], 1.0, transport_cfg(time_steps=4))
+        (transported,) = transport_flow([u0], transport_cfg(time_steps=4))
         assert transported.samples is not transported.samples
         (solved,) = burgers_flow([sinusoid_datum(64, 0.1, 0.05)], burgers_cfg(time_steps=4))
         assert solved.samples is not solved.samples
@@ -829,7 +803,7 @@ class TestSpectralTrajectory:
             u0 = nyquist_only(n)
         else:
             u0 = random_grid_function(np.random.default_rng(n), n, max_mode=n // 2)
-        (traj,) = transport_flow([u0], 1.7, transport_cfg(grid_size=n, T=1.3, time_steps=16))
+        (traj,) = transport_flow([u0], transport_cfg(1.7, grid_size=n, T=1.3, time_steps=16))
         spectra = traj.spectra
         assert spectra.shape == (17, n // 2 + 1)
         ref = np.fft.rfft(traj.samples, axis=1)
@@ -838,14 +812,14 @@ class TestSpectralTrajectory:
     @pytest.mark.parametrize("n", [8, 64, 4096])
     def test_transported_nyquist_mode_on_the_grid(self, n):
         # cos(N (x - c t) / 2) at the nodes is cos(N x / 2) cos(N c t / 2)
-        cfg = transport_cfg(grid_size=n, T=1.3, time_steps=16)
-        (traj,) = transport_flow([nyquist_only(n)], 1.7, cfg)
+        cfg = transport_cfg(1.7, grid_size=n, T=1.3, time_steps=16)
+        (traj,) = transport_flow([nyquist_only(n)], cfg)
         exact = 0.7 * np.outer(np.cos(0.5 * n * 1.7 * cfg.time_nodes()), (-1.0) ** np.arange(n))
         assert np.abs(traj.samples - exact).max() <= 1e-13 * n
 
 
 class TestTransportStaysInFourierSpace:
-    """One adapter request of transport data: the only transform in ``flows`` is
+    """One call of the sequence map on transport data: the only transform in ``flows`` is
     one real FFT of each group's (G, N) data stack."""
 
     @pytest.mark.parametrize("n, count", [(256, 10), (2048, 3)])
@@ -863,9 +837,7 @@ class TestTransportStaysInFourierSpace:
         bank = build_filters(n)
         rng = np.random.default_rng(n)
         family = [decompose(random_grid_function(rng, n, max_mode=20), bank) for _ in range(count)]
-        radius = 2.0 * max(norm(f, (2.0, 2.0)) for f in family)
-        adapter = flow_as_sequence_map(transport_cfg(grid_size=n, ball_radius=radius), bank)
-        images = adapter(family)
+        images = np.array(flow_as_sequence_map(transport_cfg(grid_size=n), bank)(family))
         group = max(1, 2048 // n)
         sizes = [min(group, count - start) for start in range(0, count, group)]
         assert calls == [("rfft", (size, n)) for size in sizes]
@@ -877,8 +849,8 @@ class TestFullPipeline:
         data = [random_grid_function(rng, 64, max_mode=12, decay=2.0) for _ in range(8)]
         family = [decompose(u, bank64) for u in data]
         radius = 2.0 * max(norm(f, (2.0, 2.0)) for f in family)
-        cfg = transport_cfg(ball_radius=radius)
-        adapter = flow_as_sequence_map(cfg, bank64)
+        phi = flow_as_sequence_map(transport_cfg(), bank64)
+        adapter = FlowMapAdapter(phi, radius, *SCALE)
         pairs = [
             (family[i], family[j]) for i in range(len(family)) for j in range(i)
         ]
@@ -899,8 +871,8 @@ class TestFullPipeline:
         ]
         family = [decompose(u, bank) for u in data]
         radius = 2.0 * max(norm(f, (2.0, 2.0)) for f in family)
-        cfg = burgers_cfg(grid_size=128, ball_radius=radius)
-        adapter = flow_as_sequence_map(cfg, bank)
+        phi = flow_as_sequence_map(burgers_cfg(grid_size=128), bank)
+        adapter = FlowMapAdapter(phi, radius, *SCALE)
         pairs = [
             (family[i], family[j]) for i in range(len(family)) for j in range(i)
         ]
@@ -908,7 +880,7 @@ class TestFullPipeline:
         full = estimate_constants(adapter, pairs)
         assert 0.5 <= half.C0_hat / full.C0_hat <= 1.0
 
-        verified = verify_map(adapter, family)
+        verified = verify_map(phi, family, SCALE)
         assert not any(check.failed for check in verified.checks)
         assert verified.continuity.trend_ok
 
@@ -916,7 +888,7 @@ class TestFullPipeline:
 class TestTrajectoryPlumbing:
     def test_serialization_round_trip(self, tmp_path, rng):
         u0 = random_grid_function(rng, 64)
-        (traj,) = transport_flow([u0], 1.0, transport_cfg(time_steps=8))
+        (traj,) = transport_flow([u0], transport_cfg(time_steps=8))
         save_trajectory(tmp_path / "traj", traj, "transport", "abc123")
         manifest = json.loads((tmp_path / "traj" / "manifest.json").read_text(encoding="utf-8"))
         assert np.allclose(manifest["times"], traj.times)

@@ -1,4 +1,4 @@
-"""Compare every output file of the benchmark workloads between two source trees.
+"""Compare the benchmark workloads' output files and the demos' output of two source trees.
 
     python tools/compare_outputs.py OLD_TREE NEW_TREE [--seeds 3 11] [--work DIR]
 
@@ -11,14 +11,19 @@ for CSV, JSON and binary grid files, the largest |new - old| / max(1, |old|)
 over its numbers.  Each workload's summary line also gives the largest
 such difference over all its differing files, so a refactor can quote one
 number.  An op that exits nonzero in either tree counts as a
-difference.  The exit code is 0 when every op succeeds in both trees and
-every file is byte-identical, and 1 otherwise.  Uses only the standard library and numpy.
+difference.  Each tree also runs its own ``demos/0[1-6]_*.py`` with its own
+``src``, and their standard outputs are compared byte for byte; a demo that
+exits nonzero, prints other bytes or exists in one tree only is a
+difference too.  The exit code is 0 when every op and demo succeeds in both
+trees and every file and demo output is byte-identical, and 1 otherwise.
+Uses only the standard library and numpy.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
+import glob
 import json
 import os
 import subprocess
@@ -42,6 +47,33 @@ def run_op(tree: str, op, out_dir: str) -> int:
            *dataclasses.replace(op, out_dir=out_dir).cli_args()]
     return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, check=False).returncode
+
+
+def run_demos(tree: str) -> dict:
+    """{demo file name: (exit code, stdout)} of the demos of ``tree``, run with its ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    results = {}
+    for path in sorted(glob.glob(os.path.join(tree, "demos", "0[1-6]_*.py"))):
+        done = subprocess.run([sys.executable, path], env=env, capture_output=True, check=False)
+        results[os.path.basename(path)] = (done.returncode, done.stdout)
+    return results
+
+
+def compare_demos(old_tree: str, new_tree: str) -> tuple[int, list]:
+    """(number of demos with identical output in both trees, lines for the others)."""
+    old, new = run_demos(old_tree), run_demos(new_tree)
+    lines = [f"  only in old: demos/{name}" for name in sorted(old.keys() - new.keys())]
+    lines += [f"  only in new: demos/{name}" for name in sorted(new.keys() - old.keys())]
+    identical = 0
+    for name in sorted(old.keys() & new.keys()):
+        (old_code, old_out), (new_code, new_out) = old[name], new[name]
+        if old_code or new_code:
+            lines.append(f"  exit codes: demos/{name} old {old_code}, new {new_code}")
+        elif old_out != new_out:
+            lines.append(f"  differs: stdout of demos/{name}")
+        else:
+            identical += 1
+    return identical, lines
 
 
 def _json_numbers(value) -> list:
@@ -156,6 +188,12 @@ def main(argv=None) -> int:
             print(f"{name} seed {seed}: {identical} byte-identical files, {verdict}")
             for line in lines:
                 print(line)
+    identical, lines = compare_demos(args.old, args.new)
+    all_identical &= not lines
+    verdict = "all identical" if not lines else "DIFFERENT"
+    print(f"demos: {identical} byte-identical outputs, {verdict}")
+    for line in lines:
+        print(line)
     print(f"outputs kept in {work}")
     return 0 if all_identical else 1
 
