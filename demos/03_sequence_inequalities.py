@@ -21,11 +21,6 @@ from besovflow.dyadic import (
 )
 
 
-def random_row(rng, max_support, log2_range):
-    """The block norms of a random sequence as a one-row batch."""
-    return random_sequence(rng, max_support, log2_range)[None]
-
-
 def main():
     rng = np.random.default_rng(1)
     print("=" * 70)
@@ -34,19 +29,19 @@ def main():
 
     print("\nSmoothing gain  ||S_n f||_{r',q} <= 2^{n(r'-r)} ||f||_{r,q}:")
     for _ in range(5):
-        f = random_row(rng, max_support=12, log2_range=(-6, 6))
+        f = random_sequence(rng, 1, max_support=12, log2_range=(-6, 6))
         r, rp, n = -0.5, 1.5, int(rng.integers(0, 8))
         (value,), (bound,) = smoothing_gain(f, r, rp, 2.0, n)
         print(f"  n={n}: value {value:12.4e} <= bound {bound:12.4e}")
 
     print("\nWeighted truncation sum against ||f||_{r,q}/(1 - 2^{r-r'}):")
     for q in (1.0, 2.0, math.inf):
-        f = random_row(rng, max_support=12, log2_range=(-6, 6))
+        f = random_sequence(rng, 1, max_support=12, log2_range=(-6, 6))
         (value,), (bound,) = weighted_smoothing_sum(f, 0.0, 1.0, q)
         print(f"  q={q}: value {value:12.4e} <= bound {bound:12.4e}")
 
     print("\nPower-form truncation sum (the bound is attained exactly):")
-    f = random_row(rng, max_support=10, log2_range=(-4, 4))
+    f = random_sequence(rng, 1, max_support=10, log2_range=(-4, 4))
     (value,), (bound,) = truncation_power_sum(f, 0.0, 1.0, 2.0)
     print(f"  value {value:.12e}")
     print(f"  bound {bound:.12e}")
@@ -59,7 +54,7 @@ def main():
         print(f"  q={q}: norm {result.norm[0]:10.4f} <= bound {result.bound[0]:10.4f}")
 
     print("\nInterpolation split at the best level N:")
-    f = random_row(rng, max_support=10, log2_range=(-4, 4))
+    f = random_sequence(rng, 1, max_support=10, log2_range=(-4, 4))
     s0, s, s1, q = 0.0, 1.0, 2.0, 2.0
     # one call bounds every split level: the three norms are taken once
     parts = interpolation_bound(f, s0, s, s1, q, np.arange(f.shape[1] + 4))

@@ -205,9 +205,9 @@ def _config_hash(config: dict) -> str:
 
 def _scale_block(config: dict):
     scale = config.get("scale", {})
-    s0 = _parse_extended(scale.get("s0", 0.0), "scale.s0")
-    s = _parse_extended(scale.get("s", 2.0), "scale.s")
-    s1 = _parse_extended(scale.get("s1", 3.0), "scale.s1")
+    s0 = _parse_finite(scale.get("s0", 0.0), "scale.s0")
+    s = _parse_finite(scale.get("s", 2.0), "scale.s")
+    s1 = _parse_finite(scale.get("s1", 3.0), "scale.s1")
     q = _parse_extended(scale.get("q", 2.0), "scale.q")
     if not s0 < s < s1:
         raise ConfigError("scale must satisfy s0 < s < s1")
@@ -318,7 +318,7 @@ def _cmd_norms(config, outdir, rng):
     sobolev = {f"s={s:g}": sobolev_norm(u, s) for s in s_values}
     besov = {}
     for entry in besov_specs:
-        s = _parse_extended(entry.get("s", 0.0), "besov.s")
+        s = _parse_finite(entry.get("s", 0.0), "besov.s")
         p = _parse_extended(entry.get("p", 2.0), "besov.p")
         q = _parse_extended(entry.get("q", 2.0), "besov.q")
         besov[f"s={s:g},p={p:g},q={q:g}"] = besov_norm(u, s, p, q, bank)
@@ -361,43 +361,38 @@ def _cmd_envelope(config, outdir, rng):
 
 
 VERIFY_CHUNK = 128  # trials per batched evaluation: a sweep's memory is O(chunk)
-
-
-def _padded(rows) -> np.ndarray:
-    """1-D arrays as the rows of one array, zero-padded to the longest."""
-    batch = np.zeros((len(rows), max(len(row) for row in rows)))
-    for into, row in zip(batch, rows):
-        into[: len(row)] = row
-    return batch
+Q_VALUES = np.array([1.0, 2.0, math.inf])  # the summabilities a sweep draws from
 
 
 def _verify_suites(rng, trials):
     """Randomized inequality sweeps shared by the verify command.
 
-    Each suite draws its trials one at a time, with the generator calls of
-    a per-trial loop, and evaluates every chunk of ``VERIFY_CHUNK`` trials
-    in one call of its batched function: each trial's sequence is drawn as
-    its row of block norms, and the chunk's rows are zero-padded into one
-    array.  Levels past a row's own range (its split levels, its stored
-    envelope) are masked per row.
+    Each suite is one function ``bounds(size)`` that draws ``size`` trials
+    as arrays and returns their check columns from one call of its batched
+    function, and a sweep calls it once per chunk of ``VERIFY_CHUNK``
+    trials.  A chunk's sequences are one ``dyadic.random_sequence`` batch,
+    with orders, q and levels drawn one per row.  Trials are drawn chunk by
+    chunk, so which sample trial i gets depends on the module constant
+    ``VERIFY_CHUNK``; a passing report holds no sampled value.  Levels past
+    a row's own range (its split levels, its stored envelope) are masked
+    with the row's support.
     """
     from .engine import Check
 
     suites = []
 
-    def run_suite(name, draw, evaluate):
-        """Check rows of ``evaluate`` on chunks of ``draw()`` results; failures are violations.
+    def run_suite(name, bounds):
+        """Check rows of ``bounds(size)`` chunk by chunk; failures are violations.
 
-        ``evaluate`` takes a chunk's draws as columns and returns, per check
-        of a trial, an (lhs, rhs) pair or (lhs, rhs, level) triple of arrays
-        with one entry per trial of the chunk.
+        ``bounds`` returns, per check of a trial, an (lhs, rhs) pair or
+        (lhs, rhs, level) triple of arrays with one entry per trial.
         """
 
         def checks():  # made chunk by chunk as the failure records consume them
             for start in range(0, trials, VERIFY_CHUNK):
-                chunk = [draw() for _ in range(min(VERIFY_CHUNK, trials - start))]
-                columns = [[a.tolist() for a in bounds] for bounds in evaluate(*zip(*chunk))]
-                for row in range(len(chunk)):
+                size = min(VERIFY_CHUNK, trials - start)
+                columns = [[a.tolist() for a in check] for check in bounds(size)]
+                for row in range(size):
                     trial = (("trial", start + row),)
                     for lhs, rhs, *level in columns:
                         index = trial + tuple(("n", n[row]) for n in level)
@@ -405,108 +400,83 @@ def _verify_suites(rng, trials):
 
         suites.append({"name": name, "trials": trials, "violations": _failure_records(checks())})
 
-    def random_orders():
-        r = float(rng.uniform(-2.0, 2.0))
-        return r, r + float(rng.uniform(0.1, 2.0))
+    def smoothing(size):
+        f = dyadic.random_sequence(rng, size)
+        r = rng.uniform(-2.0, 2.0, size)
+        rp = r + rng.uniform(0.1, 2.0, size)
+        q = Q_VALUES[rng.integers(3, size=size)]
+        n = rng.integers(0, np.count_nonzero(f, axis=1) + 4)
+        return [dyadic.smoothing_gain(f, r, rp, q, n)]
 
-    # indexing with rng.integers gives rng.choice's values and generator
-    # state without its per-call list conversion
-    q_values = (1.0, 2.0, math.inf)
+    def weighted(size):
+        f = dyadic.random_sequence(rng, size)
+        r = rng.uniform(-2.0, 2.0, size)
+        rp = r + rng.uniform(0.1, 2.0, size)
+        q = Q_VALUES[rng.integers(3, size=size)]
+        return [dyadic.weighted_smoothing_sum(f, r, rp, q)]
 
-    def random_q():
-        return q_values[rng.integers(3)]
-
-    def smoothing_draw():
-        f = dyadic.random_sequence(rng)
-        r, rp = random_orders()
-        q = random_q()
-        return f, r, rp, q, int(rng.integers(0, len(f) + 4))
-
-    def smoothing(rows, *params):
-        return [dyadic.smoothing_gain(_padded(rows), *map(np.array, params))]
-
-    def weighted_draw():
-        f = dyadic.random_sequence(rng)
-        r, rp = random_orders()
-        return f, r, rp, random_q()
-
-    def weighted(rows, *params):
-        return [dyadic.weighted_smoothing_sum(_padded(rows), *map(np.array, params))]
-
-    def power_sum_draw():
-        f = dyadic.random_sequence(rng, log2_range=(-8.0, 8.0))
-        r, rp = random_orders()
-        return f, r, rp, q_values[rng.integers(2)]
-
-    def power_sum(rows, *params):
+    def power_sum(size):
         # an identity: two one-sided checks
-        value, bound = dyadic.truncation_power_sum(_padded(rows), *map(np.array, params))
+        f = dyadic.random_sequence(rng, size, log2_range=(-8.0, 8.0))
+        r = rng.uniform(-2.0, 2.0, size)
+        rp = r + rng.uniform(0.1, 2.0, size)
+        q = Q_VALUES[rng.integers(2, size=size)]  # finite q only
+        value, bound = dyadic.truncation_power_sum(f, r, rp, q)
         return [(value, bound), (bound, value)]
 
-    def young_draw():
-        q = random_q()
-        u = rng.standard_normal(int(rng.integers(1, 12)))
-        v = rng.standard_normal(int(rng.integers(1, 12)))
-        return q, u, v
-
-    def young(q, u, v):
-        result = dyadic.young_convolve(_padded(u), _padded(v), np.array(q))
+    def young(size):
+        q = Q_VALUES[rng.integers(3, size=size)]
+        u, v = rng.standard_normal((2, size, 11))
+        # each row keeps its first 1..11 entries
+        u[np.arange(11) >= rng.integers(1, 12, size)[:, None]] = 0.0
+        v[np.arange(11) >= rng.integers(1, 12, size)[:, None]] = 0.0
+        result = dyadic.young_convolve(u, v, q)
         return [(result.norm, result.bound)]
 
-    def envelope_draw():
-        f = dyadic.random_sequence(rng)
-        s = float(rng.uniform(-2.0, 2.0))
-        s1 = s + float(rng.uniform(0.1, 2.0))
-        return f, s, s1, random_q()
-
-    def envelope(rows, s, s1, q):
-        lower, mid, upper = envelope_mod.envelope_equivalence(
-            _padded(rows), np.array(s), np.array(q), np.array(s1)
-        )
+    def envelope(size):
+        f = dyadic.random_sequence(rng, size)
+        s = rng.uniform(-2.0, 2.0, size)
+        s1 = s + rng.uniform(0.1, 2.0, size)
+        q = Q_VALUES[rng.integers(3, size=size)]
+        lower, mid, upper = envelope_mod.envelope_equivalence(f, s, q, s1)
         return [(lower, mid), (mid, upper)]
 
-    def slow_variation_draw():
-        f = dyadic.random_sequence(rng)
-        s = float(rng.uniform(-2.0, 2.0))
-        return f, s, s + float(rng.uniform(0.1, 2.0))
-
-    def slow_variation(rows, s, s1):
+    def slow_variation(size):
         # gamma_n <= 2^{s1-s} gamma_{n+1}, checked at the level of largest
         # ratio among the levels a row's own envelope stores; a positive
         # gamma_n over a zero bound counts as infinite
-        s, s1 = np.array(s), np.array(s1)
-        gamma = envelope_mod.compute_envelope(_padded(rows), s, s1).gamma
+        f = dyadic.random_sequence(rng, size)
+        s = rng.uniform(-2.0, 2.0, size)
+        s1 = s + rng.uniform(0.1, 2.0, size)
+        gamma = envelope_mod.compute_envelope(f, s, s1).gamma
         lhs, rhs = gamma[:, :-1], (2.0 ** (s1 - s))[:, None] * gamma[:, 1:]
         ratio = np.divide(lhs, rhs, out=np.where(lhs > 0, np.inf, 0.0), where=rhs > 0)
-        last = np.array([len(f) for f in rows]) + envelope_mod.GUARD - 2
+        last = np.count_nonzero(f, axis=1) + envelope_mod.GUARD - 2
         ratio[np.arange(ratio.shape[1]) > last[:, None]] = -np.inf
         n = ratio.argmax(axis=1)
-        trial = np.arange(len(n))
+        trial = np.arange(size)
         return [(lhs[trial, n], rhs[trial, n], n)]
 
-    def interpolation_draw():
-        f = dyadic.random_sequence(rng, log2_range=(-8.0, 8.0))
-        s0 = float(rng.uniform(-2.0, 0.0))
-        s1 = float(rng.uniform(0.5, 2.5))
-        s = float(rng.uniform(s0 + 0.1, s1 - 0.1))
-        return f, s0, s, s1, random_q()
-
-    def interpolation(rows, *params):
-        batch = _padded(rows)
-        levels = np.arange(batch.shape[1] + 4)  # each row splits at 0 .. its support + 3
-        parts = dyadic.interpolation_bound(batch, *map(np.array, params), levels)
+    def interpolation(size):
+        f = dyadic.random_sequence(rng, size, log2_range=(-8.0, 8.0))
+        s0 = rng.uniform(-2.0, 0.0, size)
+        s1 = rng.uniform(0.5, 2.5, size)
+        s = rng.uniform(s0 + 0.1, s1 - 0.1)
+        q = Q_VALUES[rng.integers(3, size=size)]
+        levels = np.arange(f.shape[1] + 4)  # each row splits at 0 .. its support + 3
+        parts = dyadic.interpolation_bound(f, s0, s, s1, q, levels)
         bounds = parts.low + parts.high
-        bounds[levels > np.array([len(f) + 3 for f in rows])[:, None]] = np.inf
+        bounds[levels > np.count_nonzero(f, axis=1)[:, None] + 3] = np.inf
         n = bounds.argmin(axis=1)
-        return [(parts.actual, bounds[np.arange(len(n)), n], n)]
+        return [(parts.actual, bounds[np.arange(size), n], n)]
 
-    run_suite("smoothing_gain", smoothing_draw, smoothing)
-    run_suite("weighted_smoothing_sum", weighted_draw, weighted)
-    run_suite("truncation_power_sum", power_sum_draw, power_sum)
-    run_suite("young_convolution", young_draw, young)
-    run_suite("envelope_equivalence", envelope_draw, envelope)
-    run_suite("envelope_slow_variation", slow_variation_draw, slow_variation)
-    run_suite("interpolation_bound", interpolation_draw, interpolation)
+    run_suite("smoothing_gain", smoothing)
+    run_suite("weighted_smoothing_sum", weighted)
+    run_suite("truncation_power_sum", power_sum)
+    run_suite("young_convolution", young)
+    run_suite("envelope_equivalence", envelope)
+    run_suite("envelope_slow_variation", slow_variation)
+    run_suite("interpolation_bound", interpolation)
     return suites
 
 
@@ -530,17 +500,11 @@ def _flow_config(config):
     from . import flows
 
     flow_block = config.get("flow", {})
-    kind = flow_block.get("kind", "burgers")
-    if kind not in ("burgers", "transport"):
-        raise ConfigError("flow.kind must be 'burgers' or 'transport'")
-    time_steps = flow_block.get("time_steps", 64)
-    if isinstance(time_steps, bool) or not isinstance(time_steps, int) or time_steps < 1:
-        raise ConfigError("flow.time_steps must be a positive integer")
     return flows.FlowConfig(
         grid_size=config["grid_size"],
         T=_parse_extended(flow_block.get("T", 0.5), "flow.T"),
-        time_steps=time_steps,
-        flow_kind=kind,
+        time_steps=flow_block.get("time_steps", 64),
+        flow_kind=flow_block.get("kind", "burgers"),
         transport_speed=_parse_finite(flow_block.get("speed", 1.0), "flow.speed"),
         mu=_parse_extended(flow_block.get("mu", "inf"), "flow.mu"),
     )

@@ -41,8 +41,6 @@ import numpy as np
 from .pseudonorm import PseudoNormedSpace, eval_pseudo_norm, scalar_abs_space
 
 __all__ = [
-    "ScaleIndex",
-    "as_scale_index",
     "DyadicSequence",
     "dyadic_norm",
     "truncate",
@@ -56,30 +54,6 @@ __all__ = [
     "random_sequence",
     "sequence_report",
 ]
-
-
-@dataclass(frozen=True)
-class ScaleIndex:
-    """Smoothness order s and summability q in [1, inf].
-
-    Each is a float, or for a batch of sequences an array with one entry
-    per row.  Infinite q is the ordinary float ``inf``; all norm code
-    branches on it explicitly, it is never fed through a power.
-    """
-
-    s: float | np.ndarray
-    q: float | np.ndarray
-
-    def __post_init__(self):
-        if not _all(self.q >= 1.0):
-            raise ValueError(f"summability q must be >= 1, got {self.q}")
-
-
-def as_scale_index(idx) -> ScaleIndex:
-    if isinstance(idx, ScaleIndex):
-        return idx
-    s, q = idx
-    return ScaleIndex(_param(s), _param(q))
 
 
 def _frozen(blocks: np.ndarray) -> np.ndarray:
@@ -229,6 +203,18 @@ def _param(x):
     return np.asarray(x, dtype=float)
 
 
+def _summability(q):
+    """Summability q in [1, inf] as a float, or as a float array when given one per row.
+
+    Infinite q is the ordinary float ``inf``; all norm code branches on it
+    explicitly, it is never fed through a power.
+    """
+    q = _param(q)
+    if not _all(q >= 1.0):
+        raise ValueError(f"summability q must be >= 1, got {q}")
+    return q
+
+
 def _column(x, axes: int = 1):
     """A per-row parameter shaped to broadcast over ``axes`` trailing axes; a scalar as it is."""
     return np.reshape(x, (-1,) + (1,) * axes) if _per_row(x) else x
@@ -375,11 +361,13 @@ _DYADIC_NORM = "the (s, q) = ({s:g}, {q:g}) dyadic norm"
 def dyadic_norm(f, idx):
     """The weighted-block norm ||f||_{s,q} of each row of a batch of block norms.
 
-    Zero exactly on a zero row; s and q are each one value or one per row.
+    ``idx`` is the pair (s, q), each one value or one per row.  Zero
+    exactly on a zero row.
     """
-    idx = as_scale_index(idx)
-    weighted = _weighted_block_norms(_norm_rows(f), idx.s)
-    return _lq_rows(weighted, idx.q, _DYADIC_NORM, s=idx.s)
+    s, q = idx
+    s, q = _param(s), _summability(q)
+    weighted = _weighted_block_norms(_norm_rows(f), s)
+    return _lq_rows(weighted, q, _DYADIC_NORM, s=s)
 
 
 def truncate(f, n):
@@ -444,7 +432,7 @@ def young_convolve(u, v, q):
     one row per pair, with q one value or one per pair.  A norm or bound
     that leaves float range raises ``ValueError`` naming q.
     """
-    q = as_scale_index((0.0, q)).q
+    q = _summability(q)
     us = np.asarray(u, dtype=float)
     vs = np.asarray(v, dtype=float)
     if us.ndim != 2 or vs.ndim != 2 or len(us) != len(vs) or not (us.size and vs.size):
@@ -604,21 +592,28 @@ _ABS = scalar_abs_space()
 
 
 def random_sequence(
-    rng: np.random.Generator, max_support: int = 32, log2_range=(-20.0, 20.0)
+    rng: np.random.Generator, count: int, max_support: int = 32, log2_range=(-20.0, 20.0)
 ) -> np.ndarray:
-    """Block norms of a random scalar sequence for property sweeps.
+    """Block norms of ``count`` random scalar sequences for property sweeps.
 
-    Returns the read-only 1-D row ||f_0|| .. ||f_K||, the form the batched
-    norms and inequalities take zero-padded into a 2-D batch.  Its length K + 1 is
-    uniform in [1, max_support]; entries are log-uniform in 2^[log2_range],
-    stressing both decaying and growing weight regimes.  The entries are
-    the absolute values of randomly signed blocks, so the generator makes
-    the draws of a signed sequence.
+    Returns the read-only (count, width) batch whose row i is ||f_0|| ..
+    ||f_K|| of sequence i, zero past its support K + 1, the form the
+    batched norms and inequalities take; ``width`` is the largest support
+    drawn.  Supports are uniform in [1, max_support] and entries
+    log-uniform in 2^[log2_range], stressing both decaying and growing
+    weight regimes.  Every entry is at least 2^{log2_range[0]} > 0, so a
+    row's support is ``np.count_nonzero(row)``.  The entries are the
+    absolute values of randomly signed blocks: the generator draws the
+    supports, then the magnitudes and then the signs of all the blocks,
+    which fill the rows in order.
     """
-    size = int(rng.integers(1, max_support + 1))
-    mags = np.exp2(rng.uniform(log2_range[0], log2_range[1], size))
-    signs = _SIGNS[rng.integers(0, 2, size)]  # same draws as rng.choice(_SIGNS, size)
-    return _frozen(eval_pseudo_norm(_ABS, signs * mags))
+    supports = rng.integers(1, max_support + 1, count)
+    total = int(supports.sum())
+    mags = np.exp2(rng.uniform(log2_range[0], log2_range[1], total))
+    signs = _SIGNS[rng.integers(0, 2, total)]
+    rows = np.zeros((count, int(supports.max())))
+    rows[np.arange(rows.shape[1]) < supports[:, None]] = eval_pseudo_norm(_ABS, signs * mags)
+    return _frozen(rows)
 
 
 def sequence_report(f: DyadicSequence) -> dict:

@@ -142,11 +142,12 @@ class FlowConfig:
 
     def __post_init__(self):
         if self.flow_kind not in ("transport", "burgers"):
-            raise ValueError(f"unknown flow kind {self.flow_kind!r}")
+            raise ValueError(f"flow kind must be 'transport' or 'burgers', got {self.flow_kind!r}")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
-        if self.time_steps < 1:
-            raise ValueError("at least one time step is required")
+        steps = self.time_steps
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ValueError(f"time_steps must be a positive integer, got {steps!r}")
         if not self.mu >= 2:
             raise ValueError("time exponent mu must be >= 2")
 

@@ -134,7 +134,7 @@ def test_criterion_04_smoothing_bounds():
     ok = True
     worst_gain, worst_weighted = 0.0, 0.0
     for _ in range(1000):
-        f = random_sequence(rng)[None]
+        f = random_sequence(rng, 1)
         r = float(rng.uniform(-2.0, 2.0))
         rp = r + float(rng.uniform(0.05, 2.0))
         q = float(rng.choice([1.0, 2.0, INF]))
@@ -158,7 +158,7 @@ def test_criterion_05_envelope_equivalence():
     rng = np.random.default_rng(404)
     ok = True
     for _ in range(1000):
-        f = random_sequence(rng)[None]
+        f = random_sequence(rng, 1)
         s = float(rng.uniform(-2.0, 2.0))
         s1 = s + float(rng.uniform(0.1, 2.0))
         q = float(rng.choice([1.0, 2.0, INF]))

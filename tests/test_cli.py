@@ -115,24 +115,29 @@ class TestCommands:
         assert report["failures"] == []
         assert all(s["trials"] == 0 for s in report["suites"])
 
-    def test_verify_sweeps_pass(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.json",
-            {"schema_version": 1, "command": "verify", "seed": 11, "trials": 60},
-        )
-        out = tmp_path / "out"
-        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+    def test_verify_sweeps_pass(self):
+        import besovflow.cli as cli
+
+        violations = {
+            (seed, suite["name"]): suite["violations"]
+            for seed in range(16)
+            for suite in cli._verify_suites(np.random.default_rng(seed), 1000)
+            if suite["violations"]
+        }
+        assert violations == {}
 
     def test_verify_report_is_pinned(self, tmp_path):
         # sha256 of the report written before split levels were batched.  A
         # passing report holds no sampled values, so the generator state
-        # after the sweeps is pinned as well: it moves with every draw.
+        # after the sweeps is pinned as well: it moves with every draw.  The
+        # state was re-pinned when the suites began to draw a chunk of
+        # trials as arrays; the report did not change.
         import besovflow.cli as cli
 
         rng = np.random.default_rng(12)
         cli._verify_suites(rng, 200)
         assert rng.bit_generator.state["state"]["state"] == (
-            194195366257891568229924983293605064597
+            172958274973547183828739483198325043183
         )
         cfg = write_config(
             tmp_path / "c.json",
@@ -235,8 +240,11 @@ class TestCommands:
         ),
         "interpolation_bound": (
             "dyadic", "interpolation_bound",
+            # every split level of the row bounds it by half its actual value
             lambda r: replace(
-                r, low=with_row(r.low, r.low * 1e-3), high=with_row(r.high, r.high * 1e-3)
+                r,
+                low=with_row(r.low, r.actual[:, None] / 4),
+                high=with_row(r.high, r.actual[:, None] / 4),
             ),
             {"check", "trial", "n"},
         ),
@@ -616,7 +624,9 @@ class TestMalformedConfigSections:
             ({**_flow_payload(), "io": []}, "io"),
             ({"schema_version": 1, "command": "decompose", "io": []}, "io"),
             ({**_flow_payload(), "scale": {"s1": 10**400}}, "scale.s1"),
+            ({**_flow_payload(), "scale": {"s1": "inf"}}, "scale.s1"),
             (_norms_payload(besov=[{"s": 10**400}]), "besov.s"),
+            (_norms_payload(besov=[{"s": "inf"}]), "besov.s"),
             (_norms_payload(besov=[{"s": 5000.0}]), "(s, q) = (5000, 2) dyadic norm"),
             (_norms_payload(besov=[{"q": 0.5}]), "summability q must be >= 1"),
             (_flow_payload(speed="inf"), "flow.speed"),
@@ -634,7 +644,8 @@ class TestMalformedConfigSections:
             "besov-number", "besov-object", "s-values-number", "s-values-string",
             "s-values-bool",
             "scale-list", "flow-list", "io-list-flow", "io-list-decompose",
-            "scale-huge-int", "besov-huge-int", "besov-out-of-range", "besov-q-below-one",
+            "scale-huge-int", "scale-inf", "besov-huge-int", "besov-inf", "besov-out-of-range",
+            "besov-q-below-one",
             "speed-inf", "speed-nan", "T-nan", "mu-nan",
         ],
     )
@@ -891,9 +902,9 @@ class TestBatchedVerify:
             monkeypatch.setattr(target, name, counted)
         cli._verify_suites(np.random.default_rng(12), 200)
         chunks = -(-200 // cli.VERIFY_CHUNK)
-        # draws stay per trial: six suites draw one sequence per trial
+        # six suites draw one batch of sequences per chunk
         assert calls == {name: per * chunks for _, name, per in self.BATCHED} | {
-            "random_sequence": 6 * 200
+            "random_sequence": 6 * chunks
         }
 
     def test_trials_build_no_dyadic_sequence(self, monkeypatch):
@@ -914,31 +925,43 @@ class TestBatchedVerify:
         dyadic.DyadicSequence(grid_l2_space(8), np.ones((1, 8)))  # the count is live
         assert len(built) == 1
 
-    def test_random_sequence_is_a_read_only_row(self):
+    def test_random_sequence_is_a_read_only_batch(self):
         import besovflow.dyadic as dyadic
 
-        row = dyadic.random_sequence(np.random.default_rng(12))
-        assert isinstance(row, np.ndarray) and row.dtype == float and row.ndim == 1
-        assert not row.flags.writeable
-        assert 1 <= len(row) <= 32 and (row > 0.0).all()
+        batch = dyadic.random_sequence(np.random.default_rng(12), 50, 9, (-3.0, 5.0))
+        supports = np.random.default_rng(12).integers(1, 10, 50)  # its first draw
+        assert isinstance(batch, np.ndarray) and batch.dtype == float
+        assert batch.shape == (50, supports.max()) and not batch.flags.writeable
+        assert np.array_equal(np.count_nonzero(batch, axis=1), supports)
+        assert ((1 <= supports) & (supports <= 9)).all()
+        stored = np.arange(batch.shape[1]) < supports[:, None]
+        assert (batch[~stored] == 0.0).all()
+        assert ((2.0**-3 <= batch[stored]) & (batch[stored] < 2.0**5)).all()
 
-    def test_chunk_size_changes_no_report_byte_nor_the_generator(self, tmp_path, monkeypatch):
+    def test_one_sequence_is_the_draws_of_a_signed_sequence(self):
+        import besovflow.dyadic as dyadic
+
+        rng, expected_rng = np.random.default_rng(12), np.random.default_rng(12)
+        batch = dyadic.random_sequence(rng, 1)
+        size = int(expected_rng.integers(1, 33))
+        magnitudes = np.exp2(expected_rng.uniform(-20.0, 20.0, size))
+        expected_rng.integers(0, 2, size)  # the signs, which the block norms drop
+        assert np.array_equal(batch, magnitudes[None])
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_chunk_size_changes_no_report_byte(self, tmp_path, monkeypatch):
         import besovflow.cli as cli
 
         trials = cli.VERIFY_CHUNK + 44  # two chunks at the default size
         payload = {"schema_version": 1, "command": "verify", "seed": 3, "trials": trials}
         cfg = write_config(tmp_path / "c.json", payload)
-        reports, states = [], []
+        reports = []
         for chunk in (1, 7, cli.VERIFY_CHUNK):
             monkeypatch.setattr(cli, "VERIFY_CHUNK", chunk)
             out = tmp_path / str(chunk)
             assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
             reports.append(read_all_reports(out))
-            rng = np.random.default_rng(3)
-            cli._verify_suites(rng, trials)
-            states.append(rng.bit_generator.state)
         assert reports[0] == reports[1] == reports[2]
-        assert states[0] == states[1] == states[2]
 
 
 class TestDeterminism:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from besovflow.dyadic import (
     DyadicSequence,
-    ScaleIndex,
     dyadic_norm,
     interpolation_bound,
     random_sequence,
@@ -30,7 +29,7 @@ def row(*values):
 
 
 def random_row(rng, **kwargs):
-    return random_sequence(rng, **kwargs)[None]
+    return random_sequence(rng, 1, **kwargs)
 
 
 def brute_norm(values, s, q):
@@ -125,9 +124,11 @@ class TestDyadicNorm:
             assert n_inf <= n_q * (1 + 1e-12)
             assert n_q <= n_one * (1 + 1e-12)
 
-    def test_scale_index_validation(self):
-        with pytest.raises(ValueError):
-            ScaleIndex(0.0, 0.5)
+    def test_summability_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="summability q must be >= 1"):
+            dyadic_norm(row(1.0, 2.0), (0.0, 0.5))
+        with pytest.raises(ValueError, match="summability q must be >= 1"):
+            young_convolve(row(1.0), row(1.0, 2.0), 0.5)
 
 
 class TestTruncate:

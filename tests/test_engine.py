@@ -72,7 +72,7 @@ def zero_adapter(radius=100.0, scale=(0.0, 1.0, 2.0), q=2.0):
 def small_sequences(rng, count, radius, s, q):
     out = []
     while len(out) < count:
-        f = seq(*random_sequence(rng, max_support=WIDTH, log2_range=(-4.0, 2.0)))
+        f = seq(*random_sequence(rng, 1, max_support=WIDTH, log2_range=(-4.0, 2.0))[0])
         if norm(f, (s, q)) < 0.5 * radius:
             out.append(f)
     return out

@@ -23,7 +23,7 @@ def row(*values):
 
 
 def random_row(rng, **kwargs):
-    return random_sequence(rng, **kwargs)[None]
+    return random_sequence(rng, 1, **kwargs)
 
 
 def brute_gamma(values, s, s1, n):

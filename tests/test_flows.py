@@ -61,6 +61,13 @@ def burgers_cfg(**overrides):
     return FlowConfig(**base)
 
 
+class TestFlowConfig:
+    @pytest.mark.parametrize("time_steps", [True, 2.7, "64"])
+    def test_time_steps_must_be_a_positive_int(self, time_steps):
+        with pytest.raises(ValueError, match="time_steps must be a positive integer"):
+            transport_cfg(time_steps=time_steps)
+
+
 class TestTransportFlow:
     def test_zero_datum(self):
         (traj,) = transport_flow([GridFunction.zeros(64)], transport_cfg())
