@@ -18,9 +18,9 @@ from besovflow.flows import (
     burgers_spectral_reference,
     chemin_lerner_norm,
     flow_as_sequence_map,
-    lmu_time_sobolev_norm,
     shock_time,
     sinusoid_datum,
+    sup_time_sobolev_norm,
     time_continuity_modulus,
 )
 from besovflow.littlewood_paley import build_filters, decompose
@@ -59,8 +59,8 @@ def main():
 
     (traj,) = burgers_flow([data[0]], cfg)
     y2 = chemin_lerner_norm(traj, 2.0, bank)
-    sup_h2 = lmu_time_sobolev_norm(traj, 2.0)
-    tails = time_continuity_modulus(traj, 2.0, bank).tails
+    sup_h2 = sup_time_sobolev_norm(traj, 2.0)
+    tails = time_continuity_modulus(traj, 2.0, bank)
     print("\ntime-frequency structure of the solution:")
     print(f"  Chemin-Lerner Y2 norm       : {y2:.6f}")
     print(f"  sup_t ||u(t)||_H2           : {sup_h2:.6f} "

@@ -146,6 +146,28 @@ def _check_rows(checks) -> list:
 
 # --- config ---------------------------------------------------------------------
 
+# The keys each config object may hold: "" is the top level, and "[]" names
+# the entries of a list.  Any other key is a config error.
+CONFIG_KEYS = {
+    "": (
+        "schema_version", "command", "seed", "grid_size", "trials",
+        "s_values", "besov", "scale", "flow", "io",
+    ),
+    "scale": ("s0", "s", "s1", "q"),
+    "flow": ("kind", "T", "time_steps", "speed", "mu", "family"),
+    "io": ("input", "trajectory_dir"),
+    "flow.family[]": ("alpha", "beta"),
+    "besov[]": ("s", "p", "q"),
+}
+
+
+def _check_keys(obj: dict, table: str, name: str) -> None:
+    """Reject the first key of ``obj`` not in ``CONFIG_KEYS[table]``; ``name`` prefixes it."""
+    for key in obj:
+        if key not in CONFIG_KEYS[table]:
+            raise ConfigError(f"unknown config key {name}{key}")
+
+
 def _parse_finite(value, name) -> float:
     # the bound also rejects nan, and integers too large to convert
     if (
@@ -174,7 +196,9 @@ def load_config(path, seed_override=None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    if config.get("schema_version") != SCHEMA_VERSION:
+    _check_keys(config, "", "")
+    version = config.get("schema_version")
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     if config.get("command") not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}")
@@ -195,6 +219,7 @@ def load_config(path, seed_override=None) -> dict:
     for key in ("scale", "flow", "io"):
         if not isinstance(config.get(key, {}), dict):
             raise ConfigError(f"{key} must be a JSON object")
+        _check_keys(config.get(key, {}), key, f"{key}.")
     return config
 
 
@@ -313,6 +338,8 @@ def _cmd_norms(config, outdir, rng):
     besov_specs = config.get("besov", [{"s": 2.0, "p": 2.0, "q": 2.0}])
     if not isinstance(besov_specs, list) or not all(isinstance(e, dict) for e in besov_specs):
         raise ConfigError("besov must be a list of objects")
+    for i, entry in enumerate(besov_specs):
+        _check_keys(entry, "besov[]", f"besov[{i}].")
     u = _input_grid(config)
     bank = build_filters(u.grid_size)
     sobolev = {f"s={s:g}": sobolev_norm(u, s) for s in s_values}
@@ -500,13 +527,15 @@ def _flow_config(config):
     from . import flows
 
     flow_block = config.get("flow", {})
+    # the sup-in-time norm is the only time norm; the key stays for old configs
+    if flow_block.get("mu", "inf") != "inf":
+        raise ConfigError("flow.mu must be 'inf'")
     return flows.FlowConfig(
         grid_size=config["grid_size"],
         T=_parse_extended(flow_block.get("T", 0.5), "flow.T"),
         time_steps=flow_block.get("time_steps", 64),
         flow_kind=flow_block.get("kind", "burgers"),
         transport_speed=_parse_finite(flow_block.get("speed", 1.0), "flow.speed"),
-        mu=_parse_extended(flow_block.get("mu", "inf"), "flow.mu"),
     )
 
 
@@ -523,6 +552,8 @@ def _flow_family(flow_block) -> list:
     )
     if not isinstance(family, list) or not family or not all(isinstance(d, dict) for d in family):
         raise ConfigError("flow.family must be a non-empty list of objects")
+    for i, member in enumerate(family):
+        _check_keys(member, "flow.family[]", f"flow.family[{i}].")
     return [
         (
             _parse_finite(d.get("alpha"), f"flow.family[{i}].alpha"),
@@ -539,22 +570,18 @@ def _cmd_flow(config, outdir, rng):
     s0, s, s1, q = scale = _scale_block(config)
     cfg = _flow_config(config)
     trajectory_dir = _io_path(config, "trajectory_dir")
-    flow_block = config.get("flow", {})
-    members = _flow_family(flow_block)
-    radius = flow_block.get("ball_radius")
-    if radius is not None and not (radius := _parse_finite(radius, "flow.ball_radius")) > 0.0:
-        raise ConfigError("flow.ball_radius must be a positive finite number")
+    members = _flow_family(config.get("flow", {}))
     data = [flows.sinusoid_datum(cfg.grid_size, alpha, beta) for alpha, beta in members]
     bank = build_filters(cfg.grid_size)
     family = [decompose(u, bank) for u in data]
-    verified = verify_map(flows.flow_as_sequence_map(cfg, bank), family, scale, radius)
+    verified = verify_map(flows.flow_as_sequence_map(cfg, bank), family, scale)
     continuity = verified.continuity
     failures = _failure_records(verified.checks) + (
         [] if continuity.trend_ok else [{"check": "continuity_trend"}]
     )
 
     (traj,) = flows.make_flow(cfg)([data[0]])
-    tails = flows.time_continuity_modulus(traj, s, bank).tails if math.isinf(cfg.mu) else None
+    tails = flows.time_continuity_modulus(traj, s, bank)
 
     dump_csv(
         os.path.join(outdir, "convergence.csv"),
@@ -587,7 +614,7 @@ def _cmd_flow(config, outdir, rng):
         "flow_kind": cfg.flow_kind,
         "grid_size": cfg.grid_size,
         "T": cfg.T,
-        "mu": cfg.mu,
+        "mu": "inf",  # the one time norm; the field stays until a schema bump
         "scale": {"s0": s0, "s": s, "s1": s1, "q": q},
         "ball_radius": verified.radius,
         "output_block_cap": bank.j_max,
@@ -595,7 +622,7 @@ def _cmd_flow(config, outdir, rng):
         "constants_checked": verified.constants_checked.to_dict(),
         "A": verified.constants_checked.A,
         "continuity_trend_ok": continuity.trend_ok,
-        "block_sup_square_tails": [float(v) for v in tails] if tails is not None else None,
+        "block_sup_square_tails": tails.tolist(),
         "failures": failures,
     }
     return report, failures
@@ -638,8 +665,8 @@ def run(config: dict, outdir: str, quiet: bool = False) -> int:
             print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        # parameter combinations the library rejects (ball radius, shock
-        # margin, order triples) are config problems, not assertion failures
+        # parameter combinations the library rejects (shock margin, order
+        # triples) are config problems, not assertion failures
         if not quiet:
             print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -446,13 +446,13 @@ class MapVerification:
         return [c for c in self.checks if c.family == family]
 
 
-def verify_map(phi: Callable, family: Sequence, scale: tuple, radius=None) -> MapVerification:
+def verify_map(phi: Callable, family: Sequence, scale: tuple) -> MapVerification:
     """The continuity argument for Phi, checked on a family of data.
 
     ``phi`` maps a list of grid sequences to the list of their image rows,
     as :class:`FlowMapAdapter` takes it; ``scale`` is (s0, s, s1, q).  Phi
-    is verified on the ball ||f||_{s,q} < radius.  With no radius given it
-    is max(2 M, M + 2 max(PERTURBATION_SCALES)), M the largest
+    is verified on the ball ||f||_{s,q} < radius, with radius
+    max(2 M, M + 2 max(PERTURBATION_SCALES)), M the largest
     ||f||_{s,q} over the family, so every input the protocol maps lies
     strictly inside: members have norm at most M, truncations S_n f at most
     ||f|| (S_n is a contraction), and probes f + eps g with unit g at most
@@ -466,9 +466,8 @@ def verify_map(phi: Callable, family: Sequence, scale: tuple, radius=None) -> Ma
     ``PERTURBATION_SCALES`` toward family[1] (along f for a family of one).
     """
     s0, s, s1, q = scale
-    if radius is None:
-        largest = max(float(dyadic_norm(f.block_norms[None], (s, q))[0]) for f in family)
-        radius = max(2.0 * largest, largest + 2.0 * max(PERTURBATION_SCALES))
+    largest = max(float(dyadic_norm(f.block_norms[None], (s, q))[0]) for f in family)
+    radius = max(2.0 * largest, largest + 2.0 * max(PERTURBATION_SCALES))
     adapter = FlowMapAdapter(phi=phi, radius=radius, s0=s0, s=s, s1=s1, q=q)
     probe = family[0]
     pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]

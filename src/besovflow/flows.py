@@ -11,11 +11,11 @@ half spectra.
 A flow becomes a sequence map by conjugation with the dyadic
 decompose/reconstruct pair: reconstruct the initial datum from its blocks,
 run the flow, and keep one scalar per block of the solution, its
-L^mu-in-time L2 norm, summed by Plancherel from the real-FFT half spectra
+sup-in-time L2 norm, summed by Plancherel from the real-FFT half spectra
 of the time slices, so no slice is decomposed.  An image is that row of
 block norms, a float array.  Chemin-Lerner norms
-(time-integrate each block first, then sum blocks in l^2) and the
-time-continuity diagnostics live here as well.
+(take each block's sup in time first, then sum blocks in l^2) and the
+block tails behind the continuity-in-time check live here as well.
 """
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -55,10 +55,8 @@ __all__ = [
     "make_flow",
     "block_time_norms",
     "chemin_lerner_norm",
-    "lmu_time_sobolev_norm",
+    "sup_time_sobolev_norm",
     "flow_as_sequence_map",
-    "TimeContinuityReport",
-    "block_sup_tails",
     "time_continuity_modulus",
     "sinusoid_datum",
     "save_trajectory",
@@ -74,7 +72,7 @@ class CharacteristicSolveError(RuntimeError):
 
 
 class Trajectory:
-    """States of a flow on a uniform time grid, with a time exponent mu.
+    """States of a flow on a uniform time grid.
 
     ``spectra`` holds the states as their read-only (m, N/2 + 1) real-FFT
     half spectra, row i at ``times[i]``, N = 2 (W - 1) for width W, with
@@ -86,9 +84,9 @@ class Trajectory:
     Instances are immutable.
     """
 
-    __slots__ = ("times", "spectra", "mu")
+    __slots__ = ("times", "spectra")
 
-    def __init__(self, times, spectra, mu: float = math.inf):
+    def __init__(self, times, spectra):
         times = np.array(times, dtype=float)
         spectra = _read_only(spectra, complex)
         if spectra.ndim != 2 or times.ndim != 1 or times.size != spectra.shape[0]:
@@ -103,11 +101,9 @@ class Trajectory:
             raise ValueError("grid values must be finite")
         if np.any(spectra[:, [0, -1]].imag):
             raise ValueError("mode-0 and Nyquist entries of real-FFT spectra must be real")
-        if not mu >= 2:
-            raise ValueError("time exponent mu must be >= 2")
         times.setflags(write=False)
-        for name, value in (("times", times), ("spectra", spectra), ("mu", mu)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "spectra", spectra)
 
     def __setattr__(self, name, value):
         raise AttributeError("Trajectory is immutable")
@@ -121,24 +117,19 @@ class Trajectory:
         return tuple(GridFunction(row) for row in self.samples)
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
     def grid_size(self) -> int:
         return 2 * (self.spectra.shape[1] - 1)
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Grid, horizon, flow kind, transport speed and time exponent of one flow."""
+    """Grid, horizon, time steps, flow kind and transport speed of one flow."""
 
     grid_size: int
     T: float
     time_steps: int
     flow_kind: str
     transport_speed: float = 1.0
-    mu: float = math.inf
 
     def __post_init__(self):
         if self.flow_kind not in ("transport", "burgers"):
@@ -148,8 +139,6 @@ class FlowConfig:
         steps = self.time_steps
         if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
             raise ValueError(f"time_steps must be a positive integer, got {steps!r}")
-        if not self.mu >= 2:
-            raise ValueError("time exponent mu must be >= 2")
 
     def time_nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.time_steps + 1)
@@ -343,7 +332,7 @@ def transport_flow(data: list, cfg: FlowConfig) -> list:
     spectra = np.fft.rfft(_stack(data), axis=1)
     times = cfg.time_nodes()
     phase = _phase_table(data[0].grid_size, float(cfg.transport_speed), tuple(times))
-    return [Trajectory(times, _frozen(spectrum * phase), cfg.mu) for spectrum in spectra]
+    return [Trajectory(times, _frozen(spectrum * phase)) for spectrum in spectra]
 
 
 def _characteristic_feet(interp: TrigInterpolant, x, t, seed, half_width):
@@ -450,7 +439,7 @@ def burgers_flow(data: list, cfg: FlowConfig) -> list:
             block[step] = values
         # the derivative is from the last Newton point, close enough for a seed
         slope_y = -value / (1.0 + t * deriv)
-    return [Trajectory(times, _frozen(np.fft.rfft(block, axis=1)), cfg.mu) for block in samples]
+    return [Trajectory(times, _frozen(np.fft.rfft(block, axis=1))) for block in samples]
 
 
 def burgers_spectral_reference(
@@ -503,20 +492,6 @@ def make_flow(cfg: FlowConfig) -> Callable:
 
 # --- time-frequency norms ------------------------------------------------------
 
-def _time_combine(values: np.ndarray, times: np.ndarray, mu: float) -> np.ndarray:
-    """L^mu norm in time of nonnegative node values along the last axis.
-
-    Trapezoid quadrature for finite mu, the max over nodes for mu = inf.
-    """
-    if math.isinf(mu):
-        return values.max(axis=-1)
-    dt = times[1] - times[0]
-    weights = np.full(times.size, dt)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return np.sum(weights * values**mu, axis=-1) ** (1.0 / mu)
-
-
 def _check_grid(traj: Trajectory, bank: FilterBank):
     if traj.grid_size != bank.grid_size:
         raise GridMismatchError(
@@ -533,25 +508,24 @@ def _block_l2_table(traj: Trajectory, bank: FilterBank, s: float) -> np.ndarray:
 
 
 def block_time_norms(traj: Trajectory, bank: FilterBank, s: float = 0.0) -> np.ndarray:
-    """Per-block scalars: the L^mu-in-time H^s norm of each dyadic block."""
-    return _time_combine(_block_l2_table(traj, bank, s), traj.times, traj.mu)
+    """Per-block scalars: the sup-in-time H^s norm of each dyadic block."""
+    return _block_l2_table(traj, bank, s).max(axis=1)
 
 
 def chemin_lerner_norm(traj: Trajectory, s: float, bank: FilterBank) -> float:
-    """Time-integrate each block first, then sum blocks in l^2.
+    """Take each block's sup in time first, then sum blocks in l^2.
 
-    Stronger than the L^mu-in-time H^s norm when mu >= 2 (Minkowski, up to
-    the almost-orthogonality constant sqrt(3)).
+    Stronger than the sup-in-time H^s norm (Minkowski, up to the
+    almost-orthogonality constant sqrt(3)).
     """
     blocks = block_time_norms(traj, bank, s)
     return float(np.sqrt(np.sum(blocks**2)))
 
 
-def lmu_time_sobolev_norm(traj: Trajectory, s: float) -> float:
-    """L^mu norm in time of t -> ||u(t)||_{H^s} (trapezoid for finite mu)."""
+def sup_time_sobolev_norm(traj: Trajectory, s: float) -> float:
+    """sup over the time nodes of t -> ||u(t)||_{H^s}."""
     weight = (1.0 + frequencies(traj.grid_size) ** 2) ** s
-    values = np.sqrt(_weighted_energy(traj.spectra, weight))
-    return float(_time_combine(values, traj.times, traj.mu))
+    return float(np.sqrt(_weighted_energy(traj.spectra, weight)).max())
 
 
 # --- sequence maps ---------------------------------------------------------------
@@ -570,7 +544,7 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], 
     about 2048 feet and only one group's trajectories are held at a time.
     It returns the list of images, each a read-only (J+1,) row of block
     norms from :func:`block_time_norms`, one scalar per block of the
-    solution: the L^mu-in-time L2 norm of that block.  The engine measures
+    solution: the sup-in-time L2 norm of that block.  The engine measures
     an image difference as |‖Delta_j Phi(v)‖ - ‖Delta_j Phi(w)‖|, which is
     at most ‖Delta_j(Phi(v) - Phi(w))‖, and holds the ball on which the map
     is verified (see :func:`besovflow.engine.verify_map`).
@@ -595,66 +569,17 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], 
 
 # --- time continuity ------------------------------------------------------------
 
-def block_sup_tails(traj: Trajectory, s: float, bank: FilterBank) -> np.ndarray:
+def time_continuity_modulus(traj: Trajectory, s: float, bank: FilterBank) -> np.ndarray:
     """Tails sum_{j >= N} sup_t ||Delta_j u(t)||_{H^s}^2 for N = 0 .. J+1.
 
-    Nonincreasing in N and zero once N passes the band limit.
+    Nonincreasing in N and zero once N passes the band limit.  The tail at
+    N bounds, up to the almost-orthogonality constant, the square of the
+    uniform-in-time H^s size of the blocks j >= N, so it bounds the
+    high-frequency part of the modulus of continuity of t -> u(t) in H^s.
     """
-    squares = _block_l2_table(traj, bank, s).max(axis=1) ** 2
+    squares = block_time_norms(traj, bank, s) ** 2
     return np.array(
         [float(np.sum(squares[start:])) for start in range(squares.size + 1)]
-    )
-
-
-def _shift_moduli(traj: Trajectory, s: float, bank: FilterBank) -> tuple:
-    """(delta, sup_{|t-t'| <= delta} ||u(t) - u(t')||_{H^s}) on the dyadic lag ladder."""
-    # one pass over the pairs (i, i + shift) up to the top lag; sqrt(.) is
-    # monotone, so the largest squared distance per shift gives the modulus
-    _check_grid(traj, bank)
-    spectra = traj.spectra
-    weight = (1.0 + frequencies(traj.grid_size) ** 2) ** s
-    m = spectra.shape[0]
-    ladder = [1 << k for k in range((m - 1).bit_length())]
-    widest = [
-        float(_weighted_energy(spectra[shift:] - spectra[:-shift], weight).max())
-        for shift in range(1, ladder[-1] + 1)
-    ]
-    running = np.sqrt(np.maximum.accumulate(widest))
-    return tuple((float(lag * traj.dt), float(running[lag - 1])) for lag in ladder)
-
-
-@dataclass(frozen=True)
-class TimeContinuityReport:
-    """Block tails and time-shift moduli backing the continuity-in-time check.
-
-    ``tails`` is :func:`block_sup_tails`; ``moduli`` pairs each delta of the
-    ladder with sup_{|t-t'| <= delta} ||u(t) - u(t')||_{H^s}.  The ladder
-    visits every pair of time nodes, so it is computed on first access and
-    callers that need only the tails do not pay for it.
-    """
-
-    tails: np.ndarray
-    _ladder: Callable[[], tuple] = field(repr=False, compare=False)
-
-    @cached_property
-    def moduli(self) -> tuple:
-        return self._ladder()
-
-
-def time_continuity_modulus(
-    traj: Trajectory, s: float, bank: FilterBank
-) -> TimeContinuityReport:
-    """Square-summable block sups plus a time-shift modulus ladder.
-
-    Requires mu = inf: the block tails control the uniform-in-time H^s
-    error of cutting high blocks, and the modulus ladder exhibits the
-    continuity that low-order time regularity upgrades to.
-    """
-    if not math.isinf(traj.mu):
-        raise ValueError("time-continuity diagnostics require mu = inf")
-    return TimeContinuityReport(
-        tails=block_sup_tails(traj, s, bank),
-        _ladder=lambda: _shift_moduli(traj, s, bank),
     )
 
 
@@ -676,7 +601,7 @@ def save_trajectory(
         "times": [float(t) for t in traj.times],
         "grid_size": traj.grid_size,
         "flow_kind": flow_kind,
-        "mu": "inf" if math.isinf(traj.mu) else traj.mu,
+        "mu": "inf",  # the one time norm; the field stays until a schema bump
         "config_hash": config_hash,
     }
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:

@@ -21,8 +21,8 @@ from besovflow.flows import (
     burgers_spectral_reference,
     chemin_lerner_norm,
     flow_as_sequence_map,
-    lmu_time_sobolev_norm,
     sinusoid_datum,
+    sup_time_sobolev_norm,
     time_continuity_modulus,
 )
 from besovflow.littlewood_paley import (
@@ -56,7 +56,7 @@ def transport_setup(bank):
     rng = np.random.default_rng(616)
     data = [random_grid_function(rng, GRID, max_mode=24, decay=2.5) for _ in range(4)]
     family = [decompose(u, bank) for u in data]
-    cfg = FlowConfig(grid_size=GRID, T=1.0, time_steps=64, flow_kind="transport", mu=INF)
+    cfg = FlowConfig(grid_size=GRID, T=1.0, time_steps=64, flow_kind="transport")
     return verify_map(flow_as_sequence_map(cfg, bank), family, SCALE)
 
 
@@ -67,7 +67,7 @@ def burgers_setup(bank):
         for a, b in [(0.1, 0.05), (0.08, -0.04), (-0.06, 0.05), (0.12, 0.0)]
     ]
     family = [decompose(u, bank) for u in data]
-    cfg = FlowConfig(grid_size=GRID, T=0.5, time_steps=64, flow_kind="burgers", mu=INF)
+    cfg = FlowConfig(grid_size=GRID, T=0.5, time_steps=64, flow_kind="burgers")
     (trajectory,) = burgers_flow([data[0]], cfg)
     return {
         "verified": verify_map(flow_as_sequence_map(cfg, bank), family, SCALE),
@@ -211,12 +211,11 @@ def test_criterion_07_burgers_continuity(burgers_setup):
 def test_criterion_08_chemin_lerner(burgers_setup, bank):
     traj = burgers_setup["trajectory"]
     y_norm = chemin_lerner_norm(traj, 2.0, bank)
-    tc = time_continuity_modulus(traj, 2.0, bank)
-    tails = tc.tails
+    tails = time_continuity_modulus(traj, 2.0, bank)
     finite = math.isfinite(y_norm) and y_norm > 0.0
     monotone = bool(np.all(np.diff(tails) <= 1e-15))
     vanishes = tails[bank.j_max] <= 1e-12 * tails[0]
-    sup_hs = lmu_time_sobolev_norm(traj, 2.0)
+    sup_hs = sup_time_sobolev_norm(traj, 2.0)
     minkowski = sup_hs <= math.sqrt(3.0) * y_norm * (1 + 1e-9)
     ok = finite and monotone and vanishes and minkowski
     report(

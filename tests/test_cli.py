@@ -549,23 +549,16 @@ class TestExitStatus:
         assert not (out / "flow_report.json").exists()
 
     @pytest.mark.parametrize("kind", ["transport", "burgers"])
-    def test_default_ball_holds_a_small_family(self, tmp_path, capsys, kind):
+    def test_default_ball_holds_a_small_family(self, tmp_path, kind):
         # the largest member norm M ~ 0.008 lies below the probe's largest
         # step 0.1, so a radius of 2 M would not hold the probes
         family = [{"alpha": 0.001}, {"alpha": 0.0008, "beta": 0.0002}]
         payload = {**_flow_payload(kind=kind, T=0.5, time_steps=16, family=family), "grid_size": 64}
-        del payload["flow"]["ball_radius"]
         cfg, out = write_config(tmp_path / "c.json", payload), tmp_path / "o"
         assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
         report = json.loads((out / "flow_report.json").read_text(encoding="utf-8"))
         assert report["ball_radius"] == pytest.approx(0.208, abs=1e-3)
         assert report["continuity_trend_ok"]
-        # a given radius is used as given: one too small is a config error
-        payload["flow"]["ball_radius"] = 0.05
-        cfg, out = write_config(tmp_path / "c.json", payload), tmp_path / "small"
-        assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-        assert "is not below the ball radius 0.05" in capsys.readouterr().err
-        assert not (out / "flow_report.json").exists()
 
     def test_infeasible_flow_setup_is_config_error(self, tmp_path):
         # horizon far beyond the shock margin of the default family
@@ -583,7 +576,7 @@ class TestExitStatus:
 
 
 def _flow_payload(**flow):
-    base = {"kind": "transport", "T": 1.0, "time_steps": 8, "ball_radius": 5.0}
+    base = {"kind": "transport", "T": 1.0, "time_steps": 8}
     return {"schema_version": 1, "command": "flow", "grid_size": 32, "flow": {**base, **flow}}
 
 
@@ -603,12 +596,7 @@ class TestMalformedConfigSections:
             (_flow_payload(family=[0.1]), "flow.family"),
             (_flow_payload(family=[{"alpha": True}]), "flow.family"),
             (_flow_payload(family=[{"alpha": 0.1, "beta": "0.05"}]), "flow.family"),
-            (_flow_payload(ball_radius=True), "flow.ball_radius"),
-            (_flow_payload(ball_radius="5"), "flow.ball_radius"),
-            (_flow_payload(ball_radius=0.0), "flow.ball_radius"),
-            (_flow_payload(ball_radius=-1.0), "flow.ball_radius"),
-            (_flow_payload(ball_radius=float("inf")), "flow.ball_radius"),
-            (_flow_payload(ball_radius=10**400), "flow.ball_radius"),
+            (_flow_payload(ball_radius=5.0), "unknown config key flow.ball_radius"),
             (_flow_payload(T=0.0), "horizon T"),
             (_flow_payload(T=-0.5), "horizon T"),
             (_flow_payload(T="inf"), "horizon T"),
@@ -633,12 +621,24 @@ class TestMalformedConfigSections:
             (_flow_payload(speed=float("nan")), "flow.speed"),
             (_flow_payload(T=float("nan")), "flow.T"),
             (_flow_payload(mu=float("nan")), "flow.mu"),
+            (_flow_payload(mu=4.0), "flow.mu must be 'inf'"),
+            (_flow_payload(mu="4"), "flow.mu must be 'inf'"),
+            ({**_flow_payload(), "schema_version": True}, "schema_version must be 1"),
+            ({**_flow_payload(), "schema_version": 1.0}, "schema_version must be 1"),
+            ({**_flow_payload(), "trails": 8}, "unknown config key trails"),
+            ({**_flow_payload(), "scale": {"s_1": 3.0}}, "unknown config key scale.s_1"),
+            (_flow_payload(timesteps=8), "unknown config key flow.timesteps"),
+            ({**_flow_payload(), "io": {"ouput": "o"}}, "unknown config key io.ouput"),
+            (
+                _flow_payload(family=[{"alpha": 0.1}, {"alpha": 0.1, "bta": 0.5}]),
+                "unknown config key flow.family[1].bta",
+            ),
+            (_norms_payload(besov=[{"s": 1.0, "r": 2.0}]), "unknown config key besov[0].r"),
         ],
         ids=[
             "family-empty", "family-no-alpha", "family-object", "family-number",
             "family-bool-alpha", "family-string-beta",
-            "radius-bool", "radius-string", "radius-zero", "radius-negative",
-            "radius-inf", "radius-huge-int",
+            "radius-key",
             "transport-T-zero", "transport-T-negative", "transport-T-inf",
             "burgers-T-zero", "burgers-T-negative",
             "besov-number", "besov-object", "s-values-number", "s-values-string",
@@ -646,7 +646,9 @@ class TestMalformedConfigSections:
             "scale-list", "flow-list", "io-list-flow", "io-list-decompose",
             "scale-huge-int", "scale-inf", "besov-huge-int", "besov-inf", "besov-out-of-range",
             "besov-q-below-one",
-            "speed-inf", "speed-nan", "T-nan", "mu-nan",
+            "speed-inf", "speed-nan", "T-nan", "mu-nan", "mu-four", "mu-string",
+            "schema-version-bool", "schema-version-float",
+            "key-top", "key-scale", "key-flow", "key-io", "key-family-member", "key-besov-entry",
         ],
     )
     def test_exits_as_invalid_config(self, tmp_path, capsys, payload, name):

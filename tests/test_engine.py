@@ -364,7 +364,7 @@ class TestContinuityProbe:
 class TestVerifyMap:
     def test_identity_passes_every_check(self, rng):
         f = small_sequences(rng, 1, 100.0, 1.0, 2.0)[0]
-        verified = verify_map(identity_adapter().phi, [f], (0.0, 1.0, 2.0, 2.0), radius=100.0)
+        verified = verify_map(identity_adapter().phi, [f], (0.0, 1.0, 2.0, 2.0))
         assert len(verified.rows("high")) == f.support and verified.rows("block_decay")
         assert not any(check.failed for check in verified.checks)
         assert verified.rows("convergence")[-1].lhs == 0.0  # S_K f is f
@@ -387,8 +387,10 @@ class TestVerifyMap:
 
         via, direct = [], []
         monkeypatch.setattr("besovflow.engine.FlowMapAdapter", recording(via))
-        verified = verify_map(phi, family, (0, 1, 2, 2.0), radius=100.0)
-        adapter = recording(direct)(phi=phi, radius=100.0, s0=0, s=1, s1=2, q=2.0)
+        verified = verify_map(phi, family, (0, 1, 2, 2.0))
+        largest = max(norm(f, (1, 2.0)) for f in family)
+        assert verified.radius == max(2.0 * largest, largest + 0.2)
+        adapter = recording(direct)(phi=phi, radius=verified.radius, s0=0, s=1, s1=2, q=2.0)
         probe = family[0]
         pairs = [(family[i], family[j]) for i in range(members) for j in range(i)]
         pairs += [(truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.last_index)]
@@ -403,7 +405,7 @@ class TestVerifyMap:
         direction = family[1] - probe if members > 1 else probe
         continuity = continuity_probe(adapter, probe, [1e-1, 1e-2, 1e-3], [direction])
         assert via == direct
-        assert verified == MapVerification(raw, checked, tuple(checks), continuity, 100.0)
+        assert verified == MapVerification(raw, checked, tuple(checks), continuity, verified.radius)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(exponents=st.lists(st.floats(-6.0, 2.0), min_size=1, max_size=3))

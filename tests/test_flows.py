@@ -25,22 +25,20 @@ from besovflow.flows import (
     Trajectory,
     TrigInterpolant,
     _OVERSAMPLE,
-    block_sup_tails,
     block_time_norms,
     burgers_flow,
     burgers_spectral_reference,
     chemin_lerner_norm,
     flow_as_sequence_map,
-    lmu_time_sobolev_norm,
     make_flow,
     save_trajectory,
     shock_time,
     sinusoid_datum,
+    sup_time_sobolev_norm,
     time_continuity_modulus,
     transport_flow,
 )
 
-INF = math.inf
 SCALE = (0.0, 2.0, 3.0, 2.0)  # (s0, s, s1, q)
 
 
@@ -440,35 +438,22 @@ class TestCheminLerner:
 
     def test_constant_in_time_sup(self, bank64, rng):
         g = random_grid_function(rng, 64)
-        (traj,) = transport_flow([g], transport_cfg(0.0, mu=INF))
+        (traj,) = transport_flow([g], transport_cfg(0.0))
         blocks = block_time_norms(traj, bank64, 1.5)
         expected = [
             sobolev_norm(GridFunction(row), 1.5) for row in decompose(g, bank64).blocks
         ]
         assert np.allclose(blocks, expected, rtol=1e-12)
 
-    def test_constant_in_time_finite_mu(self, bank64, rng):
-        g = random_grid_function(rng, 64)
-        cfg = transport_cfg(0.0, mu=4.0, T=0.8)
-        (traj,) = transport_flow([g], cfg)
-        value = chemin_lerner_norm(traj, 1.0, bank64)
-        steady = math.sqrt(
-            sum(
-                sobolev_norm(GridFunction(row), 1.0) ** 2
-                for row in decompose(g, bank64).blocks
-            )
-        )
-        assert value == pytest.approx(cfg.T ** (1.0 / 4.0) * steady, rel=1e-12)
-
     def test_minkowski_and_block_contraction(self, bank64, rng):
         u0 = random_grid_function(rng, 64, max_mode=16, decay=2.0)
-        (traj,) = transport_flow([u0], transport_cfg(mu=INF))
+        (traj,) = transport_flow([u0], transport_cfg())
         s = 2.0
-        lmu = lmu_time_sobolev_norm(traj, s)
-        assert lmu <= math.sqrt(3.0) * chemin_lerner_norm(traj, s, bank64) * (
+        sup = sup_time_sobolev_norm(traj, s)
+        assert sup <= math.sqrt(3.0) * chemin_lerner_norm(traj, s, bank64) * (
             1 + 1e-12
         )
-        assert block_time_norms(traj, bank64, s).max() <= lmu * (1 + 1e-12)
+        assert block_time_norms(traj, bank64, s).max() <= sup * (1 + 1e-12)
 
     def test_grid_mismatch(self, bank256, rng):
         (traj,) = transport_flow([random_grid_function(rng, 64)], transport_cfg())
@@ -485,7 +470,7 @@ class TestFlowAsSequenceMap:
     def test_transport_preserves_block_norms(self, bank64, rng):
         u0 = random_grid_function(rng, 64, max_mode=16, decay=2.0)
         f = decompose(u0, bank64)
-        (image,) = flow_as_sequence_map(transport_cfg(mu=INF), bank64)([f])
+        (image,) = flow_as_sequence_map(transport_cfg(), bank64)([f])
         assert np.allclose(image, f.block_norms, rtol=1e-12)
 
     def test_burgers_output_support_capped(self, bank64):
@@ -508,81 +493,19 @@ class TestFlowAsSequenceMap:
 class TestTimeContinuity:
     def test_zero_trajectory(self, bank64):
         (traj,) = transport_flow([GridFunction.zeros(64)], transport_cfg())
-        report = time_continuity_modulus(traj, 2.0, bank64)
-        assert np.all(report.tails == 0.0)
-        assert all(m == 0.0 for _, m in report.moduli)
+        assert np.all(time_continuity_modulus(traj, 2.0, bank64) == 0.0)
 
-    def test_constant_trajectory_modulus_zero(self, bank64, rng):
-        g = random_grid_function(rng, 64)
-        (traj,) = transport_flow([g], transport_cfg(0.0))
-        report = time_continuity_modulus(traj, 2.0, bank64)
-        assert all(m <= 1e-12 for _, m in report.moduli)
-
-    def test_requires_sup_time_norm(self, bank64, rng):
-        (traj,) = transport_flow([random_grid_function(rng, 64)], transport_cfg(mu=4.0))
-        with pytest.raises(ValueError):
-            time_continuity_modulus(traj, 2.0, bank64)
-
-    def test_burgers_tails_and_moduli(self, bank64):
-        u0 = sinusoid_datum(64, 0.1, 0.05)
-        (traj,) = burgers_flow([u0], burgers_cfg())
-        report = time_continuity_modulus(traj, 2.0, bank64)
-        tails = report.tails
+    def test_burgers_tails(self, bank64):
+        (traj,) = burgers_flow([sinusoid_datum(64, 0.1, 0.05)], burgers_cfg())
+        tails = time_continuity_modulus(traj, 2.0, bank64)
         assert np.all(np.diff(tails) <= 1e-15)
         assert tails[bank64.j_max] <= 1e-12 * tails[0]
-        moduli = [m for _, m in report.moduli]
-        assert all(b >= a * (1 - 1e-12) for a, b in zip(moduli, moduli[1:]))
-        # one-step modulus equals the largest consecutive-state distance
-        states = traj.states
-        consecutive = max(
-            math.sqrt(
-                sum(
-                    (1 + k**2) ** 2 * abs(c1 - c2) ** 2
-                    for k, c1, c2 in zip(
-                        np.rint(np.fft.fftfreq(64, 1 / 64)),
-                        np.fft.fft(a.values) / 64,
-                        np.fft.fft(b.values) / 64,
-                    )
-                )
-                * 2
-                * math.pi
-            )
-            for a, b in zip(states, states[1:])
-        )
-        assert report.moduli[0][1] == pytest.approx(consecutive, rel=1e-9)
-
-    def test_block_sup_tails(self, bank64):
-        (traj,) = burgers_flow([sinusoid_datum(64, 0.1, 0.05)], burgers_cfg())
-        tails = block_sup_tails(traj, 2.0, bank64)
-        assert np.array_equal(tails, time_continuity_modulus(traj, 2.0, bank64).tails)
         sups = [
             max(sobolev_norm(GridFunction(row), 2.0) for row in rows)
             for rows in zip(*(decompose(state, bank64).blocks for state in traj.states))
         ]
         expected = [sum(v**2 for v in sups[start:]) for start in range(len(sups) + 1)]
         assert tails == pytest.approx(expected, rel=1e-9, abs=1e-15 * expected[0])
-
-    @pytest.mark.parametrize("kind", ["transport", "burgers"])
-    def test_moduli_match_brute_force_at_every_lag(self, bank64, kind):
-        if kind == "transport":
-            u0 = random_grid_function(np.random.default_rng(7), 64)
-            (traj,) = transport_flow([u0], transport_cfg(time_steps=40))
-        else:
-            (traj,) = burgers_flow([sinusoid_datum(64, 0.1, 0.05)], burgers_cfg())
-        report = time_continuity_modulus(traj, 2.0, bank64)
-        states = traj.states
-        m = len(states)
-        lags = [round(delta / traj.dt) for delta, _ in report.moduli]
-        assert lags == [2**k for k in range(len(lags))]
-        assert lags[-1] < m <= 2 * lags[-1]
-        distance = {
-            (i, j): sobolev_norm(states[i] - states[j], 2.0)
-            for i in range(m)
-            for j in range(i + 1, m)
-        }
-        for lag, (_, modulus) in zip(lags, report.moduli):
-            expected = max(d for (i, j), d in distance.items() if j - i <= lag)
-            assert modulus == pytest.approx(expected, rel=1e-9)
 
 
 def loop_transport(u0, speed, times):
@@ -593,18 +516,14 @@ def loop_transport(u0, speed, times):
 
 
 def brute_block_time_norms(traj, bank, s):
-    """Decompose every state and take each block's Sobolev norm, then combine in time."""
+    """Decompose every state and take each block's Sobolev norm, then its sup in time."""
     table = np.array(
         [
             [sobolev_norm(GridFunction(row), s) for row in decompose(state, bank).blocks]
             for state in traj.states
         ]
     ).T
-    if math.isinf(traj.mu):
-        return table.max(axis=1)
-    weights = np.full(traj.times.size, traj.dt)
-    weights[[0, -1]] *= 0.5
-    return (table**traj.mu @ weights) ** (1.0 / traj.mu)
+    return table.max(axis=1)
 
 
 class TestBatchedSpectralPath:
@@ -627,16 +546,15 @@ class TestBatchedSpectralPath:
         assert np.abs(second.samples - ref).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [64, 256])
-    @pytest.mark.parametrize("mu", [INF, 4.0])
     @pytest.mark.parametrize("kind", ["transport", "burgers"])
-    def test_block_time_norms_match_brute_force(self, n, mu, kind):
+    def test_block_time_norms_match_brute_force(self, n, kind):
         bank = build_filters(n)
         if kind == "transport":
             u0 = random_grid_function(np.random.default_rng(n), n, decay=0.5)
-            (traj,) = transport_flow([u0], transport_cfg(1.3, grid_size=n, time_steps=24, mu=mu))
+            (traj,) = transport_flow([u0], transport_cfg(1.3, grid_size=n, time_steps=24))
         else:
             u0 = sinusoid_datum(n, 0.1, 0.05)
-            (traj,) = burgers_flow([u0], burgers_cfg(grid_size=n, time_steps=24, mu=mu))
+            (traj,) = burgers_flow([u0], burgers_cfg(grid_size=n, time_steps=24))
         for s in (0.0, 1.5):
             got = block_time_norms(traj, bank, s)
             ref = brute_block_time_norms(traj, bank, s)
@@ -644,39 +562,28 @@ class TestBatchedSpectralPath:
             # compared absolutely, against the largest block
             floor = 1e-12 * ref.max()
             assert np.all(np.abs(got - ref) <= np.maximum(1e-12 * ref, floor))
-            assert lmu_time_sobolev_norm(traj, s) == pytest.approx(
-                max(sobolev_norm(state, s) for state in traj.states)
-                if math.isinf(mu)
-                else (
-                    np.array([sobolev_norm(state, s) for state in traj.states]) ** mu
-                    @ np.r_[0.5, np.ones(traj.times.size - 2), 0.5]
-                    * traj.dt
-                )
-                ** (1.0 / mu),
-                rel=1e-12,
+            assert sup_time_sobolev_norm(traj, s) == pytest.approx(
+                max(sobolev_norm(state, s) for state in traj.states), rel=1e-12
             )
 
     @pytest.mark.parametrize("n", [2**e for e in range(3, 13)])
-    @pytest.mark.parametrize("mu", [INF, 4.0])
-    def test_lmu_norm_matches_complex_fft_plancherel_sum(self, n, mu):
+    def test_sup_norm_matches_complex_fft_plancherel_sum(self, n):
         # per state sqrt(TAU sum (1 + xi^2)^s |c_xi|^2) over all N complex-FFT
-        # slots, the Nyquist mode set, then the same L^mu combination in time
+        # slots, the Nyquist mode set, then the max over the time nodes
         u0 = random_grid_function(np.random.default_rng(n + 3), n, max_mode=n // 2)
-        (traj,) = transport_flow([u0], transport_cfg(0.7, grid_size=n, time_steps=12, mu=mu))
+        (traj,) = transport_flow([u0], transport_cfg(0.7, grid_size=n, time_steps=12))
         freqs = np.rint(np.fft.fftfreq(n, 1.0 / n))
         power = np.abs(np.fft.fft(traj.samples, axis=1) / n) ** 2
-        weights = np.r_[0.5, np.ones(traj.times.size - 2), 0.5] * traj.dt
         for s in (-1.0, 0.0, 1.5, 3.0):
-            values = np.sqrt(2.0 * math.pi * (power @ (1.0 + freqs**2) ** s))
-            ref = values.max() if math.isinf(mu) else (values**mu @ weights) ** (1.0 / mu)
-            assert lmu_time_sobolev_norm(traj, s) == pytest.approx(ref, rel=1e-13, abs=0.0)
+            ref = np.sqrt(2.0 * math.pi * (power @ (1.0 + freqs**2) ** s)).max()
+            assert sup_time_sobolev_norm(traj, s) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_block_norms_reject_grid_mismatch(self, bank64, rng):
         (traj,) = transport_flow([random_grid_function(rng, 32)], transport_cfg(grid_size=32))
         with pytest.raises(GridMismatchError):
             block_time_norms(traj, bank64)
         with pytest.raises(GridMismatchError):
-            time_continuity_modulus(traj, 1.0, bank64).moduli
+            time_continuity_modulus(traj, 1.0, bank64)
 
 
 class TestStackedTrajectory:
@@ -693,7 +600,7 @@ class TestStackedTrajectory:
         with pytest.raises(AttributeError):
             traj.samples = np.ones((3, 8))
         with pytest.raises(AttributeError):
-            traj.mu = 3.0
+            traj.times = np.linspace(0.0, 2.0, 3)
 
     @pytest.mark.parametrize(
         "bad",
@@ -712,11 +619,6 @@ class TestStackedTrajectory:
             spectra = np.fft.rfft(bad, axis=-1)  # the half spectra of the bad samples
         with pytest.raises(ValueError):
             Trajectory(np.linspace(0.0, 1.0, 3), spectra)
-
-    def test_rejects_mu_below_two(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.linspace(0.0, 1.0, 3), np.zeros((3, 5)), mu=1.0)
-
 
 def nyquist_only(n, amplitude=0.7):
     """amplitude cos(N x / 2) on the grid: (-1)^j amplitude."""
@@ -791,7 +693,7 @@ class TestSpectralTrajectory:
 
             monkeypatch.setattr(np.fft, name, counted)
         block_time_norms(traj, bank64)
-        time_continuity_modulus(traj, 2.0, bank64).moduli
+        time_continuity_modulus(traj, 2.0, bank64)
         assert calls == []
 
     @pytest.mark.parametrize("kind", ["transport", "burgers"])
