@@ -560,6 +560,20 @@ class TestExitStatus:
         assert report["ball_radius"] == pytest.approx(0.208, abs=1e-3)
         assert report["continuity_trend_ok"]
 
+    @pytest.mark.parametrize("kind", ["transport", "burgers"])
+    def test_mu_inf_runs_as_when_absent(self, tmp_path, kind):
+        # "inf" names the one time norm, so giving it changes no file but the config hash
+        runs = []
+        for name, flow in (("absent", {}), ("inf", {"mu": "inf"})):
+            payload = _flow_payload(kind=kind, T=0.5, **flow)
+            cfg, out = write_config(tmp_path / f"{name}.json", payload), tmp_path / name
+            assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+            runs.append(read_all_reports(out))
+        reports = [json.loads(run.pop("flow_report.json")) for run in runs]
+        assert runs[0] == runs[1]
+        assert reports[0].pop("config_hash") != reports[1].pop("config_hash")
+        assert reports[0] == reports[1] and reports[0]["mu"] == "inf"
+
     def test_infeasible_flow_setup_is_config_error(self, tmp_path):
         # horizon far beyond the shock margin of the default family
         cfg = write_config(
@@ -597,6 +611,12 @@ class TestMalformedConfigSections:
             (_flow_payload(family=[{"alpha": True}]), "flow.family"),
             (_flow_payload(family=[{"alpha": 0.1, "beta": "0.05"}]), "flow.family"),
             (_flow_payload(ball_radius=5.0), "unknown config key flow.ball_radius"),
+            (_flow_payload(ball_radius=True), "unknown config key flow.ball_radius"),
+            (_flow_payload(ball_radius="5"), "unknown config key flow.ball_radius"),
+            (_flow_payload(ball_radius=0.0), "unknown config key flow.ball_radius"),
+            (_flow_payload(ball_radius=-1.0), "unknown config key flow.ball_radius"),
+            (_flow_payload(ball_radius=float("inf")), "unknown config key flow.ball_radius"),
+            (_flow_payload(ball_radius=10**400), "unknown config key flow.ball_radius"),
             (_flow_payload(T=0.0), "horizon T"),
             (_flow_payload(T=-0.5), "horizon T"),
             (_flow_payload(T="inf"), "horizon T"),
@@ -625,6 +645,11 @@ class TestMalformedConfigSections:
             (_flow_payload(mu="4"), "flow.mu must be 'inf'"),
             ({**_flow_payload(), "schema_version": True}, "schema_version must be 1"),
             ({**_flow_payload(), "schema_version": 1.0}, "schema_version must be 1"),
+            ({**_flow_payload(), "schema_version": "1"}, "schema_version must be 1"),
+            (
+                {k: v for k, v in _flow_payload().items() if k != "schema_version"},
+                "schema_version must be 1",
+            ),
             ({**_flow_payload(), "trails": 8}, "unknown config key trails"),
             ({**_flow_payload(), "scale": {"s_1": 3.0}}, "unknown config key scale.s_1"),
             (_flow_payload(timesteps=8), "unknown config key flow.timesteps"),
@@ -638,7 +663,8 @@ class TestMalformedConfigSections:
         ids=[
             "family-empty", "family-no-alpha", "family-object", "family-number",
             "family-bool-alpha", "family-string-beta",
-            "radius-key",
+            "radius-key", "radius-bool", "radius-string", "radius-zero", "radius-negative",
+            "radius-inf", "radius-huge-int",
             "transport-T-zero", "transport-T-negative", "transport-T-inf",
             "burgers-T-zero", "burgers-T-negative",
             "besov-number", "besov-object", "s-values-number", "s-values-string",
@@ -647,7 +673,8 @@ class TestMalformedConfigSections:
             "scale-huge-int", "scale-inf", "besov-huge-int", "besov-inf", "besov-out-of-range",
             "besov-q-below-one",
             "speed-inf", "speed-nan", "T-nan", "mu-nan", "mu-four", "mu-string",
-            "schema-version-bool", "schema-version-float",
+            "schema-version-bool", "schema-version-float", "schema-version-string",
+            "schema-version-missing",
             "key-top", "key-scale", "key-flow", "key-io", "key-family-member", "key-besov-entry",
         ],
     )

@@ -407,6 +407,14 @@ class TestVerifyMap:
         assert via == direct
         assert verified == MapVerification(raw, checked, tuple(checks), continuity, verified.radius)
 
+    @pytest.mark.parametrize("largest, radius", [(1.0, 2.0), (0.05, 0.25)])
+    def test_radius_is_the_larger_of_the_two_rules(self, rng, largest, radius):
+        # max(2 M, M + 2 * 0.1): twice the largest norm, or two probe steps past it
+        f = small_sequences(rng, 1, 100.0, 1.0, 2.0)[0]
+        f = f * (largest / norm(f, (1.0, 2.0)))
+        verified = verify_map(identity_adapter().phi, [f], (0.0, 1.0, 2.0, 2.0))
+        assert verified.radius == pytest.approx(radius, rel=1e-12)
+
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(exponents=st.lists(st.floats(-6.0, 2.0), min_size=1, max_size=3))
     def test_default_ball_holds_every_mapped_input(self, exponents):

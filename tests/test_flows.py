@@ -445,6 +445,16 @@ class TestCheminLerner:
         ]
         assert np.allclose(blocks, expected, rtol=1e-12)
 
+    def test_constant_in_time_chemin_lerner(self, bank64, rng):
+        # with every node the datum, both sup-in-time norms are the datum's norms
+        g = random_grid_function(rng, 64)
+        (traj,) = transport_flow([g], transport_cfg(0.0, T=0.8))
+        blocks = [sobolev_norm(GridFunction(row), 1.0) for row in decompose(g, bank64).blocks]
+        assert chemin_lerner_norm(traj, 1.0, bank64) == pytest.approx(
+            math.sqrt(sum(b**2 for b in blocks)), rel=1e-12
+        )
+        assert sup_time_sobolev_norm(traj, 1.0) == pytest.approx(sobolev_norm(g, 1.0), rel=1e-12)
+
     def test_minkowski_and_block_contraction(self, bank64, rng):
         u0 = random_grid_function(rng, 64, max_mode=16, decay=2.0)
         (traj,) = transport_flow([u0], transport_cfg())
@@ -506,6 +516,32 @@ class TestTimeContinuity:
         ]
         expected = [sum(v**2 for v in sups[start:]) for start in range(len(sups) + 1)]
         assert tails == pytest.approx(expected, rel=1e-9, abs=1e-15 * expected[0])
+
+    @pytest.mark.parametrize("kind", ["transport", "burgers"])
+    def test_tails_run_from_the_chemin_lerner_square_to_zero(self, bank64, kind):
+        # tail 0 sums every block and the last tail sums none
+        if kind == "transport":
+            u0 = random_grid_function(np.random.default_rng(7), 64)
+            (traj,) = transport_flow([u0], transport_cfg(time_steps=40))
+        else:
+            (traj,) = burgers_flow([sinusoid_datum(64, 0.1, 0.05)], burgers_cfg())
+        tails = time_continuity_modulus(traj, 2.0, bank64)
+        assert tails.shape == (bank64.j_max + 2,)
+        assert tails[0] == pytest.approx(chemin_lerner_norm(traj, 2.0, bank64) ** 2, rel=1e-14)
+        assert tails[-1] == 0.0
+
+    @pytest.mark.parametrize("speed", [0.0, 1.3])
+    def test_transport_tails_are_the_datum_tails(self, bank64, rng, speed):
+        # a translation keeps every block's H^s norm, so each sup in time is the datum's
+        g = random_grid_function(rng, 64)
+        (traj,) = transport_flow([g], transport_cfg(speed))
+        squares = [
+            sobolev_norm(GridFunction(row), 2.0) ** 2 for row in decompose(g, bank64).blocks
+        ]
+        expected = [sum(squares[start:]) for start in range(len(squares) + 1)]
+        assert time_continuity_modulus(traj, 2.0, bank64) == pytest.approx(
+            expected, rel=1e-9, abs=1e-15 * expected[0]
+        )
 
 
 def loop_transport(u0, speed, times):
