@@ -636,6 +636,7 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "flow": _cmd_flow,
 }
+_DRAWING = frozenset({"filters", "verify"})  # the commands that draw random data
 
 
 def _stall_error():
@@ -649,16 +650,21 @@ def _stall_error():
 
 
 def run(config: dict, outdir: str, quiet: bool = False) -> int:
-    """Execute one validated config and write its reports under outdir."""
-    rng = np.random.default_rng(config["seed"])
-    handler = _COMMANDS[config["command"]]
+    """Execute one validated config and write its reports under outdir.
+
+    Only the commands of ``_DRAWING`` get the seeded generator; the others
+    get None and never import ``numpy.random``.
+    """
+    command = config["command"]
+    rng = np.random.default_rng(config["seed"]) if command in _DRAWING else None
+    handler = _COMMANDS[command]
     try:
         os.makedirs(outdir, exist_ok=True)
         report, failures = handler(config, outdir, rng)
         report["schema_version"] = SCHEMA_VERSION
         report["seed"] = config["seed"]
         report["config_hash"] = _config_hash(config)
-        report_path = os.path.join(outdir, f"{config['command']}_report.json")
+        report_path = os.path.join(outdir, f"{command}_report.json")
         dump_json(report, report_path)
     except OSError as exc:
         if not quiet:
@@ -681,7 +687,7 @@ def run(config: dict, outdir: str, quiet: bool = False) -> int:
         return EXIT_FAULT
     if not quiet:
         status = "ok" if not failures else f"{len(failures)} failing check(s)"
-        print(f"{config['command']}: {status}; report at {report_path}")
+        print(f"{command}: {status}; report at {report_path}")
     return EXIT_OK if not failures else EXIT_ASSERTIONS
 
 

@@ -64,6 +64,7 @@ __all__ = [
 TAU = 2.0 * math.pi
 
 GRID_MAGIC = b"GFN1\x00\x00\x00\x00"
+_CSV_ROW = np.dtype([("index", np.int64), ("value", float)])  # one line of a CSV grid
 
 
 class GridMismatchError(ValueError):
@@ -342,6 +343,14 @@ def grid_l2_space(grid_size: int) -> PseudoNormedSpace:
     )
 
 
+def _folded(weights: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Weights over the half-spectrum modes start, start + 1, ... of an n-point
+    grid, divided by n^2, with the interior modes 1 .. n/2 - 1 doubled."""
+    folded = weights / n**2
+    folded[max(1 - start, 0) : n // 2 - start] *= 2.0
+    return folded
+
+
 def _weighted_energy(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """TAU * sum_xi weights[..., xi] |c_xi|^2 for every row of rfft(u) spectra.
 
@@ -352,13 +361,25 @@ def _weighted_energy(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
     mirror and counts twice; mode 0 and the Nyquist mode count once.  The
     result has the leading shape of ``weights`` followed by one axis over
     the rows.
+
+    A 2-D ``weights`` holds one row per dyadic block, nonzero on that
+    block's annulus only, so each row is summed over the span from its
+    first to its last nonzero mode; an all-zero row gives 0.
     """
     n = 2 * (weights.shape[-1] - 1)
-    folded = weights / n**2
-    folded[..., 1:-1] *= 2.0
     power = np.abs(spectra)
     power *= power
-    return TAU * np.einsum("...k,tk->...t", folded, power)
+    if weights.ndim == 1:
+        return TAU * np.einsum("...k,tk->...t", _folded(weights, 0, n), power)
+    energies = np.zeros((len(weights), len(power)))
+    for row, out in zip(weights, energies):
+        nonzero = row != 0.0
+        a = int(nonzero.argmax())
+        if nonzero[a]:
+            b = row.size - int(nonzero[::-1].argmax())
+            np.einsum("k,tk->t", _folded(row[a:b], a, n), power[:, a:b], out=out)
+    energies *= TAU
+    return energies
 
 
 def sobolev_norm(u: GridFunction, s: float) -> float:
@@ -451,9 +472,10 @@ def load_grid_function(path) -> GridFunction:
     A binary file must hold exactly the samples its header counts; a CSV
     file must list every index 0 .. N-1 exactly once, in any order, one
     ``index,value`` line each; only its first non-blank line may instead be
-    a header, whose index field is not an integer.  The samples must be
-    finite and N a power of two >= 8.  Anything else raises ``ValueError``
-    naming the file, and for a bad CSV line its number.
+    a header, whose index field is not an integer.  Fields are ASCII decimal
+    literals without digit separators.  The samples must be finite and N a
+    power of two >= 8.  Anything else raises ``ValueError`` naming the file,
+    and for a bad CSV line its number.
     """
     with open(path, "rb") as fh:
         head = fh.read(8)
@@ -465,42 +487,64 @@ def load_grid_function(path) -> GridFunction:
             if len(payload) > 8 * n:
                 raise ValueError(f"trailing bytes after {n} samples in grid file: {path}")
             return _grid_from_file(np.frombuffer(payload, dtype="<f8").astype(float), path)
-    indices, samples = [], []
-    first = None  # number of the first non-blank line, the only one that may be a header
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            first = first or lineno
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'index,value', got {line!r}")
-            index_text, value_text = fields
-            try:
-                index = int(index_text)
-            except ValueError:
-                if lineno == first:
-                    continue  # header line
-                raise ValueError(
-                    f"{path}:{lineno}: {index_text!r} is not an integer index"
-                ) from None
-            try:
-                samples.append(float(value_text))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {value_text!r} is not a number") from None
-            indices.append(index)
-    if not indices:
+        lines = fh.read().split("\n")
+    # the first non-blank line is the only one that may be a header
+    first = next((i for i, line in enumerate(lines) if line.strip()), 0)
+    fields = lines[first].split(",")
+    start = first + 1 if len(fields) == 2 and not _is_literal(fields[0], int) else first
+    body = lines[start:]
+    if not any(map(str.strip, body)):
         raise ValueError(f"no samples found in {path}")
-    n = len(indices)
-    counts = np.bincount([i for i in indices if 0 <= i < n], minlength=n)
+    try:
+        rows = np.loadtxt(
+            map(str.strip, body), dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1
+        )
+    except ValueError as exc:
+        raise _bad_csv_line(path, lines, start, exc) from None
+    indices = rows["index"]
+    n = indices.size
+    counts = np.bincount(indices[(indices >= 0) & (indices < n)], minlength=n)
     if counts.max() > 1:
         raise ValueError(f"duplicate sample index {int(counts.argmax())} in {path}")
     if counts.min() == 0:
         raise ValueError(f"missing sample index {int(counts.argmin())} in {path}")
     data = np.empty(n)
-    data[indices] = samples
+    data[indices] = rows["value"]
     return _grid_from_file(data, path)
+
+
+def _is_literal(text: str, kind) -> bool:
+    """Whether a CSV field is an ASCII ``int`` or ``float`` literal without underscores."""
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _bad_csv_line(path, lines, start, exc) -> ValueError:
+    """The rejection of a CSV grid that did not parse, naming its first bad line.
+
+    ``start`` is the index of the first line after the header, if any;
+    ``exc`` is the parser's error, kept for a file whose fields all read
+    as literals one by one.
+    """
+    for lineno, line in enumerate(lines[start:], start + 1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 2:
+            return ValueError(f"{path}:{lineno}: expected 'index,value', got {line!r}")
+        index_text, value_text = fields
+        if not _is_literal(index_text, int):
+            return ValueError(f"{path}:{lineno}: {index_text!r} is not an integer index")
+        if not _is_literal(value_text, float):
+            return ValueError(f"{path}:{lineno}: {value_text!r} is not a number")
+    return ValueError(f"{path}: {exc}")
 
 
 def _grid_from_file(values: np.ndarray, path) -> GridFunction:

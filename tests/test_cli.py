@@ -165,7 +165,10 @@ class TestCommands:
         # CSV rows moved at rounding level from the complex-FFT layout); a
         # refactor that moves one bit of a flow report fails here.
         # flow_report.json was re-pinned when the constant reports lost their
-        # "smooth_only": false line; no value in it changed
+        # "smooth_only": false line; no value in it changed.  decay_profile.csv
+        # was re-pinned when each block's Plancherel sum began to run over its
+        # own band only: the largest |d| / max(1, |x|) is 3.2e-30 (a relative
+        # 2.7e-16, on an lhs of 1.2e-14); the other three files kept their bytes
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -187,7 +190,7 @@ class TestCommands:
         assert digests == {
             "continuity.csv": "12df99599b0d5927bf2a84d0dae5edabc286d15a8fd1394a0434a6acacd2f2d3",
             "convergence.csv": "d4f14f7ab74bd42fc7723c32c5ea19d7c67431431148fd7fa23871319f456b5a",
-            "decay_profile.csv": "dbce79c3ec0eaf9b78838453e08564412d51ba86186fe0b896d0f3a148a4f70d",
+            "decay_profile.csv": "b62b730d6a2b04aec825e60f871fdc6c2f967e3ca06c11ebcb55b7210cde1b67",
             "flow_report.json": "e181dd3dd38307565091841ea5232638c8f49d17404f54c64bc9acf7ec33865e",
         }
 
@@ -844,6 +847,34 @@ class TestCommandImports:
             runs.append(f"main(['--config', {cfg!r}, '--out', {str(tmp_path)!r}, '--quiet'])")
         code = "from besovflow.cli import main; " + "; ".join(runs)
         assert self.loaded_after(code) == ["numpy.polynomial"]  # the filter profile's rule
+
+    def test_only_drawing_commands_import_numpy_random(self, tmp_path):
+        def loads_random(code):
+            probe = "; print('numpy.random' in sys.modules)"
+            result = subprocess.run(
+                [sys.executable, "-c", "import sys; " + code + probe],
+                env=dict(os.environ, PYTHONPATH=self.SRC), capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            return result.stdout.strip() == "True"
+
+        if loads_random("import numpy"):
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        grid_path = tmp_path / "u.gfn"
+        save_grid_function(grid_path, random_grid_function(np.random.default_rng(0), 64))
+        configs = {
+            "norms": {"io": {"input": str(grid_path)}},
+            "flow": {"grid_size": 64, "flow": {"kind": "transport", "T": 1.0, "time_steps": 8}},
+        }
+        runs = []
+        for command, keys in configs.items():
+            cfg = write_config(
+                tmp_path / f"{command}.json", {"schema_version": 1, "command": command, **keys}
+            )
+            out = str(tmp_path / command)
+            runs.append(f"main(['--config', {cfg!r}, '--out', {out!r}, '--quiet'])")
+        code = "from besovflow.cli import main; assert [" + ", ".join(runs) + "] == [0, 0]"
+        assert not loads_random(code)
 
     def test_other_errors_are_library_faults(self, tmp_path, monkeypatch, capsys):
         import besovflow.cli as cli

@@ -31,6 +31,7 @@ from besovflow.littlewood_paley import (
     smooth_cutoff,
     sobolev_norm,
     _power_law_scales,
+    _weighted_energy,
 )
 from conftest import bessel_potential, write_grid_csv
 
@@ -431,6 +432,76 @@ class TestSobolevNorm:
             )
 
 
+def dense_weighted_energy(spectra, weights):
+    """The dense reference: every weight row contracted with every mode."""
+    n = 2 * (weights.shape[-1] - 1)
+    folded = weights / n**2
+    folded[..., 1:-1] *= 2.0
+    power = np.abs(spectra)
+    power *= power
+    return TAU * np.einsum("...k,tk->...t", folded, power)
+
+
+# the largest difference of a banded block energy from the dense sum,
+# relative to the dense value; both sum nonnegative terms in another order
+BANDED_RTOL = 64 * np.finfo(float).eps
+
+
+def random_spectra(rng, n, count):
+    """``count`` random finite half spectra of an n-point grid, each at its own scale."""
+    shape = (count, n // 2 + 1)
+    spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return spectra * np.exp2(rng.uniform(-30.0, 30.0, (count, 1)))
+
+
+class TestBandedEnergy:
+    """A 2-D weight matrix is summed row by row over each row's nonzero span."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        exponent=st.integers(3, 14),
+        s=st.floats(-2.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 4),
+    )
+    def test_bank_rows_match_the_dense_sum(self, exponent, s, seed, count):
+        n = 2**exponent
+        weights = cached_bank(n).multipliers ** 2 * (1.0 + frequencies(n) ** 2) ** s
+        spectra = random_spectra(np.random.default_rng(seed), n, count)
+        got = _weighted_energy(spectra, weights)
+        ref = dense_weighted_energy(spectra, weights)
+        assert got.shape == ref.shape == (weights.shape[0], count)
+        assert np.all(np.abs(got - ref) <= BANDED_RTOL * ref)
+
+    @pytest.mark.parametrize("n", [8, 64, 16384])
+    def test_fold_edges_and_empty_rows(self, n):
+        # rows: empty; mode 0 only; mode 1 only; the Nyquist mode only; a
+        # span over mode 0 .. 2; a span up to the Nyquist mode with a zero
+        # inside it.  A single mode is one product, so it is exact.
+        half = n // 2
+        weights = np.zeros((6, half + 1))
+        weights[1, 0] = weights[2, 1] = weights[3, half] = 1.0
+        weights[4, :3] = (0.5, 2.0, 3.0)
+        weights[5, half - 3 :] = (1.5, 0.0, 2.5, 4.0)
+        spectra = random_spectra(np.random.default_rng(n), n, 3)
+        got = _weighted_energy(spectra, weights)
+        power = np.abs(spectra) ** 2
+        assert np.array_equal(got[0], np.zeros(3))
+        assert np.array_equal(got[1], TAU * (power[:, 0] / n**2))
+        assert np.array_equal(got[2], TAU * (2.0 * power[:, 1] / n**2))
+        assert np.array_equal(got[3], TAU * (power[:, half] / n**2))
+        ref = dense_weighted_energy(spectra, weights)
+        assert np.all(np.abs(got[4:] - ref[4:]) <= BANDED_RTOL * ref[4:])
+
+    @pytest.mark.parametrize("n", [8, 1024, 16384])
+    def test_one_dimensional_weights_keep_the_dense_bits(self, n):
+        spectra = random_spectra(np.random.default_rng(n + 1), n, 5)
+        for s in (-2.0, 0.0, 1.5, 3.0):
+            weights = (1.0 + frequencies(n) ** 2) ** s
+            got = _weighted_energy(spectra, weights)
+            assert np.array_equal(got, dense_weighted_energy(spectra, weights))
+
+
 class TestBlockArrayNorms:
     """lp_norm and grid_l2_norm reduce a (K+1, N) block array row by row."""
 
@@ -606,6 +677,36 @@ class TestGridFileFormats:
         path = tmp_path / "shuffled.csv"
         path.write_text("".join(f"{i},{float(i)}\n" for i in (3, 0, 7, 1, 6, 2, 5, 4)))
         assert np.array_equal(load_grid_function(path).values, np.arange(8.0))
+
+    def test_csv_samples_are_the_float_literals(self, tmp_path):
+        # CRLF line ends, blank and whitespace-only lines between rows, and
+        # spaces around fields; each sample has the bits of float(text)
+        texts = ["1e-300", "-0.0", "2.5E+3", " .5", "0.1", "-7", "1.", "+3.25"]
+        texts += [f"{v:.17g}" for v in np.random.default_rng(4).standard_normal(56).tolist()]
+        rows = [f"{i}, {t} " for i, t in enumerate(texts)]
+        content = "index,value\r\n" + "\r\n \t\r\n\r\n".join(rows) + "\r\n"
+        path = tmp_path / "spaced.csv"
+        path.write_bytes(content.encode("utf-8"))
+        got, expected = load_grid_function(path).values, [float(t) for t in texts]
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("3,1.0 # x", "'1.0 # x' is not a number"),
+            ("3,1_0", "'1_0' is not a number"),
+            ("1_0,1", "'1_0' is not an integer index"),
+            ("3,\u0663", "'\u0663' is not a number"),
+        ],
+    )
+    def test_csv_fields_are_plain_ascii_literals(self, tmp_path, row, message):
+        # no comments, digit separators or non-ASCII digits; line 5 is the bad one
+        lines = ["index,value", "0,0", "1,1", "2,2", row] + [f"{i},{i}" for i in range(4, 8)]
+        path = tmp_path / "fields.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"fields.csv:5: {message}")):
+            load_grid_function(path)
 
     @pytest.mark.parametrize(
         "name, content, where", BAD_GRID_FILES, ids=[case[0] for case in BAD_GRID_FILES]
