@@ -258,7 +258,7 @@ def _input_grid(config: dict):
 
 # --- commands ---------------------------------------------------------------------
 
-def _cmd_filters(config, outdir, rng):
+def _cmd_filters(config, outdir):
     bank = build_filters(config["grid_size"])
     partition = partition_of_unity(bank)
     ao = almost_orthogonality(bank)
@@ -272,6 +272,7 @@ def _cmd_filters(config, outdir, rng):
 
     # measured round-trip growth of decompose(reconstruct(.)) on random data
     stability = {}
+    rng = np.random.default_rng(config["seed"])
     for s in (0.0, 1.0, 2.0):
         worst = 0.0
         for _ in range(8):
@@ -305,7 +306,7 @@ def _cmd_filters(config, outdir, rng):
     return report, failures
 
 
-def _cmd_decompose(config, outdir, rng):
+def _cmd_decompose(config, outdir):
     u = _input_grid(config)
     bank = build_filters(u.grid_size)
     f = decompose(u, bank)
@@ -330,7 +331,7 @@ def _cmd_decompose(config, outdir, rng):
     return report, failures
 
 
-def _cmd_norms(config, outdir, rng):
+def _cmd_norms(config, outdir):
     s_values = config.get("s_values", [-1.0, 0.0, 1.0, 2.0])
     if not isinstance(s_values, list):
         raise ConfigError("s_values must be a list of numbers")
@@ -360,7 +361,7 @@ def _cmd_norms(config, outdir, rng):
     return report, []
 
 
-def _cmd_envelope(config, outdir, rng):
+def _cmd_envelope(config, outdir):
     from .engine import Check
 
     u = _input_grid(config)
@@ -507,8 +508,8 @@ def _verify_suites(rng, trials):
     return suites
 
 
-def _cmd_verify(config, outdir, rng):
-    suites = _verify_suites(rng, config["trials"])
+def _cmd_verify(config, outdir):
+    suites = _verify_suites(np.random.default_rng(config["seed"]), config["trials"])
     failures = [
         {"suite": suite["name"], "violations": suite["violations"]}
         for suite in suites
@@ -563,7 +564,7 @@ def _flow_family(flow_block) -> list:
     ]
 
 
-def _cmd_flow(config, outdir, rng):
+def _cmd_flow(config, outdir):
     from . import flows
     from .engine import verify_map
 
@@ -636,7 +637,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "flow": _cmd_flow,
 }
-_DRAWING = frozenset({"filters", "verify"})  # the commands that draw random data
 
 
 def _stall_error():
@@ -650,21 +650,15 @@ def _stall_error():
 
 
 def run(config: dict, outdir: str, quiet: bool = False) -> int:
-    """Execute one validated config and write its reports under outdir.
-
-    Only the commands of ``_DRAWING`` get the seeded generator; the others
-    get None and never import ``numpy.random``.
-    """
-    command = config["command"]
-    rng = np.random.default_rng(config["seed"]) if command in _DRAWING else None
-    handler = _COMMANDS[command]
+    """Execute one validated config and write its reports under outdir."""
+    handler = _COMMANDS[config["command"]]
     try:
         os.makedirs(outdir, exist_ok=True)
-        report, failures = handler(config, outdir, rng)
+        report, failures = handler(config, outdir)
         report["schema_version"] = SCHEMA_VERSION
         report["seed"] = config["seed"]
         report["config_hash"] = _config_hash(config)
-        report_path = os.path.join(outdir, f"{command}_report.json")
+        report_path = os.path.join(outdir, f"{config['command']}_report.json")
         dump_json(report, report_path)
     except OSError as exc:
         if not quiet:
@@ -687,7 +681,7 @@ def run(config: dict, outdir: str, quiet: bool = False) -> int:
         return EXIT_FAULT
     if not quiet:
         status = "ok" if not failures else f"{len(failures)} failing check(s)"
-        print(f"{command}: {status}; report at {report_path}")
+        print(f"{config['command']}: {status}; report at {report_path}")
     return EXIT_OK if not failures else EXIT_ASSERTIONS
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -343,14 +344,6 @@ def grid_l2_space(grid_size: int) -> PseudoNormedSpace:
     )
 
 
-def _folded(weights: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Weights over the half-spectrum modes start, start + 1, ... of an n-point
-    grid, divided by n^2, with the interior modes 1 .. n/2 - 1 doubled."""
-    folded = weights / n**2
-    folded[max(1 - start, 0) : n // 2 - start] *= 2.0
-    return folded
-
-
 def _weighted_energy(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """TAU * sum_xi weights[..., xi] |c_xi|^2 for every row of rfft(u) spectra.
 
@@ -362,22 +355,22 @@ def _weighted_energy(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
     result has the leading shape of ``weights`` followed by one axis over
     the rows.
 
-    A 2-D ``weights`` holds one row per dyadic block, nonzero on that
-    block's annulus only, so each row is summed over the span from its
-    first to its last nonzero mode; an all-zero row gives 0.
+    Each weight row is summed over the span from its first to its last
+    nonzero mode only, so a dyadic block's row, nonzero on that block's
+    annulus, costs its annulus; an all-zero row gives 0.
     """
     n = 2 * (weights.shape[-1] - 1)
     power = np.abs(spectra)
     power *= power
-    if weights.ndim == 1:
-        return TAU * np.einsum("...k,tk->...t", _folded(weights, 0, n), power)
-    energies = np.zeros((len(weights), len(power)))
-    for row, out in zip(weights, energies):
+    energies = np.zeros(weights.shape[:-1] + (len(power),))
+    for row, out in zip(np.atleast_2d(weights), np.atleast_2d(energies)):
         nonzero = row != 0.0
         a = int(nonzero.argmax())
         if nonzero[a]:
             b = row.size - int(nonzero[::-1].argmax())
-            np.einsum("k,tk->t", _folded(row[a:b], a, n), power[:, a:b], out=out)
+            folded = row[a:b] / n**2
+            folded[max(1 - a, 0) : n // 2 - a] *= 2.0  # interior modes 1 .. n/2 - 1
+            np.einsum("k,tk->t", folded, power[:, a:b], out=out)
     energies *= TAU
     return energies
 
@@ -492,15 +485,24 @@ def load_grid_function(path) -> GridFunction:
     # the first non-blank line is the only one that may be a header
     first = next((i for i, line in enumerate(lines) if line.strip()), 0)
     fields = lines[first].split(",")
-    start = first + 1 if len(fields) == 2 and not _is_literal(fields[0], int) else first
+    start = first
+    if len(fields) == 2:
+        try:
+            int(fields[0])
+        except ValueError:
+            start = first + 1  # a header line
     body = lines[start:]
     if not any(map(str.strip, body)):
         raise ValueError(f"no samples found in {path}")
     try:
-        rows = np.loadtxt(
-            map(str.strip, body), dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1
-        )
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # older numpy reads an integer field such as '2.9' through float
+            # and only warns; here that field is rejected
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(
+                map(str.strip, body), dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1
+            )
+    except (ValueError, DeprecationWarning) as exc:
         raise _bad_csv_line(path, lines, start, exc) from None
     indices = rows["index"]
     n = indices.size
@@ -544,6 +546,8 @@ def _bad_csv_line(path, lines, start, exc) -> ValueError:
             return ValueError(f"{path}:{lineno}: {index_text!r} is not an integer index")
         if not _is_literal(value_text, float):
             return ValueError(f"{path}:{lineno}: {value_text!r} is not a number")
+        if not -(2**63) <= int(index_text) < 2**63:
+            return ValueError(f"{path}:{lineno}: index {index_text!r} is out of range")
     return ValueError(f"{path}: {exc}")
 
 

@@ -527,7 +527,7 @@ class TestExitStatus:
     def test_failures_map_to_exit_one(self, tmp_path, monkeypatch):
         import besovflow.cli as cli
 
-        def failing_handler(config, outdir, rng):
+        def failing_handler(config, outdir):
             return {"command": "verify", "failures": [{"check": "synthetic"}]}, [
                 {"check": "synthetic"}
             ]
@@ -880,7 +880,7 @@ class TestCommandImports:
         import besovflow.cli as cli
         import besovflow.flows  # noqa: F401  (first with flows loaded, then without)
 
-        def broken(config, outdir, rng):
+        def broken(config, outdir):
             raise RuntimeError("not a stall")
 
         monkeypatch.setitem(cli._COMMANDS, "filters", broken)

@@ -698,14 +698,28 @@ class TestGridFileFormats:
             ("3,1_0", "'1_0' is not a number"),
             ("1_0,1", "'1_0' is not an integer index"),
             ("3,\u0663", "'\u0663' is not a number"),
+            ("3.0,1", "'3.0' is not an integer index"),
+            ("2.9,1", "'2.9' is not an integer index"),
+            ("1e1,1", "'1e1' is not an integer index"),
+            ("99999999999999999999,1", "index '99999999999999999999' is out of range"),
         ],
     )
     def test_csv_fields_are_plain_ascii_literals(self, tmp_path, row, message):
-        # no comments, digit separators or non-ASCII digits; line 5 is the bad one
+        # no comments, digit separators, non-ASCII digits or float indices,
+        # and an index within int64; line 5 is the bad one
         lines = ["index,value", "0,0", "1,1", "2,2", row] + [f"{i},{i}" for i in range(4, 8)]
         path = tmp_path / "fields.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"fields.csv:5: {message}")):
+            load_grid_function(path)
+
+    @pytest.mark.parametrize("index", ["1_0", "\u0663"])
+    def test_first_line_with_an_int_index_is_data(self, tmp_path, index):
+        # int() reads these, so the line is no header; as data it is rejected
+        lines = [f"{index},5"] + [f"{i},{i}" for i in range(8)]
+        path = tmp_path / "first.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"first.csv:1: {index!r} is not")):
             load_grid_function(path)
 
     @pytest.mark.parametrize(
