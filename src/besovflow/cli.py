@@ -220,6 +220,20 @@ def load_config(path, seed_override=None) -> dict:
         if not isinstance(config.get(key, {}), dict):
             raise ConfigError(f"{key} must be a JSON object")
         _check_keys(config.get(key, {}), key, f"{key}.")
+    # every value present is parsed whatever the command, so a key that the
+    # command does not read cannot carry a bad value into a passing run; the
+    # flow command parses its flow block itself when it runs, so loading its
+    # config does not load the flow stack
+    if "scale" in config:
+        _scale_block(config)
+    if "flow" in config:
+        if config["command"] != "flow":
+            _flow_config(config)
+        _flow_family(config["flow"])
+    if "s_values" in config:
+        _s_values(config)
+    if "besov" in config:
+        _besov_specs(config)
     return config
 
 
@@ -274,11 +288,8 @@ def _cmd_filters(config, outdir):
     stability = {}
     rng = np.random.default_rng(config["seed"])
     for s in (0.0, 1.0, 2.0):
-        worst = 0.0
-        for _ in range(8):
-            u = random_grid_function(rng, config["grid_size"])
-            worst = max(worst, reconstruction_stability_ratio(u, bank, s))
-        stability[f"s={s:g}"] = worst
+        draws = (random_grid_function(rng, config["grid_size"]) for _ in range(8))
+        stability[f"s={s:g}"] = max(0.0, *reconstruction_stability_ratio(draws, bank, s))
 
     # one row per grid frequency -N/2 .. N/2-1; the radial values at each
     # |xi| are formatted once and shared by xi and -xi, and the rows are
@@ -331,25 +342,42 @@ def _cmd_decompose(config, outdir):
     return report, failures
 
 
-def _cmd_norms(config, outdir):
+def _s_values(config: dict) -> list:
+    """The Sobolev orders of ``s_values``, a list of finite numbers."""
     s_values = config.get("s_values", [-1.0, 0.0, 1.0, 2.0])
     if not isinstance(s_values, list):
         raise ConfigError("s_values must be a list of numbers")
-    s_values = [_parse_finite(s, f"s_values[{i}]") for i, s in enumerate(s_values)]
+    return [_parse_finite(s, f"s_values[{i}]") for i, s in enumerate(s_values)]
+
+
+def _besov_specs(config: dict) -> list:
+    """(s, p, q) of each entry of ``besov``, a list of objects with p, q >= 1."""
     besov_specs = config.get("besov", [{"s": 2.0, "p": 2.0, "q": 2.0}])
     if not isinstance(besov_specs, list) or not all(isinstance(e, dict) for e in besov_specs):
         raise ConfigError("besov must be a list of objects")
+    specs = []
     for i, entry in enumerate(besov_specs):
         _check_keys(entry, "besov[]", f"besov[{i}].")
-    u = _input_grid(config)
-    bank = build_filters(u.grid_size)
-    sobolev = {f"s={s:g}": sobolev_norm(u, s) for s in s_values}
-    besov = {}
-    for entry in besov_specs:
         s = _parse_finite(entry.get("s", 0.0), "besov.s")
         p = _parse_extended(entry.get("p", 2.0), "besov.p")
         q = _parse_extended(entry.get("q", 2.0), "besov.q")
-        besov[f"s={s:g},p={p:g},q={q:g}"] = besov_norm(u, s, p, q, bank)
+        if not p >= 1:
+            raise ConfigError(f"besov[{i}].p: integrability p must be >= 1")
+        if not q >= 1:
+            raise ConfigError(f"besov[{i}].q: summability q must be >= 1")
+        specs.append((s, p, q))
+    return specs
+
+
+def _cmd_norms(config, outdir):
+    s_values = _s_values(config)
+    besov_specs = _besov_specs(config)
+    u = _input_grid(config)
+    bank = build_filters(u.grid_size)
+    sobolev = {f"s={s:g}": sobolev_norm(u, s) for s in s_values}
+    besov = {
+        f"s={s:g},p={p:g},q={q:g}": besov_norm(u, s, p, q, bank) for s, p, q in besov_specs
+    }
     report = {
         "command": "norms",
         "grid_size": u.grid_size,
@@ -531,13 +559,18 @@ def _flow_config(config):
     # the sup-in-time norm is the only time norm; the key stays for old configs
     if flow_block.get("mu", "inf") != "inf":
         raise ConfigError("flow.mu must be 'inf'")
-    return flows.FlowConfig(
-        grid_size=config["grid_size"],
-        T=_parse_extended(flow_block.get("T", 0.5), "flow.T"),
-        time_steps=flow_block.get("time_steps", 64),
-        flow_kind=flow_block.get("kind", "burgers"),
-        transport_speed=_parse_finite(flow_block.get("speed", 1.0), "flow.speed"),
-    )
+    T = _parse_extended(flow_block.get("T", 0.5), "flow.T")
+    speed = _parse_finite(flow_block.get("speed", 1.0), "flow.speed")
+    try:
+        return flows.FlowConfig(
+            grid_size=config["grid_size"],
+            T=T,
+            time_steps=flow_block.get("time_steps", 64),
+            flow_kind=flow_block.get("kind", "burgers"),
+            transport_speed=speed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _flow_family(flow_block) -> list:

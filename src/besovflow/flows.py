@@ -10,12 +10,15 @@ half spectra.
 
 A flow becomes a sequence map by conjugation with the dyadic
 decompose/reconstruct pair: reconstruct the initial datum from its blocks,
-run the flow, and keep one scalar per block of the solution, its
-sup-in-time L2 norm, summed by Plancherel from the real-FFT half spectra
-of the time slices, so no slice is decomposed.  An image is that row of
-block norms, a float array.  Chemin-Lerner norms
-(take each block's sup in time first, then sum blocks in l^2) and the
-block tails behind the continuity-in-time check live here as well.
+and keep one scalar per block of the solution, its sup-in-time L2 norm,
+summed by Plancherel, so no slice is decomposed.  An image is that row of
+block norms, a float array.  Transport is a Fourier multiplier, so its
+images come from the data's power spectra contracted, block by block,
+against the power of the phase table, without a trajectory; Burgers is
+solved in groups of data and its images are summed from the real-FFT half
+spectra of the time slices.  Chemin-Lerner norms (take each block's sup in
+time first, then sum blocks in l^2) and the block tails behind the
+continuity-in-time check live here as well.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from .littlewood_paley import (
     GridFunction,
     GridMismatchError,
     _check_grid_size,
+    _folded_band,
     _weighted_energy,
     frequencies,
     reconstruct,
@@ -531,7 +535,7 @@ def sup_time_sobolev_norm(traj: Trajectory, s: float) -> float:
 # --- sequence maps ---------------------------------------------------------------
 
 # Feet per interpolant call of a grouped characteristic solve: the sequence
-# map hands the flow max(1, _FEET_PER_SWEEP // N) data at a time.
+# map hands the Burgers flow max(1, _FEET_PER_SWEEP // N) data at a time.
 _FEET_PER_SWEEP = 2048
 
 
@@ -539,20 +543,32 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], 
     """Conjugate the configured flow with decompose/reconstruct into a sequence map.
 
     The map takes a list of block sequences of initial data, rebuilds the
-    data, and runs the flow of :func:`make_flow` on them in groups of
-    max(1, 2048 // N), so one Newton sweep of the Burgers solver covers
-    about 2048 feet and only one group's trajectories are held at a time.
-    It returns the list of images, each a read-only (J+1,) row of block
-    norms from :func:`block_time_norms`, one scalar per block of the
-    solution: the sup-in-time L2 norm of that block.  The engine measures
-    an image difference as |‖Delta_j Phi(v)‖ - ‖Delta_j Phi(w)‖|, which is
-    at most ‖Delta_j(Phi(v) - Phi(w))‖, and holds the ball on which the map
-    is verified (see :func:`besovflow.engine.verify_map`).
+    data, and returns the list of their images, each a read-only (J+1,)
+    row of block norms as :func:`block_time_norms` gives them for the
+    trajectory of :func:`make_flow`, one scalar per block of the solution:
+    the sup-in-time L2 norm of that block.
+
+    Transport is a Fourier multiplier of modulus one (the Nyquist mode's
+    cosine aside), so no trajectory is built: the squared norm of block j
+    at time t is sum_k psi_j(k)^2 |u0^(k)|^2 |phase(t, k)|^2, and the map
+    takes it for all data and time nodes at once, one banded contraction
+    per block of the data's power spectra (one real FFT of the whole
+    stack) against the power of the cached phase table.  Burgers runs the
+    flow on the data in groups of max(1, 2048 // N), so one Newton sweep
+    covers about 2048 feet and only one group's trajectories are held at
+    a time.
+
+    The engine measures an image difference as
+    |‖Delta_j Phi(v)‖ - ‖Delta_j Phi(w)‖|, which is at most
+    ‖Delta_j(Phi(v) - Phi(w))‖, and holds the ball on which the map is
+    verified (see :func:`besovflow.engine.verify_map`).
     """
     if cfg.grid_size != bank.grid_size:
         raise GridMismatchError(
             f"config grid {cfg.grid_size} does not match bank {bank.grid_size}"
         )
+    if cfg.flow_kind == "transport":
+        return _transport_map(cfg, bank)
     flow = make_flow(cfg)
     group = max(1, _FEET_PER_SWEEP // cfg.grid_size)
 
@@ -563,6 +579,29 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], 
             for traj in flow(data):
                 images.append(_frozen(block_time_norms(traj, bank)))
         return images
+
+    return phi
+
+
+def _transport_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], list]:
+    """The sequence map of transport, its block norms from the multiplier itself."""
+    phase = _phase_table(cfg.grid_size, float(cfg.transport_speed), tuple(cfg.time_nodes()))
+    phase_power = np.abs(phase)
+    phase_power *= phase_power  # (t, k)
+    bands = [_folded_band(row) for row in bank.multipliers**2]
+
+    def phi(sequences: list) -> list:
+        if not sequences:
+            return []
+        data = [reconstruct(f, bank) for f in sequences]
+        power = np.abs(np.fft.rfft(_stack(data), axis=1))
+        power *= power  # (g, k)
+        images = np.empty((len(data), len(bands)))
+        for column, (a, b, folded) in zip(images.T, bands):
+            energies = np.einsum("gk,tk->gt", folded * power[:, a:b], phase_power[:, a:b])
+            energies.max(axis=1, out=column)
+        images *= TAU
+        return list(_frozen(np.sqrt(images, out=images)))
 
     return phi
 

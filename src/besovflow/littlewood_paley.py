@@ -344,35 +344,46 @@ def grid_l2_space(grid_size: int) -> PseudoNormedSpace:
     )
 
 
+def _folded_band(row: np.ndarray) -> tuple:
+    """(a, b, folded) of a radial weight row over the frequencies 0..N/2.
+
+    a .. b - 1 spans the row's nonzero modes (a = b = 0 if it has none), and
+    ``folded`` is the row there over N^2 (exact: N is a power of two), each
+    interior mode doubled for its mirror, so TAU * sum(folded *
+    |rfft(u)[a:b]|^2) is the weighted energy of u.
+    """
+    n = 2 * (row.size - 1)
+    nonzero = np.flatnonzero(row)
+    if nonzero.size == 0:
+        return 0, 0, row[:0]
+    a, b = int(nonzero[0]), int(nonzero[-1]) + 1
+    folded = row[a:b] / n**2
+    folded[max(1 - a, 0) : n // 2 - a] *= 2.0  # interior modes 1 .. n/2 - 1
+    return a, b, folded
+
+
+def _band_energies(spectra: np.ndarray, bands: list) -> np.ndarray:
+    """Energies of rfft(u) spectra (rows): a row per band of :func:`_folded_band`."""
+    power = np.abs(spectra)
+    power *= power
+    energies = np.empty((len(bands), len(power)))
+    for out, (a, b, folded) in zip(energies, bands):
+        np.einsum("k,tk->t", folded, power[:, a:b], out=out)
+    energies *= TAU
+    return energies
+
+
 def _weighted_energy(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """TAU * sum_xi weights[..., xi] |c_xi|^2 for every row of rfft(u) spectra.
 
-    c = rfft(u) / N are the normalized Fourier coefficients; N is a power of
-    two, so dividing the weights by N^2 instead rounds exactly the same.
-    ``weights`` are radial, over the frequencies 0..N/2 (last axis N/2 + 1),
-    so each interior mode of the half spectrum stands for itself and its
-    mirror and counts twice; mode 0 and the Nyquist mode count once.  The
-    result has the leading shape of ``weights`` followed by one axis over
-    the rows.
-
-    Each weight row is summed over the span from its first to its last
-    nonzero mode only, so a dyadic block's row, nonzero on that block's
-    annulus, costs its annulus; an all-zero row gives 0.
+    c = rfft(u) / N are the normalized Fourier coefficients and ``weights``
+    are radial, over the frequencies 0..N/2.  The result has the leading
+    shape of ``weights`` followed by one axis over the rows.  Each weight
+    row is summed over its own band only, so a dyadic block costs its
+    annulus.
     """
-    n = 2 * (weights.shape[-1] - 1)
-    power = np.abs(spectra)
-    power *= power
-    energies = np.zeros(weights.shape[:-1] + (len(power),))
-    for row, out in zip(np.atleast_2d(weights), np.atleast_2d(energies)):
-        nonzero = row != 0.0
-        a = int(nonzero.argmax())
-        if nonzero[a]:
-            b = row.size - int(nonzero[::-1].argmax())
-            folded = row[a:b] / n**2
-            folded[max(1 - a, 0) : n // 2 - a] *= 2.0  # interior modes 1 .. n/2 - 1
-            np.einsum("k,tk->t", folded, power[:, a:b], out=out)
-    energies *= TAU
-    return energies
+    bands = [_folded_band(row) for row in np.atleast_2d(weights)]
+    return _band_energies(spectra, bands).reshape(weights.shape[:-1] + (len(spectra),))
 
 
 def sobolev_norm(u: GridFunction, s: float) -> float:
@@ -393,7 +404,7 @@ def besov_norm(u: GridFunction, s: float, p: float, q: float, bank: FilterBank):
     return float(dyadic_norm(lp_norm(decompose(u, bank).blocks, p)[None], (s, q))[0])
 
 
-def reconstruction_stability_ratio(u: GridFunction, bank: FilterBank, s: float) -> float:
+def reconstruction_stability_ratio(u, bank: FilterBank, s: float):
     """Measured ratio ||decompose(reconstruct(f))||_{s,1} / ||f||_{s,1} for f = decompose(u).
 
     On the half spectrum the blocks of f are m_j u^, and the round trip
@@ -403,18 +414,23 @@ def reconstruction_stability_ratio(u: GridFunction, bank: FilterBank, s: float) 
     not how the round trip grows sequences outside decompose's range.
     Both rows of block norms are Plancherel sums of |u^|^2 with weights
     m_j^2, so no block is built on the grid.
+
+    ``u`` is a grid function (a float is returned), or an iterable of them
+    (a list of their ratios, with the bank's weights built once).
     """
-    _check_bank(u, bank)
-    # an exact power-of-two rescale keeps |u^|^2 in float range; the ratio
-    # is unchanged by it
-    values = np.ldexp(u.values, -np.frexp(np.abs(u.values).max())[1])
-    spectrum = np.fft.rfft(values)
+    bands = [_folded_band(row) for row in bank.multipliers**2]
     gain = (bank.fat_multipliers * bank.multipliers).sum(axis=0)
-    energies = _weighted_energy(np.stack((spectrum, gain * spectrum)), bank.multipliers**2)
-    denom, round_trip = dyadic_norm(np.sqrt(energies.T), (s, 1.0)).tolist()
-    if denom == 0.0:
-        return 0.0
-    return round_trip / denom
+    ratios = []
+    for datum in [u] if isinstance(u, GridFunction) else u:
+        _check_bank(datum, bank)
+        # an exact power-of-two rescale keeps |u^|^2 in float range; the
+        # ratio is unchanged by it
+        values = np.ldexp(datum.values, -np.frexp(np.abs(datum.values).max())[1])
+        spectrum = np.fft.rfft(values)
+        energies = _band_energies(np.stack((spectrum, gain * spectrum)), bands)
+        denom, round_trip = dyadic_norm(np.sqrt(energies.T), (s, 1.0)).tolist()
+        ratios.append(0.0 if denom == 0.0 else round_trip / denom)
+    return ratios[0] if isinstance(u, GridFunction) else ratios
 
 
 @lru_cache(maxsize=None)

@@ -168,7 +168,12 @@ class TestCommands:
         # "smooth_only": false line; no value in it changed.  decay_profile.csv
         # was re-pinned when each block's Plancherel sum began to run over its
         # own band only: the largest |d| / max(1, |x|) is 3.2e-30 (a relative
-        # 2.7e-16, on an lhs of 1.2e-14); the other three files kept their bytes
+        # 2.7e-16, on an lhs of 1.2e-14); the other three files kept their bytes.
+        # All four were re-pinned when transport images began to come from the
+        # data's power spectra times the phase table's power, without a
+        # trajectory: the largest |d| / max(1, |x|) is 4.3e-16 in
+        # decay_profile.csv, 3.5e-16 in convergence.csv, 2.7e-16 in
+        # flow_report.json and 2.4e-16 in continuity.csv
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -188,10 +193,10 @@ class TestCommands:
             for name, data in read_all_reports(out).items()
         }
         assert digests == {
-            "continuity.csv": "12df99599b0d5927bf2a84d0dae5edabc286d15a8fd1394a0434a6acacd2f2d3",
-            "convergence.csv": "d4f14f7ab74bd42fc7723c32c5ea19d7c67431431148fd7fa23871319f456b5a",
-            "decay_profile.csv": "b62b730d6a2b04aec825e60f871fdc6c2f967e3ca06c11ebcb55b7210cde1b67",
-            "flow_report.json": "e181dd3dd38307565091841ea5232638c8f49d17404f54c64bc9acf7ec33865e",
+            "continuity.csv": "8023d1eba220df07b6464caa5dfc64f085b97f4978dd7671f21dba48eb244009",
+            "convergence.csv": "5564bb66fb532f6cac3860f018de917c1db807e89ebbb54d92da08bb055f07f7",
+            "decay_profile.csv": "5eb841f3d56d7701a05446cfe27d7efc99be41ef1b2822670414964b50e5f4f3",
+            "flow_report.json": "46a2cf0b474242a18d87341d418dfbc85cb7b88d46f1c4b850f104ea9ccf616b",
         }
 
     def test_verify_detects_a_broken_interpolation_bound(self, tmp_path, monkeypatch):
@@ -693,6 +698,58 @@ class TestMalformedConfigSections:
         assert err.startswith("invalid config:") and err.count("\n") == 1
         assert name in err
         assert not (out / f"{payload['command']}_report.json").exists()
+
+
+class TestValuesOfUnreadKeys:
+    """Every value present is checked whatever the command, so a key that the command does
+    not read exits 2 on a bad value, and is still accepted when its value is good."""
+
+    @pytest.mark.parametrize(
+        "payload, name",
+        [
+            (
+                {"schema_version": 1, "command": "verify", "trials": 3,
+                 "flow": {"kind": "burgers", "T": 0.5}, "s_values": [1.0],
+                 "scale": {"s": 7.0}},
+                "s0 < s < s1",
+            ),
+            ({"schema_version": 1, "command": "filters", "grid_size": 8,
+              "scale": {"q": 0.5}}, "scale.q"),
+            ({"schema_version": 1, "command": "filters", "grid_size": 8,
+              "flow": {"kind": "heat"}}, "flow kind"),
+            ({"schema_version": 1, "command": "verify", "trials": 1,
+              "flow": {"time_steps": 0}}, "time_steps"),
+            ({"schema_version": 1, "command": "verify", "trials": 1,
+              "flow": {"family": []}}, "flow.family"),
+            ({"schema_version": 1, "command": "filters", "grid_size": 8,
+              "s_values": ["1"]}, "s_values"),
+            ({"schema_version": 1, "command": "filters", "grid_size": 8,
+              "besov": [{"q": 0.5}]}, "besov[0].q"),
+            ({"schema_version": 1, "command": "verify", "trials": 1,
+              "besov": [{"s": 1.0}, {"p": 0.5}]}, "besov[1].p"),
+        ],
+        ids=["verify-scale-s", "filters-scale-q", "filters-flow-kind", "verify-time-steps",
+             "verify-family", "filters-s-values", "filters-besov-q", "verify-besov-p"],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, payload, name):
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config:") and err.count("\n") == 1
+        assert name in err
+        assert not out.exists()
+
+    def test_bench_filters_config_runs(self, tmp_path):
+        # the filters op of the spectral benchmark sends io.input, which filters does not read
+        grid_path = tmp_path / "grid.gfn"
+        save_grid_function(grid_path, random_grid_function(np.random.default_rng(3), 16384))
+        cfg = write_config(
+            tmp_path / "filters.json",
+            {"schema_version": 1, "command": "filters", "seed": 3, "grid_size": 16384,
+             "io": {"input": str(grid_path)}},
+        )
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
 
 
 class TestIoPaths:

@@ -765,10 +765,10 @@ class TestSpectralTrajectory:
 
 class TestTransportStaysInFourierSpace:
     """One call of the sequence map on transport data: the only transform in ``flows`` is
-    one real FFT of each group's (G, N) data stack."""
+    one real FFT of the whole (count, N) data stack, and no trajectory is built."""
 
     @pytest.mark.parametrize("n, count", [(256, 10), (2048, 3)])
-    def test_one_rfft_per_group_and_no_trajectory_transform(self, monkeypatch, n, count):
+    def test_one_rfft_of_the_stack_and_no_trajectory(self, monkeypatch, n, count):
         calls = []
         for name in ("rfft", "irfft"):
             original = getattr(np.fft, name)
@@ -779,14 +779,67 @@ class TestTransportStaysInFourierSpace:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
+        built = []
+        init = Trajectory.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Trajectory, "__init__", counted_init)
         bank = build_filters(n)
         rng = np.random.default_rng(n)
         family = [decompose(random_grid_function(rng, n, max_mode=20), bank) for _ in range(count)]
         images = np.array(flow_as_sequence_map(transport_cfg(grid_size=n), bank)(family))
-        group = max(1, 2048 // n)
-        sizes = [min(group, count - start) for start in range(0, count, group)]
-        assert calls == [("rfft", (size, n)) for size in sizes]
+        assert calls == [("rfft", (count, n))]
+        assert built == []
         assert images.shape == (count, bank.j_max + 1)
+
+
+class TestImagesMatchTrajectoryPath:
+    """The sequence map's images against block_time_norms of the flow's trajectories."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        exponent=st.integers(3, 12),
+        speed=st.sampled_from([0.0, 1.0, -1.0, 2.5, -0.37, 13.0]),
+        T=st.sampled_from([0.25, 1.0, 3.7]),
+        time_steps=st.sampled_from([1, 7, 32, 128]),
+        count=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_transport_images_equal_block_time_norms(
+        self, exponent, speed, T, time_steps, count, seed
+    ):
+        n = 2**exponent
+        bank = build_filters(n)
+        rng = np.random.default_rng(seed)
+        # the Nyquist mode set, so its cosine column of the phase table counts
+        family = [
+            decompose(random_grid_function(rng, n, max_mode=n // 2), bank) for _ in range(count)
+        ]
+        cfg = transport_cfg(speed, grid_size=n, T=T, time_steps=time_steps)
+        images = flow_as_sequence_map(cfg, bank)(family)
+        data = [reconstruct(f, bank) for f in family]
+        for image, traj in zip(images, transport_flow(data, cfg), strict=True):
+            ref = block_time_norms(traj, bank)
+            assert not image.flags.writeable and image.shape == ref.shape
+            assert np.all(np.abs(image - ref) <= 64 * np.finfo(float).eps * ref.max())
+
+    def test_empty_request(self, bank64):
+        assert flow_as_sequence_map(transport_cfg(), bank64)([]) == []
+
+    def test_burgers_images_are_the_trajectory_path_bit_for_bit(self):
+        # N = 512 groups 2048 // 512 = 4 data, so the five data take two groups
+        n = 512
+        bank = build_filters(n)
+        data = [sinusoid_datum(n, 0.1 - 0.03 * i, 0.02 * i) for i in range(5)]
+        family = [decompose(u, bank) for u in data]
+        cfg = burgers_cfg(grid_size=n, time_steps=16)
+        images = flow_as_sequence_map(cfg, bank)(family)
+        rebuilt = [reconstruct(f, bank) for f in family]
+        for image, traj in zip(images, burgers_flow(rebuilt, cfg), strict=True):
+            assert np.array_equal(image, block_time_norms(traj, bank))
 
 
 class TestFullPipeline:

@@ -314,6 +314,15 @@ class TestReconstructionStabilityRatio:
         with pytest.raises(GridMismatchError):
             reconstruction_stability_ratio(GridFunction.zeros(128), bank64, 1.0)
 
+    def test_iterable_gives_each_function_its_own_ratio(self, bank64, rng):
+        data = [random_grid_function(rng, 64) for _ in range(3)] + [GridFunction.zeros(64)]
+        for s in (0.0, 2.0):
+            ratios = reconstruction_stability_ratio(iter(data), bank64, s)
+            assert ratios == [reconstruction_stability_ratio(u, bank64, s) for u in data]
+        assert reconstruction_stability_ratio([], bank64, 1.0) == []
+        with pytest.raises(GridMismatchError):
+            reconstruction_stability_ratio([data[0], GridFunction.zeros(128)], bank64, 1.0)
+
 
 def loop_random_grid_function(rng, grid_size, max_mode=None, decay=1.0):
     """The per-mode draw loop that random_grid_function vectorizes."""
