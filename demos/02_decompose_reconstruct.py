@@ -56,7 +56,7 @@ def main():
     # partition of unity, so these ratios read 1 to rounding
     print("\nRound-trip growth of decompose(reconstruct(.)) in the (s,1) norms:")
     for s in (0.0, 1.0, 2.0):
-        print(f"  s={s:3.1f}: ratio {reconstruction_stability_ratio(u, bank, s):.6f}")
+        print(f"  s={s:3.1f}: ratio {reconstruction_stability_ratio([u], bank, s)[0]:.6f}")
 
 
 if __name__ == "__main__":

@@ -12,9 +12,8 @@ A flow becomes a sequence map by conjugation with the dyadic
 decompose/reconstruct pair: reconstruct the initial datum from its blocks,
 and keep one scalar per block of the solution, its sup-in-time L2 norm,
 summed by Plancherel, so no slice is decomposed.  An image is that row of
-block norms, a float array.  Transport is a Fourier multiplier, so its
-images come from the data's power spectra contracted, block by block,
-against the power of the phase table, without a trajectory; Burgers is
+block norms, a float array.  Transport conserves every block norm, so its
+images are the data's own block norms, without a trajectory; Burgers is
 solved in groups of data and its images are summed from the real-FFT half
 spectra of the time slices.  Chemin-Lerner norms (take each block's sup in
 time first, then sum blocks in l^2) and the block tails behind the
@@ -27,7 +26,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -39,7 +37,6 @@ from .littlewood_paley import (
     GridFunction,
     GridMismatchError,
     _check_grid_size,
-    _folded_band,
     _weighted_energy,
     frequencies,
     reconstruct,
@@ -296,22 +293,6 @@ def shock_time(u0: GridFunction) -> tuple[float, float]:
     return time, max(0.0, _torus_peak(dense[1]), _torus_peak(-dense[1]))
 
 
-@lru_cache(maxsize=4)
-def _phase_table(n: int, speed: float, times: tuple) -> np.ndarray:
-    """exp(-i k speed t) for every time node t (rows) and mode k = 0 .. N/2.
-
-    The Nyquist column keeps only its real part, cos(N/2 speed t): on the
-    grid the shifted Nyquist mode is that multiple of cos(N x / 2), since
-    sin(N x / 2) vanishes at every node.  A real Nyquist entry times this
-    column stays real, so the shifted spectra are the half spectra of the
-    shifted samples.
-    """
-    table = np.exp(-1j * frequencies(n) * speed * np.array(times)[:, None])
-    table[:, -1] = table[:, -1].real
-    table.setflags(write=False)
-    return table
-
-
 def _stack(data: list) -> np.ndarray:
     """The (G, N) values of a list of data on one grid."""
     if len({u.grid_size for u in data}) > 1:
@@ -324,18 +305,25 @@ def transport_flow(data: list, cfg: FlowConfig) -> list:
 
     Every Sobolev norm is conserved along the trajectory since the phase
     factor has modulus one.  The trajectory holds its states as spectra,
-    the datum's half spectrum times a phase table, and never leaves
+    the datum's half spectrum times the phase table exp(-i k speed t) over
+    the time nodes t (rows) and the modes k = 0 .. N/2, and never leaves
     Fourier space; its grid values come from one inverse real FFT when
-    read.  The table depends only on the grid size, the speed and the time
-    grid, so it is built once and reused by every call on the same
-    configuration.
+    read.
 
     ``data`` is a list of data on one grid; the result is the list of their
-    trajectories, the spectra from one batched real FFT.
+    trajectories, the spectra from one batched real FFT, all sharing one
+    table built by the call.
     """
     spectra = np.fft.rfft(_stack(data), axis=1)
     times = cfg.time_nodes()
-    phase = _phase_table(data[0].grid_size, float(cfg.transport_speed), tuple(times))
+    speed = float(cfg.transport_speed)
+    phase = np.exp(-1j * frequencies(data[0].grid_size) * speed * times[:, None])
+    # The Nyquist column keeps only its real part, cos(N/2 speed t): on the
+    # grid the shifted Nyquist mode is that multiple of cos(N x / 2), since
+    # sin(N x / 2) vanishes at every node.  A real Nyquist entry times this
+    # column stays real, so the shifted spectra are the half spectra of the
+    # shifted samples.
+    phase[:, -1] = phase[:, -1].real
     return [Trajectory(times, _frozen(spectrum * phase)) for spectrum in spectra]
 
 
@@ -548,15 +536,13 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], 
     trajectory of :func:`make_flow`, one scalar per block of the solution:
     the sup-in-time L2 norm of that block.
 
-    Transport is a Fourier multiplier of modulus one (the Nyquist mode's
-    cosine aside), so no trajectory is built: the squared norm of block j
-    at time t is sum_k psi_j(k)^2 |u0^(k)|^2 |phase(t, k)|^2, and the map
-    takes it for all data and time nodes at once, one banded contraction
-    per block of the data's power spectra (one real FFT of the whole
-    stack) against the power of the cached phase table.  Burgers runs the
-    flow on the data in groups of max(1, 2048 // N), so one Newton sweep
-    covers about 2048 feet and only one group's trajectories are held at
-    a time.
+    Transport never raises a block norm above its value at t = 0 (its
+    multiplier has modulus one, the Nyquist mode's cosine at most one), so
+    no trajectory is built: the images are the data's block norms, rows of
+    one array summed by Plancherel from one real FFT of the whole request.
+    Burgers runs the flow on the data in groups of max(1, 2048 // N), so
+    one Newton sweep covers about 2048 feet and only one group's
+    trajectories are held at a time.
 
     The engine measures an image difference as
     |‖Delta_j Phi(v)‖ - ‖Delta_j Phi(w)‖|, which is at most
@@ -567,41 +553,21 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], 
         raise GridMismatchError(
             f"config grid {cfg.grid_size} does not match bank {bank.grid_size}"
         )
-    if cfg.flow_kind == "transport":
-        return _transport_map(cfg, bank)
-    flow = make_flow(cfg)
+    transport = cfg.flow_kind == "transport"
     group = max(1, _FEET_PER_SWEEP // cfg.grid_size)
 
     def phi(sequences: list) -> list:
         images = []
-        for start in range(0, len(sequences), group):
-            data = [reconstruct(f, bank) for f in sequences[start : start + group]]
-            for traj in flow(data):
-                images.append(_frozen(block_time_norms(traj, bank)))
+        step = max(1, len(sequences)) if transport else group
+        for start in range(0, len(sequences), step):
+            data = [reconstruct(f, bank) for f in sequences[start : start + step]]
+            if transport:
+                energies = _weighted_energy(np.fft.rfft(_stack(data), axis=1), bank.multipliers**2)
+                images.extend(_frozen(np.sqrt(energies.T, order="C")))
+            else:
+                for traj in burgers_flow(data, cfg):
+                    images.append(_frozen(block_time_norms(traj, bank)))
         return images
-
-    return phi
-
-
-def _transport_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], list]:
-    """The sequence map of transport, its block norms from the multiplier itself."""
-    phase = _phase_table(cfg.grid_size, float(cfg.transport_speed), tuple(cfg.time_nodes()))
-    phase_power = np.abs(phase)
-    phase_power *= phase_power  # (t, k)
-    bands = [_folded_band(row) for row in bank.multipliers**2]
-
-    def phi(sequences: list) -> list:
-        if not sequences:
-            return []
-        data = [reconstruct(f, bank) for f in sequences]
-        power = np.abs(np.fft.rfft(_stack(data), axis=1))
-        power *= power  # (g, k)
-        images = np.empty((len(data), len(bands)))
-        for column, (a, b, folded) in zip(images.T, bands):
-            energies = np.einsum("gk,tk->gt", folded * power[:, a:b], phase_power[:, a:b])
-            energies.max(axis=1, out=column)
-        images *= TAU
-        return list(_frozen(np.sqrt(images, out=images)))
 
     return phi
 

@@ -404,8 +404,8 @@ def besov_norm(u: GridFunction, s: float, p: float, q: float, bank: FilterBank):
     return float(dyadic_norm(lp_norm(decompose(u, bank).blocks, p)[None], (s, q))[0])
 
 
-def reconstruction_stability_ratio(u, bank: FilterBank, s: float):
-    """Measured ratio ||decompose(reconstruct(f))||_{s,1} / ||f||_{s,1} for f = decompose(u).
+def reconstruction_stability_ratio(data, bank: FilterBank, s: float) -> list:
+    """Measured ratios ||decompose(reconstruct(f))||_{s,1} / ||f||_{s,1}, f = decompose(u).
 
     On the half spectrum the blocks of f are m_j u^, and the round trip
     multiplies u^ by sum_j fat_j m_j.  That sum is the partition of unity
@@ -415,13 +415,13 @@ def reconstruction_stability_ratio(u, bank: FilterBank, s: float):
     Both rows of block norms are Plancherel sums of |u^|^2 with weights
     m_j^2, so no block is built on the grid.
 
-    ``u`` is a grid function (a float is returned), or an iterable of them
-    (a list of their ratios, with the bank's weights built once).
+    ``data`` is an iterable of grid functions u; the result is the list of
+    their ratios, with the bank's weights built once.
     """
     bands = [_folded_band(row) for row in bank.multipliers**2]
     gain = (bank.fat_multipliers * bank.multipliers).sum(axis=0)
     ratios = []
-    for datum in [u] if isinstance(u, GridFunction) else u:
+    for datum in data:
         _check_bank(datum, bank)
         # an exact power-of-two rescale keeps |u^|^2 in float range; the
         # ratio is unchanged by it
@@ -430,7 +430,7 @@ def reconstruction_stability_ratio(u, bank: FilterBank, s: float):
         energies = _band_energies(np.stack((spectrum, gain * spectrum)), bands)
         denom, round_trip = dyadic_norm(np.sqrt(energies.T), (s, 1.0)).tolist()
         ratios.append(0.0 if denom == 0.0 else round_trip / denom)
-    return ratios[0] if isinstance(u, GridFunction) else ratios
+    return ratios
 
 
 @lru_cache(maxsize=None)

@@ -173,7 +173,11 @@ class TestCommands:
         # data's power spectra times the phase table's power, without a
         # trajectory: the largest |d| / max(1, |x|) is 4.3e-16 in
         # decay_profile.csv, 3.5e-16 in convergence.csv, 2.7e-16 in
-        # flow_report.json and 2.4e-16 in continuity.csv
+        # flow_report.json and 2.4e-16 in continuity.csv.  All four were
+        # re-pinned again when transport images became the data's block norms
+        # at t = 0, which no later time exceeds: the largest |d| / max(1, |x|)
+        # is 4.3e-16 in decay_profile.csv, 3.5e-16 in convergence.csv,
+        # 2.7e-16 in flow_report.json and 2.4e-16 in continuity.csv
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -193,10 +197,10 @@ class TestCommands:
             for name, data in read_all_reports(out).items()
         }
         assert digests == {
-            "continuity.csv": "8023d1eba220df07b6464caa5dfc64f085b97f4978dd7671f21dba48eb244009",
-            "convergence.csv": "5564bb66fb532f6cac3860f018de917c1db807e89ebbb54d92da08bb055f07f7",
-            "decay_profile.csv": "5eb841f3d56d7701a05446cfe27d7efc99be41ef1b2822670414964b50e5f4f3",
-            "flow_report.json": "46a2cf0b474242a18d87341d418dfbc85cb7b88d46f1c4b850f104ea9ccf616b",
+            "continuity.csv": "89d707bc24692065981736ce43d8d626460c81a684a7639a829fd9d2adad427b",
+            "convergence.csv": "950a18e053b50bddfe41b34767c4a264d85863f9cb4fa6b4f09dce89d7162eee",
+            "decay_profile.csv": "e96d6d53a713bcfce0e0c52a20dc2cc7dda8411d4e4d2750c6b01f83035c5a74",
+            "flow_report.json": "e109afd15904747d8762845bb64fa93080f2b0efe2de72329b5f1fb4dba40474",
         }
 
     def test_verify_detects_a_broken_interpolation_bound(self, tmp_path, monkeypatch):

@@ -149,21 +149,13 @@ class TestAdapter:
         # f and its truncations were mapped already: only the perturbations are new
         assert len(checked) == 3 + 2 and len(set(checked)) == len(checked)
 
-    def test_without_memo_each_request_maps_again(self):
-        mapped = []
-
-        def phi(fs):
-            mapped.append(len(fs))
-            return [padded(f) for f in fs]
-
-        adapter = FlowMapAdapter(phi=phi, radius=10.0, s0=0, s=1, s1=2, q=2.0, memoize=False)
-        f = seq(1.0, 0.5)
-        twin = seq(1.0, 0.5)  # equal data, other block objects
-        images = adapter([f, twin, truncate(f, 0), f, truncate(twin, 0)])
-        assert mapped == [2]
-        again = adapter([f, truncate(f, 0)])
-        assert mapped == [2, 2] and np.array_equal(again, images[[0, 2]])
-        assert adapter._cache == {}
+    def test_memoizing_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            FlowMapAdapter(phi=lambda fs: fs, radius=10.0, s0=0, s=1, s1=2, q=2.0, memoize=False)
+        adapter = identity_adapter(radius=10.0)
+        assert adapter.memoize is True
+        with pytest.raises(AttributeError):
+            adapter.memoize = False
 
 
 class TestEstimateConstants:

@@ -85,6 +85,22 @@ def test_flows_import_nothing_from_engine():
     assert [name for name in imported if "engine" in name.split(".")] == []
 
 
+def test_flows_leave_the_plancherel_fold_to_littlewood_paley():
+    # the fold of a weight row (/N^2, interior modes doubled, times 2 pi) is
+    # littlewood_paley's decision: flows sums energies through _weighted_energy
+    path = pathlib.Path(besovflow.__file__).parent / "flows.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    names = imported | _names_read(tree)
+    assert "_weighted_energy" in imported
+    assert {"_folded_band", "_band_energies"} & names == set()
+
+
 def _names_read(node) -> set:
     """Every name ``node`` reads as an ``ast.Name`` or ``ast.Attribute``."""
     return {

@@ -483,6 +483,26 @@ class TestFlowAsSequenceMap:
         (image,) = flow_as_sequence_map(transport_cfg(), bank64)([f])
         assert np.allclose(image, f.block_norms, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [8, 256, 4096])
+    def test_transport_images_depend_on_the_data_alone(self, n):
+        # no block norm grows past its t = 0 value, so speed, horizon and time
+        # grid leave every image bit for bit as it is
+        bank = build_filters(n)
+        rng = np.random.default_rng(n)
+        # the Nyquist mode set: transport scales it by a cosine, not a phase
+        family = [decompose(random_grid_function(rng, n, max_mode=n // 2), bank) for _ in range(3)]
+        runs = [
+            np.array(flow_as_sequence_map(
+                transport_cfg(speed, grid_size=n, T=T, time_steps=steps), bank
+            )(family))
+            for speed, T, steps in [
+                (1.0, 1.0, 64), (0.0, 1.0, 64), (-1.0, 3.7, 7), (-0.37, 0.25, 1), (13.0, 1.0, 128)
+            ]
+        ]
+        assert runs[0][:, -1].all()
+        for images in runs[1:]:
+            assert np.array_equal(images, runs[0])
+
     def test_burgers_output_support_capped(self, bank64):
         u0 = sinusoid_datum(64, 0.1)
         f = decompose(u0, bank64)
@@ -573,7 +593,7 @@ class TestBatchedSpectralPath:
         assert traj.samples.shape == ref.shape
         assert np.abs(traj.samples - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
-    def test_transport_reuses_one_phase_table(self, rng):
+    def test_transport_repeated_calls_stay_exact(self, rng):
         flow = make_flow(transport_cfg(0.9))
         (first,) = flow([random_grid_function(rng, 64)])
         (second,) = flow([random_grid_function(rng, 64)])
