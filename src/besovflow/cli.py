@@ -31,6 +31,7 @@ import numpy as np
 # flows and engine are imported by the commands that use them, so the
 # spectral commands start without loading the flow stack
 from . import dyadic, envelope as envelope_mod
+from .dyadic import Check
 from .littlewood_paley import (
     almost_orthogonality,
     besov_norm,
@@ -390,8 +391,6 @@ def _cmd_norms(config, outdir):
 
 
 def _cmd_envelope(config, outdir):
-    from .engine import Check
-
     u = _input_grid(config)
     bank = build_filters(u.grid_size)
     f = decompose(u, bank)
@@ -433,8 +432,6 @@ def _verify_suites(rng, trials):
     a row's own range (its split levels, its stored envelope) are masked
     with the row's support.
     """
-    from .engine import Check
-
     suites = []
 
     def run_suite(name, bounds):
@@ -608,13 +605,15 @@ def _cmd_flow(config, outdir):
     data = [flows.sinusoid_datum(cfg.grid_size, alpha, beta) for alpha, beta in members]
     bank = build_filters(cfg.grid_size)
     family = [decompose(u, bank) for u in data]
-    verified = verify_map(flows.flow_as_sequence_map(cfg, bank), family, scale)
+    # the trajectory of the rebuilt probe datum, from the solve that maps it
+    kept = {family[0].key: None}
+    verified = verify_map(flows.flow_as_sequence_map(cfg, bank, kept), family, scale)
     continuity = verified.continuity
     failures = _failure_records(verified.checks) + (
         [] if continuity.trend_ok else [{"check": "continuity_trend"}]
     )
 
-    (traj,) = flows.make_flow(cfg)([data[0]])
+    traj = kept[family[0].key]
     tails = flows.time_continuity_modulus(traj, s, bank)
 
     dump_csv(

@@ -27,6 +27,10 @@ blocks, and one sequence ``f`` is evaluated as the one-row batch
 ``f.block_norms[None]``.  Past a row's support every closed-form summand is
 exactly geometric, so zero padding changes values only at rounding level;
 rows of one width evaluate bit for bit as they would one at a time.
+
+Every bound that a caller checks, here or in the verification engine,
+is one :class:`Check` row ``lhs <= rhs``; a row fails when lhs exceeds rhs
+beyond the relative rounding slack ``SLACK``.
 """
 from __future__ import annotations
 
@@ -41,6 +45,8 @@ import numpy as np
 from .pseudonorm import PseudoNormedSpace, eval_pseudo_norm, scalar_abs_space
 
 __all__ = [
+    "SLACK",
+    "Check",
     "DyadicSequence",
     "dyadic_norm",
     "truncate",
@@ -390,6 +396,29 @@ def truncate(f, n):
     if "block_norms" in f.__dict__:  # so the head evaluates no block norms again
         head.__dict__["block_norms"] = f.block_norms[: n + 1]
     return head
+
+
+# relative rounding slack allowed on every lhs <= rhs check
+SLACK = 1e-9
+
+
+@dataclass(frozen=True, slots=True)
+class Check:
+    """One bound ``lhs <= rhs`` of a check family at a named index.
+
+    ``index`` is a tuple of (name, integer) pairs, such as ``(("n", 3),)``
+    or ``(("n", 3), ("m", 5))``.
+    """
+
+    family: str
+    index: tuple
+    lhs: float
+    rhs: float
+
+    @property
+    def failed(self) -> bool:
+        """True when lhs exceeds rhs beyond the relative SLACK."""
+        return self.lhs > self.rhs * (1.0 + SLACK)
 
 
 def smoothing_gain(f, r, rp, q, n):

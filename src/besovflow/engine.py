@@ -14,11 +14,13 @@ Given a map Phi defined on a ball of a dyadic sequence space, the engine
   4. probes continuity directly on a ladder of perturbation scales.
 
 :func:`verify_map` runs these four steps as one protocol on a family of
-data; the ``flow`` command and the demos call it.
+data, with every input it maps in one request; the ``flow`` command and
+the demos call it.
 
 Every bound of steps 2 and 3, and the hypothesis bounds themselves, comes
-back as a list of :class:`Check` rows ``lhs <= rhs``; a row fails when lhs
-exceeds rhs beyond the relative rounding slack ``SLACK``.
+back as a list of :class:`besovflow.dyadic.Check` rows ``lhs <= rhs``; a
+row fails when lhs exceeds rhs beyond the relative rounding slack
+``besovflow.dyadic.SLACK``.
 
 The inputs are grid sequences; an image Phi(v) is a row of block norms
 (||Delta_j Phi(v)||)_j, and the adapter returns the images of one request
@@ -41,12 +43,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicSequence, dyadic_norm, truncate
+from .dyadic import Check, DyadicSequence, dyadic_norm, truncate
 from .envelope import c_tail_lq, compute_envelope
 
 __all__ = [
-    "SLACK",
-    "Check",
     "BallViolationError",
     "FlowMapAdapter",
     "HypothesisReport",
@@ -56,6 +56,7 @@ __all__ = [
     "convergence_report",
     "ContinuityRow",
     "ContinuityReport",
+    "perturbations",
     "continuity_probe",
     "INFLATION",
     "PERTURBATION_SCALES",
@@ -66,32 +67,10 @@ __all__ = [
 ZERO_DENOMINATOR = 1e-14  # pairs closer than this are excluded from ratios
 CONTINUITY_FLOOR = 1e-9
 
-# relative rounding slack allowed on every lhs <= rhs check
-SLACK = 1e-9
-
 # safety factor on the sampled constants before the bound checks
 INFLATION = 1.1
 # perturbation sizes of the continuity probe, largest first
 PERTURBATION_SCALES = (1e-1, 1e-2, 1e-3)
-
-
-@dataclass(frozen=True, slots=True)
-class Check:
-    """One bound ``lhs <= rhs`` of a check family at a named index.
-
-    ``index`` is a tuple of (name, integer) pairs, such as ``(("n", 3),)``
-    or ``(("n", 3), ("m", 5))``.
-    """
-
-    family: str
-    index: tuple
-    lhs: float
-    rhs: float
-
-    @property
-    def failed(self) -> bool:
-        """True when lhs exceeds rhs beyond the relative SLACK."""
-        return self.lhs > self.rhs * (1.0 + SLACK)
 
 
 class BallViolationError(ValueError):
@@ -221,6 +200,7 @@ def _truncation_family(f: DyadicSequence) -> list:
 def estimate_constants(
     adapter: FlowMapAdapter,
     samples: Sequence[tuple],
+    alongside: Sequence[DyadicSequence] = (),
 ) -> HypothesisReport:
     """Estimate the weak-Lipschitz and tame constants from sample pairs.
 
@@ -230,7 +210,9 @@ def estimate_constants(
     ||Phi(v)||_{s1,inf} / ||v||_{s1,1} over all truncations of the sampled
     elements, the smooth class on which a tame estimate is assumed.  Every
     pair member and truncation that enters a ratio is mapped in one request,
-    and every pair member is checked against the ball once.
+    and every pair member is checked against the ball once.  The sequences
+    ``alongside`` join that request, so a later step reads their images
+    from the memo; they enter no ratio.
     """
     samples = list(samples)
     if not samples:
@@ -255,6 +237,8 @@ def estimate_constants(
             tame.append((smooth, denom))
 
     request = [f for v, w, _ in lipschitz for f in (v, w)] + [f for f, _ in tame]
+    pairs_end, tame_end = 2 * len(lipschitz), len(request)
+    request += alongside
     # the request checks every sequence it maps against the ball, once; each
     # pair member is in its own truncation family (S_{support-1} f is f), so
     # only a member with a near-zero s1 norm is left to check here
@@ -263,14 +247,13 @@ def estimate_constants(
     for f in unmapped.values():
         adapter.check_ball(f)
     images = adapter(request)
-    pairs_end = 2 * len(lipschitz)
     c0 = c1 = 0.0
     if lipschitz:
         differences = np.abs(images[0:pairs_end:2] - images[1:pairs_end:2])
         lhs = dyadic_norm(differences, (adapter.s0, math.inf))
         c0 = float(np.max(lhs / [denom for _, _, denom in lipschitz]))
     if tame:
-        lhs = dyadic_norm(images[pairs_end:], (adapter.s1, math.inf))
+        lhs = dyadic_norm(images[pairs_end:tame_end], (adapter.s1, math.inf))
         c1 = float(np.max(lhs / [denom for _, denom in tame]))
 
     return HypothesisReport(
@@ -378,22 +361,17 @@ class ContinuityReport:
     trend_ok: bool
 
 
-def continuity_probe(
+def perturbations(
     adapter: FlowMapAdapter,
     f: DyadicSequence,
     perturbation_scales: Sequence[float],
     directions: Sequence[DyadicSequence],
-) -> ContinuityReport:
-    """Drive perturbations of f through Phi and record the distance pairs.
+) -> list:
+    """The continuity probes f + eps g as (eps, direction index, probe) triples.
 
     Each direction g is normalized to unit ||g||_{s,q} (a zero direction
-    raises ``ValueError``).  For every scale eps and unit direction the
-    probe evaluates ||(f + eps g) - f||_{s,q} against
-    ||Phi(f + eps g) - Phi(f)||_{s,q}.  Continuity gives no rate, so the
-    verdict compares batch extremes: the largest output distance at the
-    smallest scale must lie below the smallest output distance at the
-    largest scale (or both below the absolute floor).  f and all perturbed
-    inputs must lie inside the ball.
+    raises ``ValueError``).  The distinct scales run largest first, each
+    over every direction in order.
     """
     units = []
     for g in directions:
@@ -402,11 +380,26 @@ def continuity_probe(
             raise ValueError("a continuity direction must be nonzero")
         units.append(g * (1.0 / norm))
     scales = sorted(set(float(s) for s in perturbation_scales), reverse=True)
-    probes = [
-        (eps, d_index, f + g * eps)
-        for eps in scales
-        for d_index, g in enumerate(units)
-    ]
+    return [(eps, d_index, f + g * eps) for eps in scales for d_index, g in enumerate(units)]
+
+
+def continuity_probe(
+    adapter: FlowMapAdapter,
+    f: DyadicSequence,
+    probes: Sequence[tuple],
+) -> ContinuityReport:
+    """Drive perturbations of f through Phi and record the distance pairs.
+
+    ``probes`` are the (eps, direction index, f + eps g) triples of
+    :func:`perturbations`; their images come from one request with f, so
+    probes an earlier request mapped are read from the memo.  For every
+    probe the report holds ||(f + eps g) - f||_{s,q} against
+    ||Phi(f + eps g) - Phi(f)||_{s,q}.  Continuity gives no rate, so the
+    verdict compares batch extremes: the largest output distance at the
+    smallest scale must lie below the smallest output distance at the
+    largest scale (or both below the absolute floor).  f and all perturbed
+    inputs must lie inside the ball.
+    """
     images = adapter([f] + [perturbed for _, _, perturbed in probes])
     output = dyadic_norm(np.abs(images[1:] - images[0]), (adapter.s, adapter.q)).tolist()
     rows = [
@@ -420,6 +413,7 @@ def continuity_probe(
         )
         for (eps, d_index, perturbed), distance in zip(probes, output)
     ]
+    scales = sorted({row.scale for row in rows}, reverse=True)
     trend_ok = True
     if len(scales) >= 2:
         largest = [r.output_distance for r in rows if r.scale == scales[0]]
@@ -467,23 +461,32 @@ def verify_map(phi: Callable, family: Sequence, scale: tuple) -> MapVerification
     the ``high``/``low`` rows, the block decay profile and the convergence
     rows are checked at the levels 0 .. K, and continuity is probed at
     ``PERTURBATION_SCALES`` toward family[1] (along f for a family of one).
+
+    The probes are built first, so a zero direction raises ``ValueError``
+    before Phi is called, and they join the constants' request.  That
+    request holds the family members, the truncations S_n f, n <= K, and
+    the probes, so it maps in a single call of ``phi`` every input the
+    protocol reads, and the later steps read their images from the memo.
+    Only an input that enters no ratio, such as S_0 f when blocks 0 and 1
+    of f both vanish, is left to the step that reads it.
     """
     s0, s, s1, q = scale
     largest = max(float(dyadic_norm(f.block_norms[None], (s, q))[0]) for f in family)
     radius = max(2.0 * largest, largest + 2.0 * max(PERTURBATION_SCALES))
     adapter = FlowMapAdapter(phi=phi, radius=radius, s0=s0, s=s, s1=s1, q=q)
     probe = family[0]
+    direction = family[1] - probe if len(family) > 1 else probe
+    probes = perturbations(adapter, probe, PERTURBATION_SCALES, [direction])
     pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]
     pairs += [
         (truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.last_index)
     ]
-    raw = estimate_constants(adapter, pairs)
+    raw = estimate_constants(adapter, pairs, [perturbed for _, _, perturbed in probes])
     checked = raw.inflated(INFLATION)
     checks = (
         high_low_rows(adapter, probe, checked)
         + block_decay_profile(adapter, probe, checked)
         + convergence_report(adapter, probe, checked)
     )
-    direction = family[1] - probe if len(family) > 1 else probe
-    continuity = continuity_probe(adapter, probe, PERTURBATION_SCALES, [direction])
+    continuity = continuity_probe(adapter, probe, probes)
     return MapVerification(raw, checked, tuple(checks), continuity, radius)

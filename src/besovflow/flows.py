@@ -15,9 +15,12 @@ summed by Plancherel, so no slice is decomposed.  An image is that row of
 block norms, a float array.  Transport conserves every block norm, so its
 images are the data's own block norms, without a trajectory; Burgers is
 solved in groups of data and its images are summed from the real-FFT half
-spectra of the time slices.  Chemin-Lerner norms (take each block's sup in
-time first, then sum blocks in l^2) and the block tails behind the
-continuity-in-time check live here as well.
+spectra of the time slices.  A caller that needs the trajectory of a
+datum it maps names the datum's key, and the map hands over the
+trajectory of the solve that made its image, so no datum is solved
+twice.  Chemin-Lerner norms (take each block's sup in time first, then
+sum blocks in l^2) and the block tails behind the continuity-in-time
+check live here as well.
 """
 from __future__ import annotations
 
@@ -527,7 +530,9 @@ def sup_time_sobolev_norm(traj: Trajectory, s: float) -> float:
 _FEET_PER_SWEEP = 2048
 
 
-def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], list]:
+def flow_as_sequence_map(
+    cfg: FlowConfig, bank: FilterBank, kept: dict | None = None
+) -> Callable[[list], list]:
     """Conjugate the configured flow with decompose/reconstruct into a sequence map.
 
     The map takes a list of block sequences of initial data, rebuilds the
@@ -544,6 +549,13 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], 
     one Newton sweep covers about 2048 feet and only one group's
     trajectories are held at a time.
 
+    ``kept`` is a caller's dict from sequence keys to ``None``: when the
+    map solves a sequence whose key it holds, it stores the trajectory of
+    the rebuilt datum there, so a caller that needs a trajectory reads it
+    from the solve that made the image.  A Burgers trajectory is the one
+    its group's solve made; transport builds only the kept data's
+    trajectories, one flow call each.
+
     The engine measures an image difference as
     |‖Delta_j Phi(v)‖ - ‖Delta_j Phi(w)‖|, which is at most
     ‖Delta_j(Phi(v) - Phi(w))‖, and holds the ball on which the map is
@@ -553,6 +565,8 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], 
         raise GridMismatchError(
             f"config grid {cfg.grid_size} does not match bank {bank.grid_size}"
         )
+    flow = make_flow(cfg)
+    kept = {} if kept is None else kept
     transport = cfg.flow_kind == "transport"
     group = max(1, _FEET_PER_SWEEP // cfg.grid_size)
 
@@ -560,13 +574,21 @@ def flow_as_sequence_map(cfg: FlowConfig, bank: FilterBank) -> Callable[[list], 
         images = []
         step = max(1, len(sequences)) if transport else group
         for start in range(0, len(sequences), step):
-            data = [reconstruct(f, bank) for f in sequences[start : start + step]]
+            chunk = sequences[start : start + step]
+            data = [reconstruct(f, bank) for f in chunk]
             if transport:
                 energies = _weighted_energy(np.fft.rfft(_stack(data), axis=1), bank.multipliers**2)
                 images.extend(_frozen(np.sqrt(energies.T, order="C")))
+                for f, datum in zip(chunk, data):
+                    if kept and f.key in kept:
+                        (kept[f.key],) = flow([datum])
             else:
-                for traj in burgers_flow(data, cfg):
+                # traj outlives the loop, so the next group's solve reuses
+                # the heap this group's arrays leave behind
+                for f, traj in zip(chunk, flow(data)):
                     images.append(_frozen(block_time_norms(traj, bank)))
+                    if kept and f.key in kept:
+                        kept[f.key] = traj
         return images
 
     return phi

@@ -20,10 +20,10 @@ frequency set, so decompose/reconstruct invert each other to rounding.
 
 psi is built by mollifying the indicator of {|xi| <= 7/8} with a compactly
 supported bump of radius 1/8 (profile exp(-1/(1-t^2))), evaluated by a fixed
-64-node Gauss-Legendre rule on the ramp 3/4 < |xi| < 1 only.  The whole bank
-is sampled from one stack of dilations psi(2^e xi) on the frequencies
-0 .. N/2 returned by :func:`frequencies`, the one frequency grid that the
-rest of the package shares.
+64-node Gauss-Legendre rule, a literal table, on the ramp 3/4 < |xi| < 1
+only.  The whole bank is sampled from one stack of dilations psi(2^e xi)
+on the frequencies 0 .. N/2 returned by :func:`frequencies`, the one
+frequency grid that the rest of the package shares.
 """
 from __future__ import annotations
 
@@ -158,11 +158,32 @@ def frequencies(n: int) -> np.ndarray:
 
 # --- radial filter profiles -------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gauss_legendre() -> tuple:
-    """Nodes and weights of the 64-node Gauss-Legendre rule, built on first use."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    return _frozen(nodes), _frozen(weights)
+# The 64-node Gauss-Legendre rule on [-1, 1], nodes ascending.  The rule is
+# symmetric, so the table holds the 32 positive nodes and their weights and
+# the negative half is their mirror image, exactly as
+# numpy.polynomial.legendre.leggauss(64) returns it.
+_GL_POSITIVE_NODES = (
+    0.02435029266342443, 0.07299312178779904, 0.12146281929612054, 0.16964442042399283,
+    0.21742364374000708, 0.2646871622087674, 0.31132287199021097, 0.3572201583376681,
+    0.4022701579639916, 0.4463660172534641, 0.48940314570705296, 0.5312794640198946,
+    0.571895646202634, 0.6111553551723933, 0.6489654712546573, 0.6852363130542333,
+    0.7198818501716109, 0.7528199072605319, 0.7839723589433414, 0.8132653151227975,
+    0.8406292962525803, 0.8659993981540928, 0.8893154459951141, 0.9105221370785028,
+    0.9295691721319396, 0.9464113748584028, 0.9610087996520538, 0.973326827789911,
+    0.983336253884626, 0.9910133714767443, 0.9963401167719552, 0.9993050417357722,
+)
+_GL_POSITIVE_WEIGHTS = (
+    0.048690957009139814, 0.04857546744150351, 0.048344762234802996, 0.04799938859645842,
+    0.04754016571483042, 0.046968182816210076, 0.04628479658131447, 0.045491627927418184,
+    0.044590558163756566, 0.04358372452932355, 0.04247351512365361, 0.041262563242623576,
+    0.039953741132720544, 0.03855015317861564, 0.03705512854024009, 0.0354722132568823,
+    0.033805161837141794, 0.032057928354851495, 0.030234657072402554, 0.028339672614259535,
+    0.02637746971505491, 0.0243527025687112, 0.02227017380838297, 0.020134823153530088,
+    0.017951715775697284, 0.01572603047602503, 0.01346304789671786, 0.011168139460131028,
+    0.008846759826363397, 0.006504457968978502, 0.004147033260564499, 0.00178328072169414,
+)
+_GL_NODES = _frozen(np.concatenate((-np.array(_GL_POSITIVE_NODES[::-1]), _GL_POSITIVE_NODES)))
+_GL_WEIGHTS = _frozen(np.array(_GL_POSITIVE_WEIGHTS[::-1] + _GL_POSITIVE_WEIGHTS))
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -175,10 +196,9 @@ def _bump(t: np.ndarray) -> np.ndarray:
 
 def _bump_tail(a: np.ndarray) -> np.ndarray:
     """Integral of the bump over [a, 1] for each entry of a 1-D array a."""
-    nodes, weights = _gauss_legendre()
     half_width = 0.5 * (1.0 - a)
-    x = half_width[:, None] * nodes + (0.5 * (a + 1.0))[:, None]
-    return half_width * np.sum(weights * _bump(x), axis=1)
+    x = half_width[:, None] * _GL_NODES + (0.5 * (a + 1.0))[:, None]
+    return half_width * np.sum(_GL_WEIGHTS * _bump(x), axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,11 @@ import pytest
 from besovflow.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_IO, EXIT_OK, EXIT_STALL, main
 from besovflow.littlewood_paley import (
     GridFunction,
+    build_filters,
+    decompose,
+    load_grid_function,
     random_grid_function,
+    reconstruct,
     save_grid_function,
 )
 
@@ -177,7 +181,11 @@ class TestCommands:
         # re-pinned again when transport images became the data's block norms
         # at t = 0, which no later time exceeds: the largest |d| / max(1, |x|)
         # is 4.3e-16 in decay_profile.csv, 3.5e-16 in convergence.csv,
-        # 2.7e-16 in flow_report.json and 2.4e-16 in continuity.csv
+        # 2.7e-16 in flow_report.json and 2.4e-16 in continuity.csv.
+        # flow_report.json was re-pinned when its trajectory began to come
+        # from the sequence map's solve of the reconstructed probe datum
+        # instead of a second solve of the sampled datum: only
+        # block_sup_square_tails moved, by at most 3.0e-28 in |d| / max(1, |x|)
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -200,7 +208,7 @@ class TestCommands:
             "continuity.csv": "89d707bc24692065981736ce43d8d626460c81a684a7639a829fd9d2adad427b",
             "convergence.csv": "950a18e053b50bddfe41b34767c4a264d85863f9cb4fa6b4f09dce89d7162eee",
             "decay_profile.csv": "e96d6d53a713bcfce0e0c52a20dc2cc7dda8411d4e4d2750c6b01f83035c5a74",
-            "flow_report.json": "e109afd15904747d8762845bb64fa93080f2b0efe2de72329b5f1fb4dba40474",
+            "flow_report.json": "14732562d23bf9142b1a59f36defba80019139bad0b7b1fc4e85dfcfdc2a3a12",
         }
 
     def test_verify_detects_a_broken_interpolation_bound(self, tmp_path, monkeypatch):
@@ -484,6 +492,67 @@ class TestCommands:
         assert (out / "continuity.csv").exists()
 
 
+class TestFlowSolvesEachDatumOnce:
+    """A flow op solves each distinct datum once and saves the trajectory of that solve."""
+
+    # alpha sin x + beta sin 2x with T / T* from 0.31 to 0.55 at T = 0.5
+    FAMILY = [
+        {"alpha": 0.9, "beta": -0.1},
+        {"alpha": -0.85, "beta": 0.2},
+        {"alpha": 0.8, "beta": -0.05},
+        {"alpha": 0.95},
+    ]
+
+    def test_burgers_groups_hold_every_datum_once(self, tmp_path, monkeypatch):
+        import besovflow.flows as flows
+
+        sizes = []
+        solve = flows.burgers_flow
+
+        def recorded(data, cfg):
+            sizes.append(len(data))
+            return solve(data, cfg)
+
+        monkeypatch.setattr(flows, "burgers_flow", recorded)
+        payload = {
+            **_flow_payload(kind="burgers", T=0.5, time_steps=16, family=self.FAMILY),
+            "grid_size": 256,
+            "io": {"trajectory_dir": "trajectory"},
+        }
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
+        # 33 pair members and truncations plus 3 probes in groups of 2048 // 256,
+        # and no solo solve for the trajectory
+        assert sizes == [8, 8, 8, 8, 4]
+
+    @pytest.mark.parametrize("kind", ["transport", "burgers"])
+    def test_trajectory_and_tails_are_the_reconstructed_probe_datum(self, tmp_path, kind):
+        from besovflow.flows import (
+            FlowConfig,
+            make_flow,
+            sinusoid_datum,
+            time_continuity_modulus,
+        )
+
+        payload = {
+            **_flow_payload(kind=kind, T=0.5, time_steps=16, family=self.FAMILY),
+            "grid_size": 64,
+            "scale": {"s0": 0.0, "s": 2.0, "s1": 3.0, "q": 2.0},
+            "io": {"trajectory_dir": "trajectory"},
+        }
+        cfg, out = write_config(tmp_path / "c.json", payload), tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        bank = build_filters(64)
+        probe = decompose(sinusoid_datum(64, 0.9, -0.1), bank)
+        (traj,) = make_flow(FlowConfig(64, 0.5, 16, kind))([reconstruct(probe, bank)])
+        report = json.loads((out / "flow_report.json").read_text(encoding="utf-8"))
+        tails = time_continuity_modulus(traj, 2.0, bank)
+        assert report["block_sup_square_tails"] == tails.tolist()
+        for index, state in enumerate(traj.states):
+            saved = load_grid_function(out / "trajectory" / f"state_{index:04d}.gfn")
+            assert saved.values.tobytes() == state.values.tobytes()
+
+
 class TestFailureRecords:
     def test_level_failing_high_and_low_gives_two_records(self):
         from besovflow.cli import _failure_records
@@ -511,7 +580,7 @@ class TestFailureRecords:
 
     def test_records_keep_first_seen_order(self):
         from besovflow.cli import _failure_records
-        from besovflow.engine import Check
+        from besovflow.dyadic import Check
 
         # each record holds its worst failing row: the largest lhs/rhs, where a
         # positive lhs over rhs = 0 counts as infinite
@@ -874,7 +943,7 @@ class TestNumericalStall:
 
 
 class TestCommandImports:
-    """A spectral command loads neither the flow stack nor the engine."""
+    """A spectral, verify or envelope command loads neither the flow stack nor the engine."""
 
     SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -907,7 +976,25 @@ class TestCommandImports:
             )
             runs.append(f"main(['--config', {cfg!r}, '--out', {str(tmp_path)!r}, '--quiet'])")
         code = "from besovflow.cli import main; " + "; ".join(runs)
-        assert self.loaded_after(code) == ["numpy.polynomial"]  # the filter profile's rule
+        assert self.loaded_after(code) == []
+
+    def test_verify_and_envelope_load_no_engine(self, tmp_path):
+        # their bound rows are dyadic.Check rows, so neither command loads the engine
+        grid_path = tmp_path / "u.gfn"
+        save_grid_function(grid_path, random_grid_function(np.random.default_rng(0), 64))
+        configs = {
+            "verify": {"trials": 4},
+            "envelope": {"io": {"input": str(grid_path)}},
+        }
+        runs = []
+        for command, keys in configs.items():
+            cfg = write_config(
+                tmp_path / f"{command}.json", {"schema_version": 1, "command": command, **keys}
+            )
+            out = str(tmp_path / command)
+            runs.append(f"main(['--config', {cfg!r}, '--out', {out!r}, '--quiet'])")
+        code = "from besovflow.cli import main; assert [" + ", ".join(runs) + "] == [0, 0]"
+        assert self.loaded_after(code) == []
 
     def test_only_drawing_commands_import_numpy_random(self, tmp_path):
         def loads_random(code):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besovflow.dyadic import (
+    SLACK,
+    Check,
     DyadicSequence,
     dyadic_norm,
     interpolation_bound,
@@ -12,9 +14,7 @@ from besovflow.dyadic import (
     truncate,
 )
 from besovflow.engine import (
-    SLACK,
     BallViolationError,
-    Check,
     FlowMapAdapter,
     HypothesisReport,
     MapVerification,
@@ -23,6 +23,7 @@ from besovflow.engine import (
     convergence_report,
     estimate_constants,
     high_low_rows,
+    perturbations,
     verify_map,
 )
 from besovflow.littlewood_paley import build_filters, decompose, random_grid_function
@@ -145,7 +146,7 @@ class TestAdapter:
         adapter([truncate(twin, 0), seq(0.25), f])  # two memoized, one new
         assert checked == [f.key, truncate(f, 0).key, seq(0.25).key]
         convergence_report(adapter, f, HypothesisReport(1.0, 1.0, 0.0, 1.0, 2.0, 1))
-        continuity_probe(adapter, f, [1e-1, 1e-2], [f])
+        continuity_probe(adapter, f, perturbations(adapter, f, [1e-1, 1e-2], [f]))
         # f and its truncations were mapped already: only the perturbations are new
         assert len(checked) == 3 + 2 and len(set(checked)) == len(checked)
 
@@ -327,14 +328,15 @@ class TestContinuityProbe:
     def test_zero_scale_gives_zero_distance(self, rng):
         adapter = identity_adapter()
         f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
-        report = continuity_probe(adapter, f, [0.0], [f])
+        report = continuity_probe(adapter, f, perturbations(adapter, f, [0.0], [f]))
         assert all(row.output_distance == 0.0 for row in report.rows)
 
     def test_identity_preserves_distances(self, rng):
         adapter = identity_adapter()
         f = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
         g = small_sequences(rng, 1, adapter.radius, adapter.s, adapter.q)[0]
-        report = continuity_probe(adapter, f, [1e-1, 1e-2, 1e-3], [f, g * 3.0])
+        probes = perturbations(adapter, f, [1e-1, 1e-2, 1e-3], [f, g * 3.0])
+        report = continuity_probe(adapter, f, probes)
         assert [row.direction for row in report.rows] == [0, 1] * 3
         for row in report.rows:  # each direction is normalized in the (s, q) norm
             assert row.input_distance == pytest.approx(row.scale, rel=1e-12)
@@ -345,12 +347,12 @@ class TestContinuityProbe:
         f = seq(1.0)
         adapter = identity_adapter(radius=1.01)
         with pytest.raises(BallViolationError):
-            continuity_probe(adapter, f, [1.0], [f])
+            continuity_probe(adapter, f, perturbations(adapter, f, [1.0], [f]))
 
     def test_zero_direction_rejected(self):
         f = seq(1.0, 0.5)
         with pytest.raises(ValueError, match="nonzero"):
-            continuity_probe(identity_adapter(), f, [1e-1], [f - seq(1.0, 0.5)])
+            perturbations(identity_adapter(), f, [1e-1], [f - seq(1.0, 0.5)])
 
 
 class TestVerifyMap:
@@ -384,20 +386,52 @@ class TestVerifyMap:
         assert verified.radius == max(2.0 * largest, largest + 0.2)
         adapter = recording(direct)(phi=phi, radius=verified.radius, s0=0, s=1, s1=2, q=2.0)
         probe = family[0]
+        # toward member 1, or along the probe for a family of one; the probes
+        # ride with the constants' request
+        direction = family[1] - probe if members > 1 else probe
+        probes = perturbations(adapter, probe, [1e-1, 1e-2, 1e-3], [direction])
         pairs = [(family[i], family[j]) for i in range(members) for j in range(i)]
         pairs += [(truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.last_index)]
-        raw = estimate_constants(adapter, pairs)
+        raw = estimate_constants(adapter, pairs, [perturbed for _, _, perturbed in probes])
         checked = raw.inflated(1.1)
         checks = [
             *high_low_rows(adapter, probe, checked),
             *block_decay_profile(adapter, probe, checked),
             *convergence_report(adapter, probe, checked),
         ]
-        # toward member 1, or along the probe for a family of one
-        direction = family[1] - probe if members > 1 else probe
-        continuity = continuity_probe(adapter, probe, [1e-1, 1e-2, 1e-3], [direction])
+        continuity = continuity_probe(adapter, probe, probes)
         assert via == direct
         assert verified == MapVerification(raw, checked, tuple(checks), continuity, verified.radius)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_one_phi_call_maps_what_the_five_steps_map_one_by_one(self, rng, members):
+        family = [f for f in small_sequences(rng, 12, 100.0, 1.0, 2.0) if f.support >= 3]
+        family = family[:members]
+        gains = np.linspace(0.6, 1.4, WIDTH)
+        calls = []
+
+        def phi(fs):
+            calls.append([f.key for f in fs])
+            return [padded(f) * gains for f in fs]
+
+        verified = verify_map(phi, family, (0, 1, 2, 2.0))
+        assert len(calls) == 1 and len(set(calls[0])) == len(calls[0])
+        (joint,) = calls
+        # the same steps, each mapping its own request, the probes last
+        calls.clear()
+        adapter = FlowMapAdapter(phi=phi, radius=verified.radius, s0=0, s=1, s1=2, q=2.0)
+        probe = family[0]
+        pairs = [(family[i], family[j]) for i in range(members) for j in range(i)]
+        pairs += [(truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.last_index)]
+        checked = estimate_constants(adapter, pairs).inflated(1.1)
+        high_low_rows(adapter, probe, checked)
+        block_decay_profile(adapter, probe, checked)
+        convergence_report(adapter, probe, checked)
+        direction = family[1] - probe if members > 1 else probe
+        probes = perturbations(adapter, probe, [1e-1, 1e-2, 1e-3], [direction])
+        continuity_probe(adapter, probe, probes)
+        assert len(calls) == 2
+        assert set(joint) == {key for call in calls for key in call}
 
     @pytest.mark.parametrize("largest, radius", [(1.0, 2.0), (0.05, 0.25)])
     def test_radius_is_the_larger_of_the_two_rules(self, rng, largest, radius):

@@ -30,6 +30,8 @@ from besovflow.littlewood_paley import (
     save_grid_function,
     smooth_cutoff,
     sobolev_norm,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _power_law_scales,
     _weighted_energy,
 )
@@ -75,6 +77,13 @@ class TestFilterProfiles:
         samples = smooth_cutoff(np.linspace(0.74, 1.01, 200))
         assert np.all(np.diff(samples) <= 1e-12)
         assert np.all((samples >= 0.0) & (samples <= 1.0))
+
+    def test_gauss_legendre_table_is_leggauss_64(self):
+        # the literal half table, mirrored, is numpy's 64-node rule bit for bit
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+        assert not (_GL_NODES.flags.writeable or _GL_WEIGHTS.flags.writeable)
 
     def test_cutoff_keeps_scalar_and_array_shapes(self):
         assert type(smooth_cutoff(0.875)) is float
