@@ -127,12 +127,12 @@ def _failure_records(checks) -> list:
     """One ``{"check": family, **index, "lhs", "rhs"}`` record per failing (family, index).
 
     Records keep first-seen order and hold the worst failing row: the largest
-    lhs/rhs, where a positive lhs over rhs = 0 counts as infinite.
+    lhs/rhs, where a positive lhs over rhs = 0, or a NaN side, counts as infinite.
     """
     worst = {}
     for c in checks:
         if c.failed:
-            ratio = c.lhs / c.rhs if c.rhs > 0 else math.inf
+            ratio = c.lhs / c.rhs if c.rhs > 0 and not math.isnan(c.lhs) else math.inf
             if ratio > worst.get((c.family, c.index), (-math.inf,))[0]:
                 worst[c.family, c.index] = (ratio, c)
     return [
@@ -438,18 +438,19 @@ def _verify_suites(rng, trials):
         """Check rows of ``bounds(size)`` chunk by chunk; failures are violations.
 
         ``bounds`` returns, per check of a trial, an (lhs, rhs) pair or
-        (lhs, rhs, level) triple of arrays with one entry per trial.
+        (lhs, rhs, level) triple of arrays with one entry per trial; the
+        rule fails whole columns, and only a failing entry becomes a ``Check``.
         """
 
-        def checks():  # made chunk by chunk as the failure records consume them
+        def checks():  # the failing rows, trial by trial, each trial's in check order
             for start in range(0, trials, VERIFY_CHUNK):
-                size = min(VERIFY_CHUNK, trials - start)
-                columns = [[a.tolist() for a in check] for check in bounds(size)]
-                for row in range(size):
-                    trial = (("trial", start + row),)
-                    for lhs, rhs, *level in columns:
-                        index = trial + tuple(("n", n[row]) for n in level)
-                        yield Check(name, index, lhs[row], rhs[row])
+                columns = bounds(min(VERIFY_CHUNK, trials - start))
+                failing = np.stack([dyadic.fails(lhs, rhs) for lhs, rhs, *_ in columns], axis=1)
+                for row, column in zip(*np.nonzero(failing)):
+                    lhs, rhs, *level = columns[column]
+                    trial = (("trial", start + int(row)),)
+                    index = trial + tuple(("n", int(n[row])) for n in level)
+                    yield Check(name, index, float(lhs[row]), float(rhs[row]))
 
         suites.append({"name": name, "trials": trials, "violations": _failure_records(checks())})
 

@@ -29,8 +29,8 @@ exactly geometric, so zero padding changes values only at rounding level;
 rows of one width evaluate bit for bit as they would one at a time.
 
 Every bound that a caller checks, here or in the verification engine,
-is one :class:`Check` row ``lhs <= rhs``; a row fails when lhs exceeds rhs
-beyond the relative rounding slack ``SLACK``.
+is one :class:`Check` row ``lhs <= rhs``, and rows or whole columns
+:func:`fails` beyond the relative rounding slack ``SLACK`` or on a NaN.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .pseudonorm import PseudoNormedSpace, eval_pseudo_norm, scalar_abs_space
 __all__ = [
     "SLACK",
     "Check",
+    "fails",
     "DyadicSequence",
     "dyadic_norm",
     "truncate",
@@ -402,12 +404,16 @@ def truncate(f, n):
 SLACK = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Check:
+def fails(lhs, rhs):
+    """Whether lhs > rhs (1 + SLACK) or a side is NaN: a bool, or per entry of arrays."""
+    return (lhs <= rhs * (1.0 + SLACK)) ^ True  # negates a bool and a bool array alike
+
+
+class Check(NamedTuple):
     """One bound ``lhs <= rhs`` of a check family at a named index.
 
     ``index`` is a tuple of (name, integer) pairs, such as ``(("n", 3),)``
-    or ``(("n", 3), ("m", 5))``.
+    or ``(("n", 3), ("m", 5))``; the field shadows ``tuple.index``.
     """
 
     family: str
@@ -417,8 +423,8 @@ class Check:
 
     @property
     def failed(self) -> bool:
-        """True when lhs exceeds rhs beyond the relative SLACK."""
-        return self.lhs > self.rhs * (1.0 + SLACK)
+        """Whether the row :func:`fails`."""
+        return fails(self.lhs, self.rhs)
 
 
 def smoothing_gain(f, r, rp, q, n):

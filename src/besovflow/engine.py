@@ -19,8 +19,8 @@ the demos call it.
 
 Every bound of steps 2 and 3, and the hypothesis bounds themselves, comes
 back as a list of :class:`besovflow.dyadic.Check` rows ``lhs <= rhs``; a
-row fails when lhs exceeds rhs beyond the relative rounding slack
-``besovflow.dyadic.SLACK``.
+row fails by the one rule ``besovflow.dyadic.fails``, beyond the relative
+rounding slack ``SLACK`` or on a NaN side.
 
 The inputs are grid sequences; an image Phi(v) is a row of block norms
 (||Delta_j Phi(v)||)_j, and the adapter returns the images of one request
@@ -463,12 +463,10 @@ def verify_map(phi: Callable, family: Sequence, scale: tuple) -> MapVerification
     ``PERTURBATION_SCALES`` toward family[1] (along f for a family of one).
 
     The probes are built first, so a zero direction raises ``ValueError``
-    before Phi is called, and they join the constants' request.  That
-    request holds the family members, the truncations S_n f, n <= K, and
-    the probes, so it maps in a single call of ``phi`` every input the
-    protocol reads, and the later steps read their images from the memo.
-    Only an input that enters no ratio, such as S_0 f when blocks 0 and 1
-    of f both vanish, is left to the step that reads it.
+    before Phi is called.  They and every truncation S_n f, n <= K, join
+    the constants' request, whether or not they enter a ratio, so it maps
+    in a single call of ``phi`` every input the protocol reads, and the
+    later steps read their images from the memo.
     """
     s0, s, s1, q = scale
     largest = max(float(dyadic_norm(f.block_norms[None], (s, q))[0]) for f in family)
@@ -477,11 +475,10 @@ def verify_map(phi: Callable, family: Sequence, scale: tuple) -> MapVerification
     probe = family[0]
     direction = family[1] - probe if len(family) > 1 else probe
     probes = perturbations(adapter, probe, PERTURBATION_SCALES, [direction])
+    levels = [truncate(probe, n) for n in range(probe.support)]
     pairs = [(family[i], family[j]) for i in range(len(family)) for j in range(i)]
-    pairs += [
-        (truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.last_index)
-    ]
-    raw = estimate_constants(adapter, pairs, [perturbed for _, _, perturbed in probes])
+    pairs += list(zip(levels[1:], levels[:-1]))
+    raw = estimate_constants(adapter, pairs, levels + [perturbed for _, _, perturbed in probes])
     checked = raw.inflated(INFLATION)
     checks = (
         high_low_rows(adapter, probe, checked)

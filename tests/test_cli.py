@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -44,6 +45,36 @@ def with_row(values, source):
     values = np.array(values, dtype=float)
     values[PLANTED_ROW] = np.broadcast_to(source, values.shape)[PLANTED_ROW]
     return values
+
+
+def fail_every_row(monkeypatch):
+    """Corrupt three verify suites so that every trial fails.
+
+    truncation_power_sum fails its first check on even rows of a chunk and
+    its second on odd ones; envelope_equivalence fails both checks, the
+    first worse on even rows; interpolation_bound fails at its best level.
+    """
+    import besovflow.dyadic as dyadic
+    import besovflow.envelope as envelope
+
+    power, equivalence = dyadic.truncation_power_sum, envelope.envelope_equivalence
+    interpolation = dyadic.interpolation_bound
+
+    def power_sum(*args):
+        _, bound = power(*args)
+        return bound * np.where(np.arange(bound.size) % 2, 1 / 3, 3.0), bound
+
+    def equivalent(*args):
+        _, mid, _ = equivalence(*args)
+        return 3.0 * mid, mid, mid / np.where(np.arange(mid.size) % 2, 4.0, 2.0)
+
+    def interpolated(*args):
+        r = interpolation(*args)
+        return replace(r, actual=2.0 * (r.low + r.high).max(axis=1))
+
+    monkeypatch.setattr(dyadic, "truncation_power_sum", power_sum)
+    monkeypatch.setattr(envelope, "envelope_equivalence", equivalent)
+    monkeypatch.setattr(dyadic, "interpolation_bound", interpolated)
 
 
 class TestConfigValidation:
@@ -151,6 +182,23 @@ class TestCommands:
         assert main(["--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
         digest = hashlib.sha256((out / "verify_report.json").read_bytes()).hexdigest()
         assert digest == "df2d5eef1bc0f5c8dcc3154427cdf3939d79ecb354db988335b70184cc286074"
+
+    def test_failing_verify_report_is_pinned(self, tmp_path, monkeypatch):
+        # sha256 of the report written when every (trial, check) row was
+        # built as a Check: 600 records, each the worst of its trial's rows
+        fail_every_row(monkeypatch)
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"schema_version": 1, "command": "verify", "seed": 12, "trials": 200},
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        report = (out / "verify_report.json").read_bytes()
+        assert [len(s["violations"]) for s in json.loads(report)["suites"]] == [
+            0, 0, 200, 0, 200, 0, 200
+        ]
+        digest = hashlib.sha256(report).hexdigest()
+        assert digest == "842b27806729aefe96eb050f65a1f3b1a7bd55012ef910f400d65d7983f674b4"
 
     def test_filters_csv_is_pinned(self, tmp_path):
         # sha256 of the N = 64 table as written from the complex-FFT layout:
@@ -344,6 +392,16 @@ class TestCommands:
         # of the trial's two one-sided checks only value > bound fails
         record = {"check": "truncation_power_sum", "trial": 2, "lhs": max(pair), "rhs": min(pair)}
         assert report["failures"] == [{"suite": "truncation_power_sum", "violations": [record]}]
+
+    def test_verify_records_a_nan_row(self, tmp_path, monkeypatch):
+        report = self.run_planted_verify(
+            tmp_path, monkeypatch, "dyadic", "young_convolve",
+            lambda r: replace(r, norm=with_row(r.norm, math.nan)), 0,
+        )
+        [failure] = report["failures"]
+        [record] = failure["violations"]
+        assert failure["suite"] == record["check"] == "young_convolution"
+        assert record["trial"] == 2 and record["lhs"] == "nan" and record["rhs"] > 0
 
     def test_flow_detects_shrunken_constants(self, tmp_path, monkeypatch):
         import besovflow.engine as engine
@@ -593,12 +651,21 @@ class TestFailureRecords:
             Check("b", (("n", 1),), 9.0, 10.0),
             Check("b", (), 1e-300, 0.0),
             Check("b", (), 1e300, 1.0),
+            Check("c", (), 2.0, 1.0),
+            Check("c", (), math.nan, 1.0),
+            Check("c", (), 1e300, 1.0),
+            Check("d", (), 1.0, math.nan),
         ]
-        assert _failure_records(checks) == [
+        records = _failure_records(checks)
+        assert records[:3] == [
             {"check": "b", "n": 1, "lhs": 3.0, "rhs": 1.0},
             {"check": "a", "n": 0, "m": 3, "lhs": 2.0, "rhs": 1.0},
             {"check": "b", "lhs": 1e-300, "rhs": 0.0},
         ]
+        # a NaN side fails and ranks as infinite, above any finite ratio
+        c, d = records[3:]
+        assert c["check"] == "c" and math.isnan(c["lhs"]) and c["rhs"] == 1.0
+        assert d["check"] == "d" and d["lhs"] == 1.0 and math.isnan(d["rhs"])
 
 
 class TestExitStatus:
@@ -1132,6 +1199,49 @@ class TestBatchedVerify:
         assert built == []
         dyadic.DyadicSequence(grid_l2_space(8), np.ones((1, 8)))  # the count is live
         assert len(built) == 1
+
+    @staticmethod
+    def counted_checks(monkeypatch):
+        import besovflow.cli as cli
+
+        built = []
+
+        def counted(*args):
+            built.append(cli.dyadic.Check(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "Check", counted)
+        return built
+
+    def test_passing_sweeps_build_no_check_row(self, monkeypatch):
+        import besovflow.cli as cli
+
+        built = self.counted_checks(monkeypatch)
+        suites = cli._verify_suites(np.random.default_rng(3), 1000)
+        assert [s["violations"] for s in suites] == [[]] * 7
+        assert built == []
+
+    def test_a_failing_sweep_builds_only_its_failing_rows(self, monkeypatch):
+        import besovflow.cli as cli
+
+        fail_every_row(monkeypatch)
+        built = self.counted_checks(monkeypatch)
+        suites = cli._verify_suites(np.random.default_rng(12), 200)
+        # one failing power-sum check, two equivalence checks and one
+        # interpolation check per trial, trial by trial
+        assert [(c.family, c.index[0][1]) for c in built] == [
+            (name, trial)
+            for name, per in (
+                ("truncation_power_sum", 1), ("envelope_equivalence", 2),
+                ("interpolation_bound", 1),
+            )
+            for trial in range(200)
+            for _ in range(per)
+        ]
+        assert all(c.failed for c in built)
+        assert all(type(v) is float for c in built for v in (c.lhs, c.rhs))
+        assert all(type(n) is int for c in built for _, n in c.index)
+        assert sum(len(s["violations"]) for s in suites) == 600
 
     def test_random_sequence_is_a_read_only_batch(self):
         import besovflow.dyadic as dyadic

@@ -9,6 +9,7 @@ from besovflow.dyadic import (
     Check,
     DyadicSequence,
     dyadic_norm,
+    fails,
     interpolation_bound,
     random_sequence,
     truncate,
@@ -239,6 +240,26 @@ class TestCheck:
         assert Check("f", (), 1.0 + 2e-9, 1.0).failed
         assert not Check("f", (), 0.0, 0.0).failed
         assert Check("f", (), 1e-300, 0.0).failed
+        assert not Check("f", (), INF, INF).failed
+        assert Check("f", (), math.nan, 1.0).failed and Check("f", (), 1.0, math.nan).failed
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_columns_fail_entry_by_entry_as_rows(self, data):
+        # every float, plus signed zeros, infinities, NaN, subnormals and the
+        # neighbours of the slack edge rhs (1 + SLACK)
+        edges = [0.0, -0.0, INF, -INF, math.nan, 5e-324, -5e-324, 2.0**-1040]
+        values = st.floats() | st.sampled_from(edges)
+        rows = []
+        for rhs in data.draw(st.lists(values, min_size=1, max_size=8)):
+            edge = rhs * (1.0 + SLACK)
+            near = [edge, math.nextafter(edge, -INF), math.nextafter(edge, INF)]
+            rows.append((data.draw(values | st.sampled_from(near)), rhs))
+        lhs, rhs = np.array(rows).T
+        failed = [Check("f", (), *row).failed for row in rows]
+        assert all(type(f) is bool for f in failed)
+        with np.errstate(over="ignore"):  # rhs (1 + SLACK) may round up to inf, as for floats
+            assert fails(lhs, rhs).tolist() == failed
 
     def test_frozen_and_slotted(self):
         check = Check("f", (("n", 1),), 1.0, 2.0)
@@ -386,13 +407,14 @@ class TestVerifyMap:
         assert verified.radius == max(2.0 * largest, largest + 0.2)
         adapter = recording(direct)(phi=phi, radius=verified.radius, s0=0, s=1, s1=2, q=2.0)
         probe = family[0]
-        # toward member 1, or along the probe for a family of one; the probes
-        # ride with the constants' request
+        # toward member 1, or along the probe for a family of one; the
+        # truncations and the probes ride with the constants' request
         direction = family[1] - probe if members > 1 else probe
         probes = perturbations(adapter, probe, [1e-1, 1e-2, 1e-3], [direction])
+        levels = [truncate(probe, n) for n in range(probe.support)]
         pairs = [(family[i], family[j]) for i in range(members) for j in range(i)]
-        pairs += [(truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.last_index)]
-        raw = estimate_constants(adapter, pairs, [perturbed for _, _, perturbed in probes])
+        pairs += list(zip(levels[1:], levels[:-1]))
+        raw = estimate_constants(adapter, pairs, levels + [perturbed for _, _, perturbed in probes])
         checked = raw.inflated(1.1)
         checks = [
             *high_low_rows(adapter, probe, checked),
@@ -432,6 +454,19 @@ class TestVerifyMap:
         continuity_probe(adapter, probe, probes)
         assert len(calls) == 2
         assert set(joint) == {key for call in calls for key in call}
+
+    def test_a_truncation_in_no_ratio_shares_the_one_call(self):
+        # S_0 f and S_1 f vanish: no pair difference or s1 norm of theirs
+        # enters a constant, yet the rows read their images
+        calls = []
+
+        def phi(fs):
+            calls.append(len(fs))
+            return [padded(f) for f in fs]
+
+        verified = verify_map(phi, [seq(0.0, 0.0, 1.0, 0.5)], (0.0, 1.0, 2.0, 2.0))
+        assert len(calls) == 1
+        assert [c.lhs for c in verified.rows("high")][:2] == [0.0, 0.0]
 
     @pytest.mark.parametrize("largest, radius", [(1.0, 2.0), (0.05, 0.25)])
     def test_radius_is_the_larger_of_the_two_rules(self, rng, largest, radius):
