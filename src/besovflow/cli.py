@@ -28,23 +28,10 @@ import sys
 
 import numpy as np
 
-# flows and engine are imported by the commands that use them, so the
-# spectral commands start without loading the flow stack
-from . import dyadic, envelope as envelope_mod
+# every command loads dyadic (littlewood_paley imports it too); the other
+# modules are imported by the commands that use them
+from . import dyadic
 from .dyadic import Check
-from .littlewood_paley import (
-    almost_orthogonality,
-    besov_norm,
-    build_filters,
-    decompose,
-    grid_l2_norm,
-    load_grid_function,
-    partition_of_unity,
-    random_grid_function,
-    reconstruct,
-    reconstruction_stability_ratio,
-    sobolev_norm,
-)
 
 __all__ = ["main", "run", "ConfigError"]
 
@@ -80,7 +67,7 @@ def _to_json_fragment(obj, indent: int, level: int) -> str:
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):  # not a record, which is a tuple too
         if not obj:
             return "[]"
         items = [
@@ -265,6 +252,8 @@ def _io_path(config: dict, key: str):
 
 
 def _input_grid(config: dict):
+    from .littlewood_paley import load_grid_function
+
     path = _io_path(config, "input")
     if path is None:
         raise ConfigError("this command needs io.input (a grid-function file)")
@@ -274,6 +263,14 @@ def _input_grid(config: dict):
 # --- commands ---------------------------------------------------------------------
 
 def _cmd_filters(config, outdir):
+    from .littlewood_paley import (
+        almost_orthogonality,
+        build_filters,
+        partition_of_unity,
+        random_grid_function,
+        reconstruction_stability_ratio,
+    )
+
     bank = build_filters(config["grid_size"])
     partition = partition_of_unity(bank)
     ao = almost_orthogonality(bank)
@@ -319,6 +316,8 @@ def _cmd_filters(config, outdir):
 
 
 def _cmd_decompose(config, outdir):
+    from .littlewood_paley import build_filters, decompose, reconstruct
+
     u = _input_grid(config)
     bank = build_filters(u.grid_size)
     f = decompose(u, bank)
@@ -371,6 +370,8 @@ def _besov_specs(config: dict) -> list:
 
 
 def _cmd_norms(config, outdir):
+    from .littlewood_paley import besov_norm, build_filters, grid_l2_norm, sobolev_norm
+
     s_values = _s_values(config)
     besov_specs = _besov_specs(config)
     u = _input_grid(config)
@@ -391,6 +392,9 @@ def _cmd_norms(config, outdir):
 
 
 def _cmd_envelope(config, outdir):
+    from . import envelope as envelope_mod
+    from .littlewood_paley import build_filters, decompose
+
     u = _input_grid(config)
     bank = build_filters(u.grid_size)
     f = decompose(u, bank)
@@ -432,6 +436,8 @@ def _verify_suites(rng, trials):
     a row's own range (its split levels, its stored envelope) are masked
     with the row's support.
     """
+    from . import envelope as envelope_mod
+
     suites = []
 
     def run_suite(name, bounds):
@@ -598,6 +604,7 @@ def _flow_family(flow_block) -> list:
 def _cmd_flow(config, outdir):
     from . import flows
     from .engine import verify_map
+    from .littlewood_paley import build_filters, decompose
 
     s0, s, s1, q = scale = _scale_block(config)
     cfg = _flow_config(config)

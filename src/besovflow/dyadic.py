@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -97,7 +96,6 @@ def _block_array(base: PseudoNormedSpace, blocks) -> np.ndarray:
     return blocks
 
 
-@dataclass(frozen=True, eq=False)
 class DyadicSequence:
     """Finite-support sequence of grid functions over a grid space.
 
@@ -108,13 +106,12 @@ class DyadicSequence:
     sequences and pads the shorter operand with zero blocks.
     """
 
-    base: PseudoNormedSpace
-    blocks: np.ndarray
+    def __init__(self, base: PseudoNormedSpace, blocks):
+        # the row digests of the buffer, shared with every truncation (a view of it)
+        self.__dict__.update(base=base, blocks=_block_array(base, blocks), _row_digests=[])
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", _block_array(self.base, self.blocks))
-        # digests by shape, shared with every truncation (a view of this buffer)
-        object.__setattr__(self, "_digests", {})
+    def __setattr__(self, name, value):
+        raise AttributeError("DyadicSequence is immutable")
 
     @property
     def support(self) -> int:
@@ -134,19 +131,17 @@ class DyadicSequence:
             raise ValueError(f"block {int(finite.argmin())} has non-finite pseudo-norm")
         return _frozen(norms)  # truncations share it
 
-    @property
+    @cached_property
     def key(self) -> bytes:
-        """blake2b digest of the base label, block shape and block data.
+        """blake2b digest of the base label, block shape and the digests of the block rows.
 
-        Hashed once per view of a buffer: truncations share the digest table.
+        Each row of a buffer is hashed once: truncations share the row digests.
         """
-        shape = self.blocks.shape
-        digest = self._digests.get(shape)
-        if digest is None:
-            h = hashlib.blake2b(repr((self.base.label, shape)).encode(), digest_size=16)
-            h.update(self.blocks)
-            digest = self._digests[shape] = h.digest()
-        return digest
+        rows = self._row_digests
+        rows += (hashlib.blake2b(row, digest_size=16).digest() for row in self.blocks[len(rows) :])
+        h = hashlib.blake2b(repr((self.base.label, self.blocks.shape)).encode(), digest_size=16)
+        h.update(b"".join(rows[: len(self.blocks)]))
+        return h.digest()
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -394,7 +389,7 @@ def truncate(f, n):
     if n >= f.last_index:
         return f
     head = DyadicSequence(f.base, f.blocks[: n + 1])  # a view of f's buffer
-    object.__setattr__(head, "_digests", f._digests)
+    head.__dict__["_row_digests"] = f._row_digests
     if "block_norms" in f.__dict__:  # so the head evaluates no block norms again
         head.__dict__["block_norms"] = f.block_norms[: n + 1]
     return head
@@ -446,8 +441,7 @@ def smoothing_gain(f, r, rp, q, n):
     return value, _in_range(bound, what, r=r, rp=rp, n=n)
 
 
-@dataclass(frozen=True)
-class YoungConvolution:
+class YoungConvolution(NamedTuple):
     """Convolutions of pairs of finitely supported sequences on Z with their l^q bounds.
 
     ``values`` has one row per pair, and ``norm`` and ``bound`` one entry
@@ -553,8 +547,7 @@ def _power_sum(q: float, inner: np.ndarray, r, rp) -> np.ndarray:
     return np.sum(terms, axis=-1) + terms[:, -1] * ratio / (1.0 - ratio)
 
 
-@dataclass(frozen=True)
-class InterpolationBound:
+class InterpolationBound(NamedTuple):
     """actual <= low + high split of a dyadic norm at an intermediate order.
 
     ``actual`` has one entry per row of the batch.  ``low`` and ``high``

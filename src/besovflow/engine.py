@@ -38,8 +38,7 @@ safety factor ``INFLATION``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,7 +76,6 @@ class BallViolationError(ValueError):
     """Input lies outside the ball on which the map is defined."""
 
 
-@dataclass
 class FlowMapAdapter:
     """A map from grid sequences to rows of block norms, defined on a norm ball.
 
@@ -88,23 +86,16 @@ class FlowMapAdapter:
     revisit the same truncations.
     """
 
-    phi: Callable[[list], list]
-    radius: float
-    s0: float
-    s: float
-    s1: float
-    q: float
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not (self.s0 < self.s < self.s1):
-            raise ValueError(
-                f"need s0 < s < s1, got {self.s0}, {self.s}, {self.s1}"
-            )
-        if not self.radius > 0:
+    def __init__(self, phi: Callable[[list], list], radius: float, s0: float, s: float,
+                 s1: float, q: float):
+        if not (s0 < s < s1):
+            raise ValueError(f"need s0 < s < s1, got {s0}, {s}, {s1}")
+        if not radius > 0:
             raise ValueError("ball radius must be positive")
-        if not self.q >= 1:
+        if not q >= 1:
             raise ValueError("summability q must be >= 1")
+        self.phi, self.radius, self.s0, self.s, self.s1, self.q = phi, radius, s0, s, s1, q
+        self._cache = {}
 
     def check_ball(self, f: DyadicSequence) -> float:
         norm = float(dyadic_norm(f.block_norms[None], (self.s, self.q))[0])
@@ -139,8 +130,7 @@ class FlowMapAdapter:
         return np.array([self._cache[key] for key in keys])
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Empirically estimated hypothesis constants at the orders s0 < s < s1.
 
     C0_hat and C1_hat are maxima of sampled ratios, so they lower-bound the
@@ -174,8 +164,7 @@ class HypothesisReport:
 
     def inflated(self, factor: float) -> "HypothesisReport":
         """Scale both constants by a safety factor before bound checks."""
-        return replace(
-            self,
+        return self._replace(
             C0_hat=self.C0_hat * factor,
             C1_hat=self.C1_hat * factor,
             inflation=self.inflation * factor,
@@ -347,16 +336,14 @@ def convergence_report(
     ]
 
 
-@dataclass(frozen=True)
-class ContinuityRow:
+class ContinuityRow(NamedTuple):
     scale: float
     direction: int
     input_distance: float
     output_distance: float
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(NamedTuple):
     rows: tuple
     trend_ok: bool
 
@@ -424,8 +411,7 @@ def continuity_probe(
     return ContinuityReport(rows=tuple(rows), trend_ok=trend_ok)
 
 
-@dataclass(frozen=True)
-class MapVerification:
+class MapVerification(NamedTuple):
     """The constants, check rows and continuity probe of :func:`verify_map`.
 
     ``checks`` holds the ``high``/``low``, then ``block_decay``, then ``convergence`` rows.

@@ -17,7 +17,7 @@ Every function takes the rows of block norms that :mod:`.dyadic` takes, a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,18 +48,17 @@ __all__ = [
 GUARD = 8  # envelope entries kept past the support
 
 
-@dataclass(frozen=True)
-class FrequencyEnvelope:
+class FrequencyEnvelope(NamedTuple):
     """Envelope values gamma_0..gamma_{K+guard} for a batch of block norms.
 
     ``gamma`` has one row per row of ``source``, ``s`` and ``s1`` are one
     value or one per row, and the support is the width of the batch.
     """
 
-    gamma: np.ndarray = field(repr=False)
+    gamma: np.ndarray
     s: float | np.ndarray
     s1: float | np.ndarray
-    source: np.ndarray = field(repr=False)
+    source: np.ndarray
 
     @property
     def decay_ratio(self):

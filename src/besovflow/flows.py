@@ -28,7 +28,6 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -125,24 +124,25 @@ class Trajectory:
         return 2 * (self.spectra.shape[1] - 1)
 
 
-@dataclass(frozen=True)
 class FlowConfig:
-    """Grid, horizon, time steps, flow kind and transport speed of one flow."""
+    """Grid, horizon, time steps, flow kind and transport speed of one flow; immutable."""
 
-    grid_size: int
-    T: float
-    time_steps: int
-    flow_kind: str
-    transport_speed: float = 1.0
+    __slots__ = ("grid_size", "T", "time_steps", "flow_kind", "transport_speed")
 
-    def __post_init__(self):
-        if self.flow_kind not in ("transport", "burgers"):
-            raise ValueError(f"flow kind must be 'transport' or 'burgers', got {self.flow_kind!r}")
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ValueError(f"horizon T must be finite and > 0, got {self.T}")
-        steps = self.time_steps
+    def __init__(self, grid_size: int, T: float, time_steps: int, flow_kind: str,
+                 transport_speed: float = 1.0):
+        if flow_kind not in ("transport", "burgers"):
+            raise ValueError(f"flow kind must be 'transport' or 'burgers', got {flow_kind!r}")
+        if not (math.isfinite(T) and T > 0.0):
+            raise ValueError(f"horizon T must be finite and > 0, got {T}")
+        steps = time_steps
         if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
             raise ValueError(f"time_steps must be a positive integer, got {steps!r}")
+        for name, value in zip(self.__slots__, (grid_size, T, steps, flow_kind, transport_speed)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FlowConfig is immutable")
 
     def time_nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.time_steps + 1)

@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +78,6 @@ def _check_grid_size(n: int):
         raise ValueError(f"grid size must be a power of two >= 8, got {n}")
 
 
-@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real samples of a periodic function on a uniform torus grid.
 
@@ -86,16 +85,19 @@ class GridFunction:
     fixed at 2*pi.  Instances are immutable.
     """
 
-    values: np.ndarray
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float)
         _check_grid_size(values.size)
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must be finite")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GridFunction is immutable")
 
     @property
     def grid_size(self) -> int:
@@ -228,8 +230,7 @@ def band_profile(xi):
     return smooth_cutoff(np.asarray(xi) / 2.0) - smooth_cutoff(xi)
 
 
-@dataclass(frozen=True)
-class FilterBank:
+class FilterBank(NamedTuple):
     """Sampled dyadic multipliers for one grid size.
 
     ``multipliers`` holds the block multipliers Delta_j (rows j = 0..j_max)
@@ -241,8 +242,8 @@ class FilterBank:
 
     grid_size: int
     j_max: int
-    multipliers: np.ndarray = field(repr=False)
-    fat_multipliers: np.ndarray = field(repr=False)
+    multipliers: np.ndarray
+    fat_multipliers: np.ndarray
 
 
 def build_filters(grid_size: int) -> FilterBank:

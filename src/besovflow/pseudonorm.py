@@ -15,7 +15,6 @@ time; the tests probe them for both spaces on random elements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -36,23 +35,25 @@ class KindMismatchError(TypeError):
 _BLOCK_NDIM = {"scalar": 1, "grid_function": 2}
 
 
-@dataclass(frozen=True)
 class PseudoNormedSpace:
     """A vector space together with a pseudo-norm evaluation rule.
 
     ``eval`` maps a block array, (K+1,) scalars or (K+1, N) grid rows, to
     the array of its K+1 row values; for a lawful space each value is
     nonnegative, symmetric under negation, subadditive, and vanishes exactly
-    on the zero element.
+    on the zero element.  Instances are immutable.
     """
 
-    label: str
-    eval: Callable = field(repr=False)
-    element_kind: str = "scalar"
+    __slots__ = ("label", "eval", "element_kind")
 
-    def __post_init__(self):
-        if self.element_kind not in _BLOCK_NDIM:
-            raise ValueError(f"unknown element kind {self.element_kind!r}")
+    def __init__(self, label: str, eval: Callable, element_kind: str = "scalar"):
+        if element_kind not in _BLOCK_NDIM:
+            raise ValueError(f"unknown element kind {element_kind!r}")
+        for name, value in zip(self.__slots__, (label, eval, element_kind)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PseudoNormedSpace is immutable")
 
 
 def eval_pseudo_norm(space: PseudoNormedSpace, blocks: np.ndarray) -> np.ndarray:

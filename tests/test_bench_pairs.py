@@ -66,3 +66,18 @@ def test_incorrect_change_runs_show_no_gain(tmp_path, capsys, change_correct):
         assert "incorrect runs: parent 0, change 2" in out
         assert wall.endswith("change wins 2/2, gain not shown")
         assert out.count("gain not shown") == 2 and "gain shown" not in out
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_trees_holding_bytecode_are_refused(tmp_path, capsys, side):
+    # a matching .pyc is read even under PYTHONDONTWRITEBYTECODE=1, so that
+    # side would skip compiling the modules it caches
+    trees = {name: make_tree(tmp_path / name, True, 1.0) for name in ("parent", "change")}
+    cache = tmp_path / side / "src" / "besovflow" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "dyadic.cpython-311.pyc").write_bytes(b"")
+    args = [trees["parent"], trees["change"], "--workload", "w", "--pairs", "2", "--seed", "3"]
+    assert load_bench_pairs().main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(cache) in captured.err and "git worktree" in captured.err

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,7 +69,7 @@ def fail_every_row(monkeypatch):
 
     def interpolated(*args):
         r = interpolation(*args)
-        return replace(r, actual=2.0 * (r.low + r.high).max(axis=1))
+        return r._replace(actual=2.0 * (r.low + r.high).max(axis=1))
 
     monkeypatch.setattr(dyadic, "truncation_power_sum", power_sum)
     monkeypatch.setattr(envelope, "envelope_equivalence", equivalent)
@@ -266,7 +265,7 @@ class TestCommands:
 
         def halved(*args):
             parts = original(*args)
-            return replace(parts, low=parts.low / 2, high=parts.high / 2)
+            return parts._replace(low=parts.low / 2, high=parts.high / 2)
 
         monkeypatch.setattr(dyadic, "interpolation_bound", halved)
         cfg = write_config(
@@ -300,7 +299,7 @@ class TestCommands:
         ),
         "young_convolution": (
             "dyadic", "young_convolve",
-            lambda r: replace(r, bound=with_row(r.bound, r.norm / 2)), {"check", "trial"},
+            lambda r: r._replace(bound=with_row(r.bound, r.norm / 2)), {"check", "trial"},
         ),
         "envelope_equivalence": (
             "envelope", "envelope_equivalence", lambda r: (r[0], r[1], with_row(r[2], r[1] / 2)),
@@ -309,8 +308,7 @@ class TestCommands:
         "interpolation_bound": (
             "dyadic", "interpolation_bound",
             # every split level of the row bounds it by half its actual value
-            lambda r: replace(
-                r,
+            lambda r: r._replace(
                 low=with_row(r.low, r.actual[:, None] / 4),
                 high=with_row(r.high, r.actual[:, None] / 4),
             ),
@@ -367,7 +365,7 @@ class TestCommands:
             row[3] = 2.0 * 2.0 ** (env.s1[PLANTED_ROW] - env.s[PLANTED_ROW]) * row[4]
             if zero_at is not None:
                 row[zero_at] = 0.0
-            return replace(env, gamma=gamma)
+            return env._replace(gamma=gamma)
 
         report = self.run_planted_verify(
             tmp_path, monkeypatch, "envelope", "compute_envelope", spike, 1
@@ -396,7 +394,7 @@ class TestCommands:
     def test_verify_records_a_nan_row(self, tmp_path, monkeypatch):
         report = self.run_planted_verify(
             tmp_path, monkeypatch, "dyadic", "young_convolve",
-            lambda r: replace(r, norm=with_row(r.norm, math.nan)), 0,
+            lambda r: r._replace(norm=with_row(r.norm, math.nan)), 0,
         )
         [failure] = report["failures"]
         [record] = failure["violations"]
@@ -1010,17 +1008,15 @@ class TestNumericalStall:
 
 
 class TestCommandImports:
-    """A spectral, verify or envelope command loads neither the flow stack nor the engine."""
+    """A command loads only the modules it uses."""
 
     SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    FLOW_STACK = ("besovflow.flows", "besovflow.engine", "numpy.polynomial")
 
-    def loaded_after(self, code):
-        """Which of flows, engine and numpy.polynomial a fresh interpreter holds after ``code``."""
+    def loaded_after(self, code, modules=FLOW_STACK):
+        """Which of ``modules`` a fresh interpreter holds after ``code``."""
         # this test process has loaded every module already
-        probe = (
-            "; import json; print(json.dumps([m for m in ('besovflow.flows', "
-            "'besovflow.engine', 'numpy.polynomial') if m in sys.modules]))"
-        )
+        probe = f"; import json; print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
         result = subprocess.run(
             [sys.executable, "-c", "import sys; " + code + probe],
             env=dict(os.environ, PYTHONPATH=self.SRC), capture_output=True, text=True,
@@ -1029,7 +1025,10 @@ class TestCommandImports:
         return json.loads(result.stdout)
 
     def test_cli_import_loads_no_flow_stack(self):
-        assert self.loaded_after("import besovflow.cli") == []
+        # nor the filter bank or the envelope, which not every command uses;
+        # no module builds a class with the dataclasses factory
+        unused = ("besovflow.littlewood_paley", "besovflow.envelope", "dataclasses")
+        assert self.loaded_after("import besovflow.cli", self.FLOW_STACK + unused) == []
 
     def test_spectral_commands_load_no_flow_stack(self, tmp_path):
         grid_path = tmp_path / "u.gfn"
@@ -1043,7 +1042,8 @@ class TestCommandImports:
             )
             runs.append(f"main(['--config', {cfg!r}, '--out', {str(tmp_path)!r}, '--quiet'])")
         code = "from besovflow.cli import main; " + "; ".join(runs)
-        assert self.loaded_after(code) == []
+        # nor the envelope module, which only envelope, verify and flow use
+        assert self.loaded_after(code, self.FLOW_STACK + ("besovflow.envelope",)) == []
 
     def test_verify_and_envelope_load_no_engine(self, tmp_path):
         # their bound rows are dyadic.Check rows, so neither command loads the engine
@@ -1062,6 +1062,14 @@ class TestCommandImports:
             runs.append(f"main(['--config', {cfg!r}, '--out', {out!r}, '--quiet'])")
         code = "from besovflow.cli import main; assert [" + ", ".join(runs) + "] == [0, 0]"
         assert self.loaded_after(code) == []
+
+    def test_verify_loads_no_filter_bank(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json", {"schema_version": 1, "command": "verify", "trials": 4}
+        )
+        run = f"main(['--config', {cfg!r}, '--out', {str(tmp_path)!r}, '--quiet'])"
+        code = f"from besovflow.cli import main; assert {run} == 0"
+        assert self.loaded_after(code, ("besovflow.littlewood_paley",)) == []
 
     def test_only_drawing_commands_import_numpy_random(self, tmp_path):
         def loads_random(code):
@@ -1118,8 +1126,8 @@ class TestEvaluationPlan:
         mapped = []
 
         class RecordingAdapter(engine.FlowMapAdapter):
-            def __post_init__(self):
-                super().__post_init__()
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 phi = self.phi
 
                 def recorded(sequences):
@@ -1188,13 +1196,13 @@ class TestBatchedVerify:
         from besovflow.littlewood_paley import grid_l2_space
 
         built = []
-        original = dyadic.DyadicSequence.__post_init__
+        original = dyadic.DyadicSequence.__init__
 
-        def counted(self):
+        def counted(self, *args):
             built.append(self)
-            original(self)
+            original(self, *args)
 
-        monkeypatch.setattr(dyadic.DyadicSequence, "__post_init__", counted)
+        monkeypatch.setattr(dyadic.DyadicSequence, "__init__", counted)
         cli._verify_suites(np.random.default_rng(12), 200)
         assert built == []
         dyadic.DyadicSequence(grid_l2_space(8), np.ones((1, 8)))  # the count is live
@@ -1336,3 +1344,14 @@ class TestReportFormatting:
         with open(out / "filters_report.json", encoding="utf-8") as fh:
             report = json.load(fh)  # remains valid JSON
         assert "config_hash" in report
+
+    def test_a_record_is_not_written_as_a_list(self, tmp_path):
+        # records are tuples too; only plain lists and tuples are arrays
+        from besovflow.cli import dump_json
+        from besovflow.dyadic import Check
+
+        path = tmp_path / "r.json"
+        dump_json({"rows": [("n", 1), [0.5]]}, path)
+        assert json.loads(path.read_text()) == {"rows": [["n", 1], [0.5]]}
+        with pytest.raises(TypeError, match="cannot serialize Check"):
+            dump_json({"row": Check("high", (("n", 1),), 0.5, 1.0)}, path)

@@ -18,7 +18,7 @@ from besovflow.dyadic import (
     young_convolve,
 )
 from besovflow.littlewood_paley import GridFunction, decompose, grid_l2_space
-from besovflow.pseudonorm import scalar_abs_space
+from besovflow.pseudonorm import PseudoNormedSpace, scalar_abs_space
 
 INF = math.inf
 
@@ -548,6 +548,31 @@ class TestArrayBackedSequence:
         assert f.blocks.ravel().tolist() == list(range(16))
         assert f.key == key == grid_seq(*np.arange(16.0).reshape(2, 8)).key
         assert not DyadicSequence(grid_l2_space(8), data).blocks.flags.writeable
+
+    def test_keys_hash_each_row_of_a_buffer_once(self, monkeypatch):
+        import besovflow.dyadic as dyadic
+
+        rows, blake2b = [], dyadic.hashlib.blake2b
+
+        def counted(data=b"", **kwargs):
+            if isinstance(data, np.ndarray):
+                rows.append(data.tolist())
+            return blake2b(data, **kwargs)
+
+        monkeypatch.setattr(dyadic.hashlib, "blake2b", counted)
+        data = np.arange(32.0).reshape(4, 8)
+        f = grid_seq(*data)
+        keys = [truncate(f, n).key for n in (1, 3, 0, 2)]  # a head first, then f itself
+        assert rows == data.tolist()
+        assert len(set(keys)) == 4
+        assert keys[0] == grid_seq(*data[:2]).key and keys[1] == f.key
+        # distinct per label, shape and data
+        space = PseudoNormedSpace("rows", lambda b: np.abs(b).max(axis=-1), "grid_function")
+        assert DyadicSequence(space, data).key != f.key
+        assert DyadicSequence(space, np.zeros((1, 16))).key != DyadicSequence(
+            space, np.zeros((2, 8))
+        ).key
+        assert grid_seq(*(data + 1.0)).key != f.key
 
     def test_read_only_array_is_shared(self):
         frozen = np.ones((2, 8))

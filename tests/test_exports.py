@@ -72,6 +72,19 @@ def test_no_complex_fft_layout():
     assert offenders == []
 
 
+def test_no_module_imports_dataclasses():
+    # the decorator builds each class's methods with exec on every import;
+    # records are NamedTuples and validated types write their own __init__
+    importers = [
+        path.name
+        for path in sorted(pathlib.Path(besovflow.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert importers == []
+
+
 def test_flows_import_nothing_from_engine():
     # a flow's sequence map is a plain function: the engine holds the scale
     # and the ball on which it is verified

@@ -14,13 +14,16 @@ medians differ, in the better direction, by more than the distance between
 the parent's quartiles.  A run is incorrect when it prints
 ``"correct": false`` or exits nonzero.  Each side's count of incorrect
 runs is printed; if any change run was incorrect, no gain is shown on any
-metric and the exit status is 1.  Uses only the standard library.  The
-benchmark writes its inputs and outputs under each tree's
-``perfbench/_work``.
+metric and the exit status is 1.  A tree whose ``src/besovflow/__pycache__``
+holds ``.pyc`` files is refused with exit status 2: Python reads a matching
+cache even under ``PYTHONDONTWRITEBYTECODE=1``, so that side would skip
+compiling some modules.  Uses only the standard library.  The benchmark
+writes its inputs and outputs under each tree's ``perfbench/_work``.
 """
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -62,6 +65,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    for tree in (args.parent, args.change):
+        cache = os.path.join(tree, "src", "besovflow", "__pycache__")
+        if glob.glob(os.path.join(cache, "*.pyc")):
+            print(f"{cache} holds .pyc files, so that tree would not compile the modules "
+                  "they cache; bench trees without bytecode, such as fresh `git worktree`s",
+                  file=sys.stderr)
+            return 2
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     metrics = spec["end_to_end"]
