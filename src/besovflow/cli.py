@@ -92,22 +92,24 @@ def _to_json_fragment(obj, indent: int, level: int) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dump_json(obj, path) -> None:
-    text = _to_json_fragment(obj, indent=2, level=0) + "\n"
+def _write_lines(path, lines) -> None:
+    """Every report file: UTF-8 lines ended by "\\n", the last one too."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
+
+
+def dump_json(obj, path) -> None:
+    _write_lines(path, [_to_json_fragment(obj, indent=2, level=0)])
 
 
 def dump_csv(path, header, rows) -> None:
-    lines = [",".join(header)] + [
+    _write_lines(path, [",".join(header)] + [
         ",".join(
             format_float(cell) if isinstance(cell, (float, np.floating)) else str(cell)
             for cell in row
         )
         for row in rows
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ])
 
 
 def _failure_records(checks) -> list:
@@ -290,17 +292,17 @@ def _cmd_filters(config, outdir):
         stability[f"s={s:g}"] = max(0.0, *reconstruction_stability_ratio(draws, bank, s))
 
     # one row per grid frequency -N/2 .. N/2-1; the radial values at each
-    # |xi| are formatted once and shared by xi and -xi, and the rows are
-    # made as dump_csv consumes them
+    # |xi| are formatted once (as format_float does) and shared by xi and -xi
     half = bank.grid_size // 2
     radial = [
-        ",".join(map(format_float, values))
+        "%.17g,%.17g,%.17g" % values
         for values in zip(bank.multipliers[0].tolist(), partition.tolist(), ao.tolist())
     ]
-    dump_csv(
+    _write_lines(
         os.path.join(outdir, "filters.csv"),
-        ["xi", "psi", "partition", "almost_orthogonality"],
-        ((xi, radial[abs(xi)]) for xi in range(-half, half)),
+        ["xi,psi,partition,almost_orthogonality"]
+        + [f"{xi},{radial[-xi]}" for xi in range(-half, 0)]
+        + [f"{xi},{radial[xi]}" for xi in range(half)],
     )
     report = {
         "command": "filters",
@@ -747,5 +749,18 @@ def main(argv=None) -> int:
     return run(config, args.out, quiet=args.quiet)
 
 
+def entry_point():
+    """``main`` as a whole process: ``python -m besovflow.cli`` and the console script.
+
+    Freezing the heap skips the shutdown collections over the ~20,000
+    objects of numpy (~9 ms a run); SystemExit still flushes and runs atexit.
+    """
+    code = main()
+    import gc  # here, so that importing cli loads nothing for the exit
+
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry_point()

@@ -208,6 +208,13 @@ class TrigInterpolant:
     interpolant takes points of shape (G, ...), row g evaluated on datum g,
     and :meth:`rows` restricts it to a subset of the data without copying
     the table.
+
+    A caller that evaluates again at nearby points can pass a list as
+    ``gathered``: an empty list receives the (fine node, table rows) pair
+    of the call's points, shaped like them, and a filled one is reused,
+    its rows gathered again only where a point moved to another fine node
+    and updated in place.  The rows are exact table rows, so reusing them
+    leaves every value bit for bit the same.
     """
 
     def __init__(self, data):
@@ -227,15 +234,28 @@ class TrigInterpolant:
         view.offsets = self.offsets[index]
         return view
 
-    def _taylor(self, y: np.ndarray, derivative_too: bool):
+    def _table_rows(self, node: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Table rows of the fine nodes ``node`` (rounded floats) of data at ``offsets``."""
+        return node.astype(np.int64) % self.nodes_per_datum + offsets
+
+    def _taylor(self, y: np.ndarray, derivative_too: bool, gathered=None):
         if y.shape[:1] != self.offsets.shape:
             raise ValueError(f"points of shape {y.shape} for {self.offsets.size} data")
         flat = y.ravel()
         node = np.rint(flat * self.nodes_per_radian)
         dy = (flat - node * self.step_hi) - node * self.step_lo
-        index = node.astype(np.int64) % self.nodes_per_datum
-        index += np.repeat(self.offsets, flat.size // self.offsets.size)
-        raw = self.table.take(index, axis=0)
+        per_datum = flat.size // self.offsets.size
+        if gathered:
+            kept, raw = gathered[0].reshape(-1), gathered[1].reshape(flat.size, -1)
+            moved = np.flatnonzero(kept != node)
+            if moved.size:
+                kept[moved] = node[moved]
+                rows = self._table_rows(node[moved], self.offsets[moved // per_datum])
+                raw[moved] = self.table.take(rows, axis=0)
+        else:
+            raw = self.table.take(self._table_rows(node, np.repeat(self.offsets, per_datum)), axis=0)
+            if gathered is not None:
+                gathered += [node.reshape(y.shape), raw.reshape(*y.shape, -1)]
         powers = np.empty((_TAYLOR_ORDER + 1, flat.size))
         powers[0] = 1.0
         powers[1] = dy
@@ -249,16 +269,16 @@ class TrigInterpolant:
         deriv = np.einsum("ir,r,ri->i", raw[:, 1:], _INVERSE_FACTORIALS, powers)
         return value.reshape(y.shape), deriv.reshape(y.shape)
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        value, _ = self._taylor(np.asarray(y, dtype=float), False)
+    def __call__(self, y: np.ndarray, gathered=None) -> np.ndarray:
+        value, _ = self._taylor(np.asarray(y, dtype=float), False, gathered)
         return value
 
     def derivative(self, y: np.ndarray) -> np.ndarray:
         _, deriv = self._taylor(np.asarray(y, dtype=float), True)
         return deriv
 
-    def value_and_derivative(self, y: np.ndarray):
-        return self._taylor(np.asarray(y, dtype=float), True)
+    def value_and_derivative(self, y: np.ndarray, gathered=None):
+        return self._taylor(np.asarray(y, dtype=float), True, gathered)
 
 
 _PEAK_REFINE = 64  # dense samples per grid cell for global extrema
@@ -346,7 +366,8 @@ def _characteristic_feet(interp: TrigInterpolant, x, t, seed, half_width):
     size = y.shape[0]
     live = np.arange(size)  # the data still iterating, as rows of the stack
     feet = values = slopes = None  # filled once a datum settles ahead of the rest
-    value, deriv = interp.value_and_derivative(y)
+    gathered = []  # the table rows at y, gathered again only where y leaves its node
+    value, deriv = interp.value_and_derivative(y, gathered)
     for half_step in range(200):
         g = y + t * value - x
         done = (np.abs(g) <= 1e-12).all(axis=1)
@@ -361,8 +382,9 @@ def _characteristic_feet(interp: TrigInterpolant, x, t, seed, half_width):
                 return feet, values, slopes
             live, interp = live[~done], interp.rows(~done)
             y, lo, hi, g, deriv = (a[~done] for a in (y, lo, hi, g, deriv))
+            gathered = [a[~done] for a in gathered]
         if half_step % 2:
-            value, deriv = interp.value_and_derivative(y)
+            value, deriv = interp.value_and_derivative(y, gathered)
             continue
         # deriv is at y: one safeguarded Newton step, keeping the bracket
         # (g is increasing in y pre-shock)
@@ -375,12 +397,16 @@ def _characteristic_feet(interp: TrigInterpolant, x, t, seed, half_width):
         # closed bracket: a sub-ulp correction lands on a bracket end
         usable = (slope > 0.0) & (newton >= lo) & (newton <= hi)
         y = np.where(usable, newton, fallback)
-        value = interp(y)
+        value = interp(y, gathered)
     residual = np.abs(y + t * value - x)
     datum, node = np.unravel_index(int(np.argmax(residual)), residual.shape)
     raise CharacteristicSolveError(
         f"characteristic solve stalled at datum {live[datum]}, node {node}, time {t}"
     )
+
+
+# relative allowance on the pre-shock margin T <= 0.9 T* (burgers_flow)
+_MARGIN_ALLOWANCE = 1e-12
 
 
 def burgers_flow(data: list, cfg: FlowConfig) -> list:
@@ -395,7 +421,10 @@ def burgers_flow(data: list, cfg: FlowConfig) -> list:
     ODE dy/dt = -u0(y) / (1 + t u0'(y)): a cubic Hermite extrapolation
     through the last two feet and their slopes (linear on the first step).
     Requires the horizon to sit below the shock time with a 10 percent
-    margin.
+    margin, T <= 0.9 T* (1 + 1e-12).  The relative allowance of 1e-12
+    covers the rounding of T*: its parabolic peak fit is not
+    scale-covariant at rounding level, so a horizon set at the margin from
+    the T* of a rescaled datum can read up to about 3.5e-14 above it.
 
     ``data`` is a list of G data on one grid; the result is the list of
     their trajectories: one Newton sweep over the (G, N) feet, served by
@@ -408,9 +437,10 @@ def burgers_flow(data: list, cfg: FlowConfig) -> list:
     half_width = np.empty((len(data), 1))
     for index, datum in enumerate(data):
         t_star, peak = shock_time(datum)
-        if not cfg.T <= 0.9 * t_star:
+        if not cfg.T <= 0.9 * t_star * (1.0 + _MARGIN_ALLOWANCE):
             raise ShockMarginError(
-                f"horizon T={cfg.T} exceeds the pre-shock margin {0.9 * t_star} of datum {index}"
+                f"horizon T={cfg.T} exceeds the pre-shock margin 0.9 T* = {0.9 * t_star} "
+                f"(relative allowance {_MARGIN_ALLOWANCE:g}) of datum {index}"
             )
         half_width[index] = 2.0 * peak + 1e-9
     interp = TrigInterpolant(data)

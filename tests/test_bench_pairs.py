@@ -8,7 +8,14 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RUN_PY = """import json, pathlib, sys
-line = json.loads((pathlib.Path(__file__).parents[1] / "result.json").read_text())
+root = pathlib.Path(__file__).parents[1]
+line = json.loads((root / "result.json").read_text())
+walls = line.pop("walls", None)
+if walls:  # one wall_s per run, in run order
+    count = root / "runs"
+    done = int(count.read_text()) if count.exists() else 0
+    count.write_text(str(done + 1))
+    line["metrics"]["wall_s"]["value"] = walls[done]
 print(json.dumps(line))
 sys.exit(0 if line["correct"] else 1)
 """
@@ -24,7 +31,10 @@ def load_bench_pairs():
 
 
 def make_tree(path, correct, wall_s):
-    """A tree whose benchmark prints one result line: ``correct`` and ``wall_s``."""
+    """A tree whose benchmark prints one result line: ``correct`` and ``wall_s``.
+
+    A list ``wall_s`` gives the value of each run in turn.
+    """
     (path / "perfbench").mkdir(parents=True)
     (path / "perfbench" / "run.py").write_text(RUN_PY)
     spec = {
@@ -43,6 +53,8 @@ def make_tree(path, correct, wall_s):
             "ok_frac": {"value": 1.0 if correct else 0.9, "unit": "ratio"},
         },
     }
+    if isinstance(wall_s, list):
+        line["walls"] = wall_s
     (path / "result.json").write_text(json.dumps(line))
     return str(path)
 
@@ -66,6 +78,37 @@ def test_incorrect_change_runs_show_no_gain(tmp_path, capsys, change_correct):
         assert "incorrect runs: parent 0, change 2" in out
         assert wall.endswith("change wins 2/2, gain not shown")
         assert out.count("gain not shown") == 2 and "gain shown" not in out
+
+
+@pytest.mark.parametrize("change_wall", [2.0, 1.0, 0.5])
+def test_worse_is_shown_when_the_parent_wins(tmp_path, capsys, change_wall):
+    # the mirror of a gain: the parent wins every pair (here by the same
+    # margin, so the change's quartiles coincide); ties show neither verdict
+    parent = make_tree(tmp_path / "parent", True, 1.0)
+    change = make_tree(tmp_path / "change", True, change_wall)
+    args = [parent, change, "--workload", "w", "--pairs", "3", "--seed", "3"]
+    assert load_bench_pairs().main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    wall = next(line for line in lines if "wall_s (s)" in line)
+    ok_frac = next(line for line in lines if "ok_frac (ratio)" in line)
+    verdicts = {
+        2.0: "parent wins 3/3, worse shown, change wins 0/3, gain not shown",
+        1.0: "parent wins 0/3, worse not shown, change wins 0/3, gain not shown",
+        0.5: "parent wins 0/3, worse not shown, change wins 3/3, gain shown",
+    }
+    assert wall.endswith(verdicts[change_wall])
+    assert ok_frac.endswith(verdicts[1.0])
+
+
+def test_worse_needs_more_than_the_change_spread(tmp_path, capsys):
+    # the parent wins all ten pairs, but the medians differ by 0.105 s, less
+    # than the 0.19 s between the change's quartiles
+    parent = make_tree(tmp_path / "parent", True, 1.0)
+    change = make_tree(tmp_path / "change", True, [1.01] * 5 + [1.2] * 5)
+    args = [parent, change, "--workload", "w", "--pairs", "10", "--seed", "3"]
+    assert load_bench_pairs().main(args) == 0
+    wall = next(line for line in capsys.readouterr().out.splitlines() if "wall_s (s)" in line)
+    assert "parent wins 10/10, worse not shown" in wall
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])

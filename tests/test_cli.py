@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -1355,3 +1356,52 @@ class TestReportFormatting:
         assert json.loads(path.read_text()) == {"rows": [["n", 1], [0.5]]}
         with pytest.raises(TypeError, match="cannot serialize Check"):
             dump_json({"row": Check("high", (("n", 1),), 0.5, 1.0)}, path)
+
+
+class TestProcessEntryPoint:
+    """``python -m besovflow.cli`` and the console script run ``main`` and then exit."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def run_python(self, *args):
+        return subprocess.run(
+            [sys.executable, *args], env=dict(os.environ, PYTHONPATH=os.path.join(self.ROOT, "src")),
+            stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_module_run_writes_what_main_writes(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", _flow_payload())
+        out = tmp_path / "a"
+        result = self.run_python("-m", "besovflow.cli", "--config", cfg, "--out", str(out))
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        assert result.stdout == f"flow: ok; report at {out / 'flow_report.json'}\n"
+        assert main(["--config", cfg, "--out", str(tmp_path / "b"), "--quiet"]) == EXIT_OK
+        assert read_all_reports(out) == read_all_reports(tmp_path / "b")
+
+    def test_module_run_exits_2_on_a_bad_config(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "command": "nope"})
+        result = self.run_python("-m", "besovflow.cli", "--config", cfg, "--out", str(tmp_path))
+        assert (result.returncode, result.stdout) == (EXIT_CONFIG, "")
+        assert result.stderr.startswith("invalid config:") and result.stderr.count("\n") == 1
+
+    def test_console_script_freezes_the_heap_after_main(self, tmp_path):
+        # nothing is frozen at import; exit handlers still run after the freeze
+        with open(os.path.join(self.ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+            assert 'besovflow = "besovflow.cli:entry_point"' in fh.read()
+        cfg = write_config(tmp_path / "c.json", _flow_payload())
+        argv = ["besovflow", "--config", cfg, "--out", str(tmp_path), "--quiet"]
+        code = (
+            "import atexit, gc, sys; from besovflow.cli import entry_point; "
+            "print('imported', gc.get_freeze_count()); "
+            "atexit.register(lambda: print('exiting', gc.get_freeze_count() > 1000)); "
+            f"sys.argv = {argv!r}; entry_point()"
+        )
+        result = self.run_python("-c", code)
+        assert (result.returncode, result.stderr) == (EXIT_OK, "")
+        assert result.stdout.splitlines() == ["imported 0", "exiting True"]
+
+    def test_main_in_process_freezes_nothing(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", _flow_payload())
+        frozen = gc.get_freeze_count()
+        assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        assert gc.get_freeze_count() == frozen

@@ -85,6 +85,26 @@ def test_no_module_imports_dataclasses():
     assert importers == []
 
 
+def test_only_the_entry_point_touches_the_collector_or_exits():
+    # main runs in process for tests, demos and the benchmark's tracer, so
+    # only cli.entry_point, which ends the process, may freeze the heap
+    banned = {"gc.freeze", "gc.disable", "os._exit"}
+    found = []
+    for path in sorted(pathlib.Path(besovflow.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _dotted(node.func) in banned:
+                    found.append(f"{where}: {_dotted(node.func)}")
+                elif isinstance(node, ast.ImportFrom) and node.module in ("gc", "os"):
+                    found += [
+                        f"{where}: from {node.module} import {alias.name}"
+                        for alias in node.names
+                        if f"{node.module}.{alias.name}" in banned or alias.name == "*"
+                    ]
+    assert found == ["cli.entry_point: gc.freeze"]
+
+
 def test_flows_import_nothing_from_engine():
     # a flow's sequence map is a plain function: the engine holds the scale
     # and the ball on which it is verified

@@ -129,6 +129,24 @@ class TestBurgersFlow:
             burgers_flow([u0], burgers_cfg(T=0.95))
         burgers_flow([u0], burgers_cfg(T=0.85))  # inside the margin
 
+    def test_shock_margin_allows_the_rounding_of_t_star(self):
+        # alpha sin x + beta sin 2x scaled to T/T* = 0.9 at T = 0.5 from the
+        # unit datum's T*: the peak fit of the scaled datum rounds differently,
+        # and without the relative allowance of 1e-12 on the margin 64 of
+        # these 122 data read up to 3.5e-14 above it
+        for n in (64, 256):
+            cfg = burgers_cfg(grid_size=n, time_steps=1)
+            for beta_ratio in np.linspace(-1.0, 1.0, 61):
+                unit_time = shock_time(sinusoid_datum(n, 1.0, beta_ratio))[0]
+                for fraction in (0.9, 0.9 * (1.0 + 1e-9)):
+                    alpha = fraction * unit_time / cfg.T
+                    data = [sinusoid_datum(n, alpha, alpha * beta_ratio)]
+                    if fraction == 0.9:
+                        burgers_flow(data, cfg)
+                        continue
+                    with pytest.raises(ShockMarginError, match=r"relative allowance 1e-12\)"):
+                        burgers_flow(data, cfg)
+
     def test_matches_pseudospectral_reference(self):
         u0 = sinusoid_datum(256, 0.1)
         cfg = burgers_cfg(grid_size=256, T=0.5)
@@ -280,8 +298,8 @@ class TestBatchedSolve:
         noise = np.random.default_rng(5)
         taylor = TrigInterpolant._taylor
 
-        def noisy(self, y, derivative_too):
-            value, deriv = taylor(self, y, derivative_too)
+        def noisy(self, y, derivative_too, gathered=None):
+            value, deriv = taylor(self, y, derivative_too, gathered)
             if self.offsets is not None:
                 stuck = (self.offsets == self.nodes_per_datum)[:, None]
                 value = value + 1e-6 * stuck * noise.standard_normal(value.shape)
@@ -386,6 +404,27 @@ class TestTrigInterpolant:
         assert np.abs(interp(y) - value).max() <= 1e-13 * coeff_sum
         assert np.array_equal(interp.derivative(y), interp.value_and_derivative(y)[1])
 
+    def test_gathered_rows_give_the_fresh_values(self, rng):
+        # reused rows are exact table rows: a point that keeps its fine node
+        # reads its old row, and one that moves to another node is gathered again
+        interp = TrigInterpolant([random_grid_function(rng, 32) for _ in range(2)])
+        y = rng.uniform(0.0, 2.0 * math.pi, (2, 50))
+        gathered = []
+        interp.value_and_derivative(y, gathered)
+        assert [a.shape[:2] for a in gathered] == [(2, 50), (2, 50)]
+        step = 2.0 * math.pi / interp.nodes_per_datum
+        near = y + np.where(rng.random(y.shape) < 0.5, 1e-3, 3.0) * step
+        assert np.array_equal(interp(near, gathered), interp(near))
+        fresh = []
+        interp(near, fresh)
+        assert all(np.array_equal(a, b) for a, b in zip(gathered, fresh))
+        # rows kept for a subset of the data serve that subset's interpolant
+        second = interp.rows(np.array([False, True]))
+        kept = [a[1:] for a in gathered]
+        value, deriv = second.value_and_derivative(near[1:], kept)
+        assert np.array_equal(value, second(near[1:]))
+        assert np.array_equal(deriv, second.derivative(near[1:]))
+
     def test_keeps_the_shape_of_its_argument(self, rng):
         interp = TrigInterpolant([random_grid_function(rng, 32)])
         grid = np.linspace(0.0, 6.0, 12).reshape(1, 3, 4)
@@ -403,9 +442,9 @@ class TestTrigInterpolant:
         for name in ("__call__", "value_and_derivative", "derivative"):
             method = getattr(TrigInterpolant, name)
 
-            def counted(self, y, method=method, name=name):
+            def counted(self, y, *gathered, method=method, name=name):
                 calls.append(name)
-                return method(self, y)
+                return method(self, y, *gathered)
 
             monkeypatch.setattr(TrigInterpolant, name, counted)
         u0 = sinusoid_datum(256, 0.1, 0.05)
@@ -420,9 +459,9 @@ class TestTrigInterpolant:
         for name in ("__call__", "value_and_derivative", "derivative"):
             method = getattr(TrigInterpolant, name)
 
-            def counted(self, y, method=method):
+            def counted(self, y, *gathered, method=method):
                 calls.append(1)
-                return method(self, y)
+                return method(self, y, *gathered)
 
             monkeypatch.setattr(TrigInterpolant, name, counted)
         u0 = sinusoid_datum(256, 1.0, 0.2)

@@ -8,10 +8,13 @@ in each tree, for the run length that PARENT's ``BENCHMARK.json`` sets; the
 parent runs first in odd pairs and second in even ones.  Every pair's
 end-to-end metrics are printed as it finishes.  Then, for each metric of
 ``BENCHMARK.json``, it prints each side's median and quartiles and the
-number of pairs the change won (ties count for neither side).  A gain is
+number of pairs each side won (ties count for neither side).  A gain is
 shown when the change wins at least nine tenths of the pairs and the
 medians differ, in the better direction, by more than the distance between
-the parent's quartiles.  A run is incorrect when it prints
+the parent's quartiles.  Symmetrically, the change is shown worse when the
+parent wins at least nine tenths of the pairs and the medians differ, in
+the worse direction, by more than the distance between the change's
+quartiles.  A run is incorrect when it prints
 ``"correct": false`` or exits nonzero.  Each side's count of incorrect
 runs is printed; if any change run was incorrect, no gain is shown on any
 metric and the exit status is 1.  A tree whose ``src/besovflow/__pycache__``
@@ -100,12 +103,15 @@ def main(argv=None) -> int:
         name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
         old, new = values["parent"][name], values["change"][name]
         wins = sum(sign * (a - b) > 0 for a, b in zip(old, new))
+        losses = sum(sign * (b - a) > 0 for a, b in zip(old, new))
         (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
         shown = (not incorrect["change"] and wins >= 0.9 * args.pairs
                  and sign * (om - nm) > o3 - o1)
+        worse = losses >= 0.9 * args.pairs and sign * (nm - om) > n3 - n1
         print(f"  {name} ({m['unit']}): parent {om:.4g} [{o1:.4g}, {o3:.4g}], "
-              f"change {nm:.4g} [{n1:.4g}, {n3:.4g}], change wins {wins}/{args.pairs}, "
-              f"gain {'shown' if shown else 'not shown'}")
+              f"change {nm:.4g} [{n1:.4g}, {n3:.4g}], "
+              f"parent wins {losses}/{args.pairs}, worse {'shown' if worse else 'not shown'}, "
+              f"change wins {wins}/{args.pairs}, gain {'shown' if shown else 'not shown'}")
     return 1 if incorrect["change"] else 0
 
 
