@@ -224,6 +224,8 @@ def load_config(path, seed_override=None) -> dict:
         _s_values(config)
     if "besov" in config:
         _besov_specs(config)
+    for key in config.get("io", {}):
+        _io_path(config, key)
     return config
 
 

@@ -25,8 +25,10 @@ zero-padded row per sequence, with each order and q given once or once per
 row.  They return one value per row.  A :class:`DyadicSequence` holds grid
 blocks, and one sequence ``f`` is evaluated as the one-row batch
 ``f.block_norms[None]``.  Past a row's support every closed-form summand is
-exactly geometric, so zero padding changes values only at rounding level;
-rows of one width evaluate bit for bit as they would one at a time.
+exactly geometric, so zero padding changes values only at rounding level.
+Powers are numpy's element-wise ``np.power``, whose value does not depend
+on the length of the array or the position in it, so rows of one width
+evaluate bit for bit as they would one at a time.
 
 Every bound that a caller checks, here or in the verification engine,
 is one :class:`Check` row ``lhs <= rhs``, and rows or whole columns
@@ -118,10 +120,6 @@ class DyadicSequence:
         """Number of stored blocks (K + 1 for last stored index K)."""
         return len(self.blocks)
 
-    @property
-    def last_index(self) -> int:
-        return len(self.blocks) - 1
-
     @cached_property
     def block_norms(self) -> np.ndarray:
         """||f_k||_E for k = 0..K, from one call on the block array."""
@@ -143,16 +141,13 @@ class DyadicSequence:
         h.update(b"".join(rows[: len(self.blocks)]))
         return h.digest()
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     def _aligned(self, other: "DyadicSequence") -> list:
         """Both block arrays, padded with zero blocks to the longer support."""
         if self.base.label != other.base.label:
             raise ValueError(
                 f"base space mismatch: {self.base.label!r} vs {other.base.label!r}"
             )
-        rows = max(len(self), len(other))
+        rows = max(self.support, other.support)
         return [
             np.concatenate((b, np.zeros((rows - len(b), b.shape[1]))))
             for b in (self.blocks, other.blocks)
@@ -168,8 +163,6 @@ class DyadicSequence:
 
     def __mul__(self, c) -> "DyadicSequence":
         return DyadicSequence(self.base, _frozen(self.blocks * float(c)))
-
-    __rmul__ = __mul__
 
 
 def _norm_rows(f) -> np.ndarray:
@@ -269,30 +262,10 @@ def _in_range(value, what: str, **params):
     raise ValueError(f"{what.format(**at_row)} leaves float range")
 
 
-def _float_pow(base: float, exponent: float) -> float:
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
-
-
-_FLOAT_POW = np.frompyfunc(_float_pow, 2, 1)  # entries reach it as Python floats
-
-
-def _pow_by_value(base, exponent) -> np.ndarray:
-    """``base ** exponent`` entry by entry with Python's float power; inf where it overflows.
-
-    NumPy's vectorized power can differ from the scalar one in the last bit,
-    so powers of per-row values are taken this way, as the scalar code took
-    them: a sequence, the one-row case of a batch, keeps its bits.
-    """
-    with np.errstate(over="ignore"):  # the overflow flag of a power that gave inf
-        return np.asarray(_FLOAT_POW(base, exponent), dtype=float)
-
-
 def _power(base, exponent, what: str, **params):
-    """``base ** exponent`` by value; ``ValueError`` naming ``what`` when it leaves float range."""
-    return _in_range(_pow_by_value(base, exponent), what, **params)
+    """``base ** exponent``; ``ValueError`` naming ``what`` when it leaves float range."""
+    with np.errstate(over="ignore"):  # the overflow flag of a power that gave inf
+        return _in_range(np.power(base, exponent), what, **params)
 
 
 def _rescaled_norms(values: np.ndarray, power_sum, root, *per_row):
@@ -337,7 +310,7 @@ def _lq_rows(values: np.ndarray, q, what: str, s=0.0) -> np.ndarray:
             norms = values.max(axis=-1, initial=0.0)
         else:
             norms = _rescaled_norms(
-                values, lambda v: (v**q).sum(axis=-1), lambda t: _pow_by_value(t, 1.0 / q)
+                values, lambda v: (v**q).sum(axis=-1), lambda t: np.power(t, 1.0 / q)
             )
         return _in_range(norms, what, q=q, s=s)
 
@@ -353,9 +326,9 @@ def _geometric_lq(head: np.ndarray, q: float, ratio) -> np.ndarray:
     """
 
     def power_sum(h, ratio):
-        return (h**q).sum(axis=-1) + _pow_by_value(h[:, -1], q) * ratio / (1.0 - ratio)
+        return (h**q).sum(axis=-1) + np.power(h[:, -1], q) * ratio / (1.0 - ratio)
 
-    return _rescaled_norms(head, power_sum, lambda t: _pow_by_value(t, 1.0 / q), ratio)
+    return _rescaled_norms(head, power_sum, lambda t: np.power(t, 1.0 / q), ratio)
 
 
 _DYADIC_NORM = "the (s, q) = ({s:g}, {q:g}) dyadic norm"
@@ -386,7 +359,7 @@ def truncate(f, n):
     if not isinstance(f, DyadicSequence):
         norms = _norm_rows(f)
         return np.where(np.arange(norms.shape[-1]) <= _column(n), norms, 0.0)
-    if n >= f.last_index:
+    if n >= f.support - 1:
         return f
     head = DyadicSequence(f.base, f.blocks[: n + 1])  # a view of f's buffer
     head.__dict__["_row_digests"] = f._row_digests

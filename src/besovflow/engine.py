@@ -263,7 +263,7 @@ def high_low_rows(
     f: DyadicSequence,
     report: HypothesisReport,
 ) -> list:
-    """The two hypothesis bounds at each level n <= K = f.last_index as ``high`` and ``low`` checks.
+    """The ``high`` and ``low`` hypothesis bounds at each level n <= K = f.support - 1.
 
     high: ||Phi(S_n f)||_{s1,inf} <= C1_hat 2^{n(s1-s)} gamma_n;
     low:  ||Phi(S_{n+1}f) - Phi(S_n f)||_{s0,inf} <= C0_hat 2^{-n(s-s0)} gamma_{n+1}.
@@ -290,7 +290,7 @@ def block_decay_profile(
 ) -> list:
     """Blockwise decay of the truncation increments of Phi as ``block_decay`` checks.
 
-    Check (n, m), for n <= K = f.last_index, compares
+    Check (n, m), for n <= K = f.support - 1, compares
 
         lhs = 2^{m s} ||(Phi(S_{n+1} f) - Phi(S_n f))_m||_F
         rhs = C 2^{-kappa |m - n|} (gamma_n + gamma_{n+1})
@@ -315,7 +315,7 @@ def convergence_report(
     f: DyadicSequence,
     report: HypothesisReport,
 ) -> list:
-    """One ``convergence`` check at every truncation level n <= K = f.last_index.
+    """One ``convergence`` check at every truncation level n <= K = f.support - 1.
 
     lhs = ||Phi(f) - Phi(S_n f)||_{s,q};
     rhs = A C ( sum_{p>=n} c_p^q )^{1/q} with A = 2/(1 - 2^-kappa).
@@ -441,7 +441,7 @@ def verify_map(phi: Callable, family: Sequence, scale: tuple) -> MapVerification
     ||f|| (S_n is a contraction), and probes f + eps g with unit g at most
     M + max(PERTURBATION_SCALES).
 
-    f = family[0] is the probe, with K = f.last_index.  The constants are
+    f = family[0] is the probe, with K = f.support - 1.  The constants are
     sampled on every pair of family members and on the truncation pairs
     (S_{n+1} f, S_n f), n < K, then inflated by ``INFLATION``.  With them
     the ``high``/``low`` rows, the block decay profile and the convergence

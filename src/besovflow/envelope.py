@@ -29,7 +29,6 @@ from .dyadic import (
     _in_range,
     _norm_rows,
     _param,
-    _pow_by_value,
     _rescaled_norms,
     _weighted_block_norms,
     dyadic_norm,
@@ -150,19 +149,19 @@ def c_tail_lq(env: FrequencyEnvelope, n: int, q: float) -> np.ndarray:
     if n >= last:
         # entirely inside the geometric regime: c_p = c_last * rho^(p-last)
         with np.errstate(over="ignore"):  # an infinite tail is rejected below
-            tail = c_last * _pow_by_value(rho, n - last)
+            tail = c_last * np.power(rho, n - last)
             if not math.isinf(q):
-                tail = tail * _pow_by_value(1.0 / (1.0 - _pow_by_value(rho, q)), 1.0 / q)
+                tail = tail * np.power(1.0 / (1.0 - np.power(rho, q)), 1.0 / q)
     elif math.isinf(q):
         tail = np.maximum((gamma[:, n:last] + gamma[:, n + 1 : last + 1]).max(axis=-1), c_last)
     else:
 
         def power_sum(g, rho):  # c_n .. c_{last-1}, then the tail from c_last in closed form
-            tail_q = _pow_by_value(g[:, -1] * (1.0 + rho), q) / (1.0 - _pow_by_value(rho, q))
+            tail_q = np.power(g[:, -1] * (1.0 + rho), q) / (1.0 - np.power(rho, q))
             return np.sum((g[:, :-1] + g[:, 1:]) ** q, axis=-1) + tail_q
 
         tail = _rescaled_norms(
-            gamma[:, n : last + 1], power_sum, lambda t: _pow_by_value(t, 1.0 / q), rho
+            gamma[:, n : last + 1], power_sum, lambda t: np.power(t, 1.0 / q), rho
         )
     return _in_range(tail, "the l^{q:g} envelope tail from n={n}", q=q, n=n)
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dyadic import DyadicSequence, _frozen, _pow_by_value, _rescaled_norms, dyadic_norm
+from .dyadic import DyadicSequence, _frozen, _rescaled_norms, dyadic_norm
 from .pseudonorm import PseudoNormedSpace
 
 __all__ = [
@@ -112,39 +112,9 @@ class GridFunction:
         return np.arange(self.values.size) * self.dx
 
     @classmethod
-    def zeros(cls, grid_size: int) -> "GridFunction":
-        return cls(np.zeros(grid_size))
-
-    @classmethod
     def from_function(cls, fn, grid_size: int) -> "GridFunction":
         x = np.arange(grid_size) * (TAU / grid_size)
         return cls(fn(x))
-
-    def _check(self, other: "GridFunction"):
-        if self.grid_size != other.grid_size:
-            raise GridMismatchError(
-                f"grid sizes differ: {self.grid_size} vs {other.grid_size}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return GridFunction(self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GridFunction(self.values - other.values)
-
-    def __mul__(self, c):
-        return GridFunction(self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, GridFunction):
-            return NotImplemented
-        return self.grid_size == other.grid_size and bool(
-            np.array_equal(self.values, other.values)
-        )
 
 
 @lru_cache(maxsize=None)
@@ -351,7 +321,7 @@ def lp_norm(u, p: float) -> float | np.ndarray:
         norms = _rescaled_norms(
             values,
             lambda v: TAU / v.shape[-1] * np.sum(np.abs(v) ** p, axis=-1),
-            lambda sums: _pow_by_value(sums, 1.0 / p),
+            lambda sums: np.power(sums, 1.0 / p),
         )
     return norms if values.ndim > 1 else float(norms)
 

@@ -444,7 +444,7 @@ class TestVerifyMap:
         adapter = FlowMapAdapter(phi=phi, radius=verified.radius, s0=0, s=1, s1=2, q=2.0)
         probe = family[0]
         pairs = [(family[i], family[j]) for i in range(members) for j in range(i)]
-        pairs += [(truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.last_index)]
+        pairs += [(truncate(probe, n + 1), truncate(probe, n)) for n in range(probe.support - 1)]
         checked = estimate_constants(adapter, pairs).inflated(1.1)
         high_low_rows(adapter, probe, checked)
         block_decay_profile(adapter, probe, checked)

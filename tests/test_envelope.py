@@ -159,7 +159,7 @@ class TestTailSumsOutsideThePowerRange:
                 c_tail_lq(env, n, q)
 
     def test_in_range_sums_keep_their_bits(self, rng):
-        # the closed forms as written before the rescaled path existed
+        # the closed forms as written before the rescaled path existed, with numpy's power
         for _ in range(300):
             f = random_row(rng)
             support = f.shape[1]
@@ -170,15 +170,16 @@ class TestTailSumsOutsideThePowerRange:
             gamma, rho = env.gamma[0], env.decay_ratio
             head = gamma[:support]
             last = float(head[-1])
-            plain = float((np.sum(head**q) + last**q * rho**q / (1.0 - rho**q)) ** (1.0 / q))
+            plain = np.sum(head**q) + np.power(last, q) * rho**q / (1.0 - rho**q)
+            plain = float(np.power(plain, 1.0 / q))
             assert gamma_lq_norm(env, q)[0] == plain
             n = int(rng.integers(0, support - 1)) if support > 1 else 0
             if n < support - 1:
                 k = support - 1
                 c = gamma[n:k] + gamma[n + 1 : k + 1]
                 c_last = float(gamma[k] * (1.0 + rho))
-                tail = c_last**q / (1.0 - rho**q)
-                assert c_tail_lq(env, n, q)[0] == float((np.sum(c**q) + tail) ** (1.0 / q))
+                tail = np.power(c_last, q) / (1.0 - np.power(rho, q))
+                assert c_tail_lq(env, n, q)[0] == float(np.power(np.sum(c**q) + tail, 1.0 / q))
 
 
 class TestEnvelopeEquivalence:

@@ -85,6 +85,21 @@ def test_no_module_imports_dataclasses():
     assert importers == []
 
 
+def test_no_python_level_element_loops():
+    # np.frompyfunc and np.vectorize call a Python function once per entry;
+    # powers and every other element-wise step are numpy's own ufuncs
+    looped = {"frompyfunc", "vectorize"}
+    found = []
+    for path in sorted(pathlib.Path(besovflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _dotted(node.func).split(".")[-1] in looped:
+                found.append(f"{path.name}:{node.lineno} {_dotted(node.func)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found += [f"{path.name}:{node.lineno} numpy.{alias.name}"
+                          for alias in node.names if alias.name in looped]
+    assert found == []
+
+
 def test_only_the_entry_point_touches_the_collector_or_exits():
     # main runs in process for tests, demos and the benchmark's tracer, so
     # only cli.entry_point, which ends the process, may freeze the heap

@@ -56,13 +56,6 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             u.values[0] = 2.0
 
-    def test_arithmetic(self):
-        u = GridFunction(np.ones(8))
-        v = GridFunction(np.full(8, 2.0))
-        assert np.allclose((u + v).values, 3.0)
-        assert np.allclose((u - v).values, -1.0)
-        assert np.allclose((3.0 * u).values, 3.0)
-
 
 class TestFilterProfiles:
     def test_low_pass_plateau_and_support(self):
@@ -179,9 +172,9 @@ class TestDecomposeReconstruct:
         assert expected == {4}  # band(8/8) = 1 makes block 4 the only carrier
 
     def test_zero_function(self, bank64):
-        f = decompose(GridFunction.zeros(64), bank64)
+        f = decompose(GridFunction(np.zeros(64)), bank64)
         assert all(np.abs(b).max() == 0.0 for b in f.blocks)
-        assert reconstruct(f, bank64) == GridFunction.zeros(64)
+        assert np.array_equal(reconstruct(f, bank64).values, np.zeros(64))
 
     def test_blocks_sum_to_function(self, bank64, rng):
         u = random_grid_function(rng, 64)
@@ -205,7 +198,7 @@ class TestDecomposeReconstruct:
 
     def test_grid_mismatch(self, bank64):
         with pytest.raises(GridMismatchError):
-            decompose(GridFunction.zeros(128), bank64)
+            decompose(GridFunction(np.zeros(128)), bank64)
 
     def test_support_overflow_rejected(self, bank64):
         space = grid_l2_space(64)
@@ -245,7 +238,7 @@ class TestIdentitiesOverGridRange:
         else:
             u = random_grid_function(rng, n, max_mode=n // 2, decay=decay)
         v = reconstruct(decompose(u, bank), bank)
-        assert grid_l2_norm(v - u) <= 1e-10 * grid_l2_norm(u)
+        assert grid_l2_norm(v.values - u.values) <= 1e-10 * grid_l2_norm(u)
 
 
 def loop_decompose(u, bank):
@@ -313,24 +306,25 @@ class TestReconstructionStabilityRatio:
         u = random_grid_function(rng, 64)
         for s in (0.0, 2.0):
             ratio = reconstruction_stability_ratio([u], bank64, s)
-            assert reconstruction_stability_ratio([u * 1e300], bank64, s) == ratio
-            assert reconstruction_stability_ratio([u * 2.0**-1000], bank64, s) == ratio
+            for scale in (1e300, 2.0**-1000):
+                scaled = GridFunction(u.values * scale)
+                assert reconstruction_stability_ratio([scaled], bank64, s) == ratio
 
     def test_zero_function(self, bank64):
-        assert reconstruction_stability_ratio([GridFunction.zeros(64)], bank64, 1.0) == [0.0]
+        assert reconstruction_stability_ratio([GridFunction(np.zeros(64))], bank64, 1.0) == [0.0]
 
     def test_grid_mismatch(self, bank64):
         with pytest.raises(GridMismatchError):
-            reconstruction_stability_ratio([GridFunction.zeros(128)], bank64, 1.0)
+            reconstruction_stability_ratio([GridFunction(np.zeros(128))], bank64, 1.0)
 
     def test_iterable_gives_each_function_its_own_ratio(self, bank64, rng):
-        data = [random_grid_function(rng, 64) for _ in range(3)] + [GridFunction.zeros(64)]
+        data = [random_grid_function(rng, 64) for _ in range(3)] + [GridFunction(np.zeros(64))]
         for s in (0.0, 2.0):
             ratios = reconstruction_stability_ratio(iter(data), bank64, s)
             assert ratios == [reconstruction_stability_ratio([u], bank64, s)[0] for u in data]
         assert reconstruction_stability_ratio([], bank64, 1.0) == []
         with pytest.raises(GridMismatchError):
-            reconstruction_stability_ratio([data[0], GridFunction.zeros(128)], bank64, 1.0)
+            reconstruction_stability_ratio([data[0], GridFunction(np.zeros(128))], bank64, 1.0)
 
 
 def loop_random_grid_function(rng, grid_size, max_mode=None, decay=1.0):
@@ -415,7 +409,7 @@ def complex_plancherel_norm(values, s):
 
 class TestSobolevNorm:
     def test_zero(self):
-        assert sobolev_norm(GridFunction.zeros(16), 2.0) == 0.0
+        assert sobolev_norm(GridFunction(np.zeros(16)), 2.0) == 0.0
 
     def test_order_zero_is_l2(self, rng):
         for _ in range(20):
@@ -425,11 +419,11 @@ class TestSobolevNorm:
     def test_single_mode_weight(self):
         u = GridFunction.from_function(lambda x: np.cos(4 * x), 64)
         scale = 1.0 / grid_l2_norm(u)
-        unit = scale * u
+        unit = GridFunction(scale * u.values)
         # one-term Plancherel sum: a unit-L2 mode at |xi| = 4, s = 1
         assert sobolev_norm(unit, 1.0) == pytest.approx(math.sqrt(17.0), rel=1e-12)
         partner = GridFunction.from_function(lambda x: np.sin(4 * x), 64)
-        partner = (1.0 / grid_l2_norm(partner)) * partner
+        partner = GridFunction((1.0 / grid_l2_norm(partner)) * partner.values)
         assert sobolev_norm(partner, 1.0) == pytest.approx(math.sqrt(17.0), rel=1e-12)
 
     def test_bessel_multiplier_consistency(self, rng):
@@ -533,10 +527,10 @@ class TestBlockArrayNorms:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_in_range_rows_keep_their_bits(self, rng, p):
-        # the reductions as written before the rescaled path existed
+        # the reductions as written before the rescaled path existed, with numpy's power
         blocks = rng.normal(size=(15, 256)) * np.exp2(rng.uniform(-60, 60, (15, 1)))
         sums = TAU / 256 * np.sum(np.abs(blocks) ** p, axis=-1)
-        assert np.array_equal(lp_norm(blocks, p), [total ** (1.0 / p) for total in sums])
+        assert np.array_equal(lp_norm(blocks, p), np.power(sums, 1.0 / p))
         plain = np.sqrt(TAU / 256 * np.sum(blocks**2, axis=-1))
         assert np.array_equal(grid_l2_norm(blocks), plain)
 
@@ -580,7 +574,7 @@ class TestBlockArrayNorms:
 
 class TestBesovNorm:
     def test_zero(self, bank64):
-        assert besov_norm(GridFunction.zeros(64), 1.0, 2.0, 2.0, bank64) == 0.0
+        assert besov_norm(GridFunction(np.zeros(64)), 1.0, 2.0, 2.0, bank64) == 0.0
 
     @pytest.mark.parametrize("q", [2.0, math.inf])
     @pytest.mark.parametrize("p", [2.0, math.inf])
@@ -643,7 +637,7 @@ class TestGridFileFormats:
         u = random_grid_function(rng, 32)
         path = tmp_path / "u.gfn"
         save_grid_function(path, u)
-        assert load_grid_function(path) == u
+        assert np.array_equal(load_grid_function(path).values, u.values)
 
     def test_csv_round_trip(self, tmp_path, rng):
         u = random_grid_function(rng, 32)
