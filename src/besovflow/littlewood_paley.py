@@ -21,9 +21,11 @@ frequency set, so decompose/reconstruct invert each other to rounding.
 psi is built by mollifying the indicator of {|xi| <= 7/8} with a compactly
 supported bump of radius 1/8 (profile exp(-1/(1-t^2))), evaluated by a fixed
 64-node Gauss-Legendre rule, a literal table, on the ramp 3/4 < |xi| < 1
-only.  The whole bank is sampled from one stack of dilations psi(2^e xi)
-on the frequencies 0 .. N/2 returned by :func:`frequencies`, the one
-frequency grid that the rest of the package shares.
+only.  The whole bank is sampled from one row, the finest dilation
+psi(xi / 2^{J-1}) with J = log2(N) on the frequencies 0 .. N/2 returned by
+:func:`frequencies`, the one frequency grid that the rest of the package
+shares: every dilation psi(2^e xi) with e >= 1 - J is that row read at stride
+2^{e+J-1} (and 0 past its end), and every coarser one is 1 on the grid.
 """
 from __future__ import annotations
 
@@ -158,19 +160,19 @@ _GL_NODES = _frozen(np.concatenate((-np.array(_GL_POSITIVE_NODES[::-1]), _GL_POS
 _GL_WEIGHTS = _frozen(np.array(_GL_POSITIVE_WEIGHTS[::-1] + _GL_POSITIVE_WEIGHTS))
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-    return out
-
-
 def _bump_tail(a: np.ndarray) -> np.ndarray:
-    """Integral of the bump over [a, 1] for each entry of a 1-D array a."""
+    """Integral of the bump over [a, 1] for each entry of a 1-D array a, -1 <= a < 1.
+
+    Every quadrature node x then lies in (-1, 1), where the bump is exp(-1/(1-x^2)).
+    """
     half_width = 0.5 * (1.0 - a)
     x = half_width[:, None] * _GL_NODES + (0.5 * (a + 1.0))[:, None]
-    return half_width * np.sum(_GL_WEIGHTS * _bump(x), axis=1)
+    x *= x
+    np.subtract(1.0, x, out=x)
+    np.divide(-1.0, x, out=x)
+    np.exp(x, out=x)
+    x *= _GL_WEIGHTS
+    return half_width * np.sum(x, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -180,13 +182,14 @@ def _bump_total() -> float:
 
 
 def smooth_cutoff(xi):
-    """The radial low-pass profile psi, evaluated at scalar or array xi."""
+    """The radial low-pass profile psi, evaluated at scalar or array xi (NaN stays NaN)."""
     t = np.abs(np.asarray(xi, dtype=float))
     out = np.where(t <= 0.75, 1.0, 0.0)
+    out[np.isnan(t)] = np.nan
     ramp = (t > 0.75) & (t < 1.0)
     # indicator(|.| <= 7/8) mollified by the radius-1/8 bump, clamped so the
-    # plateau/support facts hold exactly in floating point; dilated grids
-    # repeat ramp points, so each distinct point is integrated once
+    # plateau/support facts hold exactly in floating point; a general array
+    # may repeat ramp points, so each distinct point is integrated once
     points, index = np.unique(t[ramp], return_inverse=True)
     values = np.clip(_bump_tail(8.0 * points - 7.0) / _bump_total(), 0.0, 1.0)
     out[ramp] = values[index]
@@ -226,19 +229,29 @@ def build_filters(grid_size: int) -> FilterBank:
     n = int(grid_size)
     _check_grid_size(n)
     j_max = n.bit_length() - 1
-    # row e + j_max + 1 of the stack is P_e = psi(2^e xi), e = -(j_max+1)..2
-    exponents = np.arange(-(j_max + 1), 3)
-    stack = smooth_cutoff(np.ldexp(frequencies(n), exponents[:, None]))
+    # psi(2^e xi) is 1 on 0..N/2 for e < 1 - j_max, and for every larger e
+    # it is this finest row read at stride 2^(e + j_max - 1), 0 past its end
+    finest = smooth_cutoff(np.ldexp(frequencies(n), 1 - j_max))
 
     def dilation(e):
-        return stack[e + j_max + 1]
+        return finest[:: 1 << (e + j_max - 1)]
 
-    j = np.arange(1, j_max + 1)
-    multipliers = np.vstack((dilation(0), dilation(-j) - dilation(1 - j)))
-    fat = np.vstack((dilation(-1), dilation(-1 - j) - dilation(3 - j)))
-    multipliers.setflags(write=False)
-    fat.setflags(write=False)
-    return FilterBank(grid_size=n, j_max=j_max, multipliers=multipliers, fat_multipliers=fat)
+    def fill(top, lag):
+        # row j: psi(2^(top-j) xi), minus psi(2^(top-j+lag) xi) for j >= 1
+        rows = np.zeros((j_max + 1, finest.size))
+        for j, row in enumerate(rows):
+            if top - j < 1 - j_max:
+                row.fill(1.0)
+            else:
+                head = dilation(top - j)
+                row[: head.size] = head
+            if j:
+                head = dilation(top - j + lag)
+                row[: head.size] -= head
+        rows.setflags(write=False)
+        return rows
+
+    return FilterBank(grid_size=n, j_max=j_max, multipliers=fill(0, 1), fat_multipliers=fill(-1, 4))
 
 
 def partition_of_unity(bank: FilterBank) -> np.ndarray:

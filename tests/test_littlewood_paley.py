@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -88,17 +89,45 @@ class TestFilterProfiles:
         expected = [[smooth_cutoff(float(x)) for x in row] for row in grid]
         assert np.array_equal(values, np.array(expected))
 
-    def test_radial_profiles_match_direct_evaluation(self, bank64):
-        radial = np.arange(33, dtype=float)
-        assert bank64.multipliers.shape == bank64.fat_multipliers.shape == (7, 33)
-        assert np.array_equal(bank64.multipliers[0], smooth_cutoff(radial))
-        assert np.array_equal(bank64.fat_multipliers[0], smooth_cutoff(radial / 2.0))
-        for j in range(1, bank64.j_max + 1):
-            assert np.array_equal(bank64.multipliers[j], band_profile(radial / 2.0 ** (j - 1)))
+    @pytest.mark.parametrize("exponent", range(3, 15))
+    def test_radial_profiles_match_direct_evaluation(self, exponent):
+        # every row bit for bit against the profiles evaluated at radial / 2^k
+        n = 2**exponent
+        bank = cached_bank(n)
+        radial = np.arange(n // 2 + 1, dtype=float)
+        assert bank.multipliers.shape == bank.fat_multipliers.shape == (exponent + 1, n // 2 + 1)
+        assert np.array_equal(bank.multipliers[0], smooth_cutoff(radial))
+        assert np.array_equal(bank.fat_multipliers[0], smooth_cutoff(radial / 2.0))
+        for j in range(1, bank.j_max + 1):
+            assert np.array_equal(bank.multipliers[j], band_profile(radial / 2.0 ** (j - 1)))
             assert np.array_equal(
-                bank64.fat_multipliers[j],
+                bank.fat_multipliers[j],
                 smooth_cutoff(radial / 2.0 ** (j + 1)) - smooth_cutoff(radial / 2.0 ** (j - 3)),
             )
+
+    def test_bank_temporaries_stay_within_twice_the_bank(self):
+        # the rows are written in place from one sampled row; building them
+        # from a masked stack of all the dilations peaks above 4x the bank
+        build_filters(8)  # the bump's total integral is cached on first use
+        tracemalloc.start()
+        try:
+            bank = build_filters(16384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (bank.multipliers.nbytes + bank.fat_multipliers.nbytes)
+
+    def test_nan_propagates(self):
+        assert math.isnan(smooth_cutoff(math.nan))
+        assert math.isnan(smooth_cutoff(np.array(math.nan)))
+        values = smooth_cutoff([math.nan, 0.9, math.inf, -math.inf, -math.nan])
+        assert np.isnan(values[[0, 4]]).all()
+        assert values[1] == smooth_cutoff(0.9)
+        assert values[2] == values[3] == 0.0
+        assert math.isnan(band_profile(math.nan))
+        profile = band_profile(np.array([math.nan, 1.0, math.inf]))
+        assert math.isnan(profile[0])
+        assert profile[1] == 1.0 and profile[2] == 0.0
 
     def test_bank_arrays_read_only(self, bank64):
         for name in ("multipliers", "fat_multipliers"):
